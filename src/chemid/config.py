@@ -10,11 +10,12 @@ config keys override preset values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStateError
+from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .pde import PhysicalParams, SimulationGrid
 from .sensitivity import SensitivityFunction, read_sensitivity_csv
 from .synthdata import myerscough_initial_data
@@ -140,8 +141,15 @@ def _parse(cfg: dict, key: str, conv, kind: str):
         ) from exc
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(s)
+    return x
+
+
 def get_float(cfg: dict, key: str) -> float:
-    return _parse(cfg, key, float, "a number")
+    return _parse(cfg, key, _finite, "a number")
 
 
 def get_int(cfg: dict, key: str) -> int:
@@ -159,7 +167,7 @@ def get_bool(cfg: dict, key: str) -> bool:
 
 def get_float_list(cfg: dict, key: str) -> list:
     def conv(s):
-        vals = [float(tok) for tok in s.split(",") if tok.strip()]
+        vals = [_finite(tok) for tok in s.split(",") if tok.strip()]
         if not vals:
             raise ValueError(s)
         return vals
@@ -189,7 +197,7 @@ def get_alphas(cfg: dict, key: str = "alphas") -> list:
                 f"config key {key!r}: expected logspace:<lo>:<hi>:<count>"
             )
         try:
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: malformed logspace spec") from exc
         if count < 1:
@@ -236,7 +244,7 @@ def build_initial_field(cfg: dict, key: str, grid: SimulationGrid) -> np.ndarray
         return u0 if key == "u0" else c0
     if spec.startswith("uniform:"):
         try:
-            value = float(spec.split(":", 1)[1])
+            value = _finite(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: malformed uniform value") from exc
         return np.full(grid.n_nodes, value)
@@ -258,12 +266,12 @@ class TruthSpec:
         kind, _, arg = spec.partition(":")
         if kind == "constant":
             try:
-                return cls(kind="constant", value=float(arg))
+                return cls(kind="constant", value=_finite(arg))
             except ValueError as exc:
                 raise ConfigError(f"malformed constant spec {spec!r}") from exc
         if kind == "inverse":
             try:
-                k = float(arg)
+                k = _finite(arg)
             except ValueError as exc:
                 raise ConfigError(f"malformed inverse spec {spec!r}") from exc
             if not k > 0:
@@ -294,8 +302,12 @@ class TruthSpec:
                 return k / c
 
             return inv
-        table = read_sensitivity_csv(self.path)
-        return table
+        try:
+            return read_sensitivity_csv(self.path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read table {self.path}: {exc}") from exc
+        except (InvalidStateError, ZeroWidthIntervalError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def on_basis(self, c_min: float, c_max: float, n_basis: int) -> SensitivityFunction:
         """Interpolate the described function onto a hat basis over [c_min, c_max]."""

@@ -14,8 +14,9 @@ stacked residual vector
 
 with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
 (Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.
-Jacobians are forward finite differences; one inversion costs at most
-(L + 1) forward solves per iteration.
+Jacobians are forward finite differences: the L perturbed coefficient
+vectors advance as the rows of one batched forward solve, so an
+iteration costs that batch plus one forward solve per damping trial.
 """
 
 from __future__ import annotations
@@ -34,8 +35,20 @@ from .errors import (
     NumericalSolveError,
     StepSizeError,
 )
-from .pde import DEFAULT_ADVECTION, PhysicalParams, SimulationGrid, solve_forward
-from .sensitivity import BasisMassMatrix, SensitivityFunction, mass_matrix, penalty
+from .pde import (
+    DEFAULT_ADVECTION,
+    PhysicalParams,
+    SimulationGrid,
+    _integrate,
+    solve_forward,
+)
+from .sensitivity import (
+    BasisMassMatrix,
+    SensitivityFunction,
+    hat_rows,
+    mass_matrix,
+    require_same_basis,
+)
 from .synthdata import NoisyData
 
 #: Damping beyond this means no descent direction is found: stagnation.
@@ -113,6 +126,15 @@ class TikhonovProblem:
         return self.data.grid
 
     @property
+    def solve_grid(self) -> SimulationGrid:
+        """The mesh the forward model runs on: time_refine steps per frame."""
+        if self.time_refine == 1:
+            return self.grid
+        return self.grid.with_resolution(
+            self.grid.n_nodes, self.grid.n_steps * self.time_refine
+        )
+
+    @property
     def n_basis(self) -> int:
         return self.a_star.n_basis
 
@@ -142,6 +164,15 @@ class TikhonovProblem:
         return self.a_star.with_coeffs(coeffs)
 
 
+def _basis_coeffs(coeffs, prob: TikhonovProblem) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (prob.n_basis,):
+        raise IncompatibleBasisError(
+            f"expected {prob.n_basis} coefficients, got shape {coeffs.shape}"
+        )
+    return coeffs
+
+
 def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     """Stacked weighted residual whose squared norm is J_alpha(coeffs).
 
@@ -149,35 +180,29 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     penalty block of length L.  Forward-solve failures surface as
     ForwardSolveError; the optimizer treats them as rejected steps.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (prob.n_basis,):
-        raise IncompatibleBasisError(
-            f"expected {prob.n_basis} coefficients, got shape {coeffs.shape}"
-        )
+    coeffs = _basis_coeffs(coeffs, prob)
     a = prob._coeffs_to_sensitivity(coeffs)
-    k = prob.time_refine
-    run_grid = prob.grid
-    if k > 1:
-        run_grid = prob.grid.with_resolution(
-            prob.grid.n_nodes, prob.grid.n_steps * k
-        )
     try:
         traj = solve_forward(
             prob.u0,
             prob.c0,
             prob.params,
             a,
-            run_grid,
+            prob.solve_grid,
             advection=prob.advection,
             max_substeps=prob.max_substeps,
         )
     except (NumericalSolveError, StepSizeError, InvalidStateError) as exc:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
+    k = prob.time_refine
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     r_u = w * (traj.u_matrix()[::k] - prob.data.z_u).ravel()
     r_c = w * (traj.c_matrix()[::k] - prob.data.z_c).ravel()
-    r_pen = prob._penalty_root @ (coeffs - prob.a_star.coeffs)
-    return np.concatenate([r_u, r_c, r_pen])
+    return np.concatenate([r_u, r_c, _penalty_residual(coeffs, prob)])
+
+
+def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
+    return prob._penalty_root @ (coeffs - prob.a_star.coeffs)
 
 
 def objective(coeffs, prob: TikhonovProblem) -> float:
@@ -195,23 +220,52 @@ def jacobian_fd(
 ) -> np.ndarray:
     """Forward-difference Jacobian of the residual, one column per coefficient.
 
-    Column k uses step fd_step * max(|a_k|, 1).  Columns are independent;
-    a failing perturbed solve raises JacobianColumnError carrying k.
+    Column k uses step fd_step * max(|a_k|, 1).  All L perturbed vectors
+    are solved as the rows of one batched forward solve, in which each row
+    is checked as a lone solve would be; if any fails, JacobianColumnError
+    carries the lowest failing k.  Column k equals
+    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _basis_coeffs(coeffs, prob)
     r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
-    J = np.empty((r0.shape[0], coeffs.shape[0]))
-    for k in range(coeffs.shape[0]):
-        h = cfg.fd_step * max(abs(coeffs[k]), 1.0)
-        pert = coeffs.copy()
-        pert[k] += h
-        try:
-            rk = residual_vector(pert, prob)
-        except ForwardSolveError as exc:
+    n_basis = coeffs.shape[0]
+    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
+    pert = np.tile(coeffs, (n_basis, 1))
+    pert[np.diag_indices(n_basis)] += h
+    knots = prob.a_star.knots()
+    J = np.empty((r0.shape[0], n_basis))
+    n_nodes, n_field = prob.grid.n_nodes, prob.data.z_u.size
+    w = math.sqrt(prob.grid.dx * prob.grid.dt)
+
+    def record(j, u_rows, c_rows):
+        """Write the J rows of measurement frame j / time_refine."""
+        frame, skip = divmod(j, prob.time_refine)
+        if skip:
+            return
+        for offset, X, Z in ((0, u_rows, prob.data.z_u), (n_field, c_rows, prob.data.z_c)):
+            rows = slice(offset + frame * n_nodes, offset + (frame + 1) * n_nodes)
+            J[rows] = ((w * (X - Z[frame]) - r0[rows]) / h[:, None]).T
+
+    shape = (n_basis, n_nodes)
+    errors = _integrate(
+        np.broadcast_to(prob.u0, shape),
+        np.broadcast_to(prob.c0, shape),
+        prob.params,
+        lambda face_c, rows: hat_rows(face_c, knots, pert[rows]),
+        prob.solve_grid,
+        prob.advection,
+        prob.max_substeps,
+        record,
+    )
+    for k, exc in enumerate(errors):
+        if exc is not None:
             raise JacobianColumnError(
-                k, f"perturbed solve for column {k} failed: {exc}"
+                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
             ) from exc
-        J[:, k] = (rk - r0) / h
+
+    pen = slice(2 * n_field, None)
+    for k in range(n_basis):
+        J[pen, k] = (_penalty_residual(pert[k], prob) - r0[pen]) / h[k]
     return J
 
 
@@ -261,12 +315,7 @@ def levenberg_marquardt(
     decreases, on max_iters, or with converged=False when lambda overflows
     without finding any descent step.
     """
-    if (
-        a0.n_basis != prob.n_basis
-        or not math.isclose(a0.c_min, prob.a_star.c_min, rel_tol=1e-12, abs_tol=1e-12)
-        or not math.isclose(a0.c_max, prob.a_star.c_max, rel_tol=1e-12, abs_tol=1e-12)
-    ):
-        raise IncompatibleBasisError("initial guess is not on the problem basis")
+    require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
 
     coeffs = a0.coeffs.copy()
     r = residual_vector(coeffs, prob)

@@ -21,9 +21,19 @@ quantity.  Each step is IMEX:
   * the saturating production b u/(u+h) uses the beginning-of-step u so
     the c update stays linear.
 
-``solve_forward`` re-checks the advective positivity bound
-dt <= 0.45 dx / max|v| before every step and sub-steps adaptively when
-it is violated.
+The stepper advances a batch of independent rows at once: u and c are
+(rows, n_nodes) arrays, one row per solve (``solve_forward`` is the
+one-row case; the finite-difference Jacobian runs one row per perturbed
+coefficient vector).  With the chemotaxis term explicit, the implicit u-
+and c-matrices depend only on the step size, so they are LU-factored
+(LAPACK dgttrf) once per solve for the frame step and once per sub-step
+size in use, and all rows taking one step size are solved by one dgttrs
+call per field.  The face velocities are evaluated
+once per (sub-)step and serve both the flux and the advective positivity
+bound dt <= 0.45 dx / max|v|, which is checked per row before every step;
+a row that violates it is sub-stepped on its own.  The positivity check
+runs per row after every (sub-)step and the c floor per row after every
+frame, so a failing row stops without touching the others.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     DomainMismatchError,
@@ -261,80 +271,97 @@ def chemotactic_face_velocity(
 
 
 def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray:
-    face_c = 0.5 * (c[:-1] + c[1:])
-    return np.asarray(a(face_c), dtype=float) * (np.diff(c) / dx)
+    """Face velocities along the last axis; ``a`` sees the face concentrations."""
+    face_c = 0.5 * (c[..., :-1] + c[..., 1:])
+    return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
 
 
 def _advected_face_values(
     u: np.ndarray, v: np.ndarray, dx: float, M: float, advection: str
 ) -> np.ndarray:
-    upwind = np.where(v >= 0.0, u[:-1], u[1:])
+    upwind = np.where(v >= 0.0, u[:, :-1], u[:, 1:])
     if advection == "upwind":
         return upwind
     if advection == "blended":
-        central = 0.5 * (u[:-1] + u[1:])
+        central = 0.5 * (u[:, :-1] + u[:, 1:])
         peclet = v * (dx / M)
         return np.where(np.abs(peclet) <= 2.0, central, upwind)
     raise InvalidStateError(f"unknown advection scheme {advection!r}")
 
 
-def _implicit_banded(n: int, r: float, extra_diag: float) -> np.ndarray:
-    """Banded form of I + extra_diag*I - r*L, L the Neumann Laplacian stencil."""
-    ab = np.zeros((3, n))
-    ab[1, :] = 1.0 + extra_diag + 2.0 * r
-    ab[0, 1] = -2.0 * r
-    ab[0, 2:] = -r
-    ab[2, : n - 2] = -r
-    ab[2, n - 2] = -2.0 * r
-    return ab
+def _factor(n: int, r: float, extra_diag: float) -> tuple:
+    """LU factors (LAPACK dgttrf) of I + extra_diag*I - r*L.
+
+    L is the Neumann Laplacian stencil with ghost-node reflection, so the
+    first super- and last sub-diagonal entries are doubled.
+    """
+    bands = np.empty((3, n))
+    bands[0] = bands[2] = -r
+    bands[1] = 1.0 + extra_diag + 2.0 * r
+    bands[0, n - 2] = bands[2, 0] = -2.0 * r
+    *lu, info = dgttrf(
+        bands[0, :-1], bands[1], bands[2, :-1],
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
+    )
+    if info != 0:  # degenerate dt/dx combination
+        raise NumericalSolveError(f"tridiagonal factorization failed (info={info})")
+    return tuple(lu)
+
+
+def _step_factors(params: PhysicalParams, n: int, dx: float, dt: float) -> tuple:
+    """Factors of the implicit u- and c-matrices for a step of size dt."""
+    return (
+        _factor(n, dt * params.M / dx**2, 0.0),
+        _factor(n, dt * params.D / dx**2, dt * params.mu),
+    )
+
+
+def _solve_rows(lu: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve the factored system for every row of rhs, overwriting rhs."""
+    # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
+    x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)
+    return x.T
 
 
 def _advance(
     u: np.ndarray,
     c: np.ndarray,
+    v: np.ndarray,
     params: PhysicalParams,
-    a: SensitivityLike,
     dx: float,
     dt: float,
     advection: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One IMEX step of size dt; returns new (u, c) node arrays."""
-    n = u.shape[0]
+    factors: tuple,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """One IMEX step of size dt for every row of (u, c), given face velocities v.
 
-    v = _face_velocities(c, a, dx)
+    ``factors`` are the ``_step_factors`` of dt.  Returns the new (u, c)
+    rows and a list of (row, PositivityViolationError) for rows whose cell
+    density fell below the floor; smaller negatives are clipped to zero.
+    """
+    n = u.shape[1]
     flux = v * _advected_face_values(u, v, dx, params.M, advection)
-    div = np.empty(n)
-    div[0] = flux[0] / (0.5 * dx)
-    div[1:-1] = (flux[1:] - flux[:-1]) / dx
-    div[-1] = -flux[-1] / (0.5 * dx)
-    ustar = u - dt * div
+    div = np.empty_like(u)
+    div[:, 0] = flux[:, 0] / (0.5 * dx)
+    div[:, 1:-1] = (flux[:, 1:] - flux[:, :-1]) / dx
+    div[:, n - 1] = -flux[:, -1] / (0.5 * dx)
+    # production uses the beginning-of-step u, keeping the solve linear
+    rhs = c + dt * params.b * (u / (u + params.h))
+    u_new = _solve_rows(factors[0], u - dt * div)
+    c_new = _solve_rows(factors[1], rhs)
 
-    try:
-        u_new = solve_banded(
-            (1, 1),
-            _implicit_banded(n, dt * params.M / dx**2, 0.0),
-            ustar,
-            check_finite=False,
-        )
-        # production uses the beginning-of-step u, keeping the solve linear
-        rhs = c + dt * params.b * (u / (u + params.h))
-        c_new = solve_banded(
-            (1, 1),
-            _implicit_banded(n, dt * params.D / dx**2, dt * params.mu),
-            rhs,
-            check_finite=False,
-        )
-    except np.linalg.LinAlgError as exc:  # degenerate dt/dx combination
-        raise NumericalSolveError(f"tridiagonal solve failed: {exc}") from exc
-
-    u_min = u_new.min()
-    if u_min < -POSITIVITY_FLOOR * max(1.0, float(u_new.max())):
-        raise PositivityViolationError(
-            f"cell density reached {u_min:.3e} after a step of dt={dt:.3e}"
-        )
-    if u_min < 0.0:
-        u_new = np.where(u_new < 0.0, 0.0, u_new)
-    return u_new, c_new
+    failures = []
+    u_min = u_new.min(axis=1)
+    if (u_min < 0.0).any():
+        broken = u_min < -POSITIVITY_FLOOR * np.maximum(1.0, u_new.max(axis=1))
+        failures = [
+            (i, PositivityViolationError(
+                f"cell density reached {u_min[i]:.3e} after a step of dt={dt:.3e}"
+            ))
+            for i in np.flatnonzero(broken)
+        ]
+        u_new[u_new < 0.0] = 0.0
+    return u_new, c_new, failures
 
 
 def step(
@@ -353,8 +380,121 @@ def step(
     """
     if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.c))):
         raise InvalidStateError("step: state contains non-finite values")
-    u, c = _advance(state.u, state.c, params, a, grid.dx, grid.dt, advection)
-    return StateField(u=u, c=c, t=state.t + grid.dt)
+    u, c = state.u[None, :], state.c[None, :]
+    n, dx, dt = grid.n_nodes, grid.dx, grid.dt
+    v = _face_velocities(c, a, dx)
+    u, c, failures = _advance(
+        u, c, v, params, dx, dt, advection, _step_factors(params, n, dx, dt)
+    )
+    if failures:
+        raise failures[0][1]
+    return StateField(u=u[0], c=c[0], t=state.t + dt)
+
+
+def _integrate(
+    u0: np.ndarray,
+    c0: np.ndarray,
+    params: PhysicalParams,
+    a: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    grid: SimulationGrid,
+    advection: str,
+    max_substeps: int,
+    record: Callable[[int, np.ndarray, np.ndarray], None],
+) -> list:
+    """Solve the coupled system for every row of the (rows, n_nodes) fields.
+
+    ``a(face_c, rows)`` gives the sensitivity of the rows with indices
+    ``rows`` at their face concentrations ``face_c`` (one array row per
+    index).  The initial fields are assumed valid.  Rows are independent:
+    each is checked against the CFL limit, ``max_substeps``, positivity
+    and its own c floor exactly as a lone solve would be, and a row that
+    fails stops without changing the others.  Rows that take the same
+    step size advance together through one factorization.
+
+    ``record(j, u, c)`` receives the fields of frame j = 0..n_steps while
+    any row is still running; the rows of failed solves hold stale values
+    and the arrays may change afterwards, so it copies what it keeps.
+    Returns, per row, None or the error that stopped it.
+    """
+    u = np.array(u0, dtype=float)
+    c = np.array(c0, dtype=float)
+    n_rows, n = u.shape
+    dx, dt = grid.dx, grid.dt
+    times = grid.times()
+    record(0, u, c)
+    c_floor = c.min(axis=1)
+    errors = [None] * n_rows
+    alive = np.ones(n_rows, dtype=bool)
+    frame_factors = _step_factors(params, n, dx, dt)
+    cfl = CFL_SAFETY * 0.5 * dx
+
+    def fail(row, exc):
+        errors[row] = exc
+        alive[row] = False
+
+    for j in range(grid.n_steps):
+        # rows still inside frame j; each of them has taken `used` sub-steps
+        rows = np.flatnonzero(alive)
+        remaining = np.full(rows.size, dt)
+        used = 0
+        while rows.size:
+            every = rows.size == n_rows
+            c_rows = c if every else c[rows]
+            v = _face_velocities(c_rows, lambda face_c: a(face_c, rows), dx)
+            vmax = np.abs(v).max(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                limit = cfl / vmax
+                fits = remaining <= limit * (1.0 + 1e-12)
+                all_fit = fits.all()
+                if not all_fit:  # rows over the limit split their rest evenly
+                    sizes = np.where(fits, remaining, remaining / np.ceil(remaining / limit))
+            if all_fit:
+                ok, sizes = fits, remaining
+            else:
+                ok = fits | (np.isfinite(vmax) & (used < max_substeps))
+                for i in np.flatnonzero(~ok):
+                    fail(rows[i], StepSizeError(
+                        f"frame {j + 1} needs more than {max_substeps} sub-steps "
+                        f"(dt={dt:.3e}, stable limit {limit[i]:.3e})"
+                    ) if np.isfinite(vmax[i]) else InvalidStateError(
+                        f"face velocity is not finite in frame {j + 1}"
+                    ))
+
+            for size in set(sizes[ok].tolist()):
+                sel = ok & (sizes == size)
+                group = rows[sel]
+                factors = (
+                    frame_factors if size == dt
+                    else _step_factors(params, n, dx, size)
+                )
+                if every and sel.all():
+                    u, c, broken = _advance(u, c, v, params, dx, size, advection, factors)
+                else:
+                    u[group], c[group], broken = _advance(
+                        u[group], c_rows[sel], v[sel], params, dx, size, advection, factors
+                    )
+                for i, exc in broken:
+                    fail(group[i], exc)
+
+            if all_fit:
+                break
+            going = ~fits & alive[rows]
+            rows = rows[going]
+            remaining = (remaining - sizes)[going]
+            used += 1
+
+        t = times[j + 1]
+        c_min = c.min(axis=1)
+        bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
+        for row in np.flatnonzero(alive & (c_min < bound)):
+            fail(row, LowerBoundViolationError(
+                f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
+            ))
+        if not alive.any():
+            break
+        record(j + 1, u, c)
+
+    return errors
 
 
 def solve_forward(
@@ -391,41 +531,21 @@ def solve_forward(
         raise InvalidStateError("initial fields contain non-finite values")
     if u.min() < 0:
         raise InvalidStateError(f"u0 must be nonnegative (min {u.min():.3e})")
-    c0_floor = c.min()
-    if c0_floor <= 0:
-        raise InvalidStateError(f"c0 must be positive (min {c0_floor:.3e})")
+    if c.min() <= 0:
+        raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
 
-    dx, dt = grid.dx, grid.dt
     times = grid.times()
-    frames = [StateField(u=u, c=c, t=0.0)]
+    frames = []
 
-    for j in range(grid.n_steps):
-        remaining = dt
-        used = 0
-        while True:
-            vmax = float(np.max(np.abs(_face_velocities(c, a, dx))))
-            limit = CFL_SAFETY * 0.5 * dx / vmax if vmax > 0 else math.inf
-            if remaining <= limit * (1.0 + 1e-12):
-                u, c = _advance(u, c, params, a, dx, remaining, advection)
-                break
-            if used >= max_substeps:
-                raise StepSizeError(
-                    f"frame {j + 1} needs more than {max_substeps} sub-steps "
-                    f"(dt={dt:.3e}, stable limit {limit:.3e})"
-                )
-            sub = remaining / math.ceil(remaining / limit)
-            u, c = _advance(u, c, params, a, dx, sub, advection)
-            remaining -= sub
-            used += 1
+    def record(j, u_rows, c_rows):
+        frames.append(StateField(u=u_rows[0], c=c_rows[0], t=times[j]))
 
-        t = times[j + 1]
-        bound = c0_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
-        if c.min() < bound:
-            raise LowerBoundViolationError(
-                f"min c = {c.min():.6e} fell below {bound:.6e} at t={t:.6g}"
-            )
-        frames.append(StateField(u=u, c=c, t=t))
-
+    errors = _integrate(
+        u[None, :], c[None, :], params, lambda face_c, rows: a(face_c), grid,
+        advection, max_substeps, record,
+    )
+    if errors[0] is not None:
+        raise errors[0]
     return StateTrajectory(grid=grid, frames=tuple(frames))
 
 
@@ -497,9 +617,12 @@ def _read_frame_csv(path, expect_comment: bool = False):
         raise InvalidStateError(f"{path}: missing metadata header line")
     if not lines or lines[0] != "t,x,u,c":
         raise InvalidStateError(f"{path}: expected header 't,x,u,c'")
-    data = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
-    )
+    try:
+        data = np.array(
+            [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
+        )
+    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
+        raise InvalidStateError(f"{path}: malformed rows: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 4:
         raise InvalidStateError(f"{path}: malformed rows")
 

@@ -12,7 +12,6 @@ error against delta.
 from __future__ import annotations
 
 import dataclasses
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,14 +20,13 @@ import numpy as np
 
 from .errors import (
     ForwardSolveError,
-    IncompatibleBasisError,
     InsufficientSweepError,
     InvalidStateError,
     NoiseLevelError,
 )
 from .inversion import InversionResult, LMConfig, TikhonovProblem, levenberg_marquardt
 from .pde import StateTrajectory
-from .sensitivity import SensitivityFunction, mass_matrix
+from .sensitivity import SensitivityFunction, mass_matrix, require_same_basis
 from .synthdata import add_noise
 
 #: Relative slack when checking the weak monotonicity of swept (rho, eta).
@@ -226,12 +224,7 @@ def rate_study(
     if len(seeds) == 0:
         raise InvalidStateError("rate study needs at least one seed")
     a_star = prob_template.a_star
-    if (
-        truth.n_basis != a_star.n_basis
-        or not math.isclose(truth.c_min, a_star.c_min, rel_tol=1e-12, abs_tol=1e-12)
-        or not math.isclose(truth.c_max, a_star.c_max, rel_tol=1e-12, abs_tol=1e-12)
-    ):
-        raise IncompatibleBasisError("truth must live on the problem basis")
+    require_same_basis(truth, a_star, "truth must live on the problem basis")
     B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max).entries
 
     records = []

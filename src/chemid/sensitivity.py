@@ -58,20 +58,24 @@ class SensitivityFunction:
                 f"empty concentration interval [{self.c_min}, {self.c_max}]"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        knots = np.linspace(self.c_min, self.c_max, coeffs.shape[0])
+        knots.setflags(write=False)
+        object.__setattr__(self, "_knots", knots)
 
     @property
     def n_basis(self) -> int:
         return self.coeffs.shape[0]
 
     def knots(self) -> np.ndarray:
-        return np.linspace(self.c_min, self.c_max, self.n_basis)
+        """The uniform knots, built once per instance (read-only)."""
+        return self._knots
 
     def __call__(self, c):
         """Evaluate a(c); accepts scalars or arrays, clamps outside the interval."""
         c = np.asarray(c, dtype=float)
         if not np.all(np.isfinite(c)):
             raise InvalidStateError("sensitivity evaluated at non-finite c")
-        out = np.interp(c, self.knots(), self.coeffs)
+        out = np.interp(c, self._knots, self.coeffs)
         return float(out) if out.ndim == 0 else out
 
     def with_coeffs(self, coeffs) -> "SensitivityFunction":
@@ -159,23 +163,47 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> BasisMassMatrix:
     return BasisMassMatrix(entries=B, knot_spacing=dc)
 
 
+def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Row i of c evaluated on the hat basis with coefficient row coeffs[i].
+
+    Equal bit for bit to ``np.interp(c[i], knots, coeffs[i])`` for finite
+    inputs, including the clamp outside [knots[0], knots[-1]] and the exact
+    coefficient at a knot; one call serves a whole batch of sensitivities.
+    """
+    n_rows, n_basis = coeffs.shape
+    c = np.clip(c, knots[0], knots[-1])
+    j = np.searchsorted(knots, c, side="right") - 1
+    left = np.minimum(j, n_basis - 2)
+    # flat indices into coeffs (rows of n_basis) and slopes (rows of n_basis - 1)
+    row = np.arange(n_rows)[:, None]
+    slopes = (coeffs[:, 1:] - coeffs[:, :-1]) / (knots[1:] - knots[:-1])
+    lin = (
+        np.take(slopes, left + row * (n_basis - 1)) * (c - knots[left])
+        + np.take(coeffs, left + row * n_basis)
+    )
+    return np.where(c == knots[j], np.take(coeffs, j + row * n_basis), lin)
+
+
+def require_same_basis(a: SensitivityFunction, b: SensitivityFunction, what: str) -> None:
+    """Raise IncompatibleBasisError unless a and b share knot count and interval."""
+    if not (
+        a.n_basis == b.n_basis
+        and math.isclose(a.c_min, b.c_min, rel_tol=1e-12, abs_tol=1e-12)
+        and math.isclose(a.c_max, b.c_max, rel_tol=1e-12, abs_tol=1e-12)
+    ):
+        raise IncompatibleBasisError(
+            f"{what}: [{a.c_min}, {a.c_max}] x {a.n_basis} vs "
+            f"[{b.c_min}, {b.c_max}] x {b.n_basis}"
+        )
+
+
 def penalty(
     a: SensitivityFunction,
     a_star: SensitivityFunction,
     B: BasisMassMatrix | None = None,
 ) -> float:
     """Squared L2(I) distance (a - a*)^T B (a - a*) on a shared basis."""
-    same = (
-        a.n_basis == a_star.n_basis
-        and math.isclose(a.c_min, a_star.c_min, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(a.c_max, a_star.c_max, rel_tol=1e-12, abs_tol=1e-12)
-    )
-    if not same:
-        raise IncompatibleBasisError(
-            "sensitivities use different knots: "
-            f"[{a.c_min}, {a.c_max}] x {a.n_basis} vs "
-            f"[{a_star.c_min}, {a_star.c_max}] x {a_star.n_basis}"
-        )
+    require_same_basis(a, a_star, "sensitivities use different knots")
     if B is None:
         B = mass_matrix(a.n_basis, a.c_min, a.c_max)
     if B.n_basis != a.n_basis:
@@ -238,13 +266,17 @@ def read_sensitivity_csv(path) -> SensitivityFunction:
         )
     if len(lines) < 2 or lines[1] != "c_knot,a_value":
         raise InvalidStateError(f"{path}: expected header 'c_knot,a_value'")
-    rows = np.array(
-        [[float(v) for v in ln.split(",")] for ln in lines[2:]], dtype=float
-    )
-    n = int(meta["n_basis"])
+    try:
+        n = int(meta["n_basis"])
+        c_min, c_max = float(meta["c_min"]), float(meta["c_max"])
+        rows = np.array(
+            [[float(v) for v in ln.split(",")] for ln in lines[2:]], dtype=float
+        )
+    except ValueError as exc:  # a non-numeric value, or rows of unequal length
+        raise InvalidStateError(f"{path}: malformed values: {exc}") from exc
     if rows.shape != (n, 2):
         raise InvalidStateError(f"{path}: expected {n} knot rows, got {rows.shape}")
-    a = SensitivityFunction(float(meta["c_min"]), float(meta["c_max"]), rows[:, 1])
+    a = SensitivityFunction(c_min, c_max, rows[:, 1])
     if not np.allclose(rows[:, 0], a.knots(), rtol=1e-9, atol=1e-12):
         raise InvalidStateError(f"{path}: knot column inconsistent with metadata")
     return a

@@ -197,10 +197,8 @@ def read_noisy_csv(path) -> NoisyData:
         meta[key] = val
     if "delta" not in meta or "seed" not in meta:
         raise InvalidStateError(f"{path}: metadata must carry delta and seed")
-    return NoisyData(
-        grid=grid,
-        z_u=z_u,
-        z_c=z_c,
-        delta=float(meta["delta"]),
-        seed=int(meta["seed"]),
-    )
+    try:
+        delta, seed = float(meta["delta"]), int(meta["seed"])
+    except ValueError as exc:
+        raise InvalidStateError(f"{path}: malformed metadata: {exc}") from exc
+    return NoisyData(grid=grid, z_u=z_u, z_c=z_c, delta=delta, seed=seed)

@@ -305,3 +305,46 @@ def test_module_entrypoint_help():
     assert proc.returncode == 0
     for name in ("forward", "make-data", "invert", "lcurve", "rates"):
         assert name in proc.stdout
+
+
+def run_cli(*args):
+    """Run the command line in a fresh interpreter, as a user would."""
+    return subprocess.run(
+        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True
+    )
+
+
+def assert_config_error(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: ")
+
+
+@pytest.mark.parametrize("where", ["cell", "metadata"])
+def test_non_numeric_data_csv_exits_2(tmp_path, data_dir, where):
+    lines = (data_dir / "data.csv").read_text().splitlines()
+    if where == "cell":
+        t, x, _, c = lines[2].split(",")
+        lines[2] = ",".join([t, x, "abc", c])
+    else:
+        lines[0] = re.sub(r"delta=\S+", "delta=abc", lines[0])
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "data.csv").write_text("\n".join(lines) + "\n")
+    cfg = invert_cfg(tmp_path, bad)
+    assert_config_error(run_cli("invert", "--config", cfg, "--out", str(tmp_path)))
+
+
+def test_missing_truth_table_exits_2(tmp_path):
+    cfg = write_cfg(
+        tmp_path, "table.cfg",
+        SMALL_PHYS + SMALL_GRID + f"truth = table:{tmp_path / 'missing.csv'}\n",
+    )
+    assert_config_error(run_cli("forward", "--config", cfg, "--out", str(tmp_path)))
+
+
+def test_non_finite_alpha_exits_2(tmp_path, data_dir):
+    body = INVERT_BODY.replace("alpha = 1e-5", "alpha = nan")
+    cfg = write_cfg(tmp_path, "nan.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
+    assert_config_error(run_cli("invert", "--config", cfg, "--out", str(tmp_path)))

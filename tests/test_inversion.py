@@ -1,5 +1,7 @@
 """Objective/residual consistency and Levenberg-Marquardt behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from chemid.errors import (
     IncompatibleBasisError,
     InvalidStateError,
     JacobianColumnError,
+    StepSizeError,
 )
 from chemid.inversion import (
     InversionResult,
@@ -177,6 +180,81 @@ def test_jacobian_column_error_carries_index():
     assert err.value.column == 0
 
 
+def column_by_column_jacobian(coeffs, prob, cfg=LMConfig()):
+    """Reference Jacobian: one residual_vector call per perturbed column."""
+    r0 = residual_vector(coeffs, prob)
+    cols = []
+    for k in range(coeffs.shape[0]):
+        h = cfg.fd_step * max(abs(coeffs[k]), 1.0)
+        pert = coeffs.copy()
+        pert[k] += h
+        cols.append((residual_vector(pert, prob) - r0) / h)
+    return np.column_stack(cols)
+
+
+def wide_basis_problem(**changes):
+    """small_problem with its basis stretched down so that hats 0 and 1
+    lie below every observed c: perturbing them cannot change a solve."""
+    prob, _, _ = small_problem()
+    lo, hi = prob.a_star.c_min, prob.a_star.c_max
+    a_star = SensitivityFunction.constant(1.0, lo - 2.0 * (hi - lo), hi, 4)
+    return dataclasses.replace(prob, a_star=a_star, **changes)
+
+
+def needs_substeps(coeffs, prob):
+    try:
+        solve_forward(prob.u0, prob.c0, prob.params, prob.a_star.with_coeffs(coeffs),
+                      prob.grid, advection=prob.advection, max_substeps=0)
+    except StepSizeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "changes", [{}, {"advection": "upwind"}, {"time_refine": 2}],
+    ids=["blended", "upwind", "time_refine"],
+)
+def test_batched_jacobian_equals_column_by_column(changes):
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, **changes)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    assert np.array_equal(
+        jacobian_fd(coeffs, prob), column_by_column_jacobian(coeffs, prob)
+    )
+
+
+def test_batched_jacobian_mixes_substepped_and_plain_rows():
+    prob = wide_basis_problem()
+    cfg = LMConfig(fd_step=30.0)
+    coeffs = prob.a_star.coeffs
+    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
+    perturbed = coeffs + np.diag(h)
+    assert not needs_substeps(coeffs, prob)
+    assert [needs_substeps(row, prob) for row in perturbed] == [False, False, True, False]
+    assert np.array_equal(
+        jacobian_fd(coeffs, prob, cfg), column_by_column_jacobian(coeffs, prob, cfg)
+    )
+
+
+def test_jacobian_column_error_is_lowest_failing_column():
+    # hats 0 and 1 see no data, so only the later columns 2 and 3 can fail
+    prob = wide_basis_problem(max_substeps=0)
+    cfg = LMConfig(fd_step=60.0)
+    coeffs = prob.a_star.coeffs
+    failing = []
+    for k in range(4):
+        pert = coeffs.copy()
+        pert[k] += cfg.fd_step * max(abs(coeffs[k]), 1.0)
+        try:
+            residual_vector(pert, prob)
+        except ForwardSolveError:
+            failing.append(k)
+    assert failing == [2, 3]
+    with pytest.raises(JacobianColumnError) as err:
+        jacobian_fd(coeffs, prob, cfg)
+    assert err.value.column == 2
+
+
 def test_gradient_matches_central_differences():
     prob, a_true, _ = small_problem(alpha=1e-3, delta=1e-2)
     rng = np.random.default_rng(23)
@@ -248,7 +326,7 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
 
     def failing_after_first(coeffs, p):
         calls["n"] += 1
-        if calls["n"] <= 1 + prob.n_basis:  # base residual + jacobian columns
+        if calls["n"] <= 1:  # the base residual; the Jacobian does not call this
             return real(coeffs, p)
         raise ForwardSolveError("injected trial failure")
 

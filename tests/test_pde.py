@@ -34,6 +34,7 @@ from chemid.pde import (
     write_params,
     write_trajectory_csv,
 )
+from chemid.pde import _integrate
 from chemid.sensitivity import SensitivityFunction
 
 from helpers import dense_diffusion_solve, dense_one_step
@@ -326,6 +327,36 @@ def test_solve_substep_cap_enforced():
         solve_forward(u0, c0, p, A_CONST2, g, max_substeps=2)
     # same run with headroom succeeds
     solve_forward(u0, c0, p, A_CONST2, g, max_substeps=64)
+
+
+def test_batched_rows_fail_independently():
+    # the steep row needs sub-steps that a zero budget forbids; the flat
+    # row has no gradient at first and must come out exactly as a lone solve
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
+    p = PhysicalParams.myerscough()
+    u0, _ = bump_initial(g)
+    flat = np.full(51, 0.5)
+    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    frames = []
+    errors = _integrate(
+        np.stack([u0, u0, u0]), np.stack([steep, flat, steep]), p,
+        lambda face_c, rows: A_CONST2(face_c), g, "blended", 0,
+        lambda j, u, c: frames.append((u[1].copy(), c[1].copy())),
+    )
+    assert isinstance(errors[0], StepSizeError) and isinstance(errors[2], StepSizeError)
+    assert errors[1] is None
+    alone = solve_forward(u0, flat, p, A_CONST2, g, max_substeps=0)
+    assert np.array_equal(np.array([u for u, _ in frames]), alone.u_matrix())
+    assert np.array_equal(np.array([c for _, c in frames]), alone.c_matrix())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_solve_rejects_non_finite_face_velocity(value):
+    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    c0 = 0.5 + 0.1 * np.cos(np.pi * g.xs())
+    with pytest.raises(InvalidStateError, match="face velocity"):
+        solve_forward(np.ones(11), c0, p, lambda c: np.full_like(c, value), g)
 
 
 def test_solve_validates_initial_fields():

@@ -14,6 +14,7 @@ from chemid.sensitivity import (
     BasisMassMatrix,
     SensitivityFunction,
     concentration_range,
+    hat_rows,
     mass_matrix,
     penalty,
     read_sensitivity_csv,
@@ -240,3 +241,23 @@ def test_sensitivity_csv_rejects_corrupt_header(tmp_path):
     path.write_text("\n".join(body) + "\n")
     with pytest.raises(InvalidStateError):
         read_sensitivity_csv(path)
+
+
+def test_knots_built_once_and_read_only():
+    a = SensitivityFunction(0.1, 0.7, np.arange(7.0))
+    assert a.knots() is a.knots()
+    assert np.array_equal(a.knots(), np.linspace(0.1, 0.7, 7))
+    with pytest.raises(ValueError):
+        a.knots()[0] = 0.0
+
+
+def test_hat_rows_equals_interp_bit_for_bit():
+    rng = np.random.default_rng(5)
+    knots = np.linspace(0.2, 0.9, 9)
+    coeffs = rng.normal(size=(6, 9)) * 10.0 ** rng.uniform(-3, 4, (6, 1))
+    c = rng.uniform(0.0, 1.1, (6, 40))
+    c[:, :9] = knots  # every knot, including both ends, exactly
+    coeffs[:, 4] = -0.0  # np.interp returns a knot's coefficient as is
+    got = hat_rows(c, knots, coeffs)
+    for i in range(6):
+        assert got[i].tobytes() == np.interp(c[i], knots, coeffs[i]).tobytes()
