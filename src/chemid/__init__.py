@@ -36,16 +36,12 @@ from .inversion import (
 from .pde import (
     PhysicalParams,
     SimulationGrid,
-    StateField,
     StateTrajectory,
-    chemotactic_face_velocity,
     mass,
-    read_params,
     read_trajectory_csv,
     restrict,
     solve_forward,
     space_time_sq_norm,
-    step,
     trajectory_distance,
     write_params,
     write_trajectory_csv,
@@ -63,7 +59,6 @@ from .regselect import (
     write_rates_plot_script,
 )
 from .sensitivity import (
-    BasisMassMatrix,
     SensitivityFunction,
     concentration_range,
     mass_matrix,
@@ -75,7 +70,6 @@ from .synthdata import (
     NoisyData,
     SyntheticDataset,
     add_noise,
-    generate_truth,
     make_dataset,
     myerscough_initial_data,
     read_noisy_csv,

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import get_bool, get_float, get_int
-from .errors import ChemidError, ConfigError, InvalidStateError
+from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .inversion import LMConfig, TikhonovProblem, levenberg_marquardt, write_inversion_report
-from .pde import mass, solve_forward, write_params, write_trajectory_csv
+from .pde import StateTrajectory, mass, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
     lcurve_corner,
     lcurve_sweep,
@@ -29,8 +29,8 @@ from .regselect import (
     write_rates_csv,
     write_rates_plot_script,
 )
-from .sensitivity import write_sensitivity_csv
-from .synthdata import add_noise, make_dataset, read_noisy_csv, write_noisy_csv
+from .sensitivity import concentration_range, write_sensitivity_csv
+from .synthdata import make_dataset, read_noisy_csv, write_noisy_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,29 +68,19 @@ def _advection(cfg: dict) -> str:
     return adv
 
 
-def _basis_interval(z_c: np.ndarray, padding: float) -> tuple[float, float]:
-    """Observed c-range of the measurements, padded like concentration_range."""
-    lo, hi = float(z_c.min()), float(z_c.max())
-    if not hi > lo:
-        raise ConfigError(f"measured concentration range is degenerate at {lo}")
-    pad = padding * (hi - lo)
-    return lo - pad, hi + pad
-
-
 def _inversion_pieces(cfg: dict, data):
     """Shared invert/lcurve setup: params, fields, basis, problem template."""
     params = cfgmod.build_params(cfg)
     u0 = cfgmod.build_initial_field(cfg, "u0", data.grid)
     c0 = cfgmod.build_initial_field(cfg, "c0", data.grid)
+    measured = StateTrajectory(grid=data.grid, u=data.z_u, c=data.z_c)
     padding = get_float(cfg, "padding")
-    if padding < 0:
-        raise ConfigError(f"padding must be >= 0 (got {padding})")
-    lo, hi = _basis_interval(data.z_c, padding)
     n_basis = get_int(cfg, "n_basis")
     prior = cfgmod.TruthSpec.parse(cfg["prior"])
     try:
+        lo, hi = concentration_range(measured, padding=padding)
         a_star = prior.on_basis(lo, hi, n_basis)
-    except InvalidStateError as exc:
+    except (InvalidStateError, ZeroWidthIntervalError) as exc:
         raise ConfigError(str(exc)) from exc
     return params, u0, c0, a_star
 
@@ -127,19 +117,17 @@ def cmd_forward(cfg: dict, out: Path) -> int:
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_params(params, grid, out / "params.txt")
     m0 = mass(u0, grid)
-    mT = mass(traj.final.u, grid)
-    cbar0 = float(np.min(c0))
-    floors = cbar0 * np.exp(-params.mu * grid.times())
-    c_mat = traj.c_matrix()
-    margin = float(np.min(c_mat.min(axis=1) - floors))
+    mT = mass(traj.u[-1], grid)
+    floors = float(np.min(c0)) * np.exp(-params.mu * grid.times())
+    margin = float(np.min(traj.c.min(axis=1) - floors))
     _write_summary(
         out / "summary.txt",
         {
             "mass_initial": _fmt(m0),
             "mass_final": _fmt(mT),
             "mass_drift_rel": _fmt(abs(mT - m0) / abs(m0)) if m0 != 0 else "0",
-            "min_u": _fmt(float(traj.u_matrix().min())),
-            "min_c": _fmt(float(c_mat.min())),
+            "min_u": _fmt(float(traj.u.min())),
+            "min_c": _fmt(float(traj.c.min())),
             "min_c_minus_floor": _fmt(margin),
         },
     )

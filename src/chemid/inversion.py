@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import cholesky
 
 from .errors import (
     ForwardSolveError,
@@ -42,13 +43,7 @@ from .pde import (
     _integrate,
     solve_forward,
 )
-from .sensitivity import (
-    BasisMassMatrix,
-    SensitivityFunction,
-    hat_rows,
-    mass_matrix,
-    require_same_basis,
-)
+from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis
 from .synthdata import NoisyData
 
 #: Damping beyond this means no descent direction is found: stagnation.
@@ -139,29 +134,11 @@ class TikhonovProblem:
         return self.a_star.n_basis
 
     @cached_property
-    def _B(self) -> BasisMassMatrix:
-        return mass_matrix(self.a_star.n_basis, self.a_star.c_min, self.a_star.c_max)
-
-    @cached_property
     def _penalty_root(self) -> np.ndarray:
-        """sqrt(alpha) * L_B^T, the linear map behind the penalty block."""
-        return math.sqrt(self.alpha) * self._B.cholesky_factor().T
-
-    def with_alpha(self, alpha: float) -> "TikhonovProblem":
-        return TikhonovProblem(
-            data=self.data,
-            alpha=alpha,
-            a_star=self.a_star,
-            params=self.params,
-            u0=self.u0,
-            c0=self.c0,
-            advection=self.advection,
-            max_substeps=self.max_substeps,
-            time_refine=self.time_refine,
-        )
-
-    def _coeffs_to_sensitivity(self, coeffs) -> SensitivityFunction:
-        return self.a_star.with_coeffs(coeffs)
+        """sqrt(alpha) * L_B^T with B = L_B L_B^T, the map behind the penalty block."""
+        a = self.a_star
+        B = mass_matrix(a.n_basis, a.c_min, a.c_max)
+        return math.sqrt(self.alpha) * cholesky(B, lower=True).T
 
 
 def _basis_coeffs(coeffs, prob: TikhonovProblem) -> np.ndarray:
@@ -181,7 +158,7 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     ForwardSolveError; the optimizer treats them as rejected steps.
     """
     coeffs = _basis_coeffs(coeffs, prob)
-    a = prob._coeffs_to_sensitivity(coeffs)
+    a = prob.a_star.with_coeffs(coeffs)
     try:
         traj = solve_forward(
             prob.u0,
@@ -196,8 +173,8 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     k = prob.time_refine
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
-    r_u = w * (traj.u_matrix()[::k] - prob.data.z_u).ravel()
-    r_c = w * (traj.c_matrix()[::k] - prob.data.z_c).ravel()
+    r_u = w * (traj.u[::k] - prob.data.z_u).ravel()
+    r_c = w * (traj.c[::k] - prob.data.z_c).ravel()
     return np.concatenate([r_u, r_c, _penalty_residual(coeffs, prob)])
 
 
@@ -378,7 +355,7 @@ def levenberg_marquardt(
 
     misfit, pen = _split_cost(r, prob)
     return InversionResult(
-        a_hat=prob._coeffs_to_sensitivity(coeffs),
+        a_hat=prob.a_star.with_coeffs(coeffs),
         cost_history=tuple(history),
         residual_norm2=misfit,
         penalty_norm2=pen,

@@ -39,8 +39,9 @@ frame, so a failing row stops without touching the others.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -168,60 +169,34 @@ def _readonly(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class StateField:
-    """Cell density u and chemoattractant c on the grid nodes at time t."""
+class StateTrajectory:
+    """The solution at every frame from t = 0 to t = t_final.
 
+    ``u`` and ``c`` are read-only arrays of shape (n_steps + 1, n_nodes);
+    row j holds the cell density and the concentration at
+    ``grid.times()[j]``.
+    """
+
+    grid: SimulationGrid
     u: np.ndarray
     c: np.ndarray
-    t: float
 
     def __post_init__(self):
-        u = _readonly(self.u)
-        c = _readonly(self.c)
-        if u.ndim != 1 or u.shape != c.shape:
+        shape = (self.grid.n_steps + 1, self.grid.n_nodes)
+        u, c = _readonly(self.u), _readonly(self.c)
+        if u.shape != shape or c.shape != shape:
             raise InvalidStateError(
-                f"u and c must be 1-D arrays of equal length (got {u.shape}, {c.shape})"
+                f"u and c must have shape {shape} (got {u.shape}, {c.shape})"
             )
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "c", c)
 
-
-@dataclass(frozen=True, eq=False)
-class StateTrajectory:
-    """Ordered frames of the solution from t = 0 to t = t_final."""
-
-    grid: SimulationGrid
-    frames: tuple
-
-    def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) != self.grid.n_steps + 1:
-            raise InvalidStateError(
-                f"expected {self.grid.n_steps + 1} frames, got {len(frames)}"
-            )
-        dt = self.grid.dt
-        for j, f in enumerate(frames):
-            if f.u.shape[0] != self.grid.n_nodes:
-                raise InvalidStateError(f"frame {j} has wrong node count")
-            if not math.isclose(f.t, j * dt, rel_tol=1e-9, abs_tol=1e-12 * dt):
-                raise InvalidStateError(
-                    f"frame {j} is at t={f.t}, expected {j * dt}"
-                )
-        object.__setattr__(self, "frames", frames)
-
-    def times(self) -> np.ndarray:
-        return np.array([f.t for f in self.frames])
-
     def u_matrix(self) -> np.ndarray:
-        """All u frames stacked, shape (n_steps + 1, n_nodes)."""
-        return np.stack([f.u for f in self.frames])
+        """All u frames, shape (n_steps + 1, n_nodes); the stored array."""
+        return self.u
 
     def c_matrix(self) -> np.ndarray:
-        return np.stack([f.c for f in self.frames])
-
-    @property
-    def final(self) -> StateField:
-        return self.frames[-1]
+        return self.c
 
 
 def mass(u, grid: SimulationGrid) -> float:
@@ -251,23 +226,9 @@ def trajectory_distance(a: StateTrajectory, b: StateTrajectory) -> float:
     """Space-time L2 distance between two trajectories over both fields."""
     if a.grid != b.grid:
         raise DomainMismatchError("trajectories live on different grids")
-    du2 = space_time_sq_norm(a.u_matrix() - b.u_matrix(), a.grid)
-    dc2 = space_time_sq_norm(a.c_matrix() - b.c_matrix(), a.grid)
+    du2 = space_time_sq_norm(a.u - b.u, a.grid)
+    dc2 = space_time_sq_norm(a.c - b.c, a.grid)
     return math.sqrt(du2 + dc2)
-
-
-def chemotactic_face_velocity(
-    c, a: SensitivityLike, grid: SimulationGrid
-) -> np.ndarray:
-    """Advective velocities a(c) c_x at the n_nodes - 1 cell faces.
-
-    The face concentration is the arithmetic mean of the two node values;
-    the gradient is the one-sided difference across the face.
-    """
-    c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise InvalidStateError("face velocity: c contains non-finite values")
-    return _face_velocities(c, a, grid.dx)
 
 
 def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray:
@@ -362,33 +323,6 @@ def _advance(
         ]
         u_new[u_new < 0.0] = 0.0
     return u_new, c_new, failures
-
-
-def step(
-    state: StateField,
-    params: PhysicalParams,
-    a: SensitivityLike,
-    grid: SimulationGrid,
-    *,
-    advection: str = DEFAULT_ADVECTION,
-) -> StateField:
-    """Advance one IMEX step of size grid.dt.
-
-    The advective stability bound is assumed to hold for grid.dt; callers
-    that cannot guarantee it should go through ``solve_forward``, which
-    re-checks the bound and sub-steps as needed.
-    """
-    if not (np.all(np.isfinite(state.u)) and np.all(np.isfinite(state.c))):
-        raise InvalidStateError("step: state contains non-finite values")
-    u, c = state.u[None, :], state.c[None, :]
-    n, dx, dt = grid.n_nodes, grid.dx, grid.dt
-    v = _face_velocities(c, a, dx)
-    u, c, failures = _advance(
-        u, c, v, params, dx, dt, advection, _step_factors(params, n, dx, dt)
-    )
-    if failures:
-        raise failures[0][1]
-    return StateField(u=u[0], c=c[0], t=state.t + dt)
 
 
 def _integrate(
@@ -534,11 +468,11 @@ def solve_forward(
     if c.min() <= 0:
         raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
 
-    times = grid.times()
-    frames = []
+    U = np.empty((grid.n_steps + 1, grid.n_nodes))
+    C = np.empty_like(U)
 
     def record(j, u_rows, c_rows):
-        frames.append(StateField(u=u_rows[0], c=c_rows[0], t=times[j]))
+        U[j], C[j] = u_rows[0], c_rows[0]
 
     errors = _integrate(
         u[None, :], c[None, :], params, lambda face_c, rows: a(face_c), grid,
@@ -546,7 +480,7 @@ def solve_forward(
     )
     if errors[0] is not None:
         raise errors[0]
-    return StateTrajectory(grid=grid, frames=tuple(frames))
+    return StateTrajectory(grid=grid, u=U, c=C)
 
 
 def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
@@ -575,15 +509,9 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
     query = np.column_stack([pts_t.ravel(), pts_x.ravel()])
 
     shape = (coarse.n_steps + 1, coarse.n_nodes)
-    u_c = RegularGridInterpolator((src_t, src_x), traj.u_matrix())(query).reshape(shape)
-    c_c = RegularGridInterpolator((src_t, src_x), traj.c_matrix())(query).reshape(shape)
-
-    coarse_times = coarse.times()
-    frames = tuple(
-        StateField(u=u_c[j], c=c_c[j], t=coarse_times[j])
-        for j in range(coarse.n_steps + 1)
-    )
-    return StateTrajectory(grid=coarse, frames=frames)
+    u_c = RegularGridInterpolator((src_t, src_x), traj.u)(query).reshape(shape)
+    c_c = RegularGridInterpolator((src_t, src_x), traj.c)(query).reshape(shape)
+    return StateTrajectory(grid=coarse, u=u_c, c=c_c)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +521,7 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
 def write_trajectory_csv(traj: StateTrajectory, path) -> None:
     """CSV with header t,x,u,c; row-major by frame then node; 15 sig. digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_frames(fh, traj.grid, traj.u_matrix(), traj.c_matrix())
+        _write_frames(fh, traj.grid, traj.u, traj.c)
 
 
 def _write_frames(fh, grid: SimulationGrid, U: np.ndarray, C: np.ndarray) -> None:
@@ -605,25 +533,37 @@ def _write_frames(fh, grid: SimulationGrid, U: np.ndarray, C: np.ndarray) -> Non
             fh.write(f"{t:.15g},{x:.15g},{U[j, i]:.15g},{C[j, i]:.15g}\n")
 
 
+def _next_line(fh) -> str:
+    """The next non-blank line of fh, stripped; "" at the end of the file."""
+    for line in fh:
+        if line.strip():
+            return line.strip()
+    return ""
+
+
 def _read_frame_csv(path, expect_comment: bool = False):
-    """Parse a t,x,u,c table back into (grid, U, C, comment_line)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    comment = None
-    if lines and lines[0].startswith("#"):
-        comment = lines[0]
-        lines = lines[1:]
-    elif expect_comment:
-        raise InvalidStateError(f"{path}: missing metadata header line")
-    if not lines or lines[0] != "t,x,u,c":
-        raise InvalidStateError(f"{path}: expected header 't,x,u,c'")
+    """Parse a t,x,u,c table back into (grid, U, C, comment_line).
+
+    Blank lines are skipped; the rows are parsed as they stream in, so no
+    copy of the text is held.  Undecodable bytes, non-numeric cells and
+    ragged, empty or incomplete tables raise InvalidStateError.
+    """
     try:
-        data = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float
-        )
-    except ValueError as exc:  # a non-numeric cell, or rows of unequal length
+        with open(path, "r", encoding="utf-8") as fh:
+            line = _next_line(fh)
+            comment = None
+            if line.startswith("#"):
+                comment, line = line, _next_line(fh)
+            elif expect_comment:
+                raise InvalidStateError(f"{path}: missing metadata header line")
+            if line != "t,x,u,c":
+                raise InvalidStateError(f"{path}: expected header 't,x,u,c'")
+            with warnings.catch_warnings():  # an empty table is checked below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:  # undecodable bytes, a non-numeric cell, ragged rows
         raise InvalidStateError(f"{path}: malformed rows: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 4:
+    if data.shape[0] == 0 or data.shape[1] != 4:
         raise InvalidStateError(f"{path}: malformed rows")
 
     ts = np.unique(data[:, 0])
@@ -649,15 +589,10 @@ def _read_frame_csv(path, expect_comment: bool = False):
 
 def read_trajectory_csv(path) -> StateTrajectory:
     grid, U, C, _ = _read_frame_csv(path)
-    times = grid.times()
-    frames = tuple(
-        StateField(u=U[j], c=C[j], t=times[j]) for j in range(grid.n_steps + 1)
-    )
-    return StateTrajectory(grid=grid, frames=frames)
+    return StateTrajectory(grid=grid, u=U, c=C)
 
 
 _PARAM_KEYS = ("M", "D", "b", "h", "mu")
-_GRID_KEYS = ("x_left", "x_right", "n_nodes", "t_final", "n_steps")
 
 
 def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:
@@ -670,30 +605,3 @@ def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:
         fh.write(f"n_nodes = {grid.n_nodes}\n")
         fh.write(f"t_final = {grid.t_final:.15g}\n")
         fh.write(f"n_steps = {grid.n_steps}\n")
-
-
-def read_params(path) -> tuple[PhysicalParams, SimulationGrid]:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            if "=" not in ln:
-                raise InvalidStateError(f"{path}: malformed line {ln!r}")
-            key, raw = (part.strip() for part in ln.split("=", 1))
-            if key not in _PARAM_KEYS + _GRID_KEYS:
-                raise InvalidStateError(f"{path}: unknown key {key!r}")
-            values[key] = raw
-    missing = [k for k in _PARAM_KEYS + _GRID_KEYS if k not in values]
-    if missing:
-        raise InvalidStateError(f"{path}: missing keys {missing}")
-    params = PhysicalParams(**{k: float(values[k]) for k in _PARAM_KEYS})
-    grid = SimulationGrid(
-        x_left=float(values["x_left"]),
-        x_right=float(values["x_right"]),
-        n_nodes=int(values["n_nodes"]),
-        t_final=float(values["t_final"]),
-        n_steps=int(values["n_steps"]),
-    )
-    return params, grid

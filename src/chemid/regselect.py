@@ -110,7 +110,7 @@ def lcurve_sweep(
     points = []
     guess = prob_template.a_star
     for alpha in np.sort(arr)[::-1]:
-        prob = prob_template.with_alpha(float(alpha))
+        prob = dataclasses.replace(prob_template, alpha=float(alpha))
         try:
             res = levenberg_marquardt(prob, guess, cfg)
         except ForwardSolveError as exc:
@@ -225,7 +225,7 @@ def rate_study(
         raise InvalidStateError("rate study needs at least one seed")
     a_star = prob_template.a_star
     require_same_basis(truth, a_star, "truth must live on the problem basis")
-    B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max).entries
+    B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max)
 
     records = []
     for delta in np.sort(arr):

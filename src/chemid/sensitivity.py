@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.linalg import cholesky
 
 from .errors import (
     IncompatibleBasisError,
@@ -87,15 +86,6 @@ class SensitivityFunction:
             )
         return SensitivityFunction(self.c_min, self.c_max, coeffs)
 
-    def max_slope_jump(self) -> float:
-        """Largest change of slope between adjacent segments.
-
-        Diagnostic for the smoothness of a recovered sensitivity; not
-        enforced as a constraint anywhere.
-        """
-        slopes = np.diff(self.coeffs) / self.knot_spacing
-        return float(np.max(np.abs(np.diff(slopes)))) if len(slopes) > 1 else 0.0
-
     @property
     def knot_spacing(self) -> float:
         return (self.c_max - self.c_min) / (self.n_basis - 1)
@@ -120,32 +110,11 @@ class SensitivityFunction:
         return cls(c_min, c_max, coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisMassMatrix:
-    """Exact L2 Gram matrix B_ij = (phi_i, phi_j) of the hat basis."""
+def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
+    """Exact L2 Gram matrix B_ij = (phi_i, phi_j) of the hat basis (read-only).
 
-    entries: np.ndarray
-    knot_spacing: float
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=float, copy=True)
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def n_basis(self) -> int:
-        return self.entries.shape[0]
-
-    def cholesky_factor(self) -> np.ndarray:
-        """Lower-triangular L_B with B = L_B L_B^T; fails iff B is not SPD."""
-        return cholesky(self.entries, lower=True)
-
-
-def mass_matrix(n_basis: int, c_min: float, c_max: float) -> BasisMassMatrix:
-    """Assemble the tridiagonal hat-function Gram matrix on uniform knots.
-
-    Closed form: interior diagonal 2*dc/3, endpoint diagonal dc/3,
-    off-diagonal dc/6.
+    Tridiagonal on uniform knots, in closed form: interior diagonal
+    2*dc/3, endpoint diagonal dc/3, off-diagonal dc/6.
     """
     if n_basis < 2:
         raise InvalidStateError(f"n_basis must be >= 2 (got {n_basis})")
@@ -160,7 +129,8 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> BasisMassMatrix:
     B[0, 0] = B[-1, -1] = dc / 3.0
     B[idx[:-1], idx[:-1] + 1] = dc / 6.0
     B[idx[:-1] + 1, idx[:-1]] = dc / 6.0
-    return BasisMassMatrix(entries=B, knot_spacing=dc)
+    B.setflags(write=False)
+    return B
 
 
 def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -197,21 +167,11 @@ def require_same_basis(a: SensitivityFunction, b: SensitivityFunction, what: str
         )
 
 
-def penalty(
-    a: SensitivityFunction,
-    a_star: SensitivityFunction,
-    B: BasisMassMatrix | None = None,
-) -> float:
+def penalty(a: SensitivityFunction, a_star: SensitivityFunction) -> float:
     """Squared L2(I) distance (a - a*)^T B (a - a*) on a shared basis."""
     require_same_basis(a, a_star, "sensitivities use different knots")
-    if B is None:
-        B = mass_matrix(a.n_basis, a.c_min, a.c_max)
-    if B.n_basis != a.n_basis:
-        raise IncompatibleBasisError(
-            f"mass matrix is {B.n_basis}x{B.n_basis}, basis has {a.n_basis} knots"
-        )
     d = a.coeffs - a_star.coeffs
-    return float(d @ B.entries @ d)
+    return float(d @ mass_matrix(a.n_basis, a.c_min, a.c_max) @ d)
 
 
 def concentration_range(
@@ -220,8 +180,7 @@ def concentration_range(
     """Observed [min c, max c] expanded symmetrically by padding * width."""
     if padding < 0:
         raise InvalidStateError(f"padding must be >= 0 (got {padding})")
-    lo = min(float(f.c.min()) for f in traj.frames)
-    hi = max(float(f.c.max()) for f in traj.frames)
+    lo, hi = float(traj.c.min()), float(traj.c.max())
     if not hi > lo:
         raise ZeroWidthIntervalError(
             f"concentration range is degenerate at c = {lo}"
@@ -247,8 +206,11 @@ def write_sensitivity_csv(a: SensitivityFunction, path) -> None:
 
 
 def read_sensitivity_csv(path) -> SensitivityFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise InvalidStateError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
         raise InvalidStateError(f"{path}: missing metadata header")
     meta = {}

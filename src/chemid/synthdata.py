@@ -71,19 +71,6 @@ class NoisyData:
         object.__setattr__(self, "z_c", z_c)
 
 
-def generate_truth(
-    a_true: SensitivityFunction,
-    params: PhysicalParams,
-    fine: SimulationGrid,
-    u0,
-    c0,
-    *,
-    advection: str = DEFAULT_ADVECTION,
-) -> StateTrajectory:
-    """High-accuracy forward solve of the true dynamics."""
-    return solve_forward(u0, c0, params, a_true, fine, advection=advection)
-
-
 def _field_noise(shape, seed: int, tag: int, attempt: int) -> np.ndarray:
     # counter-based generator keyed on (seed, field, attempt): independent
     # substreams without any sequential draw bookkeeping
@@ -109,8 +96,7 @@ def add_noise(
     if delta < 0:
         raise InvalidStateError(f"delta must be >= 0 (got {delta})")
     grid = truth_meas.grid
-    U = truth_meas.u_matrix()
-    C = truth_meas.c_matrix()
+    U, C = truth_meas.u, truth_meas.c
     if delta == 0.0:
         return NoisyData(grid=grid, z_u=U, z_c=C, delta=0.0, seed=seed)
 
@@ -164,7 +150,7 @@ def make_dataset(
             f"{MIN_MESH_SEPARATION}x finer than the measurement grid "
             f"(got {fine.n_nodes}x{fine.n_steps} vs {meas.n_nodes}x{meas.n_steps})"
         )
-    truth_fine = generate_truth(a_true, params, fine, u0, c0, advection=advection)
+    truth_fine = solve_forward(u0, c0, params, a_true, fine, advection=advection)
     truth_meas = restrict(truth_fine, meas)
     data = add_noise(truth_meas, delta, seed, max_attempts=max_attempts)
     return SyntheticDataset(truth_fine=truth_fine, truth_meas=truth_meas, data=data)

@@ -6,6 +6,7 @@ of them fails.  Expensive scenario runs are shared through module-scoped
 fixtures.  All tolerances are pinned here, not imported.
 """
 
+import dataclasses
 import math
 import time
 
@@ -31,12 +32,10 @@ from chemid.inversion import (
 from chemid.pde import (
     PhysicalParams,
     SimulationGrid,
-    StateField,
     StateTrajectory,
     mass,
     solve_forward,
     space_time_sq_norm,
-    step,
     trajectory_distance,
 )
 from chemid.regselect import lcurve_corner, lcurve_sweep, rate_study
@@ -108,7 +107,7 @@ def ex2():
         u0=u0m, c0=c0m,
     )
     res_reg = levenberg_marquardt(prob, a_star, EX2_CFG)
-    res_unreg = levenberg_marquardt(prob.with_alpha(0.0), a_star, EX2_CFG)
+    res_unreg = levenberg_marquardt(dataclasses.replace(prob, alpha=0.0), a_star, EX2_CFG)
     wall = time.time() - t0
     points = lcurve_sweep(prob, np.logspace(-8, -2, 13), EX2_CFG)
     return {
@@ -209,20 +208,19 @@ def test_criterion_4_forward_property_battery(capsys):
     ]
     cbar0 = float(c0.min())
     for name, traj in runs:
-        m0 = mass(traj.frames[0].u, MEAS)
-        drift = max(abs(mass(f.u, MEAS) - m0) for f in traj.frames) / abs(m0)
+        m0 = mass(traj.u[0], MEAS)
+        drift = max(abs(mass(u, MEAS) - m0) for u in traj.u) / abs(m0)
         checks[f"mass {name}"] = drift <= 1e-10
-        checks[f"u>=0 {name}"] = min(float(f.u.min()) for f in traj.frames) >= -1e-12
+        checks[f"u>=0 {name}"] = float(traj.u.min()) >= -1e-12
         checks[f"c bound {name}"] = all(
-            float(f.c.min()) >= cbar0 * math.exp(-PARAMS.mu * f.t) * (1.0 - 1e-8)
-            for f in traj.frames
+            float(c.min()) >= cbar0 * math.exp(-PARAMS.mu * t) * (1.0 - 1e-8)
+            for t, c in zip(MEAS.times(), traj.c)
         )
 
     sym = runs[0][1]
     flip_dev = max(
-        max(float(np.max(np.abs(f.u - f.u[::-1]))),
-            float(np.max(np.abs(f.c - f.c[::-1]))))
-        for f in sym.frames
+        float(np.max(np.abs(sym.u - sym.u[:, ::-1]))),
+        float(np.max(np.abs(sym.c - sym.c[:, ::-1]))),
     )
     checks["reflection symmetry"] = flip_dev <= 1e-9
 
@@ -232,14 +230,15 @@ def test_criterion_4_forward_property_battery(capsys):
     c0s = 0.5 + 0.2 * np.cos(np.pi * xs)
     oracle_dev = 0.0
     for adv in ("blended", "upwind"):
-        got = step(StateField(u=u0s, c=c0s, t=0.0), PARAMS, a_inv2, g,
-                   advection=adv)
+        # one frame with no sub-step budget: exactly one IMEX step
+        got = solve_forward(u0s, c0s, PARAMS, a_inv2, g, advection=adv,
+                            max_substeps=0)
         want_u, want_c = dense_one_step(u0s, c0s, PARAMS, a_inv2, g.dx, g.dt,
                                         advection=adv)
         oracle_dev = max(
             oracle_dev,
-            float(np.max(np.abs(got.u - want_u))),
-            float(np.max(np.abs(got.c - want_c))),
+            float(np.max(np.abs(got.u[1] - want_u))),
+            float(np.max(np.abs(got.c[1] - want_c))),
         )
     checks["dense one-step oracle"] = oracle_dev <= 1e-10
 
@@ -322,17 +321,16 @@ def test_criterion_6_identifiability_smoke(capsys):
 
     # self-consistency: restart from the midpoint frame and re-solve
     j_half = MEAS.n_steps // 2
-    t_half = full.frames[j_half].t
+    t_half = MEAS.times()[j_half]
     second = SimulationGrid(
         MEAS.x_left, MEAS.x_right, MEAS.n_nodes,
         MEAS.t_final - t_half, MEAS.n_steps - j_half,
     )
-    mid = full.frames[j_half]
-    re = solve_forward(mid.u, mid.c, PARAMS, a_const2, second)
+    re = solve_forward(full.u[j_half], full.c[j_half], PARAMS, a_const2, second)
     glued = StateTrajectory(
         grid=MEAS,
-        frames=full.frames[:j_half]
-        + tuple(StateField(u=f.u, c=f.c, t=f.t + t_half) for f in re.frames),
+        u=np.vstack([full.u[:j_half], re.u]),
+        c=np.vstack([full.c[:j_half], re.c]),
     )
     scale = math.sqrt(
         space_time_sq_norm(full.u_matrix(), MEAS)

@@ -348,3 +348,26 @@ def test_non_finite_alpha_exits_2(tmp_path, data_dir):
     body = INVERT_BODY.replace("alpha = 1e-5", "alpha = nan")
     cfg = write_cfg(tmp_path, "nan.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
     assert_config_error(run_cli("invert", "--config", cfg, "--out", str(tmp_path)))
+
+
+@pytest.mark.parametrize("where", ["config", "data", "table"])
+def test_non_utf8_input_exits_2(tmp_path, data_dir, where):
+    table = tmp_path / "table.csv"
+    table.write_bytes(b"# c_min=0.1 c_max=0.9 n_basis=2 extension=clamp\n"
+                      b"c_knot,a_value\n0.1,1.0\n0.9,1.\xff\n")
+    if where == "table":
+        cfg = write_cfg(tmp_path, "table.cfg",
+                        SMALL_PHYS + SMALL_GRID + f"truth = table:{table}\n")
+        proc = run_cli("forward", "--config", cfg, "--out", str(tmp_path))
+    elif where == "data":
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        raw = (data_dir / "data.csv").read_bytes()
+        (bad / "data.csv").write_bytes(raw.replace(b"\n0,0,", b"\n0,0,\xff", 1))
+        cfg = invert_cfg(tmp_path, bad)
+        proc = run_cli("invert", "--config", cfg, "--out", str(tmp_path))
+    else:
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\n" + textwrap.dedent(SMALL_PHYS).encode())
+        proc = run_cli("forward", "--config", str(cfg), "--out", str(tmp_path))
+    assert_config_error(proc)

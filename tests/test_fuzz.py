@@ -1,0 +1,152 @@
+"""Hypothesis tests over CSV bytes and config text.
+
+Every reader either returns a value or raises a ChemidError subclass,
+whatever bytes it is given; through the command line the same inputs end
+in exit 0, 2, 3 or 4 with at most one `error:` line and no traceback.
+Inputs are arbitrary bytes or valid files with a few byte ranges
+overwritten, so both the header checks and the row parsers are reached.
+The command-line runs never fuzz a key that sets an array size, so no
+example can ask for a huge grid.
+"""
+
+import subprocess
+import sys
+import tempfile
+import textwrap
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from chemid.config import ALLOWED_KEYS, load_config, resolve
+from chemid.errors import ChemidError
+from chemid.pde import (
+    PhysicalParams,
+    SimulationGrid,
+    read_trajectory_csv,
+    solve_forward,
+    write_trajectory_csv,
+)
+from chemid.sensitivity import SensitivityFunction, read_sensitivity_csv, write_sensitivity_csv
+from chemid.synthdata import add_noise, myerscough_initial_data, read_noisy_csv, write_noisy_csv
+
+from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
+
+
+def _valid_files() -> dict:
+    """A small data.csv, trajectory.csv and sensitivity table, as bytes."""
+    grid = SimulationGrid(0.0, 1.0, 6, 0.1, 4)
+    u0, c0 = myerscough_initial_data(grid)
+    a = SensitivityFunction.constant(1.5, 0.3, 0.8, 3)
+    traj = solve_forward(u0, c0, PhysicalParams(0.25, 1.0, 8.0, 1.0, 8.0), a, grid)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_noisy_csv(add_noise(traj, 1e-3, 0), tmp / "data.csv")
+        write_trajectory_csv(traj, tmp / "traj.csv")
+        write_sensitivity_csv(a, tmp / "table.csv")
+        return {name: (tmp / f"{name}.csv").read_bytes() for name in ("data", "traj", "table")}
+
+
+VALID = _valid_files()
+PHYS = textwrap.dedent(SMALL_PHYS).encode()
+# appended after the fuzzed text: the keys that size the arrays stay fixed
+SIZES = (textwrap.dedent(SMALL_GRID) + "max_substeps = 64\n").encode()
+
+
+@st.composite
+def corrupted(draw, valid: bytes) -> bytes:
+    """valid with one to three short byte ranges replaced by random bytes."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(data)))
+        j = draw(st.integers(i, min(len(data), i + 8)))
+        data[i:j] = draw(st.binary(max_size=8))
+    return bytes(data)
+
+
+def fuzzed(valid: bytes):
+    return st.one_of(st.binary(max_size=300), corrupted(valid))
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _write(path: Path, blob: bytes) -> Path:
+    path.write_bytes(blob)
+    return path
+
+
+@pytest.mark.parametrize(
+    "read, name",
+    [(read_noisy_csv, "data"), (read_trajectory_csv, "traj"), (read_sensitivity_csv, "table")],
+)
+def test_csv_readers_parse_or_raise_chemid_error(work, read, name):
+    @settings(max_examples=300, deadline=None)
+    @given(blob=fuzzed(VALID[name]))
+    def check(blob):
+        try:
+            read(_write(work / f"{name}.csv", blob))
+        except ChemidError:
+            pass
+
+    check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blob=st.one_of(
+        fuzzed(PHYS + SIZES),
+        st.text(max_size=200).map(lambda s: s.encode("utf-8", "surrogatepass")),
+    ),
+    command=st.sampled_from(sorted(ALLOWED_KEYS)),
+)
+def test_load_config_and_resolve_parse_or_raise_chemid_error(work, blob, command):
+    try:
+        resolve(command, load_config(_write(work / "in.cfg", blob)))
+    except ChemidError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# command line, in a fresh interpreter
+
+
+def _assert_contract(*args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True
+    )
+    assert proc.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
+    assert len(errors) == (proc.returncode != 0)
+
+
+CLI_SETTINGS = settings(
+    max_examples=4, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@CLI_SETTINGS
+@given(blob=corrupted(VALID["data"]))
+def test_cli_invert_on_corrupted_data(work, blob):
+    data = _write(work / "cli-data.csv", blob)
+    body = textwrap.dedent(INVERT_BODY) + f"data_csv = {data}\nmax_iters = 3\nmax_substeps = 64\n"
+    cfg = _write(work / "cli-invert.cfg", body.encode())
+    _assert_contract("invert", "--config", str(cfg), "--out", str(work / "out"))
+
+
+@CLI_SETTINGS
+@given(blob=corrupted(VALID["table"]))
+def test_cli_forward_on_corrupted_table(work, blob):
+    table = _write(work / "cli-table.csv", blob)
+    cfg = _write(work / "cli-table.cfg", PHYS + SIZES + f"truth = table:{table}\n".encode())
+    _assert_contract("forward", "--config", str(cfg), "--out", str(work / "out"))
+
+
+@CLI_SETTINGS
+@given(blob=fuzzed(PHYS))
+def test_cli_forward_on_corrupted_config(work, blob):
+    cfg = _write(work / "cli.cfg", blob + b"\n" + SIZES + b"truth = constant:1.5\n")
+    _assert_contract("forward", "--config", str(cfg), "--out", str(work / "out"))

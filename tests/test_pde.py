@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemid.config import build_grid, build_params, load_config, resolve
 from chemid.errors import (
+    ConfigError,
     DomainMismatchError,
     InvalidStateError,
     PositivityViolationError,
@@ -20,21 +22,17 @@ from chemid.errors import (
 from chemid.pde import (
     PhysicalParams,
     SimulationGrid,
-    StateField,
     StateTrajectory,
-    chemotactic_face_velocity,
     mass,
-    read_params,
     read_trajectory_csv,
     restrict,
     solve_forward,
     space_time_sq_norm,
-    step,
     trajectory_distance,
     write_params,
     write_trajectory_csv,
 )
-from chemid.pde import _integrate
+from chemid.pde import _advance, _face_velocities, _integrate, _step_factors
 from chemid.sensitivity import SensitivityFunction
 
 from helpers import dense_diffusion_solve, dense_one_step
@@ -47,6 +45,17 @@ def bump_initial(grid):
 
 
 A_CONST2 = SensitivityFunction.constant(2.0, 0.1, 0.9, 8)
+
+
+def one_step(u0, c0, params, a, grid, advection="blended"):
+    """(u, c) after a solve on a one-step grid with no sub-step budget.
+
+    That is exactly one IMEX step of size grid.dt, or a StepSizeError if
+    grid.dt is over the CFL limit.
+    """
+    assert grid.n_steps == 1
+    traj = solve_forward(u0, c0, params, a, grid, advection=advection, max_substeps=0)
+    return traj.u[1], traj.c[1]
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +111,22 @@ def test_grid_rejects_degenerate(args):
 
 def test_trajectory_frame_count_checked():
     g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
-    f = StateField(u=np.ones(3), c=np.ones(3), t=0.0)
-    with pytest.raises(InvalidStateError):
-        StateTrajectory(grid=g, frames=(f,))
+    ok = np.ones((3, 3))
+    for u, c in ((np.ones((1, 3)), ok), (ok, np.ones((3, 4))), (np.ones(9), ok)):
+        with pytest.raises(InvalidStateError):
+            StateTrajectory(grid=g, u=u, c=c)
+
+
+def test_trajectory_arrays_read_only_and_not_copied():
+    g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
+    u = np.arange(9.0).reshape(3, 3)
+    traj = StateTrajectory(grid=g, u=u, c=np.ones((3, 3)))
+    u[0, 0] = 7.0  # the trajectory holds its own copy
+    assert traj.u[0, 0] == 0.0
+    for arr in (traj.u, traj.c):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert traj.u_matrix() is traj.u and traj.c_matrix() is traj.c
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +135,7 @@ def test_trajectory_frame_count_checked():
 
 def test_face_velocity_zero_for_uniform_c():
     g = SimulationGrid(0.0, 1.0, 6, 1.0, 10)
-    v = chemotactic_face_velocity(np.full(6, 0.5), A_CONST2, g)
+    v = _face_velocities(np.full(6, 0.5), A_CONST2, g.dx)
     assert v.shape == (5,)
     assert np.all(v == 0.0)
 
@@ -122,7 +144,7 @@ def test_face_velocity_constant_a_linear_c():
     g = SimulationGrid(0.0, 1.0, 5, 1.0, 10)
     c = g.xs().copy()  # slope 1
     c += 0.2  # keep c positive; gradient unchanged
-    v = chemotactic_face_velocity(c, A_CONST2, g)
+    v = _face_velocities(c, A_CONST2, g.dx)
     np.testing.assert_allclose(v, 2.0, rtol=1e-14)
 
 
@@ -130,14 +152,14 @@ def test_face_velocity_inverse_sensitivity():
     # a(c) = 2/c sampled so that the face mean 0.3 is a knot, dx = 1
     a = SensitivityFunction.from_function(lambda cc: 2.0 / cc, 0.1, 0.7, 7)
     g = SimulationGrid(0.0, 2.0, 3, 1.0, 10)
-    v = chemotactic_face_velocity(np.array([0.2, 0.4, 0.6]), a, g)
+    v = _face_velocities(np.array([0.2, 0.4, 0.6]), a, g.dx)
     assert v[0] == pytest.approx((2.0 / 0.3) * 0.2, rel=1e-14)  # = 4/3
 
 
 def test_face_velocity_rejects_nonfinite():
     g = SimulationGrid(0.0, 1.0, 4, 1.0, 10)
     with pytest.raises(InvalidStateError):
-        chemotactic_face_velocity(np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g)
+        _face_velocities(np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -146,24 +168,23 @@ def test_face_velocity_rejects_nonfinite():
 
 def test_step_uniform_state_matches_scalar_ode():
     """Uniform fields kill every spatial operator; c follows the decay ODE."""
-    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    g = SimulationGrid(0.0, 1.0, 11, 0.01, 1)
     p = PhysicalParams.dimensionless(M=0.25, D=1.0)
     u0, c0 = 1.0, 0.7
-    s = step(StateField(u=np.full(11, u0), c=np.full(11, c0), t=0.0), p, A_CONST2, g)
-    np.testing.assert_allclose(s.u, u0, rtol=0, atol=1e-14)
+    u, c = one_step(np.full(11, u0), np.full(11, c0), p, A_CONST2, g)
+    np.testing.assert_allclose(u, u0, rtol=0, atol=1e-14)
     expected_c = (c0 + g.dt * u0 / (u0 + 1.0)) / (1.0 + g.dt)
-    np.testing.assert_allclose(s.c, expected_c, rtol=1e-14)
-    assert s.t == pytest.approx(g.dt)
+    np.testing.assert_allclose(c, expected_c, rtol=1e-14)
 
 
 def test_step_zero_sensitivity_conserves_mass():
-    g = SimulationGrid(0.0, 1.0, 21, 0.1, 40)
+    g = SimulationGrid(0.0, 1.0, 21, 0.0025, 1)
     p = PhysicalParams.dimensionless(M=0.5, D=1.0)
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     u = 1.0 + np.sin(2 * np.pi * g.xs()) ** 2
     c = 0.5 + 0.3 * np.cos(np.pi * g.xs())
-    s = step(StateField(u=u, c=c, t=0.0), p, a0, g)
-    assert mass(s.u, g) == pytest.approx(mass(u, g), rel=1e-12)
+    u1, _ = one_step(u, c, p, a0, g)
+    assert mass(u1, g) == pytest.approx(mass(u, g), rel=1e-12)
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "blended"])
@@ -172,10 +193,10 @@ def test_step_matches_dense_oracle_from_bump(scheme):
     g = SimulationGrid(0.0, 1.0, 17, 1e-4, 1)
     p = PhysicalParams.myerscough()
     u0, c0 = bump_initial(g)
-    s = step(StateField(u=u0, c=c0, t=0.0), p, A_CONST2, g, advection=scheme)
+    u, c = one_step(u0, c0, p, A_CONST2, g, advection=scheme)
     uo, co = dense_one_step(u0, c0, p, A_CONST2, g.dx, g.dt, advection=scheme)
-    np.testing.assert_allclose(s.u, uo, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(s.c, co, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(u, uo, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(c, co, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "blended"])
@@ -187,10 +208,10 @@ def test_step_matches_dense_oracle_nonuniform_c(scheme):
     u0 = 1.0 + 0.5 * np.sin(2 * np.pi * x)
     c0 = 0.6 + 0.25 * np.cos(np.pi * x)
     a = SensitivityFunction.from_function(lambda cc: 1.0 + cc**2, 0.2, 1.0, 6)
-    s = step(StateField(u=u0, c=c0, t=0.0), p, a, g, advection=scheme)
+    u, c = one_step(u0, c0, p, a, g, advection=scheme)
     uo, co = dense_one_step(u0, c0, p, a, g.dx, g.dt, advection=scheme)
-    np.testing.assert_allclose(s.u, uo, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(s.c, co, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(u, uo, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(c, co, rtol=0, atol=1e-10)
 
 
 def test_step_flags_positivity_violation():
@@ -198,10 +219,13 @@ def test_step_flags_positivity_violation():
     g = SimulationGrid(0.0, 1.0, 11, 1.0, 1)
     p = PhysicalParams.dimensionless(M=0.01, D=1.0)
     a = SensitivityFunction.constant(50.0, 0.0, 2.0, 4)
-    u = np.full(11, 0.5)
-    c = g.xs() + 0.1
-    with pytest.raises(PositivityViolationError):
-        step(StateField(u=u, c=c, t=0.0), p, a, g, advection="upwind")
+    u = np.full((1, 11), 0.5)
+    c = g.xs()[None, :] + 0.1
+    # the CFL check of a solve would split this step, so advance it directly
+    v = _face_velocities(c, a, g.dx)
+    factors = _step_factors(p, g.n_nodes, g.dx, g.dt)
+    _, _, failures = _advance(u, c, v, p, g.dx, g.dt, "upwind", factors)
+    assert [(row, type(exc)) for row, exc in failures] == [(0, PositivityViolationError)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -224,16 +248,16 @@ def test_step_property_dense_oracle_agreement(seed, n, scheme):
     c0 = rng.uniform(0.2, 1.5, n)
     a = SensitivityFunction(0.1, 2.0, rng.uniform(0.0, 3.0, 6))
     try:
-        s = step(StateField(u=u0, c=c0, t=0.0), p, a, g, advection=scheme)
-    except PositivityViolationError:
-        return  # unstable draw; step() is allowed to reject it
+        u, c = one_step(u0, c0, p, a, g, advection=scheme)
+    except (PositivityViolationError, StepSizeError):
+        return  # unstable draw; the solver is allowed to reject it
     uo, co = dense_one_step(u0, c0, p, a, g.dx, g.dt, advection=scheme)
-    np.testing.assert_allclose(s.u, uo, rtol=0, atol=1e-10)
-    np.testing.assert_allclose(s.c, co, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(u, uo, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(c, co, rtol=0, atol=1e-10)
     # conservation and the one-step decay bound hold step-wise too
-    assert mass(s.u, g) == pytest.approx(mass(u0, g), rel=1e-12, abs=1e-13)
+    assert mass(u, g) == pytest.approx(mass(u0, g), rel=1e-12, abs=1e-13)
     floor = c0.min() / (1.0 + p.mu * g.dt)
-    assert s.c.min() >= floor * (1.0 - 1e-12)
+    assert c.min() >= floor * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +271,10 @@ def test_solve_constant_fields_relax_to_equilibrium():
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     traj = solve_forward(np.full(11, 1.0), np.full(11, 0.2), p, a0, g)
     c_eq = 1.0 * 1.0 / (1.0 + 1.0) / 1.0  # = 0.5
-    cs = np.array([f.c[0] for f in traj.frames])
+    cs = traj.c[:, 0]
     assert np.all(np.diff(cs) > 0)  # monotone approach from below
     assert abs(cs[-1] - c_eq) < 1e-3
-    for f in traj.frames:
-        np.testing.assert_allclose(f.u, 1.0, atol=1e-12)
+    np.testing.assert_allclose(traj.u, 1.0, atol=1e-12)
 
 
 def test_solve_bump_develops_center_peak():
@@ -261,13 +284,13 @@ def test_solve_bump_develops_center_peak():
     p = PhysicalParams.myerscough()
     u0, c0 = bump_initial(g)
     traj = solve_forward(u0, c0, p, A_CONST2, g)
-    uT = traj.final.u
+    uT = traj.u[-1]
     assert np.argmax(uT) == 50  # midpoint node
-    peaks = np.array([f.u.max() for f in traj.frames])
+    peaks = traj.u.max(axis=1)
     assert peaks[-1] > peaks[len(peaks) // 2]  # aggregation phase under way
     a0 = SensitivityFunction.constant(0.0, 0.1, 0.9, 8)
     diffus = solve_forward(u0, c0, p, a0, g)
-    assert uT.max() > 1.05 * diffus.final.u.max()
+    assert uT.max() > 1.05 * diffus.u[-1].max()
     assert mass(uT, g) == pytest.approx(mass(u0, g), rel=1e-10)
 
 
@@ -278,8 +301,8 @@ def test_solve_conserves_mass_inverse_sensitivity():
     u0, c0 = bump_initial(g)
     traj = solve_forward(u0, c0, p, a, g)
     m0 = mass(u0, g)
-    for f in traj.frames:
-        assert abs(mass(f.u, g) - m0) <= 1e-10 * m0
+    for u in traj.u:
+        assert abs(mass(u, g) - m0) <= 1e-10 * m0
 
 
 def test_solve_respects_concentration_floor():
@@ -287,10 +310,10 @@ def test_solve_respects_concentration_floor():
     p = PhysicalParams.myerscough()
     u0, c0 = bump_initial(g)
     traj = solve_forward(u0, c0, p, A_CONST2, g)
-    for f in traj.frames:
-        bound = 0.5 * math.exp(-p.mu * f.t) * (1.0 - 1e-8)
-        assert f.c.min() >= bound
-        assert f.u.min() >= 0.0
+    for t, u, c in zip(g.times(), traj.u, traj.c):
+        bound = 0.5 * math.exp(-p.mu * t) * (1.0 - 1e-8)
+        assert c.min() >= bound
+        assert u.min() >= 0.0
 
 
 def test_solve_preserves_reflection_symmetry():
@@ -298,9 +321,8 @@ def test_solve_preserves_reflection_symmetry():
     p = PhysicalParams.myerscough()
     u0, c0 = bump_initial(g)
     traj = solve_forward(u0, c0, p, A_CONST2, g)
-    for f in traj.frames:
-        assert np.max(np.abs(f.u - f.u[::-1])) <= 1e-9
-        assert np.max(np.abs(f.c - f.c[::-1])) <= 1e-9
+    assert np.max(np.abs(traj.u - traj.u[:, ::-1])) <= 1e-9
+    assert np.max(np.abs(traj.c - traj.c[:, ::-1])) <= 1e-9
 
 
 def test_solve_refinement_contracts():
@@ -310,7 +332,7 @@ def test_solve_refinement_contracts():
     for k in range(3):
         g = SimulationGrid(0.0, 1.0, 50 * 2**k + 1, 0.25, 250 * 2**k)
         u0, c0 = bump_initial(g)
-        levels.append(solve_forward(u0, c0, p, A_CONST2, g).final.u)
+        levels.append(solve_forward(u0, c0, p, A_CONST2, g).u[-1])
     coarse, mid, fine = levels[0], levels[1][::2], levels[2][::4]
     d1 = np.linalg.norm(mid - coarse)
     d2 = np.linalg.norm(fine - mid)
@@ -418,13 +440,10 @@ def test_trajectory_distance_zero_on_self():
 
 
 def _linear_trajectory(grid):
-    xs = grid.xs()
-    frames = []
-    for t in grid.times():
-        u = 1.0 + 0.5 * xs + 0.1 * t
-        c = 0.3 + 0.2 * xs + 0.05 * t
-        frames.append(StateField(u=u, c=c, t=t))
-    return StateTrajectory(grid=grid, frames=tuple(frames))
+    t, x = np.meshgrid(grid.times(), grid.xs(), indexing="ij")
+    return StateTrajectory(
+        grid=grid, u=1.0 + 0.5 * x + 0.1 * t, c=0.3 + 0.2 * x + 0.05 * t
+    )
 
 
 def test_restrict_identity():
@@ -491,18 +510,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
 
 
 def test_params_file_roundtrip(tmp_path):
+    # params.txt is in the config format and carries the forward keys
     p = PhysicalParams.myerscough()
     g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
     path = tmp_path / "params.txt"
     write_params(p, g, path)
-    p2, g2 = read_params(path)
-    assert p2 == p
-    assert g2 == g
+    cfg = resolve("forward", load_config(path))
+    assert build_params(cfg) == p
+    assert build_grid(cfg) == g
 
 
 def test_params_file_rejects_unknown_key(tmp_path):
     path = tmp_path / "params.txt"
     write_params(PhysicalParams.myerscough(), SimulationGrid(0, 1, 51, 0.25, 250), path)
     path.write_text(path.read_text() + "bogus = 3\n")
-    with pytest.raises(InvalidStateError):
-        read_params(path)
+    with pytest.raises(ConfigError):
+        resolve("forward", load_config(path))

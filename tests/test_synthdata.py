@@ -15,7 +15,6 @@ from chemid.sensitivity import SensitivityFunction
 from chemid.synthdata import (
     NoisyData,
     add_noise,
-    generate_truth,
     make_dataset,
     myerscough_initial_data,
     read_noisy_csv,
@@ -33,15 +32,15 @@ def meas_truth():
     meas = SimulationGrid(0.0, 1.0, 21, 0.25, 50)
     a2 = SensitivityFunction.constant(2.0, 0.1, 0.9, 8)
     u0, c0 = myerscough_initial_data(fine)
-    return restrict(generate_truth(a2, p, fine, u0, c0), meas)
+    return restrict(solve_forward(u0, c0, p, a2, fine), meas)
 
 
-def test_generate_truth_delegates_to_forward_solver():
+def test_make_dataset_truth_is_the_forward_solve():
     p = PhysicalParams.myerscough()
     g = SimulationGrid(0.0, 1.0, 41, 0.1, 100)
     a2 = SensitivityFunction.constant(2.0, 0.1, 0.9, 8)
     u0, c0 = myerscough_initial_data(g)
-    t1 = generate_truth(a2, p, g, u0, c0)
+    t1 = make_dataset(a2, p, g, g.with_resolution(11, 25), u0, c0, 0.0, 0).truth_fine
     t2 = solve_forward(u0, c0, p, a2, g)
     np.testing.assert_array_equal(t1.u_matrix(), t2.u_matrix())
     np.testing.assert_array_equal(t1.c_matrix(), t2.c_matrix())
@@ -53,7 +52,7 @@ def test_zero_sensitivity_truth_is_pure_diffusion():
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     u0 = 1.0 + np.sin(np.pi * g.xs()) ** 2
     c0 = np.full(15, 0.6)
-    traj = generate_truth(a0, p, g, u0, c0)
+    traj = make_dataset(a0, p, g, g.with_resolution(4, 6), u0, c0, 0.0, 0).truth_fine
     us, cs = dense_diffusion_solve(u0, c0, p, g)
     np.testing.assert_allclose(traj.u_matrix(), us, atol=1e-9)
     np.testing.assert_allclose(traj.c_matrix(), cs, atol=1e-9)
