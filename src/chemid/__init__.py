@@ -20,7 +20,6 @@ from .errors import (
     NoiseLevelError,
     NumericalSolveError,
     PositivityViolationError,
-    StepSizeError,
     ZeroWidthIntervalError,
 )
 from .inversion import (

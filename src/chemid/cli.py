@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import get_bool, get_float, get_int
+from .config import get_bool, get_float, get_int, get_size
 from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .inversion import LMConfig, TikhonovProblem, levenberg_marquardt, write_inversion_report
 from .pde import StateTrajectory, mass, solve_forward, write_params, write_trajectory_csv
@@ -75,7 +75,7 @@ def _inversion_pieces(cfg: dict, data):
     c0 = cfgmod.build_initial_field(cfg, "c0", data.grid)
     measured = StateTrajectory(grid=data.grid, u=data.z_u, c=data.z_c)
     padding = get_float(cfg, "padding")
-    n_basis = get_int(cfg, "n_basis")
+    n_basis = get_size(cfg, "n_basis")
     prior = cfgmod.TruthSpec.parse(cfg["prior"])
     try:
         lo, hi = concentration_range(measured, padding=padding)
@@ -96,8 +96,7 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
             u0=u0,
             c0=c0,
             advection=_advection(cfg),
-            max_substeps=get_int(cfg, "max_substeps"),
-            time_refine=get_int(cfg, "time_refine"),
+            time_refine=get_size(cfg, "time_refine"),
         )
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
@@ -109,11 +108,7 @@ def cmd_forward(cfg: dict, out: Path) -> int:
     u0 = cfgmod.build_initial_field(cfg, "u0", grid)
     c0 = cfgmod.build_initial_field(cfg, "c0", grid)
     a = cfgmod.get_truth(cfg).as_callable()
-    traj = solve_forward(
-        u0, c0, params, a, grid,
-        advection=_advection(cfg),
-        max_substeps=get_int(cfg, "max_substeps"),
-    )
+    traj = solve_forward(u0, c0, params, a, grid, advection=_advection(cfg))
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_params(params, grid, out / "params.txt")
     m0 = mass(u0, grid)
@@ -137,12 +132,7 @@ def cmd_forward(cfg: dict, out: Path) -> int:
 def cmd_make_data(cfg: dict, out: Path) -> int:
     params = cfgmod.build_params(cfg)
     meas = cfgmod.build_grid(cfg)
-    try:
-        fine = meas.with_resolution(
-            get_int(cfg, "fine_n_nodes"), get_int(cfg, "fine_n_steps")
-        )
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
+    fine = cfgmod.build_fine_grid(cfg, meas)
     u0 = cfgmod.build_initial_field(cfg, "u0", fine)
     c0 = cfgmod.build_initial_field(cfg, "c0", fine)
     a = cfgmod.get_truth(cfg).as_callable()
@@ -208,12 +198,7 @@ def cmd_lcurve(cfg: dict, out: Path) -> int:
 def cmd_rates(cfg: dict, out: Path) -> int:
     params = cfgmod.build_params(cfg)
     meas = cfgmod.build_grid(cfg)
-    try:
-        fine = meas.with_resolution(
-            get_int(cfg, "fine_n_nodes"), get_int(cfg, "fine_n_steps")
-        )
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
+    fine = cfgmod.build_fine_grid(cfg, meas)
     u0f = cfgmod.build_initial_field(cfg, "u0", fine)
     c0f = cfgmod.build_initial_field(cfg, "c0", fine)
     truth_spec = cfgmod.get_truth(cfg)
@@ -300,6 +285,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ChemidError as exc:
         print(f"error: solver: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"error: solver: out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -45,7 +45,6 @@ DEFAULTS = {
     "fine_n_nodes": "201",
     "fine_n_steps": "2000",
     "advection": "blended",
-    "max_substeps": "4096",
     "n_basis": "16",
     "padding": "0.1",
     "prior": "constant:1.0",
@@ -64,7 +63,7 @@ DEFAULTS = {
 _PHYS = frozenset({"M", "D", "b", "h", "mu"})
 _GRID = frozenset({"x_left", "x_right", "n_nodes", "t_final", "n_steps"})
 _FIELDS = frozenset({"u0", "c0"})
-_SOLVER = frozenset({"advection", "max_substeps"})
+_SOLVER = frozenset({"advection"})
 _FINE = frozenset({"fine_n_nodes", "fine_n_steps"})
 _BASIS = frozenset({"n_basis", "padding", "prior"})
 _LM = frozenset(
@@ -156,6 +155,18 @@ def get_int(cfg: dict, key: str) -> int:
     return _parse(cfg, key, int, "an integer")
 
 
+#: Largest value of a key that sizes an array (node, step and basis counts).
+MAX_SIZE = 10**9
+
+
+def get_size(cfg: dict, key: str) -> int:
+    """An integer that sizes an array; above MAX_SIZE is a ConfigError."""
+    value = get_int(cfg, key)
+    if value > MAX_SIZE:
+        raise ConfigError(f"config key {key!r}: {value} exceeds the limit {MAX_SIZE}")
+    return value
+
+
 def get_bool(cfg: dict, key: str) -> bool:
     def conv(s):
         if s.lower() not in ("true", "false"):
@@ -219,9 +230,9 @@ def build_params(cfg: dict) -> PhysicalParams:
         raise ConfigError(str(exc)) from exc
 
 
-def build_grid(cfg: dict, prefix: str = "") -> SimulationGrid:
-    n_nodes = get_int(cfg, prefix + "n_nodes")
-    n_steps = get_int(cfg, prefix + "n_steps")
+def build_grid(cfg: dict) -> SimulationGrid:
+    n_nodes = get_size(cfg, "n_nodes")
+    n_steps = get_size(cfg, "n_steps")
     try:
         return SimulationGrid(
             x_left=get_float(cfg, "x_left"),
@@ -230,6 +241,16 @@ def build_grid(cfg: dict, prefix: str = "") -> SimulationGrid:
             t_final=get_float(cfg, "t_final"),
             n_steps=n_steps,
         )
+    except InvalidStateError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def build_fine_grid(cfg: dict, meas: SimulationGrid) -> SimulationGrid:
+    """The data-generation grid: meas's domain at fine_n_nodes x fine_n_steps."""
+    n_nodes = get_size(cfg, "fine_n_nodes")
+    n_steps = get_size(cfg, "fine_n_steps")
+    try:
+        return meas.with_resolution(n_nodes, n_steps)
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -30,10 +30,6 @@ class LowerBoundViolationError(NumericalSolveError):
     """Chemoattractant fell below its decaying-exponential lower bound."""
 
 
-class StepSizeError(ChemidError):
-    """The advective stability check forced more sub-steps than allowed."""
-
-
 class DomainMismatchError(ChemidError):
     """Target grid does not lie inside the source grid's space-time domain."""
 

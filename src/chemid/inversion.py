@@ -34,7 +34,6 @@ from .errors import (
     InvalidStateError,
     JacobianColumnError,
     NumericalSolveError,
-    StepSizeError,
 )
 from .pde import (
     DEFAULT_ADVECTION,
@@ -81,7 +80,7 @@ class TikhonovProblem:
     """Everything that defines J_alpha: data, prior, dynamics, meshes.
 
     time_refine > 1 integrates the forward model with that many uniform
-    sub-steps per measurement frame before sampling the misfit at the
+    steps per measurement frame before sampling the misfit at the
     frames.  It controls model accuracy only; residuals always live on
     the measurement mesh.
     """
@@ -93,7 +92,6 @@ class TikhonovProblem:
     u0: np.ndarray
     c0: np.ndarray
     advection: str = DEFAULT_ADVECTION
-    max_substeps: int = 4096
     time_refine: int = 1
 
     def __post_init__(self):
@@ -167,9 +165,8 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
             a,
             prob.solve_grid,
             advection=prob.advection,
-            max_substeps=prob.max_substeps,
         )
-    except (NumericalSolveError, StepSizeError, InvalidStateError) as exc:
+    except (NumericalSolveError, InvalidStateError) as exc:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     k = prob.time_refine
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
@@ -231,7 +228,6 @@ def jacobian_fd(
         lambda face_c, rows: hat_rows(face_c, knots, pert[rows]),
         prob.solve_grid,
         prob.advection,
-        prob.max_substeps,
         record,
     )
     for k, exc in enumerate(errors):

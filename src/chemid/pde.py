@@ -11,29 +11,29 @@ Discretization: node-centered grid with half-width cells at the two
 boundary nodes, so the trapezoidal integral of u is the exactly conserved
 quantity.  Each step is IMEX:
 
-  * the chemotactic flux divergence is advanced explicitly in conservative
-    flux-difference form, with the advected face value of u chosen per
-    face by a Peclet-weighted upwind/central rule (pure donor-cell
-    upwinding is available as an option),
-  * both diffusion operators and the linear decay -mu c are advanced
-    implicitly (backward Euler, tridiagonal solves with ghost-node
-    reflection for the Neumann boundaries),
+  * the chemotactic flux and the cell diffusion are advanced implicitly
+    in conservative flux-difference form, with the advected face value of
+    u chosen per face by a Peclet-weighted upwind/central rule (pure
+    donor-cell upwinding is available as an option).  The u-matrix is
+    then an M-matrix for every dt, so each step keeps u >= 0 and the mass
+    of u (Filbet 2006; Chertock & Kurganov 2008) at a cost that does not
+    grow with |a|,
+  * the chemical diffusion and the linear decay -mu c are implicit
+    (backward Euler, tridiagonal solve with ghost-node reflection for the
+    Neumann boundaries),
   * the saturating production b u/(u+h) uses the beginning-of-step u so
     the c update stays linear.
 
 The stepper advances a batch of independent rows at once: u and c are
 (rows, n_nodes) arrays, one row per solve (``solve_forward`` is the
 one-row case; the finite-difference Jacobian runs one row per perturbed
-coefficient vector).  With the chemotaxis term explicit, the implicit u-
-and c-matrices depend only on the step size, so they are LU-factored
-(LAPACK dgttrf) once per solve for the frame step and once per sub-step
-size in use, and all rows taking one step size are solved by one dgttrs
-call per field.  The face velocities are evaluated
-once per (sub-)step and serve both the flux and the advective positivity
-bound dt <= 0.45 dx / max|v|, which is checked per row before every step;
-a row that violates it is sub-stepped on its own.  The positivity check
-runs per row after every (sub-)step and the c floor per row after every
-frame, so a failing row stops without touching the others.
+coefficient vector).  The u-matrices of all rows are stacked into one
+block-tridiagonal system with no coupling between blocks and solved by
+one LAPACK dgtsv call per step; the c-matrix depends only on the step
+size and is LU-factored (dgttrf) once per solve, then every row is solved
+by one dgttrs call per step.  The positivity check runs per row after
+every step and the c floor per row after every frame, so a failing row
+stops without touching the others.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import (
     DomainMismatchError,
@@ -53,7 +53,6 @@ from .errors import (
     LowerBoundViolationError,
     NumericalSolveError,
     PositivityViolationError,
-    StepSizeError,
 )
 
 # a(c) is anything that maps an array of concentrations to an array of
@@ -62,13 +61,9 @@ SensitivityLike = Callable[[np.ndarray], np.ndarray]
 
 #: Advected face value rule: "blended" switches per face from a central
 #: mean to donor-cell upwinding once the face Peclet number |v| dx / M
-#: exceeds 2 (the positivity-critical regime); "upwind" always donates.
+#: exceeds 2 (past it a central face breaks the M-matrix property that
+#: keeps u >= 0); "upwind" always donates.
 DEFAULT_ADVECTION = "blended"
-
-#: Safety factor on the donor-cell positivity bound dt <= 0.5 dx / max|v|
-#: (worst case: an interior cell draining through both faces, or a
-#: half-width boundary cell draining through its one face).
-CFL_SAFETY = 0.9
 
 #: u below -POSITIVITY_FLOOR * max(1, max u) after a step is a solver
 #: error; smaller negatives are round-off and are clipped to zero.
@@ -237,79 +232,81 @@ def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray
     return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
 
 
-def _advected_face_values(
-    u: np.ndarray, v: np.ndarray, dx: float, M: float, advection: str
-) -> np.ndarray:
-    upwind = np.where(v >= 0.0, u[:, :-1], u[:, 1:])
-    if advection == "upwind":
-        return upwind
-    if advection == "blended":
-        central = 0.5 * (u[:, :-1] + u[:, 1:])
-        peclet = v * (dx / M)
-        return np.where(np.abs(peclet) <= 2.0, central, upwind)
-    raise InvalidStateError(f"unknown advection scheme {advection!r}")
+def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
+    """What every step of a solve on ``grid`` shares.
 
-
-def _factor(n: int, r: float, extra_diag: float) -> tuple:
-    """LU factors (LAPACK dgttrf) of I + extra_diag*I - r*L.
-
-    L is the Neumann Laplacian stencil with ghost-node reflection, so the
-    first super- and last sub-diagonal entries are doubled.
+    Returns (dt, m, cell widths, c_lu): m = dt M / dx is the diffusive
+    weight of a face in the u-matrix, and ``c_lu`` the LAPACK dgttrf
+    factors of the c-matrix (1 + dt mu) I - dt D L, with L the Neumann
+    Laplacian stencil with ghost-node reflection (first super- and last
+    sub-diagonal entries doubled).
     """
+    n, dx, dt = grid.n_nodes, grid.dx, grid.dt
+    r = dt * params.D / dx**2
     bands = np.empty((3, n))
     bands[0] = bands[2] = -r
-    bands[1] = 1.0 + extra_diag + 2.0 * r
+    bands[1] = 1.0 + dt * params.mu + 2.0 * r
     bands[0, n - 2] = bands[2, 0] = -2.0 * r
-    *lu, info = dgttrf(
+    *c_lu, info = dgttrf(
         bands[0, :-1], bands[1], bands[2, :-1],
         overwrite_dl=1, overwrite_d=1, overwrite_du=1,
     )
     if info != 0:  # degenerate dt/dx combination
         raise NumericalSolveError(f"tridiagonal factorization failed (info={info})")
-    return tuple(lu)
-
-
-def _step_factors(params: PhysicalParams, n: int, dx: float, dt: float) -> tuple:
-    """Factors of the implicit u- and c-matrices for a step of size dt."""
-    return (
-        _factor(n, dt * params.M / dx**2, 0.0),
-        _factor(n, dt * params.D / dx**2, dt * params.mu),
-    )
-
-
-def _solve_rows(lu: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored system for every row of rhs, overwriting rhs."""
-    # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
-    x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)
-    return x.T
+    return dt, dt * params.M / dx, grid.cell_widths(), tuple(c_lu)
 
 
 def _advance(
     u: np.ndarray,
     c: np.ndarray,
-    v: np.ndarray,
+    flow: np.ndarray,
     params: PhysicalParams,
-    dx: float,
-    dt: float,
     advection: str,
-    factors: tuple,
+    ops: tuple,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """One IMEX step of size dt for every row of (u, c), given face velocities v.
+    """One IMEX step for every row of (u, c), given ``flow`` = dt * face velocity.
 
-    ``factors`` are the ``_step_factors`` of dt.  Returns the new (u, c)
-    rows and a list of (row, PositivityViolationError) for rows whose cell
-    density fell below the floor; smaller negatives are clipped to zero.
+    ``ops`` are the ``_step_operators`` of the solve.  Over a step, face k
+    carries flow_k (w u_k + (1 - w) u_{k+1}) - m (u_{k+1} - u_k) of cell
+    mass at the new u, with w = 1/2 where the face Peclet number
+    |v| dx / M is at most 2 (``blended`` only) and the donor cell's 1 or 0
+    elsewhere.  Each row's u-matrix is W + dt K with W the cell widths and
+    K the flux differences: its columns sum to W, and with the face rule
+    it is a column diagonally dominant M-matrix, so dgtsv needs no
+    pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
+    block-tridiagonal system with zero coupling between blocks.
+
+    Returns the new (u, c) rows and a list of (row, PositivityViolationError)
+    for rows whose cell density fell below the floor; smaller negatives
+    are clipped to zero.
     """
-    n = u.shape[1]
-    flux = v * _advected_face_values(u, v, dx, params.M, advection)
-    div = np.empty_like(u)
-    div[:, 0] = flux[:, 0] / (0.5 * dx)
-    div[:, 1:-1] = (flux[:, 1:] - flux[:, :-1]) / dx
-    div[:, n - 1] = -flux[:, -1] / (0.5 * dx)
-    # production uses the beginning-of-step u, keeping the solve linear
+    dt, m, widths, c_lu = ops
+    rows, n = u.shape
+    # flow times the weight of u_k in each face's flux; flow - ahead weighs u_{k+1}
+    ahead = np.maximum(flow, 0.0)
+    if advection == "blended":
+        np.multiply(flow, 0.5, out=ahead, where=np.abs(flow) <= 2.0 * m)
+    elif advection != "upwind":
+        raise InvalidStateError(f"unknown advection scheme {advection!r}")
+    bands = np.empty((3, rows, n))
+    sub, diag, sup = bands
+    np.subtract(-m, ahead, out=sub[:, :-1])
+    np.subtract(flow - ahead, m, out=sup[:, :-1])
+    sub[:, -1] = sup[:, -1] = 0.0
+    np.subtract(widths, sub, out=diag)
+    diag.reshape(-1)[1:] -= sup.reshape(-1)[:-1]
+    *_, x, info = dgtsv(
+        sub.reshape(-1)[:-1], diag.reshape(-1), sup.reshape(-1)[:-1],
+        (u * widths).reshape(-1, 1),
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+    )
+    if info != 0:
+        raise NumericalSolveError(f"tridiagonal solve failed (info={info})")
+    u_new = x.reshape(rows, n)
+    # production uses the beginning-of-step u, keeping the c solve linear
     rhs = c + dt * params.b * (u / (u + params.h))
-    u_new = _solve_rows(factors[0], u - dt * div)
-    c_new = _solve_rows(factors[1], rhs)
+    # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
+    c_new = dgttrs(*c_lu, rhs.T, overwrite_b=1)[0].T
 
     failures = []
     u_min = u_new.min(axis=1)
@@ -332,18 +329,17 @@ def _integrate(
     a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     grid: SimulationGrid,
     advection: str,
-    max_substeps: int,
     record: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> list:
     """Solve the coupled system for every row of the (rows, n_nodes) fields.
 
     ``a(face_c, rows)`` gives the sensitivity of the rows with indices
     ``rows`` at their face concentrations ``face_c`` (one array row per
-    index).  The initial fields are assumed valid.  Rows are independent:
-    each is checked against the CFL limit, ``max_substeps``, positivity
-    and its own c floor exactly as a lone solve would be, and a row that
-    fails stops without changing the others.  Rows that take the same
-    step size advance together through one factorization.
+    index).  The initial fields are assumed valid.  Every live row takes
+    one step per frame.  Rows are independent: each is checked for a
+    finite dt * face velocity, positivity and its own c floor exactly as a
+    lone solve would be, and a row that fails stops without changing the
+    others.
 
     ``record(j, u, c)`` receives the fields of frame j = 0..n_steps while
     any row is still running; the rows of failed solves hold stale values
@@ -352,70 +348,35 @@ def _integrate(
     """
     u = np.array(u0, dtype=float)
     c = np.array(c0, dtype=float)
-    n_rows, n = u.shape
+    n_rows = u.shape[0]
     dx, dt = grid.dx, grid.dt
     times = grid.times()
+    ops = _step_operators(params, grid)
     record(0, u, c)
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
-    frame_factors = _step_factors(params, n, dx, dt)
-    cfl = CFL_SAFETY * 0.5 * dx
 
     def fail(row, exc):
         errors[row] = exc
         alive[row] = False
 
     for j in range(grid.n_steps):
-        # rows still inside frame j; each of them has taken `used` sub-steps
         rows = np.flatnonzero(alive)
-        remaining = np.full(rows.size, dt)
-        used = 0
-        while rows.size:
-            every = rows.size == n_rows
-            c_rows = c if every else c[rows]
-            v = _face_velocities(c_rows, lambda face_c: a(face_c, rows), dx)
-            vmax = np.abs(v).max(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                limit = cfl / vmax
-                fits = remaining <= limit * (1.0 + 1e-12)
-                all_fit = fits.all()
-                if not all_fit:  # rows over the limit split their rest evenly
-                    sizes = np.where(fits, remaining, remaining / np.ceil(remaining / limit))
-            if all_fit:
-                ok, sizes = fits, remaining
-            else:
-                ok = fits | (np.isfinite(vmax) & (used < max_substeps))
-                for i in np.flatnonzero(~ok):
-                    fail(rows[i], StepSizeError(
-                        f"frame {j + 1} needs more than {max_substeps} sub-steps "
-                        f"(dt={dt:.3e}, stable limit {limit[i]:.3e})"
-                    ) if np.isfinite(vmax[i]) else InvalidStateError(
-                        f"face velocity is not finite in frame {j + 1}"
-                    ))
-
-            for size in set(sizes[ok].tolist()):
-                sel = ok & (sizes == size)
-                group = rows[sel]
-                factors = (
-                    frame_factors if size == dt
-                    else _step_factors(params, n, dx, size)
-                )
-                if every and sel.all():
-                    u, c, broken = _advance(u, c, v, params, dx, size, advection, factors)
-                else:
-                    u[group], c[group], broken = _advance(
-                        u[group], c_rows[sel], v[sel], params, dx, size, advection, factors
-                    )
-                for i, exc in broken:
-                    fail(group[i], exc)
-
-            if all_fit:
-                break
-            going = ~fits & alive[rows]
-            rows = rows[going]
-            remaining = (remaining - sizes)[going]
-            used += 1
+        every = rows.size == n_rows
+        c_rows = c if every else c[rows]
+        flow = dt * _face_velocities(c_rows, lambda face_c: a(face_c, rows), dx)
+        finite = np.isfinite(flow).all(axis=1)
+        if not finite.all():  # such a row stops; a zero flow keeps its solve harmless
+            for i in np.flatnonzero(~finite):
+                fail(rows[i], InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
+            flow[~finite] = 0.0
+        if every:
+            u, c, broken = _advance(u, c, flow, params, advection, ops)
+        else:
+            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, params, advection, ops)
+        for i, exc in broken:
+            fail(rows[i], exc)
 
         t = times[j + 1]
         c_min = c.min(axis=1)
@@ -439,19 +400,16 @@ def solve_forward(
     grid: SimulationGrid,
     *,
     advection: str = DEFAULT_ADVECTION,
-    max_substeps: int = 4096,
 ) -> StateTrajectory:
-    """Solve the coupled system from (u0, c0), one frame per grid time step.
+    """Solve the coupled system from (u0, c0), one IMEX step per grid time step.
 
-    Before every (sub-)step the advective positivity bound
-    dt <= 0.45 dx / max|v| is evaluated from the current state; a
-    violating frame step is split into equal sub-steps, at most
-    ``max_substeps`` per frame.
+    The chemotactic flux is implicit in u, so every step keeps u >= 0 and
+    the mass of u whatever dt and |a| are; the cost is n_steps steps.
 
     Raises
     ------
-    StepSizeError
-        if a frame needs more than ``max_substeps`` sub-steps.
+    InvalidStateError
+        if the initial fields are invalid or a face velocity is not finite.
     PositivityViolationError, LowerBoundViolationError
         if the computed fields violate the solution lower bounds.
     """
@@ -476,7 +434,7 @@ def solve_forward(
 
     errors = _integrate(
         u[None, :], c[None, :], params, lambda face_c, rows: a(face_c), grid,
-        advection, max_substeps, record,
+        advection, record,
     )
     if errors[0] is not None:
         raise errors[0]

@@ -86,10 +86,6 @@ class SensitivityFunction:
             )
         return SensitivityFunction(self.c_min, self.c_max, coeffs)
 
-    @property
-    def knot_spacing(self) -> float:
-        return (self.c_max - self.c_min) / (self.n_basis - 1)
-
     @classmethod
     def constant(
         cls, value: float, c_min: float, c_max: float, n_basis: int = DEFAULT_N_BASIS

@@ -11,39 +11,36 @@ import numpy as np
 def dense_one_step(u, c, params, a_func, dx, dt, advection="blended"):
     """One IMEX step via dense operator matrices and scalar loops.
 
-    Mirrors the documented scheme: explicit conservative flux difference
-    for the chemotaxis term, implicit diffusion with ghost-node
-    reflection, implicit decay, production frozen at the current u.
+    Mirrors the documented scheme: the chemotactic and diffusive fluxes
+    through each face are taken at the new u and assembled face by face
+    into a dense (W + dt K) u_new = W u, with W the cell widths (half-width
+    boundary cells) and no flux through the two ends; implicit chemical
+    diffusion with ghost-node reflection, implicit decay, production
+    frozen at the current u.
     """
     u = np.asarray(u, dtype=float)
     c = np.asarray(c, dtype=float)
     n = len(u)
 
-    v = np.zeros(n - 1)
-    for k in range(n - 1):
-        cm = 0.5 * (c[k] + c[k + 1])
-        v[k] = float(a_func(cm)) * (c[k + 1] - c[k]) / dx
-
-    flux = np.zeros(n - 1)
-    for k in range(n - 1):
-        if advection == "upwind":
-            uf = u[k] if v[k] >= 0 else u[k + 1]
-        elif advection == "blended":
-            if abs(v[k] * dx / params.M) <= 2.0:
-                uf = 0.5 * (u[k] + u[k + 1])
-            else:
-                uf = u[k] if v[k] >= 0 else u[k + 1]
-        else:
-            raise ValueError(advection)
-        flux[k] = v[k] * uf
-
     w = np.full(n, dx)
     w[0] = w[-1] = 0.5 * dx
-    ustar = np.zeros(n)
-    for i in range(n):
-        right = flux[i] if i < n - 1 else 0.0
-        left = flux[i - 1] if i > 0 else 0.0
-        ustar[i] = u[i] - dt * (right - left) / w[i]
+    A = np.diag(w)
+    for k in range(n - 1):  # face k joins nodes k and k + 1
+        v = float(a_func(0.5 * (c[k] + c[k + 1]))) * (c[k + 1] - c[k]) / dx
+        if advection == "upwind" or abs(v * dx / params.M) > 2.0:
+            left, right = (1.0, 0.0) if v >= 0 else (0.0, 1.0)
+        elif advection == "blended":
+            left = right = 0.5
+        else:
+            raise ValueError(advection)
+        # flux out of node k into node k + 1, as coefficients of u_k and u_{k+1}
+        on_k = dt * (v * left + params.M / dx)
+        on_k1 = dt * (v * right - params.M / dx)
+        A[k, k] += on_k
+        A[k, k + 1] += on_k1
+        A[k + 1, k] -= on_k
+        A[k + 1, k + 1] -= on_k1
+    u_new = np.linalg.solve(A, w * u)
 
     lap = np.zeros((n, n))
     lap[0, 0], lap[0, 1] = -2.0, 2.0
@@ -51,11 +48,8 @@ def dense_one_step(u, c, params, a_func, dx, dt, advection="blended"):
     for i in range(1, n - 1):
         lap[i, i - 1 : i + 2] = (1.0, -2.0, 1.0)
     lap /= dx * dx
-
-    eye = np.eye(n)
-    u_new = np.linalg.solve(eye - dt * params.M * lap, ustar)
     rhs = c + dt * params.b * u / (u + params.h)
-    c_new = np.linalg.solve((1.0 + params.mu * dt) * eye - dt * params.D * lap, rhs)
+    c_new = np.linalg.solve((1.0 + params.mu * dt) * np.eye(n) - dt * params.D * lap, rhs)
     u_new = np.where((u_new < 0.0) & (u_new > -1e-12), 0.0, u_new)
     return u_new, c_new
 

@@ -230,9 +230,8 @@ def test_criterion_4_forward_property_battery(capsys):
     c0s = 0.5 + 0.2 * np.cos(np.pi * xs)
     oracle_dev = 0.0
     for adv in ("blended", "upwind"):
-        # one frame with no sub-step budget: exactly one IMEX step
-        got = solve_forward(u0s, c0s, PARAMS, a_inv2, g, advection=adv,
-                            max_substeps=0)
+        # a one-frame solve is exactly one IMEX step
+        got = solve_forward(u0s, c0s, PARAMS, a_inv2, g, advection=adv)
         want_u, want_c = dense_one_step(u0s, c0s, PARAMS, a_inv2, g.dx, g.dt,
                                         advection=adv)
         oracle_dev = max(

@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from chemid import cli
 from chemid.cli import main
 from chemid.sensitivity import read_sensitivity_csv
 from helpers import quadrature_sq_distance
@@ -371,3 +372,27 @@ def test_non_utf8_input_exits_2(tmp_path, data_dir, where):
         cfg.write_bytes(b"# caf\xe9\n" + textwrap.dedent(SMALL_PHYS).encode())
         proc = run_cli("forward", "--config", str(cfg), "--out", str(tmp_path))
     assert_config_error(proc)
+
+
+@pytest.mark.parametrize("n_nodes", [10**15, 10**20])
+def test_oversized_grid_exits_2(tmp_path, n_nodes):
+    grid = SMALL_GRID.replace("n_nodes = 21", f"n_nodes = {n_nodes}")
+    cfg = write_cfg(tmp_path, "big.cfg", SMALL_PHYS + grid + "truth = constant:1.5\n")
+    assert_config_error(run_cli("forward", "--config", cfg, "--out", str(tmp_path)))
+
+
+def test_oversized_basis_exits_2(tmp_path, data_dir):
+    body = INVERT_BODY.replace("n_basis = 3", f"n_basis = {10**15}")
+    cfg = write_cfg(tmp_path, "big.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
+    assert_config_error(run_cli("invert", "--config", cfg, "--out", str(tmp_path)))
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, out):
+        raise MemoryError("Unable to allocate 7.28 PiB")
+
+    monkeypatch.setitem(cli.COMMANDS, "forward", exhausted)
+    rc = main(["forward", "--preset", "myerscough", "--out", str(tmp_path)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: solver: out of memory: Unable to allocate 7.28 PiB"]

@@ -6,6 +6,8 @@ import pytest
 from chemid.config import (
     ALLOWED_KEYS,
     TruthSpec,
+    MAX_SIZE,
+    build_fine_grid,
     build_grid,
     build_initial_field,
     build_params,
@@ -15,6 +17,7 @@ from chemid.config import (
     get_float_list,
     get_int,
     get_int_list,
+    get_size,
     get_truth,
     load_config,
     resolve,
@@ -141,6 +144,24 @@ def test_build_grid_wraps_validation():
     cfg["n_nodes"] = "1"
     with pytest.raises(ConfigError):
         build_grid(cfg)
+
+
+def test_get_size_caps_array_sizes():
+    assert get_size({"n": str(MAX_SIZE)}, "n") == MAX_SIZE
+    for value in (MAX_SIZE + 1, 10**20):
+        with pytest.raises(ConfigError, match="exceeds the limit"):
+            get_size({"n": str(value)}, "n")
+    with pytest.raises(ConfigError, match="expected an integer"):
+        get_size({"n": "1e9"}, "n")
+
+
+def test_build_fine_grid_wraps_validation():
+    meas = SimulationGrid(0.0, 2.0, 11, 0.5, 10)
+    fine = build_fine_grid({"fine_n_nodes": "41", "fine_n_steps": "40"}, meas)
+    assert fine == SimulationGrid(0.0, 2.0, 41, 0.5, 40)
+    for nodes, steps in (("1", "40"), ("41", "0"), ("41", str(MAX_SIZE + 1))):
+        with pytest.raises(ConfigError):
+            build_fine_grid({"fine_n_nodes": nodes, "fine_n_steps": steps}, meas)
 
 
 def test_build_initial_field_specs():

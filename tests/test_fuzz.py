@@ -50,7 +50,7 @@ def _valid_files() -> dict:
 VALID = _valid_files()
 PHYS = textwrap.dedent(SMALL_PHYS).encode()
 # appended after the fuzzed text: the keys that size the arrays stay fixed
-SIZES = (textwrap.dedent(SMALL_GRID) + "max_substeps = 64\n").encode()
+SIZES = textwrap.dedent(SMALL_GRID).encode()
 
 
 @st.composite
@@ -132,7 +132,7 @@ CLI_SETTINGS = settings(
 @given(blob=corrupted(VALID["data"]))
 def test_cli_invert_on_corrupted_data(work, blob):
     data = _write(work / "cli-data.csv", blob)
-    body = textwrap.dedent(INVERT_BODY) + f"data_csv = {data}\nmax_iters = 3\nmax_substeps = 64\n"
+    body = textwrap.dedent(INVERT_BODY) + f"data_csv = {data}\nmax_iters = 3\n"
     cfg = _write(work / "cli-invert.cfg", body.encode())
     _assert_contract("invert", "--config", str(cfg), "--out", str(work / "out"))
 

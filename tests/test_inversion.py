@@ -12,7 +12,6 @@ from chemid.errors import (
     IncompatibleBasisError,
     InvalidStateError,
     JacobianColumnError,
-    StepSizeError,
 )
 from chemid.inversion import (
     InversionResult,
@@ -155,29 +154,32 @@ def test_jacobian_zero_columns_on_uniform_data():
     np.testing.assert_allclose(J[:, 0], J[:, 1], atol=1e-9)
 
 
-def test_jacobian_column_error_carries_index():
-    # base solve sits just under the stability limit with no sub-step
-    # budget; the huge fd_step pushes the perturbed solve over it
+def steep_problem(a_star):
+    """Exact data from a_star with a steep c0 (|c0'| up to 2.5), so that a
+    coefficient near the float maximum makes a face velocity overflow."""
     p = PhysicalParams.dimensionless(M=0.25, D=1.0)
     g = SimulationGrid(0.0, 1.0, 21, 0.6, 40)
     u0 = np.full(21, 1.0)
-    c0 = 0.5 + 0.4 * np.cos(np.pi * g.xs())
-    a_star = SensitivityFunction.constant(1.0, 0.05, 1.0, 3)
+    c0 = 0.5 + 0.4 * np.cos(2.0 * np.pi * g.xs())
     truth = solve_forward(u0, c0, p, a_star, g, advection="upwind")
-    data = add_noise(truth, 0.0, seed=0)
-    prob = TikhonovProblem(
-        data=data,
+    return TikhonovProblem(
+        data=add_noise(truth, 0.0, seed=0),
         alpha=0.0,
         a_star=a_star,
         params=p,
         u0=u0,
         c0=c0,
         advection="upwind",
-        max_substeps=0,
     )
-    residual_vector(a_star.coeffs, prob)  # base point must be solvable
+
+
+def test_jacobian_column_error_carries_index():
+    # a(c) is clamped to coefficient 0 wherever c < 0.5, where c0 is
+    # steepest; the huge fd_step makes that face velocity overflow
+    prob = steep_problem(SensitivityFunction.constant(1.0, 0.5, 1.5, 3))
+    residual_vector(prob.a_star.coeffs, prob)  # base point must be solvable
     with pytest.raises(JacobianColumnError) as err:
-        jacobian_fd(a_star.coeffs, prob, LMConfig(fd_step=2.0))
+        jacobian_fd(prob.a_star.coeffs, prob, LMConfig(fd_step=1.7e308))
     assert err.value.column == 0
 
 
@@ -193,54 +195,27 @@ def column_by_column_jacobian(coeffs, prob, cfg=LMConfig()):
     return np.column_stack(cols)
 
 
-def wide_basis_problem(**changes):
-    """small_problem with its basis stretched down so that hats 0 and 1
-    lie below every observed c: perturbing them cannot change a solve."""
-    prob, _, _ = small_problem()
-    lo, hi = prob.a_star.c_min, prob.a_star.c_max
-    a_star = SensitivityFunction.constant(1.0, lo - 2.0 * (hi - lo), hi, 4)
-    return dataclasses.replace(prob, a_star=a_star, **changes)
-
-
-def needs_substeps(coeffs, prob):
-    try:
-        solve_forward(prob.u0, prob.c0, prob.params, prob.a_star.with_coeffs(coeffs),
-                      prob.grid, advection=prob.advection, max_substeps=0)
-    except StepSizeError:
-        return True
-    return False
-
-
 @pytest.mark.parametrize(
-    "changes", [{}, {"advection": "upwind"}, {"time_refine": 2}],
-    ids=["blended", "upwind", "time_refine"],
+    "changes, fd_step",
+    [({}, 1e-6), ({"advection": "upwind"}, 1e-6), ({"time_refine": 2}, 1e-6), ({}, 30.0)],
+    ids=["blended", "upwind", "time_refine", "large_step"],
 )
-def test_batched_jacobian_equals_column_by_column(changes):
+def test_batched_jacobian_equals_column_by_column(changes, fd_step):
+    # large_step gives the perturbed rows very different face velocities,
+    # so their faces switch between the central and donor-cell values
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, **changes)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    assert np.array_equal(
-        jacobian_fd(coeffs, prob), column_by_column_jacobian(coeffs, prob)
-    )
-
-
-def test_batched_jacobian_mixes_substepped_and_plain_rows():
-    prob = wide_basis_problem()
-    cfg = LMConfig(fd_step=30.0)
-    coeffs = prob.a_star.coeffs
-    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
-    perturbed = coeffs + np.diag(h)
-    assert not needs_substeps(coeffs, prob)
-    assert [needs_substeps(row, prob) for row in perturbed] == [False, False, True, False]
+    cfg = LMConfig(fd_step=fd_step)
     assert np.array_equal(
         jacobian_fd(coeffs, prob, cfg), column_by_column_jacobian(coeffs, prob, cfg)
     )
 
 
 def test_jacobian_column_error_is_lowest_failing_column():
-    # hats 0 and 1 see no data, so only the later columns 2 and 3 can fail
-    prob = wide_basis_problem(max_substeps=0)
-    cfg = LMConfig(fd_step=60.0)
+    # hats 0 and 1 lie below every c, so only the later columns 2 and 3 can fail
+    prob = steep_problem(SensitivityFunction.constant(1.0, -1.85, 1.0, 4))
+    cfg = LMConfig(fd_step=1.7e308)
     coeffs = prob.a_star.coeffs
     failing = []
     for k in range(4):

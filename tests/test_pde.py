@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemid import pde
 from chemid.config import build_grid, build_params, load_config, resolve
 from chemid.errors import (
     ConfigError,
     DomainMismatchError,
     InvalidStateError,
     PositivityViolationError,
-    StepSizeError,
 )
 from chemid.pde import (
     PhysicalParams,
@@ -32,8 +32,8 @@ from chemid.pde import (
     write_params,
     write_trajectory_csv,
 )
-from chemid.pde import _advance, _face_velocities, _integrate, _step_factors
-from chemid.sensitivity import SensitivityFunction
+from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
+from chemid.sensitivity import SensitivityFunction, hat_rows
 
 from helpers import dense_diffusion_solve, dense_one_step
 
@@ -48,13 +48,9 @@ A_CONST2 = SensitivityFunction.constant(2.0, 0.1, 0.9, 8)
 
 
 def one_step(u0, c0, params, a, grid, advection="blended"):
-    """(u, c) after a solve on a one-step grid with no sub-step budget.
-
-    That is exactly one IMEX step of size grid.dt, or a StepSizeError if
-    grid.dt is over the CFL limit.
-    """
+    """(u, c) after a solve on a one-step grid: exactly one IMEX step of size grid.dt."""
     assert grid.n_steps == 1
-    traj = solve_forward(u0, c0, params, a, grid, advection=advection, max_substeps=0)
+    traj = solve_forward(u0, c0, params, a, grid, advection=advection)
     return traj.u[1], traj.c[1]
 
 
@@ -215,17 +211,30 @@ def test_step_matches_dense_oracle_nonuniform_c(scheme):
 
 
 def test_step_flags_positivity_violation():
-    # grossly unstable explicit step: steep c, large a, huge dt
+    # the implicit step maps u >= 0 to u >= 0, so feed the second row a
+    # negative density directly; a short step keeps it negative
+    g = SimulationGrid(0.0, 1.0, 11, 1e-3, 1)
+    p = PhysicalParams.dimensionless(M=0.01, D=1.0)
+    a = SensitivityFunction.constant(50.0, 0.0, 2.0, 4)
+    u = np.full((2, 11), 0.5)
+    u[1, 5] = -0.4
+    c = np.tile(g.xs() + 0.1, (2, 1))
+    flow = g.dt * _face_velocities(c, a, g.dx)
+    _, _, failures = _advance(u, c, flow, p, "upwind", _step_operators(p, g))
+    assert [(row, type(exc)) for row, exc in failures] == [(1, PositivityViolationError)]
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "blended"])
+def test_step_keeps_positivity_and_mass_for_any_dt(scheme):
+    # steep c, large a and a huge step: the implicit flux still maps u >= 0
+    # to u >= 0 with the mass of u unchanged
     g = SimulationGrid(0.0, 1.0, 11, 1.0, 1)
     p = PhysicalParams.dimensionless(M=0.01, D=1.0)
     a = SensitivityFunction.constant(50.0, 0.0, 2.0, 4)
-    u = np.full((1, 11), 0.5)
-    c = g.xs()[None, :] + 0.1
-    # the CFL check of a solve would split this step, so advance it directly
-    v = _face_velocities(c, a, g.dx)
-    factors = _step_factors(p, g.n_nodes, g.dx, g.dt)
-    _, _, failures = _advance(u, c, v, p, g.dx, g.dt, "upwind", factors)
-    assert [(row, type(exc)) for row, exc in failures] == [(0, PositivityViolationError)]
+    u0 = np.full(11, 0.5)
+    u, _ = one_step(u0, g.xs() + 0.1, p, a, g, advection=scheme)
+    assert u.min() >= 0.0
+    assert mass(u, g) == pytest.approx(mass(u0, g), rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,10 +256,7 @@ def test_step_property_dense_oracle_agreement(seed, n, scheme):
     u0 = rng.uniform(0.1, 2.0, n)
     c0 = rng.uniform(0.2, 1.5, n)
     a = SensitivityFunction(0.1, 2.0, rng.uniform(0.0, 3.0, 6))
-    try:
-        u, c = one_step(u0, c0, p, a, g, advection=scheme)
-    except (PositivityViolationError, StepSizeError):
-        return  # unstable draw; the solver is allowed to reject it
+    u, c = one_step(u0, c0, p, a, g, advection=scheme)
     uo, co = dense_one_step(u0, c0, p, a, g.dx, g.dt, advection=scheme)
     np.testing.assert_allclose(u, uo, rtol=0, atol=1e-10)
     np.testing.assert_allclose(c, co, rtol=0, atol=1e-10)
@@ -339,35 +345,44 @@ def test_solve_refinement_contracts():
     assert d1 / d2 >= 1.7
 
 
-def test_solve_substep_cap_enforced():
-    # steep initial c and a large frame dt force several sub-steps at once
-    g = SimulationGrid(0.0, 1.0, 51, 0.025, 1)
+def test_solve_cost_does_not_grow_with_sensitivity(monkeypatch):
+    """a = 1000/c on 51x250: one step per frame, mass kept, u >= 0."""
+    g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
     p = PhysicalParams.myerscough()
-    u0, _ = bump_initial(g)
-    c0 = 0.5 + 0.45 * np.cos(np.pi * g.xs())
-    with pytest.raises(StepSizeError):
-        solve_forward(u0, c0, p, A_CONST2, g, max_substeps=2)
-    # same run with headroom succeeds
-    solve_forward(u0, c0, p, A_CONST2, g, max_substeps=64)
+    u0, c0 = bump_initial(g)
+    advance, calls = pde._advance, []
+
+    def counted(*args):
+        calls.append(1)
+        return advance(*args)
+
+    monkeypatch.setattr(pde, "_advance", counted)
+    traj = solve_forward(u0, c0, p, lambda c: 1000.0 / c, g)
+    assert len(calls) == g.n_steps
+    m0 = mass(u0, g)
+    for u in traj.u:
+        assert abs(mass(u, g) - m0) <= 1e-12 * m0
+    assert traj.u.min() >= 0.0
 
 
 def test_batched_rows_fail_independently():
-    # the steep row needs sub-steps that a zero budget forbids; the flat
-    # row has no gradient at first and must come out exactly as a lone solve
+    # rows 0 and 2 carry a coefficient near the float maximum, so their
+    # face velocity overflows; row 1 must come out exactly as a lone solve
     g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
     p = PhysicalParams.myerscough()
     u0, _ = bump_initial(g)
-    flat = np.full(51, 0.5)
     steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    coeffs = np.tile(A_CONST2.coeffs, (3, 1))
+    coeffs[[0, 2], 3] = 1.7e308
     frames = []
     errors = _integrate(
-        np.stack([u0, u0, u0]), np.stack([steep, flat, steep]), p,
-        lambda face_c, rows: A_CONST2(face_c), g, "blended", 0,
+        np.stack([u0, u0, u0]), np.stack([steep, steep, steep]), p,
+        lambda face_c, rows: hat_rows(face_c, A_CONST2.knots(), coeffs[rows]), g, "blended",
         lambda j, u, c: frames.append((u[1].copy(), c[1].copy())),
     )
-    assert isinstance(errors[0], StepSizeError) and isinstance(errors[2], StepSizeError)
-    assert errors[1] is None
-    alone = solve_forward(u0, flat, p, A_CONST2, g, max_substeps=0)
+    assert [type(e) for e in errors] == [InvalidStateError, type(None), InvalidStateError]
+    assert "face velocity" in str(errors[0])
+    alone = solve_forward(u0, steep, p, A_CONST2, g)
     assert np.array_equal(np.array([u for u, _ in frames]), alone.u_matrix())
     assert np.array_equal(np.array([c for _, c in frames]), alone.c_matrix())
 

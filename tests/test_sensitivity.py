@@ -62,7 +62,7 @@ def test_eval_rejects_nonfinite():
 def test_interpolation_error_second_order_bound():
     """Sampled 2/c stays within (dc^2/8) max|a''| of the true function."""
     a = SensitivityFunction.from_function(lambda c: 2.0 / c, 0.1, 0.7, 16)
-    dc = a.knot_spacing
+    dc = np.diff(a.knots())[0]
     bound = dc**2 / 8.0 * (4.0 / 0.1**3)
     cs = np.linspace(0.1, 0.7, 20001)
     err = np.max(np.abs(a(cs) - 2.0 / cs))
