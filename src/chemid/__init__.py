@@ -28,6 +28,7 @@ from .inversion import (
     TikhonovProblem,
     jacobian_fd,
     levenberg_marquardt,
+    levenberg_marquardt_many,
     objective,
     residual_vector,
     write_inversion_report,

@@ -17,6 +17,15 @@ with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
 Jacobians are forward finite differences: the L perturbed coefficient
 vectors advance as the rows of one batched forward solve, so an
 iteration costs that batch plus one forward solve per damping trial.
+
+The iteration is written once, as a generator that yields the forward
+solves it needs.  ``levenberg_marquardt_many`` runs many problems that
+share the forward model in lockstep: each round stacks the pending rows
+of all of them (a residual row, or the L rows of a Jacobian) into one
+batched solve.  There it never forms J: each frame's blocks are folded
+into J^T J and J^T r as the solve delivers them.  ``levenberg_marquardt``
+is its one-problem case; ``residual_vector`` and ``jacobian_fd`` remain
+the one-vector references.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cholesky
@@ -39,6 +49,7 @@ from .pde import (
     DEFAULT_ADVECTION,
     PhysicalParams,
     SimulationGrid,
+    _initial_fields,
     _integrate,
     solve_forward,
 )
@@ -185,6 +196,76 @@ def objective(coeffs, prob: TikhonovProblem) -> float:
     return float(r @ r)
 
 
+def _perturbations(coeffs: np.ndarray, cfg: LMConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(rows coeffs + h_k e_k, steps h) of the forward-difference Jacobian."""
+    n_basis = coeffs.shape[0]
+    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
+    pert = np.tile(coeffs, (n_basis, 1))
+    pert[np.diag_indices(n_basis)] += h
+    return pert, h
+
+
+def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
+    """The data rows of a residual vector or Jacobian, viewed as
+    (field u/c, frame, node, ...)."""
+    z = prob.data.z_u
+    return v[: 2 * z.size].reshape(2, *z.shape, *v.shape[1:])
+
+
+def _fd_columns(X: np.ndarray, Z: np.ndarray, r0: np.ndarray, h_col: np.ndarray, w: float):
+    """One field block of J^T: row k is column k of J, (w (X_k - Z) - r0) / h_k.
+
+    ``h_col`` holds the steps h as a column, shape (L, 1).
+    """
+    return (w * (X - Z) - r0) / h_col
+
+
+def _penalty_columns(pert, h, r0_pen, prob: TikhonovProblem) -> np.ndarray:
+    """The penalty rows of J, one column per perturbed coefficient vector."""
+    return np.column_stack(
+        [(_penalty_residual(p, prob) - r0_pen) / hk for p, hk in zip(pert, h)]
+    )
+
+
+def _raise_column_error(errors: list) -> None:
+    """JacobianColumnError for the lowest perturbed row that failed, if any."""
+    for k, exc in enumerate(errors):
+        if exc is not None:
+            raise JacobianColumnError(
+                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
+            ) from exc
+
+
+def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
+    """Solve the forward model of ``prob`` once per coefficient row, as one batch.
+
+    ``sink(frame, u, c)`` receives the (rows, n_nodes) fields at every
+    measurement frame (see ``pde._integrate`` for what it may keep).
+    Returns, per row, None or the error that stopped it.
+    """
+    knots = prob.a_star.knots()
+    shape = (coeffs.shape[0], prob.grid.n_nodes)
+    if shape[0] == 1:  # hat_rows equals np.interp row by row; one row is faster there
+        a = lambda face_c, rows: np.interp(face_c, knots, coeffs[0])
+    else:
+        a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
+
+    def record(j, u_rows, c_rows):
+        frame, skip = divmod(j, prob.time_refine)
+        if not skip:
+            sink(frame, u_rows, c_rows)
+
+    return _integrate(
+        np.broadcast_to(prob.u0, shape),
+        np.broadcast_to(prob.c0, shape),
+        prob.params,
+        a,
+        prob.solve_grid,
+        prob.advection,
+        record,
+    )
+
+
 def jacobian_fd(
     coeffs,
     prob: TikhonovProblem,
@@ -202,43 +283,20 @@ def jacobian_fd(
     """
     coeffs = _basis_coeffs(coeffs, prob)
     r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
-    n_basis = coeffs.shape[0]
-    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
-    pert = np.tile(coeffs, (n_basis, 1))
-    pert[np.diag_indices(n_basis)] += h
-    knots = prob.a_star.knots()
-    J = np.empty((r0.shape[0], n_basis))
-    n_nodes, n_field = prob.grid.n_nodes, prob.data.z_u.size
+    pert, h = _perturbations(coeffs, cfg)
+    J = np.empty((r0.shape[0], coeffs.shape[0]))
+    J_data, R0 = _data_blocks(J, prob), _data_blocks(r0, prob)
+    Z = (prob.data.z_u, prob.data.z_c)
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
+    h_col = h[:, None]
 
-    def record(j, u_rows, c_rows):
-        """Write the J rows of measurement frame j / time_refine."""
-        frame, skip = divmod(j, prob.time_refine)
-        if skip:
-            return
-        for offset, X, Z in ((0, u_rows, prob.data.z_u), (n_field, c_rows, prob.data.z_c)):
-            rows = slice(offset + frame * n_nodes, offset + (frame + 1) * n_nodes)
-            J[rows] = ((w * (X - Z[frame]) - r0[rows]) / h[:, None]).T
+    def sink(frame, u_rows, c_rows):
+        for f, X in enumerate((u_rows, c_rows)):
+            J_data[f, frame] = _fd_columns(X, Z[f][frame], R0[f, frame], h_col, w).T
 
-    shape = (n_basis, n_nodes)
-    errors = _integrate(
-        np.broadcast_to(prob.u0, shape),
-        np.broadcast_to(prob.c0, shape),
-        prob.params,
-        lambda face_c, rows: hat_rows(face_c, knots, pert[rows]),
-        prob.solve_grid,
-        prob.advection,
-        record,
-    )
-    for k, exc in enumerate(errors):
-        if exc is not None:
-            raise JacobianColumnError(
-                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
-            ) from exc
-
-    pen = slice(2 * n_field, None)
-    for k in range(n_basis):
-        J[pen, k] = (_penalty_residual(pert[k], prob) - r0[pen]) / h[k]
+    _raise_column_error(_solve_rows(prob, pert, sink))
+    pen = slice(2 * prob.data.z_u.size, None)
+    J[pen] = _penalty_columns(pert, h, r0[pen], prob)
     return J
 
 
@@ -274,24 +332,76 @@ def _split_cost(r: np.ndarray, prob: TikhonovProblem) -> tuple[float, float]:
     return misfit, pen
 
 
-def levenberg_marquardt(
-    prob: TikhonovProblem,
-    a0: SensitivityFunction,
-    cfg: LMConfig = LMConfig(),
-) -> InversionResult:
-    """Minimize J_alpha from a0 by damped Gauss-Newton.
+# The Levenberg-Marquardt body below is a generator of forward solves: it
+# yields (coefficient rows, sink) for each batch it needs and is sent back
+# the per-row errors, so that one loop can run many problems in lockstep.
 
-    Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r and
-    retries with lambda *= lambda_up until the trial cost decreases (the
-    damping loop doubles as the line search); accepted steps shrink lambda.
-    Stops on a small gradient, on two consecutive tiny relative cost
-    decreases, on max_iters, or with converged=False when lambda overflows
-    without finding any descent step.
+
+def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
+    """Sub-generator: the residual vector at ``coeffs`` from one solved row.
+
+    Equal bit for bit to ``residual_vector(coeffs, prob)``; a failed solve
+    raises ForwardSolveError.
     """
-    require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
+    n_data = 2 * prob.data.z_u.size
+    r = np.empty(n_data + prob.n_basis)
+    R = _data_blocks(r, prob)
 
+    def sink(frame, u_rows, c_rows):
+        R[0, frame], R[1, frame] = u_rows[0], c_rows[0]
+
+    (exc,) = yield coeffs[None, :], sink
+    if exc is not None:
+        raise ForwardSolveError(f"forward solve failed: {exc}") from exc
+    R[0] -= prob.data.z_u
+    R[1] -= prob.data.z_c
+    R *= math.sqrt(prob.grid.dx * prob.grid.dt)
+    r[n_data:] = _penalty_residual(coeffs, prob)
+    return r
+
+
+def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem, cfg):
+    """Sub-generator: (J^T J, J^T r0) of ``jacobian_fd`` at ``coeffs``, without J.
+
+    Each frame's u- and c-blocks of J are folded into the two sums as the
+    batched solve of the L perturbed rows delivers them; the penalty rows
+    are added at the end.  A failed row raises JacobianColumnError.
+    """
+    pert, h = _perturbations(coeffs, cfg)
+    n_basis = coeffs.shape[0]
+    JTJ = np.zeros((n_basis, n_basis))
+    JTr = np.zeros(n_basis)
+    R0 = _data_blocks(r0, prob)
+    Z = (prob.data.z_u, prob.data.z_c)
+    w = math.sqrt(prob.grid.dx * prob.grid.dt)
+    h_col = h[:, None]
+
+    def sink(frame, u_rows, c_rows):
+        for f, X in enumerate((u_rows, c_rows)):
+            r0_block = R0[f, frame]
+            Jt = _fd_columns(X, Z[f][frame], r0_block, h_col, w)
+            JTJ[...] += Jt @ Jt.T
+            JTr[...] += Jt @ r0_block
+
+    _raise_column_error((yield pert, sink))
+    pen = slice(2 * prob.data.z_u.size, None)
+    J_pen = _penalty_columns(pert, h, r0[pen], prob)
+    return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0[pen]
+
+
+def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
+    """Generator of one Levenberg-Marquardt minimization; returns its result.
+
+    Raises ForwardSolveError if the starting point cannot be solved and
+    JacobianColumnError if a Jacobian column cannot; a failed trial is a
+    rejected trial.
+    """
+    try:
+        _initial_fields(prob.u0, prob.c0, prob.solve_grid)
+    except InvalidStateError as exc:
+        raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     coeffs = a0.coeffs.copy()
-    r = residual_vector(coeffs, prob)
+    r = yield from _residual_solve(coeffs, prob)
     cost = float(r @ r)
     history = [cost]
     lam = cfg.lambda0
@@ -304,12 +414,10 @@ def levenberg_marquardt(
         converged, message = True, "initial cost already zero"
     else:
         for _ in range(cfg.max_iters):
-            J = jacobian_fd(coeffs, prob, cfg, base_residual=r)
-            g = J.T @ r
+            JTJ, g = yield from _normal_equations(coeffs, r, prob, cfg)
             if np.max(np.abs(2.0 * g)) < cfg.tol_grad:
                 converged, message = True, "gradient below tol_grad"
                 break
-            JTJ = J.T @ J
             # relative floor keeps the damping term nonsingular for
             # coefficients the data does not inform (near-zero columns)
             dmax = float(np.max(np.diag(JTJ)))
@@ -323,11 +431,14 @@ def levenberg_marquardt(
                 except np.linalg.LinAlgError:
                     delta, *_ = np.linalg.lstsq(A, -g, rcond=None)
                 trial = coeffs + delta
-                try:
-                    r_trial = residual_vector(trial, prob)
-                    trial_cost = float(r_trial @ r_trial)
-                except ForwardSolveError:
-                    trial_cost = math.inf
+                trial_cost = math.inf
+                # a non-finite step is rejected without a solve
+                if np.isfinite(trial).all():
+                    try:
+                        r_trial = yield from _residual_solve(trial, prob)
+                        trial_cost = float(r_trial @ r_trial)
+                    except ForwardSolveError:
+                        pass
                 if trial_cost < cost:
                     rel_drop = (cost - trial_cost) / cost
                     coeffs, r, cost = trial, r_trial, trial_cost
@@ -359,6 +470,102 @@ def levenberg_marquardt(
         converged=converged,
         message=message,
     )
+
+
+def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
+    same = (
+        np.array_equal(prob.u0, ref.u0)
+        and np.array_equal(prob.c0, ref.c0)
+        and prob.params == ref.params
+        and prob.solve_grid == ref.solve_grid
+        and prob.advection == ref.advection
+        and prob.time_refine == ref.time_refine
+        and np.array_equal(prob.a_star.knots(), ref.a_star.knots())
+    )
+    if not same:
+        raise InvalidStateError(
+            "problems solved in lockstep must share u0, c0, params, grids, "
+            "advection, time_refine and the basis knots"
+        )
+
+
+def levenberg_marquardt_many(
+    probs: Sequence[TikhonovProblem],
+    a0s: Sequence[SensitivityFunction],
+    cfg: LMConfig = LMConfig(),
+) -> list:
+    """Minimize J_alpha of every problem from its a0, all in lockstep.
+
+    The problems may differ in data and alpha but must share the forward
+    model (InvalidStateError otherwise).  Each round gathers the solves
+    every unfinished minimization needs next (a residual row, or the L
+    rows of a Jacobian) into one batched forward solve, so a round costs
+    about one solve however many problems run.  Each row is checked as a
+    lone solve would be and a row's result does not depend on the others,
+    so every entry equals a lone ``levenberg_marquardt`` call bit for bit.
+
+    Returns, per problem, its InversionResult or the ForwardSolveError
+    (such as JacobianColumnError) that stopped it.
+    """
+    probs, a0s = list(probs), list(a0s)
+    if len(probs) != len(a0s):
+        raise InvalidStateError(f"{len(probs)} problems but {len(a0s)} initial guesses")
+    for prob, a0 in zip(probs, a0s):
+        _require_same_model(prob, probs[0])
+        require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
+
+    results = [None] * len(probs)
+    bodies = [_lm_body(prob, a0, cfg) for prob, a0 in zip(probs, a0s)]
+    requests = {}
+
+    def advance(i, errors):
+        try:
+            requests[i] = bodies[i].send(errors)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except ForwardSolveError as exc:
+            results[i] = exc
+
+    for i in range(len(bodies)):
+        advance(i, None)
+    while requests:
+        batch = sorted(requests.items())
+        requests.clear()
+        bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
+        spans = list(zip(bounds[:-1], bounds[1:]))
+
+        def sink(frame, u_rows, c_rows):
+            for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
+                part_sink(frame, u_rows[lo:hi], c_rows[lo:hi])
+
+        stacked = np.concatenate([rows for _, (rows, _) in batch])
+        errors = _solve_rows(probs[0], stacked, sink)
+        for (i, _), (lo, hi) in zip(batch, spans):
+            advance(i, errors[lo:hi])
+    return results
+
+
+def levenberg_marquardt(
+    prob: TikhonovProblem,
+    a0: SensitivityFunction,
+    cfg: LMConfig = LMConfig(),
+) -> InversionResult:
+    """Minimize J_alpha from a0 by damped Gauss-Newton.
+
+    Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r and
+    retries with lambda *= lambda_up until the trial cost decreases (the
+    damping loop doubles as the line search); accepted steps shrink lambda.
+    A trial whose forward solve fails, or whose coefficients are not
+    finite, is rejected.  Stops on a small gradient, on two consecutive
+    tiny relative cost decreases, on max_iters, or with converged=False
+    when lambda overflows without finding any descent step.  Raises
+    ForwardSolveError if a0 or a Jacobian column cannot be solved.  This
+    is the one-problem case of ``levenberg_marquardt_many``.
+    """
+    (result,) = levenberg_marquardt_many([prob], [a0], cfg)
+    if isinstance(result, ForwardSolveError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,14 @@ def trajectory_distance(a: StateTrajectory, b: StateTrajectory) -> float:
 
 
 def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray:
-    """Face velocities along the last axis; ``a`` sees the face concentrations."""
+    """Face velocities along the last axis; ``a`` sees the face concentrations.
+
+    A velocity that overflows comes back inf or nan without a numpy
+    warning: the caller stops that row with a typed error.
+    """
     face_c = 0.5 * (c[..., :-1] + c[..., 1:])
-    return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
 
 
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
@@ -392,6 +397,23 @@ def _integrate(
     return errors
 
 
+def _initial_fields(u0, c0, grid: SimulationGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(u0, c0) as float arrays; InvalidStateError unless they can start a solve."""
+    u = np.array(u0, dtype=float)
+    c = np.array(c0, dtype=float)
+    if u.shape != (grid.n_nodes,) or c.shape != (grid.n_nodes,):
+        raise InvalidStateError(
+            f"initial fields must have length n_nodes={grid.n_nodes}"
+        )
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
+        raise InvalidStateError("initial fields contain non-finite values")
+    if u.min() < 0:
+        raise InvalidStateError(f"u0 must be nonnegative (min {u.min():.3e})")
+    if c.min() <= 0:
+        raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
+    return u, c
+
+
 def solve_forward(
     u0,
     c0,
@@ -413,19 +435,7 @@ def solve_forward(
     PositivityViolationError, LowerBoundViolationError
         if the computed fields violate the solution lower bounds.
     """
-    u = np.array(u0, dtype=float)
-    c = np.array(c0, dtype=float)
-    if u.shape != (grid.n_nodes,) or c.shape != (grid.n_nodes,):
-        raise InvalidStateError(
-            f"initial fields must have length n_nodes={grid.n_nodes}"
-        )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
-        raise InvalidStateError("initial fields contain non-finite values")
-    if u.min() < 0:
-        raise InvalidStateError(f"u0 must be nonnegative (min {u.min():.3e})")
-    if c.min() <= 0:
-        raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
-
+    u, c = _initial_fields(u0, c0, grid)
     U = np.empty((grid.n_steps + 1, grid.n_nodes))
     C = np.empty_like(U)
 
@@ -483,12 +493,22 @@ def write_trajectory_csv(traj: StateTrajectory, path) -> None:
 
 
 def _write_frames(fh, grid: SimulationGrid, U: np.ndarray, C: np.ndarray) -> None:
-    xs = grid.xs()
-    times = grid.times()
+    """One ``t,x,u,c`` line per frame and node; each value as ``%.15g``.
+
+    The node coordinates are formatted once and each frame is written by
+    one %-format over Python floats, which gives the same text as
+    formatting every value on its own.
+    """
+    n = grid.n_nodes
+    line = "%s,%s,%.15g,%.15g\n" * n
+    values = [None] * (4 * n)
+    values[1::4] = ["%.15g" % x for x in grid.xs().tolist()]
     fh.write("t,x,u,c\n")
-    for j, t in enumerate(times):
-        for i, x in enumerate(xs):
-            fh.write(f"{t:.15g},{x:.15g},{U[j, i]:.15g},{C[j, i]:.15g}\n")
+    for j, t in enumerate(grid.times().tolist()):
+        values[0::4] = ["%.15g" % t] * n
+        values[2::4] = U[j].tolist()
+        values[3::4] = C[j].tolist()
+        fh.write(line % tuple(values))
 
 
 def _next_line(fh) -> str:

@@ -6,7 +6,10 @@ penalty norm); the corner detector picks the alpha of maximum discrete
 curvature of the polyline (log rho, log eta).  The rate study couples
 alpha = coupling * delta, inverts noisy data over a range of noise
 levels, and fits log-log slopes of the squared misfit and the parameter
-error against delta.
+error against delta.  Its (delta, seed) cells differ only in data and
+alpha, so their inversions run in lockstep, one batched forward solve
+per round for all of them; the L-curve sweep runs its points one after
+another, because each warm-starts from the previous optimum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,13 @@ from .errors import (
     InvalidStateError,
     NoiseLevelError,
 )
-from .inversion import InversionResult, LMConfig, TikhonovProblem, levenberg_marquardt
+from .inversion import (
+    InversionResult,
+    LMConfig,
+    TikhonovProblem,
+    levenberg_marquardt,
+    levenberg_marquardt_many,
+)
 from .pde import StateTrajectory
 from .sensitivity import SensitivityFunction, mass_matrix, require_same_basis
 from .synthdata import add_noise
@@ -203,8 +212,11 @@ def rate_study(
     truth_meas is the clean trajectory on the measurement mesh; each
     (delta, seed) cell adds fresh noise, inverts, and records the final
     squared data misfit and the L2(I) distance of the recovered function
-    from truth.  Cells that fail to converge are excluded with a
-    warning; per delta the surviving cells are geometric-mean
+    from truth.  All cells share the forward model, so their inversions
+    run in lockstep through ``levenberg_marquardt_many`` (one batched
+    forward solve per round); each result equals a lone inversion of its
+    cell.  Cells that fail to converge are excluded with a warning, in
+    cell order; per delta the surviving cells are geometric-mean
     aggregated, and the two log-log slopes are least-squares fits.
     """
     arr = np.asarray(list(deltas), dtype=float)
@@ -227,39 +239,45 @@ def rate_study(
     require_same_basis(truth, a_star, "truth must live on the problem basis")
     B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max)
 
-    records = []
+    # every cell's data first, so that all inversions run in lockstep;
+    # a cell holds its NoisyData or the NoiseLevelError that skipped it
+    cells = []
     for delta in np.sort(arr):
         for seed in seeds:
             try:
                 data = add_noise(truth_meas, float(delta), int(seed))
             except NoiseLevelError as exc:
-                warnings.warn(f"delta={delta:.3e} seed={seed}: {exc}")
-                continue
-            prob = dataclasses.replace(
-                prob_template, data=data, alpha=coupling * float(delta)
+                data = exc
+            cells.append((float(delta), int(seed), data))
+    probs = [
+        dataclasses.replace(prob_template, data=data, alpha=coupling * delta)
+        for delta, _, data in cells
+        if not isinstance(data, NoiseLevelError)
+    ]
+    results = iter(levenberg_marquardt_many(probs, [a_star] * len(probs), cfg))
+
+    records = []
+    for delta, seed, data in cells:
+        if isinstance(data, NoiseLevelError):
+            warnings.warn(f"delta={delta:.3e} seed={seed}: {data}")
+            continue
+        res = next(results)
+        if isinstance(res, ForwardSolveError):
+            warnings.warn(f"delta={delta:.3e} seed={seed}: inversion failed: {res}")
+            continue
+        if not res.converged:
+            warnings.warn(f"delta={delta:.3e} seed={seed}: excluded ({res.message})")
+            continue
+        d = res.a_hat.coeffs - truth.coeffs
+        records.append(
+            RateStudyRecord(
+                delta=delta,
+                alpha=coupling * delta,
+                misfit2=res.residual_norm2,
+                param_error=float(np.sqrt(d @ (B @ d))),
+                seed=seed,
             )
-            try:
-                res = levenberg_marquardt(prob, a_star, cfg)
-            except ForwardSolveError as exc:
-                warnings.warn(
-                    f"delta={delta:.3e} seed={seed}: inversion failed: {exc}"
-                )
-                continue
-            if not res.converged:
-                warnings.warn(
-                    f"delta={delta:.3e} seed={seed}: excluded ({res.message})"
-                )
-                continue
-            d = res.a_hat.coeffs - truth.coeffs
-            records.append(
-                RateStudyRecord(
-                    delta=float(delta),
-                    alpha=coupling * float(delta),
-                    misfit2=res.residual_norm2,
-                    param_error=float(np.sqrt(d @ (B @ d))),
-                    seed=int(seed),
-                )
-            )
+        )
 
     by_delta = {}
     for rec in records:

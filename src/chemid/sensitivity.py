@@ -135,6 +135,8 @@ def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     Equal bit for bit to ``np.interp(c[i], knots, coeffs[i])`` for finite
     inputs, including the clamp outside [knots[0], knots[-1]] and the exact
     coefficient at a knot; one call serves a whole batch of sensitivities.
+    Coefficients so large that a slope overflows give inf or nan values
+    without a numpy warning; the forward solve rejects such a row.
     """
     n_rows, n_basis = coeffs.shape
     c = np.clip(c, knots[0], knots[-1])
@@ -142,11 +144,12 @@ def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     left = np.minimum(j, n_basis - 2)
     # flat indices into coeffs (rows of n_basis) and slopes (rows of n_basis - 1)
     row = np.arange(n_rows)[:, None]
-    slopes = (coeffs[:, 1:] - coeffs[:, :-1]) / (knots[1:] - knots[:-1])
-    lin = (
-        np.take(slopes, left + row * (n_basis - 1)) * (c - knots[left])
-        + np.take(coeffs, left + row * n_basis)
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slopes = (coeffs[:, 1:] - coeffs[:, :-1]) / (knots[1:] - knots[:-1])
+        lin = (
+            np.take(slopes, left + row * (n_basis - 1)) * (c - knots[left])
+            + np.take(coeffs, left + row * n_basis)
+        )
     return np.where(c == knots[j], np.take(coeffs, j + row * n_basis), lin)
 
 

@@ -12,6 +12,7 @@ from chemid.errors import (
     IncompatibleBasisError,
     InvalidStateError,
     JacobianColumnError,
+    NumericalSolveError,
 )
 from chemid.inversion import (
     InversionResult,
@@ -35,6 +36,7 @@ from chemid.sensitivity import (
     mass_matrix,
     penalty,
 )
+from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import small_problem
 
@@ -173,6 +175,7 @@ def steep_problem(a_star):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_jacobian_column_error_carries_index():
     # a(c) is clamped to coefficient 0 wherever c < 0.5, where c0 is
     # steepest; the huge fd_step makes that face velocity overflow
@@ -212,6 +215,7 @@ def test_batched_jacobian_equals_column_by_column(changes, fd_step):
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_jacobian_column_error_is_lowest_failing_column():
     # hats 0 and 1 lie below every c, so only the later columns 2 and 3 can fail
     prob = steep_problem(SensitivityFunction.constant(1.0, -1.85, 1.0, 4))
@@ -297,20 +301,115 @@ def test_lm_max_iters_sets_converged_false():
 def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     prob, _, _ = small_problem(alpha=1e-4, delta=1e-2)
     a0 = prob.a_star.with_coeffs(np.full(prob.n_basis, 1.3))
-    real = inv.residual_vector
+    real = inv._integrate
     calls = {"n": 0}
 
-    def failing_after_first(coeffs, p):
+    def failing_trials(u0, *args):
+        if u0.shape[0] > 1:  # a Jacobian batch
+            return real(u0, *args)
         calls["n"] += 1
-        if calls["n"] <= 1:  # the base residual; the Jacobian does not call this
-            return real(coeffs, p)
-        raise ForwardSolveError("injected trial failure")
+        if calls["n"] <= 1:  # the base residual
+            return real(u0, *args)
+        return [NumericalSolveError("injected trial failure")]
 
-    monkeypatch.setattr(inv, "residual_vector", failing_after_first)
+    monkeypatch.setattr(inv, "_integrate", failing_trials)
     res = inv.levenberg_marquardt(prob, a0)
     assert not res.converged
     assert "stagnated" in res.message
     assert res.iterations == 0
+    assert calls["n"] > 2
+
+
+def test_lm_non_finite_step_is_a_rejected_trial(monkeypatch):
+    """A damped solve that returns inf costs one rejected trial, no abort."""
+    real = np.linalg.solve
+    calls = {"n": 0}
+
+    def inf_once(A, b):
+        calls["n"] += 1
+        return np.full_like(b, np.inf) if calls["n"] == 1 else real(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", inf_once)
+    prob, _, _ = small_problem(alpha=1e-3, delta=5e-3)
+    res = levenberg_marquardt(prob, prob.a_star)
+    assert calls["n"] > 1
+    assert res.converged and res.iterations >= 1
+    assert res.final_cost < res.cost_history[0]
+
+    # inside a rate study the cell that meets it still yields its record
+    calls["n"] = 0
+    prob, a_true, truth = small_problem(n_basis=3)
+    out = rate_study(prob, a_true, truth, (1e-3, 3e-3, 1e-2, 3e-2, 1e-1), seeds=(1,))
+    assert calls["n"] > 1
+    assert len(out.records) == 5
+
+
+def _many_problems():
+    """Three problems on one forward model with different data and alpha."""
+    base, _, _ = small_problem(alpha=1e-4, delta=1e-2, seed=3)
+    other = [small_problem(alpha=a, delta=d, seed=s)[0]
+             for a, d, s in ((3e-3, 5e-3, 4), (1e-5, 2e-2, 5))]
+    return [base] + [dataclasses.replace(base, data=p.data, alpha=p.alpha) for p in other]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lm_many_equals_lone_calls():
+    probs = _many_problems()
+    # hat 0 holds every initial c; its overflowing slope stops the first solve
+    overflow = probs[0].a_star.with_coeffs([1.7e308, 1.0, 1.0, 1.0])
+    probs.append(probs[1])
+    a0s = [probs[0].a_star, probs[1].a_star.with_coeffs([1.2, 0.9, 1.1, 1.0]),
+           probs[2].a_star, overflow]
+    cfg = LMConfig(max_iters=8)
+    results = inv.levenberg_marquardt_many(probs, a0s, cfg)
+    for prob, a0, got in zip(probs[:3], a0s, results):
+        alone = levenberg_marquardt(prob, a0, cfg)
+        assert got.a_hat.coeffs.tobytes() == alone.a_hat.coeffs.tobytes()
+        assert got.cost_history == alone.cost_history
+        assert (got.iterations, got.message) == (alone.iterations, alone.message)
+    assert isinstance(results[3], ForwardSolveError)
+    assert "face velocity" in str(results[3])
+    with pytest.raises(ForwardSolveError):
+        levenberg_marquardt(probs[3], overflow, cfg)
+
+
+def run_request(gen, prob):
+    """Serve a sub-generator of the LM body alone; return what it returns."""
+    rows, sink = next(gen)
+    with pytest.raises(StopIteration) as done:
+        gen.send(inv._solve_rows(prob, rows, sink))
+    return done.value.value
+
+
+def test_lockstep_requests_match_one_vector_references():
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, time_refine=2)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    r = residual_vector(coeffs, prob)
+    assert run_request(inv._residual_solve(coeffs, prob), prob).tobytes() == r.tobytes()
+    J = jacobian_fd(coeffs, prob, base_residual=r)
+    JTJ, JTr = run_request(inv._normal_equations(coeffs, r, prob, LMConfig()), prob)
+    ref_JTJ, ref_JTr = J.T @ J, J.T @ r
+    assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-12 * np.max(np.abs(ref_JTJ))
+    assert np.max(np.abs(JTr - ref_JTr)) <= 1e-12 * np.max(np.abs(ref_JTr))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"advection": "upwind"},
+        {"time_refine": 2},
+        {"params": PhysicalParams(M=0.25, D=1.0, b=8.0, h=1.0, mu=9.0)},
+        {"c0": np.full(21, 0.6)},
+        {"a_star": SensitivityFunction.constant(1.0, 0.45, 0.6, 4)},
+    ],
+    ids=["advection", "time_refine", "params", "c0", "basis"],
+)
+def test_lm_many_rejects_mismatched_model(change):
+    probs = _many_problems()
+    probs[1] = dataclasses.replace(probs[1], **change)
+    with pytest.raises(InvalidStateError, match="share"):
+        inv.levenberg_marquardt_many(probs, [p.a_star for p in probs])
 
 
 def test_lm_rejects_mismatched_initial_guess():

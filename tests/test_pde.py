@@ -5,6 +5,7 @@ helpers.py; conservation/positivity/symmetry invariants are checked on
 full solves.
 """
 
+import io
 import math
 
 import numpy as np
@@ -365,6 +366,7 @@ def test_solve_cost_does_not_grow_with_sensitivity(monkeypatch):
     assert traj.u.min() >= 0.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batched_rows_fail_independently():
     # rows 0 and 2 carry a coefficient near the float maximum, so their
     # face velocity overflows; row 1 must come out exactly as a lone solve
@@ -522,6 +524,46 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert back.grid.n_steps == g.n_steps
     np.testing.assert_allclose(back.u_matrix(), traj.u_matrix(), rtol=1e-14)
     np.testing.assert_allclose(back.c_matrix(), traj.c_matrix(), rtol=1e-14)
+
+
+def write_frames_reference(fh, grid, U, C):
+    """The frame writer as one f-string per value: the byte-level reference."""
+    fh.write("t,x,u,c\n")
+    for j, t in enumerate(grid.times()):
+        for i, x in enumerate(grid.xs()):
+            fh.write(f"{t:.15g},{x:.15g},{U[j, i]:.15g},{C[j, i]:.15g}\n")
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 1e16, 2.0**53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_nodes=st.integers(3, 7),
+    n_steps=st.integers(1, 4),
+    x_left=st.sampled_from([0.0, -1.0, 0.1, -3e-9]),
+    width=st.sampled_from([1.0, 0.3, 7.0, 1e-6]),
+    t_final=st.sampled_from([0.25, 1.0, 0.1, 3e5]),
+    data=st.data(),
+)
+def test_frame_writer_matches_per_value_formatting(n_nodes, n_steps, x_left, width, t_final, data):
+    g = SimulationGrid(x_left, x_left + width, n_nodes, t_final, n_steps)
+    value = st.one_of(
+        st.sampled_from(EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10**6, 10**6).map(float),
+    )
+    size = (n_steps + 1) * n_nodes
+    U, C = (
+        np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(
+            n_steps + 1, n_nodes
+        )
+        for _ in range(2)
+    )
+    got, want = io.StringIO(), io.StringIO()
+    pde._write_frames(got, g, U, C)
+    write_frames_reference(want, g, U, C)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_params_file_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from chemid.errors import (
     IncompatibleBasisError,
     InsufficientSweepError,
     InvalidStateError,
+    NoiseLevelError,
 )
 from chemid.inversion import InversionResult, LMConfig
 from chemid.regselect import (
@@ -242,12 +243,28 @@ def fake_lm_factory(truth, slope_jitter=0.3):
     return fake
 
 
+def use_fake_lm(monkeypatch, fake):
+    """Make rate_study's lockstep solver apply a one-problem fake to every
+    problem; a ForwardSolveError the fake raises becomes that entry."""
+
+    def many(probs, a0s, cfg=LMConfig()):
+        out = []
+        for p, a0 in zip(probs, a0s):
+            try:
+                out.append(fake(p, a0, cfg))
+            except ForwardSolveError as exc:
+                out.append(exc)
+        return out
+
+    monkeypatch.setattr(rs, "levenberg_marquardt_many", many)
+
+
 DELTAS = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
 def test_rate_study_slopes_exact_for_power_law(monkeypatch):
     prob, a_true, truth = small_problem(n_basis=3)
-    monkeypatch.setattr(rs, "levenberg_marquardt", fake_lm_factory(a_true))
+    use_fake_lm(monkeypatch, fake_lm_factory(a_true))
     out = rate_study(prob, a_true, truth, DELTAS, coupling=1.0, seeds=(0, 1, 2))
     assert abs(out.misfit2_slope - 2.0) < 1e-9
     assert abs(out.param_error_slope - 0.5) < 1e-9
@@ -258,16 +275,14 @@ def test_rate_study_uses_geometric_mean(monkeypatch):
     """Arithmetic-mean aggregation would tilt the slope by ~0.1; the
     jittered fake only yields exact slopes under geometric means."""
     prob, a_true, truth = small_problem(n_basis=3)
-    monkeypatch.setattr(
-        rs, "levenberg_marquardt", fake_lm_factory(a_true, slope_jitter=0.6)
-    )
+    use_fake_lm(monkeypatch, fake_lm_factory(a_true, slope_jitter=0.6))
     out = rate_study(prob, a_true, truth, DELTAS, seeds=(0, 1, 2))
     assert abs(out.misfit2_slope - 2.0) < 1e-9
 
 
 def test_rate_study_records_alpha_coupling(monkeypatch):
     prob, a_true, truth = small_problem(n_basis=3)
-    monkeypatch.setattr(rs, "levenberg_marquardt", fake_lm_factory(a_true))
+    use_fake_lm(monkeypatch, fake_lm_factory(a_true))
     out = rate_study(prob, a_true, truth, DELTAS, coupling=0.25, seeds=(1,))
     for rec in out.records:
         assert rec.alpha == 0.25 * rec.delta
@@ -282,7 +297,7 @@ def test_rate_study_excludes_failed_cells(monkeypatch):
             raise ForwardSolveError("synthetic failure")
         return real_fake(p, a0, cfg)
 
-    monkeypatch.setattr(rs, "levenberg_marquardt", flaky)
+    use_fake_lm(monkeypatch, flaky)
     with pytest.warns(UserWarning, match="inversion failed"):
         out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
     assert len(out.records) == 4
@@ -298,10 +313,37 @@ def test_rate_study_insufficient_survivors(monkeypatch):
             raise ForwardSolveError("synthetic failure")
         return real_fake(p, a0, cfg)
 
-    monkeypatch.setattr(rs, "levenberg_marquardt", flaky)
+    use_fake_lm(monkeypatch, flaky)
     with pytest.warns(UserWarning, match="inversion failed"):
         with pytest.raises(InsufficientSweepError):
             rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+
+
+def test_rate_study_warns_in_cell_order(monkeypatch):
+    # noise is drawn for every cell before the inversions run, yet a noise
+    # failure still warns in its cell's place among the inversion failures
+    prob, a_true, truth = small_problem(n_basis=3)
+    real_noise, real_fake = rs.add_noise, fake_lm_factory(a_true)
+
+    def noisy(traj, delta, seed):
+        if delta == 3e-3:
+            raise NoiseLevelError("synthetic noise failure")
+        return real_noise(traj, delta, seed)
+
+    def flaky(p, a0, cfg=LMConfig()):
+        if p.data.delta in (1e-3, 1e-2):
+            raise ForwardSolveError("synthetic failure")
+        return real_fake(p, a0, cfg)
+
+    monkeypatch.setattr(rs, "add_noise", noisy)
+    use_fake_lm(monkeypatch, flaky)
+    with pytest.warns(UserWarning) as caught:
+        with pytest.raises(InsufficientSweepError):
+            rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "delta=1.000e-03 seed=1", "delta=3.000e-03 seed=1", "delta=1.000e-02 seed=1"
+    ]
+    assert "noise failure" in str(caught[1].message)
 
 
 def test_rate_study_excludes_unconverged(monkeypatch):
@@ -314,7 +356,7 @@ def test_rate_study_excludes_unconverged(monkeypatch):
             return dataclasses.replace(res, converged=False, message="stagnated")
         return res
 
-    monkeypatch.setattr(rs, "levenberg_marquardt", stagnant)
+    use_fake_lm(monkeypatch, stagnant)
     with pytest.warns(UserWarning, match="excluded"):
         out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
     assert len(out.records) == 4
@@ -339,7 +381,7 @@ def test_rate_study_validation():
 
 def test_rate_study_deterministic(monkeypatch):
     prob, a_true, truth = small_problem(n_basis=3)
-    monkeypatch.setattr(rs, "levenberg_marquardt", fake_lm_factory(a_true))
+    use_fake_lm(monkeypatch, fake_lm_factory(a_true))
     a = rate_study(prob, a_true, truth, DELTAS, seeds=(0, 1, 2))
     b = rate_study(prob, a_true, truth, DELTAS, seeds=(0, 1, 2))
     assert a.records == b.records
