@@ -29,7 +29,6 @@ from .inversion import (
     jacobian_fd,
     levenberg_marquardt,
     levenberg_marquardt_many,
-    objective,
     residual_vector,
     write_inversion_report,
 )
@@ -42,7 +41,6 @@ from .pde import (
     restrict,
     solve_forward,
     space_time_sq_norm,
-    trajectory_distance,
     write_params,
     write_trajectory_csv,
 )
@@ -62,7 +60,6 @@ from .sensitivity import (
     SensitivityFunction,
     concentration_range,
     mass_matrix,
-    penalty,
     read_sensitivity_csv,
     write_sensitivity_csv,
 )

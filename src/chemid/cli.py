@@ -137,7 +137,7 @@ def cmd_make_data(cfg: dict, out: Path) -> int:
     c0 = cfgmod.build_initial_field(cfg, "c0", fine)
     a = cfgmod.get_truth(cfg).as_callable()
     delta = get_float(cfg, "delta")
-    seed = get_int(cfg, "seed")
+    seed = cfgmod.get_seed(cfg)
     dataset = make_dataset(a, params, fine, meas, u0, c0, delta, seed)
     write_noisy_csv(dataset.data, out / "data.csv")
     z_c = dataset.data.z_c
@@ -217,7 +217,7 @@ def cmd_rates(cfg: dict, out: Path) -> int:
         truth_meas,
         deltas,
         coupling=get_float(cfg, "coupling"),
-        seeds=cfgmod.get_int_list(cfg, "seeds"),
+        seeds=cfgmod.get_seeds(cfg),
         cfg=_build_lm_config(cfg),
     )
     write_rates_csv(out / "rates.csv", study.records)
@@ -282,6 +282,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # every input is read under a ConfigError guard
+        print(f"error: config: cannot write output to {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChemidError as exc:
         print(f"error: solver: {exc}", file=sys.stderr)

@@ -186,14 +186,24 @@ def get_float_list(cfg: dict, key: str) -> list:
     return _parse(cfg, key, conv, "a comma-separated number list")
 
 
-def get_int_list(cfg: dict, key: str) -> list:
+def _seed(s: str) -> int:
+    if int(s) < 0:
+        raise ValueError(s)
+    return int(s)
+
+
+def get_seed(cfg: dict, key: str = "seed") -> int:
+    return _parse(cfg, key, _seed, "a nonnegative integer")
+
+
+def get_seeds(cfg: dict, key: str = "seeds") -> list:
     def conv(s):
-        vals = [int(tok) for tok in s.split(",") if tok.strip()]
+        vals = [_seed(tok) for tok in s.split(",") if tok.strip()]
         if not vals:
             raise ValueError(s)
         return vals
 
-    return _parse(cfg, key, conv, "a comma-separated integer list")
+    return _parse(cfg, key, conv, "a comma-separated list of nonnegative integers")
 
 
 def get_alphas(cfg: dict, key: str = "alphas") -> list:

@@ -190,12 +190,6 @@ def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     return prob._penalty_root @ (coeffs - prob.a_star.coeffs)
 
 
-def objective(coeffs, prob: TikhonovProblem) -> float:
-    """J_alpha(coeffs) = ||residual_vector(coeffs)||^2."""
-    r = residual_vector(coeffs, prob)
-    return float(r @ r)
-
-
 def _perturbations(coeffs: np.ndarray, cfg: LMConfig) -> tuple[np.ndarray, np.ndarray]:
     """(rows coeffs + h_k e_k, steps h) of the forward-difference Jacobian."""
     n_basis = coeffs.shape[0]

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import (
@@ -215,15 +214,6 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
             f"expected shape {(grid.n_steps + 1, grid.n_nodes)}, got {values.shape}"
         )
     return grid.dx * grid.dt * float(np.sum(values * values))
-
-
-def trajectory_distance(a: StateTrajectory, b: StateTrajectory) -> float:
-    """Space-time L2 distance between two trajectories over both fields."""
-    if a.grid != b.grid:
-        raise DomainMismatchError("trajectories live on different grids")
-    du2 = space_time_sq_norm(a.u - b.u, a.grid)
-    dc2 = space_time_sq_norm(a.c - b.c, a.grid)
-    return math.sqrt(du2 + dc2)
 
 
 def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray:
@@ -451,11 +441,20 @@ def solve_forward(
     return StateTrajectory(grid=grid, u=U, c=C)
 
 
+def _linear_stencil(src: np.ndarray, q: np.ndarray) -> tuple:
+    """(i, (1 - w, w)) with each q at fraction w of the way from src[i] to src[i + 1]."""
+    i = np.clip(np.searchsorted(src, q, side="right") - 1, 0, src.size - 2)
+    w = (q - src[i]) / (src[i + 1] - src[i])
+    return i, (1.0 - w, w)
+
+
 def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
     """Interpolate a trajectory onto another grid (linear in x and in t).
 
     The target grid must span the same space-time domain; its nodes and
-    times need not be subsets of the source ones.
+    times need not be subsets of the source ones.  The weights are explicit
+    bilinear ones, summed over the four corners in scipy's order, so the
+    values equal scipy's linear ``RegularGridInterpolator`` bit for bit.
     """
     fine = traj.grid
     tol_x = 1e-12 * max(1.0, abs(fine.x_left), abs(fine.x_right))
@@ -471,14 +470,11 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
         )
 
     src_t, src_x = fine.times(), fine.xs()
-    qt = np.clip(coarse.times(), src_t[0], src_t[-1])
-    qx = np.clip(coarse.xs(), src_x[0], src_x[-1])
-    pts_t, pts_x = np.meshgrid(qt, qx, indexing="ij")
-    query = np.column_stack([pts_t.ravel(), pts_x.ravel()])
-
-    shape = (coarse.n_steps + 1, coarse.n_nodes)
-    u_c = RegularGridInterpolator((src_t, src_x), traj.u)(query).reshape(shape)
-    c_c = RegularGridInterpolator((src_t, src_x), traj.c)(query).reshape(shape)
+    i, wt = _linear_stencil(src_t, np.clip(coarse.times(), src_t[0], src_t[-1]))
+    j, wx = _linear_stencil(src_x, np.clip(coarse.xs(), src_x[0], src_x[-1]))
+    # corners (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1): scipy's order
+    corners = [(i[:, None] + a, j + b, wt[a][:, None] * wx[b]) for a in (0, 1) for b in (0, 1)]
+    u_c, c_c = (sum(v[r, s] * w for r, s, w in corners) for v in (traj.u, traj.c))
     return StateTrajectory(grid=coarse, u=u_c, c=c_c)
 
 

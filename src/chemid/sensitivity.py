@@ -166,13 +166,6 @@ def require_same_basis(a: SensitivityFunction, b: SensitivityFunction, what: str
         )
 
 
-def penalty(a: SensitivityFunction, a_star: SensitivityFunction) -> float:
-    """Squared L2(I) distance (a - a*)^T B (a - a*) on a shared basis."""
-    require_same_basis(a, a_star, "sensitivities use different knots")
-    d = a.coeffs - a_star.coeffs
-    return float(d @ mass_matrix(a.n_basis, a.c_min, a.c_max) @ d)
-
-
 def concentration_range(
     traj: "StateTrajectory", padding: float = DEFAULT_PADDING
 ) -> tuple[float, float]:

@@ -91,10 +91,12 @@ def add_noise(
     frame, rescaled so the discrete space-time L2 norm of the perturbation
     equals delta exactly.  If the perturbed concentration fails to stay
     positive, the c perturbation is redrawn from a fresh substream, at most
-    max_attempts times.
+    max_attempts times.  The seed must be a nonnegative integer.
     """
     if delta < 0:
         raise InvalidStateError(f"delta must be >= 0 (got {delta})")
+    if seed < 0:
+        raise InvalidStateError(f"seed must be >= 0 (got {seed})")
     grid = truth_meas.grid
     U, C = truth_meas.u, truth_meas.c
     if delta == 0.0:

@@ -1,11 +1,59 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written the slow way (scalar loops, dense
-matrices, generic quadrature) and shares no code with the package, so
-agreement is evidence rather than tautology.
+The oracles are deliberately written the slow way (scalar loops, dense
+matrices, generic quadrature) and share no code with the package, so
+agreement is evidence rather than tautology.  The three measures at the
+top (objective, trajectory distance, penalty) are short compositions of
+package functions that only tests need.
 """
 
+import math
+
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
+
+from chemid.inversion import residual_vector
+from chemid.pde import space_time_sq_norm
+from chemid.sensitivity import mass_matrix, require_same_basis
+
+
+def objective(coeffs, prob):
+    """J_alpha(coeffs) = ||residual_vector(coeffs)||^2."""
+    r = residual_vector(coeffs, prob)
+    return float(r @ r)
+
+
+def trajectory_distance(a, b):
+    """Space-time L2 distance between two trajectories on one grid, over both fields."""
+    assert a.grid == b.grid
+    du2 = space_time_sq_norm(a.u - b.u, a.grid)
+    return math.sqrt(du2 + space_time_sq_norm(a.c - b.c, a.grid))
+
+
+def penalty(a, a_star):
+    """Squared L2(I) distance (a - a*)^T B (a - a*) on a shared basis."""
+    require_same_basis(a, a_star, "sensitivities use different knots")
+    d = a.coeffs - a_star.coeffs
+    return float(d @ mass_matrix(a.n_basis, a.c_min, a.c_max) @ d)
+
+
+def rgi_restrict(traj, coarse):
+    """(u, c) of ``traj`` on ``coarse`` by scipy's linear RegularGridInterpolator.
+
+    Query points are clipped into the source domain, as ``pde.restrict`` does.
+    """
+    src_t, src_x = traj.grid.times(), traj.grid.xs()
+    t, x = np.meshgrid(
+        np.clip(coarse.times(), src_t[0], src_t[-1]),
+        np.clip(coarse.xs(), src_x[0], src_x[-1]),
+        indexing="ij",
+    )
+    query = np.column_stack([t.ravel(), x.ravel()])
+    shape = (coarse.n_steps + 1, coarse.n_nodes)
+    return tuple(
+        RegularGridInterpolator((src_t, src_x), v)(query).reshape(shape)
+        for v in (traj.u, traj.c)
+    )
 
 
 def dense_one_step(u, c, params, a_func, dx, dt, advection="blended"):

@@ -15,9 +15,11 @@ import pytest
 
 from helpers import (
     dense_one_step,
+    objective,
     quadrature_sq_distance,
     simpson_gram_entry,
     small_problem,
+    trajectory_distance,
 )
 from test_regselect import right_angle_points
 
@@ -26,7 +28,6 @@ from chemid.inversion import (
     TikhonovProblem,
     jacobian_fd,
     levenberg_marquardt,
-    objective,
     residual_vector,
 )
 from chemid.pde import (
@@ -36,7 +37,6 @@ from chemid.pde import (
     mass,
     solve_forward,
     space_time_sq_norm,
-    trajectory_distance,
 )
 from chemid.regselect import lcurve_corner, lcurve_sweep, rate_study
 from chemid.sensitivity import SensitivityFunction, concentration_range

@@ -396,3 +396,59 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: solver: out of memory: Unable to allocate 7.28 PiB"]
+
+
+MAKE_BODY = SMALL_PHYS + SMALL_GRID + """\
+    fine_n_nodes = 81
+    fine_n_steps = 240
+    truth = constant:1.5
+    delta = 1e-3
+"""
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_negative_seed_exits_2(tmp_path, where):
+    if where == "flag":
+        cfg = write_cfg(tmp_path, "make.cfg", MAKE_BODY)
+        proc = run_cli("make-data", "--config", cfg, "--seed", "-1", "--out", str(tmp_path))
+    else:
+        cfg = write_cfg(tmp_path, "make.cfg", MAKE_BODY + "seed = -1\n")
+        proc = run_cli("make-data", "--config", cfg, "--out", str(tmp_path))
+    assert_config_error(proc)
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_negative_rate_study_seed_exits_2(tmp_path):
+    body = MAKE_BODY.replace("delta = 1e-3", "deltas = 4e-4,5e-2\n    seeds = 0, -1")
+    cfg = write_cfg(tmp_path, "rates.cfg", body)
+    proc = run_cli("rates", "--config", cfg, "--out", str(tmp_path))
+    assert_config_error(proc)
+    assert "seeds" in proc.stderr
+
+
+@pytest.mark.parametrize("where", ["file", "under_file", "artifact"])
+def test_unusable_out_exits_2(tmp_path, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    if where == "file":
+        out = blocker
+    elif where == "under_file":
+        out = blocker / "sub"
+    else:  # the directory exists, but an artifact's name is taken by a directory
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+    proc = run_cli("forward", "--preset", "myerscough", "--out", str(out))
+    assert_config_error(proc)
+    assert "cannot write output" in proc.stderr
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    """Start-up guard: the command line needs only scipy's LAPACK wrappers."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, chemid.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse"}
+    assert heavy.isdisjoint(proc.stdout.split())

@@ -16,7 +16,8 @@ from chemid.config import (
     get_float,
     get_float_list,
     get_int,
-    get_int_list,
+    get_seed,
+    get_seeds,
     get_size,
     get_truth,
     load_config,
@@ -100,7 +101,7 @@ def test_typed_getters():
     assert get_int(cfg, "n") == 42
     assert get_bool(cfg, "flag") is True
     assert get_float_list(cfg, "ds") == [1e-3, 1e-2]
-    assert get_int_list(cfg, "ss") == [0, 1, 2]
+    assert get_seeds(cfg, "ss") == [0, 1, 2]
 
 
 def test_typed_getters_errors():
@@ -114,6 +115,15 @@ def test_typed_getters_errors():
         get_bool({"f": "yes"}, "f")
     with pytest.raises(ConfigError, match="number list"):
         get_float_list({"d": ""}, "d")
+
+
+@pytest.mark.parametrize(
+    "getter, value", [(get_seed, "-1"), (get_seeds, "0, -1")], ids=["seed", "seeds"]
+)
+def test_seed_getters_reject_negative_seeds(getter, value):
+    assert getter({"s": "0"}, "s") in (0, [0])
+    with pytest.raises(ConfigError, match="nonnegative integer"):
+        getter({"s": value}, "s")
 
 
 def test_get_alphas_list_and_logspace():

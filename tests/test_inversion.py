@@ -20,7 +20,6 @@ from chemid.inversion import (
     TikhonovProblem,
     jacobian_fd,
     levenberg_marquardt,
-    objective,
     residual_vector,
     write_inversion_report,
 )
@@ -34,11 +33,10 @@ from chemid.sensitivity import (
     SensitivityFunction,
     concentration_range,
     mass_matrix,
-    penalty,
 )
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
-from helpers import small_problem
+from helpers import objective, penalty, small_problem
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,13 @@ from chemid.pde import (
     restrict,
     solve_forward,
     space_time_sq_norm,
-    trajectory_distance,
     write_params,
     write_trajectory_csv,
 )
 from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
 from chemid.sensitivity import SensitivityFunction, hat_rows
 
-from helpers import dense_diffusion_solve, dense_one_step
+from helpers import dense_diffusion_solve, dense_one_step, rgi_restrict, trajectory_distance
 
 
 def bump_initial(grid):
@@ -444,14 +443,6 @@ def test_space_time_norm_constant_field():
     assert space_time_sq_norm(vals, g) == pytest.approx(7 * 5 * g.dx * g.dt * 4.0)
 
 
-def test_trajectory_distance_zero_on_self():
-    g = SimulationGrid(0.0, 1.0, 21, 0.1, 20)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
-    u0, c0 = bump_initial(g)
-    t1 = solve_forward(u0, c0, p, A_CONST2, g)
-    assert trajectory_distance(t1, t1) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # restriction
 
@@ -504,6 +495,51 @@ def test_restrict_rejects_larger_domain():
         restrict(traj, wider)
     with pytest.raises(DomainMismatchError):
         restrict(traj, longer)
+
+
+@pytest.fixture(scope="module")
+def myerscough_fine():
+    """The data-generation solve of the Myerscough preset, 201 x 2000."""
+    grid = SimulationGrid(0.0, 1.0, 201, 0.25, 2000)
+    u0, c0 = bump_initial(grid)
+    return solve_forward(u0, c0, PhysicalParams.myerscough(), A_CONST2, grid)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        SimulationGrid(0.0, 1.0, 51, 0.25, 250),
+        SimulationGrid(0.0, 1.0, 37, 0.25, 111),
+        SimulationGrid(0.1, 0.9, 29, 0.2, 90),
+        SimulationGrid(0.0, 1.0, 201, 0.25, 2000),
+    ],
+    ids=["measurement", "non-nested", "sub-domain", "source"],
+)
+def test_restrict_equals_scipy_linear_interpolation(myerscough_fine, target):
+    u, c = rgi_restrict(myerscough_fine, target)
+    r = restrict(myerscough_fine, target)
+    assert np.array_equal(r.u, u) and np.array_equal(r.c, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x_left=st.floats(-10.0, 10.0),
+    width=st.floats(1e-3, 20.0),
+    t_final=st.floats(1e-3, 20.0),
+    source=st.tuples(st.integers(3, 60), st.integers(1, 60)),
+    target=st.tuples(st.integers(3, 60), st.integers(1, 60)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restrict_property_equals_scipy(x_left, width, t_final, source, target, seed):
+    """Any two grids on one domain, nested or not: bit-equal to scipy."""
+    fine = SimulationGrid(x_left, x_left + width, source[0], t_final, source[1])
+    coarse = fine.with_resolution(*target)
+    rng = np.random.default_rng(seed)
+    shape = (fine.n_steps + 1, fine.n_nodes)
+    traj = StateTrajectory(grid=fine, u=rng.random(shape), c=rng.standard_normal(shape))
+    u, c = rgi_restrict(traj, coarse)
+    r = restrict(traj, coarse)
+    assert np.array_equal(r.u, u) and np.array_equal(r.c, c)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from chemid.sensitivity import (
     concentration_range,
     hat_rows,
     mass_matrix,
-    penalty,
     read_sensitivity_csv,
     write_sensitivity_csv,
 )
 
-from helpers import quadrature_sq_distance, simpson_gram_entry
+from helpers import penalty, quadrature_sq_distance, simpson_gram_entry
 
 
 # ---------------------------------------------------------------------------

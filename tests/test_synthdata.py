@@ -100,6 +100,11 @@ def test_add_noise_rejects_negative_delta(meas_truth):
         add_noise(meas_truth, -1e-3, seed=0)
 
 
+def test_add_noise_rejects_negative_seed(meas_truth):
+    with pytest.raises(InvalidStateError, match="seed"):
+        add_noise(meas_truth, 1e-3, seed=-1)
+
+
 def test_make_dataset_enforces_mesh_separation():
     p = PhysicalParams.myerscough()
     fine = SimulationGrid(0.0, 1.0, 41, 0.25, 100)
