@@ -68,8 +68,8 @@ def _advection(cfg: dict) -> str:
     return adv
 
 
-def _inversion_pieces(cfg: dict, data):
-    """Shared invert/lcurve setup: params, fields, basis, problem template."""
+def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
+    """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
     params = cfgmod.build_params(cfg)
     u0 = cfgmod.build_initial_field(cfg, "u0", data.grid)
     c0 = cfgmod.build_initial_field(cfg, "c0", data.grid)
@@ -79,26 +79,17 @@ def _inversion_pieces(cfg: dict, data):
     prior = cfgmod.TruthSpec.parse(cfg["prior"])
     try:
         lo, hi = concentration_range(measured, padding=padding)
-        a_star = prior.on_basis(lo, hi, n_basis)
-    except (InvalidStateError, ZeroWidthIntervalError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return params, u0, c0, a_star
-
-
-def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
-    params, u0, c0, a_star = _inversion_pieces(cfg, data)
-    try:
         return TikhonovProblem(
             data=data,
             alpha=alpha,
-            a_star=a_star,
+            a_star=prior.on_basis(lo, hi, n_basis),
             params=params,
             u0=u0,
             c0=c0,
             advection=_advection(cfg),
             time_refine=get_size(cfg, "time_refine"),
         )
-    except InvalidStateError as exc:
+    except (InvalidStateError, ZeroWidthIntervalError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -182,9 +173,11 @@ def cmd_lcurve(cfg: dict, out: Path) -> int:
     data = _load_data(cfg)
     alphas = cfgmod.get_alphas(cfg)
     prob = _problem(cfg, data, alphas[0])
-    points = lcurve_sweep(
-        prob, alphas, _build_lm_config(cfg), warm_start=get_bool(cfg, "warm_start")
-    )
+    lm_cfg, warm_start = _build_lm_config(cfg), get_bool(cfg, "warm_start")
+    try:
+        points = lcurve_sweep(prob, alphas, lm_cfg, warm_start=warm_start)
+    except InvalidStateError as exc:  # only its input checks raise it
+        raise ConfigError(str(exc)) from exc
     write_lcurve_csv(out / "lcurve.csv", points)
     corner = lcurve_corner(points)
     write_lcurve_plot_script(out / "plot_lcurve.py", "lcurve.csv", corner)
@@ -211,15 +204,14 @@ def cmd_rates(cfg: dict, out: Path) -> int:
     truth_basis = truth_spec.on_basis(
         prob.a_star.c_min, prob.a_star.c_max, prob.a_star.n_basis
     )
-    study = rate_study(
-        prob,
-        truth_basis,
-        truth_meas,
-        deltas,
-        coupling=get_float(cfg, "coupling"),
-        seeds=cfgmod.get_seeds(cfg),
-        cfg=_build_lm_config(cfg),
-    )
+    coupling, seeds = get_float(cfg, "coupling"), cfgmod.get_seeds(cfg)
+    lm_cfg = _build_lm_config(cfg)
+    try:
+        study = rate_study(
+            prob, truth_basis, truth_meas, deltas, coupling, seeds, lm_cfg
+        )
+    except InvalidStateError as exc:  # only its input checks raise it
+        raise ConfigError(str(exc)) from exc
     write_rates_csv(out / "rates.csv", study.records)
     write_rates_plot_script(
         out / "plot_rates.py", "rates.csv",
@@ -257,12 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="overrides the config seed")
         p.add_argument(
-            "--preset", choices=sorted(PRESET_NAMES), help="named parameter set"
+            "--preset", choices=sorted(cfgmod.PRESETS), help="named parameter set"
         )
     return parser
-
-
-PRESET_NAMES = frozenset(cfgmod.PRESETS)
 
 
 def main(argv=None) -> int:

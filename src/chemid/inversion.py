@@ -24,8 +24,10 @@ share the forward model in lockstep: each round stacks the pending rows
 of all of them (a residual row, or the L rows of a Jacobian) into one
 batched solve.  There it never forms J: each frame's blocks are folded
 into J^T J and J^T r as the solve delivers them.  ``levenberg_marquardt``
-is its one-problem case; ``residual_vector`` and ``jacobian_fd`` remain
-the one-vector references.
+is its one-problem case.  The Jacobian is written once, as the request
+``_jacobian_request``: the LM folds its blocks, and ``jacobian_fd`` is
+that request run alone, storing them.  ``residual_vector`` stays on
+``solve_forward`` as the independent one-vector reference.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from scipy.linalg import cholesky
 
 from .errors import (
     ForwardSolveError,
-    IncompatibleBasisError,
     InvalidStateError,
     JacobianColumnError,
     NumericalSolveError,
@@ -51,6 +52,7 @@ from .pde import (
     SimulationGrid,
     _initial_fields,
     _integrate,
+    _readonly,
     solve_forward,
 )
 from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis
@@ -59,14 +61,16 @@ from .synthdata import NoisyData
 #: Damping beyond this means no descent direction is found: stagnation.
 LAMBDA_OVERFLOW = 1.0e12
 
+#: Damping factors after a rejected and after an accepted trial step.
+LAMBDA_UP = 2.0
+LAMBDA_DOWN = 1.0 / 3.0
+
 
 @dataclass(frozen=True)
 class LMConfig:
     """Damping and stopping knobs for the Levenberg-Marquardt driver."""
 
     lambda0: float = 1e-3
-    lambda_up: float = 2.0
-    lambda_down: float = 1.0 / 3.0
     max_iters: int = 100
     tol_cost: float = 1e-8
     tol_grad: float = 1e-8
@@ -75,11 +79,6 @@ class LMConfig:
     def __post_init__(self):
         if not self.lambda0 > 0:
             raise InvalidStateError(f"lambda0 must be > 0 (got {self.lambda0})")
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise InvalidStateError(
-                f"need lambda_up > 1 > lambda_down > 0 "
-                f"(got {self.lambda_up}, {self.lambda_down})"
-            )
         if not (self.tol_cost > 0 and self.tol_grad > 0 and self.fd_step > 0):
             raise InvalidStateError("tolerances and fd_step must be positive")
         if self.max_iters < 1:
@@ -112,15 +111,12 @@ class TikhonovProblem:
             raise InvalidStateError(
                 f"time_refine must be >= 1 (got {self.time_refine})"
             )
-        u0 = np.array(self.u0, dtype=float, copy=True)
-        c0 = np.array(self.c0, dtype=float, copy=True)
+        u0, c0 = _readonly(self.u0), _readonly(self.c0)
         n = self.grid.n_nodes
         if u0.shape != (n,) or c0.shape != (n,):
             raise InvalidStateError(
                 f"initial fields must match the inversion mesh ({n} nodes)"
             )
-        u0.setflags(write=False)
-        c0.setflags(write=False)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "c0", c0)
 
@@ -150,15 +146,6 @@ class TikhonovProblem:
         return math.sqrt(self.alpha) * cholesky(B, lower=True).T
 
 
-def _basis_coeffs(coeffs, prob: TikhonovProblem) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (prob.n_basis,):
-        raise IncompatibleBasisError(
-            f"expected {prob.n_basis} coefficients, got shape {coeffs.shape}"
-        )
-    return coeffs
-
-
 def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     """Stacked weighted residual whose squared norm is J_alpha(coeffs).
 
@@ -166,7 +153,6 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     penalty block of length L.  Forward-solve failures surface as
     ForwardSolveError; the optimizer treats them as rejected steps.
     """
-    coeffs = _basis_coeffs(coeffs, prob)
     a = prob.a_star.with_coeffs(coeffs)
     try:
         traj = solve_forward(
@@ -183,20 +169,11 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     r_u = w * (traj.u[::k] - prob.data.z_u).ravel()
     r_c = w * (traj.c[::k] - prob.data.z_c).ravel()
-    return np.concatenate([r_u, r_c, _penalty_residual(coeffs, prob)])
+    return np.concatenate([r_u, r_c, _penalty_residual(a.coeffs, prob)])
 
 
 def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     return prob._penalty_root @ (coeffs - prob.a_star.coeffs)
-
-
-def _perturbations(coeffs: np.ndarray, cfg: LMConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(rows coeffs + h_k e_k, steps h) of the forward-difference Jacobian."""
-    n_basis = coeffs.shape[0]
-    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
-    pert = np.tile(coeffs, (n_basis, 1))
-    pert[np.diag_indices(n_basis)] += h
-    return pert, h
 
 
 def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
@@ -204,30 +181,6 @@ def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     (field u/c, frame, node, ...)."""
     z = prob.data.z_u
     return v[: 2 * z.size].reshape(2, *z.shape, *v.shape[1:])
-
-
-def _fd_columns(X: np.ndarray, Z: np.ndarray, r0: np.ndarray, h_col: np.ndarray, w: float):
-    """One field block of J^T: row k is column k of J, (w (X_k - Z) - r0) / h_k.
-
-    ``h_col`` holds the steps h as a column, shape (L, 1).
-    """
-    return (w * (X - Z) - r0) / h_col
-
-
-def _penalty_columns(pert, h, r0_pen, prob: TikhonovProblem) -> np.ndarray:
-    """The penalty rows of J, one column per perturbed coefficient vector."""
-    return np.column_stack(
-        [(_penalty_residual(p, prob) - r0_pen) / hk for p, hk in zip(pert, h)]
-    )
-
-
-def _raise_column_error(errors: list) -> None:
-    """JacobianColumnError for the lowest perturbed row that failed, if any."""
-    for k, exc in enumerate(errors):
-        if exc is not None:
-            raise JacobianColumnError(
-                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
-            ) from exc
 
 
 def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
@@ -258,40 +211,6 @@ def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
         prob.advection,
         record,
     )
-
-
-def jacobian_fd(
-    coeffs,
-    prob: TikhonovProblem,
-    cfg: LMConfig = LMConfig(),
-    *,
-    base_residual: np.ndarray | None = None,
-) -> np.ndarray:
-    """Forward-difference Jacobian of the residual, one column per coefficient.
-
-    Column k uses step fd_step * max(|a_k|, 1).  All L perturbed vectors
-    are solved as the rows of one batched forward solve, in which each row
-    is checked as a lone solve would be; if any fails, JacobianColumnError
-    carries the lowest failing k.  Column k equals
-    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
-    """
-    coeffs = _basis_coeffs(coeffs, prob)
-    r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
-    pert, h = _perturbations(coeffs, cfg)
-    J = np.empty((r0.shape[0], coeffs.shape[0]))
-    J_data, R0 = _data_blocks(J, prob), _data_blocks(r0, prob)
-    Z = (prob.data.z_u, prob.data.z_c)
-    w = math.sqrt(prob.grid.dx * prob.grid.dt)
-    h_col = h[:, None]
-
-    def sink(frame, u_rows, c_rows):
-        for f, X in enumerate((u_rows, c_rows)):
-            J_data[f, frame] = _fd_columns(X, Z[f][frame], R0[f, frame], h_col, w).T
-
-    _raise_column_error(_solve_rows(prob, pert, sink))
-    pen = slice(2 * prob.data.z_u.size, None)
-    J[pen] = _penalty_columns(pert, h, r0[pen], prob)
-    return J
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,17 +273,20 @@ def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
     return r
 
 
-def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem, cfg):
-    """Sub-generator: (J^T J, J^T r0) of ``jacobian_fd`` at ``coeffs``, without J.
+def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
+    """Sub-generator: the forward-difference Jacobian of the residual at ``coeffs``.
 
-    Each frame's u- and c-blocks of J are folded into the two sums as the
-    batched solve of the L perturbed rows delivers them; the penalty rows
-    are added at the end.  A failed row raises JacobianColumnError.
+    Yields the L perturbed rows coeffs + h_k e_k, h_k = fd_step *
+    max(|a_k|, 1), as one batch.  Each frame's J^T block of each field
+    (row k is column k of J, (w (X_k - z) - r0) / h_k) goes to
+    ``take(frame, field, Jt)`` as the solve delivers it.  A failed row
+    raises JacobianColumnError for the lowest such k; otherwise returns
+    the penalty rows of J.
     """
-    pert, h = _perturbations(coeffs, cfg)
     n_basis = coeffs.shape[0]
-    JTJ = np.zeros((n_basis, n_basis))
-    JTr = np.zeros(n_basis)
+    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
+    pert = np.tile(coeffs, (n_basis, 1))
+    pert[np.diag_indices(n_basis)] += h
     R0 = _data_blocks(r0, prob)
     Z = (prob.data.z_u, prob.data.z_c)
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
@@ -372,15 +294,70 @@ def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem,
 
     def sink(frame, u_rows, c_rows):
         for f, X in enumerate((u_rows, c_rows)):
-            r0_block = R0[f, frame]
-            Jt = _fd_columns(X, Z[f][frame], r0_block, h_col, w)
-            JTJ[...] += Jt @ Jt.T
-            JTr[...] += Jt @ r0_block
+            take(frame, f, (w * (X - Z[f][frame]) - R0[f, frame]) / h_col)
 
-    _raise_column_error((yield pert, sink))
-    pen = slice(2 * prob.data.z_u.size, None)
-    J_pen = _penalty_columns(pert, h, r0[pen], prob)
-    return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0[pen]
+    errors = yield pert, sink
+    for k, exc in enumerate(errors):
+        if exc is not None:
+            raise JacobianColumnError(
+                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
+            ) from exc
+    r0_pen = r0[2 * prob.data.z_u.size :]
+    return np.column_stack(
+        [(_penalty_residual(p, prob) - r0_pen) / hk for p, hk in zip(pert, h)]
+    )
+
+
+def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem, cfg):
+    """Sub-generator: (J^T J, J^T r0) of ``jacobian_fd`` at ``coeffs``, without J.
+
+    Folds each block ``_jacobian_request`` delivers into the two sums,
+    then adds the penalty rows.
+    """
+    n_basis = coeffs.shape[0]
+    JTJ = np.zeros((n_basis, n_basis))
+    JTr = np.zeros(n_basis)
+    R0 = _data_blocks(r0, prob)
+
+    def take(frame, field, Jt):
+        JTJ[...] += Jt @ Jt.T
+        JTr[...] += Jt @ R0[field, frame]
+
+    J_pen = yield from _jacobian_request(coeffs, r0, prob, cfg, take)
+    r0_pen = r0[2 * prob.data.z_u.size :]
+    return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0_pen
+
+
+def jacobian_fd(
+    coeffs,
+    prob: TikhonovProblem,
+    cfg: LMConfig = LMConfig(),
+    *,
+    base_residual: np.ndarray | None = None,
+) -> np.ndarray:
+    """Forward-difference Jacobian of the residual, one column per coefficient.
+
+    This is the LM's Jacobian request, ``_jacobian_request``, run alone
+    around one batched forward solve, with its blocks stored in J.  Column
+    k uses step fd_step * max(|a_k|, 1); if a perturbed row fails,
+    JacobianColumnError carries the lowest failing k.  Column k equals
+    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
+    """
+    coeffs = prob.a_star.with_coeffs(coeffs).coeffs
+    r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
+    J = np.empty((r0.shape[0], coeffs.shape[0]))
+    J_data = _data_blocks(J, prob)
+
+    def take(frame, field, Jt):
+        J_data[field, frame] = Jt.T
+
+    request = _jacobian_request(coeffs, r0, prob, cfg, take)
+    rows, sink = next(request)
+    try:
+        request.send(_solve_rows(prob, rows, sink))
+    except StopIteration as done:
+        J[2 * prob.data.z_u.size :] = done.value
+    return J
 
 
 def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
@@ -438,10 +415,10 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
                     coeffs, r, cost = trial, r_trial, trial_cost
                     history.append(cost)
                     iterations += 1
-                    lam = max(lam * cfg.lambda_down, 1e-15)
+                    lam = max(lam * LAMBDA_DOWN, 1e-15)
                     accepted = True
                     break
-                lam *= cfg.lambda_up
+                lam *= LAMBDA_UP
             if not accepted:
                 message = f"stagnated: no descent step below lambda={LAMBDA_OVERFLOW:g}"
                 break
@@ -547,7 +524,7 @@ def levenberg_marquardt(
     """Minimize J_alpha from a0 by damped Gauss-Newton.
 
     Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r and
-    retries with lambda *= lambda_up until the trial cost decreases (the
+    retries with lambda *= LAMBDA_UP until the trial cost decreases (the
     damping loop doubles as the line search); accepted steps shrink lambda.
     A trial whose forward solve fails, or whose coefficients are not
     finite, is rejected.  Stops on a small gradient, on two consecutive

@@ -88,14 +88,20 @@ class RateStudyResult:
     param_error_slope: float
 
 
-def _validate_alphas(alphas) -> np.ndarray:
-    arr = np.asarray(list(alphas), dtype=float)
-    if arr.size == 0:
-        raise InvalidStateError("alpha sweep needs at least one value")
+def _positive_distinct(values, what: str, at_least: int) -> np.ndarray:
+    """``values`` as an array: at least ``at_least`` of them, positive and distinct.
+
+    Anything else raises InvalidStateError naming ``what``.
+    """
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size < at_least:
+        raise InvalidStateError(
+            f"{what} must number at least {at_least} (got {arr.size})"
+        )
     if not np.all(arr > 0):
-        raise InvalidStateError("sweep alphas must be positive")
+        raise InvalidStateError(f"{what} must be positive")
     if np.unique(arr).size != arr.size:
-        raise InvalidStateError("sweep alphas must be distinct")
+        raise InvalidStateError(f"{what} must be distinct")
     return arr
 
 
@@ -115,7 +121,7 @@ def lcurve_sweep(
     monotonicity of rho and eta across converged points is checked and
     anomalies are warned about, never silently dropped.
     """
-    arr = _validate_alphas(alphas)
+    arr = _positive_distinct(alphas, "sweep alphas", 1)
     points = []
     guess = prob_template.a_star
     for alpha in np.sort(arr)[::-1]:
@@ -219,13 +225,7 @@ def rate_study(
     cell order; per delta the surviving cells are geometric-mean
     aggregated, and the two log-log slopes are least-squares fits.
     """
-    arr = np.asarray(list(deltas), dtype=float)
-    if arr.size < 4:
-        raise InvalidStateError("rate study needs at least 4 noise levels")
-    if not np.all(arr > 0):
-        raise InvalidStateError("rate-study deltas must be positive")
-    if np.unique(arr).size != arr.size:
-        raise InvalidStateError("rate-study deltas must be distinct")
+    arr = _positive_distinct(deltas, "rate-study deltas", 4)
     span = np.log10(arr.max() / arr.min())
     if span < 1.5 - 1e-9:
         raise InvalidStateError(
@@ -235,6 +235,8 @@ def rate_study(
         raise InvalidStateError(f"coupling must be > 0 (got {coupling})")
     if len(seeds) == 0:
         raise InvalidStateError("rate study needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidStateError("rate-study seeds must be distinct")
     a_star = prob_template.a_star
     require_same_basis(truth, a_star, "truth must live on the problem basis")
     B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max)

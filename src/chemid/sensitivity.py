@@ -197,6 +197,23 @@ def write_sensitivity_csv(a: SensitivityFunction, path) -> None:
             fh.write(f"{ck:.15g},{ak:.15g}\n")
 
 
+def _read_metadata(path, line: str, keys) -> dict:
+    """The key=value tokens of a '# ...' metadata line, as a dict.
+
+    Malformed tokens and a missing one of ``keys`` raise InvalidStateError.
+    """
+    meta = {}
+    for tok in line.lstrip("#").split():
+        if "=" not in tok:
+            raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
+        key, val = tok.split("=", 1)
+        meta[key] = val
+    for key in keys:
+        if key not in meta:
+            raise InvalidStateError(f"{path}: metadata missing {key!r}")
+    return meta
+
+
 def read_sensitivity_csv(path) -> SensitivityFunction:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -205,15 +222,7 @@ def read_sensitivity_csv(path) -> SensitivityFunction:
         raise InvalidStateError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines or not lines[0].startswith("#"):
         raise InvalidStateError(f"{path}: missing metadata header")
-    meta = {}
-    for tok in lines[0].lstrip("#").split():
-        if "=" not in tok:
-            raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
-        key, val = tok.split("=", 1)
-        meta[key] = val
-    for key in ("c_min", "c_max", "n_basis", "extension"):
-        if key not in meta:
-            raise InvalidStateError(f"{path}: metadata missing {key!r}")
+    meta = _read_metadata(path, lines[0], ("c_min", "c_max", "n_basis", "extension"))
     if meta["extension"] != "clamp":
         raise InvalidStateError(
             f"{path}: unsupported extension rule {meta['extension']!r}"

@@ -25,12 +25,13 @@ from .pde import (
     SimulationGrid,
     StateTrajectory,
     _read_frame_csv,
+    _readonly,
     _write_frames,
     restrict,
     solve_forward,
     space_time_sq_norm,
 )
-from .sensitivity import SensitivityFunction
+from .sensitivity import SensitivityFunction, _read_metadata
 
 #: Minimum fine/measurement resolution ratio in both x and t.
 MIN_MESH_SEPARATION = 4
@@ -51,8 +52,7 @@ class NoisyData:
 
     def __post_init__(self):
         shape = (self.grid.n_steps + 1, self.grid.n_nodes)
-        z_u = np.array(self.z_u, dtype=float, copy=True)
-        z_c = np.array(self.z_c, dtype=float, copy=True)
+        z_u, z_c = _readonly(self.z_u), _readonly(self.z_c)
         if z_u.shape != shape or z_c.shape != shape:
             raise InvalidStateError(
                 f"measurements must have shape {shape}, got {z_u.shape}, {z_c.shape}"
@@ -65,8 +65,6 @@ class NoisyData:
             )
         if self.delta < 0:
             raise InvalidStateError(f"delta must be >= 0 (got {self.delta})")
-        z_u.setflags(write=False)
-        z_c.setflags(write=False)
         object.__setattr__(self, "z_u", z_u)
         object.__setattr__(self, "z_c", z_c)
 
@@ -177,14 +175,7 @@ def write_noisy_csv(data: NoisyData, path) -> None:
 
 def read_noisy_csv(path) -> NoisyData:
     grid, z_u, z_c, comment = _read_frame_csv(path, expect_comment=True)
-    meta = {}
-    for tok in comment.lstrip("#").split():
-        if "=" not in tok:
-            raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
-        key, val = tok.split("=", 1)
-        meta[key] = val
-    if "delta" not in meta or "seed" not in meta:
-        raise InvalidStateError(f"{path}: metadata must carry delta and seed")
+    meta = _read_metadata(path, comment, ("delta", "seed"))
     try:
         delta, seed = float(meta["delta"]), int(meta["seed"])
     except ValueError as exc:

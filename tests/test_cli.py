@@ -426,6 +426,37 @@ def test_negative_rate_study_seed_exits_2(tmp_path):
     assert "seeds" in proc.stderr
 
 
+RATES_BODY = MAKE_BODY.replace(
+    "delta = 1e-3", "n_basis = 3\n    padding = 0.05\n    prior = constant:1.0"
+)
+DELTAS = "deltas = 4e-4,2e-3,1e-2,5e-2\n"
+
+
+@pytest.mark.parametrize(
+    "command, keys, named",
+    [
+        ("rates", "deltas = 1e-3,1e-3,1e-2,1e-1\n", "deltas"),
+        ("rates", "deltas = 1e-3,1e-2,1e-1\n", "deltas"),
+        ("rates", "deltas = 1e-3,2e-3,4e-3,8e-3\n", "span"),
+        ("rates", DELTAS + "coupling = 0\n", "coupling"),
+        ("rates", DELTAS + "seeds = 0,0\n", "seeds"),
+        ("lcurve", "alphas = 1e-3,1e-3,1e-2\n", "alphas"),
+    ],
+    ids=["repeated_deltas", "three_deltas", "short_span", "zero_coupling",
+         "repeated_seeds", "repeated_alphas"],
+)
+def test_invalid_list_values_exit_2(tmp_path, data_dir, command, keys, named):
+    if command == "rates":
+        body = RATES_BODY + keys
+    else:
+        body = INVERT_BODY.replace("alpha = 1e-5\n", keys)
+        body += f"data_csv = {data_dir / 'data.csv'}\n"
+    cfg = write_cfg(tmp_path, f"{command}.cfg", body)
+    proc = run_cli(command, "--config", cfg, "--out", str(tmp_path))
+    assert_config_error(proc)
+    assert named in proc.stderr
+
+
 @pytest.mark.parametrize("where", ["file", "under_file", "artifact"])
 def test_unusable_out_exits_2(tmp_path, where):
     blocker = tmp_path / "blocker"

@@ -1,8 +1,11 @@
 """Config parsing, preset expansion, and truth-spec construction."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import chemid.config as cfgmod
 from chemid.config import (
     ALLOWED_KEYS,
     TruthSpec,
@@ -24,6 +27,7 @@ from chemid.config import (
     resolve,
 )
 from chemid.errors import ConfigError, InvalidStateError
+from chemid.inversion import LMConfig
 from chemid.pde import SimulationGrid
 from chemid.sensitivity import SensitivityFunction, write_sensitivity_csv
 
@@ -87,6 +91,11 @@ def test_resolve_preset_skips_keys_not_allowed_for_command():
 
 def test_allowed_keys_cover_commands():
     assert set(ALLOWED_KEYS) == {"forward", "make-data", "invert", "lcurve", "rates"}
+
+
+def test_lm_config_fields_are_the_cli_lm_keys():
+    """Every LMConfig knob is settable from a config file, and no other."""
+    assert {f.name for f in fields(LMConfig)} == cfgmod._LM - {"time_refine"}
 
 
 def test_typed_getters():

@@ -379,6 +379,15 @@ def test_rate_study_validation():
         rate_study(prob, other, truth, DELTAS)
 
 
+def test_rate_study_rejects_repeated_seeds(monkeypatch):
+    prob, a_true, truth = small_problem(n_basis=3)
+    use_fake_lm(monkeypatch, fake_lm_factory(a_true))
+    with pytest.raises(InvalidStateError, match="seeds must be distinct"):
+        rate_study(prob, a_true, truth, DELTAS, seeds=(0, 0))
+    with pytest.raises(InvalidStateError, match="seeds must be distinct"):
+        rate_study(prob, a_true, truth, DELTAS, seeds=(2, 1, 2))
+
+
 def test_rate_study_deterministic(monkeypatch):
     prob, a_true, truth = small_problem(n_basis=3)
     use_fake_lm(monkeypatch, fake_lm_factory(a_true))

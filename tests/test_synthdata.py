@@ -155,3 +155,17 @@ def test_noisy_csv_roundtrip_and_reproducibility(tmp_path, meas_truth):
     assert back.delta == 1e-3 and back.seed == 5
     np.testing.assert_allclose(back.z_u, d.z_u, rtol=1e-14)
     np.testing.assert_allclose(back.z_c, d.z_c, rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "header, missing",
+    [("# delta=0.001", "seed"), ("# seed=5", "delta")],
+    ids=["no_seed", "no_delta"],
+)
+def test_read_noisy_csv_names_missing_metadata_key(tmp_path, meas_truth, header, missing):
+    path = tmp_path / "d.csv"
+    write_noisy_csv(add_noise(meas_truth, 1e-3, seed=5), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + lines[1:]) + "\n")
+    with pytest.raises(InvalidStateError, match=f"metadata missing '{missing}'"):
+        read_noisy_csv(path)
