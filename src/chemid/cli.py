@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .config import get_bool, get_float, get_int, get_size
 from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .inversion import LMConfig, TikhonovProblem, levenberg_marquardt, write_inversion_report
 from .pde import StateTrajectory, mass, solve_forward, write_params, write_trajectory_csv
@@ -29,7 +28,7 @@ from .regselect import (
     write_rates_csv,
     write_rates_plot_script,
 )
-from .sensitivity import concentration_range, write_sensitivity_csv
+from .sensitivity import SensitivityFunction, concentration_range, write_sensitivity_csv
 from .synthdata import make_dataset, read_noisy_csv, write_noisy_csv
 
 EXIT_OK = 0
@@ -51,43 +50,33 @@ def _fmt(x: float) -> str:
 def _build_lm_config(cfg: dict) -> LMConfig:
     try:
         return LMConfig(
-            lambda0=get_float(cfg, "lambda0"),
-            max_iters=get_int(cfg, "max_iters"),
-            tol_cost=get_float(cfg, "tol_cost"),
-            tol_grad=get_float(cfg, "tol_grad"),
-            fd_step=get_float(cfg, "fd_step"),
+            lambda0=cfg["lambda0"],
+            max_iters=cfg["max_iters"],
+            tol_cost=cfg["tol_cost"],
+            tol_grad=cfg["tol_grad"],
+            fd_step=cfg["fd_step"],
         )
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _advection(cfg: dict) -> str:
-    adv = cfg["advection"]
-    if adv not in ("blended", "upwind"):
-        raise ConfigError(f"advection must be blended or upwind, got {adv!r}")
-    return adv
-
-
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
     """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
     params = cfgmod.build_params(cfg)
-    u0 = cfgmod.build_initial_field(cfg, "u0", data.grid)
-    c0 = cfgmod.build_initial_field(cfg, "c0", data.grid)
     measured = StateTrajectory(grid=data.grid, u=data.z_u, c=data.z_c)
-    padding = get_float(cfg, "padding")
-    n_basis = get_size(cfg, "n_basis")
-    prior = cfgmod.TruthSpec.parse(cfg["prior"])
     try:
-        lo, hi = concentration_range(measured, padding=padding)
+        lo, hi = concentration_range(measured, padding=cfg["padding"])
         return TikhonovProblem(
             data=data,
             alpha=alpha,
-            a_star=prior.on_basis(lo, hi, n_basis),
+            a_star=SensitivityFunction.from_function(
+                cfg["prior"], lo, hi, cfg["n_basis"]
+            ),
             params=params,
-            u0=u0,
-            c0=c0,
-            advection=_advection(cfg),
-            time_refine=get_size(cfg, "time_refine"),
+            u0=cfg["u0"](data.grid),
+            c0=cfg["c0"](data.grid),
+            advection=cfg["advection"],
+            time_refine=cfg["time_refine"],
         )
     except (InvalidStateError, ZeroWidthIntervalError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -96,10 +85,8 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
 def cmd_forward(cfg: dict, out: Path) -> int:
     params = cfgmod.build_params(cfg)
     grid = cfgmod.build_grid(cfg)
-    u0 = cfgmod.build_initial_field(cfg, "u0", grid)
-    c0 = cfgmod.build_initial_field(cfg, "c0", grid)
-    a = cfgmod.get_truth(cfg).as_callable()
-    traj = solve_forward(u0, c0, params, a, grid, advection=_advection(cfg))
+    u0, c0 = cfg["u0"](grid), cfg["c0"](grid)
+    traj = solve_forward(u0, c0, params, cfg["truth"], grid, advection=cfg["advection"])
     write_trajectory_csv(traj, out / "trajectory.csv")
     write_params(params, grid, out / "params.txt")
     m0 = mass(u0, grid)
@@ -124,19 +111,17 @@ def cmd_make_data(cfg: dict, out: Path) -> int:
     params = cfgmod.build_params(cfg)
     meas = cfgmod.build_grid(cfg)
     fine = cfgmod.build_fine_grid(cfg, meas)
-    u0 = cfgmod.build_initial_field(cfg, "u0", fine)
-    c0 = cfgmod.build_initial_field(cfg, "c0", fine)
-    a = cfgmod.get_truth(cfg).as_callable()
-    delta = get_float(cfg, "delta")
-    seed = cfgmod.get_seed(cfg)
-    dataset = make_dataset(a, params, fine, meas, u0, c0, delta, seed)
+    u0, c0 = cfg["u0"](fine), cfg["c0"](fine)
+    dataset = make_dataset(
+        cfg["truth"], params, fine, meas, u0, c0, cfg["delta"], cfg["seed"]
+    )
     write_noisy_csv(dataset.data, out / "data.csv")
     z_c = dataset.data.z_c
     _write_summary(
         out / "summary.txt",
         {
             "delta": _fmt(dataset.data.delta),
-            "seed": str(seed),
+            "seed": str(cfg["seed"]),
             "c_range_low": _fmt(float(z_c.min())),
             "c_range_high": _fmt(float(z_c.max())),
         },
@@ -145,9 +130,7 @@ def cmd_make_data(cfg: dict, out: Path) -> int:
 
 
 def cmd_invert(cfg: dict, out: Path) -> int:
-    data = _load_data(cfg)
-    alpha = get_float(cfg, "alpha")
-    prob = _problem(cfg, data, alpha)
+    prob = _problem(cfg, _load_data(cfg), cfg["alpha"])
     result = levenberg_marquardt(prob, prob.a_star, _build_lm_config(cfg))
     write_inversion_report(result, prob, out / "report.txt")
     write_sensitivity_csv(result.a_hat, out / "a_hat.csv")
@@ -158,9 +141,7 @@ def cmd_invert(cfg: dict, out: Path) -> int:
 
 
 def _load_data(cfg: dict):
-    path = cfg.get("data_csv")
-    if path is None:
-        raise ConfigError("missing required config key 'data_csv'")
+    path = cfg["data_csv"]
     try:
         return read_noisy_csv(path)
     except OSError as exc:
@@ -171,11 +152,11 @@ def _load_data(cfg: dict):
 
 def cmd_lcurve(cfg: dict, out: Path) -> int:
     data = _load_data(cfg)
-    alphas = cfgmod.get_alphas(cfg)
+    alphas = cfg["alphas"]
     prob = _problem(cfg, data, alphas[0])
-    lm_cfg, warm_start = _build_lm_config(cfg), get_bool(cfg, "warm_start")
+    lm_cfg = _build_lm_config(cfg)
     try:
-        points = lcurve_sweep(prob, alphas, lm_cfg, warm_start=warm_start)
+        points = lcurve_sweep(prob, alphas, lm_cfg, warm_start=cfg["warm_start"])
     except InvalidStateError as exc:  # only its input checks raise it
         raise ConfigError(str(exc)) from exc
     write_lcurve_csv(out / "lcurve.csv", points)
@@ -192,25 +173,22 @@ def cmd_rates(cfg: dict, out: Path) -> int:
     params = cfgmod.build_params(cfg)
     meas = cfgmod.build_grid(cfg)
     fine = cfgmod.build_fine_grid(cfg, meas)
-    u0f = cfgmod.build_initial_field(cfg, "u0", fine)
-    c0f = cfgmod.build_initial_field(cfg, "c0", fine)
-    truth_spec = cfgmod.get_truth(cfg)
-    deltas = cfgmod.get_float_list(cfg, "deltas")
-    dataset = make_dataset(
-        truth_spec.as_callable(), params, fine, meas, u0f, c0f, 0.0, 0
-    )
-    truth_meas = dataset.truth_meas
-    prob = _problem(cfg, dataset.data, 0.0)
-    truth_basis = truth_spec.on_basis(
-        prob.a_star.c_min, prob.a_star.c_max, prob.a_star.n_basis
-    )
-    coupling, seeds = get_float(cfg, "coupling"), cfgmod.get_seeds(cfg)
     lm_cfg = _build_lm_config(cfg)
-    try:
-        study = rate_study(
-            prob, truth_basis, truth_meas, deltas, coupling, seeds, lm_cfg
+    truth = cfg["truth"]
+    dataset = make_dataset(
+        truth, params, fine, meas, cfg["u0"](fine), cfg["c0"](fine), 0.0, 0
+    )
+    prob = _problem(cfg, dataset.data, 0.0)
+    a_star = prob.a_star
+    try:  # an inverse truth on an interval reaching c <= 0 fails here
+        truth_basis = SensitivityFunction.from_function(
+            truth, a_star.c_min, a_star.c_max, a_star.n_basis
         )
-    except InvalidStateError as exc:  # only its input checks raise it
+        study = rate_study(
+            prob, truth_basis, dataset.truth_meas, cfg["deltas"], cfg["coupling"],
+            cfg["seeds"], lm_cfg,
+        )
+    except InvalidStateError as exc:  # else only rate_study's input checks raise it
         raise ConfigError(str(exc)) from exc
     write_rates_csv(out / "rates.csv", study.records)
     write_rates_plot_script(
@@ -258,14 +236,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         raw = cfgmod.load_config(args.config) if args.config else {}
-        cfg = cfgmod.resolve(args.command, raw, args.preset)
         if args.seed is not None:
-            if "seed" in cfgmod.ALLOWED_KEYS[args.command]:
-                cfg["seed"] = str(args.seed)
-            else:
+            if "seed" not in cfgmod.ALLOWED_KEYS[args.command]:
                 raise ConfigError(
                     f"--seed is not applicable to {args.command!r}"
                 )
+            raw["seed"] = str(args.seed)
+        cfg = cfgmod.resolve(args.command, raw, args.preset)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)

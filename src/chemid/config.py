@@ -6,18 +6,24 @@ duplicate keys are rejected before any computation.  The `myerscough`
 preset expands to the limb-bud benchmark (M=0.25, D=1, h=1, b=mu=50,
 u0 = 1 + exp(-55 (x-1/2)^2), c0 = 1/2, T=0.25, true a = 2) and explicit
 config keys override preset values.
+
+This module is the one place where a key's text becomes a value: the
+table ``_PARSERS`` holds a parser for every key, and ``resolve`` requires
+and parses every key a command allows.  Numbers, sizes, lists, field
+specs and sensitivity specs (``truth``, ``prior``: a callable a(c), with
+``table:`` files read on the spot) are all checked there, so a malformed
+value exits before any solve runs or any data file is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .pde import PhysicalParams, SimulationGrid
-from .sensitivity import SensitivityFunction, read_sensitivity_csv
+from .sensitivity import read_sensitivity_csv
 from .synthdata import myerscough_initial_data
 
 PRESETS = {
@@ -106,7 +112,12 @@ def load_config(path) -> dict:
 
 
 def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
-    """Preset/default expansion plus unknown-key rejection for a command."""
+    """The parsed value of every key a command allows, by key.
+
+    Unknown keys are rejected, presets and defaults fill in the rest, and
+    then every allowed key is required and parsed by its ``_PARSERS``
+    entry, in key order, so a bad value is reported before any work.
+    """
     if command not in ALLOWED_KEYS:
         raise ConfigError(f"unknown command {command!r}")
     cfg = dict(raw)
@@ -126,18 +137,21 @@ def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
     for key, val in DEFAULTS.items():
         if key in allowed:
             cfg.setdefault(key, val)
-    return cfg
-
-
-def _parse(cfg: dict, key: str, conv, kind: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key {key!r}")
-    try:
-        return conv(cfg[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(
-            f"config key {key!r}: expected {kind}, got {cfg[key]!r}"
-        ) from exc
+    missing = sorted(allowed - set(cfg))
+    if missing:
+        raise ConfigError(f"missing required config key {missing[0]!r}")
+    values = {}
+    for key in sorted(allowed):
+        parse, what = _PARSERS[key]
+        try:
+            values[key] = parse(cfg[key])
+        except ValueError as exc:
+            raise ConfigError(
+                f"config key {key!r}: expected {what}, got {cfg[key]!r}"
+            ) from exc
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return values
 
 
 def _finite(s: str) -> float:
@@ -147,109 +161,154 @@ def _finite(s: str) -> float:
     return x
 
 
-def get_float(cfg: dict, key: str) -> float:
-    return _parse(cfg, key, _finite, "a number")
-
-
-def get_int(cfg: dict, key: str) -> int:
-    return _parse(cfg, key, int, "an integer")
-
-
 #: Largest value of a key that sizes an array (node, step and basis counts).
 MAX_SIZE = 10**9
 
 
-def get_size(cfg: dict, key: str) -> int:
-    """An integer that sizes an array; above MAX_SIZE is a ConfigError."""
-    value = get_int(cfg, key)
-    if value > MAX_SIZE:
-        raise ConfigError(f"config key {key!r}: {value} exceeds the limit {MAX_SIZE}")
-    return value
-
-
-def get_bool(cfg: dict, key: str) -> bool:
-    def conv(s):
-        if s.lower() not in ("true", "false"):
-            raise ValueError(s)
-        return s.lower() == "true"
-
-    return _parse(cfg, key, conv, "true or false")
-
-
-def get_float_list(cfg: dict, key: str) -> list:
-    def conv(s):
-        vals = [_finite(tok) for tok in s.split(",") if tok.strip()]
-        if not vals:
-            raise ValueError(s)
-        return vals
-
-    return _parse(cfg, key, conv, "a comma-separated number list")
-
-
-def _seed(s: str) -> int:
-    if int(s) < 0:
+def _nonnegative(s: str) -> int:
+    n = int(s)
+    if n < 0:
         raise ValueError(s)
-    return int(s)
+    return n
 
 
-def get_seed(cfg: dict, key: str = "seed") -> int:
-    return _parse(cfg, key, _seed, "a nonnegative integer")
+def _size(s: str) -> int:
+    n = _nonnegative(s)
+    if n > MAX_SIZE:
+        raise ConfigError(f"{n} exceeds the limit {MAX_SIZE}")
+    return n
 
 
-def get_seeds(cfg: dict, key: str = "seeds") -> list:
-    def conv(s):
-        vals = [_seed(tok) for tok in s.split(",") if tok.strip()]
+def _bool(s: str) -> bool:
+    if s.lower() not in ("true", "false"):
+        raise ValueError(s)
+    return s.lower() == "true"
+
+
+def _list(conv):
+    def parse(s: str) -> list:
+        vals = [conv(tok) for tok in s.split(",") if tok.strip()]
         if not vals:
             raise ValueError(s)
         return vals
 
-    return _parse(cfg, key, conv, "a comma-separated list of nonnegative integers")
+    return parse
 
 
-def get_alphas(cfg: dict, key: str = "alphas") -> list:
-    """Either an explicit comma list or logspace:<lo_exp>:<hi_exp>:<count>."""
-    raw = cfg.get(key)
-    if raw is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    if raw.startswith("logspace:"):
-        parts = raw.split(":")[1:]
-        if len(parts) != 3:
-            raise ConfigError(
-                f"config key {key!r}: expected logspace:<lo>:<hi>:<count>"
-            )
+def _alphas(s: str) -> list:
+    """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count>."""
+    if not s.startswith("logspace:"):
+        return _list(_finite)(s)
+    lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
+    lo, hi, count = _finite(lo), _finite(hi), int(count)
+    if count < 1:
+        raise ValueError(s)
+    return [float(a) for a in np.logspace(lo, hi, count)]
+
+
+def _advection(s: str) -> str:
+    if s not in ("blended", "upwind"):
+        raise ValueError(s)
+    return s
+
+
+def _field(which: int):
+    """A `myerscough` or `uniform:<v>` spec as a function of the grid.
+
+    ``which`` picks u (0) or c (1) of the Myerscough initial data.
+    """
+
+    def parse(s: str):
+        if s == "myerscough":
+            return lambda grid: myerscough_initial_data(grid)[which]
+        kind, _, arg = s.partition(":")
+        if kind != "uniform":
+            raise ValueError(s)
+        value = _finite(arg)
+        return lambda grid: np.full(grid.n_nodes, value)
+
+    return parse
+
+
+def _sensitivity(s: str):
+    """a(c) of a constant:<v>, inverse:<k> or table:<csv> spec.
+
+    A table is read here, so a missing or malformed file is a config error.
+    """
+    kind, _, arg = s.partition(":")
+    if kind == "constant":
+        v = _finite(arg)
+        return lambda c: np.full_like(np.asarray(c, dtype=float), v)
+    if kind == "inverse":
+        k = _finite(arg)
+        if not k > 0:
+            raise ValueError(s)
+
+        def inverse(c):
+            c = np.asarray(c, dtype=float)
+            if np.any(c <= 0):
+                raise InvalidStateError("inverse sensitivity evaluated at c <= 0")
+            return k / c
+
+        return inverse
+    if kind == "table" and arg:
         try:
-            lo, hi, count = _finite(parts[0]), _finite(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: malformed logspace spec") from exc
-        if count < 1:
-            raise ConfigError(f"config key {key!r}: count must be >= 1")
-        return [float(a) for a in np.logspace(lo, hi, count)]
-    return get_float_list(cfg, key)
+            return read_sensitivity_csv(arg)
+        except OSError as exc:
+            raise ConfigError(f"cannot read table {arg}: {exc}") from exc
+        except (InvalidStateError, ZeroWidthIntervalError) as exc:
+            raise ConfigError(str(exc)) from exc
+    raise ValueError(s)
+
+
+_NUMBER = (_finite, "a number")
+_SIZE = (_size, "a nonnegative integer")
+_SENSITIVITY = (_sensitivity, "constant:<v>, inverse:<k> with k > 0 or table:<csv>")
+
+#: key -> (parser, what its text must be); a parser raises ValueError on
+#: text of the wrong form and ConfigError with its own message otherwise.
+_PARSERS = {
+    **dict.fromkeys(
+        ("M", "D", "b", "h", "mu", "x_left", "x_right", "t_final", "padding",
+         "lambda0", "tol_cost", "tol_grad", "fd_step", "delta", "alpha", "coupling"),
+        _NUMBER,
+    ),
+    **dict.fromkeys(
+        ("n_nodes", "n_steps", "fine_n_nodes", "fine_n_steps", "n_basis", "time_refine"),
+        _SIZE,
+    ),
+    "max_iters": (int, "an integer"),
+    "seed": (_nonnegative, "a nonnegative integer"),
+    "seeds": (_list(_nonnegative), "a comma-separated list of nonnegative integers"),
+    "deltas": (_list(_finite), "a comma-separated number list"),
+    "alphas": (_alphas, "a comma-separated number list or logspace:<lo>:<hi>:<count>"),
+    "warm_start": (_bool, "true or false"),
+    "advection": (_advection, "blended or upwind"),
+    "u0": (_field(0), "uniform:<value> or myerscough"),
+    "c0": (_field(1), "uniform:<value> or myerscough"),
+    "truth": _SENSITIVITY,
+    "prior": _SENSITIVITY,
+    "data_csv": (str, "a path"),
+}
 
 
 def build_params(cfg: dict) -> PhysicalParams:
     try:
         return PhysicalParams(
-            M=get_float(cfg, "M"),
-            D=get_float(cfg, "D"),
-            b=get_float(cfg, "b"),
-            h=get_float(cfg, "h"),
-            mu=get_float(cfg, "mu"),
+            M=cfg["M"], D=cfg["D"], b=cfg["b"], h=cfg["h"], mu=cfg["mu"]
         )
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_grid(cfg: dict) -> SimulationGrid:
-    n_nodes = get_size(cfg, "n_nodes")
-    n_steps = get_size(cfg, "n_steps")
     try:
         return SimulationGrid(
-            x_left=get_float(cfg, "x_left"),
-            x_right=get_float(cfg, "x_right"),
-            n_nodes=n_nodes,
-            t_final=get_float(cfg, "t_final"),
-            n_steps=n_steps,
+            x_left=cfg["x_left"],
+            x_right=cfg["x_right"],
+            n_nodes=cfg["n_nodes"],
+            t_final=cfg["t_final"],
+            n_steps=cfg["n_steps"],
         )
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
@@ -257,105 +316,7 @@ def build_grid(cfg: dict) -> SimulationGrid:
 
 def build_fine_grid(cfg: dict, meas: SimulationGrid) -> SimulationGrid:
     """The data-generation grid: meas's domain at fine_n_nodes x fine_n_steps."""
-    n_nodes = get_size(cfg, "fine_n_nodes")
-    n_steps = get_size(cfg, "fine_n_steps")
     try:
-        return meas.with_resolution(n_nodes, n_steps)
+        return meas.with_resolution(cfg["fine_n_nodes"], cfg["fine_n_steps"])
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def build_initial_field(cfg: dict, key: str, grid: SimulationGrid) -> np.ndarray:
-    """Evaluate a `uniform:<v>` or `myerscough` field spec on a grid."""
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    if spec == "myerscough":
-        u0, c0 = myerscough_initial_data(grid)
-        return u0 if key == "u0" else c0
-    if spec.startswith("uniform:"):
-        try:
-            value = _finite(spec.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: malformed uniform value") from exc
-        return np.full(grid.n_nodes, value)
-    raise ConfigError(
-        f"config key {key!r}: expected uniform:<value> or myerscough, got {spec!r}"
-    )
-
-
-@dataclass(frozen=True)
-class TruthSpec:
-    """Named analytic sensitivity: constant(v), inverse(k), or a knot table."""
-
-    kind: str
-    value: float | None = None
-    path: str | None = None
-
-    @classmethod
-    def parse(cls, spec: str) -> "TruthSpec":
-        kind, _, arg = spec.partition(":")
-        if kind == "constant":
-            try:
-                return cls(kind="constant", value=_finite(arg))
-            except ValueError as exc:
-                raise ConfigError(f"malformed constant spec {spec!r}") from exc
-        if kind == "inverse":
-            try:
-                k = _finite(arg)
-            except ValueError as exc:
-                raise ConfigError(f"malformed inverse spec {spec!r}") from exc
-            if not k > 0:
-                raise ConfigError(f"inverse spec needs k > 0, got {k}")
-            return cls(kind="inverse", value=k)
-        if kind == "table":
-            if not arg:
-                raise ConfigError("table spec needs a CSV path")
-            return cls(kind="table", path=arg)
-        raise ConfigError(
-            f"truth spec must be constant:<v>, inverse:<k> or table:<csv>, "
-            f"got {spec!r}"
-        )
-
-    def as_callable(self):
-        if self.kind == "constant":
-            v = self.value
-            return lambda c: np.full_like(np.asarray(c, dtype=float), v)
-        if self.kind == "inverse":
-            k = self.value
-
-            def inv(c):
-                c = np.asarray(c, dtype=float)
-                if np.any(c <= 0):
-                    raise InvalidStateError(
-                        "inverse sensitivity evaluated at c <= 0"
-                    )
-                return k / c
-
-            return inv
-        try:
-            return read_sensitivity_csv(self.path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read table {self.path}: {exc}") from exc
-        except (InvalidStateError, ZeroWidthIntervalError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def on_basis(self, c_min: float, c_max: float, n_basis: int) -> SensitivityFunction:
-        """Interpolate the described function onto a hat basis over [c_min, c_max]."""
-        if self.kind == "constant":
-            return SensitivityFunction.constant(self.value, c_min, c_max, n_basis)
-        if self.kind == "inverse" and not c_min > 0:
-            raise ConfigError(
-                f"inverse sensitivity needs a positive interval, got "
-                f"[{c_min:.6g}, {c_max:.6g}]"
-            )
-        return SensitivityFunction.from_function(
-            self.as_callable(), c_min, c_max, n_basis
-        )
-
-
-def get_truth(cfg: dict, key: str = "truth") -> TruthSpec:
-    spec = cfg.get(key)
-    if spec is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return TruthSpec.parse(spec)

@@ -341,11 +341,17 @@ def jacobian_fd(
     around one batched forward solve, with its blocks stored in J.  Column
     k uses step fd_step * max(|a_k|, 1); if a perturbed row fails,
     JacobianColumnError carries the lowest failing k.  Column k equals
-    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
+    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.  A
+    base_residual must be the residual_vector layout, 2 * z_u.size + L long.
     """
     coeffs = prob.a_star.with_coeffs(coeffs).coeffs
     r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
-    J = np.empty((r0.shape[0], coeffs.shape[0]))
+    n_rows = 2 * prob.data.z_u.size + coeffs.shape[0]
+    if np.shape(r0) != (n_rows,):
+        raise InvalidStateError(
+            f"base_residual must have length {n_rows}, got shape {np.shape(r0)}"
+        )
+    J = np.empty((n_rows, coeffs.shape[0]))
     J_data = _data_blocks(J, prob)
 
     def take(frame, field, Jt):

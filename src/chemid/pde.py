@@ -98,11 +98,6 @@ class PhysicalParams:
             )
 
     @classmethod
-    def dimensionless(cls, M: float, D: float) -> "PhysicalParams":
-        """Dimensionless preset b = h = mu = 1."""
-        return cls(M=M, D=D, b=1.0, h=1.0, mu=1.0)
-
-    @classmethod
     def myerscough(cls) -> "PhysicalParams":
         """Limb-bud morphogenesis parameter set: M=0.25, D=1, h=1, b=mu=50."""
         return cls(M=0.25, D=1.0, b=50.0, h=1.0, mu=50.0)

@@ -76,20 +76,14 @@ def _field_noise(shape, seed: int, tag: int, attempt: int) -> np.ndarray:
     return np.random.Generator(bitgen).standard_normal(shape)
 
 
-def add_noise(
-    truth_meas: StateTrajectory,
-    delta: float,
-    seed: int,
-    *,
-    max_attempts: int = MAX_NOISE_ATTEMPTS,
-) -> NoisyData:
+def add_noise(truth_meas: StateTrajectory, delta: float, seed: int) -> NoisyData:
     """Corrupt a measurement-grid trajectory with exact-level noise.
 
     Each field receives i.i.d. standard Gaussian perturbations per node and
     frame, rescaled so the discrete space-time L2 norm of the perturbation
     equals delta exactly.  If the perturbed concentration fails to stay
     positive, the c perturbation is redrawn from a fresh substream, at most
-    max_attempts times.  The seed must be a nonnegative integer.
+    MAX_NOISE_ATTEMPTS times.  The seed must be a nonnegative integer.
     """
     if delta < 0:
         raise InvalidStateError(f"delta must be >= 0 (got {delta})")
@@ -104,13 +98,13 @@ def add_noise(
         return (delta / np.sqrt(space_time_sq_norm(e, grid))) * e
 
     z_u = U + scaled(_field_noise(U.shape, seed, 0, 0))
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_NOISE_ATTEMPTS):
         z_c = C + scaled(_field_noise(C.shape, seed, 1, attempt))
         if z_c.min() > 0.0:
             return NoisyData(grid=grid, z_u=z_u, z_c=z_c, delta=delta, seed=seed)
     raise NoiseLevelError(
         f"could not keep z_c positive at delta={delta:.3g} "
-        f"after {max_attempts} redraws (min c of truth: {C.min():.3g})"
+        f"after {MAX_NOISE_ATTEMPTS} redraws (min c of truth: {C.min():.3g})"
     )
 
 
@@ -134,7 +128,6 @@ def make_dataset(
     seed: int,
     *,
     advection: str = DEFAULT_ADVECTION,
-    max_attempts: int = MAX_NOISE_ATTEMPTS,
 ) -> SyntheticDataset:
     """Full pipeline: fine solve, restriction, calibrated noise.
 
@@ -152,7 +145,7 @@ def make_dataset(
         )
     truth_fine = solve_forward(u0, c0, params, a_true, fine, advection=advection)
     truth_meas = restrict(truth_fine, meas)
-    data = add_noise(truth_meas, delta, seed, max_attempts=max_attempts)
+    data = add_noise(truth_meas, delta, seed)
     return SyntheticDataset(truth_fine=truth_fine, truth_meas=truth_meas, data=data)
 
 

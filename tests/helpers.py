@@ -13,8 +13,13 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from chemid.inversion import residual_vector
-from chemid.pde import space_time_sq_norm
+from chemid.pde import PhysicalParams, space_time_sq_norm
 from chemid.sensitivity import mass_matrix, require_same_basis
+
+
+def dimensionless(M, D):
+    """Physical parameters with b = h = mu = 1."""
+    return PhysicalParams(M=M, D=D, b=1.0, h=1.0, mu=1.0)
 
 
 def objective(coeffs, prob):

@@ -1,28 +1,20 @@
-"""Config parsing, preset expansion, and truth-spec construction."""
+"""Config parsing, preset expansion, and the parsed value of every key."""
 
+import re
+import textwrap
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import chemid.config as cfgmod
+from chemid import cli
 from chemid.config import (
     ALLOWED_KEYS,
-    TruthSpec,
     MAX_SIZE,
     build_fine_grid,
     build_grid,
-    build_initial_field,
     build_params,
-    get_alphas,
-    get_bool,
-    get_float,
-    get_float_list,
-    get_int,
-    get_seed,
-    get_seeds,
-    get_size,
-    get_truth,
     load_config,
     resolve,
 )
@@ -30,6 +22,24 @@ from chemid.errors import ConfigError, InvalidStateError
 from chemid.inversion import LMConfig
 from chemid.pde import SimulationGrid
 from chemid.sensitivity import SensitivityFunction, write_sensitivity_csv
+
+from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
+
+#: Values for the keys that neither the myerscough preset nor the defaults supply.
+REQUIRED = {
+    "delta": "1e-3",
+    "alpha": "1e-5",
+    "alphas": "1e-5,1e-4",
+    "data_csv": "data.csv",
+    "deltas": "1e-3,1e-2,1e-1,1",
+}
+
+
+def parsed(key: str, text: str):
+    """The value resolve gives ``key = text`` in the first command that allows key."""
+    command = next(c for c, keys in ALLOWED_KEYS.items() if key in keys)
+    raw = {k: v for k, v in REQUIRED.items() if k in ALLOWED_KEYS[command]}
+    return resolve(command, {**raw, key: text}, "myerscough")[key]
 
 
 def test_load_config_parses_flat_pairs(tmp_path):
@@ -71,22 +81,33 @@ def test_resolve_rejects_unknown_command_and_preset():
 
 def test_resolve_preset_fills_but_explicit_wins():
     cfg = resolve("forward", {"M": "0.5"}, "myerscough")
-    assert cfg["M"] == "0.5"
-    assert cfg["b"] == "50.0"
-    assert cfg["truth"] == "constant:2.0"
-    assert cfg["n_nodes"] == "51"
+    assert cfg["M"] == 0.5
+    assert cfg["b"] == 50.0
+    assert cfg["truth"](0.3) == 2.0
+    assert cfg["n_nodes"] == 51
 
 
 def test_resolve_preset_key_inside_config():
     cfg = resolve("forward", {"preset": "myerscough"})
-    assert cfg["mu"] == "50.0"
+    assert cfg["mu"] == 50.0
 
 
 def test_resolve_preset_skips_keys_not_allowed_for_command():
-    cfg = resolve("invert", {"data_csv": "d.csv"}, "myerscough")
+    cfg = resolve("invert", {"data_csv": "d.csv", "alpha": "1e-5"}, "myerscough")
     assert "truth" not in cfg
     assert "t_final" not in cfg
-    assert cfg["M"] == "0.25"
+    assert cfg["M"] == 0.25
+
+
+def test_every_allowed_key_has_a_parser():
+    assert set(cfgmod._PARSERS) == set().union(*ALLOWED_KEYS.values())
+
+
+def test_resolve_requires_every_allowed_key():
+    with pytest.raises(ConfigError, match="missing required config key 'alpha'"):
+        resolve("invert", {"data_csv": "d.csv"}, "myerscough")
+    with pytest.raises(ConfigError, match="missing required config key 'D'"):
+        resolve("forward", {})
 
 
 def test_allowed_keys_cover_commands():
@@ -98,146 +119,193 @@ def test_lm_config_fields_are_the_cli_lm_keys():
     assert {f.name for f in fields(LMConfig)} == cfgmod._LM - {"time_refine"}
 
 
-def test_typed_getters():
-    cfg = {
-        "x": "1.5",
-        "n": "42",
-        "flag": "true",
-        "ds": "1e-3,1e-2",
-        "ss": "0,1,2",
-    }
-    assert get_float(cfg, "x") == 1.5
-    assert get_int(cfg, "n") == 42
-    assert get_bool(cfg, "flag") is True
-    assert get_float_list(cfg, "ds") == [1e-3, 1e-2]
-    assert get_seeds(cfg, "ss") == [0, 1, 2]
-
-
-def test_typed_getters_errors():
-    with pytest.raises(ConfigError, match="missing required"):
-        get_float({}, "x")
-    with pytest.raises(ConfigError, match="expected a number"):
-        get_float({"x": "abc"}, "x")
-    with pytest.raises(ConfigError, match="expected an integer"):
-        get_int({"n": "1.5"}, "n")
-    with pytest.raises(ConfigError, match="true or false"):
-        get_bool({"f": "yes"}, "f")
-    with pytest.raises(ConfigError, match="number list"):
-        get_float_list({"d": ""}, "d")
+@pytest.mark.parametrize(
+    "key, text, value",
+    [
+        ("M", "1.5", 1.5),
+        ("n_nodes", "42", 42),
+        ("max_iters", "7", 7),
+        ("warm_start", "FALSE", False),
+        ("seed", "3", 3),
+        ("seeds", "0, 1,2", [0, 1, 2]),
+        ("deltas", "1e-3,1e-2", [1e-3, 1e-2]),
+        ("advection", "upwind", "upwind"),
+        ("data_csv", "runs/data.csv", "runs/data.csv"),
+    ],
+    ids=["number", "size", "integer", "bool", "seed", "seeds", "list", "advection",
+         "path"],
+)
+def test_resolve_parses_value(key, text, value):
+    assert parsed(key, text) == value
 
 
 @pytest.mark.parametrize(
-    "getter, value", [(get_seed, "-1"), (get_seeds, "0, -1")], ids=["seed", "seeds"]
+    "key, text, expected",
+    [
+        ("M", "abc", "a number"),
+        ("alpha", "nan", "a number"),
+        ("n_nodes", "1e9", "a nonnegative integer"),
+        ("n_basis", "-1", "a nonnegative integer"),
+        ("max_iters", "ten", "an integer"),
+        ("warm_start", "yes", "true or false"),
+        ("deltas", " , ", "a comma-separated number list"),
+        ("advection", "central", "blended or upwind"),
+        ("u0", "uniform:abc", "uniform:<value> or myerscough"),
+        ("c0", "bump", "uniform:<value> or myerscough"),
+    ],
+    ids=["number", "non_finite", "size", "negative_size", "integer", "bool", "list", "advection",
+         "uniform_value", "field_kind"],
 )
-def test_seed_getters_reject_negative_seeds(getter, value):
-    assert getter({"s": "0"}, "s") in (0, [0])
-    with pytest.raises(ConfigError, match="nonnegative integer"):
-        getter({"s": value}, "s")
+def test_resolve_rejects_value(key, text, expected):
+    message = f"config key {key!r}: expected {expected}, got {text!r}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parsed(key, text)
 
 
-def test_get_alphas_list_and_logspace():
-    assert get_alphas({"alphas": "1e-5,1e-4"}) == [1e-5, 1e-4]
-    got = get_alphas({"alphas": "logspace:-8:-1:8"})
-    assert np.allclose(got, np.logspace(-8, -1, 8))
-    with pytest.raises(ConfigError, match="logspace"):
-        get_alphas({"alphas": "logspace:-8:-1"})
-    with pytest.raises(ConfigError, match="count"):
-        get_alphas({"alphas": "logspace:-8:-1:0"})
-    with pytest.raises(ConfigError, match="missing required"):
-        get_alphas({})
+def test_resolve_reports_the_first_bad_key_in_key_order():
+    with pytest.raises(ConfigError, match="config key 'M'"):
+        resolve("forward", {"n_nodes": "x", "M": "x"}, "myerscough")
+
+
+@pytest.mark.parametrize(
+    "key, value", [("seed", "-1"), ("seeds", "0, -1")], ids=["seed", "seeds"]
+)
+def test_seed_getters_reject_negative_seeds(key, value):
+    assert parsed(key, "0") in (0, [0])
+    with pytest.raises(ConfigError, match=f"config key '{key}'.*nonnegative integer"):
+        parsed(key, value)
+
+
+def test_resolve_alphas_list_and_logspace():
+    assert parsed("alphas", "1e-5,1e-4") == [1e-5, 1e-4]
+    assert np.allclose(parsed("alphas", "logspace:-8:-1:8"), np.logspace(-8, -1, 8))
+    for text in ("logspace:-8:-1", "logspace:-8:-1:0", "logspace:a:-1:2"):
+        with pytest.raises(ConfigError, match=re.escape("logspace:<lo>:<hi>:<count>")):
+            parsed("alphas", text)
+
+
+def test_resolve_caps_array_sizes():
+    assert parsed("n_basis", str(MAX_SIZE)) == MAX_SIZE
+    for value in (MAX_SIZE + 1, 10**20):
+        with pytest.raises(
+            ConfigError, match=f"config key 'n_basis': {value} exceeds the limit"
+        ):
+            parsed("n_basis", str(value))
 
 
 def test_build_params_wraps_validation():
-    cfg = dict(M="0.25", D="1.0", b="50.0", h="1.0", mu="50.0")
+    cfg = dict(M=0.25, D=1.0, b=50.0, h=1.0, mu=50.0)
     p = build_params(cfg)
     assert p.M == 0.25 and p.mu == 50.0
-    cfg["M"] = "-1.0"
+    cfg["M"] = -1.0
     with pytest.raises(ConfigError):
         build_params(cfg)
 
 
 def test_build_grid_wraps_validation():
-    cfg = dict(x_left="0.0", x_right="1.0", n_nodes="11", t_final="0.5", n_steps="10")
+    cfg = dict(x_left=0.0, x_right=1.0, n_nodes=11, t_final=0.5, n_steps=10)
     g = build_grid(cfg)
     assert g.n_nodes == 11
-    cfg["n_nodes"] = "1"
+    cfg["n_nodes"] = 1
     with pytest.raises(ConfigError):
         build_grid(cfg)
 
 
-def test_get_size_caps_array_sizes():
-    assert get_size({"n": str(MAX_SIZE)}, "n") == MAX_SIZE
-    for value in (MAX_SIZE + 1, 10**20):
-        with pytest.raises(ConfigError, match="exceeds the limit"):
-            get_size({"n": str(value)}, "n")
-    with pytest.raises(ConfigError, match="expected an integer"):
-        get_size({"n": "1e9"}, "n")
-
-
 def test_build_fine_grid_wraps_validation():
     meas = SimulationGrid(0.0, 2.0, 11, 0.5, 10)
-    fine = build_fine_grid({"fine_n_nodes": "41", "fine_n_steps": "40"}, meas)
+    fine = build_fine_grid({"fine_n_nodes": 41, "fine_n_steps": 40}, meas)
     assert fine == SimulationGrid(0.0, 2.0, 41, 0.5, 40)
-    for nodes, steps in (("1", "40"), ("41", "0"), ("41", str(MAX_SIZE + 1))):
+    for nodes, steps in ((1, 40), (41, 0)):
         with pytest.raises(ConfigError):
             build_fine_grid({"fine_n_nodes": nodes, "fine_n_steps": steps}, meas)
 
 
 def test_build_initial_field_specs():
     g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
-    u = build_initial_field({"u0": "uniform:2.5"}, "u0", g)
-    assert np.all(u == 2.5)
-    ub = build_initial_field({"u0": "myerscough"}, "u0", g)
-    assert np.isclose(ub[5], 2.0)
-    cb = build_initial_field({"c0": "myerscough"}, "c0", g)
-    assert np.all(cb == 0.5)
-    with pytest.raises(ConfigError, match="uniform"):
-        build_initial_field({"u0": "uniform:abc"}, "u0", g)
-    with pytest.raises(ConfigError, match="expected uniform"):
-        build_initial_field({"u0": "bump"}, "u0", g)
-    with pytest.raises(ConfigError, match="missing required"):
-        build_initial_field({}, "u0", g)
+    assert np.all(parsed("u0", "uniform:2.5")(g) == 2.5)
+    assert np.isclose(parsed("u0", "myerscough")(g)[5], 2.0)
+    assert np.all(parsed("c0", "myerscough")(g) == 0.5)
 
 
 def test_truth_spec_constant():
-    spec = TruthSpec.parse("constant:2.0")
-    f = spec.as_callable()
+    f = parsed("truth", "constant:2.0")
     assert np.all(f(np.array([0.1, 0.9])) == 2.0)
-    a = spec.on_basis(0.2, 0.8, 5)
-    assert np.all(a.coeffs == 2.0)
+    a = SensitivityFunction.from_function(f, 0.2, 0.8, 5)
+    assert np.array_equal(a.coeffs, SensitivityFunction.constant(2.0, 0.2, 0.8, 5).coeffs)
 
 
 def test_truth_spec_inverse():
-    spec = TruthSpec.parse("inverse:2.0")
-    f = spec.as_callable()
+    f = parsed("truth", "inverse:2.0")
     assert np.allclose(f(np.array([0.5, 2.0])), [4.0, 1.0])
     with pytest.raises(InvalidStateError):
         f(np.array([0.0, 0.5]))
-    a = spec.on_basis(0.25, 1.0, 4)
+    a = SensitivityFunction.from_function(f, 0.25, 1.0, 4)
     assert np.allclose(a(a.knots()), 2.0 / a.knots())
-    with pytest.raises(ConfigError, match="positive interval"):
-        spec.on_basis(-0.1, 1.0, 4)
+    with pytest.raises(InvalidStateError, match="c <= 0"):
+        SensitivityFunction.from_function(f, -0.1, 1.0, 4)
 
 
 def test_truth_spec_table(tmp_path):
     src = SensitivityFunction(0.2, 0.7, np.array([1.0, 2.0, 4.0]))
     path = tmp_path / "a.csv"
     write_sensitivity_csv(src, path)
-    spec = TruthSpec.parse(f"table:{path}")
-    f = spec.as_callable()
+    f = parsed("prior", f"table:{path}")
     assert np.isclose(f(0.45), src(0.45))
-    a = spec.on_basis(0.2, 0.7, 3)
+    a = SensitivityFunction.from_function(f, 0.2, 0.7, 3)
     assert np.allclose(a.coeffs, src.coeffs)
 
 
-def test_truth_spec_malformed():
-    with pytest.raises(ConfigError):
-        TruthSpec.parse("constant:two")
-    with pytest.raises(ConfigError):
-        TruthSpec.parse("inverse:-1.0")
-    with pytest.raises(ConfigError):
-        TruthSpec.parse("table:")
-    with pytest.raises(ConfigError):
-        TruthSpec.parse("linear:1.0")
-    with pytest.raises(ConfigError, match="missing required"):
-        get_truth({})
+def test_truth_spec_malformed(tmp_path):
+    for text in ("constant:two", "inverse:-1.0", "table:", "linear:1.0"):
+        message = "config key 'truth': expected constant:<v>, inverse:<k> with k > 0"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parsed("truth", text)
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(ConfigError, match="config key 'prior': cannot read table"):
+        parsed("prior", f"table:{missing}")
+    missing.write_text("c_knot,a_value\n")
+    with pytest.raises(ConfigError, match="config key 'truth': .*metadata header"):
+        parsed("truth", f"table:{missing}")
+
+
+# ---------------------------------------------------------------------------
+# bad values stop the command line before any solve or data read
+
+
+RATES_CFG = textwrap.dedent(SMALL_PHYS + SMALL_GRID) + (
+    "fine_n_nodes = 81\nfine_n_steps = 240\ntruth = constant:1.5\n"
+    "deltas = 4e-4,2e-3,1e-2,5e-2\n"
+)
+
+
+def assert_one_config_error(capsys, named):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config: ")
+    assert named in lines[0]
+
+
+@pytest.mark.parametrize(
+    "line", ["max_iters = ten", "seeds = -1", "prior = bogus"],
+    ids=["max_iters", "seeds", "prior"],
+)
+def test_rates_reports_bad_value_before_the_data_solve(tmp_path, capsys, monkeypatch, line):
+    calls = []
+    monkeypatch.setattr(cli, "make_dataset", lambda *args, **kw: calls.append(args))
+    cfg = tmp_path / "rates.cfg"
+    cfg.write_text(RATES_CFG + line + "\n")
+    assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert_one_config_error(capsys, f"config key {line.split(' = ')[0]!r}")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "alpha, named",
+    [("alpha = abc\n", "config key 'alpha'"), ("", "missing required config key 'alpha'")],
+    ids=["bad", "missing"],
+)
+def test_invert_reports_alpha_before_reading_data(tmp_path, capsys, alpha, named):
+    body = textwrap.dedent(INVERT_BODY).replace("alpha = 1e-5\n", alpha)
+    cfg = tmp_path / "invert.cfg"
+    cfg.write_text(body + f"data_csv = {tmp_path / 'missing.csv'}\n")
+    assert cli.main(["invert", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert_one_config_error(capsys, named)

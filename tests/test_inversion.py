@@ -36,7 +36,7 @@ from chemid.sensitivity import (
 )
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
-from helpers import objective, penalty, small_problem
+from helpers import dimensionless, objective, penalty, small_problem
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +136,18 @@ def test_jacobian_directional_derivative():
     assert np.all(errs <= 3.0 * scale * hs**2)
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_jacobian_rejects_base_residual_of_wrong_length(extra):
+    prob, a_true, _ = small_problem()
+    r = residual_vector(a_true.coeffs, prob)
+    bad = np.zeros(r.shape[0] + extra)
+    with pytest.raises(InvalidStateError, match=f"length {r.shape[0]}"):
+        jacobian_fd(a_true.coeffs, prob, base_residual=bad)
+
+
 def test_jacobian_zero_columns_on_uniform_data():
     """Uniform fields never develop gradients, so a(c) cannot matter."""
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     g = SimulationGrid(0.0, 1.0, 11, 0.2, 20)
     u0 = np.full(11, 1.0)
     c0 = np.full(11, 0.55)
@@ -157,7 +166,7 @@ def test_jacobian_zero_columns_on_uniform_data():
 def steep_problem(a_star):
     """Exact data from a_star with a steep c0 (|c0'| up to 2.5), so that a
     coefficient near the float maximum makes a face velocity overflow."""
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     g = SimulationGrid(0.0, 1.0, 21, 0.6, 40)
     u0 = np.full(21, 1.0)
     c0 = 0.5 + 0.4 * np.cos(2.0 * np.pi * g.xs())

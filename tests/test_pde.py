@@ -35,7 +35,13 @@ from chemid.pde import (
 from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
 from chemid.sensitivity import SensitivityFunction, hat_rows
 
-from helpers import dense_diffusion_solve, dense_one_step, rgi_restrict, trajectory_distance
+from helpers import (
+    dense_diffusion_solve,
+    dense_one_step,
+    dimensionless,
+    rgi_restrict,
+    trajectory_distance,
+)
 
 
 def bump_initial(grid):
@@ -59,7 +65,7 @@ def one_step(u0, c0, params, a, grid, advection="blended"):
 
 
 def test_params_presets():
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     assert (p.b, p.h, p.mu) == (1.0, 1.0, 1.0)
     m = PhysicalParams.myerscough()
     assert (m.M, m.D, m.b, m.h, m.mu) == (0.25, 1.0, 50.0, 1.0, 50.0)
@@ -165,7 +171,7 @@ def test_face_velocity_rejects_nonfinite():
 def test_step_uniform_state_matches_scalar_ode():
     """Uniform fields kill every spatial operator; c follows the decay ODE."""
     g = SimulationGrid(0.0, 1.0, 11, 0.01, 1)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     u0, c0 = 1.0, 0.7
     u, c = one_step(np.full(11, u0), np.full(11, c0), p, A_CONST2, g)
     np.testing.assert_allclose(u, u0, rtol=0, atol=1e-14)
@@ -175,7 +181,7 @@ def test_step_uniform_state_matches_scalar_ode():
 
 def test_step_zero_sensitivity_conserves_mass():
     g = SimulationGrid(0.0, 1.0, 21, 0.0025, 1)
-    p = PhysicalParams.dimensionless(M=0.5, D=1.0)
+    p = dimensionless(M=0.5, D=1.0)
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     u = 1.0 + np.sin(2 * np.pi * g.xs()) ** 2
     c = 0.5 + 0.3 * np.cos(np.pi * g.xs())
@@ -214,7 +220,7 @@ def test_step_flags_positivity_violation():
     # the implicit step maps u >= 0 to u >= 0, so feed the second row a
     # negative density directly; a short step keeps it negative
     g = SimulationGrid(0.0, 1.0, 11, 1e-3, 1)
-    p = PhysicalParams.dimensionless(M=0.01, D=1.0)
+    p = dimensionless(M=0.01, D=1.0)
     a = SensitivityFunction.constant(50.0, 0.0, 2.0, 4)
     u = np.full((2, 11), 0.5)
     u[1, 5] = -0.4
@@ -229,7 +235,7 @@ def test_step_keeps_positivity_and_mass_for_any_dt(scheme):
     # steep c, large a and a huge step: the implicit flux still maps u >= 0
     # to u >= 0 with the mass of u unchanged
     g = SimulationGrid(0.0, 1.0, 11, 1.0, 1)
-    p = PhysicalParams.dimensionless(M=0.01, D=1.0)
+    p = dimensionless(M=0.01, D=1.0)
     a = SensitivityFunction.constant(50.0, 0.0, 2.0, 4)
     u0 = np.full(11, 0.5)
     u, _ = one_step(u0, g.xs() + 0.1, p, a, g, advection=scheme)
@@ -273,7 +279,7 @@ def test_step_property_dense_oracle_agreement(seed, n, scheme):
 def test_solve_constant_fields_relax_to_equilibrium():
     """With a = 0 and uniform data, u stays put and c -> b U/(U+h)/mu."""
     g = SimulationGrid(0.0, 1.0, 11, 8.0, 400)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     traj = solve_forward(np.full(11, 1.0), np.full(11, 0.2), p, a0, g)
     c_eq = 1.0 * 1.0 / (1.0 + 1.0) / 1.0  # = 0.5
@@ -391,7 +397,7 @@ def test_batched_rows_fail_independently():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_solve_rejects_non_finite_face_velocity(value):
     g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     c0 = 0.5 + 0.1 * np.cos(np.pi * g.xs())
     with pytest.raises(InvalidStateError, match="face velocity"):
         solve_forward(np.ones(11), c0, p, lambda c: np.full_like(c, value), g)
@@ -399,7 +405,7 @@ def test_solve_rejects_non_finite_face_velocity(value):
 
 def test_solve_validates_initial_fields():
     g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     ok_u, ok_c = np.ones(11), np.full(11, 0.5)
     with pytest.raises(InvalidStateError):
         solve_forward(-ok_u, ok_c, p, A_CONST2, g)
@@ -411,7 +417,7 @@ def test_solve_validates_initial_fields():
 
 def test_solve_zero_sensitivity_matches_diffusion_oracle():
     g = SimulationGrid(0.0, 1.0, 15, 0.05, 20)
-    p = PhysicalParams.dimensionless(M=0.5, D=1.5)
+    p = dimensionless(M=0.5, D=1.5)
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     u0 = 1.0 + np.cos(np.pi * g.xs()) ** 2
     c0 = np.full(15, 0.4)
@@ -548,7 +554,7 @@ def test_restrict_property_equals_scipy(x_left, width, t_final, source, target, 
 
 def test_trajectory_csv_roundtrip(tmp_path):
     g = SimulationGrid(0.0, 1.0, 9, 0.1, 4)
-    p = PhysicalParams.dimensionless(M=0.25, D=1.0)
+    p = dimensionless(M=0.25, D=1.0)
     u0, c0 = bump_initial(g)
     traj = solve_forward(u0, c0, p, A_CONST2, g)
     path = tmp_path / "traj.csv"
@@ -603,12 +609,13 @@ def test_frame_writer_matches_per_value_formatting(n_nodes, n_steps, x_left, wid
 
 
 def test_params_file_roundtrip(tmp_path):
-    # params.txt is in the config format and carries the forward keys
+    # params.txt is in the config format and carries the physical and grid keys
     p = PhysicalParams.myerscough()
     g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
     path = tmp_path / "params.txt"
     write_params(p, g, path)
-    cfg = resolve("forward", load_config(path))
+    rest = {"u0": "myerscough", "c0": "uniform:0.5", "truth": "constant:2.0"}
+    cfg = resolve("forward", {**load_config(path), **rest})
     assert build_params(cfg) == p
     assert build_grid(cfg) == g
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from chemid import synthdata
 from chemid.errors import InvalidStateError, NoiseLevelError
 from chemid.pde import (
     PhysicalParams,
@@ -21,7 +22,7 @@ from chemid.synthdata import (
     write_noisy_csv,
 )
 
-from helpers import dense_diffusion_solve
+from helpers import dense_diffusion_solve, dimensionless
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_make_dataset_truth_is_the_forward_solve():
 
 
 def test_zero_sensitivity_truth_is_pure_diffusion():
-    p = PhysicalParams.dimensionless(M=0.4, D=1.2)
+    p = dimensionless(M=0.4, D=1.2)
     g = SimulationGrid(0.0, 1.0, 15, 0.05, 25)
     a0 = SensitivityFunction.constant(0.0, 0.0, 1.0, 4)
     u0 = 1.0 + np.sin(np.pi * g.xs()) ** 2
@@ -89,10 +90,11 @@ def test_add_noise_deterministic_per_seed(meas_truth):
     assert n3 == pytest.approx(n1, rel=1e-10)  # same realized level
 
 
-def test_add_noise_gives_up_when_positivity_unreachable(meas_truth):
+def test_add_noise_gives_up_when_positivity_unreachable(meas_truth, monkeypatch):
     # delta far above the c scale: every redraw will cross zero somewhere
-    with pytest.raises(NoiseLevelError):
-        add_noise(meas_truth, 50.0, seed=1, max_attempts=4)
+    monkeypatch.setattr(synthdata, "MAX_NOISE_ATTEMPTS", 4)
+    with pytest.raises(NoiseLevelError, match="after 4 redraws"):
+        add_noise(meas_truth, 50.0, seed=1)
 
 
 def test_add_noise_rejects_negative_delta(meas_truth):
