@@ -4,12 +4,16 @@ Subcommands: forward, make-data, invert, lcurve, rates.  Every command
 is a pure function of (config, seed): reruns produce byte-identical CSV
 payloads.  Exit codes: 0 success, 2 config error, 3 solver or data
 error, 4 optimizer stagnation.  Failures print a single machine-parsable
-`error: <kind>: <message>` line on stderr.
+`error: <kind>: <message>` line on stderr.  Commands take the solver
+inputs `config.resolve` built (`params`, `grid`, `fine`, `lm`); make-data
+and rates generate data through one helper.  A failed artifact write
+removes the files the run had created in --out.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -17,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
-from .inversion import LMConfig, TikhonovProblem, levenberg_marquardt, write_inversion_report
+from .inversion import TikhonovProblem, levenberg_marquardt, write_inversion_report
 from .pde import StateTrajectory, mass, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
     lcurve_corner,
@@ -47,22 +51,8 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _build_lm_config(cfg: dict) -> LMConfig:
-    try:
-        return LMConfig(
-            lambda0=cfg["lambda0"],
-            max_iters=cfg["max_iters"],
-            tol_cost=cfg["tol_cost"],
-            tol_grad=cfg["tol_grad"],
-            fd_step=cfg["fd_step"],
-        )
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
     """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
-    params = cfgmod.build_params(cfg)
     measured = StateTrajectory(grid=data.grid, u=data.z_u, c=data.z_c)
     try:
         lo, hi = concentration_range(measured, padding=cfg["padding"])
@@ -72,7 +62,7 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
             a_star=SensitivityFunction.from_function(
                 cfg["prior"], lo, hi, cfg["n_basis"]
             ),
-            params=params,
+            params=cfg["params"],
             u0=cfg["u0"](data.grid),
             c0=cfg["c0"](data.grid),
             advection=cfg["advection"],
@@ -82,9 +72,17 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
         raise ConfigError(str(exc)) from exc
 
 
+def _dataset(cfg: dict, delta: float, seed: int):
+    """The config's truth solved on its fine grid, restricted onto its grid, noised."""
+    fine = cfg["fine"]
+    return make_dataset(
+        cfg["truth"], cfg["params"], fine, cfg["grid"], cfg["u0"](fine), cfg["c0"](fine),
+        delta, seed, advection=cfg["advection"],
+    )
+
+
 def cmd_forward(cfg: dict, out: Path) -> int:
-    params = cfgmod.build_params(cfg)
-    grid = cfgmod.build_grid(cfg)
+    params, grid = cfg["params"], cfg["grid"]
     u0, c0 = cfg["u0"](grid), cfg["c0"](grid)
     traj = solve_forward(u0, c0, params, cfg["truth"], grid, advection=cfg["advection"])
     write_trajectory_csv(traj, out / "trajectory.csv")
@@ -108,13 +106,7 @@ def cmd_forward(cfg: dict, out: Path) -> int:
 
 
 def cmd_make_data(cfg: dict, out: Path) -> int:
-    params = cfgmod.build_params(cfg)
-    meas = cfgmod.build_grid(cfg)
-    fine = cfgmod.build_fine_grid(cfg, meas)
-    u0, c0 = cfg["u0"](fine), cfg["c0"](fine)
-    dataset = make_dataset(
-        cfg["truth"], params, fine, meas, u0, c0, cfg["delta"], cfg["seed"]
-    )
+    dataset = _dataset(cfg, cfg["delta"], cfg["seed"])
     write_noisy_csv(dataset.data, out / "data.csv")
     z_c = dataset.data.z_c
     _write_summary(
@@ -131,7 +123,7 @@ def cmd_make_data(cfg: dict, out: Path) -> int:
 
 def cmd_invert(cfg: dict, out: Path) -> int:
     prob = _problem(cfg, _load_data(cfg), cfg["alpha"])
-    result = levenberg_marquardt(prob, prob.a_star, _build_lm_config(cfg))
+    result = levenberg_marquardt(prob, prob.a_star, cfg["lm"])
     write_inversion_report(result, prob, out / "report.txt")
     write_sensitivity_csv(result.a_hat, out / "a_hat.csv")
     if not result.converged:
@@ -154,9 +146,8 @@ def cmd_lcurve(cfg: dict, out: Path) -> int:
     data = _load_data(cfg)
     alphas = cfg["alphas"]
     prob = _problem(cfg, data, alphas[0])
-    lm_cfg = _build_lm_config(cfg)
     try:
-        points = lcurve_sweep(prob, alphas, lm_cfg, warm_start=cfg["warm_start"])
+        points = lcurve_sweep(prob, alphas, cfg["lm"], warm_start=cfg["warm_start"])
     except InvalidStateError as exc:  # only its input checks raise it
         raise ConfigError(str(exc)) from exc
     write_lcurve_csv(out / "lcurve.csv", points)
@@ -170,23 +161,16 @@ def cmd_lcurve(cfg: dict, out: Path) -> int:
 
 
 def cmd_rates(cfg: dict, out: Path) -> int:
-    params = cfgmod.build_params(cfg)
-    meas = cfgmod.build_grid(cfg)
-    fine = cfgmod.build_fine_grid(cfg, meas)
-    lm_cfg = _build_lm_config(cfg)
-    truth = cfg["truth"]
-    dataset = make_dataset(
-        truth, params, fine, meas, cfg["u0"](fine), cfg["c0"](fine), 0.0, 0
-    )
+    dataset = _dataset(cfg, 0.0, 0)
     prob = _problem(cfg, dataset.data, 0.0)
     a_star = prob.a_star
     try:  # an inverse truth on an interval reaching c <= 0 fails here
         truth_basis = SensitivityFunction.from_function(
-            truth, a_star.c_min, a_star.c_max, a_star.n_basis
+            cfg["truth"], a_star.c_min, a_star.c_max, a_star.n_basis
         )
         study = rate_study(
             prob, truth_basis, dataset.truth_meas, cfg["deltas"], cfg["coupling"],
-            cfg["seeds"], lm_cfg,
+            cfg["seeds"], cfg["lm"],
         )
     except InvalidStateError as exc:  # else only rate_study's input checks raise it
         raise ConfigError(str(exc)) from exc
@@ -234,6 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out, existing = Path(args.out), None
     try:
         raw = cfgmod.load_config(args.config) if args.config else {}
         if args.seed is not None:
@@ -243,13 +228,18 @@ def main(argv=None) -> int:
                 )
             raw["seed"] = str(args.seed)
         cfg = cfgmod.resolve(args.command, raw, args.preset)
-        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        existing = set(out.iterdir())
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # every input is read under a ConfigError guard
+        if existing is not None:  # a partial run's files would pass for a good run's
+            with contextlib.suppress(OSError):
+                for path in set(out.iterdir()) - existing:
+                    if path.is_file():
+                        path.unlink()
         print(f"error: config: cannot write output to {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChemidError as exc:

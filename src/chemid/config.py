@@ -9,10 +9,11 @@ config keys override preset values.
 
 This module is the one place where a key's text becomes a value: the
 table ``_PARSERS`` holds a parser for every key, and ``resolve`` requires
-and parses every key a command allows.  Numbers, sizes, lists, field
-specs and sensitivity specs (``truth``, ``prior``: a callable a(c), with
-``table:`` files read on the spot) are all checked there, so a malformed
-value exits before any solve runs or any data file is read.
+and parses every key a command allows and then builds the solver inputs:
+physical parameters, measurement and data-generation grids (held to the
+mesh-separation rule of ``synthdata``) and LM settings.  So a malformed
+or inconsistent value, including a ``table:`` file of ``truth`` or
+``prior``, exits before any solve runs or any data file is read.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
+from .inversion import LMConfig
 from .pde import PhysicalParams, SimulationGrid
 from .sensitivity import read_sensitivity_csv
-from .synthdata import myerscough_initial_data
+from .synthdata import myerscough_initial_data, require_mesh_separation
 
 PRESETS = {
     "myerscough": {
@@ -112,7 +114,8 @@ def load_config(path) -> dict:
 
 
 def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
-    """The parsed value of every key a command allows, by key.
+    """The parsed value of every key a command allows, by key, and the
+    solver inputs built from them: ``params``, ``grid``, ``fine``, ``lm``.
 
     Unknown keys are rejected, presets and defaults fill in the rest, and
     then every allowed key is required and parsed by its ``_PARSERS``
@@ -151,6 +154,10 @@ def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
             ) from exc
         except ConfigError as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
+    try:
+        values.update(_solver_inputs(values, allowed))
+    except InvalidStateError as exc:
+        raise ConfigError(str(exc)) from exc
     return values
 
 
@@ -200,7 +207,7 @@ def _alphas(s: str) -> list:
     if not s.startswith("logspace:"):
         return _list(_finite)(s)
     lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
-    lo, hi, count = _finite(lo), _finite(hi), int(count)
+    lo, hi, count = _finite(lo), _finite(hi), _size(count)
     if count < 1:
         raise ValueError(s)
     return [float(a) for a in np.logspace(lo, hi, count)]
@@ -292,31 +299,20 @@ _PARSERS = {
 }
 
 
-def build_params(cfg: dict) -> PhysicalParams:
-    try:
-        return PhysicalParams(
-            M=cfg["M"], D=cfg["D"], b=cfg["b"], h=cfg["h"], mu=cfg["mu"]
-        )
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
+def _solver_inputs(values: dict, allowed) -> dict:
+    """PhysicalParams, grids and LMConfig, each if the command allows its keys."""
 
+    def pick(keys):
+        return {key: values[key] for key in keys}
 
-def build_grid(cfg: dict) -> SimulationGrid:
-    try:
-        return SimulationGrid(
-            x_left=cfg["x_left"],
-            x_right=cfg["x_right"],
-            n_nodes=cfg["n_nodes"],
-            t_final=cfg["t_final"],
-            n_steps=cfg["n_steps"],
-        )
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_fine_grid(cfg: dict, meas: SimulationGrid) -> SimulationGrid:
-    """The data-generation grid: meas's domain at fine_n_nodes x fine_n_steps."""
-    try:
-        return meas.with_resolution(cfg["fine_n_nodes"], cfg["fine_n_steps"])
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
+    built = {}
+    if _PHYS <= allowed:
+        built["params"] = PhysicalParams(**pick(_PHYS))
+    if _GRID <= allowed:
+        grid = built["grid"] = SimulationGrid(**pick(_GRID))
+        if _FINE <= allowed:
+            fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
+            built["fine"] = require_mesh_separation(fine, grid)
+    if _LM <= allowed:
+        built["lm"] = LMConfig(**pick(_LM - {"time_refine"}))
+    return built

@@ -514,8 +514,9 @@ def _read_frame_csv(path, expect_comment: bool = False):
     """Parse a t,x,u,c table back into (grid, U, C, comment_line).
 
     Blank lines are skipped; the rows are parsed as they stream in, so no
-    copy of the text is held.  Undecodable bytes, non-numeric cells and
-    ragged, empty or incomplete tables raise InvalidStateError.
+    copy of the text is held.  Undecodable bytes, non-numeric cells,
+    ragged, empty or incomplete tables and rows out of frame-then-node
+    order raise InvalidStateError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -540,6 +541,10 @@ def _read_frame_csv(path, expect_comment: bool = False):
     n_t, n_x = len(ts), len(xs)
     if n_t * n_x != data.shape[0]:
         raise InvalidStateError(f"{path}: incomplete frame/node table")
+    # row j * n_x + i must hold (ts[j], xs[i]); reshaped and broadcast views
+    if not ((data[:, 0].reshape(n_t, n_x) == ts[:, None]).all()
+            and (data[:, 1].reshape(n_t, n_x) == xs).all()):
+        raise InvalidStateError(f"{path}: rows must be ordered by frame, then by node")
     for name, vals in (("t", ts), ("x", xs)):
         d = np.diff(vals)
         if len(d) and not np.allclose(d, d[0], rtol=1e-6, atol=1e-12 * max(1, abs(vals[-1]))):

@@ -65,6 +65,8 @@ class NoisyData:
             )
         if self.delta < 0:
             raise InvalidStateError(f"delta must be >= 0 (got {self.delta})")
+        if self.seed < 0:
+            raise InvalidStateError(f"seed must be >= 0 (got {self.seed})")
         object.__setattr__(self, "z_u", z_u)
         object.__setattr__(self, "z_c", z_c)
 
@@ -108,6 +110,20 @@ def add_noise(truth_meas: StateTrajectory, delta: float, seed: int) -> NoisyData
     )
 
 
+def require_mesh_separation(fine: SimulationGrid, meas: SimulationGrid) -> SimulationGrid:
+    """fine, if it refines meas by at least MIN_MESH_SEPARATION in x and t."""
+    if (
+        fine.n_nodes - 1 < MIN_MESH_SEPARATION * (meas.n_nodes - 1)
+        or fine.n_steps < MIN_MESH_SEPARATION * meas.n_steps
+    ):
+        raise InvalidStateError(
+            "data-generation grid must be at least "
+            f"{MIN_MESH_SEPARATION}x finer than the measurement grid "
+            f"(got {fine.n_nodes}x{fine.n_steps} vs {meas.n_nodes}x{meas.n_steps})"
+        )
+    return fine
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticDataset:
     """Truth on the fine grid, its restriction, and the noisy measurements."""
@@ -131,18 +147,9 @@ def make_dataset(
 ) -> SyntheticDataset:
     """Full pipeline: fine solve, restriction, calibrated noise.
 
-    Enforces the mesh-separation guard: the fine grid must refine the
-    measurement grid by at least MIN_MESH_SEPARATION in both directions.
+    Enforces the mesh-separation guard of ``require_mesh_separation``.
     """
-    if (
-        fine.n_nodes - 1 < MIN_MESH_SEPARATION * (meas.n_nodes - 1)
-        or fine.n_steps < MIN_MESH_SEPARATION * meas.n_steps
-    ):
-        raise InvalidStateError(
-            "data-generation grid must be at least "
-            f"{MIN_MESH_SEPARATION}x finer than the measurement grid "
-            f"(got {fine.n_nodes}x{fine.n_steps} vs {meas.n_nodes}x{meas.n_steps})"
-        )
+    require_mesh_separation(fine, meas)
     truth_fine = solve_forward(u0, c0, params, a_true, fine, advection=advection)
     truth_meas = restrict(truth_fine, meas)
     data = add_noise(truth_meas, delta, seed)

@@ -10,7 +10,9 @@ import pytest
 
 from chemid import cli
 from chemid.cli import main
+from chemid.pde import PhysicalParams, SimulationGrid
 from chemid.sensitivity import read_sensitivity_csv
+from chemid.synthdata import make_dataset, myerscough_initial_data, write_noisy_csv
 from helpers import quadrature_sq_distance
 
 
@@ -160,6 +162,23 @@ def test_make_data_delta_zero_ignores_seed(tmp_path):
     b_lines = (b_dir / "data.csv").read_text().splitlines()
     assert a_lines[1:] == b_lines[1:]
     assert float(parse_summary(a_dir / "summary.txt")["delta"]) == 0.0
+
+
+def test_make_data_honours_advection(tmp_path, data_dir):
+    body = (data_dir / "make.cfg").read_text() + "advection = upwind\n"
+    cfg = write_cfg(tmp_path, "upwind.cfg", body)
+    assert main(["make-data", "--config", cfg, "--out", str(tmp_path)]) == 0
+    got = (tmp_path / "data.csv").read_bytes()
+    assert got != (data_dir / "data.csv").read_bytes()
+    meas = SimulationGrid(0.0, 1.0, 21, 0.5, 60)
+    fine = meas.with_resolution(81, 240)
+    u0, c0 = myerscough_initial_data(fine)
+    dataset = make_dataset(
+        lambda c: np.full_like(c, 1.5), PhysicalParams(M=0.25, D=1.0, b=8.0, h=1.0, mu=8.0),
+        fine, meas, u0, c0, 1e-3, 3, advection="upwind",
+    )
+    write_noisy_csv(dataset.data, tmp_path / "want.csv")
+    assert got == (tmp_path / "want.csv").read_bytes()
 
 
 def test_invert_recovers_and_reruns_identically(tmp_path, data_dir):
@@ -471,6 +490,41 @@ def test_unusable_out_exits_2(tmp_path, where):
     proc = run_cli("forward", "--preset", "myerscough", "--out", str(out))
     assert_config_error(proc)
     assert "cannot write output" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["make-data", "rates"])
+def test_coarse_data_grid_exits_2_before_out_exists(tmp_path, command):
+    body = MAKE_BODY if command == "make-data" else RATES_BODY + DELTAS
+    cfg = write_cfg(tmp_path, "coarse.cfg", body.replace("fine_n_nodes = 81", "fine_n_nodes = 41"))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", cfg, "--out", str(out))
+    assert_config_error(proc)
+    assert proc.stderr == (
+        "error: config: data-generation grid must be at least 4x finer than the "
+        "measurement grid (got 41x240 vs 21x60)\n"
+    )
+    assert not out.exists()
+
+
+def test_failed_write_removes_only_this_runs_files(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.txt").mkdir(parents=True)
+    (out / "keep.txt").write_text("kept\n")
+    assert main(["forward", "--preset", "myerscough", "--out", str(out)]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt", "summary.txt"]
+    assert (out / "keep.txt").read_text() == "kept\n"
+    assert (out / "summary.txt").is_dir()
+
+
+def test_negative_seed_in_data_csv_exits_2(tmp_path, data_dir):
+    text = (data_dir / "data.csv").read_text()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "data.csv").write_text(re.sub(r"seed=\d+", "seed=-1", text, count=1))
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(tmp_path))
+    assert_config_error(proc)
+    assert "seed must be >= 0 (got -1)" in proc.stderr
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

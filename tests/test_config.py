@@ -12,15 +12,13 @@ from chemid import cli
 from chemid.config import (
     ALLOWED_KEYS,
     MAX_SIZE,
-    build_fine_grid,
-    build_grid,
-    build_params,
     load_config,
     resolve,
 )
 from chemid.errors import ConfigError, InvalidStateError
 from chemid.inversion import LMConfig
-from chemid.pde import SimulationGrid
+from chemid.pde import PhysicalParams, SimulationGrid
+from chemid.synthdata import MIN_MESH_SEPARATION
 from chemid.sensitivity import SensitivityFunction, write_sensitivity_csv
 
 from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
@@ -184,6 +182,18 @@ def test_resolve_alphas_list_and_logspace():
             parsed("alphas", text)
 
 
+@pytest.mark.parametrize("count", [MAX_SIZE + 1, 10**20])
+def test_resolve_caps_the_logspace_count(count, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.logspace ran")
+
+    monkeypatch.setattr(cfgmod.np, "logspace", refuse)
+    with pytest.raises(
+        ConfigError, match=f"config key 'alphas': {count} exceeds the limit {MAX_SIZE}"
+    ):
+        parsed("alphas", f"logspace:-8:-1:{count}")
+
+
 def test_resolve_caps_array_sizes():
     assert parsed("n_basis", str(MAX_SIZE)) == MAX_SIZE
     for value in (MAX_SIZE + 1, 10**20):
@@ -193,31 +203,64 @@ def test_resolve_caps_array_sizes():
             parsed("n_basis", str(value))
 
 
-def test_build_params_wraps_validation():
-    cfg = dict(M=0.25, D=1.0, b=50.0, h=1.0, mu=50.0)
-    p = build_params(cfg)
-    assert p.M == 0.25 and p.mu == 50.0
-    cfg["M"] = -1.0
-    with pytest.raises(ConfigError):
-        build_params(cfg)
+def built(command: str, name: str, **keys):
+    """The solver input ``name`` that resolve builds for ``command`` from keys."""
+    raw = {k: v for k, v in REQUIRED.items() if k in ALLOWED_KEYS[command]}
+    return resolve(command, {**raw, **keys}, "myerscough")[name]
 
 
-def test_build_grid_wraps_validation():
-    cfg = dict(x_left=0.0, x_right=1.0, n_nodes=11, t_final=0.5, n_steps=10)
-    g = build_grid(cfg)
-    assert g.n_nodes == 11
-    cfg["n_nodes"] = 1
-    with pytest.raises(ConfigError):
-        build_grid(cfg)
+def test_resolve_builds_params():
+    assert built("invert", "params", M="0.5") == PhysicalParams(0.5, 1.0, 50.0, 1.0, 50.0)
+    with pytest.raises(ConfigError, match=r"^M, D, h must be positive"):
+        built("forward", "params", M="-1.0")
 
 
-def test_build_fine_grid_wraps_validation():
-    meas = SimulationGrid(0.0, 2.0, 11, 0.5, 10)
-    fine = build_fine_grid({"fine_n_nodes": 41, "fine_n_steps": 40}, meas)
-    assert fine == SimulationGrid(0.0, 2.0, 41, 0.5, 40)
-    for nodes, steps in ((1, 40), (41, 0)):
+def test_resolve_builds_grid():
+    g = built("forward", "grid", x_right="2.0", n_nodes="11", n_steps="10")
+    assert g == SimulationGrid(0.0, 2.0, 11, 0.25, 10)
+    with pytest.raises(ConfigError, match=r"^n_nodes must be >= 3"):
+        built("forward", "grid", n_nodes="1")
+
+
+def test_resolve_builds_fine_grid():
+    fine = built("make-data", "fine", x_right="2.0", n_nodes="11", n_steps="10",
+                 fine_n_nodes="41", fine_n_steps="40")
+    assert fine == SimulationGrid(0.0, 2.0, 41, 0.25, 40)
+    for nodes, steps in (("1", "40"), ("41", "0")):
         with pytest.raises(ConfigError):
-            build_fine_grid({"fine_n_nodes": nodes, "fine_n_steps": steps}, meas)
+            built("rates", "fine", fine_n_nodes=nodes, fine_n_steps=steps)
+
+
+@pytest.mark.parametrize("command", ["make-data", "rates"])
+@pytest.mark.parametrize("nodes, steps", [(40, 40), (41, 39)], ids=["x", "t"])
+def test_resolve_enforces_mesh_separation(command, nodes, steps):
+    assert MIN_MESH_SEPARATION == 4
+    grid = dict(n_nodes="11", n_steps="10")
+    message = (
+        "data-generation grid must be at least 4x finer than the measurement grid "
+        f"(got {nodes}x{steps} vs 11x10)"
+    )
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        built(command, "fine", **grid, fine_n_nodes=str(nodes), fine_n_steps=str(steps))
+
+
+def test_resolve_builds_lm_config():
+    lm = built("lcurve", "lm", lambda0="0.5", max_iters="7")
+    assert (lm.lambda0, lm.max_iters, lm.tol_cost) == (0.5, 7, 1e-8)
+    with pytest.raises(ConfigError, match=r"^max_iters must be >= 1"):
+        built("invert", "lm", max_iters="0")
+
+
+def test_resolve_builds_only_what_the_command_allows():
+    for command, names in [
+        ("forward", {"params", "grid"}),
+        ("make-data", {"params", "grid", "fine"}),
+        ("invert", {"params", "lm"}),
+        ("lcurve", {"params", "lm"}),
+        ("rates", {"params", "grid", "fine", "lm"}),
+    ]:
+        raw = {k: v for k, v in REQUIRED.items() if k in ALLOWED_KEYS[command]}
+        assert set(resolve(command, raw, "myerscough")) - ALLOWED_KEYS[command] == names
 
 
 def test_build_initial_field_specs():

@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chemid import pde
-from chemid.config import build_grid, build_params, load_config, resolve
+from chemid.config import load_config, resolve
 from chemid.errors import (
     ConfigError,
     DomainMismatchError,
@@ -34,6 +34,7 @@ from chemid.pde import (
 )
 from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
 from chemid.sensitivity import SensitivityFunction, hat_rows
+from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
 from helpers import (
     dense_diffusion_solve,
@@ -568,6 +569,61 @@ def test_trajectory_csv_roundtrip(tmp_path):
     np.testing.assert_allclose(back.c_matrix(), traj.c_matrix(), rtol=1e-14)
 
 
+def write_3x3_table(path, noisy):
+    """A 3-node, 3-frame table as trajectory.csv or data.csv: (header lines, rows)."""
+    g = SimulationGrid(0.0, 1.0, 3, 0.5, 2)
+    U = np.arange(9.0).reshape(3, 3)
+    if noisy:
+        write_noisy_csv(NoisyData(grid=g, z_u=U, z_c=U + 1, delta=0.0, seed=0), path)
+    else:
+        write_trajectory_csv(StateTrajectory(grid=g, u=U, c=U + 1), path)
+    lines = path.read_text().splitlines()
+    return lines[:-9], lines[-9:]
+
+
+def rewrite_rows(path, head, rows):
+    path.write_text("\n".join(head + rows) + "\n")
+
+
+READERS = {"trajectory": read_trajectory_csv, "noisy": read_noisy_csv}
+#: 3x3 row lists that hold every t and x value the right number of times
+MISORDERED = {
+    "node_major": lambda rows: [rows[3 * j + i] for i in range(3) for j in range(3)],
+    # frame 1 loses its middle node and repeats its first
+    "duplicated_row": lambda rows: rows[:4] + rows[3:4] + rows[5:],
+}
+
+
+@pytest.mark.parametrize("which", READERS)
+@pytest.mark.parametrize("case", MISORDERED)
+def test_csv_readers_reject_rows_out_of_order(tmp_path, which, case):
+    path = tmp_path / "table.csv"
+    head, rows = write_3x3_table(path, which == "noisy")
+    rewrite_rows(path, head, MISORDERED[case](rows))
+    with pytest.raises(InvalidStateError, match="rows must be ordered by frame, then by node"):
+        READERS[which](path)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n_nodes=st.integers(3, 5), n_steps=st.integers(1, 3), data=st.data())
+def test_trajectory_csv_reads_back_only_frame_then_node_order(tmp_path, n_nodes, n_steps, data):
+    g = SimulationGrid(0.0, 1.0, n_nodes, 0.5, n_steps)
+    U = np.arange((n_steps + 1) * n_nodes, dtype=float).reshape(n_steps + 1, n_nodes)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(StateTrajectory(grid=g, u=U, c=-U), path)
+    head, *rows = path.read_text().splitlines()
+    order = data.draw(st.permutations(range(len(rows))))
+    rewrite_rows(path, [head], [rows[k] for k in order])
+    if order == sorted(order):
+        back = read_trajectory_csv(path)
+        assert back.grid == g
+        assert np.array_equal(back.u, U) and np.array_equal(back.c, -U)
+    else:
+        with pytest.raises(InvalidStateError, match="ordered by frame, then by node"):
+            read_trajectory_csv(path)
+
+
 def write_frames_reference(fh, grid, U, C):
     """The frame writer as one f-string per value: the byte-level reference."""
     fh.write("t,x,u,c\n")
@@ -616,8 +672,8 @@ def test_params_file_roundtrip(tmp_path):
     write_params(p, g, path)
     rest = {"u0": "myerscough", "c0": "uniform:0.5", "truth": "constant:2.0"}
     cfg = resolve("forward", {**load_config(path), **rest})
-    assert build_params(cfg) == p
-    assert build_grid(cfg) == g
+    assert cfg["params"] == p
+    assert cfg["grid"] == g
 
 
 def test_params_file_rejects_unknown_key(tmp_path):

@@ -145,6 +145,12 @@ def test_noisy_data_validates_shape_and_positivity():
         NoisyData(grid=g, z_u=good, z_c=bad_c, delta=0.0, seed=0)
 
 
+def test_noisy_data_rejects_negative_seed():
+    g = SimulationGrid(0.0, 1.0, 3, 1.0, 1)
+    with pytest.raises(InvalidStateError, match=r"seed must be >= 0 \(got -1\)"):
+        NoisyData(grid=g, z_u=np.ones((2, 3)), z_c=np.ones((2, 3)), delta=0.0, seed=-1)
+
+
 def test_noisy_csv_roundtrip_and_reproducibility(tmp_path, meas_truth):
     d = add_noise(meas_truth, 1e-3, seed=5)
     p1, p2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
