@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .inversion import LMConfig
-from .pde import PhysicalParams, SimulationGrid
+from .pde import PhysicalParams, SimulationGrid, _initial_fields
+from .regselect import MIN_CORNER_POINTS
 from .sensitivity import read_sensitivity_csv
 from .synthdata import myerscough_initial_data, require_mesh_separation
 
@@ -203,14 +204,21 @@ def _list(conv):
 
 
 def _alphas(s: str) -> list:
-    """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count>."""
-    if not s.startswith("logspace:"):
-        return _list(_finite)(s)
-    lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
-    lo, hi, count = _finite(lo), _finite(hi), _size(count)
-    if count < 1:
-        raise ValueError(s)
-    return [float(a) for a in np.logspace(lo, hi, count)]
+    """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count>, with
+    at least the MIN_CORNER_POINTS values the L-curve corner needs."""
+    if s.startswith("logspace:"):
+        lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
+        lo, hi, count = _finite(lo), _finite(hi), _size(count)
+        if count < 1:
+            raise ValueError(s)
+        alphas = [float(a) for a in np.logspace(lo, hi, count)]
+    else:
+        alphas = _list(_finite)(s)
+    if len(alphas) < MIN_CORNER_POINTS:
+        raise ConfigError(
+            f"the L-curve corner needs at least {MIN_CORNER_POINTS} alphas (got {len(alphas)})"
+        )
+    return alphas
 
 
 def _advection(s: str) -> str:
@@ -300,7 +308,11 @@ _PARSERS = {
 
 
 def _solver_inputs(values: dict, allowed) -> dict:
-    """PhysicalParams, grids and LMConfig, each if the command allows its keys."""
+    """PhysicalParams, grids and LMConfig, each if the command allows its keys.
+
+    The initial fields are built on each grid and checked as a solve
+    would check them.
+    """
 
     def pick(keys):
         return {key: values[key] for key in keys}
@@ -313,6 +325,8 @@ def _solver_inputs(values: dict, allowed) -> dict:
         if _FINE <= allowed:
             fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
             built["fine"] = require_mesh_separation(fine, grid)
+        for g in (grid, built.get("fine", grid)):
+            _initial_fields(values["u0"](g), values["c0"](g), g)
     if _LM <= allowed:
         built["lm"] = LMConfig(**pick(_LM - {"time_refine"}))
     return built

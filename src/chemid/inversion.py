@@ -22,8 +22,10 @@ The iteration is written once, as a generator that yields the forward
 solves it needs.  ``levenberg_marquardt_many`` runs many problems that
 share the forward model in lockstep: each round stacks the pending rows
 of all of them (a residual row, or the L rows of a Jacobian) into one
-batched solve.  There it never forms J: each frame's blocks are folded
-into J^T J and J^T r as the solve delivers them.  ``levenberg_marquardt``
+batched solve.  There it never forms J: the solve delivers its frames
+in blocks, and each block's J^T rows are folded into J^T J and J^T r at
+once, adding the per-frame products in frame order, u before c, so the
+sums do not depend on the block size.  ``levenberg_marquardt``
 is its one-problem case.  The Jacobian is written once, as the request
 ``_jacobian_request``: the LM folds its blocks, and ``jacobian_fd`` is
 that request run alone, storing them.  ``residual_vector`` stays on
@@ -186,8 +188,10 @@ def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
 def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
     """Solve the forward model of ``prob`` once per coefficient row, as one batch.
 
-    ``sink(frame, u, c)`` receives the (rows, n_nodes) fields at every
-    measurement frame (see ``pde._integrate`` for what it may keep).
+    ``sink(frame, U, C)`` receives the measurement frames in blocks: U
+    and C are (k, rows, n_nodes) arrays holding frames frame .. frame + k
+    - 1, picked out of each block ``pde._integrate`` delivers (every
+    time_refine-th solved frame; see there for what a sink may keep).
     Returns, per row, None or the error that stopped it.
     """
     knots = prob.a_star.knots()
@@ -197,10 +201,12 @@ def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
     else:
         a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
 
-    def record(j, u_rows, c_rows):
-        frame, skip = divmod(j, prob.time_refine)
-        if not skip:
-            sink(frame, u_rows, c_rows)
+    step = prob.time_refine
+
+    def record(j0, U, C):
+        first = -j0 % step  # offset of the block's first measurement frame
+        if first < len(U):
+            sink((j0 + first) // step, U[first::step], C[first::step])
 
     return _integrate(
         np.broadcast_to(prob.u0, shape),
@@ -260,8 +266,9 @@ def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
     r = np.empty(n_data + prob.n_basis)
     R = _data_blocks(r, prob)
 
-    def sink(frame, u_rows, c_rows):
-        R[0, frame], R[1, frame] = u_rows[0], c_rows[0]
+    def sink(frame, U, C):
+        block = slice(frame, frame + len(U))
+        R[0, block], R[1, block] = U[:, 0], C[:, 0]
 
     (exc,) = yield coeffs[None, :], sink
     if exc is not None:
@@ -277,11 +284,12 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
     """Sub-generator: the forward-difference Jacobian of the residual at ``coeffs``.
 
     Yields the L perturbed rows coeffs + h_k e_k, h_k = fd_step *
-    max(|a_k|, 1), as one batch.  Each frame's J^T block of each field
-    (row k is column k of J, (w (X_k - z) - r0) / h_k) goes to
-    ``take(frame, field, Jt)`` as the solve delivers it.  A failed row
-    raises JacobianColumnError for the lowest such k; otherwise returns
-    the penalty rows of J.
+    max(|a_k|, 1), as one batch.  Each block of k frames the solve
+    delivers goes to ``take(frame, Jt)`` as the (k, field u/c, L, n_nodes)
+    J^T rows of frames frame .. frame + k - 1: row k is column k of J,
+    (w (X_k - z) - r0) / h_k, each entry computed as for one frame alone.
+    A failed row raises JacobianColumnError for the lowest such k;
+    otherwise returns the penalty rows of J.
     """
     n_basis = coeffs.shape[0]
     h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
@@ -292,9 +300,12 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     h_col = h[:, None]
 
-    def sink(frame, u_rows, c_rows):
-        for f, X in enumerate((u_rows, c_rows)):
-            take(frame, f, (w * (X - Z[f][frame]) - R0[f, frame]) / h_col)
+    def sink(frame, U, C):
+        block = slice(frame, frame + len(U))
+        Jt = np.empty((len(U), 2, n_basis, U.shape[2]))
+        for f, X in enumerate((U, C)):
+            Jt[:, f] = (w * (X - Z[f][block, None]) - R0[f, block, None]) / h_col
+        take(frame, Jt)
 
     errors = yield pert, sink
     for k, exc in enumerate(errors):
@@ -311,17 +322,24 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
 def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem, cfg):
     """Sub-generator: (J^T J, J^T r0) of ``jacobian_fd`` at ``coeffs``, without J.
 
-    Folds each block ``_jacobian_request`` delivers into the two sums,
-    then adds the penalty rows.
+    Adds each frame's products to the two sums in frame order, u then c,
+    then the penalty rows.  A block is folded at once but in that order:
+    its 2k products are formed by one batched matmul and summed onto the
+    running totals by ``np.add.accumulate``, so the sums equal a frame by
+    frame fold bit for bit (folding u before c, or one GEMM over the
+    block, would round differently).
     """
     n_basis = coeffs.shape[0]
     JTJ = np.zeros((n_basis, n_basis))
     JTr = np.zeros(n_basis)
     R0 = _data_blocks(r0, prob)
 
-    def take(frame, field, Jt):
-        JTJ[...] += Jt @ Jt.T
-        JTr[...] += Jt @ R0[field, frame]
+    def take(frame, Jt):
+        k = len(Jt)
+        P = Jt.reshape(2 * k, n_basis, -1)  # (frame, field) order
+        r = R0[:, frame : frame + k].swapaxes(0, 1).reshape(2 * k, -1, 1)
+        JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], P @ P.transpose(0, 2, 1)]))[-1]
+        JTr[...] = np.add.accumulate(np.concatenate([JTr[None], (P @ r)[..., 0]]))[-1]
 
     J_pen = yield from _jacobian_request(coeffs, r0, prob, cfg, take)
     r0_pen = r0[2 * prob.data.z_u.size :]
@@ -354,8 +372,8 @@ def jacobian_fd(
     J = np.empty((n_rows, coeffs.shape[0]))
     J_data = _data_blocks(J, prob)
 
-    def take(frame, field, Jt):
-        J_data[field, frame] = Jt.T
+    def take(frame, Jt):
+        J_data[:, frame : frame + len(Jt)] = Jt.transpose(1, 0, 3, 2)
 
     request = _jacobian_request(coeffs, r0, prob, cfg, take)
     rows, sink = next(request)
@@ -511,9 +529,9 @@ def levenberg_marquardt_many(
         bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
         spans = list(zip(bounds[:-1], bounds[1:]))
 
-        def sink(frame, u_rows, c_rows):
+        def sink(frame, U, C):
             for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
-                part_sink(frame, u_rows[lo:hi], c_rows[lo:hi])
+                part_sink(frame, U[:, lo:hi], C[:, lo:hi])
 
         stacked = np.concatenate([rows for _, (rows, _) in batch])
         errors = _solve_rows(probs[0], stacked, sink)

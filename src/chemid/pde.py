@@ -33,7 +33,8 @@ one LAPACK dgtsv call per step; the c-matrix depends only on the step
 size and is LU-factored (dgttrf) once per solve, then every row is solved
 by one dgttrs call per step.  The positivity check runs per row after
 every step and the c floor per row after every frame, so a failing row
-stops without touching the others.
+stops without touching the others.  The solved frames are handed to the
+caller in blocks of many frames, one call per block.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ POSITIVITY_FLOOR = 1.0e-12
 
 #: Relative slack on the c(x,t) >= min(c0) exp(-mu t) lower bound.
 LOWER_BOUND_SLACK = 1.0e-8
+
+#: Bytes of solved frames (u and c, 16 B per row and node) that a solve
+#: buffers before handing them on as one block.
+_FRAME_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -331,10 +336,14 @@ def _integrate(
     lone solve would be, and a row that fails stops without changing the
     others.
 
-    ``record(j, u, c)`` receives the fields of frame j = 0..n_steps while
-    any row is still running; the rows of failed solves hold stale values
-    and the arrays may change afterwards, so it copies what it keeps.
-    Returns, per row, None or the error that stopped it.
+    ``record(j0, U, C)`` receives the solved frames in order, in blocks:
+    U and C are (k, rows, n_nodes) arrays holding frames j0 .. j0 + k - 1
+    (0 <= j0 <= n_steps).  A block holds as many frames as fit
+    ``_FRAME_BLOCK_BYTES`` (at least one; the last block may hold fewer),
+    and the frames end at the last step any row survived.  The rows of
+    failed solves hold stale values and the arrays are reused afterwards,
+    so it copies what it keeps.  Returns, per row, None or the error that
+    stopped it.
     """
     u = np.array(u0, dtype=float)
     c = np.array(c0, dtype=float)
@@ -342,7 +351,11 @@ def _integrate(
     dx, dt = grid.dx, grid.dt
     times = grid.times()
     ops = _step_operators(params, grid)
-    record(0, u, c)
+    block = min(grid.n_steps + 1, max(1, _FRAME_BLOCK_BYTES // (16 * u.size)))
+    U = np.empty((block, *u.shape))
+    C = np.empty_like(U)
+    U[0], C[0] = u, c
+    j0, filled = 0, 1  # the buffer holds frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
@@ -352,6 +365,9 @@ def _integrate(
         alive[row] = False
 
     for j in range(grid.n_steps):
+        if filled == block:
+            record(j0, U, C)
+            j0, filled = j0 + block, 0
         rows = np.flatnonzero(alive)
         every = rows.size == n_rows
         c_rows = c if every else c[rows]
@@ -377,8 +393,11 @@ def _integrate(
             ))
         if not alive.any():
             break
-        record(j + 1, u, c)
+        U[filled], C[filled] = u, c
+        filled += 1
 
+    if filled:
+        record(j0, U[:filled], C[:filled])
     return errors
 
 
@@ -424,8 +443,8 @@ def solve_forward(
     U = np.empty((grid.n_steps + 1, grid.n_nodes))
     C = np.empty_like(U)
 
-    def record(j, u_rows, c_rows):
-        U[j], C[j] = u_rows[0], c_rows[0]
+    def record(j0, u_block, c_block):
+        U[j0 : j0 + len(u_block)], C[j0 : j0 + len(c_block)] = u_block[:, 0], c_block[:, 0]
 
     errors = _integrate(
         u[None, :], c[None, :], params, lambda face_c, rows: a(face_c), grid,
@@ -515,8 +534,8 @@ def _read_frame_csv(path, expect_comment: bool = False):
 
     Blank lines are skipped; the rows are parsed as they stream in, so no
     copy of the text is held.  Undecodable bytes, non-numeric cells,
-    ragged, empty or incomplete tables and rows out of frame-then-node
-    order raise InvalidStateError.
+    ragged, empty or incomplete tables, rows out of frame-then-node order
+    and a first frame not at t = 0 raise InvalidStateError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -545,6 +564,8 @@ def _read_frame_csv(path, expect_comment: bool = False):
     if not ((data[:, 0].reshape(n_t, n_x) == ts[:, None]).all()
             and (data[:, 1].reshape(n_t, n_x) == xs).all()):
         raise InvalidStateError(f"{path}: rows must be ordered by frame, then by node")
+    if ts[0] != 0.0:
+        raise InvalidStateError(f"{path}: the first frame must be at t = 0 (got t = {ts[0]:.15g})")
     for name, vals in (("t", ts), ("x", xs)):
         d = np.diff(vals)
         if len(d) and not np.allclose(d, d[0], rtol=1e-6, atol=1e-12 * max(1, abs(vals[-1]))):

@@ -44,6 +44,10 @@ MONOTONICITY_SLACK = 1e-6
 #: Curvatures below this are treated as collinear (degenerate corner).
 CURVATURE_FLOOR = 1e-12
 
+#: Fewest valid swept points the corner detector accepts, and so the
+#: fewest alphas an L-curve run may sweep.
+MIN_CORNER_POINTS = 5
+
 
 @dataclass(frozen=True, eq=False)
 class LCurvePoint:
@@ -177,17 +181,17 @@ def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
 
     Points are sorted by alpha and parameterized by log alpha; curvature
     uses centered (three-point) first and second differences, so only
-    interior points are corner candidates.  Needs at least five valid
-    points (converged, rho > 0, eta > 0).  If every curvature is at the
-    collinearity floor the corner is undefined and the median valid
-    alpha is returned with a warning.
+    interior points are corner candidates.  Needs at least
+    MIN_CORNER_POINTS valid points (converged, rho > 0, eta > 0).  If
+    every curvature is at the collinearity floor the corner is undefined
+    and the median valid alpha is returned with a warning.
     """
     valid = sorted(
         p for p in points if p.result.converged and p.rho > 0 and p.eta > 0
     )
-    if len(valid) < 5:
+    if len(valid) < MIN_CORNER_POINTS:
         raise InsufficientSweepError(
-            f"corner detection needs >= 5 valid points, got {len(valid)}"
+            f"corner detection needs >= {MIN_CORNER_POINTS} valid points, got {len(valid)}"
         )
     s = np.log10([p.alpha for p in valid])
     x = np.log10([p.rho for p in valid])

@@ -42,6 +42,29 @@ def penalty(a, a_star):
     return float(d @ mass_matrix(a.n_basis, a.c_min, a.c_max) @ d)
 
 
+def per_frame_fold(J, r0, prob):
+    """(J^T J, J^T r0) summed one measurement frame and field at a time.
+
+    The data rows of J are folded frame by frame, u before c, each as a
+    fresh C-ordered (L, n_nodes) block Jt adding Jt Jt^T and Jt r0; the
+    penalty rows are added last.  This is the order the LM's fold must
+    keep for its sums to come out bit for bit the same.
+    """
+    n_frames, n_nodes = prob.data.z_u.shape
+    n_data = 2 * n_frames * n_nodes
+    blocks = J[:n_data].reshape(2, n_frames, n_nodes, -1)
+    R0 = r0[:n_data].reshape(2, n_frames, n_nodes)
+    JTJ = np.zeros((J.shape[1], J.shape[1]))
+    JTr = np.zeros(J.shape[1])
+    for frame in range(n_frames):
+        for field in (0, 1):
+            Jt = np.ascontiguousarray(blocks[field, frame].T)
+            JTJ += Jt @ Jt.T
+            JTr += Jt @ R0[field, frame]
+    J_pen = J[n_data:]
+    return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0[n_data:]
+
+
 def rgi_restrict(traj, coarse):
     """(u, c) of ``traj`` on ``coarse`` by scipy's linear RegularGridInterpolator.
 

@@ -527,6 +527,46 @@ def test_negative_seed_in_data_csv_exits_2(tmp_path, data_dir):
     assert "seed must be >= 0 (got -1)" in proc.stderr
 
 
+def test_data_csv_without_its_first_frame_exits_2(tmp_path, data_dir):
+    lines = (data_dir / "data.csv").read_text().splitlines()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    # metadata and header lines, then the 21 rows of each frame; drop t = 0
+    (bad / "data.csv").write_text("\n".join(lines[:2] + lines[2 + 21 :]) + "\n")
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(tmp_path))
+    assert_config_error(proc)
+    assert "first frame must be at t = 0" in proc.stderr
+
+
+def test_lcurve_with_too_few_alphas_exits_2_before_any_solve(tmp_path, data_dir):
+    body = INVERT_BODY.replace("alpha = 1e-5\n", "alphas = 1e-6,1e-5,1e-4,1e-3\n")
+    cfg = write_cfg(tmp_path, "lcurve.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
+    out = tmp_path / "out"
+    proc = run_cli("lcurve", "--config", cfg, "--out", str(out))
+    assert_config_error(proc)
+    assert "the L-curve corner needs at least 5 alphas (got 4)" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "make-data"])
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("c0 = uniform:0.5", "c0 = uniform:0", "c0 must be positive (min 0.000e+00)"),
+        ("u0 = myerscough", "u0 = uniform:-1", "u0 must be nonnegative (min -1.000e+00)"),
+    ],
+    ids=["c0_zero", "u0_negative"],
+)
+def test_bad_initial_field_exits_2_before_out_exists(tmp_path, command, line, bad, message):
+    body = MAKE_BODY if command == "make-data" else SMALL_PHYS + SMALL_GRID + "truth = constant:1.5\n"
+    cfg = write_cfg(tmp_path, "bad.cfg", body.replace(line, bad))
+    out = tmp_path / "out"
+    proc = run_cli(command, "--config", cfg, "--out", str(out))
+    assert_config_error(proc)
+    assert proc.stderr == f"error: config: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     """Start-up guard: the command line needs only scipy's LAPACK wrappers."""
     proc = subprocess.run(

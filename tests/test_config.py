@@ -18,6 +18,7 @@ from chemid.config import (
 from chemid.errors import ConfigError, InvalidStateError
 from chemid.inversion import LMConfig
 from chemid.pde import PhysicalParams, SimulationGrid
+from chemid.regselect import MIN_CORNER_POINTS
 from chemid.synthdata import MIN_MESH_SEPARATION
 from chemid.sensitivity import SensitivityFunction, write_sensitivity_csv
 
@@ -27,7 +28,7 @@ from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
 REQUIRED = {
     "delta": "1e-3",
     "alpha": "1e-5",
-    "alphas": "1e-5,1e-4",
+    "alphas": "1e-5,1e-4,1e-3,1e-2,1e-1",
     "data_csv": "data.csv",
     "deltas": "1e-3,1e-2,1e-1,1",
 }
@@ -175,11 +176,25 @@ def test_seed_getters_reject_negative_seeds(key, value):
 
 
 def test_resolve_alphas_list_and_logspace():
-    assert parsed("alphas", "1e-5,1e-4") == [1e-5, 1e-4]
+    assert parsed("alphas", "1e-5,1e-4,1e-3,1e-2,1e-1") == [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
     assert np.allclose(parsed("alphas", "logspace:-8:-1:8"), np.logspace(-8, -1, 8))
     for text in ("logspace:-8:-1", "logspace:-8:-1:0", "logspace:a:-1:2"):
         with pytest.raises(ConfigError, match=re.escape("logspace:<lo>:<hi>:<count>")):
             parsed("alphas", text)
+
+
+@pytest.mark.parametrize(
+    "text, count", [("1e-5,1e-4,1e-3,1e-2", 4), ("logspace:-8:-1:4", 4), ("1e-3", 1)]
+)
+def test_resolve_requires_the_alphas_the_corner_needs(text, count):
+    with pytest.raises(
+        ConfigError,
+        match=re.escape(
+            f"config key 'alphas': the L-curve corner needs at least "
+            f"{MIN_CORNER_POINTS} alphas (got {count})"
+        ),
+    ):
+        parsed("alphas", text)
 
 
 @pytest.mark.parametrize("count", [MAX_SIZE + 1, 10**20])

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import cholesky
 
 import chemid.inversion as inv
+from chemid import pde
 from chemid.errors import (
     ForwardSolveError,
     IncompatibleBasisError,
@@ -36,7 +37,7 @@ from chemid.sensitivity import (
 )
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
-from helpers import dimensionless, objective, penalty, small_problem
+from helpers import dimensionless, objective, penalty, per_frame_fold, small_problem
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,44 @@ def test_batched_jacobian_equals_column_by_column(changes, fd_step):
     assert np.array_equal(
         jacobian_fd(coeffs, prob, cfg), column_by_column_jacobian(coeffs, prob, cfg)
     )
+
+
+@pytest.mark.parametrize(
+    "time_refine, block_frames",
+    [(1, None), (1, 7), (2, 7), (3, 7), (1, 1)],
+    ids=["one_block", "blocks_of_7", "refine_2_blocks_of_7", "refine_3_blocks_of_7",
+         "frame_by_frame"],
+)
+def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_frames):
+    # 121 measurement frames are no multiple of 7, nor are the 241 or 361
+    # solved frames of time_refine 2 or 3; blocks of 7 put sampled frames
+    # 6 and 8 (or 6 and 9) on either side of the first block boundary
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, time_refine=time_refine)
+    if block_frames is not None:
+        rows, n_nodes = prob.n_basis, prob.grid.n_nodes
+        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * rows * n_nodes)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    r = residual_vector(coeffs, prob)
+    J = column_by_column_jacobian(coeffs, prob)
+    ref_JTJ, ref_JTr = per_frame_fold(J, r, prob)
+    JTJ, JTr = run_request(inv._normal_equations(coeffs, r, prob, LMConfig()), prob)
+    assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
+    assert np.array_equal(jacobian_fd(coeffs, prob, base_residual=r), J)
+    assert np.array_equal(run_request(inv._residual_solve(coeffs, prob), prob), r)
+
+
+def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
+    probs = _many_problems()
+    a0s = [p.a_star for p in probs]
+    cfg = LMConfig(max_iters=4)
+    default = inv.levenberg_marquardt_many(probs, a0s, cfg)
+    # 7-frame blocks for a round of three 4-row Jacobians on 21 nodes
+    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", 7 * 16 * 12 * 21)
+    for got, ref in zip(inv.levenberg_marquardt_many(probs, a0s, cfg), default):
+        assert got.a_hat.coeffs.tobytes() == ref.a_hat.coeffs.tobytes()
+        assert got.cost_history == ref.cost_history
+        assert got.residual_norm2 == ref.residual_norm2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -373,26 +373,45 @@ def test_solve_cost_does_not_grow_with_sensitivity(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_batched_rows_fail_independently():
-    # rows 0 and 2 carry a coefficient near the float maximum, so their
-    # face velocity overflows; row 1 must come out exactly as a lone solve
+def test_batched_rows_fail_independently(monkeypatch):
+    # row 0 carries a coefficient near the float maximum, so its face
+    # velocity overflows in the first step; row 2's sensitivity turns nan
+    # in step 6.  Row 1 must come out exactly as a lone solve, and row 2
+    # up to the frame before it failed, whether that is inside the one
+    # block or inside a block of 4 frames (4..7)
     g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
     p = PhysicalParams.myerscough()
     u0, _ = bump_initial(g)
     steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
     coeffs = np.tile(A_CONST2.coeffs, (3, 1))
-    coeffs[[0, 2], 3] = 1.7e308
-    frames = []
-    errors = _integrate(
-        np.stack([u0, u0, u0]), np.stack([steep, steep, steep]), p,
-        lambda face_c, rows: hat_rows(face_c, A_CONST2.knots(), coeffs[rows]), g, "blended",
-        lambda j, u, c: frames.append((u[1].copy(), c[1].copy())),
-    )
-    assert [type(e) for e in errors] == [InvalidStateError, type(None), InvalidStateError]
-    assert "face velocity" in str(errors[0])
+    coeffs[0, 3] = 1.7e308
     alone = solve_forward(u0, steep, p, A_CONST2, g)
-    assert np.array_equal(np.array([u for u, _ in frames]), alone.u_matrix())
-    assert np.array_equal(np.array([c for _, c in frames]), alone.c_matrix())
+    for block_frames, sizes in ((None, [11]), (4, [4, 4, 3])):
+        if block_frames is not None:
+            monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * 3 * g.n_nodes)
+        steps, blocks = [], []
+
+        def a(face_c, rows):
+            steps.append(rows)
+            vals = hat_rows(face_c, A_CONST2.knots(), coeffs[rows])
+            if len(steps) == 6:
+                vals[rows == 2] = np.nan
+            return vals
+
+        errors = _integrate(
+            np.stack([u0, u0, u0]), np.stack([steep, steep, steep]), p, a, g, "blended",
+            lambda j0, U, C: blocks.append((j0, U.copy(), C.copy())),
+        )
+        assert [type(e) for e in errors] == [InvalidStateError, type(None), InvalidStateError]
+        assert "face velocity" in str(errors[0])
+        assert "face velocity is not finite in frame 6" in str(errors[2])
+        assert [len(U) for _, U, _ in blocks] == sizes
+        assert [j0 for j0, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+        U = np.concatenate([U for _, U, _ in blocks])
+        C = np.concatenate([C for _, _, C in blocks])
+        assert np.array_equal(U[:, 1], alone.u_matrix())
+        assert np.array_equal(C[:, 1], alone.c_matrix())
+        assert np.array_equal(U[:6, 2], alone.u[:6]) and np.array_equal(C[:6, 2], alone.c[:6])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -601,6 +620,23 @@ def test_csv_readers_reject_rows_out_of_order(tmp_path, which, case):
     head, rows = write_3x3_table(path, which == "noisy")
     rewrite_rows(path, head, MISORDERED[case](rows))
     with pytest.raises(InvalidStateError, match="rows must be ordered by frame, then by node"):
+        READERS[which](path)
+
+
+@pytest.mark.parametrize("which", READERS)
+def test_csv_readers_reject_a_table_not_starting_at_t0(tmp_path, which):
+    # 3 nodes, 5 frames on [0, 0.5] with the t = 0 rows deleted: read as
+    # 4 frames, the rest would be relabelled onto t = 0, 1/6, 1/3, 1/2
+    g = SimulationGrid(0.0, 1.0, 3, 0.5, 4)
+    U = np.arange(1.0, 16.0).reshape(5, 3)
+    path = tmp_path / "table.csv"
+    if which == "noisy":
+        write_noisy_csv(NoisyData(grid=g, z_u=U, z_c=U + 1, delta=0.0, seed=0), path)
+    else:
+        write_trajectory_csv(StateTrajectory(grid=g, u=U, c=U + 1), path)
+    lines = path.read_text().splitlines()
+    rewrite_rows(path, lines[:-15], lines[-12:])
+    with pytest.raises(InvalidStateError, match=r"first frame must be at t = 0 \(got t = 0.125\)"):
         READERS[which](path)
 
 
