@@ -6,8 +6,11 @@ payloads.  Exit codes: 0 success, 2 config error, 3 solver or data
 error, 4 optimizer stagnation.  Failures print a single machine-parsable
 `error: <kind>: <message>` line on stderr.  Commands take the solver
 inputs `config.resolve` built (`params`, `grid`, `fine`, `lm`); make-data
-and rates generate data through one helper.  A failed artifact write
-removes the files the run had created in --out.
+and rates generate data through one helper.  A command writes nothing:
+it returns an ordered {name: writer} dict and a stagnation message or
+None.  Only then does `main` create --out and write the artifacts, so
+a failed command leaves --out as it was; a failed write removes what the
+run created.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ EXIT_SOLVER = 3
 EXIT_STAGNATION = 4
 
 
-def _write_summary(path: Path, items: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, val in items.items():
-            fh.write(f"{key} = {val}\n")
+def _summary(items: dict):
+    """Writer of a `key = value` summary file."""
+    text = "".join(f"{key} = {val}\n" for key, val in items.items())
+    return lambda path: path.write_text(text, encoding="utf-8")
 
 
 def _fmt(x: float) -> str:
@@ -59,9 +62,7 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
         return TikhonovProblem(
             data=data,
             alpha=alpha,
-            a_star=SensitivityFunction.from_function(
-                cfg["prior"], lo, hi, cfg["n_basis"]
-            ),
+            a_star=SensitivityFunction.from_function(cfg["prior"], lo, hi, cfg["n_basis"]),
             params=cfg["params"],
             u0=cfg["u0"](data.grid),
             c0=cfg["c0"](data.grid),
@@ -81,55 +82,48 @@ def _dataset(cfg: dict, delta: float, seed: int):
     )
 
 
-def cmd_forward(cfg: dict, out: Path) -> int:
+def cmd_forward(cfg: dict):
     params, grid = cfg["params"], cfg["grid"]
     u0, c0 = cfg["u0"](grid), cfg["c0"](grid)
     traj = solve_forward(u0, c0, params, cfg["truth"], grid, advection=cfg["advection"])
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    write_params(params, grid, out / "params.txt")
     m0 = mass(u0, grid)
     mT = mass(traj.u[-1], grid)
     floors = float(np.min(c0)) * np.exp(-params.mu * grid.times())
     margin = float(np.min(traj.c.min(axis=1) - floors))
-    _write_summary(
-        out / "summary.txt",
-        {
+    return {
+        "trajectory.csv": lambda path: write_trajectory_csv(traj, path),
+        "params.txt": lambda path: write_params(params, grid, path),
+        "summary.txt": _summary({
             "mass_initial": _fmt(m0),
             "mass_final": _fmt(mT),
             "mass_drift_rel": _fmt(abs(mT - m0) / abs(m0)) if m0 != 0 else "0",
             "min_u": _fmt(float(traj.u.min())),
             "min_c": _fmt(float(traj.c.min())),
             "min_c_minus_floor": _fmt(margin),
-        },
-    )
-    return EXIT_OK
+        }),
+    }, None
 
 
-def cmd_make_data(cfg: dict, out: Path) -> int:
-    dataset = _dataset(cfg, cfg["delta"], cfg["seed"])
-    write_noisy_csv(dataset.data, out / "data.csv")
-    z_c = dataset.data.z_c
-    _write_summary(
-        out / "summary.txt",
-        {
-            "delta": _fmt(dataset.data.delta),
+def cmd_make_data(cfg: dict):
+    data = _dataset(cfg, cfg["delta"], cfg["seed"]).data
+    return {
+        "data.csv": lambda path: write_noisy_csv(data, path),
+        "summary.txt": _summary({
+            "delta": _fmt(data.delta),
             "seed": str(cfg["seed"]),
-            "c_range_low": _fmt(float(z_c.min())),
-            "c_range_high": _fmt(float(z_c.max())),
-        },
-    )
-    return EXIT_OK
+            "c_range_low": _fmt(float(data.z_c.min())),
+            "c_range_high": _fmt(float(data.z_c.max())),
+        }),
+    }, None
 
 
-def cmd_invert(cfg: dict, out: Path) -> int:
+def cmd_invert(cfg: dict):
     prob = _problem(cfg, _load_data(cfg), cfg["alpha"])
     result = levenberg_marquardt(prob, prob.a_star, cfg["lm"])
-    write_inversion_report(result, prob, out / "report.txt")
-    write_sensitivity_csv(result.a_hat, out / "a_hat.csv")
-    if not result.converged:
-        print(f"error: stagnation: {result.message}", file=sys.stderr)
-        return EXIT_STAGNATION
-    return EXIT_OK
+    return {
+        "report.txt": lambda path: write_inversion_report(result, prob, path),
+        "a_hat.csv": lambda path: write_sensitivity_csv(result.a_hat, path),
+    }, None if result.converged else result.message
 
 
 def _load_data(cfg: dict):
@@ -142,7 +136,7 @@ def _load_data(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_lcurve(cfg: dict, out: Path) -> int:
+def cmd_lcurve(cfg: dict):
     data = _load_data(cfg)
     alphas = cfg["alphas"]
     prob = _problem(cfg, data, alphas[0])
@@ -150,17 +144,15 @@ def cmd_lcurve(cfg: dict, out: Path) -> int:
         points = lcurve_sweep(prob, alphas, cfg["lm"], warm_start=cfg["warm_start"])
     except InvalidStateError as exc:  # only its input checks raise it
         raise ConfigError(str(exc)) from exc
-    write_lcurve_csv(out / "lcurve.csv", points)
     corner = lcurve_corner(points)
-    write_lcurve_plot_script(out / "plot_lcurve.py", "lcurve.csv", corner)
-    _write_summary(
-        out / "summary.txt",
-        {"corner_alpha": _fmt(corner), "n_points": str(len(points))},
-    )
-    return EXIT_OK
+    return {
+        "lcurve.csv": lambda path: write_lcurve_csv(path, points),
+        "plot_lcurve.py": lambda path: write_lcurve_plot_script(path, "lcurve.csv", corner),
+        "summary.txt": _summary({"corner_alpha": _fmt(corner), "n_points": str(len(points))}),
+    }, None
 
 
-def cmd_rates(cfg: dict, out: Path) -> int:
+def cmd_rates(cfg: dict):
     dataset = _dataset(cfg, 0.0, 0)
     prob = _problem(cfg, dataset.data, 0.0)
     a_star = prob.a_star
@@ -174,20 +166,17 @@ def cmd_rates(cfg: dict, out: Path) -> int:
         )
     except InvalidStateError as exc:  # else only rate_study's input checks raise it
         raise ConfigError(str(exc)) from exc
-    write_rates_csv(out / "rates.csv", study.records)
-    write_rates_plot_script(
-        out / "plot_rates.py", "rates.csv",
-        study.misfit2_slope, study.param_error_slope,
-    )
-    _write_summary(
-        out / "summary.txt",
-        {
+    return {
+        "rates.csv": lambda path: write_rates_csv(path, study.records),
+        "plot_rates.py": lambda path: write_rates_plot_script(
+            path, "rates.csv", study.misfit2_slope, study.param_error_slope
+        ),
+        "summary.txt": _summary({
             "misfit2_slope": _fmt(study.misfit2_slope),
             "param_error_slope": _fmt(study.param_error_slope),
             "n_records": str(len(study.records)),
-        },
-    )
-    return EXIT_OK
+        }),
+    }, None
 
 
 COMMANDS = {
@@ -210,36 +199,44 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="overrides the config seed")
-        p.add_argument(
-            "--preset", choices=sorted(cfgmod.PRESETS), help="named parameter set"
-        )
+        p.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="named parameter set")
     return parser
+
+
+def _write_artifacts(out: Path, artifacts: dict) -> None:
+    """Create out and write the artifacts in order, or leave out as it was."""
+    created = [p for p in (out, *out.parents) if not p.exists()]
+    existing = set() if created else set(out.iterdir())
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in artifacts.items():
+            write(out / name)
+    except BaseException:  # a partial run's files would pass for a good run's
+        with contextlib.suppress(OSError):
+            for path in set(out.iterdir()) - existing:
+                if path.is_file():
+                    path.unlink()
+        with contextlib.suppress(OSError):
+            for path in created:
+                path.rmdir()
+        raise
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out, existing = Path(args.out), None
     try:
         raw = cfgmod.load_config(args.config) if args.config else {}
         if args.seed is not None:
             if "seed" not in cfgmod.ALLOWED_KEYS[args.command]:
-                raise ConfigError(
-                    f"--seed is not applicable to {args.command!r}"
-                )
+                raise ConfigError(f"--seed is not applicable to {args.command!r}")
             raw["seed"] = str(args.seed)
         cfg = cfgmod.resolve(args.command, raw, args.preset)
-        out.mkdir(parents=True, exist_ok=True)
-        existing = set(out.iterdir())
-        return COMMANDS[args.command](cfg, out)
+        artifacts, stagnation = COMMANDS[args.command](cfg)
+        _write_artifacts(Path(args.out), artifacts)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # every input is read under a ConfigError guard
-        if existing is not None:  # a partial run's files would pass for a good run's
-            with contextlib.suppress(OSError):
-                for path in set(out.iterdir()) - existing:
-                    if path.is_file():
-                        path.unlink()
         print(f"error: config: cannot write output to {args.out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChemidError as exc:
@@ -248,6 +245,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: solver: out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    if stagnation is not None:
+        print(f"error: stagnation: {stagnation}", file=sys.stderr)
+        return EXIT_STAGNATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ from .pde import (
     SimulationGrid,
     _initial_fields,
     _integrate,
-    _readonly,
     solve_forward,
 )
 from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis
@@ -94,7 +93,10 @@ class TikhonovProblem:
     time_refine > 1 integrates the forward model with that many uniform
     steps per measurement frame before sampling the misfit at the
     frames.  It controls model accuracy only; residuals always live on
-    the measurement mesh.
+    the measurement mesh.  The initial fields are checked once, here, by
+    the forward model's rule (one finite value per node, u0 >= 0, c0 > 0;
+    InvalidStateError otherwise) and kept read-only, so they cannot
+    change after the problem is built.
     """
 
     data: NoisyData
@@ -113,14 +115,10 @@ class TikhonovProblem:
             raise InvalidStateError(
                 f"time_refine must be >= 1 (got {self.time_refine})"
             )
-        u0, c0 = _readonly(self.u0), _readonly(self.c0)
-        n = self.grid.n_nodes
-        if u0.shape != (n,) or c0.shape != (n,):
-            raise InvalidStateError(
-                f"initial fields must match the inversion mesh ({n} nodes)"
-            )
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "c0", c0)
+        fields = _initial_fields(self.u0, self.c0, self.grid)
+        for name, field in zip(("u0", "c0"), fields):
+            field.setflags(write=False)
+            object.__setattr__(self, name, field)
 
     @property
     def grid(self) -> SimulationGrid:
@@ -391,10 +389,6 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     JacobianColumnError if a Jacobian column cannot; a failed trial is a
     rejected trial.
     """
-    try:
-        _initial_fields(prob.u0, prob.c0, prob.solve_grid)
-    except InvalidStateError as exc:
-        raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     coeffs = a0.coeffs.copy()
     r = yield from _residual_solve(coeffs, prob)
     cost = float(r @ r)

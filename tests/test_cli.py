@@ -4,12 +4,14 @@ import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chemid import cli
 from chemid.cli import main
+from chemid.config import load_config, resolve
 from chemid.pde import PhysicalParams, SimulationGrid
 from chemid.sensitivity import read_sensitivity_csv
 from chemid.synthdata import make_dataset, myerscough_initial_data, write_noisy_csv
@@ -407,7 +409,7 @@ def test_oversized_basis_exits_2(tmp_path, data_dir):
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
-    def exhausted(cfg, out):
+    def exhausted(cfg):
         raise MemoryError("Unable to allocate 7.28 PiB")
 
     monkeypatch.setitem(cli.COMMANDS, "forward", exhausted)
@@ -517,14 +519,30 @@ def test_failed_write_removes_only_this_runs_files(tmp_path, capsys):
     assert (out / "summary.txt").is_dir()
 
 
+@pytest.mark.parametrize(
+    "exc, rc", [(OSError("disk full"), 2), (MemoryError("no room"), 3)], ids=["os", "memory"]
+)
+def test_failed_write_removes_the_out_it_created(tmp_path, monkeypatch, capsys, exc, rc):
+    def fail(params, grid, path):
+        raise exc
+
+    monkeypatch.setattr(cli, "write_params", fail)
+    out = tmp_path / "new" / "out"
+    assert main(["forward", "--preset", "myerscough", "--out", str(out)]) == rc
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_negative_seed_in_data_csv_exits_2(tmp_path, data_dir):
     text = (data_dir / "data.csv").read_text()
     bad = tmp_path / "bad"
     bad.mkdir()
     (bad / "data.csv").write_text(re.sub(r"seed=\d+", "seed=-1", text, count=1))
-    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(tmp_path))
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(out))
     assert_config_error(proc)
     assert "seed must be >= 0 (got -1)" in proc.stderr
+    assert not out.exists()
 
 
 def test_data_csv_without_its_first_frame_exits_2(tmp_path, data_dir):
@@ -533,9 +551,11 @@ def test_data_csv_without_its_first_frame_exits_2(tmp_path, data_dir):
     bad.mkdir()
     # metadata and header lines, then the 21 rows of each frame; drop t = 0
     (bad / "data.csv").write_text("\n".join(lines[:2] + lines[2 + 21 :]) + "\n")
-    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(tmp_path))
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(out))
     assert_config_error(proc)
     assert "first frame must be at t = 0" in proc.stderr
+    assert not out.exists()
 
 
 def test_lcurve_with_too_few_alphas_exits_2_before_any_solve(tmp_path, data_dir):
@@ -548,7 +568,20 @@ def test_lcurve_with_too_few_alphas_exits_2_before_any_solve(tmp_path, data_dir)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["forward", "make-data"])
+LCURVE_BODY = INVERT_BODY.replace("alpha = 1e-5\n", "alphas = logspace:-6:-2:5\n")
+
+
+def command_body(command, data_dir):
+    """A valid config body for command on the small scenario."""
+    if command in ("invert", "lcurve"):
+        body = INVERT_BODY if command == "invert" else LCURVE_BODY
+        return body + f"data_csv = {data_dir / 'data.csv'}\n"
+    if command == "forward":
+        return SMALL_PHYS + SMALL_GRID + "truth = constant:1.5\n"
+    return MAKE_BODY if command == "make-data" else RATES_BODY + DELTAS
+
+
+@pytest.mark.parametrize("command", ["forward", "make-data", "invert", "lcurve"])
 @pytest.mark.parametrize(
     "line, bad, message",
     [
@@ -557,9 +590,10 @@ def test_lcurve_with_too_few_alphas_exits_2_before_any_solve(tmp_path, data_dir)
     ],
     ids=["c0_zero", "u0_negative"],
 )
-def test_bad_initial_field_exits_2_before_out_exists(tmp_path, command, line, bad, message):
-    body = MAKE_BODY if command == "make-data" else SMALL_PHYS + SMALL_GRID + "truth = constant:1.5\n"
-    cfg = write_cfg(tmp_path, "bad.cfg", body.replace(line, bad))
+def test_bad_initial_field_exits_2_before_out_exists(
+    tmp_path, data_dir, command, line, bad, message
+):
+    cfg = write_cfg(tmp_path, "bad.cfg", command_body(command, data_dir).replace(line, bad))
     out = tmp_path / "out"
     proc = run_cli(command, "--config", cfg, "--out", str(out))
     assert_config_error(proc)
@@ -577,3 +611,56 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert proc.returncode == 0, proc.stderr
     heavy = {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse"}
     assert heavy.isdisjoint(proc.stdout.split())
+
+
+def test_failed_lcurve_leaves_out_as_it_was(tmp_path, data_dir):
+    cfg = write_cfg(
+        tmp_path, "lcurve.cfg",
+        command_body("lcurve", data_dir) + "max_iters = 1\n",
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_bytes(b"kept\n")
+    proc = run_cli("lcurve", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        "error: solver: corner detection needs >= 5 valid points, got 0\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_bytes() == b"kept\n"
+
+
+def test_failed_write_after_stagnation_prints_one_error(tmp_path, data_dir):
+    cfg = invert_cfg(tmp_path, data_dir, "max_iters = 1\n")
+    out = tmp_path / "out"
+    (out / "a_hat.csv").mkdir(parents=True)
+    proc = run_cli("invert", "--config", cfg, "--out", str(out))
+    assert_config_error(proc)
+    assert "cannot write output" in proc.stderr
+    assert "error: stagnation" not in proc.stderr
+    assert [p.name for p in out.iterdir()] == ["a_hat.csv"]
+
+
+def readme_artifacts():
+    """{command: [artifact, ...]} from the README's command table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        cells = line.split("|")
+        if len(cells) == 5 and cells[1].strip().startswith("`"):
+            table[cells[1].strip(" `")] = re.findall(r"`([^`]+)`", cells[3])
+    return table
+
+
+def test_commands_return_their_artifacts(tmp_path, data_dir, monkeypatch):
+    readme = readme_artifacts()
+    assert sorted(readme) == sorted(cli.COMMANDS)
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    for name, command in cli.COMMANDS.items():
+        raw = load_config(write_cfg(tmp_path, f"{name}.cfg", command_body(name, data_dir)))
+        artifacts, stagnation = command(resolve(name, raw, None))
+        assert stagnation is None
+        assert list(artifacts) == readme[name]
+        assert list(run_dir.iterdir()) == []

@@ -103,6 +103,11 @@ def test_problem_validation():
             u0=prob.u0[:-1],
             c0=prob.c0,
         )
+    with pytest.raises(InvalidStateError, match=r"c0 must be positive \(min 0.000e\+00\)"):
+        dataclasses.replace(prob, c0=np.zeros_like(prob.c0))
+    with pytest.raises(InvalidStateError, match=r"u0 must be nonnegative \(min -1.000e\+00\)"):
+        dataclasses.replace(prob, u0=np.full_like(prob.u0, -1.0))
+    assert not (prob.u0.flags.writeable or prob.c0.flags.writeable)
 
 
 # ---------------------------------------------------------------------------
