@@ -8,9 +8,9 @@ error, 4 optimizer stagnation.  Failures print a single machine-parsable
 inputs `config.resolve` built (`params`, `grid`, `fine`, `lm`); make-data
 and rates generate data through one helper.  A command writes nothing:
 it returns an ordered {name: writer} dict and a stagnation message or
-None.  Only then does `main` create --out and write the artifacts, so
-a failed command leaves --out as it was; a failed write removes what the
-run created.
+None.  Only then does `main` create --out and write the artifacts, under
+temporary names that are renamed into place once every write has
+succeeded, so a failed command or write leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +138,8 @@ def _load_data(cfg: dict):
 
 
 def cmd_lcurve(cfg: dict):
-    data = _load_data(cfg)
-    alphas = cfg["alphas"]
-    prob = _problem(cfg, data, alphas[0])
-    try:
-        points = lcurve_sweep(prob, alphas, cfg["lm"], warm_start=cfg["warm_start"])
-    except InvalidStateError as exc:  # only its input checks raise it
-        raise ConfigError(str(exc)) from exc
+    prob = _problem(cfg, _load_data(cfg), cfg["alphas"][0])
+    points = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
     corner = lcurve_corner(points)
     return {
         "lcurve.csv": lambda path: write_lcurve_csv(path, points),
@@ -160,12 +156,12 @@ def cmd_rates(cfg: dict):
         truth_basis = SensitivityFunction.from_function(
             cfg["truth"], a_star.c_min, a_star.c_max, a_star.n_basis
         )
-        study = rate_study(
-            prob, truth_basis, dataset.truth_meas, cfg["deltas"], cfg["coupling"],
-            cfg["seeds"], cfg["lm"],
-        )
-    except InvalidStateError as exc:  # else only rate_study's input checks raise it
+    except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
+    study = rate_study(
+        prob, truth_basis, dataset.truth_meas, cfg["deltas"], cfg["coupling"], cfg["seeds"],
+        cfg["lm"],
+    )
     return {
         "rates.csv": lambda path: write_rates_csv(path, study.records),
         "plot_rates.py": lambda path: write_rates_plot_script(
@@ -204,18 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_artifacts(out: Path, artifacts: dict) -> None:
-    """Create out and write the artifacts in order, or leave out as it was."""
+    """Create out and put every artifact there, or leave out as it was.
+
+    The artifacts are written into a fresh temporary directory in out and
+    renamed into place, in order, only once the last write has succeeded.
+    """
     created = [p for p in (out, *out.parents) if not p.exists()]
-    existing = set() if created else set(out.iterdir())
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for name, write in artifacts.items():
-            write(out / name)
-    except BaseException:  # a partial run's files would pass for a good run's
-        with contextlib.suppress(OSError):
-            for path in set(out.iterdir()) - existing:
-                if path.is_file():
-                    path.unlink()
+        with tempfile.TemporaryDirectory(prefix=".chemid-", dir=out) as tmp:
+            for name, write in artifacts.items():
+                write(Path(tmp, name))
+            for name in artifacts:  # a rename onto a directory would fail midway
+                if (out / name).is_dir():
+                    raise IsADirectoryError(f"{out / name} is a directory")
+            for name in artifacts:
+                Path(tmp, name).replace(out / name)
+    except BaseException:
         with contextlib.suppress(OSError):
             for path in created:
                 path.rmdir()

@@ -11,9 +11,11 @@ This module is the one place where a key's text becomes a value: the
 table ``_PARSERS`` holds a parser for every key, and ``resolve`` requires
 and parses every key a command allows and then builds the solver inputs:
 physical parameters, measurement and data-generation grids (held to the
-mesh-separation rule of ``synthdata``) and LM settings.  So a malformed
-or inconsistent value, including a ``table:`` file of ``truth`` or
-``prior``, exits before any solve runs or any data file is read.
+mesh-separation rule of ``synthdata``), a forward model on each grid and
+LM settings, and holds the basis, time_refine, alphas and rate-study
+values to the library's rules.  So a malformed or inconsistent value,
+including a ``table:`` file of ``truth`` or ``prior``, exits before any
+solve runs or any data file is read.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
-from .inversion import LMConfig
-from .pde import PhysicalParams, SimulationGrid, _initial_fields
-from .regselect import MIN_CORNER_POINTS
-from .sensitivity import read_sensitivity_csv
+from .inversion import LMConfig, require_time_refine
+from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid
+from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
+from .sensitivity import read_sensitivity_csv, require_basis_shape, require_padding
 from .synthdata import myerscough_initial_data, require_mesh_separation
 
 PRESETS = {
@@ -153,7 +155,7 @@ def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
             raise ConfigError(
                 f"config key {key!r}: expected {what}, got {cfg[key]!r}"
             ) from exc
-        except ConfigError as exc:
+        except (ConfigError, InvalidStateError, ZeroWidthIntervalError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     try:
         values.update(_solver_inputs(values, allowed))
@@ -204,8 +206,9 @@ def _list(conv):
 
 
 def _alphas(s: str) -> list:
-    """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count>, with
-    at least the MIN_CORNER_POINTS values the L-curve corner needs."""
+    """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count> of
+    distinct positive alphas, at least the MIN_CORNER_POINTS values the
+    L-curve corner needs."""
     if s.startswith("logspace:"):
         lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
         lo, hi, count = _finite(lo), _finite(hi), _size(count)
@@ -218,11 +221,12 @@ def _alphas(s: str) -> list:
         raise ConfigError(
             f"the L-curve corner needs at least {MIN_CORNER_POINTS} alphas (got {len(alphas)})"
         )
+    _positive_distinct(alphas, "sweep alphas", 1)
     return alphas
 
 
 def _advection(s: str) -> str:
-    if s not in ("blended", "upwind"):
+    if s not in ADVECTIONS:
         raise ValueError(s)
     return s
 
@@ -271,8 +275,6 @@ def _sensitivity(s: str):
             return read_sensitivity_csv(arg)
         except OSError as exc:
             raise ConfigError(f"cannot read table {arg}: {exc}") from exc
-        except (InvalidStateError, ZeroWidthIntervalError) as exc:
-            raise ConfigError(str(exc)) from exc
     raise ValueError(s)
 
 
@@ -280,8 +282,8 @@ _NUMBER = (_finite, "a number")
 _SIZE = (_size, "a nonnegative integer")
 _SENSITIVITY = (_sensitivity, "constant:<v>, inverse:<k> with k > 0 or table:<csv>")
 
-#: key -> (parser, what its text must be); a parser raises ValueError on
-#: text of the wrong form and ConfigError with its own message otherwise.
+#: key -> (parser, what its text must be); a parser raises ValueError on text of
+#: the wrong form, else ConfigError or a library rule's error with its message.
 _PARSERS = {
     **dict.fromkeys(
         ("M", "D", "b", "h", "mu", "x_left", "x_right", "t_final", "padding",
@@ -310,8 +312,9 @@ _PARSERS = {
 def _solver_inputs(values: dict, allowed) -> dict:
     """PhysicalParams, grids and LMConfig, each if the command allows its keys.
 
-    The initial fields are built on each grid and checked as a solve
-    would check them.
+    A ``ForwardModel`` built on each grid checks the initial fields as a
+    solve would, and the basis, time_refine and rate-study values are
+    held to the library's own rules, so a bad one exits before any solve.
     """
 
     def pick(keys):
@@ -326,7 +329,13 @@ def _solver_inputs(values: dict, allowed) -> dict:
             fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
             built["fine"] = require_mesh_separation(fine, grid)
         for g in (grid, built.get("fine", grid)):
-            _initial_fields(values["u0"](g), values["c0"](g), g)
+            ForwardModel(built["params"], g, values["u0"](g), values["c0"](g), values["advection"])
     if _LM <= allowed:
         built["lm"] = LMConfig(**pick(_LM - {"time_refine"}))
+        require_time_refine(values["time_refine"])
+    if _BASIS <= allowed:
+        require_basis_shape((values["n_basis"],))
+        require_padding(values["padding"])
+    if "deltas" in allowed:
+        require_rate_inputs(values["deltas"], values["coupling"], values["seeds"])
     return built

@@ -13,20 +13,21 @@ stacked residual vector
       sqrt(alpha) L_B^T (a - a*) ]
 
 with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
-(Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.
-Jacobians are forward finite differences: the L perturbed coefficient
-vectors advance as the rows of one batched forward solve, so an
-iteration costs that batch plus one forward solve per damping trial.
+(Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  Every
+solve runs the problem's ``model``, one ``pde.ForwardModel``.  Jacobians
+are forward finite differences: the L perturbed coefficient vectors
+advance as the rows of one batched forward solve, so an iteration costs
+that batch plus one forward solve per damping trial.
 
 The iteration is written once, as a generator that yields the forward
-solves it needs.  ``levenberg_marquardt_many`` runs many problems that
-share the forward model in lockstep: each round stacks the pending rows
-of all of them (a residual row, or the L rows of a Jacobian) into one
-batched solve.  There it never forms J: the solve delivers its frames
-in blocks, and each block's J^T rows are folded into J^T J and J^T r at
-once, adding the per-frame products in frame order, u before c, so the
-sums do not depend on the block size.  ``levenberg_marquardt``
-is its one-problem case.  The Jacobian is written once, as the request
+solves it needs.  ``levenberg_marquardt_many`` runs many problems with
+equal models in lockstep: each round stacks the pending rows of all of
+them (a residual row, or the L rows of a Jacobian) into one batched
+solve.  There it never forms J: the solve delivers its frames in blocks,
+and each block's J^T rows are folded into J^T J and J^T r at once,
+adding the per-frame products in frame order, u before c, so the sums
+do not depend on the block size.  ``levenberg_marquardt`` is its
+one-problem case.  The Jacobian is written once, as the request
 ``_jacobian_request``: the LM folds its blocks, and ``jacobian_fd`` is
 that request run alone, storing them.  ``residual_vector`` stays on
 ``solve_forward`` as the independent one-vector reference.
@@ -35,7 +36,7 @@ that request run alone, storing them.  ``residual_vector`` stays on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -50,9 +51,9 @@ from .errors import (
 )
 from .pde import (
     DEFAULT_ADVECTION,
+    ForwardModel,
     PhysicalParams,
     SimulationGrid,
-    _initial_fields,
     _integrate,
     solve_forward,
 )
@@ -86,6 +87,12 @@ class LMConfig:
             raise InvalidStateError(f"max_iters must be >= 1 (got {self.max_iters})")
 
 
+def require_time_refine(time_refine: int) -> None:
+    """InvalidStateError unless ``time_refine``, solve steps per frame, is >= 1."""
+    if time_refine < 1:
+        raise InvalidStateError(f"time_refine must be >= 1 (got {time_refine})")
+
+
 @dataclass(frozen=True, eq=False)
 class TikhonovProblem:
     """Everything that defines J_alpha: data, prior, dynamics, meshes.
@@ -93,10 +100,9 @@ class TikhonovProblem:
     time_refine > 1 integrates the forward model with that many uniform
     steps per measurement frame before sampling the misfit at the
     frames.  It controls model accuracy only; residuals always live on
-    the measurement mesh.  The initial fields are checked once, here, by
-    the forward model's rule (one finite value per node, u0 >= 0, c0 > 0;
-    InvalidStateError otherwise) and kept read-only, so they cannot
-    change after the problem is built.
+    the measurement mesh.  ``model`` is that ``ForwardModel``, built once
+    here from ``params``, ``u0``, ``c0`` and ``advection``, which checks
+    them and keeps the fields read-only.
     """
 
     data: NoisyData
@@ -107,32 +113,21 @@ class TikhonovProblem:
     c0: np.ndarray
     advection: str = DEFAULT_ADVECTION
     time_refine: int = 1
+    model: ForwardModel = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.alpha < 0:
             raise InvalidStateError(f"alpha must be >= 0 (got {self.alpha})")
-        if self.time_refine < 1:
-            raise InvalidStateError(
-                f"time_refine must be >= 1 (got {self.time_refine})"
-            )
-        fields = _initial_fields(self.u0, self.c0, self.grid)
-        for name, field in zip(("u0", "c0"), fields):
-            field.setflags(write=False)
-            object.__setattr__(self, name, field)
+        require_time_refine(self.time_refine)
+        grid = self.grid.with_resolution(self.grid.n_nodes, self.grid.n_steps * self.time_refine)
+        model = ForwardModel(self.params, grid, self.u0, self.c0, self.advection)
+        for name, value in (("model", model), ("u0", model.u0), ("c0", model.c0)):
+            object.__setattr__(self, name, value)
 
     @property
     def grid(self) -> SimulationGrid:
         # the inversion mesh is the measurement mesh by construction
         return self.data.grid
-
-    @property
-    def solve_grid(self) -> SimulationGrid:
-        """The mesh the forward model runs on: time_refine steps per frame."""
-        if self.time_refine == 1:
-            return self.grid
-        return self.grid.with_resolution(
-            self.grid.n_nodes, self.grid.n_steps * self.time_refine
-        )
 
     @property
     def n_basis(self) -> int:
@@ -154,15 +149,9 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
     ForwardSolveError; the optimizer treats them as rejected steps.
     """
     a = prob.a_star.with_coeffs(coeffs)
+    m = prob.model
     try:
-        traj = solve_forward(
-            prob.u0,
-            prob.c0,
-            prob.params,
-            a,
-            prob.solve_grid,
-            advection=prob.advection,
-        )
+        traj = solve_forward(m.u0, m.c0, m.params, a, m.grid, advection=m.advection)
     except (NumericalSolveError, InvalidStateError) as exc:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     k = prob.time_refine
@@ -193,8 +182,7 @@ def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
     Returns, per row, None or the error that stopped it.
     """
     knots = prob.a_star.knots()
-    shape = (coeffs.shape[0], prob.grid.n_nodes)
-    if shape[0] == 1:  # hat_rows equals np.interp row by row; one row is faster there
+    if coeffs.shape[0] == 1:  # hat_rows equals np.interp row by row; one row is faster there
         a = lambda face_c, rows: np.interp(face_c, knots, coeffs[0])
     else:
         a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
@@ -206,15 +194,7 @@ def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
         if first < len(U):
             sink((j0 + first) // step, U[first::step], C[first::step])
 
-    return _integrate(
-        np.broadcast_to(prob.u0, shape),
-        np.broadcast_to(prob.c0, shape),
-        prob.params,
-        a,
-        prob.solve_grid,
-        prob.advection,
-        record,
-    )
+    return _integrate(prob.model, a, coeffs.shape[0], record)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,19 +442,10 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
 
 
 def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
-    same = (
-        np.array_equal(prob.u0, ref.u0)
-        and np.array_equal(prob.c0, ref.c0)
-        and prob.params == ref.params
-        and prob.solve_grid == ref.solve_grid
-        and prob.advection == ref.advection
-        and prob.time_refine == ref.time_refine
-        and np.array_equal(prob.a_star.knots(), ref.a_star.knots())
-    )
-    if not same:
+    same_knots = np.array_equal(prob.a_star.knots(), ref.a_star.knots())
+    if not (prob.model == ref.model and prob.time_refine == ref.time_refine and same_knots):
         raise InvalidStateError(
-            "problems solved in lockstep must share u0, c0, params, grids, "
-            "advection, time_refine and the basis knots"
+            "problems solved in lockstep must share the forward model, time_refine and knots"
         )
 
 

@@ -24,24 +24,25 @@ quantity.  Each step is IMEX:
   * the saturating production b u/(u+h) uses the beginning-of-step u so
     the c update stays linear.
 
-The stepper advances a batch of independent rows at once: u and c are
-(rows, n_nodes) arrays, one row per solve (``solve_forward`` is the
-one-row case; the finite-difference Jacobian runs one row per perturbed
-coefficient vector).  The u-matrices of all rows are stacked into one
-block-tridiagonal system with no coupling between blocks and solved by
-one LAPACK dgtsv call per step; the c-matrix depends only on the step
-size and is LU-factored (dgttrf) once per solve, then every row is solved
-by one dgttrs call per step.  The positivity check runs per row after
-every step and the c floor per row after every frame, so a failing row
-stops without touching the others.  The solved frames are handed to the
-caller in blocks of many frames, one call per block.
+The stepper advances a batch of independent rows of one ``ForwardModel``
+at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
+(``solve_forward`` is the one-row case; the finite-difference Jacobian
+runs one row per perturbed coefficient vector).  The u-matrices of all
+rows are stacked into one block-tridiagonal system with no coupling
+between blocks and solved by one LAPACK dgtsv call per step; the
+c-matrix depends only on the step size and is LU-factored (dgttrf) once
+per solve, then every row is solved by one dgttrs call per step.  The
+positivity check runs per row after every step and the c floor per row
+after every frame, so a failing row stops without touching the others.
+The solved frames are handed to the caller in blocks of many frames, one
+call per block.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -59,10 +60,11 @@ from .errors import (
 # sensitivity values; SensitivityFunction satisfies this.
 SensitivityLike = Callable[[np.ndarray], np.ndarray]
 
-#: Advected face value rule: "blended" switches per face from a central
+#: Advected face value rules: "blended" switches per face from a central
 #: mean to donor-cell upwinding once the face Peclet number |v| dx / M
 #: exceeds 2 (past it a central face breaks the M-matrix property that
 #: keeps u >= 0); "upwind" always donates.
+ADVECTIONS = ("blended", "upwind")
 DEFAULT_ADVECTION = "blended"
 
 #: u below -POSITIVITY_FLOOR * max(1, max u) after a step is a solver
@@ -163,6 +165,45 @@ def _readonly(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class ForwardModel:
+    """The map a -> (u, c) of one system: coefficients, grid, initial state, face rule.
+
+    The constructor is the one check of the initial fields (one finite
+    value per node, u0 >= 0, c0 > 0) and of the advection rule, raising
+    InvalidStateError.  The fields are read-only; models are equal when
+    their fields are, bit for bit.
+    """
+
+    params: PhysicalParams
+    grid: SimulationGrid
+    u0: np.ndarray
+    c0: np.ndarray
+    advection: str = DEFAULT_ADVECTION
+
+    def __post_init__(self):
+        u, c = _readonly(self.u0), _readonly(self.c0)
+        if u.shape != (self.grid.n_nodes,) or c.shape != (self.grid.n_nodes,):
+            raise InvalidStateError(f"initial fields must have length n_nodes={self.grid.n_nodes}")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
+            raise InvalidStateError("initial fields contain non-finite values")
+        if u.min() < 0:
+            raise InvalidStateError(f"u0 must be nonnegative (min {u.min():.3e})")
+        if c.min() <= 0:
+            raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
+        if self.advection not in ADVECTIONS:
+            raise InvalidStateError(f"unknown advection scheme {self.advection!r}")
+        object.__setattr__(self, "u0", u)
+        object.__setattr__(self, "c0", c)
+
+    def __eq__(self, other):
+        key = lambda m: (m.params, m.grid, m.advection)
+        return (
+            isinstance(other, ForwardModel) and key(self) == key(other)
+            and np.array_equal(self.u0, other.u0) and np.array_equal(self.c0, other.c0)
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
     """The solution at every frame from t = 0 to t = t_final.
 
@@ -252,14 +293,9 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
 
 
 def _advance(
-    u: np.ndarray,
-    c: np.ndarray,
-    flow: np.ndarray,
-    params: PhysicalParams,
-    advection: str,
-    ops: tuple,
+    u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """One IMEX step for every row of (u, c), given ``flow`` = dt * face velocity.
+    """One IMEX step of ``model`` for every row of (u, c), given ``flow`` = dt * face velocity.
 
     ``ops`` are the ``_step_operators`` of the solve.  Over a step, face k
     carries flow_k (w u_k + (1 - w) u_{k+1}) - m (u_{k+1} - u_k) of cell
@@ -279,10 +315,8 @@ def _advance(
     rows, n = u.shape
     # flow times the weight of u_k in each face's flux; flow - ahead weighs u_{k+1}
     ahead = np.maximum(flow, 0.0)
-    if advection == "blended":
+    if model.advection == "blended":
         np.multiply(flow, 0.5, out=ahead, where=np.abs(flow) <= 2.0 * m)
-    elif advection != "upwind":
-        raise InvalidStateError(f"unknown advection scheme {advection!r}")
     bands = np.empty((3, rows, n))
     sub, diag, sup = bands
     np.subtract(-m, ahead, out=sub[:, :-1])
@@ -299,7 +333,7 @@ def _advance(
         raise NumericalSolveError(f"tridiagonal solve failed (info={info})")
     u_new = x.reshape(rows, n)
     # production uses the beginning-of-step u, keeping the c solve linear
-    rhs = c + dt * params.b * (u / (u + params.h))
+    rhs = c + dt * model.params.b * (u / (u + model.params.h))
     # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
     c_new = dgttrs(*c_lu, rhs.T, overwrite_b=1)[0].T
 
@@ -318,23 +352,20 @@ def _advance(
 
 
 def _integrate(
-    u0: np.ndarray,
-    c0: np.ndarray,
-    params: PhysicalParams,
+    model: ForwardModel,
     a: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    grid: SimulationGrid,
-    advection: str,
+    n_rows: int,
     record: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> list:
-    """Solve the coupled system for every row of the (rows, n_nodes) fields.
+    """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
     ``a(face_c, rows)`` gives the sensitivity of the rows with indices
     ``rows`` at their face concentrations ``face_c`` (one array row per
-    index).  The initial fields are assumed valid.  Every live row takes
-    one step per frame.  Rows are independent: each is checked for a
-    finite dt * face velocity, positivity and its own c floor exactly as a
-    lone solve would be, and a row that fails stops without changing the
-    others.
+    index).  The model checked its initial fields and face rule when it
+    was built.  Every live row takes one step per frame.  Rows are
+    independent: each is checked for a finite dt * face velocity,
+    positivity and its own c floor exactly as a lone solve would be, and
+    a row that fails stops without changing the others.
 
     ``record(j0, U, C)`` receives the solved frames in order, in blocks:
     U and C are (k, rows, n_nodes) arrays holding frames j0 .. j0 + k - 1
@@ -345,9 +376,8 @@ def _integrate(
     so it copies what it keeps.  Returns, per row, None or the error that
     stopped it.
     """
-    u = np.array(u0, dtype=float)
-    c = np.array(c0, dtype=float)
-    n_rows = u.shape[0]
+    params, grid = model.params, model.grid
+    u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
     dx, dt = grid.dx, grid.dt
     times = grid.times()
     ops = _step_operators(params, grid)
@@ -378,9 +408,9 @@ def _integrate(
                 fail(rows[i], InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
             flow[~finite] = 0.0
         if every:
-            u, c, broken = _advance(u, c, flow, params, advection, ops)
+            u, c, broken = _advance(u, c, flow, model, ops)
         else:
-            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, params, advection, ops)
+            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, model, ops)
         for i, exc in broken:
             fail(rows[i], exc)
 
@@ -401,23 +431,6 @@ def _integrate(
     return errors
 
 
-def _initial_fields(u0, c0, grid: SimulationGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(u0, c0) as float arrays; InvalidStateError unless they can start a solve."""
-    u = np.array(u0, dtype=float)
-    c = np.array(c0, dtype=float)
-    if u.shape != (grid.n_nodes,) or c.shape != (grid.n_nodes,):
-        raise InvalidStateError(
-            f"initial fields must have length n_nodes={grid.n_nodes}"
-        )
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(c))):
-        raise InvalidStateError("initial fields contain non-finite values")
-    if u.min() < 0:
-        raise InvalidStateError(f"u0 must be nonnegative (min {u.min():.3e})")
-    if c.min() <= 0:
-        raise InvalidStateError(f"c0 must be positive (min {c.min():.3e})")
-    return u, c
-
-
 def solve_forward(
     u0,
     c0,
@@ -429,27 +442,25 @@ def solve_forward(
 ) -> StateTrajectory:
     """Solve the coupled system from (u0, c0), one IMEX step per grid time step.
 
-    The chemotactic flux is implicit in u, so every step keeps u >= 0 and
-    the mass of u whatever dt and |a| are; the cost is n_steps steps.
+    The arguments build the ``ForwardModel`` that is solved.  The
+    chemotactic flux is implicit in u, so every step keeps u >= 0 and the
+    mass of u whatever dt and |a| are; the cost is n_steps steps.
 
     Raises
     ------
     InvalidStateError
-        if the initial fields are invalid or a face velocity is not finite.
+        if the model is invalid or a face velocity is not finite.
     PositivityViolationError, LowerBoundViolationError
         if the computed fields violate the solution lower bounds.
     """
-    u, c = _initial_fields(u0, c0, grid)
+    model = ForwardModel(params, grid, u0, c0, advection)
     U = np.empty((grid.n_steps + 1, grid.n_nodes))
     C = np.empty_like(U)
 
     def record(j0, u_block, c_block):
         U[j0 : j0 + len(u_block)], C[j0 : j0 + len(c_block)] = u_block[:, 0], c_block[:, 0]
 
-    errors = _integrate(
-        u[None, :], c[None, :], params, lambda face_c, rows: a(face_c), grid,
-        advection, record,
-    )
+    errors = _integrate(model, lambda face_c, rows: a(face_c), 1, record)
     if errors[0] is not None:
         raise errors[0]
     return StateTrajectory(grid=grid, u=U, c=C)
@@ -587,16 +598,9 @@ def read_trajectory_csv(path) -> StateTrajectory:
     return StateTrajectory(grid=grid, u=U, c=C)
 
 
-_PARAM_KEYS = ("M", "D", "b", "h", "mu")
-
-
 def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:
-    """Key-value text file with the physical and grid parameters."""
+    """Key-value text file with the physical and grid parameters, in field order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for key in _PARAM_KEYS:
-            fh.write(f"{key} = {getattr(params, key):.15g}\n")
-        fh.write(f"x_left = {grid.x_left:.15g}\n")
-        fh.write(f"x_right = {grid.x_right:.15g}\n")
-        fh.write(f"n_nodes = {grid.n_nodes}\n")
-        fh.write(f"t_final = {grid.t_final:.15g}\n")
-        fh.write(f"n_steps = {grid.n_steps}\n")
+        for obj in (params, grid):
+            for f in fields(obj):  # an integer count formats as its digits
+                fh.write(f"{f.name} = {getattr(obj, f.name):.15g}\n")

@@ -208,6 +208,23 @@ def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
     return valid[int(np.argmax(kappa)) + 1].alpha
 
 
+def require_rate_inputs(deltas, coupling: float, seeds) -> np.ndarray:
+    """The deltas as an array if a rate study can take these inputs, else
+    InvalidStateError: 4 or more distinct deltas > 0 over >= 1.5 decades,
+    coupling > 0 and distinct seeds."""
+    arr = _positive_distinct(deltas, "rate-study deltas", 4)
+    span = np.log10(arr.max() / arr.min())
+    if span < 1.5 - 1e-9:
+        raise InvalidStateError(f"rate-study deltas must span >= 1.5 decades (got {span:.2f})")
+    if not coupling > 0:
+        raise InvalidStateError(f"coupling must be > 0 (got {coupling})")
+    if len(seeds) == 0:
+        raise InvalidStateError("rate study needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise InvalidStateError("rate-study seeds must be distinct")
+    return arr
+
+
 def rate_study(
     prob_template: TikhonovProblem,
     truth: SensitivityFunction,
@@ -229,18 +246,7 @@ def rate_study(
     cell order; per delta the surviving cells are geometric-mean
     aggregated, and the two log-log slopes are least-squares fits.
     """
-    arr = _positive_distinct(deltas, "rate-study deltas", 4)
-    span = np.log10(arr.max() / arr.min())
-    if span < 1.5 - 1e-9:
-        raise InvalidStateError(
-            f"rate-study deltas must span >= 1.5 decades (got {span:.2f})"
-        )
-    if not coupling > 0:
-        raise InvalidStateError(f"coupling must be > 0 (got {coupling})")
-    if len(seeds) == 0:
-        raise InvalidStateError("rate study needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise InvalidStateError("rate-study seeds must be distinct")
+    arr = require_rate_inputs(deltas, coupling, seeds)
     a_star = prob_template.a_star
     require_same_basis(truth, a_star, "truth must live on the problem basis")
     B = mass_matrix(truth.n_basis, truth.c_min, truth.c_max)

@@ -35,6 +35,18 @@ DEFAULT_N_BASIS = 16
 DEFAULT_PADDING = 0.1
 
 
+def require_basis_shape(shape: tuple) -> None:
+    """InvalidStateError unless ``shape`` is that of a coefficient vector of >= 2 hats."""
+    if len(shape) != 1 or shape[0] < 2:
+        raise InvalidStateError(f"need at least 2 basis coefficients (got shape {shape})")
+
+
+def require_padding(padding: float) -> None:
+    """InvalidStateError unless ``padding``, a fraction of a c-range, is >= 0."""
+    if padding < 0:
+        raise InvalidStateError(f"padding must be >= 0 (got {padding})")
+
+
 @dataclass(frozen=True, eq=False)
 class SensitivityFunction:
     """Hat-basis expansion of a(c) on uniform knots over [c_min, c_max]."""
@@ -46,10 +58,7 @@ class SensitivityFunction:
     def __post_init__(self):
         coeffs = np.array(self.coeffs, dtype=float, copy=True)
         coeffs.setflags(write=False)
-        if coeffs.ndim != 1 or coeffs.shape[0] < 2:
-            raise InvalidStateError(
-                f"need at least 2 basis coefficients (got shape {coeffs.shape})"
-            )
+        require_basis_shape(coeffs.shape)
         if not np.all(np.isfinite(coeffs)):
             raise InvalidStateError("coefficients contain non-finite values")
         if not self.c_max > self.c_min:
@@ -112,8 +121,7 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
     Tridiagonal on uniform knots, in closed form: interior diagonal
     2*dc/3, endpoint diagonal dc/3, off-diagonal dc/6.
     """
-    if n_basis < 2:
-        raise InvalidStateError(f"n_basis must be >= 2 (got {n_basis})")
+    require_basis_shape((n_basis,))
     if not c_max > c_min:
         raise ZeroWidthIntervalError(
             f"empty concentration interval [{c_min}, {c_max}]"
@@ -170,8 +178,7 @@ def concentration_range(
     traj: "StateTrajectory", padding: float = DEFAULT_PADDING
 ) -> tuple[float, float]:
     """Observed [min c, max c] expanded symmetrically by padding * width."""
-    if padding < 0:
-        raise InvalidStateError(f"padding must be >= 0 (got {padding})")
+    require_padding(padding)
     lo, hi = float(traj.c.min()), float(traj.c.max())
     if not hi > lo:
         raise ZeroWidthIntervalError(

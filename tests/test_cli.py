@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chemid import cli
+from chemid import config as cfgmod
 from chemid.cli import main
 from chemid.config import load_config, resolve
 from chemid.pde import PhysicalParams, SimulationGrid
@@ -599,6 +600,95 @@ def test_bad_initial_field_exits_2_before_out_exists(
     assert_config_error(proc)
     assert proc.stderr == f"error: config: {message}\n"
     assert not out.exists()
+
+
+def with_line(body, line):
+    """body with ``line`` in place of any line setting the same key."""
+    key = line.split("=")[0].strip()
+    kept = [ln for ln in body.splitlines() if ln.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
+#: The command line in a fresh interpreter, with every step that would
+#: start a solve replaced by one that fails the run.
+NO_SOLVE = """\
+import sys
+from chemid import cli
+
+def reached(*args, **kwargs):
+    raise AssertionError("a solve was started")
+
+cli.make_dataset = cli.lcurve_sweep = cli.rate_study = reached
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, line, message",
+    [
+        ("rates", "deltas = 1e-3,1e-2,1e-1", "rate-study deltas must number at least 4 (got 3)"),
+        ("rates", "deltas = 1e-3,-1e-2,1e-1,1", "rate-study deltas must be positive"),
+        ("rates", "deltas = 1e-3,1e-3,1e-2,1e-1", "rate-study deltas must be distinct"),
+        ("rates", "deltas = 1e-3,2e-3,4e-3,8e-3",
+         "rate-study deltas must span >= 1.5 decades (got 0.90)"),
+        ("rates", "coupling = 0", "coupling must be > 0 (got 0.0)"),
+        ("rates", "seeds = 0,0", "rate-study seeds must be distinct"),
+        ("rates", "n_basis = 1", "need at least 2 basis coefficients (got shape (1,))"),
+        ("rates", "time_refine = 0", "time_refine must be >= 1 (got 0)"),
+        ("rates", "padding = -0.1", "padding must be >= 0 (got -0.1)"),
+        ("lcurve", "alphas = 1e-6,1e-5,-1e-4,1e-3,1e-2",
+         "config key 'alphas': sweep alphas must be positive"),
+        ("lcurve", "alphas = 1e-6,1e-5,1e-5,1e-3,1e-2",
+         "config key 'alphas': sweep alphas must be distinct"),
+    ],
+    ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
+         "repeated_seeds", "one_hat", "no_refine", "negative_padding", "negative_alpha",
+         "repeated_alphas"],
+)
+def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
+    cfg = write_cfg(tmp_path, "bad.cfg", with_line(command_body(command, data_dir), line))
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SOLVE, command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forward", "make-data", "lcurve", "rates"])
+def test_rerun_writes_identical_artifacts(tmp_path, data_dir, command):
+    """Every artifact of a rerun equals the first run's, byte for byte (4 hats,
+    time_refine = 2, the 21x60 grid and data generated on 81x240)."""
+    body = command_body(command, data_dir)
+    for line in ("n_basis = 4", "time_refine = 2", "seeds = 0,1"):
+        if line.split(" ")[0] in cfgmod.ALLOWED_KEYS[command]:
+            body = with_line(body, line)
+    cfg = write_cfg(tmp_path, "run.cfg", body)
+    runs = [tmp_path / "first", tmp_path / "again"]
+    for out in runs:
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    first, again = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
+    assert sorted(first) == sorted(readme_artifacts()[command])
+    assert first == again
+
+
+def test_failed_rerun_keeps_the_earlier_runs_artifacts(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    assert main(["forward", "--preset", "myerscough", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def disk_full(params, grid, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_params", disk_full)
+    cfg = write_cfg(tmp_path, "mu.cfg", "mu = 20\n")
+    rc = main(["forward", "--preset", "myerscough", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: cannot write output")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():

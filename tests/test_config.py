@@ -127,7 +127,7 @@ def test_lm_config_fields_are_the_cli_lm_keys():
         ("warm_start", "FALSE", False),
         ("seed", "3", 3),
         ("seeds", "0, 1,2", [0, 1, 2]),
-        ("deltas", "1e-3,1e-2", [1e-3, 1e-2]),
+        ("deltas", "1e-3,1e-2,0.1,1", [1e-3, 1e-2, 0.1, 1.0]),
         ("advection", "upwind", "upwind"),
         ("data_csv", "runs/data.csv", "runs/data.csv"),
     ],

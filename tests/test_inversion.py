@@ -110,6 +110,27 @@ def test_problem_validation():
     assert not (prob.u0.flags.writeable or prob.c0.flags.writeable)
 
 
+def test_problem_rejects_unknown_advection_before_any_step(monkeypatch):
+    def step(*args):
+        raise AssertionError("a step was taken")
+
+    prob, _, _ = small_problem()
+    monkeypatch.setattr(pde, "_advance", step)
+    with pytest.raises(InvalidStateError, match="unknown advection scheme 'bogus'"):
+        TikhonovProblem(
+            data=prob.data, alpha=0.0, a_star=prob.a_star, params=prob.params,
+            u0=prob.u0, c0=prob.c0, advection="bogus",
+        )
+
+
+def test_problem_model_runs_on_the_refined_mesh():
+    prob, _, _ = small_problem()
+    refined = dataclasses.replace(prob, time_refine=3)
+    assert prob.model.grid == prob.grid
+    assert refined.model.grid == prob.grid.with_resolution(21, 3 * prob.grid.n_steps)
+    assert refined.model.u0 is refined.u0 and refined.model.c0 is refined.c0
+
+
 # ---------------------------------------------------------------------------
 # jacobian
 
@@ -355,12 +376,12 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     real = inv._integrate
     calls = {"n": 0}
 
-    def failing_trials(u0, *args):
-        if u0.shape[0] > 1:  # a Jacobian batch
-            return real(u0, *args)
+    def failing_trials(model, a, n_rows, record):
+        if n_rows > 1:  # a Jacobian batch
+            return real(model, a, n_rows, record)
         calls["n"] += 1
         if calls["n"] <= 1:  # the base residual
-            return real(u0, *args)
+            return real(model, a, n_rows, record)
         return [NumericalSolveError("injected trial failure")]
 
     monkeypatch.setattr(inv, "_integrate", failing_trials)

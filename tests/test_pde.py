@@ -5,6 +5,7 @@ helpers.py; conservation/positivity/symmetry invariants are checked on
 full solves.
 """
 
+import dataclasses
 import io
 import math
 
@@ -21,6 +22,7 @@ from chemid.errors import (
     PositivityViolationError,
 )
 from chemid.pde import (
+    ForwardModel,
     PhysicalParams,
     SimulationGrid,
     StateTrajectory,
@@ -227,7 +229,8 @@ def test_step_flags_positivity_violation():
     u[1, 5] = -0.4
     c = np.tile(g.xs() + 0.1, (2, 1))
     flow = g.dt * _face_velocities(c, a, g.dx)
-    _, _, failures = _advance(u, c, flow, p, "upwind", _step_operators(p, g))
+    model = ForwardModel(p, g, u[0], c[0], "upwind")
+    _, _, failures = _advance(u, c, flow, model, _step_operators(p, g))
     assert [(row, type(exc)) for row, exc in failures] == [(1, PositivityViolationError)]
 
 
@@ -399,7 +402,7 @@ def test_batched_rows_fail_independently(monkeypatch):
             return vals
 
         errors = _integrate(
-            np.stack([u0, u0, u0]), np.stack([steep, steep, steep]), p, a, g, "blended",
+            ForwardModel(p, g, u0, steep, "blended"), a, 3,
             lambda j0, U, C: blocks.append((j0, U.copy(), C.copy())),
         )
         assert [type(e) for e in errors] == [InvalidStateError, type(None), InvalidStateError]
@@ -433,6 +436,42 @@ def test_solve_validates_initial_fields():
         solve_forward(ok_u, 0.0 * ok_c, p, A_CONST2, g)
     with pytest.raises(InvalidStateError):
         solve_forward(np.ones(7), ok_c, p, A_CONST2, g)
+
+
+def test_model_rejects_unknown_advection_before_any_step(monkeypatch):
+    def step(*args):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(pde, "_advance", step)
+    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    p = dimensionless(M=0.25, D=1.0)
+    with pytest.raises(InvalidStateError, match="unknown advection scheme 'bogus'"):
+        solve_forward(np.ones(11), np.full(11, 0.5), p, A_CONST2, g, advection="bogus")
+
+
+def test_model_keeps_read_only_copies_of_its_fields():
+    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    u0, c0 = bump_initial(g)
+    model = ForwardModel(dimensionless(M=0.25, D=1.0), g, u0, c0)
+    u0[0] = c0[0] = 7.0
+    assert model.u0[0] != 7.0 and model.c0[0] != 7.0
+    assert not (model.u0.flags.writeable or model.c0.flags.writeable)
+    with pytest.raises(ValueError):
+        model.c0[0] = 7.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.advection = "upwind"
+
+
+def test_models_one_ulp_apart_compare_unequal():
+    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    p = dimensionless(M=0.25, D=1.0)
+    u0, c0 = bump_initial(g)
+    model = ForwardModel(p, g, u0, c0)
+    assert model == ForwardModel(p, g, u0.copy(), c0.copy())
+    nudged = c0.copy()
+    nudged[3] = np.nextafter(nudged[3], np.inf)
+    assert model != ForwardModel(p, g, u0, nudged)
+    assert model != ForwardModel(p, g, u0, c0, "upwind")
 
 
 def test_solve_zero_sensitivity_matches_diffusion_oracle():
