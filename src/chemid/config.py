@@ -12,10 +12,10 @@ table ``_PARSERS`` holds a parser for every key, and ``resolve`` requires
 and parses every key a command allows and then builds the solver inputs:
 physical parameters, measurement and data-generation grids (held to the
 mesh-separation rule of ``synthdata``), a forward model on each grid and
-LM settings, and holds the basis, time_refine, alphas and rate-study
-values to the library's rules.  So a malformed or inconsistent value,
-including a ``table:`` file of ``truth`` or ``prior``, exits before any
-solve runs or any data file is read.
+LM settings, and holds the basis, time_refine, delta, alpha, alphas and
+rate-study values to the library's rules.  So a malformed or inconsistent
+value, including a ``table:`` file of ``truth`` or ``prior``, exits before
+any solve runs or any data file is read.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
-from .inversion import LMConfig, require_time_refine
+from .inversion import LMConfig, require_alpha, require_time_refine
 from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid
 from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
 from .sensitivity import read_sensitivity_csv, require_basis_shape, require_padding
-from .synthdata import myerscough_initial_data, require_mesh_separation
+from .synthdata import myerscough_initial_data, require_mesh_separation, require_noise
 
 PRESETS = {
     "myerscough": {
@@ -312,9 +312,8 @@ _PARSERS = {
 def _solver_inputs(values: dict, allowed) -> dict:
     """PhysicalParams, grids and LMConfig, each if the command allows its keys.
 
-    A ``ForwardModel`` built on each grid checks the initial fields as a
-    solve would, and the basis, time_refine and rate-study values are
-    held to the library's own rules, so a bad one exits before any solve.
+    A ``ForwardModel`` built on each grid checks the initial fields, and the
+    other values are held to the library's rules: a bad one exits early.
     """
 
     def pick(keys):
@@ -336,6 +335,10 @@ def _solver_inputs(values: dict, allowed) -> dict:
     if _BASIS <= allowed:
         require_basis_shape((values["n_basis"],))
         require_padding(values["padding"])
+    if "delta" in allowed:
+        require_noise(values["delta"], values["seed"])
+    if "alpha" in allowed:
+        require_alpha(values["alpha"])
     if "deltas" in allowed:
         require_rate_inputs(values["deltas"], values["coupling"], values["seeds"])
     return built

@@ -20,17 +20,19 @@ advance as the rows of one batched forward solve, so an iteration costs
 that batch plus one forward solve per damping trial.
 
 The iteration is written once, as a generator that yields the forward
-solves it needs.  ``levenberg_marquardt_many`` runs many problems with
-equal models in lockstep: each round stacks the pending rows of all of
-them (a residual row, or the L rows of a Jacobian) into one batched
-solve.  There it never forms J: the solve delivers its frames in blocks,
-and each block's J^T rows are folded into J^T J and J^T r at once,
-adding the per-frame products in frame order, u before c, so the sums
-do not depend on the block size.  ``levenberg_marquardt`` is its
-one-problem case.  The Jacobian is written once, as the request
-``_jacobian_request``: the LM folds its blocks, and ``jacobian_fd`` is
-that request run alone, storing them.  ``residual_vector`` stays on
-``solve_forward`` as the independent one-vector reference.
+solves it needs, and one runner, ``_run_lockstep``, drives every forward
+solve of the inverse problem: each round it stacks the pending rows of
+all its generators (a residual row, or the L rows of a Jacobian) into
+one batched solve, which delivers only the measurement frames, in
+blocks.  ``levenberg_marquardt_many`` runs many problems with equal
+models through it.  There it never forms J: each block's J^T rows are
+folded into J^T J and J^T r at once, adding the per-frame products in
+frame order, u before c, so the sums do not depend on the block size.
+``levenberg_marquardt`` is its one-problem case.  The Jacobian is
+written once, as the request ``_jacobian_request``: the LM folds its
+blocks, and ``jacobian_fd`` is that request run alone, storing them.
+``residual_vector`` stays on ``solve_forward`` as the independent
+one-vector reference.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ class LMConfig:
             raise InvalidStateError(f"max_iters must be >= 1 (got {self.max_iters})")
 
 
+def require_alpha(alpha: float) -> None:
+    """InvalidStateError unless the regularization weight ``alpha`` is >= 0."""
+    if alpha < 0:
+        raise InvalidStateError(f"alpha must be >= 0 (got {alpha})")
+
+
 def require_time_refine(time_refine: int) -> None:
     """InvalidStateError unless ``time_refine``, solve steps per frame, is >= 1."""
     if time_refine < 1:
@@ -116,8 +124,7 @@ class TikhonovProblem:
     model: ForwardModel = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise InvalidStateError(f"alpha must be >= 0 (got {self.alpha})")
+        require_alpha(self.alpha)
         require_time_refine(self.time_refine)
         grid = self.grid.with_resolution(self.grid.n_nodes, self.grid.n_steps * self.time_refine)
         model = ForwardModel(self.params, grid, self.u0, self.c0, self.advection)
@@ -172,31 +179,6 @@ def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     return v[: 2 * z.size].reshape(2, *z.shape, *v.shape[1:])
 
 
-def _solve_rows(prob: TikhonovProblem, coeffs: np.ndarray, sink) -> list:
-    """Solve the forward model of ``prob`` once per coefficient row, as one batch.
-
-    ``sink(frame, U, C)`` receives the measurement frames in blocks: U
-    and C are (k, rows, n_nodes) arrays holding frames frame .. frame + k
-    - 1, picked out of each block ``pde._integrate`` delivers (every
-    time_refine-th solved frame; see there for what a sink may keep).
-    Returns, per row, None or the error that stopped it.
-    """
-    knots = prob.a_star.knots()
-    if coeffs.shape[0] == 1:  # hat_rows equals np.interp row by row; one row is faster there
-        a = lambda face_c, rows: np.interp(face_c, knots, coeffs[0])
-    else:
-        a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
-
-    step = prob.time_refine
-
-    def record(j0, U, C):
-        first = -j0 % step  # offset of the block's first measurement frame
-        if first < len(U):
-            sink((j0 + first) // step, U[first::step], C[first::step])
-
-    return _integrate(prob.model, a, coeffs.shape[0], record)
-
-
 @dataclass(frozen=True, eq=False)
 class InversionResult:
     """Outcome of one Levenberg-Marquardt minimization."""
@@ -231,7 +213,10 @@ def _split_cost(r: np.ndarray, prob: TikhonovProblem) -> tuple[float, float]:
 
 # The Levenberg-Marquardt body below is a generator of forward solves: it
 # yields (coefficient rows, sink) for each batch it needs and is sent back
-# the per-row errors, so that one loop can run many problems in lockstep.
+# the per-row errors, so that one runner, ``_run_lockstep``, can run many
+# problems in lockstep.  ``sink(frame, X)`` receives the measurement frames
+# in blocks: X is a (k, field u/c, rows, n_nodes) array holding frames
+# frame .. frame + k - 1 (see ``pde._integrate`` for what a sink may keep).
 
 
 def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
@@ -244,9 +229,8 @@ def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
     r = np.empty(n_data + prob.n_basis)
     R = _data_blocks(r, prob)
 
-    def sink(frame, U, C):
-        block = slice(frame, frame + len(U))
-        R[0, block], R[1, block] = U[:, 0], C[:, 0]
+    def sink(frame, X):
+        R[:, frame : frame + len(X)] = X[:, :, 0].swapaxes(0, 1)
 
     (exc,) = yield coeffs[None, :], sink
     if exc is not None:
@@ -278,11 +262,11 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     h_col = h[:, None]
 
-    def sink(frame, U, C):
-        block = slice(frame, frame + len(U))
-        Jt = np.empty((len(U), 2, n_basis, U.shape[2]))
-        for f, X in enumerate((U, C)):
-            Jt[:, f] = (w * (X - Z[f][block, None]) - R0[f, block, None]) / h_col
+    def sink(frame, X):
+        block = slice(frame, frame + len(X))
+        Jt = np.empty(X.shape)
+        for f in range(2):
+            Jt[:, f] = (w * (X[:, f] - Z[f][block, None]) - R0[f, block, None]) / h_col
         take(frame, Jt)
 
     errors = yield pert, sink
@@ -324,41 +308,28 @@ def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem,
     return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0_pen
 
 
-def jacobian_fd(
-    coeffs,
-    prob: TikhonovProblem,
-    cfg: LMConfig = LMConfig(),
-    *,
-    base_residual: np.ndarray | None = None,
-) -> np.ndarray:
+def jacobian_fd(coeffs, prob: TikhonovProblem, cfg: LMConfig = LMConfig()) -> np.ndarray:
     """Forward-difference Jacobian of the residual, one column per coefficient.
 
-    This is the LM's Jacobian request, ``_jacobian_request``, run alone
-    around one batched forward solve, with its blocks stored in J.  Column
-    k uses step fd_step * max(|a_k|, 1); if a perturbed row fails,
-    JacobianColumnError carries the lowest failing k.  Column k equals
-    (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.  A
-    base_residual must be the residual_vector layout, 2 * z_u.size + L long.
+    This is the LM's Jacobian request, ``_jacobian_request``, run alone by
+    ``_run_lockstep`` as one batched forward solve, with its blocks stored
+    in J.  Column k uses step fd_step * max(|a_k|, 1); if a perturbed row
+    fails, JacobianColumnError carries the lowest failing k.  Column k
+    equals (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
     """
     coeffs = prob.a_star.with_coeffs(coeffs).coeffs
-    r0 = residual_vector(coeffs, prob) if base_residual is None else base_residual
-    n_rows = 2 * prob.data.z_u.size + coeffs.shape[0]
-    if np.shape(r0) != (n_rows,):
-        raise InvalidStateError(
-            f"base_residual must have length {n_rows}, got shape {np.shape(r0)}"
-        )
-    J = np.empty((n_rows, coeffs.shape[0]))
+    r0 = residual_vector(coeffs, prob)
+    n_data = 2 * prob.data.z_u.size
+    J = np.empty((n_data + coeffs.shape[0], coeffs.shape[0]))
     J_data = _data_blocks(J, prob)
 
     def take(frame, Jt):
         J_data[:, frame : frame + len(Jt)] = Jt.transpose(1, 0, 3, 2)
 
-    request = _jacobian_request(coeffs, r0, prob, cfg, take)
-    rows, sink = next(request)
-    try:
-        request.send(_solve_rows(prob, rows, sink))
-    except StopIteration as done:
-        J[2 * prob.data.z_u.size :] = done.value
+    (J_pen,) = _run_lockstep(prob, [_jacobian_request(coeffs, r0, prob, cfg, take)])
+    if isinstance(J_pen, ForwardSolveError):
+        raise J_pen
+    J[n_data:] = J_pen
     return J
 
 
@@ -449,6 +420,56 @@ def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
         )
 
 
+def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
+    """Run the generators ``requests`` to their ends, their solves batched by round.
+
+    This is the one driver of forward solves for the inverse problem.
+    Every request must be for a problem with the forward model,
+    time_refine and knots of ``prob``.  Each round stacks the coefficient
+    rows that every pending request yields (a residual row, or the L rows
+    of a Jacobian) into one batched solve that keeps every time_refine-th
+    solved frame, the measurement frames.  Each request's sink gets its
+    rows' slice of every block, and the request is sent its rows' slice
+    of the per-row errors.  Each row is checked as a lone solve would be,
+    and its result does not depend on the others.  Returns, per request,
+    what it returned or the ForwardSolveError (such as
+    JacobianColumnError) that stopped it.
+    """
+    knots = prob.a_star.knots()
+    results = [None] * len(requests)
+    pending = {}
+
+    def advance(i, errors):
+        try:
+            pending[i] = requests[i].send(errors)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except ForwardSolveError as exc:
+            results[i] = exc
+
+    for i in range(len(requests)):
+        advance(i, None)
+    while pending:
+        batch = sorted(pending.items())
+        pending.clear()
+        bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        coeffs = np.concatenate([rows for _, (rows, _) in batch])
+        if len(coeffs) == 1:  # hat_rows equals np.interp row by row; one row is faster there
+            a = lambda face_c, rows: np.interp(face_c, knots, coeffs[0])
+        else:
+            a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
+
+        def sink(frame, X):
+            for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
+                part_sink(frame, X[:, :, lo:hi])
+
+        errors = _integrate(prob.model, a, len(coeffs), sink, every=prob.time_refine)
+        for (i, _), (lo, hi) in zip(batch, spans):
+            advance(i, errors[lo:hi])
+    return results
+
+
 def levenberg_marquardt_many(
     probs: Sequence[TikhonovProblem],
     a0s: Sequence[SensitivityFunction],
@@ -457,12 +478,10 @@ def levenberg_marquardt_many(
     """Minimize J_alpha of every problem from its a0, all in lockstep.
 
     The problems may differ in data and alpha but must share the forward
-    model (InvalidStateError otherwise).  Each round gathers the solves
-    every unfinished minimization needs next (a residual row, or the L
-    rows of a Jacobian) into one batched forward solve, so a round costs
-    about one solve however many problems run.  Each row is checked as a
-    lone solve would be and a row's result does not depend on the others,
-    so every entry equals a lone ``levenberg_marquardt`` call bit for bit.
+    model (InvalidStateError otherwise).  Their minimizations run through
+    ``_run_lockstep``, so a round costs about one batched forward solve
+    however many problems run, and every entry equals a lone
+    ``levenberg_marquardt`` call bit for bit.
 
     Returns, per problem, its InversionResult or the ForwardSolveError
     (such as JacobianColumnError) that stopped it.
@@ -473,36 +492,7 @@ def levenberg_marquardt_many(
     for prob, a0 in zip(probs, a0s):
         _require_same_model(prob, probs[0])
         require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
-
-    results = [None] * len(probs)
-    bodies = [_lm_body(prob, a0, cfg) for prob, a0 in zip(probs, a0s)]
-    requests = {}
-
-    def advance(i, errors):
-        try:
-            requests[i] = bodies[i].send(errors)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except ForwardSolveError as exc:
-            results[i] = exc
-
-    for i in range(len(bodies)):
-        advance(i, None)
-    while requests:
-        batch = sorted(requests.items())
-        requests.clear()
-        bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
-        spans = list(zip(bounds[:-1], bounds[1:]))
-
-        def sink(frame, U, C):
-            for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
-                part_sink(frame, U[:, lo:hi], C[:, lo:hi])
-
-        stacked = np.concatenate([rows for _, (rows, _) in batch])
-        errors = _solve_rows(probs[0], stacked, sink)
-        for (i, _), (lo, hi) in zip(batch, spans):
-            advance(i, errors[lo:hi])
-    return results
+    return _run_lockstep(probs[0], [_lm_body(prob, a0, cfg) for prob, a0 in zip(probs, a0s)])
 
 
 def levenberg_marquardt(

@@ -34,8 +34,8 @@ c-matrix depends only on the step size and is LU-factored (dgttrf) once
 per solve, then every row is solved by one dgttrs call per step.  The
 positivity check runs per row after every step and the c floor per row
 after every frame, so a failing row stops without touching the others.
-The solved frames are handed to the caller in blocks of many frames, one
-call per block.
+A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
+the caller in blocks of many frames, one call per block.
 """
 
 from __future__ import annotations
@@ -355,37 +355,38 @@ def _integrate(
     model: ForwardModel,
     a: Callable[[np.ndarray, np.ndarray], np.ndarray],
     n_rows: int,
-    record: Callable[[int, np.ndarray, np.ndarray], None],
+    record: Callable[[int, np.ndarray], None],
+    every: int = 1,
 ) -> list:
     """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
     ``a(face_c, rows)`` gives the sensitivity of the rows with indices
     ``rows`` at their face concentrations ``face_c`` (one array row per
     index).  The model checked its initial fields and face rule when it
-    was built.  Every live row takes one step per frame.  Rows are
+    was built.  Every live row takes one step per solved frame.  Rows are
     independent: each is checked for a finite dt * face velocity,
     positivity and its own c floor exactly as a lone solve would be, and
     a row that fails stops without changing the others.
 
-    ``record(j0, U, C)`` receives the solved frames in order, in blocks:
-    U and C are (k, rows, n_nodes) arrays holding frames j0 .. j0 + k - 1
-    (0 <= j0 <= n_steps).  A block holds as many frames as fit
-    ``_FRAME_BLOCK_BYTES`` (at least one; the last block may hold fewer),
-    and the frames end at the last step any row survived.  The rows of
-    failed solves hold stale values and the arrays are reused afterwards,
-    so it copies what it keeps.  Returns, per row, None or the error that
-    stopped it.
+    ``record(j0, X)`` receives every ``every``-th solved frame in order,
+    in blocks: X is a (k, 2, rows, n_nodes) array of u, then c, at solved
+    frames j * every for j = j0 .. j0 + k - 1.  A block holds as many
+    frames as fit ``_FRAME_BLOCK_BYTES`` (at least one; the last block may
+    hold fewer), and the frames end at the last one any row survived.
+    The rows of failed solves hold stale values and X is reused
+    afterwards, so it copies what it keeps.  Returns, per row, None or
+    the error that stopped it.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
     dx, dt = grid.dx, grid.dt
     times = grid.times()
     ops = _step_operators(params, grid)
-    block = min(grid.n_steps + 1, max(1, _FRAME_BLOCK_BYTES // (16 * u.size)))
-    U = np.empty((block, *u.shape))
-    C = np.empty_like(U)
-    U[0], C[0] = u, c
-    j0, filled = 0, 1  # the buffer holds frames j0 .. j0 + filled - 1
+    n_frames = grid.n_steps // every + 1
+    block = min(n_frames, max(1, _FRAME_BLOCK_BYTES // (16 * u.size)))
+    X = np.empty((block, 2, *u.shape))
+    X[0, 0], X[0, 1] = u, c
+    j0, filled = 0, 1  # the buffer holds sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
@@ -396,18 +397,18 @@ def _integrate(
 
     for j in range(grid.n_steps):
         if filled == block:
-            record(j0, U, C)
+            record(j0, X)
             j0, filled = j0 + block, 0
         rows = np.flatnonzero(alive)
-        every = rows.size == n_rows
-        c_rows = c if every else c[rows]
+        all_rows = rows.size == n_rows
+        c_rows = c if all_rows else c[rows]
         flow = dt * _face_velocities(c_rows, lambda face_c: a(face_c, rows), dx)
         finite = np.isfinite(flow).all(axis=1)
         if not finite.all():  # such a row stops; a zero flow keeps its solve harmless
             for i in np.flatnonzero(~finite):
                 fail(rows[i], InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
             flow[~finite] = 0.0
-        if every:
+        if all_rows:
             u, c, broken = _advance(u, c, flow, model, ops)
         else:
             u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, model, ops)
@@ -423,11 +424,12 @@ def _integrate(
             ))
         if not alive.any():
             break
-        U[filled], C[filled] = u, c
-        filled += 1
+        if (j + 1) % every == 0:
+            X[filled, 0], X[filled, 1] = u, c
+            filled += 1
 
     if filled:
-        record(j0, U[:filled], C[:filled])
+        record(j0, X[:filled])
     return errors
 
 
@@ -454,16 +456,15 @@ def solve_forward(
         if the computed fields violate the solution lower bounds.
     """
     model = ForwardModel(params, grid, u0, c0, advection)
-    U = np.empty((grid.n_steps + 1, grid.n_nodes))
-    C = np.empty_like(U)
+    frames = np.empty((grid.n_steps + 1, 2, grid.n_nodes))
 
-    def record(j0, u_block, c_block):
-        U[j0 : j0 + len(u_block)], C[j0 : j0 + len(c_block)] = u_block[:, 0], c_block[:, 0]
+    def record(j0, X):
+        frames[j0 : j0 + len(X)] = X[:, :, 0]
 
     errors = _integrate(model, lambda face_c, rows: a(face_c), 1, record)
     if errors[0] is not None:
         raise errors[0]
-    return StateTrajectory(grid=grid, u=U, c=C)
+    return StateTrajectory(grid=grid, u=frames[:, 0], c=frames[:, 1])
 
 
 def _linear_stencil(src: np.ndarray, q: np.ndarray) -> tuple:

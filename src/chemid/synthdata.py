@@ -40,6 +40,14 @@ MIN_MESH_SEPARATION = 4
 MAX_NOISE_ATTEMPTS = 32
 
 
+def require_noise(delta: float, seed: int) -> None:
+    """InvalidStateError unless the noise level delta and the seed are >= 0."""
+    if delta < 0:
+        raise InvalidStateError(f"delta must be >= 0 (got {delta})")
+    if seed < 0:
+        raise InvalidStateError(f"seed must be >= 0 (got {seed})")
+
+
 @dataclass(frozen=True, eq=False)
 class NoisyData:
     """Measurement pair (z_u, z_c) on a grid with realized noise level delta."""
@@ -63,10 +71,7 @@ class NoisyData:
             raise InvalidStateError(
                 f"z_c must be positive everywhere (min {z_c.min():.3e})"
             )
-        if self.delta < 0:
-            raise InvalidStateError(f"delta must be >= 0 (got {self.delta})")
-        if self.seed < 0:
-            raise InvalidStateError(f"seed must be >= 0 (got {self.seed})")
+        require_noise(self.delta, self.seed)
         object.__setattr__(self, "z_u", z_u)
         object.__setattr__(self, "z_c", z_c)
 
@@ -87,10 +92,7 @@ def add_noise(truth_meas: StateTrajectory, delta: float, seed: int) -> NoisyData
     positive, the c perturbation is redrawn from a fresh substream, at most
     MAX_NOISE_ATTEMPTS times.  The seed must be a nonnegative integer.
     """
-    if delta < 0:
-        raise InvalidStateError(f"delta must be >= 0 (got {delta})")
-    if seed < 0:
-        raise InvalidStateError(f"seed must be >= 0 (got {seed})")
+    require_noise(delta, seed)
     grid = truth_meas.grid
     U, C = truth_meas.u, truth_meas.c
     if delta == 0.0:

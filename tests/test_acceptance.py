@@ -259,7 +259,7 @@ def test_criterion_5_optimizer_correctness(ex1, ex2, capsys):
     for _ in range(10):
         coeffs = a_true.coeffs + rng.uniform(-0.3, 0.3, prob.n_basis)
         r = residual_vector(coeffs, prob)
-        J = jacobian_fd(coeffs, prob, LMConfig(fd_step=1e-7), base_residual=r)
+        J = jacobian_fd(coeffs, prob, LMConfig(fd_step=1e-7))
         grad = 2.0 * (J.T @ r)
         for k in range(prob.n_basis):
             e = np.zeros(prob.n_basis)

@@ -1,5 +1,6 @@
 """End-to-end command line runs: artifacts, determinism, exit codes."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -610,15 +611,16 @@ def with_line(body, line):
 
 
 #: The command line in a fresh interpreter, with every step that would
-#: start a solve replaced by one that fails the run.
+#: start a solve or read data_csv replaced by one that fails the run.
 NO_SOLVE = """\
 import sys
 from chemid import cli
 
 def reached(*args, **kwargs):
-    raise AssertionError("a solve was started")
+    raise AssertionError("a solve was started or data_csv was read")
 
 cli.make_dataset = cli.lcurve_sweep = cli.rate_study = reached
+cli.levenberg_marquardt = cli.read_noisy_csv = reached
 sys.exit(cli.main(sys.argv[1:]))
 """
 
@@ -640,10 +642,12 @@ sys.exit(cli.main(sys.argv[1:]))
          "config key 'alphas': sweep alphas must be positive"),
         ("lcurve", "alphas = 1e-6,1e-5,1e-5,1e-3,1e-2",
          "config key 'alphas': sweep alphas must be distinct"),
+        ("make-data", "delta = -1e-3", "delta must be >= 0 (got -0.001)"),
+        ("invert", "alpha = -1", "alpha must be >= 0 (got -1.0)"),
     ],
     ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
          "repeated_seeds", "one_hat", "no_refine", "negative_padding", "negative_alpha",
-         "repeated_alphas"],
+         "repeated_alphas", "make_data_negative_delta", "invert_negative_alpha"],
 )
 def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
     cfg = write_cfg(tmp_path, "bad.cfg", with_line(command_body(command, data_dir), line))
@@ -657,12 +661,81 @@ def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["forward", "make-data", "lcurve", "rates"])
-def test_rerun_writes_identical_artifacts(tmp_path, data_dir, command):
-    """Every artifact of a rerun equals the first run's, byte for byte (4 hats,
-    time_refine = 2, the 21x60 grid and data generated on 81x240)."""
+#: SHA-256 of every artifact of ``test_rerun_writes_identical_artifacts``, by
+#: run.  Recorded with numpy 2.4.6 and scipy 1.17.1 on x86-64 Linux; a change
+#: that moves a number on purpose updates this table and says so.
+ARTIFACT_SHA256 = {
+    "forward": {
+        "params.txt":
+            "4bc299ea6aaaf50a89531c63fd1348de43185df75f83d64713ae8f7da7b4517a",
+        "summary.txt":
+            "680133570a683c1525460852d1fb79cab565b7f56627ab97f81e93034f7039b7",
+        "trajectory.csv":
+            "397c9cc05490d42c5d60725afe5e1a5deb69bedb6ef07446214ce26e7061ef57",
+    },
+    "make-data": {
+        "data.csv":
+            "9b73babc2d1bd3b1f4d8a2d9649c4426c577f7d9c9995a451b95e48bfa76cff9",
+        "summary.txt":
+            "686a86ed995dd44c4c4dca81e40b8f01220abb723d974833913f2959a8471328",
+    },
+    "invert-refine-1": {
+        "a_hat.csv":
+            "712f7b5b650654f833db6ac35e34bb247981c7b5ffb6146738aaa342c334fcb0",
+        "report.txt":
+            "281f7933e17a38fdc32744a53bda39d967e4b886acffc01222066b9dd98900a7",
+    },
+    "invert": {
+        "a_hat.csv":
+            "542ec82a8e575586c4bab8ef9b18e5530259a43c3232fe871ae3890eef249b74",
+        "report.txt":
+            "ba522dc9390f4392b95a2254c424423f2ec4189c50259a57ab2fbeb081a62168",
+    },
+    "invert-refine-3": {
+        "a_hat.csv":
+            "7c3899d110d0b84cdbfa00335250a470d23818e8c4e29deb90d7ac6ff25c5346",
+        "report.txt":
+            "56e8a9f4e5294e133341e474c5897d0d0c57a669c9bd7a4b3236b7db9e0ed8d9",
+    },
+    "lcurve": {
+        "lcurve.csv":
+            "b8f51f18f8a4c381d7f5b2e4aba482a4c02155c4fb37f65eab6939c3807dcbe9",
+        "plot_lcurve.py":
+            "53d272b0e0a4f80fd95e024bd359949072f0042abfa940a692efa82f2407b4a9",
+        "summary.txt":
+            "771bf7406ba73643d0c45cee731865037be340e3370d5d5a639add54b895df0c",
+    },
+    "rates-refine-1": {
+        "plot_rates.py":
+            "af4cf554ae4c910f1ad9eb1d1a841e5c0d22b33600e489b316f7354f8a43408c",
+        "rates.csv":
+            "033f3e6c758f5f8c89810d3feaf39320462dab725b0405d39fd0219a176d64ea",
+        "summary.txt":
+            "b8827b6e8566f171588e5753f104939e71eb6ab2e97f14322cc4f9974d7236f8",
+    },
+    "rates": {
+        "plot_rates.py":
+            "63fec54626e84a992e289f210e5110a12457f1f6cc60fe5fafea485ca00ff31e",
+        "rates.csv":
+            "40cd4521c5b4fedf52819ebb391cb2f02937bb99f1a5221bf7ffd7b2c697ba82",
+        "summary.txt":
+            "90b670ea587867737dc7f81cb565d5e6513cbf6f7c37316a25101958e0bbe484",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["forward", "make-data", "invert-refine-1", "invert", "invert-refine-3", "lcurve",
+     "rates-refine-1", "rates"],
+)
+def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run):
+    """Every artifact of a rerun equals the first run's and the pinned bytes
+    (4 hats, time_refine = 2 unless the run names another, the 21x60 grid
+    and data generated on 81x240)."""
+    command, _, refine = run.partition("-refine-")
     body = command_body(command, data_dir)
-    for line in ("n_basis = 4", "time_refine = 2", "seeds = 0,1"):
+    for line in ("n_basis = 4", f"time_refine = {refine or 2}", "seeds = 0,1"):
         if line.split(" ")[0] in cfgmod.ALLOWED_KEYS[command]:
             body = with_line(body, line)
     cfg = write_cfg(tmp_path, "run.cfg", body)
@@ -672,6 +745,8 @@ def test_rerun_writes_identical_artifacts(tmp_path, data_dir, command):
     first, again = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
     assert sorted(first) == sorted(readme_artifacts()[command])
     assert first == again
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in first.items()}
+    assert digests == ARTIFACT_SHA256[run]
 
 
 def test_failed_rerun_keeps_the_earlier_runs_artifacts(tmp_path, monkeypatch, capsys):

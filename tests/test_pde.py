@@ -403,7 +403,7 @@ def test_batched_rows_fail_independently(monkeypatch):
 
         errors = _integrate(
             ForwardModel(p, g, u0, steep, "blended"), a, 3,
-            lambda j0, U, C: blocks.append((j0, U.copy(), C.copy())),
+            lambda j0, X: blocks.append((j0, X[:, 0].copy(), X[:, 1].copy())),
         )
         assert [type(e) for e in errors] == [InvalidStateError, type(None), InvalidStateError]
         assert "face velocity" in str(errors[0])
@@ -415,6 +415,49 @@ def test_batched_rows_fail_independently(monkeypatch):
         assert np.array_equal(U[:, 1], alone.u_matrix())
         assert np.array_equal(C[:, 1], alone.c_matrix())
         assert np.array_equal(U[:6, 2], alone.u[:6]) and np.array_equal(C[:6, 2], alone.c[:6])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("every", [2, 3])
+@pytest.mark.parametrize("block_frames", [None, 2], ids=["one_block", "blocks_of_2"])
+def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_frames):
+    # 12 steps solve frames 0..12, of which every=2 samples 7 and every=3
+    # samples 5; row 2's sensitivity turns nan in step 8, so its frames
+    # 0..7 are valid and its samples after frame 7 are not compared
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 12)
+    u0, _ = bump_initial(g)
+    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, steep, "blended")
+    coeffs = np.tile(A_CONST2.coeffs, (3, 1)) * np.array([[1.0], [1.1], [0.9]])
+
+    def run(k):
+        steps, blocks = [], []
+
+        def a(face_c, rows):
+            steps.append(rows)
+            vals = hat_rows(face_c, A_CONST2.knots(), coeffs[rows])
+            if len(steps) == 8:
+                vals[rows == 2] = np.nan
+            return vals
+
+        errors = _integrate(model, a, 3, lambda j0, X: blocks.append((j0, X.copy())), k)
+        sizes = [len(X) for _, X in blocks]
+        assert [j0 for j0, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
+        return errors, sizes, np.concatenate([X for _, X in blocks])
+
+    full_errors, _, full = run(1)
+    if block_frames is not None:
+        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * 3 * g.n_nodes)
+    errors, sizes, sampled = run(every)
+    n_frames = len(range(0, g.n_steps + 1, every))
+    assert sizes == ([n_frames] if block_frames is None else
+                     [2] * (n_frames // 2) + [1] * (n_frames % 2))
+    assert [str(e) for e in errors] == [str(e) for e in full_errors]
+    assert "face velocity is not finite in frame 8" in str(errors[2])
+    assert sampled.shape == (n_frames, 2, 3, g.n_nodes)
+    assert np.array_equal(sampled[:, :, :2], full[::every, :, :2])
+    n_valid = len(range(0, 8, every))
+    assert np.array_equal(sampled[:n_valid, :, 2], full[:8:every, :, 2])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
