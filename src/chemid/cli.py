@@ -26,7 +26,7 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
 from .inversion import TikhonovProblem, levenberg_marquardt, write_inversion_report
-from .pde import StateTrajectory, mass, solve_forward, write_params, write_trajectory_csv
+from .pde import mass, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
     lcurve_corner,
     lcurve_sweep,
@@ -57,9 +57,8 @@ def _fmt(x: float) -> str:
 
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
     """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
-    measured = StateTrajectory(grid=data.grid, u=data.z_u, c=data.z_c)
     try:
-        lo, hi = concentration_range(measured, padding=cfg["padding"])
+        lo, hi = concentration_range(data, padding=cfg["padding"])
         return TikhonovProblem(
             data=data,
             alpha=alpha,
@@ -112,8 +111,8 @@ def cmd_make_data(cfg: dict):
         "summary.txt": _summary({
             "delta": _fmt(data.delta),
             "seed": str(cfg["seed"]),
-            "c_range_low": _fmt(float(data.z_c.min())),
-            "c_range_high": _fmt(float(data.z_c.max())),
+            "c_range_low": _fmt(float(data.c.min())),
+            "c_range_high": _fmt(float(data.c.max())),
         }),
     }, None
 

@@ -13,7 +13,10 @@ stacked residual vector
       sqrt(alpha) L_B^T (a - a*) ]
 
 with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
-(Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  Every
+(Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  The
+measurements (z_u, z_c) are the data's (frame, field, node) array
+``X``; the data rows of the residual and of J are laid out by field,
+then frame, then node (``_data_blocks``).  Every
 solve runs the problem's ``model``, one ``pde.ForwardModel``.  Jacobians
 are forward finite differences: the L perturbed coefficient vectors
 advance as the rows of one batched forward solve, so an iteration costs
@@ -59,7 +62,7 @@ from .pde import (
     _integrate,
     solve_forward,
 )
-from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis
+from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis, same_basis
 from .synthdata import NoisyData
 
 #: Damping beyond this means no descent direction is found: stagnation.
@@ -161,11 +164,9 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
         traj = solve_forward(m.u0, m.c0, m.params, a, m.grid, advection=m.advection)
     except (NumericalSolveError, InvalidStateError) as exc:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
-    k = prob.time_refine
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
-    r_u = w * (traj.u[::k] - prob.data.z_u).ravel()
-    r_c = w * (traj.c[::k] - prob.data.z_c).ravel()
-    return np.concatenate([r_u, r_c, _penalty_residual(a.coeffs, prob)])
+    r_data = (w * (traj.X[:: prob.time_refine] - prob.data.X)).swapaxes(0, 1).ravel()
+    return np.concatenate([r_data, _penalty_residual(a.coeffs, prob)])
 
 
 def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
@@ -175,8 +176,8 @@ def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
 def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     """The data rows of a residual vector or Jacobian, viewed as
     (field u/c, frame, node, ...)."""
-    z = prob.data.z_u
-    return v[: 2 * z.size].reshape(2, *z.shape, *v.shape[1:])
+    n_frames, _, n_nodes = prob.data.X.shape
+    return v[: prob.data.X.size].reshape(2, n_frames, n_nodes, *v.shape[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +226,7 @@ def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
     Equal bit for bit to ``residual_vector(coeffs, prob)``; a failed solve
     raises ForwardSolveError.
     """
-    n_data = 2 * prob.data.z_u.size
+    n_data = prob.data.X.size
     r = np.empty(n_data + prob.n_basis)
     R = _data_blocks(r, prob)
 
@@ -235,8 +236,7 @@ def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
     (exc,) = yield coeffs[None, :], sink
     if exc is not None:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
-    R[0] -= prob.data.z_u
-    R[1] -= prob.data.z_c
+    R -= prob.data.X.swapaxes(0, 1)
     R *= math.sqrt(prob.grid.dx * prob.grid.dt)
     r[n_data:] = _penalty_residual(coeffs, prob)
     return r
@@ -258,7 +258,7 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
     pert = np.tile(coeffs, (n_basis, 1))
     pert[np.diag_indices(n_basis)] += h
     R0 = _data_blocks(r0, prob)
-    Z = (prob.data.z_u, prob.data.z_c)
+    Z = prob.data.X
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     h_col = h[:, None]
 
@@ -266,7 +266,7 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
         block = slice(frame, frame + len(X))
         Jt = np.empty(X.shape)
         for f in range(2):
-            Jt[:, f] = (w * (X[:, f] - Z[f][block, None]) - R0[f, block, None]) / h_col
+            Jt[:, f] = (w * (X[:, f] - Z[block, f, None]) - R0[f, block, None]) / h_col
         take(frame, Jt)
 
     errors = yield pert, sink
@@ -275,7 +275,7 @@ def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
             raise JacobianColumnError(
                 k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
             ) from exc
-    r0_pen = r0[2 * prob.data.z_u.size :]
+    r0_pen = r0[prob.data.X.size :]
     return np.column_stack(
         [(_penalty_residual(p, prob) - r0_pen) / hk for p, hk in zip(pert, h)]
     )
@@ -304,7 +304,7 @@ def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem,
         JTr[...] = np.add.accumulate(np.concatenate([JTr[None], (P @ r)[..., 0]]))[-1]
 
     J_pen = yield from _jacobian_request(coeffs, r0, prob, cfg, take)
-    r0_pen = r0[2 * prob.data.z_u.size :]
+    r0_pen = r0[prob.data.X.size :]
     return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0_pen
 
 
@@ -319,7 +319,7 @@ def jacobian_fd(coeffs, prob: TikhonovProblem, cfg: LMConfig = LMConfig()) -> np
     """
     coeffs = prob.a_star.with_coeffs(coeffs).coeffs
     r0 = residual_vector(coeffs, prob)
-    n_data = 2 * prob.data.z_u.size
+    n_data = prob.data.X.size
     J = np.empty((n_data + coeffs.shape[0], coeffs.shape[0]))
     J_data = _data_blocks(J, prob)
 
@@ -413,8 +413,8 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
 
 
 def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
-    same_knots = np.array_equal(prob.a_star.knots(), ref.a_star.knots())
-    if not (prob.model == ref.model and prob.time_refine == ref.time_refine and same_knots):
+    same = prob.model == ref.model and prob.time_refine == ref.time_refine
+    if not (same and same_basis(prob.a_star, ref.a_star)):
         raise InvalidStateError(
             "problems solved in lockstep must share the forward model, time_refine and knots"
         )

@@ -36,6 +36,8 @@ positivity check runs per row after every step and the c floor per row
 after every frame, so a failing row stops without touching the others.
 A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
 the caller in blocks of many frames, one call per block.
+Every array of states has the layout (frame, field u/c, [row,] node):
+a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ class PhysicalParams:
                 f"b and mu must be nonnegative (got b={self.b}, mu={self.mu})"
             )
 
-    @classmethod
+    @classmethod  # read by perfbench; goes with item 1's benchmark PR
     def myerscough(cls) -> "PhysicalParams":
         """Limb-bud morphogenesis parameter set: M=0.25, D=1, h=1, b=mu=50."""
         return cls(M=0.25, D=1.0, b=50.0, h=1.0, mu=50.0)
@@ -159,7 +161,12 @@ class SimulationGrid:
 
 
 def _readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
+    """``a`` if it is a read-only float array owning C-ordered memory, else a read-only copy."""
+    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable and (
+        a.flags.owndata and a.flags.c_contiguous
+    ):
+        return a
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -207,31 +214,26 @@ class ForwardModel:
 class StateTrajectory:
     """The solution at every frame from t = 0 to t = t_final.
 
-    ``u`` and ``c`` are read-only arrays of shape (n_steps + 1, n_nodes);
-    row j holds the cell density and the concentration at
-    ``grid.times()[j]``.
+    ``X`` is one read-only array of shape (n_steps + 1, 2, n_nodes):
+    ``X[j]`` holds the cell density and the concentration at
+    ``grid.times()[j]``.  ``u`` and ``c`` are its views ``X[:, 0]`` and
+    ``X[:, 1]``.  ``X`` is kept if read-only and owning its memory, else copied.
     """
 
     grid: SimulationGrid
-    u: np.ndarray
-    c: np.ndarray
+    X: np.ndarray
 
     def __post_init__(self):
-        shape = (self.grid.n_steps + 1, self.grid.n_nodes)
-        u, c = _readonly(self.u), _readonly(self.c)
-        if u.shape != shape or c.shape != shape:
-            raise InvalidStateError(
-                f"u and c must have shape {shape} (got {u.shape}, {c.shape})"
-            )
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "c", c)
+        shape = (self.grid.n_steps + 1, 2, self.grid.n_nodes)
+        X = _readonly(self.X)
+        if X.shape != shape:
+            raise InvalidStateError(f"X must have shape {shape} (got {X.shape})")
+        object.__setattr__(self, "X", X)
 
-    def u_matrix(self) -> np.ndarray:
-        """All u frames, shape (n_steps + 1, n_nodes); the stored array."""
-        return self.u
-
-    def c_matrix(self) -> np.ndarray:
-        return self.c
+    u = property(lambda self: self.X[:, 0])
+    c = property(lambda self: self.X[:, 1])
+    def u_matrix(self): return self.u  # read by perfbench; goes with item 1's benchmark PR
+    def c_matrix(self): return self.c  # read by perfbench; goes with item 1's benchmark PR
 
 
 def mass(u, grid: SimulationGrid) -> float:
@@ -370,7 +372,8 @@ def _integrate(
 
     ``record(j0, X)`` receives every ``every``-th solved frame in order,
     in blocks: X is a (k, 2, rows, n_nodes) array of u, then c, at solved
-    frames j * every for j = j0 .. j0 + k - 1.  A block holds as many
+    frames j * every for j = j0 .. j0 + k - 1, the layout of
+    ``StateTrajectory.X`` with a row axis.  A block holds as many
     frames as fit ``_FRAME_BLOCK_BYTES`` (at least one; the last block may
     hold fewer), and the frames end at the last one any row survived.
     The rows of failed solves hold stale values and X is reused
@@ -456,15 +459,21 @@ def solve_forward(
         if the computed fields violate the solution lower bounds.
     """
     model = ForwardModel(params, grid, u0, c0, advection)
-    frames = np.empty((grid.n_steps + 1, 2, grid.n_nodes))
+    frames = None
 
     def record(j0, X):
+        # allocated after _integrate's buffers: before them, the kept frames
+        # fragmented the heap and raised fine-io's peak RSS by 10 MB
+        nonlocal frames
+        if frames is None:
+            frames = np.empty((grid.n_steps + 1, 2, grid.n_nodes))
         frames[j0 : j0 + len(X)] = X[:, :, 0]
 
     errors = _integrate(model, lambda face_c, rows: a(face_c), 1, record)
     if errors[0] is not None:
         raise errors[0]
-    return StateTrajectory(grid=grid, u=frames[:, 0], c=frames[:, 1])
+    frames.setflags(write=False)  # the trajectory keeps this buffer, uncopied
+    return StateTrajectory(grid, frames)
 
 
 def _linear_stencil(src: np.ndarray, q: np.ndarray) -> tuple:
@@ -500,8 +509,8 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
     j, wx = _linear_stencil(src_x, np.clip(coarse.xs(), src_x[0], src_x[-1]))
     # corners (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1): scipy's order
     corners = [(i[:, None] + a, j + b, wt[a][:, None] * wx[b]) for a in (0, 1) for b in (0, 1)]
-    u_c, c_c = (sum(v[r, s] * w for r, s, w in corners) for v in (traj.u, traj.c))
-    return StateTrajectory(grid=coarse, u=u_c, c=c_c)
+    V = traj.X.swapaxes(0, 1)  # (field, frame, node)
+    return StateTrajectory(coarse, sum(V[:, r, s] * w for r, s, w in corners).swapaxes(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +520,26 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
 def write_trajectory_csv(traj: StateTrajectory, path) -> None:
     """CSV with header t,x,u,c; row-major by frame then node; 15 sig. digits."""
     with open(path, "w", encoding="utf-8") as fh:
-        _write_frames(fh, traj.grid, traj.u, traj.c)
+        _write_frames(fh, traj)
 
 
-def _write_frames(fh, grid: SimulationGrid, U: np.ndarray, C: np.ndarray) -> None:
-    """One ``t,x,u,c`` line per frame and node; each value as ``%.15g``.
+def _write_frames(fh, traj: StateTrajectory) -> None:
+    """One ``t,x,u,c`` line per frame and node of ``traj``; each value as ``%.15g``.
 
     The node coordinates are formatted once and each frame is written by
     one %-format over Python floats, which gives the same text as
     formatting every value on its own.
     """
+    grid = traj.grid
     n = grid.n_nodes
     line = "%s,%s,%.15g,%.15g\n" * n
     values = [None] * (4 * n)
     values[1::4] = ["%.15g" % x for x in grid.xs().tolist()]
     fh.write("t,x,u,c\n")
-    for j, t in enumerate(grid.times().tolist()):
+    for t, (u, c) in zip(grid.times().tolist(), traj.X):
         values[0::4] = ["%.15g" % t] * n
-        values[2::4] = U[j].tolist()
-        values[3::4] = C[j].tolist()
+        values[2::4] = u.tolist()
+        values[3::4] = c.tolist()
         fh.write(line % tuple(values))
 
 
@@ -542,7 +552,7 @@ def _next_line(fh) -> str:
 
 
 def _read_frame_csv(path, expect_comment: bool = False):
-    """Parse a t,x,u,c table back into (grid, U, C, comment_line).
+    """Parse a t,x,u,c table back into (StateTrajectory, comment_line).
 
     Blank lines are skipped; the rows are parsed as they stream in, so no
     copy of the text is held.  Undecodable bytes, non-numeric cells,
@@ -582,21 +592,13 @@ def _read_frame_csv(path, expect_comment: bool = False):
         d = np.diff(vals)
         if len(d) and not np.allclose(d, d[0], rtol=1e-6, atol=1e-12 * max(1, abs(vals[-1]))):
             raise InvalidStateError(f"{path}: non-uniform {name} spacing")
-    grid = SimulationGrid(
-        x_left=float(xs[0]),
-        x_right=float(xs[-1]),
-        n_nodes=n_x,
-        t_final=float(ts[-1]),
-        n_steps=n_t - 1,
-    )
-    U = data[:, 2].reshape(n_t, n_x)
-    C = data[:, 3].reshape(n_t, n_x)
-    return grid, U, C, comment
+    grid = SimulationGrid(float(xs[0]), float(xs[-1]), n_x, float(ts[-1]), n_t - 1)
+    # the (u, c) columns as (frame, field, node), copied once into C order
+    return StateTrajectory(grid, data[:, 2:].reshape(n_t, n_x, 2).swapaxes(1, 2)), comment
 
 
 def read_trajectory_csv(path) -> StateTrajectory:
-    grid, U, C, _ = _read_frame_csv(path)
-    return StateTrajectory(grid=grid, u=U, c=C)
+    return _read_frame_csv(path)[0]
 
 
 def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:

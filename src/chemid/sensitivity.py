@@ -13,7 +13,6 @@ whenever both functions live on the same knots.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -161,13 +160,14 @@ def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray
     return np.where(c == knots[j], np.take(coeffs, j + row * n_basis), lin)
 
 
+def same_basis(a: SensitivityFunction, b: SensitivityFunction) -> bool:
+    """Whether a and b have the same knot count and interval, exactly (so equal knots)."""
+    return (a.n_basis, a.c_min, a.c_max) == (b.n_basis, b.c_min, b.c_max)
+
+
 def require_same_basis(a: SensitivityFunction, b: SensitivityFunction, what: str) -> None:
-    """Raise IncompatibleBasisError unless a and b share knot count and interval."""
-    if not (
-        a.n_basis == b.n_basis
-        and math.isclose(a.c_min, b.c_min, rel_tol=1e-12, abs_tol=1e-12)
-        and math.isclose(a.c_max, b.c_max, rel_tol=1e-12, abs_tol=1e-12)
-    ):
+    """Raise IncompatibleBasisError unless ``same_basis(a, b)``."""
+    if not same_basis(a, b):
         raise IncompatibleBasisError(
             f"{what}: [{a.c_min}, {a.c_max}] x {a.n_basis} vs "
             f"[{b.c_min}, {b.c_max}] x {b.n_basis}"

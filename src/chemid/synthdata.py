@@ -10,6 +10,9 @@ with one ruler.
 Generating on one mesh and inverting on another is deliberate: running
 the inversion forward solver on the data-generation mesh would let
 discretization error cancel and flatter the recovery.
+
+The measurements, ``NoisyData``, are a ``StateTrajectory`` (one
+(frame, field, node) array ``X``) that also records delta and the seed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .pde import (
     SimulationGrid,
     StateTrajectory,
     _read_frame_csv,
-    _readonly,
     _write_frames,
     restrict,
     solve_forward,
@@ -36,12 +38,14 @@ from .sensitivity import SensitivityFunction, _read_metadata
 #: Minimum fine/measurement resolution ratio in both x and t.
 MIN_MESH_SEPARATION = 4
 
-#: Redraw budget before giving up on positive z_c.
+#: Redraw budget before giving up on a positive measured c.
 MAX_NOISE_ATTEMPTS = 32
 
 
 def require_noise(delta: float, seed: int) -> None:
-    """InvalidStateError unless the noise level delta and the seed are >= 0."""
+    """InvalidStateError unless the noise level delta is finite and >= 0 and the seed >= 0."""
+    if not np.isfinite(delta):
+        raise InvalidStateError(f"delta must be finite (got {delta})")
     if delta < 0:
         raise InvalidStateError(f"delta must be >= 0 (got {delta})")
     if seed < 0:
@@ -49,31 +53,24 @@ def require_noise(delta: float, seed: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class NoisyData:
-    """Measurement pair (z_u, z_c) on a grid with realized noise level delta."""
+class NoisyData(StateTrajectory):
+    """Measured (u, c) frames on a grid, with realized noise level delta and seed."""
 
-    grid: SimulationGrid
-    z_u: np.ndarray
-    z_c: np.ndarray
     delta: float
     seed: int
 
     def __post_init__(self):
-        shape = (self.grid.n_steps + 1, self.grid.n_nodes)
-        z_u, z_c = _readonly(self.z_u), _readonly(self.z_c)
-        if z_u.shape != shape or z_c.shape != shape:
-            raise InvalidStateError(
-                f"measurements must have shape {shape}, got {z_u.shape}, {z_c.shape}"
-            )
-        if not (np.all(np.isfinite(z_u)) and np.all(np.isfinite(z_c))):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.X)):
             raise InvalidStateError("measurements contain non-finite values")
-        if z_c.min() <= 0.0:
+        if self.c.min() <= 0.0:
             raise InvalidStateError(
-                f"z_c must be positive everywhere (min {z_c.min():.3e})"
+                f"measured c must be positive everywhere (min {self.c.min():.3e})"
             )
         require_noise(self.delta, self.seed)
-        object.__setattr__(self, "z_u", z_u)
-        object.__setattr__(self, "z_c", z_c)
+
+    z_u = property(lambda self: self.u)  # read by perfbench; goes with item 1's benchmark PR
+    z_c = property(lambda self: self.c)  # read by perfbench; goes with item 1's benchmark PR
 
 
 def _field_noise(shape, seed: int, tag: int, attempt: int) -> np.ndarray:
@@ -93,19 +90,20 @@ def add_noise(truth_meas: StateTrajectory, delta: float, seed: int) -> NoisyData
     MAX_NOISE_ATTEMPTS times.  The seed must be a nonnegative integer.
     """
     require_noise(delta, seed)
-    grid = truth_meas.grid
-    U, C = truth_meas.u, truth_meas.c
+    grid, U, C = truth_meas.grid, truth_meas.u, truth_meas.c
     if delta == 0.0:
-        return NoisyData(grid=grid, z_u=U, z_c=C, delta=0.0, seed=seed)
+        return NoisyData(grid, truth_meas.X, 0.0, seed)
 
     def scaled(e):
         return (delta / np.sqrt(space_time_sq_norm(e, grid))) * e
 
-    z_u = U + scaled(_field_noise(U.shape, seed, 0, 0))
+    Z = np.empty_like(truth_meas.X)
+    Z[:, 0] = U + scaled(_field_noise(U.shape, seed, 0, 0))
     for attempt in range(MAX_NOISE_ATTEMPTS):
-        z_c = C + scaled(_field_noise(C.shape, seed, 1, attempt))
-        if z_c.min() > 0.0:
-            return NoisyData(grid=grid, z_u=z_u, z_c=z_c, delta=delta, seed=seed)
+        Z[:, 1] = C + scaled(_field_noise(C.shape, seed, 1, attempt))
+        if Z[:, 1].min() > 0.0:
+            Z.setflags(write=False)  # kept by the data, uncopied
+            return NoisyData(grid, Z, delta, seed)
     raise NoiseLevelError(
         f"could not keep z_c positive at delta={delta:.3g} "
         f"after {MAX_NOISE_ATTEMPTS} redraws (min c of truth: {C.min():.3g})"
@@ -172,14 +170,14 @@ def write_noisy_csv(data: NoisyData, path) -> None:
     """Trajectory CSV layout prefixed by a delta/seed metadata line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# delta={data.delta:.15g} seed={data.seed}\n")
-        _write_frames(fh, data.grid, data.z_u, data.z_c)
+        _write_frames(fh, data)
 
 
 def read_noisy_csv(path) -> NoisyData:
-    grid, z_u, z_c, comment = _read_frame_csv(path, expect_comment=True)
+    traj, comment = _read_frame_csv(path, expect_comment=True)
     meta = _read_metadata(path, comment, ("delta", "seed"))
     try:
         delta, seed = float(meta["delta"]), int(meta["seed"])
     except ValueError as exc:
         raise InvalidStateError(f"{path}: malformed metadata: {exc}") from exc
-    return NoisyData(grid=grid, z_u=z_u, z_c=z_c, delta=delta, seed=seed)
+    return NoisyData(traj.grid, traj.X, delta, seed)

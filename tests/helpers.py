@@ -50,7 +50,7 @@ def per_frame_fold(J, r0, prob):
     penalty rows are added last.  This is the order the LM's fold must
     keep for its sums to come out bit for bit the same.
     """
-    n_frames, n_nodes = prob.data.z_u.shape
+    n_frames, n_nodes = prob.data.u.shape
     n_data = 2 * n_frames * n_nodes
     blocks = J[:n_data].reshape(2, n_frames, n_nodes, -1)
     R0 = r0[:n_data].reshape(2, n_frames, n_nodes)

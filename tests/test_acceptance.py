@@ -326,14 +326,10 @@ def test_criterion_6_identifiability_smoke(capsys):
         MEAS.t_final - t_half, MEAS.n_steps - j_half,
     )
     re = solve_forward(full.u[j_half], full.c[j_half], PARAMS, a_const2, second)
-    glued = StateTrajectory(
-        grid=MEAS,
-        u=np.vstack([full.u[:j_half], re.u]),
-        c=np.vstack([full.c[:j_half], re.c]),
-    )
+    glued = StateTrajectory(grid=MEAS, X=np.concatenate([full.X[:j_half], re.X]))
     scale = math.sqrt(
-        space_time_sq_norm(full.u_matrix(), MEAS)
-        + space_time_sq_norm(full.c_matrix(), MEAS)
+        space_time_sq_norm(full.u, MEAS)
+        + space_time_sq_norm(full.c, MEAS)
     )
     tol = max(trajectory_distance(full, glued), 1e-15 * scale)
 

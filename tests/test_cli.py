@@ -547,6 +547,19 @@ def test_negative_seed_in_data_csv_exits_2(tmp_path, data_dir):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_delta_in_data_csv_exits_2(tmp_path, data_dir, delta):
+    text = (data_dir / "data.csv").read_text()
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "data.csv").write_text(re.sub(r"delta=\S+", f"delta={delta}", text, count=1))
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(out))
+    assert_config_error(proc)
+    assert f"delta must be finite (got {delta})" in proc.stderr
+    assert not out.exists()
+
+
 def test_data_csv_without_its_first_frame_exits_2(tmp_path, data_dir):
     lines = (data_dir / "data.csv").read_text().splitlines()
     bad = tmp_path / "bad"

@@ -64,8 +64,8 @@ def test_objective_matches_direct_summation():
     traj = solve_forward(prob.u0, prob.c0, prob.params, a, prob.grid)
     g = prob.grid
     direct = (
-        space_time_sq_norm(traj.u_matrix() - prob.data.z_u, g)
-        + space_time_sq_norm(traj.c_matrix() - prob.data.z_c, g)
+        space_time_sq_norm(traj.u - prob.data.u, g)
+        + space_time_sq_norm(traj.c - prob.data.c, g)
         + prob.alpha * penalty(a, prob.a_star)
     )
     assert objective(coeffs, prob) == pytest.approx(direct, rel=1e-12)
@@ -78,8 +78,8 @@ def test_misfit_term_is_quadrature_weighted():
     r = residual_vector(a_true.coeffs, prob)
     g = prob.grid
     traj = solve_forward(prob.u0, prob.c0, prob.params, a_true, g)
-    e_u = traj.u_matrix() - prob.data.z_u
-    e_c = traj.c_matrix() - prob.data.z_c
+    e_u = traj.u - prob.data.u
+    e_c = traj.c - prob.data.c
     expected = g.dx * g.dt * (np.sum(e_u**2) + np.sum(e_c**2))
     assert float(r @ r) == pytest.approx(expected, rel=1e-13)
 

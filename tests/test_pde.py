@@ -8,6 +8,7 @@ full solves.
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,22 +117,68 @@ def test_grid_rejects_degenerate(args):
 
 def test_trajectory_frame_count_checked():
     g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
-    ok = np.ones((3, 3))
-    for u, c in ((np.ones((1, 3)), ok), (ok, np.ones((3, 4))), (np.ones(9), ok)):
+    for X in (np.ones((1, 2, 3)), np.ones((3, 2, 4)), np.ones(18)):
         with pytest.raises(InvalidStateError):
-            StateTrajectory(grid=g, u=u, c=c)
+            StateTrajectory(grid=g, X=X)
 
 
 def test_trajectory_arrays_read_only_and_not_copied():
     g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
     u = np.arange(9.0).reshape(3, 3)
-    traj = StateTrajectory(grid=g, u=u, c=np.ones((3, 3)))
+    traj = StateTrajectory(grid=g, X=np.stack([u, np.ones((3, 3))], axis=1))
     u[0, 0] = 7.0  # the trajectory holds its own copy
     assert traj.u[0, 0] == 0.0
     for arr in (traj.u, traj.c):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    assert traj.u_matrix() is traj.u and traj.c_matrix() is traj.c
+    assert np.shares_memory(traj.u, traj.X) and np.shares_memory(traj.c, traj.X)
+
+
+def test_trajectory_is_one_read_only_array_with_field_views():
+    g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
+    traj = StateTrajectory(grid=g, X=np.arange(18.0).reshape(3, 2, 3))
+    assert [f.name for f in dataclasses.fields(traj)] == ["grid", "X"]
+    for arr in (traj.X, traj.u, traj.c):
+        assert np.shares_memory(arr, traj.X) and not arr.flags.writeable
+    assert np.array_equal(traj.u, traj.X[:, 0]) and np.array_equal(traj.c, traj.X[:, 1])
+
+
+def test_trajectory_copies_an_array_a_caller_can_still_write():
+    g = SimulationGrid(0.0, 1.0, 3, 1.0, 2)
+    X = np.arange(18.0).reshape(3, 2, 3).copy()
+    view = X.view()
+    view.setflags(write=False)  # read-only itself, but writable through X
+    for given in (X, view, X.tolist()):
+        assert not np.shares_memory(StateTrajectory(grid=g, X=given).X, X)
+    X.setflags(write=False)
+    assert StateTrajectory(grid=g, X=X).X is X
+
+
+def test_solve_forward_keeps_the_buffer_it_filled(monkeypatch):
+    handed = []
+    readonly = pde._readonly
+    monkeypatch.setattr(pde, "_readonly", lambda a: handed.append(a) or readonly(a))
+    g = SimulationGrid(0.0, 1.0, 9, 0.1, 4)
+    traj = solve_forward(*bump_initial(g), dimensionless(M=0.25, D=1.0), A_CONST2, g)
+    assert traj.X is handed[-1]
+    assert traj.X.flags.owndata and not traj.X.flags.writeable
+
+
+def test_solve_forward_peak_memory_holds_the_trajectory_once():
+    """Peak <= what the solve keeps + _integrate's block buffer + 64 KiB."""
+    g = SimulationGrid(0.0, 1.0, 51, 0.25, 4000)
+    u0, c0 = bump_initial(g)
+    p = dimensionless(M=0.25, D=1.0)
+    tracemalloc.start()
+    try:
+        traj = solve_forward(u0, c0, p, A_CONST2, g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    frame = 16 * g.n_nodes
+    block = min(g.n_steps + 1, max(1, pde._FRAME_BLOCK_BYTES // frame)) * frame
+    assert kept >= 2 * traj.u.nbytes >= 2 * block  # a second copy of the frames would show
+    assert peak <= kept + block + 64 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +459,8 @@ def test_batched_rows_fail_independently(monkeypatch):
         assert [j0 for j0, _, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
         U = np.concatenate([U for _, U, _ in blocks])
         C = np.concatenate([C for _, _, C in blocks])
-        assert np.array_equal(U[:, 1], alone.u_matrix())
-        assert np.array_equal(C[:, 1], alone.c_matrix())
+        assert np.array_equal(U[:, 1], alone.u)
+        assert np.array_equal(C[:, 1], alone.c)
         assert np.array_equal(U[:6, 2], alone.u[:6]) and np.array_equal(C[:6, 2], alone.c[:6])
 
 
@@ -525,8 +572,8 @@ def test_solve_zero_sensitivity_matches_diffusion_oracle():
     c0 = np.full(15, 0.4)
     traj = solve_forward(u0, c0, p, a0, g)
     us, cs = dense_diffusion_solve(u0, c0, p, g)
-    np.testing.assert_allclose(traj.u_matrix(), us, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(traj.c_matrix(), cs, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(traj.u, us, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(traj.c, cs, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +605,7 @@ def test_space_time_norm_constant_field():
 def _linear_trajectory(grid):
     t, x = np.meshgrid(grid.times(), grid.xs(), indexing="ij")
     return StateTrajectory(
-        grid=grid, u=1.0 + 0.5 * x + 0.1 * t, c=0.3 + 0.2 * x + 0.05 * t
+        grid=grid, X=np.stack([1.0 + 0.5 * x + 0.1 * t, 0.3 + 0.2 * x + 0.05 * t], axis=1)
     )
 
 
@@ -566,8 +613,8 @@ def test_restrict_identity():
     g = SimulationGrid(0.0, 1.0, 21, 0.5, 20)
     traj = _linear_trajectory(g)
     r = restrict(traj, g)
-    np.testing.assert_array_equal(r.u_matrix(), traj.u_matrix())
-    np.testing.assert_array_equal(r.c_matrix(), traj.c_matrix())
+    np.testing.assert_array_equal(r.u, traj.u)
+    np.testing.assert_array_equal(r.c, traj.c)
 
 
 def test_restrict_exact_on_multilinear_fields():
@@ -575,8 +622,8 @@ def test_restrict_exact_on_multilinear_fields():
     coarse = SimulationGrid(0.0, 1.0, 7, 0.5, 9)  # nodes not subsets
     r = restrict(_linear_trajectory(fine), coarse)
     expected = _linear_trajectory(coarse)
-    np.testing.assert_allclose(r.u_matrix(), expected.u_matrix(), atol=1e-13)
-    np.testing.assert_allclose(r.c_matrix(), expected.c_matrix(), atol=1e-13)
+    np.testing.assert_allclose(r.u, expected.u, atol=1e-13)
+    np.testing.assert_allclose(r.c, expected.c, atol=1e-13)
 
 
 def test_restrict_close_to_direct_coarse_solve():
@@ -588,8 +635,8 @@ def test_restrict_close_to_direct_coarse_solve():
     restricted = restrict(solve_forward(uf, cf, p, A_CONST2, fine), coarse)
     direct = solve_forward(uc, cc, p, A_CONST2, coarse)
     rel = trajectory_distance(restricted, direct) / math.sqrt(
-        space_time_sq_norm(direct.u_matrix(), coarse)
-        + space_time_sq_norm(direct.c_matrix(), coarse)
+        space_time_sq_norm(direct.u, coarse)
+        + space_time_sq_norm(direct.c, coarse)
     )
     assert rel < 0.05
 
@@ -644,7 +691,9 @@ def test_restrict_property_equals_scipy(x_left, width, t_final, source, target, 
     coarse = fine.with_resolution(*target)
     rng = np.random.default_rng(seed)
     shape = (fine.n_steps + 1, fine.n_nodes)
-    traj = StateTrajectory(grid=fine, u=rng.random(shape), c=rng.standard_normal(shape))
+    traj = StateTrajectory(
+        grid=fine, X=np.stack([rng.random(shape), rng.standard_normal(shape)], axis=1)
+    )
     u, c = rgi_restrict(traj, coarse)
     r = restrict(traj, coarse)
     assert np.array_equal(r.u, u) and np.array_equal(r.c, c)
@@ -666,8 +715,8 @@ def test_trajectory_csv_roundtrip(tmp_path):
     back = read_trajectory_csv(path)
     assert back.grid.n_nodes == g.n_nodes
     assert back.grid.n_steps == g.n_steps
-    np.testing.assert_allclose(back.u_matrix(), traj.u_matrix(), rtol=1e-14)
-    np.testing.assert_allclose(back.c_matrix(), traj.c_matrix(), rtol=1e-14)
+    np.testing.assert_allclose(back.u, traj.u, rtol=1e-14)
+    np.testing.assert_allclose(back.c, traj.c, rtol=1e-14)
 
 
 def write_3x3_table(path, noisy):
@@ -675,9 +724,9 @@ def write_3x3_table(path, noisy):
     g = SimulationGrid(0.0, 1.0, 3, 0.5, 2)
     U = np.arange(9.0).reshape(3, 3)
     if noisy:
-        write_noisy_csv(NoisyData(grid=g, z_u=U, z_c=U + 1, delta=0.0, seed=0), path)
+        write_noisy_csv(NoisyData(grid=g, X=np.stack([U, U + 1], axis=1), delta=0.0, seed=0), path)
     else:
-        write_trajectory_csv(StateTrajectory(grid=g, u=U, c=U + 1), path)
+        write_trajectory_csv(StateTrajectory(grid=g, X=np.stack([U, U + 1], axis=1)), path)
     lines = path.read_text().splitlines()
     return lines[:-9], lines[-9:]
 
@@ -713,9 +762,9 @@ def test_csv_readers_reject_a_table_not_starting_at_t0(tmp_path, which):
     U = np.arange(1.0, 16.0).reshape(5, 3)
     path = tmp_path / "table.csv"
     if which == "noisy":
-        write_noisy_csv(NoisyData(grid=g, z_u=U, z_c=U + 1, delta=0.0, seed=0), path)
+        write_noisy_csv(NoisyData(grid=g, X=np.stack([U, U + 1], axis=1), delta=0.0, seed=0), path)
     else:
-        write_trajectory_csv(StateTrajectory(grid=g, u=U, c=U + 1), path)
+        write_trajectory_csv(StateTrajectory(grid=g, X=np.stack([U, U + 1], axis=1)), path)
     lines = path.read_text().splitlines()
     rewrite_rows(path, lines[:-15], lines[-12:])
     with pytest.raises(InvalidStateError, match=r"first frame must be at t = 0 \(got t = 0.125\)"):
@@ -729,7 +778,7 @@ def test_trajectory_csv_reads_back_only_frame_then_node_order(tmp_path, n_nodes,
     g = SimulationGrid(0.0, 1.0, n_nodes, 0.5, n_steps)
     U = np.arange((n_steps + 1) * n_nodes, dtype=float).reshape(n_steps + 1, n_nodes)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(StateTrajectory(grid=g, u=U, c=-U), path)
+    write_trajectory_csv(StateTrajectory(grid=g, X=np.stack([U, -U], axis=1)), path)
     head, *rows = path.read_text().splitlines()
     order = data.draw(st.permutations(range(len(rows))))
     rewrite_rows(path, [head], [rows[k] for k in order])
@@ -777,7 +826,7 @@ def test_frame_writer_matches_per_value_formatting(n_nodes, n_steps, x_left, wid
         for _ in range(2)
     )
     got, want = io.StringIO(), io.StringIO()
-    pde._write_frames(got, g, U, C)
+    pde._write_frames(got, StateTrajectory(grid=g, X=np.stack([U, C], axis=1)))
     write_frames_reference(want, g, U, C)
     assert got.getvalue() == want.getvalue()
 

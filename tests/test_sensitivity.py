@@ -1,5 +1,7 @@
 """Hat-basis sensitivity representation tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,8 @@ from chemid.sensitivity import (
     hat_rows,
     mass_matrix,
     read_sensitivity_csv,
+    require_same_basis,
+    same_basis,
     write_sensitivity_csv,
 )
 
@@ -156,6 +160,16 @@ def test_penalty_rejects_mismatched_bases():
         penalty(a, SensitivityFunction.constant(1.0, 0.1, 1.0, 8))
 
 
+def test_same_basis_compares_the_interval_exactly():
+    a = SensitivityFunction.constant(1.0, 0.0, 1.0, 8)
+    assert same_basis(a, a.with_coeffs(np.arange(8.0)))
+    for c_min, c_max in ((0.0, math.nextafter(1.0, 2.0)), (1e-15, 1.0)):
+        b = SensitivityFunction.constant(1.0, c_min, c_max, 8)
+        assert not same_basis(a, b)
+        with pytest.raises(IncompatibleBasisError):
+            require_same_basis(a, b, "exact")
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     coeffs=st.lists(st.floats(-10, 10), min_size=2, max_size=18),
@@ -176,7 +190,7 @@ def test_penalty_matches_quadrature(coeffs, ref):
 
 def _traj_with_c(grid, c_frames):
     c = np.asarray(c_frames, dtype=float)
-    return StateTrajectory(grid=grid, u=np.ones_like(c), c=c)
+    return StateTrajectory(grid=grid, X=np.stack([np.ones_like(c), c], axis=1))
 
 
 def test_concentration_range_with_padding():

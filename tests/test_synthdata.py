@@ -1,5 +1,8 @@
 """Synthetic data pipeline tests: truth generation, noise calibration, IO."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from chemid.errors import InvalidStateError, NoiseLevelError
 from chemid.pde import (
     PhysicalParams,
     SimulationGrid,
+    StateTrajectory,
     restrict,
     solve_forward,
     space_time_sq_norm,
@@ -43,8 +47,8 @@ def test_make_dataset_truth_is_the_forward_solve():
     u0, c0 = myerscough_initial_data(g)
     t1 = make_dataset(a2, p, g, g.with_resolution(11, 25), u0, c0, 0.0, 0).truth_fine
     t2 = solve_forward(u0, c0, p, a2, g)
-    np.testing.assert_array_equal(t1.u_matrix(), t2.u_matrix())
-    np.testing.assert_array_equal(t1.c_matrix(), t2.c_matrix())
+    np.testing.assert_array_equal(t1.u, t2.u)
+    np.testing.assert_array_equal(t1.c, t2.c)
 
 
 def test_zero_sensitivity_truth_is_pure_diffusion():
@@ -55,14 +59,14 @@ def test_zero_sensitivity_truth_is_pure_diffusion():
     c0 = np.full(15, 0.6)
     traj = make_dataset(a0, p, g, g.with_resolution(4, 6), u0, c0, 0.0, 0).truth_fine
     us, cs = dense_diffusion_solve(u0, c0, p, g)
-    np.testing.assert_allclose(traj.u_matrix(), us, atol=1e-9)
-    np.testing.assert_allclose(traj.c_matrix(), cs, atol=1e-9)
+    np.testing.assert_allclose(traj.u, us, atol=1e-9)
+    np.testing.assert_allclose(traj.c, cs, atol=1e-9)
 
 
 def test_add_noise_zero_delta_is_passthrough(meas_truth):
     d = add_noise(meas_truth, 0.0, seed=4)
-    np.testing.assert_array_equal(d.z_u, meas_truth.u_matrix())
-    np.testing.assert_array_equal(d.z_c, meas_truth.c_matrix())
+    np.testing.assert_array_equal(d.u, meas_truth.u)
+    np.testing.assert_array_equal(d.c, meas_truth.c)
     assert d.delta == 0.0
 
 
@@ -70,23 +74,23 @@ def test_add_noise_zero_delta_is_passthrough(meas_truth):
 def test_add_noise_realizes_delta_exactly(meas_truth, delta):
     d = add_noise(meas_truth, delta, seed=11)
     g = meas_truth.grid
-    nu2 = space_time_sq_norm(d.z_u - meas_truth.u_matrix(), g)
-    nc2 = space_time_sq_norm(d.z_c - meas_truth.c_matrix(), g)
+    nu2 = space_time_sq_norm(d.u - meas_truth.u, g)
+    nc2 = space_time_sq_norm(d.c - meas_truth.c, g)
     assert nu2 == pytest.approx(delta**2, rel=1e-10)
     assert nc2 == pytest.approx(delta**2, rel=1e-10)
-    assert d.z_c.min() > 0
+    assert d.c.min() > 0
 
 
 def test_add_noise_deterministic_per_seed(meas_truth):
     d1 = add_noise(meas_truth, 1e-3, seed=42)
     d2 = add_noise(meas_truth, 1e-3, seed=42)
-    np.testing.assert_array_equal(d1.z_u, d2.z_u)
-    np.testing.assert_array_equal(d1.z_c, d2.z_c)
+    np.testing.assert_array_equal(d1.u, d2.u)
+    np.testing.assert_array_equal(d1.c, d2.c)
     d3 = add_noise(meas_truth, 1e-3, seed=43)
-    assert np.any(d3.z_u != d1.z_u)
+    assert np.any(d3.u != d1.u)
     g = meas_truth.grid
-    n3 = space_time_sq_norm(d3.z_u - meas_truth.u_matrix(), g)
-    n1 = space_time_sq_norm(d1.z_u - meas_truth.u_matrix(), g)
+    n3 = space_time_sq_norm(d3.u - meas_truth.u, g)
+    n1 = space_time_sq_norm(d1.u - meas_truth.u, g)
     assert n3 == pytest.approx(n1, rel=1e-10)  # same realized level
 
 
@@ -128,9 +132,9 @@ def test_make_dataset_pipeline():
     assert ds.truth_fine.grid == fine
     # restriction really is the fine truth sampled down, not a coarse solve
     np.testing.assert_array_equal(
-        ds.truth_meas.u_matrix(), restrict(ds.truth_fine, meas).u_matrix()
+        ds.truth_meas.u, restrict(ds.truth_fine, meas).u
     )
-    nu2 = space_time_sq_norm(ds.data.z_u - ds.truth_meas.u_matrix(), meas)
+    nu2 = space_time_sq_norm(ds.data.u - ds.truth_meas.u, meas)
     assert nu2 == pytest.approx(1e-6, rel=1e-10)
 
 
@@ -138,17 +142,29 @@ def test_noisy_data_validates_shape_and_positivity():
     g = SimulationGrid(0.0, 1.0, 3, 1.0, 1)
     good = np.ones((2, 3))
     with pytest.raises(InvalidStateError):
-        NoisyData(grid=g, z_u=np.ones((3, 3)), z_c=good, delta=0.0, seed=0)
+        NoisyData(grid=g, X=np.ones((3, 2, 3)), delta=0.0, seed=0)
     bad_c = good.copy()
     bad_c[1, 2] = 0.0
     with pytest.raises(InvalidStateError):
-        NoisyData(grid=g, z_u=good, z_c=bad_c, delta=0.0, seed=0)
+        NoisyData(grid=g, X=np.stack([good, bad_c], axis=1), delta=0.0, seed=0)
+
+
+def test_noisy_data_is_a_trajectory_sharing_the_truths_frames(meas_truth):
+    d = add_noise(meas_truth, 0.0, seed=4)
+    assert isinstance(d, StateTrajectory) and d.X is meas_truth.X
+    assert [f.name for f in dataclasses.fields(d)] == ["grid", "X", "delta", "seed"]
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf])
+def test_add_noise_rejects_non_finite_delta_by_the_noise_rule(meas_truth, delta):
+    with pytest.raises(InvalidStateError, match=rf"^delta must be finite \(got {delta}\)$"):
+        add_noise(meas_truth, delta, 0)
 
 
 def test_noisy_data_rejects_negative_seed():
     g = SimulationGrid(0.0, 1.0, 3, 1.0, 1)
     with pytest.raises(InvalidStateError, match=r"seed must be >= 0 \(got -1\)"):
-        NoisyData(grid=g, z_u=np.ones((2, 3)), z_c=np.ones((2, 3)), delta=0.0, seed=-1)
+        NoisyData(grid=g, X=np.ones((2, 2, 3)), delta=0.0, seed=-1)
 
 
 def test_noisy_csv_roundtrip_and_reproducibility(tmp_path, meas_truth):
@@ -161,8 +177,8 @@ def test_noisy_csv_roundtrip_and_reproducibility(tmp_path, meas_truth):
     assert first == "# delta=0.001 seed=5"
     back = read_noisy_csv(p1)
     assert back.delta == 1e-3 and back.seed == 5
-    np.testing.assert_allclose(back.z_u, d.z_u, rtol=1e-14)
-    np.testing.assert_allclose(back.z_c, d.z_c, rtol=1e-14)
+    np.testing.assert_allclose(back.u, d.u, rtol=1e-14)
+    np.testing.assert_allclose(back.c, d.c, rtol=1e-14)
 
 
 @pytest.mark.parametrize(
