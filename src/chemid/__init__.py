@@ -15,7 +15,6 @@ from .errors import (
     IncompatibleBasisError,
     InsufficientSweepError,
     InvalidStateError,
-    JacobianColumnError,
     LowerBoundViolationError,
     NoiseLevelError,
     NumericalSolveError,
@@ -26,7 +25,6 @@ from .inversion import (
     InversionResult,
     LMConfig,
     TikhonovProblem,
-    jacobian_fd,
     levenberg_marquardt,
     levenberg_marquardt_many,
     residual_vector,

@@ -64,7 +64,6 @@ DEFAULTS = {
     "max_iters": "100",
     "tol_cost": "1e-8",
     "tol_grad": "1e-8",
-    "fd_step": "1e-6",
     "seed": "0",
     "coupling": "1.0",
     "seeds": "0,1,2",
@@ -77,9 +76,7 @@ _FIELDS = frozenset({"u0", "c0"})
 _SOLVER = frozenset({"advection"})
 _FINE = frozenset({"fine_n_nodes", "fine_n_steps"})
 _BASIS = frozenset({"n_basis", "padding", "prior"})
-_LM = frozenset(
-    {"lambda0", "max_iters", "tol_cost", "tol_grad", "fd_step", "time_refine"}
-)
+_LM = frozenset({"lambda0", "max_iters", "tol_cost", "tol_grad", "time_refine"})
 
 ALLOWED_KEYS = {
     "forward": _PHYS | _GRID | _FIELDS | _SOLVER | {"truth"},
@@ -287,7 +284,7 @@ _SENSITIVITY = (_sensitivity, "constant:<v>, inverse:<k> with k > 0 or table:<cs
 _PARSERS = {
     **dict.fromkeys(
         ("M", "D", "b", "h", "mu", "x_left", "x_right", "t_final", "padding",
-         "lambda0", "tol_cost", "tol_grad", "fd_step", "delta", "alpha", "coupling"),
+         "lambda0", "tol_cost", "tol_grad", "delta", "alpha", "coupling"),
         _NUMBER,
     ),
     **dict.fromkeys(

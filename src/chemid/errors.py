@@ -50,13 +50,5 @@ class ForwardSolveError(ChemidError):
     """A forward solve inside the optimizer failed; the step is rejected."""
 
 
-class JacobianColumnError(ForwardSolveError):
-    """A perturbed solve for one Jacobian column failed."""
-
-    def __init__(self, column: int, message: str):
-        super().__init__(f"jacobian column {column}: {message}")
-        self.column = column
-
-
 class InsufficientSweepError(ChemidError):
     """Too few valid L-curve points to locate a corner."""

@@ -16,26 +16,21 @@ with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
 (Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  The
 measurements (z_u, z_c) are the data's (frame, field, node) array
 ``X``; the data rows of the residual and of J are laid out by field,
-then frame, then node (``_data_blocks``).  Every
-solve runs the problem's ``model``, one ``pde.ForwardModel``.  Jacobians
-are forward finite differences: the L perturbed coefficient vectors
-advance as the rows of one batched forward solve, so an iteration costs
-that batch plus one forward solve per damping trial.
+then frame, then node (``_data_blocks``).  Every solve runs the
+problem's ``model``, one ``pde.ForwardModel``.  J is exact: the solved
+row carries the tangents of its L hat coefficients (``pde._tangent_step``),
+so one solve gives the residual, J^T J and J^T r (``_evaluate``), and an
+iteration costs one solve per damping trial.
 
 The iteration is written once, as a generator that yields the forward
 solves it needs, and one runner, ``_run_lockstep``, drives every forward
 solve of the inverse problem: each round it stacks the pending rows of
-all its generators (a residual row, or the L rows of a Jacobian) into
-one batched solve, which delivers only the measurement frames, in
-blocks.  ``levenberg_marquardt_many`` runs many problems with equal
-models through it.  There it never forms J: each block's J^T rows are
-folded into J^T J and J^T r at once, adding the per-frame products in
-frame order, u before c, so the sums do not depend on the block size.
-``levenberg_marquardt`` is its one-problem case.  The Jacobian is
-written once, as the request ``_jacobian_request``: the LM folds its
-blocks, and ``jacobian_fd`` is that request run alone, storing them.
-``residual_vector`` stays on ``solve_forward`` as the independent
-one-vector reference.
+all its generators into one batched solve, which delivers only the
+measurement frames, in blocks.  ``levenberg_marquardt_many`` runs many
+problems with equal models through it, and ``levenberg_marquardt`` is
+its one-problem case.  ``residual_vector`` stays on ``solve_forward`` as
+the independent one-vector reference, and ``jacobian_fd`` is a
+forward-difference reference built on it.
 """
 
 from __future__ import annotations
@@ -48,12 +43,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cholesky
 
-from .errors import (
-    ForwardSolveError,
-    InvalidStateError,
-    JacobianColumnError,
-    NumericalSolveError,
-)
+from .errors import ForwardSolveError, InvalidStateError, NumericalSolveError
 from .pde import (
     DEFAULT_ADVECTION,
     ForwardModel,
@@ -62,7 +52,9 @@ from .pde import (
     _integrate,
     solve_forward,
 )
-from .sensitivity import SensitivityFunction, hat_rows, mass_matrix, require_same_basis, same_basis
+from .sensitivity import (
+    SensitivityFunction, hat_stencil, mass_matrix, require_same_basis, same_basis
+)
 from .synthdata import NoisyData
 
 #: Damping beyond this means no descent direction is found: stagnation.
@@ -81,13 +73,12 @@ class LMConfig:
     max_iters: int = 100
     tol_cost: float = 1e-8
     tol_grad: float = 1e-8
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if not self.lambda0 > 0:
             raise InvalidStateError(f"lambda0 must be > 0 (got {self.lambda0})")
-        if not (self.tol_cost > 0 and self.tol_grad > 0 and self.fd_step > 0):
-            raise InvalidStateError("tolerances and fd_step must be positive")
+        if not (self.tol_cost > 0 and self.tol_grad > 0):
+            raise InvalidStateError("tolerances must be positive")
         if self.max_iters < 1:
             raise InvalidStateError(f"max_iters must be >= 1 (got {self.max_iters})")
 
@@ -212,136 +203,75 @@ def _split_cost(r: np.ndarray, prob: TikhonovProblem) -> tuple[float, float]:
     return misfit, pen
 
 
+def jacobian_fd(coeffs, prob: TikhonovProblem, fd_step: float = 1e-6) -> np.ndarray:
+    """Forward-difference Jacobian of ``residual_vector``, a test reference:
+    column k steps coefficient k by h_k = fd_step * max(|a_k|, 1)."""
+    coeffs = prob.a_star.with_coeffs(coeffs).coeffs
+    r0 = residual_vector(coeffs, prob)
+    h = fd_step * np.maximum(np.abs(coeffs), 1.0)
+    return np.column_stack(
+        [(residual_vector(coeffs + step, prob) - r0) / hk for step, hk in zip(np.diag(h), h)]
+    )
+
+
 # The Levenberg-Marquardt body below is a generator of forward solves: it
 # yields (coefficient rows, sink) for each batch it needs and is sent back
 # the per-row errors, so that one runner, ``_run_lockstep``, can run many
-# problems in lockstep.  ``sink(frame, X)`` receives the measurement frames
-# in blocks: X is a (k, field u/c, rows, n_nodes) array holding frames
+# problems in lockstep.  ``sink(frame, X, dX)`` receives the measurement
+# frames and their tangents in blocks: X is a (k, field u/c, rows,
+# n_nodes) and dX a (k, field u/c, L, rows, n_nodes) array holding frames
 # frame .. frame + k - 1 (see ``pde._integrate`` for what a sink may keep).
 
 
-def _residual_solve(coeffs: np.ndarray, prob: TikhonovProblem):
-    """Sub-generator: the residual vector at ``coeffs`` from one solved row.
+def _evaluate(coeffs: np.ndarray, prob: TikhonovProblem):
+    """Sub-generator: (r, J^T J, J^T r) at ``coeffs`` from one solved row and its tangents.
 
-    Equal bit for bit to ``residual_vector(coeffs, prob)``; a failed solve
-    raises ForwardSolveError.
+    r equals ``residual_vector(coeffs, prob)`` bit for bit.  The data rows
+    of J^T are w = sqrt(dx dt) times the tangents, the penalty rows
+    exactly ``prob._penalty_root``.  J is never formed: each block's
+    products are added to the sums in frame order, u then c, by one
+    batched matmul and ``np.add.accumulate``, which equals a frame by
+    frame fold bit for bit (one GEMM over the block would round
+    differently); the penalty rows come last.  A failed solve, or a J^T J
+    or J^T r that is not finite, raises ForwardSolveError.
     """
-    n_data = prob.data.X.size
-    r = np.empty(n_data + prob.n_basis)
+    n_data, n_basis = prob.data.X.size, prob.n_basis
+    w = math.sqrt(prob.grid.dx * prob.grid.dt)
+    r = np.empty(n_data + n_basis)
     R = _data_blocks(r, prob)
+    JTJ, JTr = np.zeros((n_basis, n_basis)), np.zeros(n_basis)
 
-    def sink(frame, X):
-        R[:, frame : frame + len(X)] = X[:, :, 0].swapaxes(0, 1)
+    def sink(frame, X, dX):
+        k = len(X)
+        Rk = (X[:, :, 0] - prob.data.X[frame : frame + k]) * w
+        R[:, frame : frame + k] = Rk.swapaxes(0, 1)
+        P = (w * dX[:, :, :, 0]).reshape(2 * k, n_basis, -1)  # (frame, field) order
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once folded
+            PPt, Pr = P @ P.transpose(0, 2, 1), (P @ Rk.reshape(2 * k, -1, 1))[..., 0]
+            JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
+            JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
 
     (exc,) = yield coeffs[None, :], sink
     if exc is not None:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
-    R -= prob.data.X.swapaxes(0, 1)
-    R *= math.sqrt(prob.grid.dx * prob.grid.dt)
     r[n_data:] = _penalty_residual(coeffs, prob)
-    return r
-
-
-def _jacobian_request(coeffs, r0, prob: TikhonovProblem, cfg: LMConfig, take):
-    """Sub-generator: the forward-difference Jacobian of the residual at ``coeffs``.
-
-    Yields the L perturbed rows coeffs + h_k e_k, h_k = fd_step *
-    max(|a_k|, 1), as one batch.  Each block of k frames the solve
-    delivers goes to ``take(frame, Jt)`` as the (k, field u/c, L, n_nodes)
-    J^T rows of frames frame .. frame + k - 1: row k is column k of J,
-    (w (X_k - z) - r0) / h_k, each entry computed as for one frame alone.
-    A failed row raises JacobianColumnError for the lowest such k;
-    otherwise returns the penalty rows of J.
-    """
-    n_basis = coeffs.shape[0]
-    h = cfg.fd_step * np.maximum(np.abs(coeffs), 1.0)
-    pert = np.tile(coeffs, (n_basis, 1))
-    pert[np.diag_indices(n_basis)] += h
-    R0 = _data_blocks(r0, prob)
-    Z = prob.data.X
-    w = math.sqrt(prob.grid.dx * prob.grid.dt)
-    h_col = h[:, None]
-
-    def sink(frame, X):
-        block = slice(frame, frame + len(X))
-        Jt = np.empty(X.shape)
-        for f in range(2):
-            Jt[:, f] = (w * (X[:, f] - Z[block, f, None]) - R0[f, block, None]) / h_col
-        take(frame, Jt)
-
-    errors = yield pert, sink
-    for k, exc in enumerate(errors):
-        if exc is not None:
-            raise JacobianColumnError(
-                k, f"perturbed solve for column {k} failed: forward solve failed: {exc}"
-            ) from exc
-    r0_pen = r0[prob.data.X.size :]
-    return np.column_stack(
-        [(_penalty_residual(p, prob) - r0_pen) / hk for p, hk in zip(pert, h)]
-    )
-
-
-def _normal_equations(coeffs: np.ndarray, r0: np.ndarray, prob: TikhonovProblem, cfg):
-    """Sub-generator: (J^T J, J^T r0) of ``jacobian_fd`` at ``coeffs``, without J.
-
-    Adds each frame's products to the two sums in frame order, u then c,
-    then the penalty rows.  A block is folded at once but in that order:
-    its 2k products are formed by one batched matmul and summed onto the
-    running totals by ``np.add.accumulate``, so the sums equal a frame by
-    frame fold bit for bit (folding u before c, or one GEMM over the
-    block, would round differently).
-    """
-    n_basis = coeffs.shape[0]
-    JTJ = np.zeros((n_basis, n_basis))
-    JTr = np.zeros(n_basis)
-    R0 = _data_blocks(r0, prob)
-
-    def take(frame, Jt):
-        k = len(Jt)
-        P = Jt.reshape(2 * k, n_basis, -1)  # (frame, field) order
-        r = R0[:, frame : frame + k].swapaxes(0, 1).reshape(2 * k, -1, 1)
-        JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], P @ P.transpose(0, 2, 1)]))[-1]
-        JTr[...] = np.add.accumulate(np.concatenate([JTr[None], (P @ r)[..., 0]]))[-1]
-
-    J_pen = yield from _jacobian_request(coeffs, r0, prob, cfg, take)
-    r0_pen = r0[prob.data.X.size :]
-    return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0_pen
-
-
-def jacobian_fd(coeffs, prob: TikhonovProblem, cfg: LMConfig = LMConfig()) -> np.ndarray:
-    """Forward-difference Jacobian of the residual, one column per coefficient.
-
-    This is the LM's Jacobian request, ``_jacobian_request``, run alone by
-    ``_run_lockstep`` as one batched forward solve, with its blocks stored
-    in J.  Column k uses step fd_step * max(|a_k|, 1); if a perturbed row
-    fails, JacobianColumnError carries the lowest failing k.  Column k
-    equals (residual_vector(coeffs + h_k e_k) - r0) / h_k bit for bit.
-    """
-    coeffs = prob.a_star.with_coeffs(coeffs).coeffs
-    r0 = residual_vector(coeffs, prob)
-    n_data = prob.data.X.size
-    J = np.empty((n_data + coeffs.shape[0], coeffs.shape[0]))
-    J_data = _data_blocks(J, prob)
-
-    def take(frame, Jt):
-        J_data[:, frame : frame + len(Jt)] = Jt.transpose(1, 0, 3, 2)
-
-    (J_pen,) = _run_lockstep(prob, [_jacobian_request(coeffs, r0, prob, cfg, take)])
-    if isinstance(J_pen, ForwardSolveError):
-        raise J_pen
-    J[n_data:] = J_pen
-    return J
+    J_pen = prob._penalty_root
+    JTJ += J_pen.T @ J_pen
+    JTr += J_pen.T @ r[n_data:]
+    if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
+        raise ForwardSolveError("forward solve failed: its Jacobian is not finite")
+    return r, JTJ, JTr
 
 
 def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     """Generator of one Levenberg-Marquardt minimization; returns its result.
 
-    Raises ForwardSolveError if the starting point cannot be solved and
-    JacobianColumnError if a Jacobian column cannot; a failed trial is a
-    rejected trial.
+    a0 and every trial are one ``_evaluate`` each, so an accepted trial
+    brings its own J^T J and gradient.  Raises ForwardSolveError if a0
+    cannot be evaluated; a trial that cannot is a rejected trial.
     """
     coeffs = a0.coeffs.copy()
-    r = yield from _residual_solve(coeffs, prob)
+    r, JTJ, g = yield from _evaluate(coeffs, prob)
     cost = float(r @ r)
     history = [cost]
     lam = cfg.lambda0
@@ -354,7 +284,6 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
         converged, message = True, "initial cost already zero"
     else:
         for _ in range(cfg.max_iters):
-            JTJ, g = yield from _normal_equations(coeffs, r, prob, cfg)
             if np.max(np.abs(2.0 * g)) < cfg.tol_grad:
                 converged, message = True, "gradient below tol_grad"
                 break
@@ -375,13 +304,13 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
                 # a non-finite step is rejected without a solve
                 if np.isfinite(trial).all():
                     try:
-                        r_trial = yield from _residual_solve(trial, prob)
+                        r_trial, JTJ_trial, g_trial = yield from _evaluate(trial, prob)
                         trial_cost = float(r_trial @ r_trial)
                     except ForwardSolveError:
                         pass
                 if trial_cost < cost:
                     rel_drop = (cost - trial_cost) / cost
-                    coeffs, r, cost = trial, r_trial, trial_cost
+                    coeffs, r, JTJ, g, cost = trial, r_trial, JTJ_trial, g_trial, trial_cost
                     history.append(cost)
                     iterations += 1
                     lam = max(lam * LAMBDA_DOWN, 1e-15)
@@ -426,14 +355,14 @@ def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
     This is the one driver of forward solves for the inverse problem.
     Every request must be for a problem with the forward model,
     time_refine and knots of ``prob``.  Each round stacks the coefficient
-    rows that every pending request yields (a residual row, or the L rows
-    of a Jacobian) into one batched solve that keeps every time_refine-th
-    solved frame, the measurement frames.  Each request's sink gets its
-    rows' slice of every block, and the request is sent its rows' slice
-    of the per-row errors.  Each row is checked as a lone solve would be,
-    and its result does not depend on the others.  Returns, per request,
-    what it returned or the ForwardSolveError (such as
-    JacobianColumnError) that stopped it.
+    rows that every pending request yields into one batched solve, each
+    row with the tangents of its L coefficients, that keeps every
+    time_refine-th solved frame, the measurement frames.  Each request's
+    sink gets its rows' slice of every block, and the request is sent its
+    rows' slice of the per-row errors.  Each row is checked as a lone
+    solve would be, and its result, tangents included, does not depend on
+    the others.  Returns, per request, what it returned or the
+    ForwardSolveError that stopped it.
     """
     knots = prob.a_star.knots()
     results = [None] * len(requests)
@@ -455,16 +384,15 @@ def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
         bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
         spans = list(zip(bounds[:-1], bounds[1:]))
         coeffs = np.concatenate([rows for _, (rows, _) in batch])
-        if len(coeffs) == 1:  # hat_rows equals np.interp row by row; one row is faster there
-            a = lambda face_c, rows: np.interp(face_c, knots, coeffs[0])
-        else:
-            a = lambda face_c, rows: hat_rows(face_c, knots, coeffs[rows])
 
-        def sink(frame, X):
+        def sink(frame, X, dX):
             for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
-                part_sink(frame, X[:, :, lo:hi])
+                part_sink(frame, X[:, :, lo:hi], dX[:, :, :, lo:hi])
 
-        errors = _integrate(prob.model, a, len(coeffs), sink, every=prob.time_refine)
+        errors = _integrate(
+            prob.model, lambda face_c, rows: hat_stencil(face_c, knots, coeffs[rows]),
+            len(coeffs), sink, every=prob.time_refine, directions=len(knots),
+        )
         for (i, _), (lo, hi) in zip(batch, spans):
             advance(i, errors[lo:hi])
     return results
@@ -484,11 +412,13 @@ def levenberg_marquardt_many(
     ``levenberg_marquardt`` call bit for bit.
 
     Returns, per problem, its InversionResult or the ForwardSolveError
-    (such as JacobianColumnError) that stopped it.
+    that stopped it; no problems give an empty list.
     """
     probs, a0s = list(probs), list(a0s)
     if len(probs) != len(a0s):
         raise InvalidStateError(f"{len(probs)} problems but {len(a0s)} initial guesses")
+    if not probs:
+        return []
     for prob, a0 in zip(probs, a0s):
         _require_same_model(prob, probs[0])
         require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
@@ -502,15 +432,16 @@ def levenberg_marquardt(
 ) -> InversionResult:
     """Minimize J_alpha from a0 by damped Gauss-Newton.
 
-    Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r and
-    retries with lambda *= LAMBDA_UP until the trial cost decreases (the
-    damping loop doubles as the line search); accepted steps shrink lambda.
-    A trial whose forward solve fails, or whose coefficients are not
-    finite, is rejected.  Stops on a small gradient, on two consecutive
+    Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r, with
+    the exact J, and retries with lambda *= LAMBDA_UP until the trial
+    cost decreases (the damping loop doubles as the line search);
+    accepted steps shrink lambda.  A trial whose coefficients are not
+    finite, whose forward solve fails or whose J^T J or J^T r is not
+    finite is rejected.  Stops on a small gradient, on two consecutive
     tiny relative cost decreases, on max_iters, or with converged=False
     when lambda overflows without finding any descent step.  Raises
-    ForwardSolveError if a0 or a Jacobian column cannot be solved.  This
-    is the one-problem case of ``levenberg_marquardt_many``.
+    ForwardSolveError if a0 cannot be evaluated.  This is the
+    one-problem case of ``levenberg_marquardt_many``.
     """
     (result,) = levenberg_marquardt_many([prob], [a0], cfg)
     if isinstance(result, ForwardSolveError):

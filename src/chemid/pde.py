@@ -26,14 +26,14 @@ quantity.  Each step is IMEX:
 
 The stepper advances a batch of independent rows of one ``ForwardModel``
 at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
-(``solve_forward`` is the one-row case; the finite-difference Jacobian
-runs one row per perturbed coefficient vector).  The u-matrices of all
-rows are stacked into one block-tridiagonal system with no coupling
-between blocks and solved by one LAPACK dgtsv call per step; the
-c-matrix depends only on the step size and is LU-factored (dgttrf) once
-per solve, then every row is solved by one dgttrs call per step.  The
-positivity check runs per row after every step and the c floor per row
-after every frame, so a failing row stops without touching the others.
+(``solve_forward`` is the one-row case; the inverse problem solves one
+row per coefficient vector, with its tangents, ``_tangent_step``).  The
+u-matrices of all rows are stacked into one block-tridiagonal system
+with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
+once per step; the c-matrix depends only on the step size and is
+factored once per solve.  The positivity check runs per row after every
+step and the c floor per row after every frame, so a failing row stops
+without touching the others.
 A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
 the caller in blocks of many frames, one call per block.
 Every array of states has the layout (frame, field u/c, [row,] node):
@@ -48,7 +48,7 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     DomainMismatchError,
@@ -295,7 +295,8 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
 
 
 def _advance(
-    u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple
+    u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple,
+    tangent: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """One IMEX step of ``model`` for every row of (u, c), given ``flow`` = dt * face velocity.
 
@@ -305,9 +306,10 @@ def _advance(
     |v| dx / M is at most 2 (``blended`` only) and the donor cell's 1 or 0
     elsewhere.  Each row's u-matrix is W + dt K with W the cell widths and
     K the flux differences: its columns sum to W, and with the face rule
-    it is a column diagonally dominant M-matrix, so dgtsv needs no
+    it is a column diagonally dominant M-matrix, so its LU factors need no
     pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
     block-tridiagonal system with zero coupling between blocks.
+    ``_tangent_step`` advances the rows' ``tangent`` = (du, dc, hat), if given.
 
     Returns the new (u, c) rows and a list of (row, PositivityViolationError)
     for rows whose cell density fell below the floor; smaller negatives
@@ -326,14 +328,13 @@ def _advance(
     sub[:, -1] = sup[:, -1] = 0.0
     np.subtract(widths, sub, out=diag)
     diag.reshape(-1)[1:] -= sup.reshape(-1)[:-1]
-    *_, x, info = dgtsv(
+    *u_lu, info = dgttrf(
         sub.reshape(-1)[:-1], diag.reshape(-1), sup.reshape(-1)[:-1],
-        (u * widths).reshape(-1, 1),
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
     )
     if info != 0:
         raise NumericalSolveError(f"tridiagonal solve failed (info={info})")
-    u_new = x.reshape(rows, n)
+    u_new = dgttrs(*u_lu, (u * widths).reshape(-1, 1), overwrite_b=1)[0].reshape(rows, n)
     # production uses the beginning-of-step u, keeping the c solve linear
     rhs = c + dt * model.params.b * (u / (u + model.params.h))
     # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
@@ -350,15 +351,64 @@ def _advance(
             for i in np.flatnonzero(broken)
         ]
         u_new[u_new < 0.0] = 0.0
+    if tangent is not None:
+        _tangent_step(*tangent, u, u_new, c, flow, u_lu, model, ops)
     return u_new, c_new, failures
+
+
+def _tangent_step(du, dc, hat, u, u_new, c, flow, u_lu, model: ForwardModel, ops) -> None:
+    """Advance the tangents (du, dc), (L, rows, n_nodes) arrays of d(u, c)/dq_l, in place.
+
+    This differentiates ``_advance``'s step (u, c) -> (u_new, c_new), with
+    its ``flow`` and u-matrix factors ``u_lu``, in the L hat coefficients
+    q of each row, whose stencil at the face means cbar is ``hat``:
+    A du' = W du - dA u_new and C dc' = dc + dt b h / (u + h)^2 du.  Face
+    k moves d(flow_k) times its advected u_new from node k to k + 1, with
+    the base row's weights frozen, and d(flow_k) = dt [(phi_l(cbar_k) +
+    a'(cbar_k) dcbar_k) c_x + a(cbar_k) d(c_x)].  The clip of round-off
+    negatives is not differentiated.  Overflow gives inf or nan without a
+    numpy warning; the caller checks what it keeps.
+    """
+    dt, m, widths, c_lu = ops
+    seg, frac, value, slope = hat
+    L, rows, n = du.shape
+    params, ratio = model.params, dt / model.grid.dx
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d(flow_k) times the advected u_new is src phi_l + (half - adv) dc_k
+        # + (half + adv) dc_{k+1}, with (rows, faces) coefficients
+        w = (flow > 0.0).astype(float)
+        if model.advection == "blended":
+            w[np.abs(flow) <= 2.0 * m] = 0.5
+        u_face = w * u_new[:, :-1] + (1.0 - w) * u_new[:, 1:]
+        src = ratio * (c[:, 1:] - c[:, :-1]) * u_face
+        half, adv = 0.5 * slope * src, ratio * value * u_face
+        f = (half - adv) * dc[..., :-1] + (half + adv) * dc[..., 1:]
+        # phi_l is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
+        row, face = np.arange(rows)[:, None], np.arange(n - 1)
+        f[seg, row, face] += src * (1.0 - frac)
+        f[seg + 1, row, face] += src * frac
+        dc += (dt * params.b * params.h / (u + params.h) ** 2) * du
+        du *= widths
+        du[..., :-1] -= f
+        du[..., 1:] += f
+    # (L rows, n) and (L, rows n) arrays in C order are LAPACK's column-major
+    # right-hand sides of the c- and u-matrices.  The u solve runs through
+    # all rows' blocks, so a row whose tangents are not finite is solved as
+    # zero and then set to nan, not spilled into the others.
+    dc[...] = dgttrs(*c_lu, dc.reshape(-1, n).T, overwrite_b=1)[0].T.reshape(dc.shape)
+    broken = ~np.isfinite(du).all(axis=(0, 2))
+    du[:, broken] = 0.0
+    du[...] = dgttrs(*u_lu, du.reshape(L, -1).T, overwrite_b=1)[0].T.reshape(du.shape)
+    du[:, broken] = np.nan
 
 
 def _integrate(
     model: ForwardModel,
-    a: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Callable,
     n_rows: int,
-    record: Callable[[int, np.ndarray], None],
+    record: Callable,
     every: int = 1,
+    directions: int = 0,
 ) -> list:
     """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
@@ -379,17 +429,27 @@ def _integrate(
     The rows of failed solves hold stale values and X is reused
     afterwards, so it copies what it keeps.  Returns, per row, None or
     the error that stopped it.
+
+    With ``directions`` = L > 0, ``a`` returns the ``hat_stencil`` of L-hat
+    sensitivities, each row carries the tangents of its L coefficients
+    from zero (``_tangent_step``), and ``record(j0, X, dX)`` gets them
+    too, dX of shape (k, 2, L, rows, n_nodes).
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
+    tangents = np.zeros((2, directions, *u.shape))
+    du, dc = tangents
     dx, dt = grid.dx, grid.dt
     times = grid.times()
     ops = _step_operators(params, grid)
     n_frames = grid.n_steps // every + 1
-    block = min(n_frames, max(1, _FRAME_BLOCK_BYTES // (16 * u.size)))
+    block = min(n_frames, max(1, _FRAME_BLOCK_BYTES // (16 * u.size * (1 + directions))))
     X = np.empty((block, 2, *u.shape))
     X[0, 0], X[0, 1] = u, c
-    j0, filled = 0, 1  # the buffer holds sampled frames j0 .. j0 + filled - 1
+    buffers = (X,)
+    if directions:
+        buffers += (np.zeros((block, 2, directions, *u.shape)),)
+    j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
@@ -400,21 +460,32 @@ def _integrate(
 
     for j in range(grid.n_steps):
         if filled == block:
-            record(j0, X)
+            record(j0, *buffers)
             j0, filled = j0 + block, 0
         rows = np.flatnonzero(alive)
         all_rows = rows.size == n_rows
         c_rows = c if all_rows else c[rows]
-        flow = dt * _face_velocities(c_rows, lambda face_c: a(face_c, rows), dx)
+        hat = None
+
+        def sensitivity(face_c):
+            nonlocal hat
+            hat = a(face_c, rows)
+            return hat[2] if directions else hat
+
+        flow = dt * _face_velocities(c_rows, sensitivity, dx)
         finite = np.isfinite(flow).all(axis=1)
         if not finite.all():  # such a row stops; a zero flow keeps its solve harmless
             for i in np.flatnonzero(~finite):
                 fail(rows[i], InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
             flow[~finite] = 0.0
         if all_rows:
-            u, c, broken = _advance(u, c, flow, model, ops)
+            tangent = (du, dc, hat) if directions else None
+            u, c, broken = _advance(u, c, flow, model, ops, tangent)
         else:
-            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, model, ops)
+            tangent = (du[:, rows], dc[:, rows], hat) if directions else None
+            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, model, ops, tangent)
+            if directions:
+                du[:, rows], dc[:, rows] = tangent[:2]
         for i, exc in broken:
             fail(rows[i], exc)
 
@@ -429,10 +500,12 @@ def _integrate(
             break
         if (j + 1) % every == 0:
             X[filled, 0], X[filled, 1] = u, c
+            if directions:
+                buffers[1][filled] = tangents
             filled += 1
 
     if filled:
-        record(j0, X[:filled])
+        record(j0, *(b[:filled] for b in buffers))
     return errors
 
 

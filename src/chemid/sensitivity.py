@@ -136,28 +136,36 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
     return B
 
 
-def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Row i of c evaluated on the hat basis with coefficient row coeffs[i].
+def hat_stencil(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> tuple:
+    """(segment, fraction, value, slope) of row i of c on the hats with coefficients coeffs[i].
 
-    Equal bit for bit to ``np.interp(c[i], knots, coeffs[i])`` for finite
-    inputs, including the clamp outside [knots[0], knots[-1]] and the exact
-    coefficient at a knot; one call serves a whole batch of sensitivities.
-    Coefficients so large that a slope overflows give inf or nan values
-    without a numpy warning; the forward solve rejects such a row.
+    c, clamped into [knots[0], knots[-1]], lies at ``fraction`` of knot
+    segment ``segment``, where hats segment and segment + 1 are 1 -
+    fraction and fraction.  ``value`` equals ``np.interp(c[i], knots,
+    coeffs[i])`` bit for bit for finite inputs; ``slope``, its derivative
+    in c, is 0 where c was clamped.  One row or many, the arithmetic is
+    the same.  A slope that overflows gives inf or nan without a numpy
+    warning; the forward solve rejects such a row.
     """
     n_rows, n_basis = coeffs.shape
-    c = np.clip(c, knots[0], knots[-1])
-    j = np.searchsorted(knots, c, side="right") - 1
-    left = np.minimum(j, n_basis - 2)
+    clamped = np.clip(c, knots[0], knots[-1])
+    j = np.searchsorted(knots, clamped, side="right") - 1
+    seg = np.minimum(j, n_basis - 2)
+    offset = clamped - knots[seg]
+    widths = knots[1:] - knots[:-1]
     # flat indices into coeffs (rows of n_basis) and slopes (rows of n_basis - 1)
     row = np.arange(n_rows)[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slopes = (coeffs[:, 1:] - coeffs[:, :-1]) / (knots[1:] - knots[:-1])
-        lin = (
-            np.take(slopes, left + row * (n_basis - 1)) * (c - knots[left])
-            + np.take(coeffs, left + row * n_basis)
-        )
-    return np.where(c == knots[j], np.take(coeffs, j + row * n_basis), lin)
+        slope = np.take((coeffs[:, 1:] - coeffs[:, :-1]) / widths, seg + row * (n_basis - 1))
+        lin = slope * offset + np.take(coeffs, seg + row * n_basis)
+    value = np.where(clamped == knots[j], np.take(coeffs, j + row * n_basis), lin)
+    slope[clamped != c] = 0.0
+    return seg, offset / widths[seg], value, slope
+
+
+def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The values of ``hat_stencil``: row i of c on the hats with coefficients coeffs[i]."""
+    return hat_stencil(c, knots, coeffs)[2]
 
 
 def same_basis(a: SensitivityFunction, b: SensitivityFunction) -> bool:

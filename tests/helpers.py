@@ -28,6 +28,19 @@ def objective(coeffs, prob):
     return float(r @ r)
 
 
+def central_jacobian(coeffs, prob, h):
+    """Central-difference Jacobian of residual_vector, column k from steps
+    +-h max(|a_k|, 1) of coefficient k."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    cols = []
+    for k in range(coeffs.size):
+        e = np.zeros(coeffs.size)
+        e[k] = h * max(abs(coeffs[k]), 1.0)
+        diff = residual_vector(coeffs + e, prob) - residual_vector(coeffs - e, prob)
+        cols.append(diff / (2.0 * e[k]))
+    return np.column_stack(cols)
+
+
 def trajectory_distance(a, b):
     """Space-time L2 distance between two trajectories on one grid, over both fields."""
     assert a.grid == b.grid

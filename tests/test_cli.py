@@ -271,13 +271,21 @@ def test_rates_artifacts(tmp_path):
     assert (again / "rates.csv").read_bytes() == (tmp_path / "rates.csv").read_bytes()
 
 
-def test_unknown_key_exits_2(tmp_path, capsys):
+def test_unknown_key_exits_2(tmp_path, capsys, data_dir):
     cfg = write_cfg(tmp_path, "bad.cfg", "bogus_key = 1\n")
     rc = main(["forward", "--config", cfg, "--preset", "myerscough",
                "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert re.match(r"error: config: .+bogus_key", err.splitlines()[0])
+    # the finite-difference step of older versions: the Jacobian is exact now
+    out = tmp_path / "out"
+    rc = main(["invert", "--config", invert_cfg(tmp_path, data_dir, "fd_step = 1e-6\n"),
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: unknown config keys for invert: fd_step"
+    ]
 
 
 def test_missing_required_key_exits_2(tmp_path, capsys):
@@ -304,6 +312,27 @@ def test_noise_failure_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert re.match(r"error: solver: .+", err.splitlines()[0])
+
+
+def test_rate_study_with_every_cell_skipped_exits_3(tmp_path):
+    # at every delta the noise drives some z_c below zero, so no cell is inverted
+    cfg = write_cfg(tmp_path, "rates.cfg", """\
+    n_nodes = 21
+    n_steps = 60
+    fine_n_nodes = 81
+    fine_n_steps = 240
+    truth = inverse:0.8
+    n_basis = 4
+    deltas = 100,300,1000,10000
+    seeds = 0
+    """)
+    out = tmp_path / "out"
+    proc = run_cli("rates", "--preset", "myerscough", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert errors == ["error: solver: rate fit needs >= 4 surviving noise levels, got 0"]
+    assert not out.exists()
 
 
 def test_seed_flag_rejected_where_meaningless(tmp_path, capsys):
@@ -694,25 +723,25 @@ ARTIFACT_SHA256 = {
     },
     "invert-refine-1": {
         "a_hat.csv":
-            "712f7b5b650654f833db6ac35e34bb247981c7b5ffb6146738aaa342c334fcb0",
+            "97800549b69179004ee3d2d86f4740b6c593206f114331d20364a5d3eb70fe50",
         "report.txt":
-            "281f7933e17a38fdc32744a53bda39d967e4b886acffc01222066b9dd98900a7",
+            "21053a6f860cbac5513bcc343cbe96734b9ee272067fc3af4fad5d75dded6bb4",
     },
     "invert": {
         "a_hat.csv":
-            "542ec82a8e575586c4bab8ef9b18e5530259a43c3232fe871ae3890eef249b74",
+            "ed4b42ed54bff08f18a7179ceaed6cf817b93a88e895392b36664f8692522245",
         "report.txt":
-            "ba522dc9390f4392b95a2254c424423f2ec4189c50259a57ab2fbeb081a62168",
+            "fdea715fc972091ed572155a62ddd380fc68ee547c79df46c6ad416ede380f0d",
     },
     "invert-refine-3": {
         "a_hat.csv":
-            "7c3899d110d0b84cdbfa00335250a470d23818e8c4e29deb90d7ac6ff25c5346",
+            "38bcf6b771a940197f1fae72877cc44fe87d1cadddc9d3bd71291a9cf19cb4e9",
         "report.txt":
-            "56e8a9f4e5294e133341e474c5897d0d0c57a669c9bd7a4b3236b7db9e0ed8d9",
+            "657d4f7feb57ef597689360848106525316708ff4b4df3e775a81d5818cd1f40",
     },
     "lcurve": {
         "lcurve.csv":
-            "b8f51f18f8a4c381d7f5b2e4aba482a4c02155c4fb37f65eab6939c3807dcbe9",
+            "0d5ce985855355e3f85b320c9d5e95ecfb506e28e907455d6802482a3e85fab4",
         "plot_lcurve.py":
             "53d272b0e0a4f80fd95e024bd359949072f0042abfa940a692efa82f2407b4a9",
         "summary.txt":
@@ -722,17 +751,17 @@ ARTIFACT_SHA256 = {
         "plot_rates.py":
             "af4cf554ae4c910f1ad9eb1d1a841e5c0d22b33600e489b316f7354f8a43408c",
         "rates.csv":
-            "033f3e6c758f5f8c89810d3feaf39320462dab725b0405d39fd0219a176d64ea",
+            "32e324ab4fab2e470db3a9a726e8058e183603958f3b676a3235add136720c0a",
         "summary.txt":
-            "b8827b6e8566f171588e5753f104939e71eb6ab2e97f14322cc4f9974d7236f8",
+            "99a6f409cdd2a32c6c84af4c6cb0c7aa13d02819e152353d79f2c404786905d0",
     },
     "rates": {
         "plot_rates.py":
             "63fec54626e84a992e289f210e5110a12457f1f6cc60fe5fafea485ca00ff31e",
         "rates.csv":
-            "40cd4521c5b4fedf52819ebb391cb2f02937bb99f1a5221bf7ffd7b2c697ba82",
+            "7592a9216807442c315e8b68808d44a81cc8fca06ab740c45cacf54a1ca3cb70",
         "summary.txt":
-            "90b670ea587867737dc7f81cb565d5e6513cbf6f7c37316a25101958e0bbe484",
+            "41a7de02b72e229d457c8028daf9d55767407e6ffff770b1c81fc042bf5ed3c1",
     },
 }
 

@@ -12,7 +12,6 @@ from chemid.errors import (
     ForwardSolveError,
     IncompatibleBasisError,
     InvalidStateError,
-    JacobianColumnError,
     NumericalSolveError,
 )
 from chemid.inversion import (
@@ -37,7 +36,14 @@ from chemid.sensitivity import (
 )
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
-from helpers import dimensionless, objective, penalty, per_frame_fold, small_problem
+from helpers import (
+    central_jacobian,
+    dimensionless,
+    objective,
+    penalty,
+    per_frame_fold,
+    small_problem,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def test_jacobian_directional_derivative():
     v = rng.standard_normal(prob.n_basis)
     v /= np.linalg.norm(v)
     r = residual_vector(coeffs, prob)
-    J = jacobian_fd(coeffs, prob, LMConfig(fd_step=1e-7))
+    J = jacobian_fd(coeffs, prob, fd_step=1e-7)
     dirderiv = 2.0 * float(r @ (J @ v))
     obj0 = float(r @ r)
     hs = np.array([1e-2, 3e-3, 1e-3, 3e-4])
@@ -181,63 +187,29 @@ def test_jacobian_zero_columns_on_uniform_data():
     np.testing.assert_allclose(J[:, 0], J[:, 1], atol=1e-9)
 
 
-def steep_problem(a_star):
-    """Exact data from a_star with a steep c0 (|c0'| up to 2.5), so that a
-    coefficient near the float maximum makes a face velocity overflow."""
-    p = dimensionless(M=0.25, D=1.0)
-    g = SimulationGrid(0.0, 1.0, 21, 0.6, 40)
-    u0 = np.full(21, 1.0)
-    c0 = 0.5 + 0.4 * np.cos(2.0 * np.pi * g.xs())
-    truth = solve_forward(u0, c0, p, a_star, g, advection="upwind")
-    return TikhonovProblem(
-        data=add_noise(truth, 0.0, seed=0),
-        alpha=0.0,
-        a_star=a_star,
-        params=p,
-        u0=u0,
-        c0=c0,
-        advection="upwind",
-    )
+def tangent_jacobian(coeffs, prob):
+    """The exact J the LM folds, stored: w times the tangents of one solved row."""
+    n_data = prob.data.X.size
+    J = np.empty((n_data + prob.n_basis, prob.n_basis))
+    J_data = inv._data_blocks(J, prob)
+    w = np.sqrt(prob.grid.dx * prob.grid.dt)
+
+    def request():
+        def sink(frame, X, dX):
+            J_data[:, frame : frame + len(X)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
+
+        (exc,) = yield coeffs[None, :], sink
+        assert exc is None
+
+    run_request(request(), prob)
+    J[n_data:] = prob._penalty_root
+    return J
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_jacobian_column_error_carries_index():
-    # a(c) is clamped to coefficient 0 wherever c < 0.5, where c0 is
-    # steepest; the huge fd_step makes that face velocity overflow
-    prob = steep_problem(SensitivityFunction.constant(1.0, 0.5, 1.5, 3))
-    residual_vector(prob.a_star.coeffs, prob)  # base point must be solvable
-    with pytest.raises(JacobianColumnError) as err:
-        jacobian_fd(prob.a_star.coeffs, prob, LMConfig(fd_step=1.7e308))
-    assert err.value.column == 0
-
-
-def column_by_column_jacobian(coeffs, prob, cfg=LMConfig()):
-    """Reference Jacobian: one residual_vector call per perturbed column."""
-    r0 = residual_vector(coeffs, prob)
-    cols = []
-    for k in range(coeffs.shape[0]):
-        h = cfg.fd_step * max(abs(coeffs[k]), 1.0)
-        pert = coeffs.copy()
-        pert[k] += h
-        cols.append((residual_vector(pert, prob) - r0) / h)
-    return np.column_stack(cols)
-
-
-@pytest.mark.parametrize(
-    "changes, fd_step",
-    [({}, 1e-6), ({"advection": "upwind"}, 1e-6), ({"time_refine": 2}, 1e-6), ({}, 30.0)],
-    ids=["blended", "upwind", "time_refine", "large_step"],
-)
-def test_batched_jacobian_equals_column_by_column(changes, fd_step):
-    # large_step gives the perturbed rows very different face velocities,
-    # so their faces switch between the central and donor-cell values
-    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
-    prob = dataclasses.replace(prob, **changes)
-    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    cfg = LMConfig(fd_step=fd_step)
-    assert np.array_equal(
-        jacobian_fd(coeffs, prob, cfg), column_by_column_jacobian(coeffs, prob, cfg)
-    )
+def run_request(gen, prob):
+    """Serve a sub-generator of the LM body alone; return what it returns."""
+    (result,) = inv._run_lockstep(prob, [gen])
+    return result
 
 
 @pytest.mark.parametrize(
@@ -252,17 +224,14 @@ def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_frames
     # 6 and 8 (or 6 and 9) on either side of the first block boundary
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=time_refine)
-    if block_frames is not None:
-        rows, n_nodes = prob.n_basis, prob.grid.n_nodes
-        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * rows * n_nodes)
+    if block_frames is not None:  # one row and its 4 tangents per frame
+        lanes, n_nodes = 1 + prob.n_basis, prob.grid.n_nodes
+        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * lanes * n_nodes)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r = residual_vector(coeffs, prob)
-    J = column_by_column_jacobian(coeffs, prob)
-    ref_JTJ, ref_JTr = per_frame_fold(J, r, prob)
-    JTJ, JTr = run_request(inv._normal_equations(coeffs, r, prob, LMConfig()), prob)
+    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
+    assert r.tobytes() == residual_vector(coeffs, prob).tobytes()
+    ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(coeffs, prob), r, prob)
     assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
-    assert np.array_equal(jacobian_fd(coeffs, prob), J)
-    assert np.array_equal(run_request(inv._residual_solve(coeffs, prob), prob), r)
 
 
 def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
@@ -278,33 +247,13 @@ def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
         assert got.residual_norm2 == ref.residual_norm2
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_jacobian_column_error_is_lowest_failing_column():
-    # hats 0 and 1 lie below every c, so only the later columns 2 and 3 can fail
-    prob = steep_problem(SensitivityFunction.constant(1.0, -1.85, 1.0, 4))
-    cfg = LMConfig(fd_step=1.7e308)
-    coeffs = prob.a_star.coeffs
-    failing = []
-    for k in range(4):
-        pert = coeffs.copy()
-        pert[k] += cfg.fd_step * max(abs(coeffs[k]), 1.0)
-        try:
-            residual_vector(pert, prob)
-        except ForwardSolveError:
-            failing.append(k)
-    assert failing == [2, 3]
-    with pytest.raises(JacobianColumnError) as err:
-        jacobian_fd(coeffs, prob, cfg)
-    assert err.value.column == 2
-
-
 def test_gradient_matches_central_differences():
     prob, a_true, _ = small_problem(alpha=1e-3, delta=1e-2)
     rng = np.random.default_rng(23)
     for _ in range(3):
         coeffs = a_true.coeffs + rng.uniform(-0.3, 0.3, prob.n_basis)
         r = residual_vector(coeffs, prob)
-        J = jacobian_fd(coeffs, prob, LMConfig(fd_step=1e-7))
+        J = jacobian_fd(coeffs, prob, fd_step=1e-7)
         grad = 2.0 * (J.T @ r)
         h = 1e-5
         for k in range(prob.n_basis):
@@ -367,12 +316,10 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     real = inv._integrate
     calls = {"n": 0}
 
-    def failing_trials(model, a, n_rows, record, every=1):
-        if n_rows > 1:  # a Jacobian batch
-            return real(model, a, n_rows, record, every)
+    def failing_trials(model, a, n_rows, record, every=1, directions=0):
         calls["n"] += 1
-        if calls["n"] <= 1:  # the base residual
-            return real(model, a, n_rows, record, every)
+        if calls["n"] <= 1:  # the starting point
+            return real(model, a, n_rows, record, every, directions)
         return [NumericalSolveError("injected trial failure")]
 
     monkeypatch.setattr(inv, "_integrate", failing_trials)
@@ -436,23 +383,83 @@ def test_lm_many_equals_lone_calls():
         levenberg_marquardt(probs[3], overflow, cfg)
 
 
-def run_request(gen, prob):
-    """Serve a sub-generator of the LM body alone; return what it returns."""
-    (result,) = inv._run_lockstep(prob, [gen])
-    return result
-
-
 def test_lockstep_requests_match_one_vector_references():
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=2)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r = residual_vector(coeffs, prob)
-    assert run_request(inv._residual_solve(coeffs, prob), prob).tobytes() == r.tobytes()
-    J = jacobian_fd(coeffs, prob)
-    JTJ, JTr = run_request(inv._normal_equations(coeffs, r, prob, LMConfig()), prob)
+    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
+    assert r.tobytes() == residual_vector(coeffs, prob).tobytes()
+    J = tangent_jacobian(coeffs, prob)
     ref_JTJ, ref_JTr = J.T @ J, J.T @ r
     assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-12 * np.max(np.abs(ref_JTJ))
     assert np.max(np.abs(JTr - ref_JTr)) <= 1e-12 * np.max(np.abs(ref_JTr))
+
+
+@pytest.mark.parametrize(
+    "changes", [{}, {"advection": "upwind"}, {"time_refine": 2}],
+    ids=["blended", "upwind", "time_refine"],
+)
+def test_exact_normal_equations_match_central_differences(changes):
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, **changes)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
+    J = central_jacobian(coeffs, prob, 1e-4)
+    ref_JTJ, ref_JTr = J.T @ J, J.T @ r
+    assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-6 * np.max(np.abs(ref_JTJ))
+    assert np.max(np.abs(JTr - ref_JTr)) <= 1e-6 * np.max(np.abs(ref_JTr))
+
+
+def poison_tangents(monkeypatch, solve):
+    """Make the tangents of the ``solve``-th batched solve inf, leaving its rows as they are."""
+    real, calls = pde._integrate, []
+
+    def integrate(model, a, n_rows, record, every=1, directions=0):
+        calls.append(1)
+
+        def poisoned(j0, X, dX):
+            dX[...] = np.inf
+            record(j0, X, dX)
+
+        return real(model, a, n_rows, poisoned if len(calls) == solve else record,
+                    every, directions)
+
+    monkeypatch.setattr(inv, "_integrate", integrate)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trial_with_a_non_finite_tangent_is_rejected(monkeypatch):
+    prob, _, _ = small_problem(alpha=1e-3, delta=5e-3)
+    clean = levenberg_marquardt(prob, prob.a_star)
+    poison_tangents(monkeypatch, 2)  # the first trial: its residual stays finite
+    res = levenberg_marquardt(prob, prob.a_star)
+    assert clean.cost_history[1] not in res.cost_history
+    assert res.converged and res.final_cost < res.cost_history[0]
+    poison_tangents(monkeypatch, 1)
+    with pytest.raises(ForwardSolveError, match="Jacobian is not finite"):
+        levenberg_marquardt(prob, prob.a_star)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
+    # the first row's a'(c) is inf in every step: its tangents are nan from
+    # the first step on, and the stacked u solve must not carry them into
+    # the next row's block
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    poisoned = coeffs * 1.05
+    alone = run_request(inv._evaluate(coeffs, prob), prob)
+    real = inv.hat_stencil
+
+    def stencil(c, knots, rows):
+        seg, frac, value, slope = real(c, knots, rows)
+        slope[rows[:, 0] == poisoned[0]] = np.inf
+        return seg, frac, value, slope
+
+    monkeypatch.setattr(inv, "hat_stencil", stencil)
+    both = inv._run_lockstep(prob, [inv._evaluate(poisoned, prob), inv._evaluate(coeffs, prob)])
+    assert isinstance(both[0], ForwardSolveError) and "not finite" in str(both[0])
+    assert [x.tobytes() for x in both[1]] == [x.tobytes() for x in alone]
 
 
 @pytest.mark.parametrize(
