@@ -204,14 +204,15 @@ def _list(conv):
 
 def _alphas(s: str) -> list:
     """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count> of
-    distinct positive alphas, at least the MIN_CORNER_POINTS values the
-    L-curve corner needs."""
+    distinct positive alphas, each held to the alpha rule, at least the
+    MIN_CORNER_POINTS values the L-curve corner needs."""
     if s.startswith("logspace:"):
         lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
         lo, hi, count = _finite(lo), _finite(hi), _size(count)
         if count < 1:
             raise ValueError(s)
-        alphas = [float(a) for a in np.logspace(lo, hi, count)]
+        with np.errstate(over="ignore"):  # an overflowing alpha is rejected below
+            alphas = [float(a) for a in np.logspace(lo, hi, count)]
     else:
         alphas = _list(_finite)(s)
     if len(alphas) < MIN_CORNER_POINTS:
@@ -219,6 +220,8 @@ def _alphas(s: str) -> list:
             f"the L-curve corner needs at least {MIN_CORNER_POINTS} alphas (got {len(alphas)})"
         )
     _positive_distinct(alphas, "sweep alphas", 1)
+    for alpha in alphas:
+        require_alpha(alpha)
     return alphas
 
 

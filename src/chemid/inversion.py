@@ -23,10 +23,11 @@ so one solve gives the residual, J^T J and J^T r (``_evaluate``), and an
 iteration costs one solve per damping trial.
 
 The iteration is written once, as a generator that yields the forward
-solves it needs, and one runner, ``_run_lockstep``, drives every forward
-solve of the inverse problem: each round it stacks the pending rows of
-all its generators into one batched solve, which delivers only the
-measurement frames, in blocks.  ``levenberg_marquardt_many`` runs many
+solves it needs, one coefficient row each, and one runner,
+``_run_lockstep``, drives every forward solve of the inverse problem:
+each round it stacks those rows into one batched solve, in which a failed
+row steps on with zero flow, and which delivers only the measurement
+frames, in blocks.  ``levenberg_marquardt_many`` runs many
 problems with equal models through it, and ``levenberg_marquardt`` is
 its one-problem case.  ``residual_vector`` stays on ``solve_forward`` as
 the independent one-vector reference, and ``jacobian_fd`` is a
@@ -84,7 +85,9 @@ class LMConfig:
 
 
 def require_alpha(alpha: float) -> None:
-    """InvalidStateError unless the regularization weight ``alpha`` is >= 0."""
+    """InvalidStateError unless the regularization weight ``alpha`` is finite and >= 0."""
+    if not math.isfinite(alpha):
+        raise InvalidStateError(f"alpha must be finite (got {alpha})")
     if alpha < 0:
         raise InvalidStateError(f"alpha must be >= 0 (got {alpha})")
 
@@ -215,12 +218,12 @@ def jacobian_fd(coeffs, prob: TikhonovProblem, fd_step: float = 1e-6) -> np.ndar
 
 
 # The Levenberg-Marquardt body below is a generator of forward solves: it
-# yields (coefficient rows, sink) for each batch it needs and is sent back
-# the per-row errors, so that one runner, ``_run_lockstep``, can run many
-# problems in lockstep.  ``sink(frame, X, dX)`` receives the measurement
-# frames and their tangents in blocks: X is a (k, field u/c, rows,
-# n_nodes) and dX a (k, field u/c, L, rows, n_nodes) array holding frames
-# frame .. frame + k - 1 (see ``pde._integrate`` for what a sink may keep).
+# yields (coefficients, sink), one (L,) row, for each solve it needs and is
+# sent back that solve's error or None, so that one runner,
+# ``_run_lockstep``, can run many problems in lockstep.  ``sink(frame, X,
+# dX)`` receives the measurement frames and their tangents in blocks: X is
+# a (k, field u/c, n_nodes) and dX a (k, field u/c, L, n_nodes) array of
+# frames frame .. frame + k - 1 (see ``pde._integrate`` for what it may keep).
 
 
 def _evaluate(coeffs: np.ndarray, prob: TikhonovProblem):
@@ -243,15 +246,15 @@ def _evaluate(coeffs: np.ndarray, prob: TikhonovProblem):
 
     def sink(frame, X, dX):
         k = len(X)
-        Rk = (X[:, :, 0] - prob.data.X[frame : frame + k]) * w
+        Rk = (X - prob.data.X[frame : frame + k]) * w
         R[:, frame : frame + k] = Rk.swapaxes(0, 1)
-        P = (w * dX[:, :, :, 0]).reshape(2 * k, n_basis, -1)  # (frame, field) order
+        P = (w * dX).reshape(2 * k, n_basis, -1)  # (frame, field) order
         with np.errstate(over="ignore", invalid="ignore"):  # checked once folded
             PPt, Pr = P @ P.transpose(0, 2, 1), (P @ Rk.reshape(2 * k, -1, 1))[..., 0]
             JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
             JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
 
-    (exc,) = yield coeffs[None, :], sink
+    exc = yield coeffs, sink
     if exc is not None:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     r[n_data:] = _penalty_residual(coeffs, prob)
@@ -355,22 +358,22 @@ def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
     This is the one driver of forward solves for the inverse problem.
     Every request must be for a problem with the forward model,
     time_refine and knots of ``prob``.  Each round stacks the coefficient
-    rows that every pending request yields into one batched solve, each
+    row that every pending request yields into one batched solve, each
     row with the tangents of its L coefficients, that keeps every
     time_refine-th solved frame, the measurement frames.  Each request's
-    sink gets its rows' slice of every block, and the request is sent its
-    rows' slice of the per-row errors.  Each row is checked as a lone
-    solve would be, and its result, tangents included, does not depend on
-    the others.  Returns, per request, what it returned or the
-    ForwardSolveError that stopped it.
+    sink gets its row of every block, and the request is sent its row's
+    error.  Each row is checked as a lone solve would be, and its result,
+    tangents included, does not depend on the others: a row that fails
+    steps on with zero flow, its later frames meaningless.  Returns, per
+    request, what it returned or the ForwardSolveError that stopped it.
     """
     knots = prob.a_star.knots()
     results = [None] * len(requests)
     pending = {}
 
-    def advance(i, errors):
+    def advance(i, error):
         try:
-            pending[i] = requests[i].send(errors)
+            pending[i] = requests[i].send(error)
         except StopIteration as stop:
             results[i] = stop.value
         except ForwardSolveError as exc:
@@ -381,20 +384,22 @@ def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
     while pending:
         batch = sorted(pending.items())
         pending.clear()
-        bounds = np.cumsum([0] + [len(rows) for _, (rows, _) in batch])
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        coeffs = np.concatenate([rows for _, (rows, _) in batch])
+        coeffs = np.array([row for _, (row, _) in batch])
+
+        def sensitivity(face_c):
+            hat = hat_stencil(face_c, knots, coeffs)
+            return hat[2], hat
 
         def sink(frame, X, dX):
-            for (_, (_, part_sink)), (lo, hi) in zip(batch, spans):
-                part_sink(frame, X[:, :, lo:hi], dX[:, :, :, lo:hi])
+            for row, (_, (_, part_sink)) in enumerate(batch):
+                part_sink(frame, X[:, :, row], dX[:, :, :, row])
 
         errors = _integrate(
-            prob.model, lambda face_c, rows: hat_stencil(face_c, knots, coeffs[rows]),
-            len(coeffs), sink, every=prob.time_refine, directions=len(knots),
+            prob.model, sensitivity, len(coeffs), sink,
+            every=prob.time_refine, directions=len(knots),
         )
-        for (i, _), (lo, hi) in zip(batch, spans):
-            advance(i, errors[lo:hi])
+        for (i, _), error in zip(batch, errors):
+            advance(i, error)
     return results
 
 
@@ -407,9 +412,10 @@ def levenberg_marquardt_many(
 
     The problems may differ in data and alpha but must share the forward
     model (InvalidStateError otherwise).  Their minimizations run through
-    ``_run_lockstep``, so a round costs about one batched forward solve
-    however many problems run, and every entry equals a lone
-    ``levenberg_marquardt`` call bit for bit.
+    ``_run_lockstep``, one coefficient row per solve, so a round costs
+    about one batched forward solve however many problems run; a failed
+    row steps on with zero flow and touches no other, so every entry
+    equals a lone ``levenberg_marquardt`` call bit for bit.
 
     Returns, per problem, its InversionResult or the ForwardSolveError
     that stopped it; no problems give an empty list.

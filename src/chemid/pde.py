@@ -27,13 +27,13 @@ quantity.  Each step is IMEX:
 The stepper advances a batch of independent rows of one ``ForwardModel``
 at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
 (``solve_forward`` is the one-row case; the inverse problem solves one
-row per coefficient vector, with its tangents, ``_tangent_step``).  The
-u-matrices of all rows are stacked into one block-tridiagonal system
+row per coefficient vector, with its tangents, ``_tangent_step``), and
+one callback of the face concentrations gives every row's sensitivity.
+The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
-once per step; the c-matrix depends only on the step size and is
-factored once per solve.  The positivity check runs per row after every
-step and the c floor per row after every frame, so a failing row stops
-without touching the others.
+once per step; the c-matrix is factored once per solve.  Each row is
+checked after every step; one that fails stops with its error and steps
+on with zero flow, which keeps its fields finite and the others as they are.
 A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
 the caller in blocks of many frames, one call per block.
 Every array of states has the layout (frame, field u/c, [row,] node):
@@ -259,15 +259,18 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
     return grid.dx * grid.dt * float(np.sum(values * values))
 
 
-def _face_velocities(c: np.ndarray, a: SensitivityLike, dx: float) -> np.ndarray:
-    """Face velocities along the last axis; ``a`` sees the face concentrations.
+def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> tuple:
+    """(velocity, stencil) of the faces along the last axis.
 
-    A velocity that overflows comes back inf or nan without a numpy
-    warning: the caller stops that row with a typed error.
+    ``a(face_c)`` gives the sensitivity at the face concentrations and
+    the stencil that ``_tangent_step`` reads, or None.  A velocity that
+    overflows comes back inf or nan without a numpy warning: the caller
+    stops that row with a typed error.
     """
     face_c = 0.5 * (c[..., :-1] + c[..., 1:])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
+        value, stencil = a(face_c)
+        return np.asarray(value, dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx), stencil
 
 
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
@@ -309,7 +312,8 @@ def _advance(
     it is a column diagonally dominant M-matrix, so its LU factors need no
     pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
     block-tridiagonal system with zero coupling between blocks.
-    ``_tangent_step`` advances the rows' ``tangent`` = (du, dc, hat), if given.
+    ``_tangent_step`` advances the rows' ``tangent`` = (du, dc, hat), if
+    given, with the same face weights w.
 
     Returns the new (u, c) rows and a list of (row, PositivityViolationError)
     for rows whose cell density fell below the floor; smaller negatives
@@ -317,10 +321,11 @@ def _advance(
     """
     dt, m, widths, c_lu = ops
     rows, n = u.shape
-    # flow times the weight of u_k in each face's flux; flow - ahead weighs u_{k+1}
-    ahead = np.maximum(flow, 0.0)
+    # w weighs u_k in each face's flux: ahead = w flow, and flow - ahead weighs u_{k+1}
+    w = (flow > 0.0).astype(float)
     if model.advection == "blended":
-        np.multiply(flow, 0.5, out=ahead, where=np.abs(flow) <= 2.0 * m)
+        w[np.abs(flow) <= 2.0 * m] = 0.5
+    ahead = w * flow
     bands = np.empty((3, rows, n))
     sub, diag, sup = bands
     np.subtract(-m, ahead, out=sub[:, :-1])
@@ -352,15 +357,15 @@ def _advance(
         ]
         u_new[u_new < 0.0] = 0.0
     if tangent is not None:
-        _tangent_step(*tangent, u, u_new, c, flow, u_lu, model, ops)
+        _tangent_step(*tangent, u, u_new, c, w, u_lu, model, ops)
     return u_new, c_new, failures
 
 
-def _tangent_step(du, dc, hat, u, u_new, c, flow, u_lu, model: ForwardModel, ops) -> None:
+def _tangent_step(du, dc, hat, u, u_new, c, w, u_lu, model: ForwardModel, ops) -> None:
     """Advance the tangents (du, dc), (L, rows, n_nodes) arrays of d(u, c)/dq_l, in place.
 
     This differentiates ``_advance``'s step (u, c) -> (u_new, c_new), with
-    its ``flow`` and u-matrix factors ``u_lu``, in the L hat coefficients
+    its face weights ``w`` and u-matrix factors ``u_lu``, in the L hat coefficients
     q of each row, whose stencil at the face means cbar is ``hat``:
     A du' = W du - dA u_new and C dc' = dc + dt b h / (u + h)^2 du.  Face
     k moves d(flow_k) times its advected u_new from node k to k + 1, with
@@ -369,16 +374,13 @@ def _tangent_step(du, dc, hat, u, u_new, c, flow, u_lu, model: ForwardModel, ops
     negatives is not differentiated.  Overflow gives inf or nan without a
     numpy warning; the caller checks what it keeps.
     """
-    dt, m, widths, c_lu = ops
+    dt, _, widths, c_lu = ops
     seg, frac, value, slope = hat
     L, rows, n = du.shape
     params, ratio = model.params, dt / model.grid.dx
     with np.errstate(over="ignore", invalid="ignore"):
         # d(flow_k) times the advected u_new is src phi_l + (half - adv) dc_k
         # + (half + adv) dc_{k+1}, with (rows, faces) coefficients
-        w = (flow > 0.0).astype(float)
-        if model.advection == "blended":
-            w[np.abs(flow) <= 2.0 * m] = 0.5
         u_face = w * u_new[:, :-1] + (1.0 - w) * u_new[:, 1:]
         src = ratio * (c[:, 1:] - c[:, :-1]) * u_face
         half, adv = 0.5 * slope * src, ratio * value * u_face
@@ -412,13 +414,15 @@ def _integrate(
 ) -> list:
     """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
-    ``a(face_c, rows)`` gives the sensitivity of the rows with indices
-    ``rows`` at their face concentrations ``face_c`` (one array row per
-    index).  The model checked its initial fields and face rule when it
-    was built.  Every live row takes one step per solved frame.  Rows are
-    independent: each is checked for a finite dt * face velocity,
-    positivity and its own c floor exactly as a lone solve would be, and
-    a row that fails stops without changing the others.
+    ``a(face_c)`` gives, for the (rows, faces) face concentrations of all
+    rows, their sensitivity values and the stencil ``_tangent_step``
+    reads (None without tangents).  The model checked its initial fields
+    and face rule when it was built.  Every row takes one step per solved
+    frame.  Rows are independent: each is checked for a finite dt * face
+    velocity, positivity and its own c floor exactly as a lone solve
+    would be.  A row that fails stops: it keeps stepping with zero flow
+    until the solve ends, which keeps its u and c finite and changes
+    none of the others, and its frames after it stopped mean nothing.
 
     ``record(j0, X)`` receives every ``every``-th solved frame in order,
     in blocks: X is a (k, 2, rows, n_nodes) array of u, then c, at solved
@@ -426,19 +430,17 @@ def _integrate(
     ``StateTrajectory.X`` with a row axis.  A block holds as many
     frames as fit ``_FRAME_BLOCK_BYTES`` (at least one; the last block may
     hold fewer), and the frames end at the last one any row survived.
-    The rows of failed solves hold stale values and X is reused
-    afterwards, so it copies what it keeps.  Returns, per row, None or
-    the error that stopped it.
+    X is reused afterwards, so ``record`` copies what it keeps.  Returns,
+    per row, None or the error that stopped it.
 
-    With ``directions`` = L > 0, ``a`` returns the ``hat_stencil`` of L-hat
-    sensitivities, each row carries the tangents of its L coefficients
-    from zero (``_tangent_step``), and ``record(j0, X, dX)`` gets them
-    too, dX of shape (k, 2, L, rows, n_nodes).
+    With ``directions`` = L > 0, the stencil is the ``hat_stencil`` of
+    L-hat sensitivities, each row carries the tangents of its L
+    coefficients from zero (``_tangent_step``), and ``record(j0, X, dX)``
+    gets them too, dX of shape (k, 2, L, rows, n_nodes).
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
     tangents = np.zeros((2, directions, *u.shape))
-    du, dc = tangents
     dx, dt = grid.dx, grid.dt
     times = grid.times()
     ops = _step_operators(params, grid)
@@ -454,45 +456,28 @@ def _integrate(
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
 
-    def fail(row, exc):
-        errors[row] = exc
-        alive[row] = False
+    def fail(row, exc):  # a stopped row keeps the error that stopped it
+        if alive[row]:
+            errors[row], alive[row] = exc, False
 
     for j in range(grid.n_steps):
         if filled == block:
             record(j0, *buffers)
             j0, filled = j0 + block, 0
-        rows = np.flatnonzero(alive)
-        all_rows = rows.size == n_rows
-        c_rows = c if all_rows else c[rows]
-        hat = None
-
-        def sensitivity(face_c):
-            nonlocal hat
-            hat = a(face_c, rows)
-            return hat[2] if directions else hat
-
-        flow = dt * _face_velocities(c_rows, sensitivity, dx)
-        finite = np.isfinite(flow).all(axis=1)
-        if not finite.all():  # such a row stops; a zero flow keeps its solve harmless
-            for i in np.flatnonzero(~finite):
-                fail(rows[i], InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
-            flow[~finite] = 0.0
-        if all_rows:
-            tangent = (du, dc, hat) if directions else None
-            u, c, broken = _advance(u, c, flow, model, ops, tangent)
-        else:
-            tangent = (du[:, rows], dc[:, rows], hat) if directions else None
-            u[rows], c[rows], broken = _advance(u[rows], c_rows, flow, model, ops, tangent)
-            if directions:
-                du[:, rows], dc[:, rows] = tangent[:2]
-        for i, exc in broken:
-            fail(rows[i], exc)
+        velocity, stencil = _face_velocities(c, a, dx)
+        flow = dt * velocity
+        for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
+            fail(row, InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
+        flow[~alive] = 0.0
+        tangent = (*tangents, stencil) if directions else None
+        u, c, broken = _advance(u, c, flow, model, ops, tangent)
+        for row, exc in broken:
+            fail(row, exc)
 
         t = times[j + 1]
         c_min = c.min(axis=1)
         bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
-        for row in np.flatnonzero(alive & (c_min < bound)):
+        for row in np.flatnonzero(c_min < bound):
             fail(row, LowerBoundViolationError(
                 f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
             ))
@@ -542,7 +527,7 @@ def solve_forward(
             frames = np.empty((grid.n_steps + 1, 2, grid.n_nodes))
         frames[j0 : j0 + len(X)] = X[:, :, 0]
 
-    errors = _integrate(model, lambda face_c, rows: a(face_c), 1, record)
+    errors = _integrate(model, lambda face_c: (a(face_c), None), 1, record)
     if errors[0] is not None:
         raise errors[0]
     frames.setflags(write=False)  # the trajectory keeps this buffer, uncopied
@@ -629,8 +614,9 @@ def _read_frame_csv(path, expect_comment: bool = False):
 
     Blank lines are skipped; the rows are parsed as they stream in, so no
     copy of the text is held.  Undecodable bytes, non-numeric cells,
-    ragged, empty or incomplete tables, rows out of frame-then-node order
-    and a first frame not at t = 0 raise InvalidStateError.
+    ragged, empty or incomplete tables, non-finite u or c values, rows out
+    of frame-then-node order and a first frame not at t = 0 raise
+    InvalidStateError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -649,6 +635,8 @@ def _read_frame_csv(path, expect_comment: bool = False):
         raise InvalidStateError(f"{path}: malformed rows: {exc}") from exc
     if data.shape[0] == 0 or data.shape[1] != 4:
         raise InvalidStateError(f"{path}: malformed rows")
+    if not np.isfinite(data[:, 2:]).all():
+        raise InvalidStateError(f"{path}: u or c holds a non-finite value")
 
     ts = np.unique(data[:, 0])
     xs = np.unique(data[:, 1])

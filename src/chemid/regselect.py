@@ -33,6 +33,7 @@ from .inversion import (
     TikhonovProblem,
     levenberg_marquardt,
     levenberg_marquardt_many,
+    require_alpha,
 )
 from .pde import StateTrajectory
 from .sensitivity import SensitivityFunction, mass_matrix, require_same_basis
@@ -211,13 +212,14 @@ def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
 def require_rate_inputs(deltas, coupling: float, seeds) -> np.ndarray:
     """The deltas as an array if a rate study can take these inputs, else
     InvalidStateError: 4 or more distinct deltas > 0 over >= 1.5 decades,
-    coupling > 0 and distinct seeds."""
+    coupling > 0, finite alphas coupling * delta and distinct seeds."""
     arr = _positive_distinct(deltas, "rate-study deltas", 4)
     span = np.log10(arr.max() / arr.min())
     if span < 1.5 - 1e-9:
         raise InvalidStateError(f"rate-study deltas must span >= 1.5 decades (got {span:.2f})")
     if not coupling > 0:
         raise InvalidStateError(f"coupling must be > 0 (got {coupling})")
+    require_alpha(float(coupling) * float(arr.max()))  # the largest; a float overflows silently
     if len(seeds) == 0:
         raise InvalidStateError("rate study needs at least one seed")
     if len(set(seeds)) != len(seeds):

@@ -163,11 +163,6 @@ def hat_stencil(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> tuple:
     return seg, offset / widths[seg], value, slope
 
 
-def hat_rows(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """The values of ``hat_stencil``: row i of c on the hats with coefficients coeffs[i]."""
-    return hat_stencil(c, knots, coeffs)[2]
-
-
 def same_basis(a: SensitivityFunction, b: SensitivityFunction) -> bool:
     """Whether a and b have the same knot count and interval, exactly (so equal knots)."""
     return (a.n_basis, a.c_min, a.c_max) == (b.n_basis, b.c_min, b.c_max)

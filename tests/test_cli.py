@@ -684,12 +684,15 @@ sys.exit(cli.main(sys.argv[1:]))
          "config key 'alphas': sweep alphas must be positive"),
         ("lcurve", "alphas = 1e-6,1e-5,1e-5,1e-3,1e-2",
          "config key 'alphas': sweep alphas must be distinct"),
+        ("lcurve", "alphas = logspace:300:310:5",
+         "config key 'alphas': alpha must be finite (got inf)"),
         ("make-data", "delta = -1e-3", "delta must be >= 0 (got -0.001)"),
         ("invert", "alpha = -1", "alpha must be >= 0 (got -1.0)"),
     ],
     ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
          "repeated_seeds", "one_hat", "no_refine", "negative_padding", "negative_alpha",
-         "repeated_alphas", "make_data_negative_delta", "invert_negative_alpha"],
+         "repeated_alphas", "overflowing_alphas", "make_data_negative_delta",
+         "invert_negative_alpha"],
 )
 def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
     cfg = write_cfg(tmp_path, "bad.cfg", with_line(command_body(command, data_dir), line))

@@ -197,6 +197,13 @@ def test_resolve_requires_the_alphas_the_corner_needs(text, count):
         parsed("alphas", text)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_resolve_rejects_rate_alphas_that_overflow():
+    # alpha = coupling * delta: 1e307 * 100 is not a finite float
+    with pytest.raises(ConfigError, match=re.escape("alpha must be finite (got inf)")):
+        built("rates", "grid", deltas="1,3,10,30,100", coupling="1e307")
+
+
 @pytest.mark.parametrize("count", [MAX_SIZE + 1, 10**20])
 def test_resolve_caps_the_logspace_count(count, monkeypatch):
     def refuse(*args, **kwargs):

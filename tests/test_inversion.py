@@ -116,6 +116,12 @@ def test_problem_validation():
     assert not (prob.u0.flags.writeable or prob.c0.flags.writeable)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_require_alpha_rejects_non_finite_alpha(alpha):
+    with pytest.raises(InvalidStateError, match=f"alpha must be finite \\(got {alpha}\\)"):
+        inv.require_alpha(alpha)
+
+
 def test_problem_rejects_unknown_advection_before_any_step(monkeypatch):
     def step(*args):
         raise AssertionError("a step was taken")
@@ -196,9 +202,9 @@ def tangent_jacobian(coeffs, prob):
 
     def request():
         def sink(frame, X, dX):
-            J_data[:, frame : frame + len(X)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
+            J_data[:, frame : frame + len(X)] = (w * dX).transpose(1, 0, 3, 2)
 
-        (exc,) = yield coeffs[None, :], sink
+        exc = yield coeffs, sink
         assert exc is None
 
     run_request(request(), prob)

@@ -20,6 +20,7 @@ from chemid.errors import (
     ConfigError,
     DomainMismatchError,
     InvalidStateError,
+    LowerBoundViolationError,
     PositivityViolationError,
 )
 from chemid.pde import (
@@ -36,7 +37,7 @@ from chemid.pde import (
     write_trajectory_csv,
 )
 from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
-from chemid.sensitivity import SensitivityFunction, hat_rows
+from chemid.sensitivity import SensitivityFunction, hat_stencil
 from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
 from helpers import (
@@ -185,9 +186,14 @@ def test_solve_forward_peak_memory_holds_the_trajectory_once():
 # face velocities
 
 
+def velocities(c, a, dx):
+    """``_face_velocities`` of a plain a(c): the velocities alone."""
+    return _face_velocities(c, lambda face_c: (a(face_c), None), dx)[0]
+
+
 def test_face_velocity_zero_for_uniform_c():
     g = SimulationGrid(0.0, 1.0, 6, 1.0, 10)
-    v = _face_velocities(np.full(6, 0.5), A_CONST2, g.dx)
+    v = velocities(np.full(6, 0.5), A_CONST2, g.dx)
     assert v.shape == (5,)
     assert np.all(v == 0.0)
 
@@ -196,7 +202,7 @@ def test_face_velocity_constant_a_linear_c():
     g = SimulationGrid(0.0, 1.0, 5, 1.0, 10)
     c = g.xs().copy()  # slope 1
     c += 0.2  # keep c positive; gradient unchanged
-    v = _face_velocities(c, A_CONST2, g.dx)
+    v = velocities(c, A_CONST2, g.dx)
     np.testing.assert_allclose(v, 2.0, rtol=1e-14)
 
 
@@ -204,14 +210,14 @@ def test_face_velocity_inverse_sensitivity():
     # a(c) = 2/c sampled so that the face mean 0.3 is a knot, dx = 1
     a = SensitivityFunction.from_function(lambda cc: 2.0 / cc, 0.1, 0.7, 7)
     g = SimulationGrid(0.0, 2.0, 3, 1.0, 10)
-    v = _face_velocities(np.array([0.2, 0.4, 0.6]), a, g.dx)
+    v = velocities(np.array([0.2, 0.4, 0.6]), a, g.dx)
     assert v[0] == pytest.approx((2.0 / 0.3) * 0.2, rel=1e-14)  # = 4/3
 
 
 def test_face_velocity_rejects_nonfinite():
     g = SimulationGrid(0.0, 1.0, 4, 1.0, 10)
     with pytest.raises(InvalidStateError):
-        _face_velocities(np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g.dx)
+        velocities(np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g.dx)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +281,7 @@ def test_step_flags_positivity_violation():
     u = np.full((2, 11), 0.5)
     u[1, 5] = -0.4
     c = np.tile(g.xs() + 0.1, (2, 1))
-    flow = g.dt * _face_velocities(c, a, g.dx)
+    flow = g.dt * velocities(c, a, g.dx)
     model = ForwardModel(p, g, u[0], c[0], "upwind")
     _, _, failures = _advance(u, c, flow, model, _step_operators(p, g))
     assert [(row, type(exc)) for row, exc in failures] == [(1, PositivityViolationError)]
@@ -441,12 +447,12 @@ def test_batched_rows_fail_independently(monkeypatch):
             monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * 3 * g.n_nodes)
         steps, blocks = [], []
 
-        def a(face_c, rows):
-            steps.append(rows)
-            vals = hat_rows(face_c, A_CONST2.knots(), coeffs[rows])
+        def a(face_c):
+            steps.append(1)
+            vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
             if len(steps) == 6:
-                vals[rows == 2] = np.nan
-            return vals
+                vals[2] = np.nan
+            return vals, None
 
         errors = _integrate(
             ForwardModel(p, g, u0, steep, "blended"), a, 3,
@@ -465,6 +471,60 @@ def test_batched_rows_fail_independently(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("directions", [0, 8], ids=["rows", "rows_and_tangents"])
+def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, directions):
+    # row 0 leaves step 4 and every later step below its c floor, and row
+    # 2 enters step 7 with a negative density; both stop, keep stepping
+    # with zero flow to the end, and keep their first error.  Row 1 must
+    # come out exactly as a lone solve, tangents included, and the stopped
+    # rows up to the frame before they failed
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
+    u0, _ = bump_initial(g)
+    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, steep, "blended")
+    knots = A_CONST2.knots()
+
+    def run(n_rows):
+        coeffs = np.tile(A_CONST2.coeffs, (n_rows, 1))
+        blocks = []
+
+        def a(face_c):
+            hat = hat_stencil(face_c, knots, coeffs)
+            return hat[2], hat
+
+        errors = _integrate(model, a, n_rows, lambda j0, *XdX: blocks.append(
+            [B.copy() for B in XdX]), directions=directions)
+        assert len(blocks) == 1
+        return errors, blocks[0]
+
+    alone = solve_forward(u0, steep, model.params, A_CONST2, g)
+    _, lone = run(1)
+    real, steps = pde._advance, []
+
+    def advance(u, c, flow, model, ops, tangent=None):
+        steps.append(1)
+        if len(steps) == 7:
+            u = u.copy()
+            u[2] *= -1e-3
+        u_new, c_new, failures = real(u, c, flow, model, ops, tangent)
+        if len(steps) >= 4:
+            c_new[0] *= 1e-3
+        return u_new, c_new, failures
+
+    monkeypatch.setattr(pde, "_advance", advance)
+    errors, (X, *dX) = run(3)
+    assert len(steps) == g.n_steps
+    assert [type(e) for e in errors] == [
+        LowerBoundViolationError, type(None), PositivityViolationError
+    ]
+    assert str(errors[0]).endswith("at t=0.02")
+    assert np.array_equal(X[:, :, 1], alone.X)
+    assert np.array_equal(X[:4, :, 0], alone.X[:4]) and np.array_equal(X[:7, :, 2], alone.X[:7])
+    if directions:
+        assert np.array_equal(dX[0][..., 1, :], lone[1][..., 0, :])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("every", [2, 3])
 @pytest.mark.parametrize("block_frames", [None, 2], ids=["one_block", "blocks_of_2"])
 def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_frames):
@@ -480,12 +540,12 @@ def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_f
     def run(k):
         steps, blocks = [], []
 
-        def a(face_c, rows):
-            steps.append(rows)
-            vals = hat_rows(face_c, A_CONST2.knots(), coeffs[rows])
+        def a(face_c):
+            steps.append(1)
+            vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
             if len(steps) == 8:
-                vals[rows == 2] = np.nan
-            return vals
+                vals[2] = np.nan
+            return vals, None
 
         errors = _integrate(model, a, 3, lambda j0, X: blocks.append((j0, X.copy())), k)
         sizes = [len(X) for _, X in blocks]
@@ -752,6 +812,20 @@ def test_csv_readers_reject_rows_out_of_order(tmp_path, which, case):
     rewrite_rows(path, head, MISORDERED[case](rows))
     with pytest.raises(InvalidStateError, match="rows must be ordered by frame, then by node"):
         READERS[which](path)
+
+
+@pytest.mark.parametrize("which", READERS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [2, 3], ids=["u", "c"])
+def test_csv_readers_reject_non_finite_values(tmp_path, which, value, column):
+    path = tmp_path / "table.csv"
+    head, rows = write_3x3_table(path, which == "noisy")
+    cells = rows[4].split(",")
+    cells[column] = value
+    rewrite_rows(path, head, rows[:4] + [",".join(cells)] + rows[5:])
+    with pytest.raises(InvalidStateError) as raised:
+        READERS[which](path)
+    assert str(raised.value) == f"{path}: u or c holds a non-finite value"
 
 
 @pytest.mark.parametrize("which", READERS)

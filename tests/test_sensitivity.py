@@ -17,7 +17,7 @@ from chemid.pde import SimulationGrid, StateTrajectory
 from chemid.sensitivity import (
     SensitivityFunction,
     concentration_range,
-    hat_rows,
+    hat_stencil,
     mass_matrix,
     read_sensitivity_csv,
     require_same_basis,
@@ -258,6 +258,6 @@ def test_hat_rows_equals_interp_bit_for_bit():
     c = rng.uniform(0.0, 1.1, (6, 40))
     c[:, :9] = knots  # every knot, including both ends, exactly
     coeffs[:, 4] = -0.0  # np.interp returns a knot's coefficient as is
-    got = hat_rows(c, knots, coeffs)
+    got = hat_stencil(c, knots, coeffs)[2]
     for i in range(6):
         assert got[i].tobytes() == np.interp(c[i], knots, coeffs[i]).tobytes()
