@@ -16,22 +16,22 @@ with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
 (Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  The
 measurements (z_u, z_c) are the data's (frame, field, node) array
 ``X``; the data rows of the residual and of J are laid out by field,
-then frame, then node (``_data_blocks``).  Every solve runs the
-problem's ``model``, one ``pde.ForwardModel``.  J is exact: the solved
-row carries the tangents of its L hat coefficients (``pde._tangent_step``),
-so one solve gives the residual, J^T J and J^T r (``_evaluate``), and an
-iteration costs one solve per damping trial.
+then frame, then node.  Every solve runs the problem's ``model``, one
+``pde.ForwardModel``.  J is exact: the solved row carries the tangents
+of its L hat coefficients (``pde._tangent_step``), so one solve gives
+the residual, J^T J and J^T r, and an iteration costs one solve per
+damping trial.
 
-The iteration is written once, as a generator that yields the forward
-solves it needs, one coefficient row each, and one runner,
-``_run_lockstep``, drives every forward solve of the inverse problem:
-each round it stacks those rows into one batched solve, in which a failed
-row steps on with zero flow, and which delivers only the measurement
-frames, in blocks.  ``levenberg_marquardt_many`` runs many
-problems with equal models through it, and ``levenberg_marquardt`` is
-its one-problem case.  ``residual_vector`` stays on ``solve_forward`` as
-the independent one-vector reference, and ``jacobian_fd`` is a
-forward-difference reference built on it.
+The iteration is written once, as a generator that yields the (L,)
+coefficient row of each evaluation it needs and is sent that row's
+(r, J^T J, J^T r).  One runner, ``_run_lockstep``, drives every forward
+solve of the inverse problem and forms those sums: each round it solves
+the pending rows as one batch and folds each block of measurement frames
+for all rows at once.  ``levenberg_marquardt_many`` runs many problems
+with equal models through it; ``levenberg_marquardt`` is its one-problem
+case.  ``residual_vector`` stays on ``solve_forward`` as the independent
+one-vector reference, and ``jacobian_fd`` is a forward-difference
+reference built on it.
 """
 
 from __future__ import annotations
@@ -167,13 +167,6 @@ def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
     return prob._penalty_root @ (coeffs - prob.a_star.coeffs)
 
 
-def _data_blocks(v: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
-    """The data rows of a residual vector or Jacobian, viewed as
-    (field u/c, frame, node, ...)."""
-    n_frames, _, n_nodes = prob.data.X.shape
-    return v[: prob.data.X.size].reshape(2, n_frames, n_nodes, *v.shape[1:])
-
-
 @dataclass(frozen=True, eq=False)
 class InversionResult:
     """Outcome of one Levenberg-Marquardt minimization."""
@@ -217,64 +210,33 @@ def jacobian_fd(coeffs, prob: TikhonovProblem, fd_step: float = 1e-6) -> np.ndar
     )
 
 
-# The Levenberg-Marquardt body below is a generator of forward solves: it
-# yields (coefficients, sink), one (L,) row, for each solve it needs and is
-# sent back that solve's error or None, so that one runner,
-# ``_run_lockstep``, can run many problems in lockstep.  ``sink(frame, X,
-# dX)`` receives the measurement frames and their tangents in blocks: X is
-# a (k, field u/c, n_nodes) and dX a (k, field u/c, L, n_nodes) array of
-# frames frame .. frame + k - 1 (see ``pde._integrate`` for what it may keep).
-
-
-def _evaluate(coeffs: np.ndarray, prob: TikhonovProblem):
-    """Sub-generator: (r, J^T J, J^T r) at ``coeffs`` from one solved row and its tangents.
-
-    r equals ``residual_vector(coeffs, prob)`` bit for bit.  The data rows
-    of J^T are w = sqrt(dx dt) times the tangents, the penalty rows
-    exactly ``prob._penalty_root``.  J is never formed: each block's
-    products are added to the sums in frame order, u then c, by one
-    batched matmul and ``np.add.accumulate``, which equals a frame by
-    frame fold bit for bit (one GEMM over the block would round
-    differently); the penalty rows come last.  A failed solve, or a J^T J
-    or J^T r that is not finite, raises ForwardSolveError.
-    """
-    n_data, n_basis = prob.data.X.size, prob.n_basis
-    w = math.sqrt(prob.grid.dx * prob.grid.dt)
-    r = np.empty(n_data + n_basis)
-    R = _data_blocks(r, prob)
-    JTJ, JTr = np.zeros((n_basis, n_basis)), np.zeros(n_basis)
-
-    def sink(frame, X, dX):
-        k = len(X)
-        Rk = (X - prob.data.X[frame : frame + k]) * w
-        R[:, frame : frame + k] = Rk.swapaxes(0, 1)
-        P = (w * dX).reshape(2 * k, n_basis, -1)  # (frame, field) order
-        with np.errstate(over="ignore", invalid="ignore"):  # checked once folded
-            PPt, Pr = P @ P.transpose(0, 2, 1), (P @ Rk.reshape(2 * k, -1, 1))[..., 0]
-            JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
-            JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
-
-    exc = yield coeffs, sink
-    if exc is not None:
-        raise ForwardSolveError(f"forward solve failed: {exc}") from exc
-    r[n_data:] = _penalty_residual(coeffs, prob)
-    J_pen = prob._penalty_root
-    JTJ += J_pen.T @ J_pen
-    JTr += J_pen.T @ r[n_data:]
-    if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
-        raise ForwardSolveError("forward solve failed: its Jacobian is not finite")
-    return r, JTJ, JTr
+def _damped_trial(coeffs, JTJ, g, diag, lam):
+    """coeffs + d, where (J^T J + lam diag) d = -g, or None (a trial rejected
+    without a solve) if that matrix or coeffs + d is not finite; a huge
+    alpha makes lam * diag overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = JTJ + lam * np.diag(diag)
+    if not np.isfinite(A).all():
+        return None
+    try:
+        delta = np.linalg.solve(A, -g)
+    except np.linalg.LinAlgError:
+        delta, *_ = np.linalg.lstsq(A, -g, rcond=None)
+    trial = coeffs + delta
+    return trial if np.isfinite(trial).all() else None
 
 
 def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     """Generator of one Levenberg-Marquardt minimization; returns its result.
 
-    a0 and every trial are one ``_evaluate`` each, so an accepted trial
-    brings its own J^T J and gradient.  Raises ForwardSolveError if a0
-    cannot be evaluated; a trial that cannot is a rejected trial.
+    It yields the (L,) coefficient row of a0 and of every trial and is
+    sent that row's (r, J^T J, J^T r), or has the ForwardSolveError of
+    its evaluation thrown in (``_run_lockstep``), so an accepted trial
+    brings its own J^T J and gradient.  That error at a0 ends the
+    minimization; at a trial it rejects the trial.
     """
     coeffs = a0.coeffs.copy()
-    r, JTJ, g = yield from _evaluate(coeffs, prob)
+    r, JTJ, g = yield coeffs
     cost = float(r @ r)
     history = [cost]
     lam = cfg.lambda0
@@ -297,17 +259,11 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
 
             accepted = False
             while lam <= LAMBDA_OVERFLOW:
-                A = JTJ + lam * np.diag(diag)
-                try:
-                    delta = np.linalg.solve(A, -g)
-                except np.linalg.LinAlgError:
-                    delta, *_ = np.linalg.lstsq(A, -g, rcond=None)
-                trial = coeffs + delta
+                trial = _damped_trial(coeffs, JTJ, g, diag, lam)
                 trial_cost = math.inf
-                # a non-finite step is rejected without a solve
-                if np.isfinite(trial).all():
+                if trial is not None:
                     try:
-                        r_trial, JTJ_trial, g_trial = yield from _evaluate(trial, prob)
+                        r_trial, JTJ_trial, g_trial = yield trial
                         trial_cost = float(r_trial @ r_trial)
                     except ForwardSolveError:
                         pass
@@ -352,28 +308,51 @@ def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
         )
 
 
-def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
-    """Run the generators ``requests`` to their ends, their solves batched by round.
+def _close_row(prob, coeffs, error, r, JTJ, JTr) -> tuple:
+    """One row's (r, J^T J, J^T r), its data part folded: adds the penalty
+    rows of ``prob`` at ``coeffs`` last.  Raises ForwardSolveError if the
+    row's solve failed with ``error`` or its sums are not finite."""
+    if error is not None:
+        raise ForwardSolveError(f"forward solve failed: {error}") from error
+    n_data = prob.data.X.size
+    r[n_data:] = _penalty_residual(coeffs, prob)
+    J_pen = prob._penalty_root
+    JTJ += J_pen.T @ J_pen
+    JTr += J_pen.T @ r[n_data:]
+    if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
+        raise ForwardSolveError("forward solve failed: its Jacobian is not finite")
+    return r, JTJ, JTr
 
-    This is the one driver of forward solves for the inverse problem.
-    Every request must be for a problem with the forward model,
-    time_refine and knots of ``prob``.  Each round stacks the coefficient
-    row that every pending request yields into one batched solve, each
-    row with the tangents of its L coefficients, that keeps every
-    time_refine-th solved frame, the measurement frames.  Each request's
-    sink gets its row of every block, and the request is sent its row's
-    error.  Each row is checked as a lone solve would be, and its result,
-    tangents included, does not depend on the others: a row that fails
-    steps on with zero flow, its later frames meaningless.  Returns, per
-    request, what it returned or the ForwardSolveError that stopped it.
+
+def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
+    """Run the generators ``requests`` of ``probs`` to their ends, their solves batched by round.
+
+    The one driver of forward solves for the inverse problem and the one
+    place that turns them into (r, J^T J, J^T r); the problems share the
+    forward model, time_refine and knots.  Each round solves the (L,) rows
+    the pending requests yield as one batch with L tangents each, and owns
+    r, (rows, n_data + L), and every row's J^T J and J^T r.  Each block of
+    measurement frames is folded for all rows at once, in place: residual
+    and tangents are scaled by w = sqrt(dx dt), one batched matmul over
+    (frame, field, row) gives the per-frame products and
+    ``np.add.accumulate`` adds them in frame order, u then c, so the sums
+    equal a frame by frame fold and r ``residual_vector`` bit for bit.
+    ``_close_row`` adds the penalty rows.  A request is sent its row's sums
+    or has its ForwardSolveError thrown in; a failed row steps on with zero
+    flow and touches no other.  Returns, per request, what it returned or
+    the ForwardSolveError that stopped it.
     """
+    prob = probs[0]
     knots = prob.a_star.knots()
+    n_data, n_basis = prob.data.X.size, len(knots)
+    w = math.sqrt(prob.grid.dx * prob.grid.dt)
     results = [None] * len(requests)
     pending = {}
 
-    def advance(i, error):
+    def advance(i, reply):
         try:
-            pending[i] = requests[i].send(error)
+            failed = isinstance(reply, ForwardSolveError)
+            pending[i] = (requests[i].throw if failed else requests[i].send)(reply)
         except StopIteration as stop:
             results[i] = stop.value
         except ForwardSolveError as exc:
@@ -382,24 +361,39 @@ def _run_lockstep(prob: TikhonovProblem, requests: list) -> list:
     for i in range(len(requests)):
         advance(i, None)
     while pending:
-        batch = sorted(pending.items())
-        pending.clear()
-        coeffs = np.array([row for _, (row, _) in batch])
+        ids = sorted(pending)
+        coeffs = np.array([pending.pop(i) for i in ids])
+        n_rows = len(ids)
+        r = np.empty((n_rows, n_data + n_basis))
+        R = r[:, :n_data].reshape(n_rows, 2, -1, prob.grid.n_nodes)  # (row, field, frame, node)
+        JTJ, JTr = np.zeros((n_rows, n_basis, n_basis)), np.zeros((n_rows, n_basis))
 
         def sensitivity(face_c):
             hat = hat_stencil(face_c, knots, coeffs)
             return hat[2], hat
 
-        def sink(frame, X, dX):
-            for row, (_, (_, part_sink)) in enumerate(batch):
-                part_sink(frame, X[:, :, row], dX[:, :, :, row])
+        def record(j0, X, dX):
+            k = len(X)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked once closed
+                for row, i in enumerate(ids):
+                    X[:, :, row] -= probs[i].data.X[j0 : j0 + k]
+                X *= w
+                R[:, :, j0 : j0 + k] = X.transpose(2, 1, 0, 3)
+                dX *= w
+                P = dX.transpose(0, 1, 3, 2, 4)  # (frame, field, row, L, node)
+                PPt = (P @ P.swapaxes(-1, -2)).reshape(2 * k, n_rows, n_basis, n_basis)
+                Pr = (P @ X[..., None]).reshape(2 * k, n_rows, n_basis)
+                JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
+                JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
 
-        errors = _integrate(
-            prob.model, sensitivity, len(coeffs), sink,
-            every=prob.time_refine, directions=len(knots),
-        )
-        for (i, _), error in zip(batch, errors):
-            advance(i, error)
+        errors = _integrate(prob.model, sensitivity, n_rows, record,
+                            every=prob.time_refine, directions=n_basis)
+        for row, (i, error) in enumerate(zip(ids, errors)):
+            try:
+                reply = _close_row(probs[i], coeffs[row], error, r[row], JTJ[row], JTr[row])
+            except ForwardSolveError as exc:
+                reply = exc
+            advance(i, reply)
     return results
 
 
@@ -428,7 +422,7 @@ def levenberg_marquardt_many(
     for prob, a0 in zip(probs, a0s):
         _require_same_model(prob, probs[0])
         require_same_basis(a0, prob.a_star, "initial guess is not on the problem basis")
-    return _run_lockstep(probs[0], [_lm_body(prob, a0, cfg) for prob, a0 in zip(probs, a0s)])
+    return _run_lockstep(probs, [_lm_body(prob, a0, cfg) for prob, a0 in zip(probs, a0s)])
 
 
 def levenberg_marquardt(
@@ -441,9 +435,9 @@ def levenberg_marquardt(
     Each iteration solves (J^T J + lambda diag(J^T J)) d = -J^T r, with
     the exact J, and retries with lambda *= LAMBDA_UP until the trial
     cost decreases (the damping loop doubles as the line search);
-    accepted steps shrink lambda.  A trial whose coefficients are not
-    finite, whose forward solve fails or whose J^T J or J^T r is not
-    finite is rejected.  Stops on a small gradient, on two consecutive
+    accepted steps shrink lambda.  A trial whose damped matrix or
+    coefficients are not finite, whose forward solve fails or whose
+    J^T J or J^T r is not finite is rejected.  Stops on a small gradient, on two consecutive
     tiny relative cost decreases, on max_iters, or with converged=False
     when lambda overflows without finding any descent step.  Raises
     ForwardSolveError if a0 cannot be evaluated.  This is the

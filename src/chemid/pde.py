@@ -430,7 +430,8 @@ def _integrate(
     ``StateTrajectory.X`` with a row axis.  A block holds as many
     frames as fit ``_FRAME_BLOCK_BYTES`` (at least one; the last block may
     hold fewer), and the frames end at the last one any row survived.
-    X is reused afterwards, so ``record`` copies what it keeps.  Returns,
+    X is reused afterwards, so ``record`` copies what it keeps and may
+    change the block in place (the lockstep fold scales it).  Returns,
     per row, None or the error that stopped it.
 
     With ``directions`` = L > 0, the stencil is the ``hat_stencil`` of

@@ -212,7 +212,8 @@ def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
 def require_rate_inputs(deltas, coupling: float, seeds) -> np.ndarray:
     """The deltas as an array if a rate study can take these inputs, else
     InvalidStateError: 4 or more distinct deltas > 0 over >= 1.5 decades,
-    coupling > 0, finite alphas coupling * delta and distinct seeds."""
+    coupling > 0, alphas coupling * delta that are finite and > 0, and
+    distinct seeds."""
     arr = _positive_distinct(deltas, "rate-study deltas", 4)
     span = np.log10(arr.max() / arr.min())
     if span < 1.5 - 1e-9:
@@ -220,6 +221,9 @@ def require_rate_inputs(deltas, coupling: float, seeds) -> np.ndarray:
     if not coupling > 0:
         raise InvalidStateError(f"coupling must be > 0 (got {coupling})")
     require_alpha(float(coupling) * float(arr.max()))  # the largest; a float overflows silently
+    smallest = float(coupling) * float(arr.min())
+    if not smallest > 0:  # a float underflows silently, to an unregularized alpha 0
+        raise InvalidStateError(f"alpha = coupling * smallest delta must be > 0 (got {smallest})")
     if len(seeds) == 0:
         raise InvalidStateError("rate study needs at least one seed")
     if len(set(seeds)) != len(seeds):
@@ -314,14 +318,14 @@ def rate_study(
 
 
 def write_lcurve_csv(path, points: Sequence[LCurvePoint]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("alpha,rho,eta\n")
         for p in sorted(points):
             fh.write(f"{p.alpha:.17g},{p.rho:.17g},{p.eta:.17g}\n")
 
 
 def write_rates_csv(path, records: Sequence[RateStudyRecord]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("delta,alpha,misfit2,param_error,seed\n")
         for r in records:
             fh.write(
@@ -396,7 +400,7 @@ def write_lcurve_plot_script(path, csv_name: str, corner_alpha=None) -> None:
     title = "L-curve"
     if corner_alpha is not None:
         title = f"L-curve, corner alpha = {corner_alpha:.3e}"
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_LCURVE_PLOT.format(csv=csv_name, title=title))
 
 
@@ -404,7 +408,7 @@ def write_rates_plot_script(
     path, csv_name: str, misfit2_slope: float, param_error_slope: float
 ) -> None:
     """Emit a standalone matplotlib script next to the rates CSV."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             _RATES_PLOT.format(
                 csv=csv_name, m_slope=misfit2_slope, e_slope=param_error_slope

@@ -12,9 +12,10 @@ import math
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from chemid.inversion import residual_vector
+from chemid import pde
+from chemid.inversion import _run_lockstep, residual_vector
 from chemid.pde import PhysicalParams, space_time_sq_norm
-from chemid.sensitivity import mass_matrix, require_same_basis
+from chemid.sensitivity import hat_stencil, mass_matrix, require_same_basis
 
 
 def dimensionless(M, D):
@@ -76,6 +77,44 @@ def per_frame_fold(J, r0, prob):
             JTr += Jt @ R0[field, frame]
     J_pen = J[n_data:]
     return JTJ + J_pen.T @ J_pen, JTr + J_pen.T @ r0[n_data:]
+
+
+def evaluation(coeffs):
+    """A lockstep request for one evaluation at ``coeffs``: it yields the
+    row once and returns the (r, J^T J, J^T r) it is sent."""
+    return (yield coeffs)
+
+
+def run_request(coeffs, prob):
+    """(r, J^T J, J^T r) of one lone evaluation at ``coeffs``, or the
+    ForwardSolveError that stopped it."""
+    (result,) = _run_lockstep([prob], [evaluation(coeffs)])
+    return result
+
+
+def tangent_jacobian(coeffs, prob):
+    """The exact J the LM folds, stored: w = sqrt(dx dt) times the tangents
+    of one solved row, laid out like the residual, then the penalty rows."""
+    n_frames, _, n_nodes = prob.data.X.shape
+    n_data, knots = prob.data.X.size, prob.a_star.knots()
+    J = np.empty((n_data + len(knots), len(knots)))
+    J_data = J[:n_data].reshape(2, n_frames, n_nodes, len(knots))
+    w = np.sqrt(prob.grid.dx * prob.grid.dt)
+    rows = np.asarray(coeffs, dtype=float)[None]
+
+    def sensitivity(face_c):
+        hat = hat_stencil(face_c, knots, rows)
+        return hat[2], hat
+
+    def record(j0, X, dX):
+        J_data[:, j0 : j0 + len(X)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
+
+    errors = pde._integrate(
+        prob.model, sensitivity, 1, record, every=prob.time_refine, directions=len(knots)
+    )
+    assert errors == [None]
+    J[n_data:] = prob._penalty_root
+    return J
 
 
 def rgi_restrict(traj, coarse):

@@ -17,6 +17,7 @@ from helpers import (
     dense_one_step,
     objective,
     quadrature_sq_distance,
+    run_request,
     simpson_gram_entry,
     small_problem,
     trajectory_distance,
@@ -26,8 +27,6 @@ from test_regselect import right_angle_points
 from chemid.inversion import (
     LMConfig,
     TikhonovProblem,
-    _evaluate,
-    _run_lockstep,
     levenberg_marquardt,
     residual_vector,
 )
@@ -260,7 +259,7 @@ def test_criterion_5_optimizer_correctness(ex1, ex2, capsys):
     for _ in range(10):
         coeffs = a_true.coeffs + rng.uniform(-0.3, 0.3, prob.n_basis)
         # the gradient the LM itself uses, 2 J^T r from its one-solve evaluation
-        (evaluated,) = _run_lockstep(prob, [_evaluate(coeffs, prob)])
+        evaluated = run_request(coeffs, prob)
         grad = 2.0 * evaluated[2]
         for k in range(prob.n_basis):
             e = np.zeros(prob.n_basis)

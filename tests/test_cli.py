@@ -214,6 +214,16 @@ def test_invert_stagnation_exits_4(tmp_path, data_dir, capsys):
     assert (tmp_path / "a_hat.csv").exists()
 
 
+def test_invert_with_an_overflowing_damping_prints_one_error_line(tmp_path, data_dir):
+    # alpha = 1e308 makes J^T J so large that lambda * diag(J^T J) overflows;
+    # such a damping is a rejected trial, not a numpy warning on stderr
+    cfg = write_cfg(tmp_path, "huge.cfg", with_line(command_body("invert", data_dir),
+                                                    "alpha = 1e308"))
+    proc = run_cli("invert", "--config", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 4
+    assert re.fullmatch(r"error: stagnation: [^\n]+\n", proc.stderr)
+
+
 def test_lcurve_artifacts(tmp_path, data_dir):
     cfg = write_cfg(
         tmp_path,
@@ -676,6 +686,8 @@ sys.exit(cli.main(sys.argv[1:]))
         ("rates", "deltas = 1e-3,2e-3,4e-3,8e-3",
          "rate-study deltas must span >= 1.5 decades (got 0.90)"),
         ("rates", "coupling = 0", "coupling must be > 0 (got 0.0)"),
+        ("rates", "coupling = 1e-323",
+         "alpha = coupling * smallest delta must be > 0 (got 0.0)"),
         ("rates", "seeds = 0,0", "rate-study seeds must be distinct"),
         ("rates", "n_basis = 1", "need at least 2 basis coefficients (got shape (1,))"),
         ("rates", "time_refine = 0", "time_refine must be >= 1 (got 0)"),
@@ -690,8 +702,8 @@ sys.exit(cli.main(sys.argv[1:]))
         ("invert", "alpha = -1", "alpha must be >= 0 (got -1.0)"),
     ],
     ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
-         "repeated_seeds", "one_hat", "no_refine", "negative_padding", "negative_alpha",
-         "repeated_alphas", "overflowing_alphas", "make_data_negative_delta",
+         "underflowing_coupling", "repeated_seeds", "one_hat", "no_refine", "negative_padding",
+         "negative_alpha", "repeated_alphas", "overflowing_alphas", "make_data_negative_delta",
          "invert_negative_alpha"],
 )
 def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
@@ -774,6 +786,7 @@ ARTIFACT_SHA256 = {
     ["forward", "make-data", "invert-refine-1", "invert", "invert-refine-3", "lcurve",
      "rates-refine-1", "rates"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run):
     """Every artifact of a rerun equals the first run's and the pinned bytes
     (4 hats, time_refine = 2 unless the run names another, the 21x60 grid

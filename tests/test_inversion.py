@@ -39,10 +39,13 @@ from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import (
     central_jacobian,
     dimensionless,
+    evaluation,
     objective,
     penalty,
     per_frame_fold,
+    run_request,
     small_problem,
+    tangent_jacobian,
 )
 
 
@@ -193,31 +196,6 @@ def test_jacobian_zero_columns_on_uniform_data():
     np.testing.assert_allclose(J[:, 0], J[:, 1], atol=1e-9)
 
 
-def tangent_jacobian(coeffs, prob):
-    """The exact J the LM folds, stored: w times the tangents of one solved row."""
-    n_data = prob.data.X.size
-    J = np.empty((n_data + prob.n_basis, prob.n_basis))
-    J_data = inv._data_blocks(J, prob)
-    w = np.sqrt(prob.grid.dx * prob.grid.dt)
-
-    def request():
-        def sink(frame, X, dX):
-            J_data[:, frame : frame + len(X)] = (w * dX).transpose(1, 0, 3, 2)
-
-        exc = yield coeffs, sink
-        assert exc is None
-
-    run_request(request(), prob)
-    J[n_data:] = prob._penalty_root
-    return J
-
-
-def run_request(gen, prob):
-    """Serve a sub-generator of the LM body alone; return what it returns."""
-    (result,) = inv._run_lockstep(prob, [gen])
-    return result
-
-
 @pytest.mark.parametrize(
     "time_refine, block_frames",
     [(1, None), (1, 7), (2, 7), (3, 7), (1, 1)],
@@ -227,17 +205,25 @@ def run_request(gen, prob):
 def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_frames):
     # 121 measurement frames are no multiple of 7, nor are the 241 or 361
     # solved frames of time_refine 2 or 3; blocks of 7 put sampled frames
-    # 6 and 8 (or 6 and 9) on either side of the first block boundary
-    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    # 6 and 8 (or 6 and 9) on either side of the first block boundary.
+    # The row under test is folded in one round between two rows of other
+    # data, alpha and coefficients.
+    prob, a_true, truth = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=time_refine)
-    if block_frames is not None:  # one row and its 4 tangents per frame
-        lanes, n_nodes = 1 + prob.n_basis, prob.grid.n_nodes
-        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * lanes * n_nodes)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
-    assert r.tobytes() == residual_vector(coeffs, prob).tobytes()
-    ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(coeffs, prob), r, prob)
-    assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
+    rows = [
+        (dataclasses.replace(prob, data=add_noise(truth, 3e-2, 5), alpha=1e-1), coeffs * 0.9),
+        (prob, coeffs),
+        (dataclasses.replace(prob, data=add_noise(truth, 1e-3, 6), alpha=0.0), coeffs * 1.2),
+    ]
+    if block_frames is not None:  # three rows and their 4 tangents per frame
+        lanes, n_nodes = len(rows) * (1 + prob.n_basis), prob.grid.n_nodes
+        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * lanes * n_nodes)
+    folded = inv._run_lockstep([p for p, _ in rows], [evaluation(c) for _, c in rows])
+    for (p, c), (r, JTJ, JTr) in zip(rows, folded):
+        assert r.tobytes() == residual_vector(c, p).tobytes()
+        ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(c, p), r, p)
+        assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
 
 
 def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
@@ -393,7 +379,7 @@ def test_lockstep_requests_match_one_vector_references():
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=2)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
+    r, JTJ, JTr = run_request(coeffs, prob)
     assert r.tobytes() == residual_vector(coeffs, prob).tobytes()
     J = tangent_jacobian(coeffs, prob)
     ref_JTJ, ref_JTr = J.T @ J, J.T @ r
@@ -409,7 +395,7 @@ def test_exact_normal_equations_match_central_differences(changes):
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, **changes)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r, JTJ, JTr = run_request(inv._evaluate(coeffs, prob), prob)
+    r, JTJ, JTr = run_request(coeffs, prob)
     J = central_jacobian(coeffs, prob, 1e-4)
     ref_JTJ, ref_JTr = J.T @ J, J.T @ r
     assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-6 * np.max(np.abs(ref_JTJ))
@@ -454,7 +440,7 @@ def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
     poisoned = coeffs * 1.05
-    alone = run_request(inv._evaluate(coeffs, prob), prob)
+    alone = run_request(coeffs, prob)
     real = inv.hat_stencil
 
     def stencil(c, knots, rows):
@@ -463,7 +449,7 @@ def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
         return seg, frac, value, slope
 
     monkeypatch.setattr(inv, "hat_stencil", stencil)
-    both = inv._run_lockstep(prob, [inv._evaluate(poisoned, prob), inv._evaluate(coeffs, prob)])
+    both = inv._run_lockstep([prob, prob], [evaluation(poisoned), evaluation(coeffs)])
     assert isinstance(both[0], ForwardSolveError) and "not finite" in str(both[0])
     assert [x.tobytes() for x in both[1]] == [x.tobytes() for x in alone]
 

@@ -372,6 +372,9 @@ def test_rate_study_validation():
         rate_study(prob, a_true, truth, (-1e-3, 1e-2, 1e-1, 1.0))
     with pytest.raises(InvalidStateError):
         rate_study(prob, a_true, truth, DELTAS, coupling=0.0)
+    # 1e-323 * 1e-3 rounds to alpha 0: an unregularized study, not a regularized one
+    with pytest.raises(InvalidStateError, match=r"smallest delta must be > 0 \(got 0.0\)"):
+        rs.require_rate_inputs(DELTAS, 1e-323, (0,))
     with pytest.raises(InvalidStateError):
         rate_study(prob, a_true, truth, DELTAS, seeds=())
     other = SensitivityFunction.constant(1.5, 0.0, 2.0, 3)
