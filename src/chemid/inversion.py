@@ -42,8 +42,8 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cholesky
 
+from ._lapack import dpotrf
 from .errors import ForwardSolveError, InvalidStateError, NumericalSolveError
 from .pde import (
     DEFAULT_ADVECTION,
@@ -139,10 +139,18 @@ class TikhonovProblem:
 
     @cached_property
     def _penalty_root(self) -> np.ndarray:
-        """sqrt(alpha) * L_B^T with B = L_B L_B^T, the map behind the penalty block."""
+        """sqrt(alpha) * L_B^T with B = L_B L_B^T, the map behind the penalty block.
+
+        L_B is the lower Cholesky factor from LAPACK dpotrf, called as
+        scipy's ``cholesky(B, lower=True)`` calls it, so the two are equal
+        bit for bit.  The interval rule keeps B finite.
+        """
         a = self.a_star
         B = mass_matrix(a.n_basis, a.c_min, a.c_max)
-        return math.sqrt(self.alpha) * cholesky(B, lower=True).T
+        L_B, info = dpotrf(B, lower=1, clean=1)
+        if info != 0:
+            raise NumericalSolveError(f"Cholesky factor of the Gram matrix failed (info={info})")
+        return math.sqrt(self.alpha) * L_B.T
 
 
 def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:

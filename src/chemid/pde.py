@@ -31,7 +31,9 @@ row per coefficient vector, with its tangents, ``_tangent_step``), and
 one callback of the face concentrations gives every row's sensitivity.
 The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
-once per step; the c-matrix is factored once per solve.  Each row is
+once per step; the c-matrix is factored once per solve.  Both LAPACK
+routines come from ``_lapack``, which loads scipy's compiled wrappers
+without the ``scipy.linalg`` package import.  Each row is
 checked after every step; one that fails stops with its error and steps
 on with zero flow, which keeps its fields finite and the others as they are.
 A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
@@ -48,8 +50,8 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
+from ._lapack import dgttrf, dgttrs
 from .errors import (
     DomainMismatchError,
     InvalidStateError,

@@ -13,6 +13,7 @@ whenever both functions live on the same knots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -41,9 +42,25 @@ def require_basis_shape(shape: tuple) -> None:
 
 
 def require_padding(padding: float) -> None:
-    """InvalidStateError unless ``padding``, a fraction of a c-range, is >= 0."""
+    """InvalidStateError unless ``padding``, a fraction of a c-range, is finite and >= 0."""
+    if not math.isfinite(padding):
+        raise InvalidStateError(f"padding must be finite (got {padding})")
     if padding < 0:
         raise InvalidStateError(f"padding must be >= 0 (got {padding})")
+
+
+def require_interval(c_min: float, c_max: float) -> None:
+    """The interval rule: finite ends and a finite width c_max - c_min > 0.
+
+    Non-finite ends or width raise InvalidStateError, an empty interval
+    ZeroWidthIntervalError.
+    """
+    if not math.isfinite(float(c_max) - float(c_min)):  # also false for a non-finite end
+        raise InvalidStateError(
+            f"concentration interval [{c_min}, {c_max}] needs finite ends and width"
+        )
+    if not c_max > c_min:
+        raise ZeroWidthIntervalError(f"empty concentration interval [{c_min}, {c_max}]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +77,7 @@ class SensitivityFunction:
         require_basis_shape(coeffs.shape)
         if not np.all(np.isfinite(coeffs)):
             raise InvalidStateError("coefficients contain non-finite values")
-        if not self.c_max > self.c_min:
-            raise ZeroWidthIntervalError(
-                f"empty concentration interval [{self.c_min}, {self.c_max}]"
-            )
+        require_interval(self.c_min, self.c_max)
         object.__setattr__(self, "coeffs", coeffs)
         knots = np.linspace(self.c_min, self.c_max, coeffs.shape[0])
         knots.setflags(write=False)
@@ -109,9 +123,8 @@ class SensitivityFunction:
         n_basis: int = DEFAULT_N_BASIS,
     ) -> "SensitivityFunction":
         """Sample f at the knots; exact for piecewise-linear f on the same knots."""
-        knots = np.linspace(c_min, c_max, n_basis)
-        coeffs = np.asarray([float(f(k)) for k in knots])
-        return cls(c_min, c_max, coeffs)
+        a = cls.constant(0.0, c_min, c_max, n_basis)
+        return a.with_coeffs([float(f(k)) for k in a.knots()])
 
 
 def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
@@ -121,10 +134,7 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
     2*dc/3, endpoint diagonal dc/3, off-diagonal dc/6.
     """
     require_basis_shape((n_basis,))
-    if not c_max > c_min:
-        raise ZeroWidthIntervalError(
-            f"empty concentration interval [{c_min}, {c_max}]"
-        )
+    require_interval(c_min, c_max)
     dc = (c_max - c_min) / (n_basis - 1)
     B = np.zeros((n_basis, n_basis))
     idx = np.arange(n_basis)

@@ -832,8 +832,49 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    heavy = {"scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse"}
+    heavy = {
+        "scipy.linalg", "scipy.interpolate", "scipy.optimize", "scipy.special", "scipy.sparse"
+    }
     assert heavy.isdisjoint(proc.stdout.split())
+
+
+def test_invert_loads_only_scipys_lapack_extension(tmp_path, data_dir):
+    """A whole ``chemid invert`` in a fresh interpreter loads no scipy module but _flapack."""
+    script = (
+        "import sys\n"
+        "from chemid.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.exit(rc)\n"
+    )
+    cfg = invert_cfg(tmp_path, data_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "invert", "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max", [("-1e308", "1e308"), ("-inf", "1")], ids=["overflowing_width", "infinite_end"]
+)
+def test_table_sensitivity_on_a_non_finite_interval_exits_2(tmp_path, data_dir, c_min, c_max):
+    table = tmp_path / "a.csv"
+    table.write_text(
+        f"# c_min={c_min} c_max={c_max} n_basis=2 extension=clamp\n"
+        f"c_knot,a_value\n{c_min},1\n{c_max},1\n"
+    )
+    body = with_line(command_body("forward", data_dir), f"truth = table:{table}")
+    out = tmp_path / "out"
+    proc = run_cli("forward", "--config", write_cfg(tmp_path, "f.cfg", body), "--out", str(out))
+    assert_config_error(proc)
+    assert proc.stderr == (
+        f"error: config: config key 'truth': concentration interval "
+        f"[{float(c_min)}, {float(c_max)}] needs finite ends and width\n"
+    )
+    assert not out.exists()
 
 
 def test_failed_lcurve_leaves_out_as_it_was(tmp_path, data_dir):

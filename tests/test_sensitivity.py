@@ -20,6 +20,8 @@ from chemid.sensitivity import (
     hat_stencil,
     mass_matrix,
     read_sensitivity_csv,
+    require_interval,
+    require_padding,
     require_same_basis,
     same_basis,
     write_sensitivity_csv,
@@ -92,6 +94,41 @@ def test_degenerate_basis_rejected():
         SensitivityFunction(0.5, 0.5, np.array([1.0, 2.0]))
     with pytest.raises(InvalidStateError):
         SensitivityFunction(0.0, 1.0, np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, error",
+    [
+        (0.5, 0.5, ZeroWidthIntervalError),
+        (0.7, 0.1, ZeroWidthIntervalError),
+        (-math.inf, 1.0, InvalidStateError),
+        (0.0, math.inf, InvalidStateError),
+        (math.nan, 1.0, InvalidStateError),
+        (0.0, math.nan, InvalidStateError),
+        (-1e308, 1e308, InvalidStateError),  # the width overflows
+        (np.float64(-1e308), np.float64(1e308), InvalidStateError),
+    ],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_interval_rule(c_min, c_max, error):
+    """Every holder of an interval applies the one rule, before any knot is built."""
+    require_interval(0.1, 0.7)
+    require_interval(-1e308, 0.0)
+    with pytest.raises(error):
+        require_interval(c_min, c_max)
+    with pytest.raises(error):
+        SensitivityFunction(c_min, c_max, np.ones(3))
+    with pytest.raises(error):
+        SensitivityFunction.from_function(lambda c: 1.0, c_min, c_max, 3)
+    with pytest.raises(error):
+        mass_matrix(3, c_min, c_max)
+
+
+@pytest.mark.parametrize("padding", [-0.1, math.inf, math.nan])
+def test_padding_rule(padding):
+    require_padding(0.0)
+    with pytest.raises(InvalidStateError):
+        require_padding(padding)
 
 
 # ---------------------------------------------------------------------------
