@@ -4,13 +4,15 @@ Subcommands: forward, make-data, invert, lcurve, rates.  Every command
 is a pure function of (config, seed): reruns produce byte-identical CSV
 payloads.  Exit codes: 0 success, 2 config error, 3 solver or data
 error, 4 optimizer stagnation.  Failures print a single machine-parsable
-`error: <kind>: <message>` line on stderr.  Commands take the solver
-inputs `config.resolve` built (`params`, `grid`, `fine`, `lm`); make-data
-and rates generate data through one helper.  A command writes nothing:
-it returns an ordered {name: writer} dict and a stagnation message or
-None.  Only then does `main` create --out and write the artifacts, under
-temporary names that are renamed into place once every write has
-succeeded, so a failed command or write leaves --out as it was.
+`error: <kind>: <message>` line on stderr, and a run prints nothing else
+there: the notes on what a sweep or study left out are never printed.
+Commands take the solver inputs `config.resolve` built (`params`,
+`grid`, `fine`, `lm`); make-data and rates generate data through one
+helper.  A command writes nothing: it returns an ordered {name: writer}
+dict and a stagnation message or None.  Only then does `main` create
+--out and write the artifacts, under temporary names that are renamed
+into place once every write has succeeded, so a failed command or write
+leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ChemidError, ConfigError, InvalidStateError, ZeroWidthIntervalError
+from .errors import ChemidError, ConfigError, InvalidStateError
 from .inversion import TikhonovProblem, levenberg_marquardt, write_inversion_report
 from .pde import mass, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
@@ -69,7 +71,7 @@ def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
             advection=cfg["advection"],
             time_refine=cfg["time_refine"],
         )
-    except (InvalidStateError, ZeroWidthIntervalError) as exc:
+    except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -138,8 +140,8 @@ def _load_data(cfg: dict):
 
 def cmd_lcurve(cfg: dict):
     prob = _problem(cfg, _load_data(cfg), cfg["alphas"][0])
-    points = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
-    corner = lcurve_corner(points)
+    points, _ = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
+    corner, _ = lcurve_corner(points)
     return {
         "lcurve.csv": lambda path: write_lcurve_csv(path, points),
         "plot_lcurve.py": lambda path: write_lcurve_plot_script(path, "lcurve.csv", corner),

@@ -3,8 +3,8 @@
 A config file is plain text: one `key = value` per line, `#` comments,
 blank lines ignored.  Every command owns an allowed-key set; unknown or
 duplicate keys are rejected before any computation.  The `myerscough`
-preset expands to the limb-bud benchmark (M=0.25, D=1, h=1, b=mu=50,
-u0 = 1 + exp(-55 (x-1/2)^2), c0 = 1/2, T=0.25, true a = 2) and explicit
+preset expands to the limb-bud benchmark (``PhysicalParams.myerscough()``,
+the ``myerscough_initial_data`` fields, T=0.25, true a = 2) and explicit
 config keys override preset values.
 
 This module is the one place where a key's text becomes a value: the
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, InvalidStateError, ZeroWidthIntervalError
+from .errors import ConfigError, InvalidStateError
 from .inversion import LMConfig, require_alpha, require_time_refine
 from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid
 from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
@@ -33,13 +33,9 @@ from .synthdata import myerscough_initial_data, require_mesh_separation, require
 
 PRESETS = {
     "myerscough": {
-        "M": "0.25",
-        "D": "1.0",
-        "b": "50.0",
-        "h": "1.0",
-        "mu": "50.0",
+        **{key: repr(val) for key, val in vars(PhysicalParams.myerscough()).items()},
         "u0": "myerscough",
-        "c0": "uniform:0.5",
+        "c0": "myerscough",
         "x_left": "0.0",
         "x_right": "1.0",
         "t_final": "0.25",
@@ -152,7 +148,7 @@ def resolve(command: str, raw: dict, preset: str | None = None) -> dict:
             raise ConfigError(
                 f"config key {key!r}: expected {what}, got {cfg[key]!r}"
             ) from exc
-        except (ConfigError, InvalidStateError, ZeroWidthIntervalError) as exc:
+        except (ConfigError, InvalidStateError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
     try:
         values.update(_solver_inputs(values, allowed))

@@ -34,7 +34,7 @@ class DomainMismatchError(ChemidError):
     """Target grid does not lie inside the source grid's space-time domain."""
 
 
-class ZeroWidthIntervalError(ChemidError):
+class ZeroWidthIntervalError(InvalidStateError):
     """A concentration interval collapsed to a single point."""
 
 

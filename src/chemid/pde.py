@@ -108,7 +108,7 @@ class PhysicalParams:
                 f"b and mu must be nonnegative (got b={self.b}, mu={self.mu})"
             )
 
-    @classmethod  # read by perfbench; goes with item 1's benchmark PR
+    @classmethod  # the one copy of these numbers: config's preset and perfbench read it
     def myerscough(cls) -> "PhysicalParams":
         """Limb-bud morphogenesis parameter set: M=0.25, D=1, h=1, b=mu=50."""
         return cls(M=0.25, D=1.0, b=50.0, h=1.0, mu=50.0)
@@ -234,8 +234,8 @@ class StateTrajectory:
 
     u = property(lambda self: self.X[:, 0])
     c = property(lambda self: self.X[:, 1])
-    def u_matrix(self): return self.u  # read by perfbench; goes with item 1's benchmark PR
-    def c_matrix(self): return self.c  # read by perfbench; goes with item 1's benchmark PR
+    def u_matrix(self): return self.u  # read by perfbench until ROADMAP item 2
+    def c_matrix(self): return self.c  # read by perfbench until ROADMAP item 2
 
 
 def mass(u, grid: SimulationGrid) -> float:

@@ -15,7 +15,6 @@ another, because each warm-starts from the previous optimum.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,11 +85,12 @@ class RateStudyRecord:
 
 @dataclass(frozen=True)
 class RateStudyResult:
-    """Surviving records plus fitted log-log slopes."""
+    """Surviving records, fitted log-log slopes, and one note per dropped cell."""
 
     records: tuple
     misfit2_slope: float
     param_error_slope: float
+    notes: tuple
 
 
 def _positive_distinct(values, what: str, at_least: int) -> np.ndarray:
@@ -116,25 +116,25 @@ def lcurve_sweep(
     cfg: LMConfig = LMConfig(),
     *,
     warm_start: bool = True,
-) -> list[LCurvePoint]:
-    """Invert once per alpha and return the swept points sorted by alpha.
+) -> tuple[list[LCurvePoint], tuple]:
+    """Invert once per alpha; the swept points sorted by alpha, and notes.
 
     Alphas are processed from largest to smallest; with warm_start each
     inversion begins at the previous optimum (which tracks the curve
-    smoothly), otherwise every point starts cold from a*.  Per-point
-    failures are reported as warnings and the sweep continues.  Weak
-    monotonicity of rho and eta across converged points is checked and
-    anomalies are warned about, never silently dropped.
+    smoothly), otherwise every point starts cold from a*.  A failed point
+    is left out and the sweep goes on; weak monotonicity of rho and eta
+    across converged points is checked.  The notes (text) name the failed
+    points in sweep order, then the anomalies, which drop no point.
     """
     arr = _positive_distinct(alphas, "sweep alphas", 1)
-    points = []
+    points, notes = [], []
     guess = prob_template.a_star
     for alpha in np.sort(arr)[::-1]:
         prob = dataclasses.replace(prob_template, alpha=float(alpha))
         try:
             res = levenberg_marquardt(prob, guess, cfg)
         except ForwardSolveError as exc:
-            warnings.warn(f"alpha={alpha:.3e}: inversion failed: {exc}")
+            notes.append(f"alpha={alpha:.3e}: inversion failed: {exc}")
             continue
         points.append(
             LCurvePoint(
@@ -147,21 +147,20 @@ def lcurve_sweep(
         if warm_start:
             guess = res.a_hat
     points.sort()
-    _warn_sweep_anomalies(points)
-    return points
+    return points, (*notes, *_sweep_anomalies(points))
 
 
-def _warn_sweep_anomalies(points: list) -> None:
+def _sweep_anomalies(points: list):
     ok = [p for p in points if p.result.converged]
     for prev, cur in zip(ok, ok[1:]):
         # ascending alpha: rho should not fall, eta should not grow
         if cur.rho < prev.rho * (1.0 - MONOTONICITY_SLACK) - 1e-15:
-            warnings.warn(
+            yield (
                 f"sweep anomaly: rho fell from {prev.rho:.6e} (alpha="
                 f"{prev.alpha:.3e}) to {cur.rho:.6e} (alpha={cur.alpha:.3e})"
             )
         if cur.eta > prev.eta * (1.0 + MONOTONICITY_SLACK) + 1e-15:
-            warnings.warn(
+            yield (
                 f"sweep anomaly: eta rose from {prev.eta:.6e} (alpha="
                 f"{prev.alpha:.3e}) to {cur.eta:.6e} (alpha={cur.alpha:.3e})"
             )
@@ -177,15 +176,15 @@ def _three_point_derivatives(s: np.ndarray, f: np.ndarray):
     return d1, d2
 
 
-def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
-    """Alpha of maximum discrete curvature of the (log rho, log eta) polyline.
+def lcurve_corner(points: Sequence[LCurvePoint]) -> tuple[float, tuple]:
+    """Alpha of maximum curvature of the (log rho, log eta) polyline, and notes.
 
     Points are sorted by alpha and parameterized by log alpha; curvature
     uses centered (three-point) first and second differences, so only
     interior points are corner candidates.  Needs at least
     MIN_CORNER_POINTS valid points (converged, rho > 0, eta > 0).  If
     every curvature is at the collinearity floor the corner is undefined
-    and the median valid alpha is returned with a warning.
+    and the median valid alpha is returned with a note; else no notes.
     """
     valid = sorted(
         p for p in points if p.result.converged and p.rho > 0 and p.eta > 0
@@ -204,9 +203,9 @@ def lcurve_corner(points: Sequence[LCurvePoint]) -> float:
         kappa = np.abs(x1 * y2 - y1 * x2) / speed2**1.5
     kappa = np.where(np.isfinite(kappa), kappa, 0.0)
     if np.max(kappa) <= CURVATURE_FLOOR:
-        warnings.warn("degenerate corner: L-curve points are collinear")
-        return valid[(len(valid) - 1) // 2].alpha
-    return valid[int(np.argmax(kappa)) + 1].alpha
+        note = "degenerate corner: L-curve points are collinear"
+        return valid[(len(valid) - 1) // 2].alpha, (note,)
+    return valid[int(np.argmax(kappa)) + 1].alpha, ()
 
 
 def require_rate_inputs(deltas, coupling: float, seeds) -> np.ndarray:
@@ -248,9 +247,10 @@ def rate_study(
     from truth.  All cells share the forward model, so their inversions
     run in lockstep through ``levenberg_marquardt_many`` (one batched
     forward solve per round); each result equals a lone inversion of its
-    cell.  Cells that fail to converge are excluded with a warning, in
-    cell order; per delta the surviving cells are geometric-mean
-    aggregated, and the two log-log slopes are least-squares fits.
+    cell.  A cell whose noise cannot be drawn, whose inversion fails or
+    that does not converge is left out with a note (text), in cell order.
+    Per delta the surviving cells are geometric-mean aggregated, and the
+    two log-log slopes are least-squares fits.
     """
     arr = require_rate_inputs(deltas, coupling, seeds)
     a_star = prob_template.a_star
@@ -274,17 +274,17 @@ def rate_study(
     ]
     results = iter(levenberg_marquardt_many(probs, [a_star] * len(probs), cfg))
 
-    records = []
+    records, notes = [], []
     for delta, seed, data in cells:
         if isinstance(data, NoiseLevelError):
-            warnings.warn(f"delta={delta:.3e} seed={seed}: {data}")
+            notes.append(f"delta={delta:.3e} seed={seed}: {data}")
             continue
         res = next(results)
         if isinstance(res, ForwardSolveError):
-            warnings.warn(f"delta={delta:.3e} seed={seed}: inversion failed: {res}")
+            notes.append(f"delta={delta:.3e} seed={seed}: inversion failed: {res}")
             continue
         if not res.converged:
-            warnings.warn(f"delta={delta:.3e} seed={seed}: excluded ({res.message})")
+            notes.append(f"delta={delta:.3e} seed={seed}: excluded ({res.message})")
             continue
         d = res.a_hat.coeffs - truth.coeffs
         records.append(
@@ -314,6 +314,7 @@ def rate_study(
         records=tuple(records),
         misfit2_slope=misfit2_slope,
         param_error_slope=param_error_slope,
+        notes=tuple(notes),
     )
 
 

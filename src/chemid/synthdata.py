@@ -69,8 +69,8 @@ class NoisyData(StateTrajectory):
             )
         require_noise(self.delta, self.seed)
 
-    z_u = property(lambda self: self.u)  # read by perfbench; goes with item 1's benchmark PR
-    z_c = property(lambda self: self.c)  # read by perfbench; goes with item 1's benchmark PR
+    z_u = property(lambda self: self.u)  # read by perfbench until ROADMAP item 2
+    z_c = property(lambda self: self.c)  # read by perfbench until ROADMAP item 2
 
 
 def _field_noise(shape, seed: int, tag: int, attempt: int) -> np.ndarray:

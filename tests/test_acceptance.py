@@ -109,7 +109,7 @@ def ex2():
     res_reg = levenberg_marquardt(prob, a_star, EX2_CFG)
     res_unreg = levenberg_marquardt(dataclasses.replace(prob, alpha=0.0), a_star, EX2_CFG)
     wall = time.time() - t0
-    points = lcurve_sweep(prob, np.logspace(-8, -2, 13), EX2_CFG)
+    points, _ = lcurve_sweep(prob, np.logspace(-8, -2, 13), EX2_CFG)
     return {
         "prob": prob,
         "res_reg": res_reg,
@@ -343,8 +343,8 @@ def test_criterion_6_identifiability_smoke(capsys):
 
 def test_criterion_7_lcurve_corner(ex2, capsys):
     pts, alphas = right_angle_points()
-    exact = lcurve_corner(pts)
-    corner = lcurve_corner(ex2["points"])
+    exact, _ = lcurve_corner(pts)
+    corner, _ = lcurve_corner(ex2["points"])
     decades = abs(math.log10(corner) - math.log10(1e-5))
     ok = exact == alphas[4] and decades <= 1.0 + 1e-9
     announce(capsys, 7, ok, f"right-angle vertex exact ({exact:.1e}), swept corner "

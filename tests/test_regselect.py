@@ -60,27 +60,27 @@ def right_angle_points(n=9, vertex=4):
 
 def test_corner_right_angle_returns_vertex_exactly():
     pts, alphas = right_angle_points()
-    assert lcurve_corner(pts) == alphas[4]
+    assert lcurve_corner(pts) == (alphas[4], ())
 
 
 def test_corner_right_angle_other_vertex():
     pts, alphas = right_angle_points(n=11, vertex=7)
-    assert lcurve_corner(pts) == alphas[7]
+    assert lcurve_corner(pts) == (alphas[7], ())
 
 
 def test_corner_input_order_irrelevant():
     pts, alphas = right_angle_points()
     rng = np.random.default_rng(1)
     shuffled = [pts[i] for i in rng.permutation(len(pts))]
-    assert lcurve_corner(shuffled) == alphas[4]
+    assert lcurve_corner(shuffled) == (alphas[4], ())
 
 
-def test_corner_collinear_warns_and_returns_median():
+def test_corner_collinear_notes_and_returns_median():
     alphas = np.logspace(-6, -1, 7)
     pts = [fake_point(a, 1e-3 * a**0.5, 1.0 / a**0.5) for a in alphas]
-    with pytest.warns(UserWarning, match="degenerate corner"):
-        corner = lcurve_corner(pts)
+    corner, notes = lcurve_corner(pts)
     assert corner == alphas[3]
+    assert notes == ("degenerate corner: L-curve points are collinear",)
 
 
 def test_corner_needs_five_valid_points():
@@ -110,9 +110,9 @@ def test_corner_stable_under_midpoint_interleaving():
         return pts
 
     ts = np.linspace(-4, 4, 9)
-    coarse = lcurve_corner(curve(ts))
+    coarse, _ = lcurve_corner(curve(ts))
     mids = np.sort(np.concatenate([ts, 0.5 * (ts[:-1] + ts[1:])]))
-    fine = lcurve_corner(curve(mids))
+    fine, _ = lcurve_corner(curve(mids))
     assert abs(np.log10(fine) - np.log10(coarse)) <= 1.0
 
 
@@ -131,7 +131,8 @@ def test_lcurve_point_validation():
 def swept():
     prob, a_true, truth = small_problem(alpha=1e-4, delta=1e-2, n_basis=3)
     alphas = np.logspace(-7, -1, 7)
-    points = lcurve_sweep(prob, alphas)
+    points, notes = lcurve_sweep(prob, alphas)
+    assert notes == ()
     return prob, alphas, points
 
 
@@ -162,7 +163,8 @@ def test_sweep_rho_floor_near_realized_noise(swept):
 
 def test_sweep_cold_start_matches_warm(swept):
     prob, alphas, warm = swept
-    cold = lcurve_sweep(prob, alphas, warm_start=False)
+    cold, notes = lcurve_sweep(prob, alphas, warm_start=False)
+    assert notes == ()
     assert len(cold) == len(warm)
     for w, c in zip(warm, cold):
         assert np.isclose(w.rho, c.rho, rtol=1e-3)
@@ -190,23 +192,33 @@ def test_sweep_continues_past_point_failures(monkeypatch, swept):
         return real(p, a0, cfg)
 
     monkeypatch.setattr(rs, "levenberg_marquardt", flaky)
-    with pytest.warns(UserWarning, match="inversion failed"):
-        got = lcurve_sweep(prob, alphas[:5])
+    got, notes = lcurve_sweep(prob, alphas[:5])
     assert len(got) == 4
     assert bad not in [p.alpha for p in got]
+    assert notes == ("alpha=1.000e-05: inversion failed: synthetic failure",)
 
 
-def test_sweep_warns_on_monotonicity_anomaly(monkeypatch, swept):
+def test_sweep_notes_monotonicity_anomalies_after_failures(monkeypatch, swept):
     prob = swept[0]
 
     def canned(p, a0, cfg=LMConfig()):
-        # eta rising with alpha is an anomaly worth a warning
+        # eta rising with alpha is an anomaly worth a note; it drops no point
+        if p.alpha in (1e-1, 1e-5):
+            raise ForwardSolveError("synthetic failure")
         eta = {1e-4: 1.0, 1e-3: 2.0, 1e-2: 3.0}[p.alpha]
         return fake_point(p.alpha, 1e-3, eta).result
 
     monkeypatch.setattr(rs, "levenberg_marquardt", canned)
-    with pytest.warns(UserWarning, match="sweep anomaly"):
-        lcurve_sweep(prob, [1e-4, 1e-3, 1e-2])
+    points, notes = lcurve_sweep(prob, [1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
+    assert [p.alpha for p in points] == [1e-4, 1e-3, 1e-2]
+    assert notes == (
+        "alpha=1.000e-01: inversion failed: synthetic failure",
+        "alpha=1.000e-05: inversion failed: synthetic failure",
+        "sweep anomaly: eta rose from 1.000000e+00 (alpha=1.000e-04) to 2.000000e+00 "
+        "(alpha=1.000e-03)",
+        "sweep anomaly: eta rose from 2.000000e+00 (alpha=1.000e-03) to 3.000000e+00 "
+        "(alpha=1.000e-02)",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +310,10 @@ def test_rate_study_excludes_failed_cells(monkeypatch):
         return real_fake(p, a0, cfg)
 
     use_fake_lm(monkeypatch, flaky)
-    with pytest.warns(UserWarning, match="inversion failed"):
-        out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
     assert len(out.records) == 4
     assert 1e-2 not in [r.delta for r in out.records]
+    assert out.notes == ("delta=1.000e-02 seed=1: inversion failed: synthetic failure",)
 
 
 def test_rate_study_insufficient_survivors(monkeypatch):
@@ -314,36 +326,35 @@ def test_rate_study_insufficient_survivors(monkeypatch):
         return real_fake(p, a0, cfg)
 
     use_fake_lm(monkeypatch, flaky)
-    with pytest.warns(UserWarning, match="inversion failed"):
-        with pytest.raises(InsufficientSweepError):
-            rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    with pytest.raises(InsufficientSweepError, match="got 1$"):
+        rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
 
 
-def test_rate_study_warns_in_cell_order(monkeypatch):
+def test_rate_study_notes_in_cell_order(monkeypatch):
     # noise is drawn for every cell before the inversions run, yet a noise
-    # failure still warns in its cell's place among the inversion failures
+    # failure is still noted in its cell's place among the inversion failures
     prob, a_true, truth = small_problem(n_basis=3)
     real_noise, real_fake = rs.add_noise, fake_lm_factory(a_true)
 
     def noisy(traj, delta, seed):
-        if delta == 3e-3:
+        if (delta, seed) == (3e-3, 1):
             raise NoiseLevelError("synthetic noise failure")
         return real_noise(traj, delta, seed)
 
     def flaky(p, a0, cfg=LMConfig()):
-        if p.data.delta in (1e-3, 1e-2):
+        if p.data.delta in (1e-3, 1e-2) and p.data.seed == 1:
             raise ForwardSolveError("synthetic failure")
         return real_fake(p, a0, cfg)
 
     monkeypatch.setattr(rs, "add_noise", noisy)
     use_fake_lm(monkeypatch, flaky)
-    with pytest.warns(UserWarning) as caught:
-        with pytest.raises(InsufficientSweepError):
-            rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
-    assert [str(w.message).split(":")[0] for w in caught] == [
-        "delta=1.000e-03 seed=1", "delta=3.000e-03 seed=1", "delta=1.000e-02 seed=1"
-    ]
-    assert "noise failure" in str(caught[1].message)
+    out = rate_study(prob, a_true, truth, DELTAS, seeds=(1, 2))
+    assert len(out.records) == 7
+    assert out.notes == (
+        "delta=1.000e-03 seed=1: inversion failed: synthetic failure",
+        "delta=3.000e-03 seed=1: synthetic noise failure",
+        "delta=1.000e-02 seed=1: inversion failed: synthetic failure",
+    )
 
 
 def test_rate_study_excludes_unconverged(monkeypatch):
@@ -357,9 +368,9 @@ def test_rate_study_excludes_unconverged(monkeypatch):
         return res
 
     use_fake_lm(monkeypatch, stagnant)
-    with pytest.warns(UserWarning, match="excluded"):
-        out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
     assert len(out.records) == 4
+    assert out.notes == ("delta=1.000e-01 seed=1: excluded (stagnated)",)
 
 
 def test_rate_study_validation():
