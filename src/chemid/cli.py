@@ -28,7 +28,7 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ChemidError, ConfigError, InvalidStateError
 from .inversion import TikhonovProblem, levenberg_marquardt, write_inversion_report
-from .pde import mass, solve_forward, write_params, write_trajectory_csv
+from .pde import mass, solve_bytes, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
     lcurve_corner,
     lcurve_sweep,
@@ -58,7 +58,13 @@ def _fmt(x: float) -> str:
 
 
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
-    """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
+    """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior.
+
+    Its solves are held to the config's memory budget first."""
+    grid = data.grid
+    cfgmod.require_solve_bytes(
+        solve_bytes(grid.n_nodes, grid.n_steps, 1, cfg["n_basis"], kept=2 * (grid.n_steps + 1))
+    )
     try:
         lo, hi = concentration_range(data, padding=cfg["padding"])
         return TikhonovProblem(

@@ -15,7 +15,10 @@ mesh-separation rule of ``synthdata``), a forward model on each grid and
 LM settings, and holds the basis, time_refine, delta, alpha, alphas and
 rate-study values to the library's rules.  So a malformed or inconsistent
 value, including a ``table:`` file of ``truth`` or ``prior``, exits before
-any solve runs or any data file is read.
+any solve runs or any data file is read.  One budget rule,
+``require_solve_bytes``, refuses a config whose largest solve would need
+more than MAX_SOLVE_BYTES, before any field is allocated; invert and
+lcurve apply it once their data file gives the grid.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidStateError
 from .inversion import LMConfig, require_alpha, require_time_refine
-from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid
+from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid, solve_bytes
 from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
 from .sensitivity import read_sensitivity_csv, require_basis_shape, require_padding
 from .synthdata import myerscough_initial_data, require_mesh_separation, require_noise
@@ -182,6 +185,18 @@ def _size(s: str) -> int:
     return n
 
 
+#: Largest estimated size in bytes (``pde.solve_bytes``) of a command's
+#: largest solve; a larger one is a config error, raised before anything is allocated.
+MAX_SOLVE_BYTES = 2**31
+
+
+def require_solve_bytes(nbytes: int) -> None:
+    """ConfigError if a solve of an estimated ``nbytes`` is over MAX_SOLVE_BYTES."""
+    if nbytes > MAX_SOLVE_BYTES:
+        raise ConfigError(f"the largest solve needs an estimated {nbytes} bytes, "
+                          f"over the limit {MAX_SOLVE_BYTES}")
+
+
 def _bool(s: str) -> bool:
     if s.lower() not in ("true", "false"):
         raise ValueError(s)
@@ -323,6 +338,14 @@ def _solver_inputs(values: dict, allowed) -> dict:
         if _FINE <= allowed:
             fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
             built["fine"] = require_mesh_separation(fine, grid)
+        # the solve that keeps every frame, on each grid; a rate study's
+        # round keeps every cell's data and residual, with their tangents
+        sizes = [solve_bytes(g.n_nodes, g.n_steps) for g in (grid, built.get("fine", grid))]
+        if "deltas" in allowed:
+            cells, basis = len(values["deltas"]) * len(values["seeds"]), values["n_basis"]
+            sizes.append(solve_bytes(grid.n_nodes, grid.n_steps, cells, basis,
+                                     kept=2 * (grid.n_steps + 1)))
+        require_solve_bytes(max(sizes))
         for g in (grid, built.get("fine", grid)):
             ForwardModel(built["params"], g, values["u0"](g), values["c0"](g), values["advection"])
     if _LM <= allowed:

@@ -51,4 +51,12 @@ class ForwardSolveError(ChemidError):
 
 
 class InsufficientSweepError(ChemidError):
-    """Too few valid L-curve points to locate a corner."""
+    """Too few valid L-curve points, or rate-study noise levels, to fit.
+
+    ``notes`` holds the reasons the failed study dropped its cells, in
+    cell order (empty where there are none); ``str`` is the message alone.
+    """
+
+    def __init__(self, message: str, notes: tuple = ()):
+        super().__init__(message)
+        self.notes = tuple(notes)

@@ -376,9 +376,11 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
         R = r[:, :n_data].reshape(n_rows, 2, -1, prob.grid.n_nodes)  # (row, field, frame, node)
         JTJ, JTr = np.zeros((n_rows, n_basis, n_basis)), np.zeros((n_rows, n_basis))
 
-        def sensitivity(face_c):
-            hat = hat_stencil(face_c, knots, coeffs)
-            return hat[2], hat
+        def sensitivity(face_c):  # np.interp gives hat_stencil's value bits
+            value = np.empty_like(face_c)
+            for row, q in enumerate(coeffs):
+                value[row] = np.interp(face_c[row], knots, q)
+            return value
 
         def record(j0, X, dX):
             k = len(X)
@@ -394,8 +396,9 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
                 JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
                 JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
 
-        errors = _integrate(prob.model, sensitivity, n_rows, record,
-                            every=prob.time_refine, directions=n_basis)
+        errors = _integrate(prob.model, sensitivity, n_rows, record, every=prob.time_refine,
+                            directions=n_basis,
+                            stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
         for row, (i, error) in enumerate(zip(ids, errors)):
             try:
                 reply = _close_row(probs[i], coeffs[row], error, r[row], JTJ[row], JTr[row])

@@ -29,6 +29,8 @@ at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
 (``solve_forward`` is the one-row case; the inverse problem solves one
 row per coefficient vector, with its tangents, ``_tangent_step``), and
 one callback of the face concentrations gives every row's sensitivity.
+Tangents never feed back into the base rows, so a tangent solve takes a
+block of base steps, then forms all their tangent coefficients at once.
 The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
@@ -81,6 +83,11 @@ LOWER_BOUND_SLACK = 1.0e-8
 #: Bytes of solved frames (u and c, 16 B per row and node) that a solve
 #: buffers before handing them on as one block.
 _FRAME_BLOCK_BYTES = 2**20
+
+#: Bytes per row and node a tangent solve keeps of each step in a step block
+#: (states, face weights, LU factors, tangent coefficients); a block holds
+#: as many steps as fit _FRAME_BLOCK_BYTES.
+_STEP_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -261,18 +268,14 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
     return grid.dx * grid.dt * float(np.sum(values * values))
 
 
-def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> tuple:
-    """(velocity, stencil) of the faces along the last axis.
+def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> np.ndarray:
+    """The velocity a(cbar) c_x of the faces along the last axis, cbar the face means.
 
-    ``a(face_c)`` gives the sensitivity at the face concentrations and
-    the stencil that ``_tangent_step`` reads, or None.  A velocity that
-    overflows comes back inf or nan without a numpy warning: the caller
-    stops that row with a typed error.
+    A velocity that overflows comes back inf or nan; ``_integrate`` calls
+    this under its one ``np.errstate`` and stops that row with a typed error.
     """
     face_c = 0.5 * (c[..., :-1] + c[..., 1:])
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value, stencil = a(face_c)
-        return np.asarray(value, dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx), stencil
+    return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
 
 
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
@@ -301,7 +304,7 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
 
 def _advance(
     u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple,
-    tangent: tuple | None = None,
+    keep: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """One IMEX step of ``model`` for every row of (u, c), given ``flow`` = dt * face velocity.
 
@@ -313,9 +316,9 @@ def _advance(
     K the flux differences: its columns sum to W, and with the face rule
     it is a column diagonally dominant M-matrix, so its LU factors need no
     pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
-    block-tridiagonal system with zero coupling between blocks.
-    ``_tangent_step`` advances the rows' ``tangent`` = (du, dc, hat), if
-    given, with the same face weights w.
+    block-tridiagonal system with zero coupling between blocks.  If
+    ``keep`` is a list, the step appends (u, u_new, c, w, u_lu) to it:
+    what the tangent step needs, u_lu being the u-matrix dgttrf factors.
 
     Returns the new (u, c) rows and a list of (row, PositivityViolationError)
     for rows whose cell density fell below the floor; smaller negatives
@@ -358,52 +361,104 @@ def _advance(
             for i in np.flatnonzero(broken)
         ]
         u_new[u_new < 0.0] = 0.0
-    if tangent is not None:
-        _tangent_step(*tangent, u, u_new, c, w, u_lu, model, ops)
+    if keep is not None:
+        keep.append((u, u_new, c, w, u_lu))
     return u_new, c_new, failures
 
 
-def _tangent_step(du, dc, hat, u, u_new, c, w, u_lu, model: ForwardModel, ops) -> None:
+def _tangent_coefficients(kept: list, stencil: Callable, model: ForwardModel, ops) -> list:
+    """The ``_tangent_step`` coefficients of the K steps ``_advance`` kept, formed at once.
+
+    ``stencil`` maps (K, rows, faces) face means to their hat stencil.
+    Each coefficient is a lone step's elementwise expression with a step
+    axis in front, so it has that step's bits.  Per step (lo, hi, prod,
+    phi_at, phi, u_lu): d(flow_k) times the advected u_new is lo_k dc_k +
+    hi_k dc_{k+1} plus ``phi`` at flat indices ``phi_at`` of an (L, rows,
+    faces) array, and prod is dt b h / (u + h)^2.
+    """
+    dt = ops[0]
+    params, ratio = model.params, dt / model.grid.dx
+    u, u_new, c, w = (np.stack(field) for field in list(zip(*kept))[:4])
+    K, rows, n = u.shape
+    seg, frac, value, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
+    u_face = w * u_new[..., :-1] + (1.0 - w) * u_new[..., 1:]
+    src = ratio * (c[..., 1:] - c[..., :-1]) * u_face
+    half, adv = 0.5 * slope * src, ratio * value * u_face
+    # phi_l(cbar) is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
+    lane = rows * (n - 1)
+    at = seg * lane + np.arange(lane).reshape(rows, n - 1)
+    phi_at = np.concatenate([at, at + lane], axis=2).reshape(K, -1)
+    phi = np.concatenate([src * (1.0 - frac), src * frac], axis=2).reshape(K, -1)
+    prod = dt * params.b * params.h / (u + params.h) ** 2
+    return list(zip(half - adv, half + adv, prod, phi_at, phi, [step[4] for step in kept]))
+
+
+def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     """Advance the tangents (du, dc), (L, rows, n_nodes) arrays of d(u, c)/dq_l, in place.
 
     This differentiates ``_advance``'s step (u, c) -> (u_new, c_new), with
-    its face weights ``w`` and u-matrix factors ``u_lu``, in the L hat coefficients
-    q of each row, whose stencil at the face means cbar is ``hat``:
-    A du' = W du - dA u_new and C dc' = dc + dt b h / (u + h)^2 du.  Face
-    k moves d(flow_k) times its advected u_new from node k to k + 1, with
-    the base row's weights frozen, and d(flow_k) = dt [(phi_l(cbar_k) +
-    a'(cbar_k) dcbar_k) c_x + a(cbar_k) d(c_x)].  The clip of round-off
-    negatives is not differentiated.  Overflow gives inf or nan without a
-    numpy warning; the caller checks what it keeps.
+    its face weights w and u-matrix factors u_lu, in the L hat
+    coefficients q of each row; ``coefficients`` are the step's
+    ``_tangent_coefficients``.  A du' = W du - dA u_new and C dc' = dc +
+    dt b h / (u + h)^2 du.  Face k moves d(flow_k) times its advected
+    u_new from node k to k + 1, with the base row's weights frozen, and
+    d(flow_k) = dt [(phi_l(cbar_k) + a'(cbar_k) dcbar_k) c_x + a(cbar_k)
+    d(c_x)].  The clip of round-off negatives is not differentiated.
+    Overflow gives inf or nan (under ``_integrate``'s ``np.errstate``);
+    the caller checks what it keeps.
     """
-    dt, _, widths, c_lu = ops
-    seg, frac, value, slope = hat
+    lo, hi, prod, phi_at, phi, u_lu = coefficients
+    _, _, widths, c_lu = ops
     L, rows, n = du.shape
-    params, ratio = model.params, dt / model.grid.dx
-    with np.errstate(over="ignore", invalid="ignore"):
-        # d(flow_k) times the advected u_new is src phi_l + (half - adv) dc_k
-        # + (half + adv) dc_{k+1}, with (rows, faces) coefficients
-        u_face = w * u_new[:, :-1] + (1.0 - w) * u_new[:, 1:]
-        src = ratio * (c[:, 1:] - c[:, :-1]) * u_face
-        half, adv = 0.5 * slope * src, ratio * value * u_face
-        f = (half - adv) * dc[..., :-1] + (half + adv) * dc[..., 1:]
-        # phi_l is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
-        row, face = np.arange(rows)[:, None], np.arange(n - 1)
-        f[seg, row, face] += src * (1.0 - frac)
-        f[seg + 1, row, face] += src * frac
-        dc += (dt * params.b * params.h / (u + params.h) ** 2) * du
-        du *= widths
-        du[..., :-1] -= f
-        du[..., 1:] += f
+    f = lo * dc[..., :-1] + hi * dc[..., 1:]
+    f.reshape(-1)[phi_at] += phi
+    dc += prod * du
+    du *= widths
+    du[..., :-1] -= f
+    du[..., 1:] += f
     # (L rows, n) and (L, rows n) arrays in C order are LAPACK's column-major
     # right-hand sides of the c- and u-matrices.  The u solve runs through
     # all rows' blocks, so a row whose tangents are not finite is solved as
     # zero and then set to nan, not spilled into the others.
     dc[...] = dgttrs(*c_lu, dc.reshape(-1, n).T, overwrite_b=1)[0].T.reshape(dc.shape)
-    broken = ~np.isfinite(du).all(axis=(0, 2))
+    broken = slice(0) if np.isfinite(du.sum()) else ~np.isfinite(du).all(axis=(0, 2))
     du[:, broken] = 0.0
     du[...] = dgttrs(*u_lu, du.reshape(L, -1).T, overwrite_b=1)[0].T.reshape(du.shape)
     du[:, broken] = np.nan
+
+
+def _block_sizes(n_nodes: int, rows: int, n_steps: int, every: int, directions: int) -> tuple:
+    """(frames, steps): the frame block and step block of a solve, each at least one.
+
+    A frame block holds as many sampled frames of every row, with their
+    L = ``directions`` tangents, as fit ``_FRAME_BLOCK_BYTES``.  With
+    tangents, a step block holds as many steps as fit it at ``_STEP_BYTES``
+    per row and node; without, a step block is one step that keeps nothing.
+    """
+    lane = 16 * n_nodes * rows  # u and c of every row
+    frames = min(n_steps // every + 1, max(1, _FRAME_BLOCK_BYTES // (lane * (1 + directions))))
+    steps = min(n_steps, max(1, _FRAME_BLOCK_BYTES // (_STEP_BYTES * n_nodes * rows)))
+    return frames, steps if directions else 1
+
+
+def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
+                kept: int | None = None) -> int:
+    """Estimated peak bytes of an ``_integrate`` solve and the frames its caller keeps.
+
+    ``rows`` rows on ``n_nodes`` nodes take ``n_steps`` steps with L =
+    ``directions`` tangents each, and the caller keeps ``kept`` frames (u
+    and c) of every row, by default every solved one.  Besides those it
+    counts the frame block, the states with their tangents (old and new),
+    and with tangents the step block and every row's L x L Gauss-Newton
+    sums.  Arithmetic only: it allocates nothing.
+    """
+    frames, steps = _block_sizes(n_nodes, rows, n_steps, 1, directions)
+    lane = 16 * n_nodes * rows
+    fields = lane * (1 + directions)
+    total = (n_steps + 1 if kept is None else kept) * lane + (frames + 2) * fields
+    if directions:
+        total += steps * _STEP_BYTES * n_nodes * rows + 8 * (rows + 2) * directions**2
+    return total
 
 
 def _integrate(
@@ -413,12 +468,12 @@ def _integrate(
     record: Callable,
     every: int = 1,
     directions: int = 0,
+    stencil: Callable | None = None,
 ) -> list:
     """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
-    ``a(face_c)`` gives, for the (rows, faces) face concentrations of all
-    rows, their sensitivity values and the stencil ``_tangent_step``
-    reads (None without tangents).  The model checked its initial fields
+    ``a(face_c)`` gives the sensitivity values of the (rows, faces) face
+    concentrations of all rows.  The model checked its initial fields
     and face rule when it was built.  Every row takes one step per solved
     frame.  Rows are independent: each is checked for a finite dt * face
     velocity, positivity and its own c floor exactly as a lone solve
@@ -436,24 +491,30 @@ def _integrate(
     change the block in place (the lockstep fold scales it).  Returns,
     per row, None or the error that stopped it.
 
-    With ``directions`` = L > 0, the stencil is the ``hat_stencil`` of
-    L-hat sensitivities, each row carries the tangents of its L
-    coefficients from zero (``_tangent_step``), and ``record(j0, X, dX)``
-    gets them too, dX of shape (k, 2, L, rows, n_nodes).
+    With ``directions`` = L > 0, ``stencil(face_c)`` gives the
+    ``hat_stencil`` of a (K, rows, faces) block of face means, its value
+    a's bits.  Each row carries the tangents of its L hat coefficients
+    from zero, and ``record(j0, X, dX)`` gets them too, dX of shape (k, 2,
+    L, rows, n_nodes).  The steps run in step blocks of K
+    (``_block_sizes``): K ``_advance`` calls keep what their tangents
+    need, one ``_tangent_coefficients`` pass forms all their
+    coefficients, and ``_tangent_step`` advances the tangents step by
+    step before the block's frames are recorded.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
-    tangents = np.zeros((2, directions, *u.shape))
     dx, dt = grid.dx, grid.dt
-    times = grid.times()
+    decay = np.fromiter((math.exp(-params.mu * t) for t in grid.times()[1:]), float, grid.n_steps)
     ops = _step_operators(params, grid)
-    n_frames = grid.n_steps // every + 1
-    block = min(n_frames, max(1, _FRAME_BLOCK_BYTES // (16 * u.size * (1 + directions))))
+    block, steps = _block_sizes(grid.n_nodes, n_rows, grid.n_steps, every, directions)
     X = np.empty((block, 2, *u.shape))
     X[0, 0], X[0, 1] = u, c
     buffers = (X,)
+    kept = None  # what a step block's base steps keep for the tangents
     if directions:
+        tangents = np.zeros((2, directions, *u.shape))
         buffers += (np.zeros((block, 2, directions, *u.shape)),)
+        kept = []
     j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
@@ -463,34 +524,51 @@ def _integrate(
         if alive[row]:
             errors[row], alive[row] = exc, False
 
-    for j in range(grid.n_steps):
-        if filled == block:
-            record(j0, *buffers)
-            j0, filled = j0 + block, 0
-        velocity, stencil = _face_velocities(c, a, dx)
-        flow = dt * velocity
-        for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
-            fail(row, InvalidStateError(f"face velocity is not finite in frame {j + 1}"))
-        flow[~alive] = 0.0
-        tangent = (*tangents, stencil) if directions else None
-        u, c, broken = _advance(u, c, flow, model, ops, tangent)
-        for row, exc in broken:
-            fail(row, exc)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for first in range(0, grid.n_steps, steps):
+            solved, coefficients = [], ()  # (j, u, c) after each step j a row survived
+            for j in range(first, min(first + steps, grid.n_steps)):
+                flow = dt * _face_velocities(c, a, dx)
+                if not np.isfinite(flow.sum()):  # a finite sum has finite terms
+                    for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
+                        fail(row, InvalidStateError(
+                            f"face velocity is not finite in frame {j + 1}"
+                        ))
+                if not alive.all():
+                    flow[~alive] = 0.0
+                u, c, broken = _advance(u, c, flow, model, ops, kept)
+                for row, exc in broken:
+                    fail(row, exc)
 
-        t = times[j + 1]
-        c_min = c.min(axis=1)
-        bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
-        for row in np.flatnonzero(c_min < bound):
-            fail(row, LowerBoundViolationError(
-                f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
-            ))
-        if not alive.any():
-            break
-        if (j + 1) % every == 0:
-            X[filled, 0], X[filled, 1] = u, c
-            if directions:
-                buffers[1][filled] = tangents
-            filled += 1
+                c_min = c.min(axis=1)
+                bound = c_floor * decay[j] * (1.0 - LOWER_BOUND_SLACK)
+                low = c_min < bound
+                if low.any():
+                    for row in np.flatnonzero(low):
+                        fail(row, LowerBoundViolationError(
+                            f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} "
+                            f"at t={grid.times()[j + 1]:.6g}"
+                        ))
+                if not alive.any():
+                    break
+                solved.append((j, u, c))
+
+            if directions and solved:
+                coefficients = _tangent_coefficients(kept[: len(solved)], stencil, model, ops)
+                kept.clear()
+            for i, (j, u_j, c_j) in enumerate(solved):
+                if directions:
+                    _tangent_step(*tangents, coefficients[i], ops)
+                if (j + 1) % every == 0:
+                    if filled == block:
+                        record(j0, *buffers)
+                        j0, filled = j0 + block, 0
+                    X[filled, 0], X[filled, 1] = u_j, c_j
+                    if directions:
+                        buffers[1][filled] = tangents
+                    filled += 1
+            if not alive.any():
+                break
 
     if filled:
         record(j0, *(b[:filled] for b in buffers))
@@ -530,7 +608,7 @@ def solve_forward(
             frames = np.empty((grid.n_steps + 1, 2, grid.n_nodes))
         frames[j0 : j0 + len(X)] = X[:, :, 0]
 
-    errors = _integrate(model, lambda face_c: (a(face_c), None), 1, record)
+    errors = _integrate(model, a, 1, record)
     if errors[0] is not None:
         raise errors[0]
     frames.setflags(write=False)  # the trajectory keeps this buffer, uncopied

@@ -250,7 +250,8 @@ def rate_study(
     cell.  A cell whose noise cannot be drawn, whose inversion fails or
     that does not converge is left out with a note (text), in cell order.
     Per delta the surviving cells are geometric-mean aggregated, and the
-    two log-log slopes are least-squares fits.
+    two log-log slopes are least-squares fits.  Fewer than 4 surviving
+    deltas raise InsufficientSweepError, whose ``notes`` are those notes.
     """
     arr = require_rate_inputs(deltas, coupling, seeds)
     a_star = prob_template.a_star
@@ -302,7 +303,8 @@ def rate_study(
         by_delta.setdefault(rec.delta, []).append(rec)
     if len(by_delta) < 4:
         raise InsufficientSweepError(
-            f"rate fit needs >= 4 surviving noise levels, got {len(by_delta)}"
+            f"rate fit needs >= 4 surviving noise levels, got {len(by_delta)}",
+            notes=tuple(notes),
         )
     ds = np.array(sorted(by_delta))
     gm = lambda vals: float(np.exp(np.mean(np.log(vals))))

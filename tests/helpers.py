@@ -103,14 +103,14 @@ def tangent_jacobian(coeffs, prob):
     rows = np.asarray(coeffs, dtype=float)[None]
 
     def sensitivity(face_c):
-        hat = hat_stencil(face_c, knots, rows)
-        return hat[2], hat
+        return hat_stencil(face_c, knots, rows)[2]
 
     def record(j0, X, dX):
         J_data[:, j0 : j0 + len(X)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
 
     errors = pde._integrate(
-        prob.model, sensitivity, 1, record, every=prob.time_refine, directions=len(knots)
+        prob.model, sensitivity, 1, record, every=prob.time_refine, directions=len(knots),
+        stencil=lambda face_c: hat_stencil(face_c, knots, rows),
     )
     assert errors == [None]
     J[n_data:] = prob._penalty_root

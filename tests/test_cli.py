@@ -14,7 +14,7 @@ from chemid import cli
 from chemid import config as cfgmod
 from chemid.cli import main
 from chemid.config import load_config, resolve
-from chemid.pde import PhysicalParams, SimulationGrid
+from chemid.pde import PhysicalParams, SimulationGrid, solve_bytes
 from chemid.sensitivity import read_sensitivity_csv
 from chemid.synthdata import make_dataset, myerscough_initial_data, write_noisy_csv
 from helpers import quadrature_sq_distance
@@ -468,6 +468,32 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     lines = capsys.readouterr().err.splitlines()
     assert lines == ["error: solver: out of memory: Unable to allocate 7.28 PiB"]
+
+
+def test_config_over_the_memory_budget_exits_2_before_out_exists(tmp_path):
+    # 1001 nodes and the first step count whose kept frames cross the budget
+    steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16016 - 200, cfgmod.MAX_SOLVE_BYTES)
+                 if solve_bytes(1001, s) > cfgmod.MAX_SOLVE_BYTES)
+    cfg = write_cfg(tmp_path, "big.cfg", f"n_nodes = 1001\nn_steps = {steps}\n")
+    out = tmp_path / "out"
+    proc = run_cli("forward", "--preset", "myerscough", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: config: the largest solve needs an estimated "
+        f"{solve_bytes(1001, steps)} bytes, over the limit {cfgmod.MAX_SOLVE_BYTES}\n"
+    )
+    assert not out.exists()
+
+
+def test_invert_over_the_memory_budget_exits_2(tmp_path, data_dir, capsys):
+    # the data grid is known once data_csv is read: 10^8 hats of tangents are too many
+    body = INVERT_BODY.replace("n_basis = 3", "n_basis = 100000000")
+    cfg = write_cfg(tmp_path, "invert.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
+    out = tmp_path / "out"
+    assert main(["invert", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: the largest solve needs")
+    assert not out.exists()
 
 
 MAKE_BODY = SMALL_PHYS + SMALL_GRID + """\

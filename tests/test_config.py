@@ -2,6 +2,7 @@
 
 import re
 import textwrap
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -12,11 +13,13 @@ from chemid import cli
 from chemid.config import (
     ALLOWED_KEYS,
     MAX_SIZE,
+    MAX_SOLVE_BYTES,
     load_config,
     resolve,
 )
 from chemid.errors import ConfigError, InvalidStateError
 from chemid.inversion import LMConfig
+from chemid.pde import solve_bytes
 from chemid.pde import PhysicalParams, SimulationGrid
 from chemid.regselect import MIN_CORNER_POINTS
 from chemid.synthdata import MIN_MESH_SEPARATION
@@ -234,6 +237,42 @@ def test_resolve_caps_array_sizes():
             ConfigError, match=f"config key 'n_basis': {value} exceeds the limit"
         ):
             parsed("n_basis", str(value))
+
+
+def test_resolve_refuses_a_solve_over_the_memory_budget_before_allocating():
+    # forward on 1001 nodes keeps n_steps + 1 frames of 16016 B each
+    steps = next(s for s in range(MAX_SOLVE_BYTES // 16016 - 200, MAX_SOLVE_BYTES)
+                 if solve_bytes(1001, s) > MAX_SOLVE_BYTES)
+    assert built("forward", "grid", n_nodes="1001", n_steps=str(steps - 1)).n_steps == steps - 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=(
+            f"^the largest solve needs an estimated {solve_bytes(1001, steps)} bytes, "
+            f"over the limit {MAX_SOLVE_BYTES}$"
+        )):
+            built("forward", "grid", n_nodes="1001", n_steps=str(steps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # no field of the 1001 nodes, let alone a frame
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("make-data", {"fine_n_nodes": "100001", "fine_n_steps": "4000"}),
+    ("rates", {"fine_n_nodes": "100001", "fine_n_steps": "4000"}),
+    ("rates", {"n_basis": "100000"}),
+    ("rates", {"seeds": ",".join(map(str, range(300))), "n_nodes": "1001", "n_steps": "2000",
+               "fine_n_nodes": "4001", "fine_n_steps": "8000"}),
+], ids=["make-data_fine_grid", "rates_fine_grid", "rates_basis", "rates_cells"])
+def test_resolve_budgets_the_largest_solve_of_each_command(command, keys):
+    with pytest.raises(ConfigError, match="^the largest solve needs an estimated"):
+        built(command, "grid", **keys)
+
+
+def test_acceptance_sizes_stay_well_below_the_memory_budget():
+    # the 201 x 2000 data solve, and a 15-cell rate round of 16 hats on 51 x 250
+    largest = max(solve_bytes(201, 2000), solve_bytes(51, 250, 15, 16, kept=2 * 251))
+    assert largest < MAX_SOLVE_BYTES / 100
 
 
 def built(command: str, name: str, **keys):

@@ -239,6 +239,51 @@ def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
         assert got.residual_norm2 == ref.residual_norm2
 
 
+@pytest.mark.parametrize("time_refine", [1, 3])
+def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refine):
+    # the 120 or 360 solved steps of one row in step blocks of 1, of 7
+    # (which divides neither the steps nor the 22-frame blocks that budget
+    # gives) and of every step: r, J, J^T J, J^T r and the LM results hold
+    # their bits
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, time_refine=time_refine)
+    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
+    n_steps, n_nodes = prob.model.grid.n_steps, prob.grid.n_nodes
+    real, blocks = pde._tangent_coefficients, []
+
+    def coefficients(kept, *args):
+        blocks.append(len(kept))
+        return real(kept, *args)
+
+    def run():
+        (r, JTJ, JTr), J = run_request(coeffs, prob), tangent_jacobian(coeffs, prob)
+        lm = levenberg_marquardt(prob, prob.a_star, LMConfig(max_iters=4))
+        return [x.tobytes() for x in (r, JTJ, JTr, J, lm.a_hat.coeffs)] + [lm.cost_history]
+
+    default = run()
+    monkeypatch.setattr(pde, "_tangent_coefficients", coefficients)
+    for steps in (1, 7, n_steps):
+        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", steps * pde._STEP_BYTES * n_nodes)
+        blocks.clear()
+        assert run() == default
+        assert blocks[: -(-n_steps // steps)] == [steps] * (n_steps // steps) + (
+            [n_steps % steps] if n_steps % steps else []
+        )
+
+
+def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
+    probs = _many_problems()
+    real, calls = pde._advance, []
+
+    def advance(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(pde, "_advance", advance)
+    inv._run_lockstep(probs, [evaluation(p.a_star.coeffs) for p in probs])
+    assert calls == [len(probs)] * probs[0].model.grid.n_steps
+
+
 def test_gradient_matches_central_differences():
     prob, a_true, _ = small_problem(alpha=1e-3, delta=1e-2)
     rng = np.random.default_rng(23)
@@ -308,10 +353,10 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     real = inv._integrate
     calls = {"n": 0}
 
-    def failing_trials(model, a, n_rows, record, every=1, directions=0):
+    def failing_trials(model, a, n_rows, record, every=1, directions=0, stencil=None):
         calls["n"] += 1
         if calls["n"] <= 1:  # the starting point
-            return real(model, a, n_rows, record, every, directions)
+            return real(model, a, n_rows, record, every, directions, stencil)
         return [NumericalSolveError("injected trial failure")]
 
     monkeypatch.setattr(inv, "_integrate", failing_trials)
@@ -405,7 +450,7 @@ def poison_tangents(monkeypatch, solve):
     """Make the tangents of the ``solve``-th batched solve inf, leaving its rows as they are."""
     real, calls = pde._integrate, []
 
-    def integrate(model, a, n_rows, record, every=1, directions=0):
+    def integrate(model, a, n_rows, record, every=1, directions=0, stencil=None):
         calls.append(1)
 
         def poisoned(j0, X, dX):
@@ -413,7 +458,7 @@ def poison_tangents(monkeypatch, solve):
             record(j0, X, dX)
 
         return real(model, a, n_rows, poisoned if len(calls) == solve else record,
-                    every, directions)
+                    every, directions, stencil)
 
     monkeypatch.setattr(inv, "_integrate", integrate)
 
@@ -442,7 +487,7 @@ def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
 
     def stencil(c, knots, rows):
         seg, frac, value, slope = real(c, knots, rows)
-        slope[rows[:, 0] == poisoned[0]] = np.inf
+        slope[..., rows[:, 0] == poisoned[0], :] = np.inf
         return seg, frac, value, slope
 
     monkeypatch.setattr(inv, "hat_stencil", stencil)

@@ -182,13 +182,28 @@ def test_solve_forward_peak_memory_holds_the_trajectory_once():
     assert peak <= kept + block + 64 * 1024
 
 
+def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
+    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", 1000)
+    monkeypatch.setattr(pde, "_STEP_BYTES", 20)
+    # one row on 3 nodes, 48 B a frame: 100 kept frames, a block of 20, the
+    # old and new states
+    assert pde.solve_bytes(3, 99) == 100 * 48 + 20 * 48 + 2 * 48
+    # two rows with 2 tangents: 96 B a frame of states, 288 B with tangents,
+    # a frame block of 3, a step block of 8 at 120 B, the rows' 2 x 2 sums
+    # (and the Gram matrix and its root)
+    assert pde.solve_bytes(3, 99, 2, 2) == 100 * 96 + 3 * 288 + 2 * 288 + 8 * 120 + 8 * 4 * 4
+    # a frame or a step over the budget still takes a block of its own
+    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 3200 + 2 * 3200 + 2000 + 8 * 3
+    assert pde._block_sizes(100, 1, 1, 1, 1) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # face velocities
 
 
 def velocities(c, a, dx):
-    """``_face_velocities`` of a plain a(c): the velocities alone."""
-    return _face_velocities(c, lambda face_c: (a(face_c), None), dx)[0]
+    """``_face_velocities`` of a plain a(c)."""
+    return _face_velocities(c, a, dx)
 
 
 def test_face_velocity_zero_for_uniform_c():
@@ -451,7 +466,7 @@ def test_batched_rows_fail_independently(monkeypatch):
             vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
             if len(steps) == 6:
                 vals[2] = np.nan
-            return vals, None
+            return vals
 
         errors = _integrate(
             ForwardModel(p, g, u0, steep, "blended"), a, 3,
@@ -487,11 +502,11 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
         blocks = []
 
         def a(face_c):
-            hat = hat_stencil(face_c, knots, coeffs)
-            return hat[2], hat
+            return hat_stencil(face_c, knots, coeffs)[2]
 
         errors = _integrate(model, a, n_rows, lambda j0, *XdX: blocks.append(
-            [B.copy() for B in XdX]), directions=directions)
+            [B.copy() for B in XdX]), directions=directions,
+            stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
         assert len(blocks) == 1
         return errors, blocks[0]
 
@@ -499,12 +514,12 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
     _, lone = run(1)
     real, steps = pde._advance, []
 
-    def advance(u, c, flow, model, ops, tangent=None):
+    def advance(u, c, flow, model, ops, keep=None):
         steps.append(1)
         if len(steps) == 7:
             u = u.copy()
             u[2] *= -1e-3
-        u_new, c_new, failures = real(u, c, flow, model, ops, tangent)
+        u_new, c_new, failures = real(u, c, flow, model, ops, keep)
         if len(steps) >= 4:
             c_new[0] *= 1e-3
         return u_new, c_new, failures
@@ -520,6 +535,55 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
     assert np.array_equal(X[:4, :, 0], alone.X[:4]) and np.array_equal(X[:7, :, 2], alone.X[:7])
     if directions:
         assert np.array_equal(dX[0][..., 1, :], lone[1][..., 0, :])
+
+
+@pytest.mark.parametrize("steps", [1, 3, 10], ids=["step_by_step", "blocks_of_3", "one_block"])
+def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, steps):
+    # the floor (from step 4) and positivity (step 7) injections of the test
+    # above, in a solve with 8 tangents whose step blocks of 3 hold both
+    # failures inside a block: the live row and its tangents equal a lone
+    # solve's, and the stopped rows keep the errors of one 10-step block
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
+    u0, _ = bump_initial(g)
+    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, steep, "blended")
+    knots = A_CONST2.knots()
+
+    def run(n_rows):
+        coeffs = np.tile(A_CONST2.coeffs, (n_rows, 1))
+        blocks = []
+        errors = _integrate(model, lambda face_c: hat_stencil(face_c, knots, coeffs)[2], n_rows,
+                            lambda j0, *XdX: blocks.append([B.copy() for B in XdX]),
+                            directions=8, stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
+        return errors, [np.concatenate(B) for B in zip(*blocks)]
+
+    _, (X_lone, dX_lone) = run(1)
+    real, calls = pde._advance, []
+
+    def advance(u, c, flow, model, ops, keep=None):
+        calls.append(1)
+        if len(calls) == 7:
+            u = u.copy()
+            u[2] *= -1e-3
+        u_new, c_new, failures = real(u, c, flow, model, ops, keep)
+        if len(calls) >= 4:
+            c_new[0] *= 1e-3
+        return u_new, c_new, failures
+
+    monkeypatch.setattr(pde, "_advance", advance)
+    expected, _ = run(3)
+    calls.clear()
+    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", steps * pde._STEP_BYTES * 3 * g.n_nodes)
+    errors, (X, dX) = run(3)
+    assert len(calls) == g.n_steps
+    assert [type(e) for e in errors] == [
+        LowerBoundViolationError, type(None), PositivityViolationError
+    ]
+    assert str(errors[0]).endswith("at t=0.02")
+    assert str(errors[2]).startswith("cell density reached")
+    assert [str(e) for e in errors] == [str(e) for e in expected]
+    assert np.array_equal(X[:, :, 1], X_lone[:, :, 0])
+    assert np.array_equal(dX[..., 1, :], dX_lone[..., 0, :])
 
 
 @pytest.mark.parametrize("every", [2, 3])
@@ -542,7 +606,7 @@ def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_f
             vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
             if len(steps) == 8:
                 vals[2] = np.nan
-            return vals, None
+            return vals
 
         errors = _integrate(model, a, 3, lambda j0, X: blocks.append((j0, X.copy())), k)
         sizes = [len(X) for _, X in blocks]

@@ -357,6 +357,36 @@ def test_rate_study_notes_in_cell_order(monkeypatch):
     )
 
 
+def test_failed_rate_study_carries_its_notes(monkeypatch):
+    # every cell is dropped, for all three reasons: the raised error keeps
+    # the notes a result would have held, in cell order
+    prob, a_true, truth = small_problem(n_basis=3)
+    real_noise, real_fake = rs.add_noise, fake_lm_factory(a_true)
+
+    def noisy(traj, delta, seed):
+        if delta in (3e-3, 3e-2):
+            raise NoiseLevelError(f"no noise at {delta:g}")
+        return real_noise(traj, delta, seed)
+
+    def flaky(p, a0, cfg=LMConfig()):
+        if p.data.delta == 1e-1:
+            return dataclasses.replace(real_fake(p, a0, cfg), converged=False, message="stagnated")
+        raise ForwardSolveError("synthetic failure")
+
+    monkeypatch.setattr(rs, "add_noise", noisy)
+    use_fake_lm(monkeypatch, flaky)
+    with pytest.raises(InsufficientSweepError) as caught:
+        rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    assert str(caught.value) == "rate fit needs >= 4 surviving noise levels, got 0"
+    assert caught.value.notes == (
+        "delta=1.000e-03 seed=1: inversion failed: synthetic failure",
+        "delta=3.000e-03 seed=1: no noise at 0.003",
+        "delta=1.000e-02 seed=1: inversion failed: synthetic failure",
+        "delta=3.000e-02 seed=1: no noise at 0.03",
+        "delta=1.000e-01 seed=1: excluded (stagnated)",
+    )
+
+
 def test_rate_study_excludes_unconverged(monkeypatch):
     prob, a_true, truth = small_problem(n_basis=3)
     real_fake = fake_lm_factory(a_true)
