@@ -60,11 +60,11 @@ def _fmt(x: float) -> str:
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
     """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior.
 
-    Its solves are held to the config's memory budget first."""
+    Its solves, time_refine steps a data frame, are held to the config's
+    memory budget first."""
     grid = data.grid
-    cfgmod.require_solve_bytes(
-        solve_bytes(grid.n_nodes, grid.n_steps, 1, cfg["n_basis"], kept=2 * (grid.n_steps + 1))
-    )
+    cfgmod.require_solve_bytes(solve_bytes(grid.n_nodes, grid.n_steps * cfg["time_refine"], 1,
+                                           cfg["n_basis"], kept=2 * (grid.n_steps + 1)))
     try:
         lo, hi = concentration_range(data, padding=cfg["padding"])
         return TikhonovProblem(

@@ -339,12 +339,13 @@ def _solver_inputs(values: dict, allowed) -> dict:
             fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
             built["fine"] = require_mesh_separation(fine, grid)
         # the solve that keeps every frame, on each grid; a rate study's
-        # round keeps every cell's data and residual, with their tangents
+        # round takes time_refine steps a frame and keeps every cell's data
+        # and residual, with their tangents
         sizes = [solve_bytes(g.n_nodes, g.n_steps) for g in (grid, built.get("fine", grid))]
         if "deltas" in allowed:
             cells, basis = len(values["deltas"]) * len(values["seeds"]), values["n_basis"]
-            sizes.append(solve_bytes(grid.n_nodes, grid.n_steps, cells, basis,
-                                     kept=2 * (grid.n_steps + 1)))
+            sizes.append(solve_bytes(grid.n_nodes, grid.n_steps * values["time_refine"], cells,
+                                     basis, kept=2 * (grid.n_steps + 1)))
         require_solve_bytes(max(sizes))
         for g in (grid, built.get("fine", grid)):
             ForwardModel(built["params"], g, values["u0"](g), values["c0"](g), values["advection"])

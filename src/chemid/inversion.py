@@ -376,7 +376,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
         R = r[:, :n_data].reshape(n_rows, 2, -1, prob.grid.n_nodes)  # (row, field, frame, node)
         JTJ, JTr = np.zeros((n_rows, n_basis, n_basis)), np.zeros((n_rows, n_basis))
 
-        def sensitivity(face_c):  # np.interp gives hat_stencil's value bits
+        def sensitivity(face_c):
             value = np.empty_like(face_c)
             for row, q in enumerate(coeffs):
                 value[row] = np.interp(face_c[row], knots, q)

@@ -85,9 +85,9 @@ LOWER_BOUND_SLACK = 1.0e-8
 _FRAME_BLOCK_BYTES = 2**20
 
 #: Bytes per row and node a tangent solve keeps of each step in a step block
-#: (states, face weights, LU factors, tangent coefficients); a block holds
-#: as many steps as fit _FRAME_BLOCK_BYTES.
-_STEP_BYTES = 256
+#: (states, face weights, a(cbar), LU factors, tangent coefficients); a block
+#: holds as many steps as fit _FRAME_BLOCK_BYTES.
+_STEP_BYTES = 272
 
 
 @dataclass(frozen=True)
@@ -268,14 +268,14 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
     return grid.dx * grid.dt * float(np.sum(values * values))
 
 
-def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> np.ndarray:
-    """The velocity a(cbar) c_x of the faces along the last axis, cbar the face means.
+def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> tuple:
+    """(a(cbar), a(cbar) c_x) of the faces along the last axis, cbar the face means.
 
     A velocity that overflows comes back inf or nan; ``_integrate`` calls
     this under its one ``np.errstate`` and stops that row with a typed error.
     """
-    face_c = 0.5 * (c[..., :-1] + c[..., 1:])
-    return np.asarray(a(face_c), dtype=float) * ((c[..., 1:] - c[..., :-1]) / dx)
+    value = np.asarray(a(0.5 * (c[..., :-1] + c[..., 1:])), dtype=float)
+    return value, value * ((c[..., 1:] - c[..., :-1]) / dx)
 
 
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
@@ -366,10 +366,10 @@ def _advance(
     return u_new, c_new, failures
 
 
-def _tangent_coefficients(kept: list, stencil: Callable, model: ForwardModel, ops) -> list:
+def _tangent_coefficients(kept: list, values: list, stencil: Callable, model, ops) -> list:
     """The ``_tangent_step`` coefficients of the K steps ``_advance`` kept, formed at once.
 
-    ``stencil`` maps (K, rows, faces) face means to their hat stencil.
+    ``stencil`` maps (K, rows, faces) face means to hat geometry; ``values`` are their a(cbar).
     Each coefficient is a lone step's elementwise expression with a step
     axis in front, so it has that step's bits.  Per step (lo, hi, prod,
     phi_at, phi, u_lu): d(flow_k) times the advected u_new is lo_k dc_k +
@@ -380,10 +380,10 @@ def _tangent_coefficients(kept: list, stencil: Callable, model: ForwardModel, op
     params, ratio = model.params, dt / model.grid.dx
     u, u_new, c, w = (np.stack(field) for field in list(zip(*kept))[:4])
     K, rows, n = u.shape
-    seg, frac, value, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
+    seg, frac, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
     u_face = w * u_new[..., :-1] + (1.0 - w) * u_new[..., 1:]
     src = ratio * (c[..., 1:] - c[..., :-1]) * u_face
-    half, adv = 0.5 * slope * src, ratio * value * u_face
+    half, adv = 0.5 * slope * src, ratio * np.stack(values) * u_face
     # phi_l(cbar) is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
     lane = rows * (n - 1)
     at = seg * lane + np.arange(lane).reshape(rows, n - 1)
@@ -449,13 +449,14 @@ def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
     ``directions`` tangents each, and the caller keeps ``kept`` frames (u
     and c) of every row, by default every solved one.  Besides those it
     counts the frame block, the states with their tangents (old and new),
-    and with tangents the step block and every row's L x L Gauss-Newton
-    sums.  Arithmetic only: it allocates nothing.
+    16 B a step of step times and decay factors, and with tangents the
+    step block and every row's L x L Gauss-Newton sums.  Arithmetic only:
+    it allocates nothing.
     """
     frames, steps = _block_sizes(n_nodes, rows, n_steps, 1, directions)
     lane = 16 * n_nodes * rows
     fields = lane * (1 + directions)
-    total = (n_steps + 1 if kept is None else kept) * lane + (frames + 2) * fields
+    total = (n_steps + 1 if kept is None else kept) * lane + (frames + 2) * fields + 16 * n_steps
     if directions:
         total += steps * _STEP_BYTES * n_nodes * rows + 8 * (rows + 2) * directions**2
     return total
@@ -491,15 +492,16 @@ def _integrate(
     change the block in place (the lockstep fold scales it).  Returns,
     per row, None or the error that stopped it.
 
-    With ``directions`` = L > 0, ``stencil(face_c)`` gives the
-    ``hat_stencil`` of a (K, rows, faces) block of face means, its value
-    a's bits.  Each row carries the tangents of its L hat coefficients
-    from zero, and ``record(j0, X, dX)`` gets them too, dX of shape (k, 2,
-    L, rows, n_nodes).  The steps run in step blocks of K
-    (``_block_sizes``): K ``_advance`` calls keep what their tangents
-    need, one ``_tangent_coefficients`` pass forms all their
-    coefficients, and ``_tangent_step`` advances the tangents step by
-    step before the block's frames are recorded.
+    With ``directions`` = L > 0, ``stencil(face_c)`` gives the hat
+    geometry (``hat_stencil``: segment, fraction, slope) of a (K, rows,
+    faces) block of face means.  Each row carries the tangents of its L
+    hat coefficients from zero, and ``record(j0, X, dX)`` gets them too,
+    dX of shape (k, 2, L, rows, n_nodes).  The steps run in step blocks
+    of K (``_block_sizes``): K ``_advance`` calls keep what their
+    tangents need, with the array ``a`` returned for each (so ``a``
+    returns a new one per call), one ``_tangent_coefficients`` pass forms
+    all their coefficients, and ``_tangent_step`` advances the tangents
+    step by step before the block's frames are recorded.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
@@ -514,7 +516,7 @@ def _integrate(
     if directions:
         tangents = np.zeros((2, directions, *u.shape))
         buffers += (np.zeros((block, 2, directions, *u.shape)),)
-        kept = []
+        kept, values = [], []  # and the a(cbar) each step's flow was formed from
     j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
@@ -528,7 +530,8 @@ def _integrate(
         for first in range(0, grid.n_steps, steps):
             solved, coefficients = [], ()  # (j, u, c) after each step j a row survived
             for j in range(first, min(first + steps, grid.n_steps)):
-                flow = dt * _face_velocities(c, a, dx)
+                value, velocity = _face_velocities(c, a, dx)
+                flow = dt * velocity
                 if not np.isfinite(flow.sum()):  # a finite sum has finite terms
                     for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
                         fail(row, InvalidStateError(
@@ -537,6 +540,8 @@ def _integrate(
                 if not alive.all():
                     flow[~alive] = 0.0
                 u, c, broken = _advance(u, c, flow, model, ops, kept)
+                if directions:
+                    values.append(value)
                 for row, exc in broken:
                     fail(row, exc)
 
@@ -554,8 +559,8 @@ def _integrate(
                 solved.append((j, u, c))
 
             if directions and solved:
-                coefficients = _tangent_coefficients(kept[: len(solved)], stencil, model, ops)
-                kept.clear()
+                coefficients = _tangent_coefficients(kept, values, stencil, model, ops)
+                kept, values = [], []
             for i, (j, u_j, c_j) in enumerate(solved):
                 if directions:
                     _tangent_step(*tangents, coefficients[i], ops)

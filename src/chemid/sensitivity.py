@@ -147,30 +147,25 @@ def mass_matrix(n_basis: int, c_min: float, c_max: float) -> np.ndarray:
 
 
 def hat_stencil(c: np.ndarray, knots: np.ndarray, coeffs: np.ndarray) -> tuple:
-    """(segment, fraction, value, slope) of row i of c on the hats with coefficients coeffs[i].
+    """(segment, fraction, slope) of row i of c on the hats with coefficients coeffs[i].
 
     c, clamped into [knots[0], knots[-1]], lies at ``fraction`` of knot
     segment ``segment``, where hats segment and segment + 1 are 1 -
-    fraction and fraction.  ``value`` equals ``np.interp(c[i], knots,
-    coeffs[i])`` bit for bit for finite inputs; ``slope``, its derivative
-    in c, is 0 where c was clamped.  One row or many, the arithmetic is
-    the same.  A slope that overflows gives inf or nan without a numpy
-    warning; the forward solve rejects such a row.
+    fraction and fraction.  ``slope`` is the segment's difference
+    quotient, the derivative of a(c) in c, and 0 where c was clamped.
+    One row or many, the arithmetic is the same.  A slope that overflows
+    gives inf or nan without a numpy warning; the forward solve rejects
+    such a row.
     """
     n_rows, n_basis = coeffs.shape
     clamped = np.clip(c, knots[0], knots[-1])
-    j = np.searchsorted(knots, clamped, side="right") - 1
-    seg = np.minimum(j, n_basis - 2)
-    offset = clamped - knots[seg]
+    seg = np.minimum(np.searchsorted(knots, clamped, side="right") - 1, n_basis - 2)
     widths = knots[1:] - knots[:-1]
-    # flat indices into coeffs (rows of n_basis) and slopes (rows of n_basis - 1)
-    row = np.arange(n_rows)[:, None]
+    rows = np.arange(n_rows)[:, None] * (n_basis - 1)  # flat offsets of rows of slopes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = np.take((coeffs[:, 1:] - coeffs[:, :-1]) / widths, seg + row * (n_basis - 1))
-        lin = slope * offset + np.take(coeffs, seg + row * n_basis)
-    value = np.where(clamped == knots[j], np.take(coeffs, j + row * n_basis), lin)
+        slope = np.take((coeffs[:, 1:] - coeffs[:, :-1]) / widths, seg + rows)
     slope[clamped != c] = 0.0
-    return seg, offset / widths[seg], value, slope
+    return seg, (clamped - knots[seg]) / widths[seg], slope
 
 
 def same_basis(a: SensitivityFunction, b: SensitivityFunction) -> bool:

@@ -10,13 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chemid import cli
+from chemid import cli, inversion, pde
 from chemid import config as cfgmod
 from chemid.cli import main
 from chemid.config import load_config, resolve
 from chemid.pde import PhysicalParams, SimulationGrid, solve_bytes
 from chemid.sensitivity import read_sensitivity_csv
-from chemid.synthdata import make_dataset, myerscough_initial_data, write_noisy_csv
+from chemid.synthdata import (
+    make_dataset,
+    myerscough_initial_data,
+    read_noisy_csv,
+    write_noisy_csv,
+)
 from helpers import quadrature_sq_distance
 
 
@@ -471,8 +476,8 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_config_over_the_memory_budget_exits_2_before_out_exists(tmp_path):
-    # 1001 nodes and the first step count whose kept frames cross the budget
-    steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16016 - 200, cfgmod.MAX_SOLVE_BYTES)
+    # 1001 nodes and the first step count whose frames (16016 B) and steps cross the budget
+    steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16032 - 200, cfgmod.MAX_SOLVE_BYTES)
                  if solve_bytes(1001, s) > cfgmod.MAX_SOLVE_BYTES)
     cfg = write_cfg(tmp_path, "big.cfg", f"n_nodes = 1001\nn_steps = {steps}\n")
     out = tmp_path / "out"
@@ -493,6 +498,29 @@ def test_invert_over_the_memory_budget_exits_2(tmp_path, data_dir, capsys):
     assert main(["invert", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config: the largest solve needs")
+    assert not out.exists()
+
+
+def test_invert_over_the_memory_budget_through_time_refine_exits_2(tmp_path, data_dir):
+    # the solve takes time_refine steps a data frame: the first time_refine
+    # whose solve crosses the budget, refused before the problem is built
+    grid = read_noisy_csv(data_dir / "data.csv").grid
+
+    def size(refine):
+        return solve_bytes(grid.n_nodes, grid.n_steps * refine, 1, 3, kept=2 * (grid.n_steps + 1))
+
+    under, refine = 1, cfgmod.MAX_SOLVE_BYTES
+    while refine - under > 1:
+        mid = (under + refine) // 2
+        under, refine = (mid, refine) if size(mid) <= cfgmod.MAX_SOLVE_BYTES else (under, mid)
+    cfg = invert_cfg(tmp_path, data_dir, f"time_refine = {refine}\n")
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: config: the largest solve needs an estimated {size(refine)} bytes, "
+        f"over the limit {cfgmod.MAX_SOLVE_BYTES}\n"
+    )
     assert not out.exists()
 
 
@@ -817,24 +845,56 @@ ARTIFACT_SHA256 = {
 }
 
 
+#: (solves, steps) of each run of ``test_rerun_writes_identical_artifacts``:
+#: ``_integrate`` calls, batched or not, and ``pde._advance`` calls.  A
+#: change that adds a solve or a step fails here without any timing.
+SOLVE_COUNTS = {
+    "forward": (1, 60),
+    "make-data": (1, 240),
+    "invert-refine-1": (3, 180),
+    "invert": (4, 480),
+    "invert-refine-3": (4, 720),
+    "lcurve": (14, 1680),
+    "rates-refine-1": (4, 420),
+    "rates": (5, 720),
+}
+
+
 @pytest.mark.parametrize(
     "run",
     ["forward", "make-data", "invert-refine-1", "invert", "invert-refine-3", "lcurve",
      "rates-refine-1", "rates"],
 )
-def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run):
+def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run, monkeypatch):
     """Every artifact of a rerun equals the first run's and the pinned bytes
     (4 hats, time_refine = 2 unless the run names another, the 21x60 grid
-    and data generated on 81x240)."""
+    and data generated on 81x240), and each run takes the pinned solves and steps."""
     command, _, refine = run.partition("-refine-")
     body = command_body(command, data_dir)
     for line in ("n_basis = 4", f"time_refine = {refine or 2}", "seeds = 0,1"):
         if line.split(" ")[0] in cfgmod.ALLOWED_KEYS[command]:
             body = with_line(body, line)
     cfg = write_cfg(tmp_path, "run.cfg", body)
+    counts = []
+
+    def count(owner, name, which):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[-1][which] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    # inversion imports _integrate by name, so both names are counted
+    for owner, name, which in ((pde, "_integrate", 0), (inversion, "_integrate", 0),
+                               (pde, "_advance", 1)):
+        count(owner, name, which)
     runs = [tmp_path / "first", tmp_path / "again"]
     for out in runs:
+        counts.append([0, 0])
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert counts == [list(SOLVE_COUNTS[run])] * 2
     first, again = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)
     assert sorted(first) == sorted(readme_artifacts()[command])
     assert first == again

@@ -240,8 +240,8 @@ def test_resolve_caps_array_sizes():
 
 
 def test_resolve_refuses_a_solve_over_the_memory_budget_before_allocating():
-    # forward on 1001 nodes keeps n_steps + 1 frames of 16016 B each
-    steps = next(s for s in range(MAX_SOLVE_BYTES // 16016 - 200, MAX_SOLVE_BYTES)
+    # forward on 1001 nodes keeps n_steps + 1 frames of 16016 B each, and 16 B a step
+    steps = next(s for s in range(MAX_SOLVE_BYTES // 16032 - 200, MAX_SOLVE_BYTES)
                  if solve_bytes(1001, s) > MAX_SOLVE_BYTES)
     assert built("forward", "grid", n_nodes="1001", n_steps=str(steps - 1)).n_steps == steps - 1
     tracemalloc.start()
@@ -269,9 +269,41 @@ def test_resolve_budgets_the_largest_solve_of_each_command(command, keys):
         built(command, "grid", **keys)
 
 
+def test_resolve_budgets_the_time_refine_steps_before_allocating():
+    # a rate round solves time_refine steps a data frame but keeps data-grid
+    # frames; the first time_refine whose round crosses the budget is refused
+    cfg = resolve("rates", {"deltas": REQUIRED["deltas"]}, "myerscough")
+    grid, cells = cfg["grid"], len(cfg["deltas"]) * len(cfg["seeds"])
+
+    def size(refine):
+        return solve_bytes(grid.n_nodes, grid.n_steps * refine, cells, cfg["n_basis"],
+                           kept=2 * (grid.n_steps + 1))
+
+    under, over = 1, MAX_SOLVE_BYTES
+    while over - under > 1:
+        mid = (under + over) // 2
+        under, over = (mid, over) if size(mid) <= MAX_SOLVE_BYTES else (under, mid)
+    assert size(over) - size(under) == 16 * grid.n_steps  # its 16 B a solved step tip it
+    assert built("rates", "time_refine", time_refine=str(under)) == under
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=(
+            f"^the largest solve needs an estimated {size(over)} bytes, "
+            f"over the limit {MAX_SOLVE_BYTES}$"
+        )):
+            built("rates", "grid", time_refine=str(over))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_acceptance_sizes_stay_well_below_the_memory_budget():
-    # the 201 x 2000 data solve, and a 15-cell rate round of 16 hats on 51 x 250
-    largest = max(solve_bytes(201, 2000), solve_bytes(51, 250, 15, 16, kept=2 * 251))
+    # the 201 x 2000 data solve, and a 15-cell rate round of 16 hats on 51 x 250;
+    # the pinned CLI reruns: an 81 x 240 data solve and at most 8 cells of 4
+    # hats on 21 x 60 at time_refine 3
+    largest = max(solve_bytes(201, 2000), solve_bytes(51, 250, 15, 16, kept=2 * 251),
+                  solve_bytes(81, 240), solve_bytes(21, 180, 8, 4, kept=2 * 61))
     assert largest < MAX_SOLVE_BYTES / 100
 
 

@@ -272,16 +272,36 @@ def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refin
 
 
 def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
+    # one a(cbar) per step, and one hat geometry per step block: three rows
+    # on 21 nodes take 120 steps in more than one block
     probs = _many_problems()
-    real, calls = pde._advance, []
+    n_steps = probs[0].model.grid.n_steps
+    real, calls, values, stencils = pde._advance, [], [], []
 
     def advance(*args):
         calls.append(len(args[0]))
         return real(*args)
 
+    def integrate(model, a, n_rows, record, every=1, directions=0, stencil=None):
+        def value(face_c):
+            values.append(len(face_c))
+            return a(face_c)
+
+        def geometry(face_c):
+            stencils.append(face_c.shape[:2])
+            return stencil(face_c)
+
+        return pde._integrate(model, value, n_rows, record, every, directions, geometry)
+
     monkeypatch.setattr(pde, "_advance", advance)
+    monkeypatch.setattr(inv, "_integrate", integrate)
     inv._run_lockstep(probs, [evaluation(p.a_star.coeffs) for p in probs])
-    assert calls == [len(probs)] * probs[0].model.grid.n_steps
+    assert calls == [len(probs)] * n_steps
+    assert values == [len(probs)] * n_steps
+    steps = pde._block_sizes(probs[0].grid.n_nodes, len(probs), n_steps, 1, probs[0].n_basis)[1]
+    assert 1 < steps < n_steps
+    assert stencils == [(min(steps, n_steps - first), len(probs))
+                        for first in range(0, n_steps, steps)]
 
 
 def test_gradient_matches_central_differences():
@@ -486,9 +506,9 @@ def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
     real = inv.hat_stencil
 
     def stencil(c, knots, rows):
-        seg, frac, value, slope = real(c, knots, rows)
+        seg, frac, slope = real(c, knots, rows)
         slope[..., rows[:, 0] == poisoned[0], :] = np.inf
-        return seg, frac, value, slope
+        return seg, frac, slope
 
     monkeypatch.setattr(inv, "hat_stencil", stencil)
     both = inv._run_lockstep([prob, prob], [evaluation(poisoned), evaluation(coeffs)])

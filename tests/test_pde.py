@@ -44,6 +44,7 @@ from helpers import (
     dense_diffusion_solve,
     dense_one_step,
     dimensionless,
+    interp_rows,
     rgi_restrict,
     trajectory_distance,
 )
@@ -186,14 +187,18 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
     monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", 1000)
     monkeypatch.setattr(pde, "_STEP_BYTES", 20)
     # one row on 3 nodes, 48 B a frame: 100 kept frames, a block of 20, the
-    # old and new states
-    assert pde.solve_bytes(3, 99) == 100 * 48 + 20 * 48 + 2 * 48
+    # old and new states, and 16 B a step of times and decay factors
+    assert pde.solve_bytes(3, 99) == 100 * 48 + 20 * 48 + 2 * 48 + 16 * 99
     # two rows with 2 tangents: 96 B a frame of states, 288 B with tangents,
     # a frame block of 3, a step block of 8 at 120 B, the rows' 2 x 2 sums
     # (and the Gram matrix and its root)
-    assert pde.solve_bytes(3, 99, 2, 2) == 100 * 96 + 3 * 288 + 2 * 288 + 8 * 120 + 8 * 4 * 4
+    assert pde.solve_bytes(3, 99, 2, 2) == (
+        100 * 96 + 3 * 288 + 2 * 288 + 16 * 99 + 8 * 120 + 8 * 4 * 4
+    )
     # a frame or a step over the budget still takes a block of its own
-    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 3200 + 2 * 3200 + 2000 + 8 * 3
+    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 3200 + 2 * 3200 + 16 + 2000 + 8 * 3
+    # each step adds 16 B once the blocks are full, whatever frames are kept
+    assert pde.solve_bytes(3, 10**9 + 1, kept=1) - pde.solve_bytes(3, 10**9, kept=1) == 16
     assert pde._block_sizes(100, 1, 1, 1, 1) == (1, 1)
 
 
@@ -203,7 +208,7 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
 
 def velocities(c, a, dx):
     """``_face_velocities`` of a plain a(c)."""
-    return _face_velocities(c, a, dx)
+    return _face_velocities(c, a, dx)[1]
 
 
 def test_face_velocity_zero_for_uniform_c():
@@ -463,7 +468,7 @@ def test_batched_rows_fail_independently(monkeypatch):
 
         def a(face_c):
             steps.append(1)
-            vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
+            vals = interp_rows(face_c, A_CONST2.knots(), coeffs)
             if len(steps) == 6:
                 vals[2] = np.nan
             return vals
@@ -502,7 +507,7 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
         blocks = []
 
         def a(face_c):
-            return hat_stencil(face_c, knots, coeffs)[2]
+            return interp_rows(face_c, knots, coeffs)
 
         errors = _integrate(model, a, n_rows, lambda j0, *XdX: blocks.append(
             [B.copy() for B in XdX]), directions=directions,
@@ -552,7 +557,7 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
     def run(n_rows):
         coeffs = np.tile(A_CONST2.coeffs, (n_rows, 1))
         blocks = []
-        errors = _integrate(model, lambda face_c: hat_stencil(face_c, knots, coeffs)[2], n_rows,
+        errors = _integrate(model, lambda face_c: interp_rows(face_c, knots, coeffs), n_rows,
                             lambda j0, *XdX: blocks.append([B.copy() for B in XdX]),
                             directions=8, stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
         return errors, [np.concatenate(B) for B in zip(*blocks)]
@@ -603,7 +608,7 @@ def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_f
 
         def a(face_c):
             steps.append(1)
-            vals = hat_stencil(face_c, A_CONST2.knots(), coeffs)[2]
+            vals = interp_rows(face_c, A_CONST2.knots(), coeffs)
             if len(steps) == 8:
                 vals[2] = np.nan
             return vals

@@ -292,13 +292,23 @@ def test_knots_built_once_and_read_only():
         a.knots()[0] = 0.0
 
 
-def test_hat_rows_equals_interp_bit_for_bit():
+def test_hat_stencil_geometry_rebuilds_interp():
+    # the tangent pass pairs this geometry with np.interp's values: the two
+    # hats' weights rebuild a(c) to rounding, and slope is the segment's
+    # difference quotient, 0 where c was clamped
     rng = np.random.default_rng(5)
     knots = np.linspace(0.2, 0.9, 9)
     coeffs = rng.normal(size=(6, 9)) * 10.0 ** rng.uniform(-3, 4, (6, 1))
     c = rng.uniform(0.0, 1.1, (6, 40))
     c[:, :9] = knots  # every knot, including both ends, exactly
-    coeffs[:, 4] = -0.0  # np.interp returns a knot's coefficient as is
-    got = hat_stencil(c, knots, coeffs)[2]
-    for i in range(6):
-        assert got[i].tobytes() == np.interp(c[i], knots, coeffs[i]).tobytes()
+    coeffs[:, 4] = -0.0
+    seg, frac, slope = hat_stencil(c, knots, coeffs)
+    clamped = (c < knots[0]) | (c > knots[-1])
+    assert clamped.any() and not clamped[:, :9].any()
+    assert ((0 <= seg) & (seg <= 7)).all() and ((0.0 <= frac) & (frac <= 1.0)).all()
+    for i, q in enumerate(coeffs):
+        rebuilt = (1.0 - frac[i]) * q[seg[i]] + frac[i] * q[seg[i] + 1]
+        np.testing.assert_allclose(rebuilt, np.interp(c[i], knots, q),
+                                   rtol=0.0, atol=1e-14 * np.abs(q).max())
+        quotient = (q[seg[i] + 1] - q[seg[i]]) / (knots[seg[i] + 1] - knots[seg[i]])
+        assert np.array_equal(slope[i], np.where(clamped[i], 0.0, quotient))
