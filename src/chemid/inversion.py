@@ -24,7 +24,8 @@ damping trial.
 
 The iteration is written once, as a generator that yields the (L,)
 coefficient row of each evaluation it needs and is sent that row's
-(r, J^T J, J^T r).  One runner, ``_run_lockstep``, drives every forward
+cost r @ r, its split into misfit and penalty, J^T J and J^T r; it never
+sees r.  One runner, ``_run_lockstep``, drives every forward
 solve of the inverse problem and forms those sums: each round it solves
 the pending rows as one batch and folds each block of measurement frames
 for all rows at once.  ``levenberg_marquardt_many`` runs many problems
@@ -198,15 +199,6 @@ class InversionResult:
         return self.cost_history[-1]
 
 
-def _split_cost(r: np.ndarray, prob: TikhonovProblem) -> tuple[float, float]:
-    """(data misfit term, unweighted penalty term) from a stacked residual."""
-    n_data = 2 * (prob.grid.n_steps + 1) * prob.grid.n_nodes
-    misfit = float(r[:n_data] @ r[:n_data])
-    pen_block = r[n_data:]
-    pen = float(pen_block @ pen_block) / prob.alpha if prob.alpha > 0 else 0.0
-    return misfit, pen
-
-
 def jacobian_fd(coeffs, prob: TikhonovProblem, fd_step: float = 1e-6) -> np.ndarray:
     """Forward-difference Jacobian of ``residual_vector``, a test reference:
     column k steps coefficient k by h_k = fd_step * max(|a_k|, 1)."""
@@ -238,14 +230,14 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     """Generator of one Levenberg-Marquardt minimization; returns its result.
 
     It yields the (L,) coefficient row of a0 and of every trial and is
-    sent that row's (r, J^T J, J^T r), or has the ForwardSolveError of
-    its evaluation thrown in (``_run_lockstep``), so an accepted trial
-    brings its own J^T J and gradient.  That error at a0 ends the
-    minimization; at a trial it rejects the trial.
+    sent that row's (cost, (misfit, penalty), J^T J, J^T r), or has the
+    ForwardSolveError of its evaluation thrown in (``_run_lockstep``), so
+    an accepted trial brings its own cost split, J^T J and gradient.
+    That error at a0 ends the minimization; at a trial it rejects the
+    trial.
     """
     coeffs = a0.coeffs.copy()
-    r, JTJ, g = yield coeffs
-    cost = float(r @ r)
+    cost, split, JTJ, g = yield coeffs
     history = [cost]
     lam = cfg.lambda0
     iterations = 0
@@ -268,16 +260,15 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
             accepted = False
             while lam <= LAMBDA_OVERFLOW:
                 trial = _damped_trial(coeffs, JTJ, g, diag, lam)
-                trial_cost = math.inf
+                reply = (math.inf,)  # the trial's cost first
                 if trial is not None:
                     try:
-                        r_trial, JTJ_trial, g_trial = yield trial
-                        trial_cost = float(r_trial @ r_trial)
+                        reply = yield trial
                     except ForwardSolveError:
                         pass
-                if trial_cost < cost:
-                    rel_drop = (cost - trial_cost) / cost
-                    coeffs, r, JTJ, g, cost = trial, r_trial, JTJ_trial, g_trial, trial_cost
+                if reply[0] < cost:
+                    rel_drop = (cost - reply[0]) / cost
+                    coeffs, (cost, split, JTJ, g) = trial, reply
                     history.append(cost)
                     iterations += 1
                     lam = max(lam * LAMBDA_DOWN, 1e-15)
@@ -296,7 +287,7 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
                 converged, message = True, "exact fit reached"
                 break
 
-    misfit, pen = _split_cost(r, prob)
+    misfit, pen = split
     return InversionResult(
         a_hat=prob.a_star.with_coeffs(coeffs),
         cost_history=tuple(history),
@@ -317,26 +308,29 @@ def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
 
 
 def _close_row(prob, coeffs, error, r, JTJ, JTr) -> tuple:
-    """One row's (r, J^T J, J^T r), its data part folded: adds the penalty
-    rows of ``prob`` at ``coeffs`` last.  Raises ForwardSolveError if the
-    row's solve failed with ``error`` or its sums are not finite."""
+    """One row's (r @ r, (data misfit, unweighted penalty), J^T J, J^T r),
+    its data part folded: adds the penalty rows of ``prob`` at ``coeffs``
+    to r, J^T J and J^T r.  Raises ForwardSolveError if the row's solve
+    failed with ``error`` or its sums are not finite."""
     if error is not None:
         raise ForwardSolveError(f"forward solve failed: {error}") from error
     n_data = prob.data.X.size
-    r[n_data:] = _penalty_residual(coeffs, prob)
+    r_pen = r[n_data:]
+    r_pen[...] = _penalty_residual(coeffs, prob)
     J_pen = prob._penalty_root
     JTJ += J_pen.T @ J_pen
-    JTr += J_pen.T @ r[n_data:]
+    JTr += J_pen.T @ r_pen
     if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
         raise ForwardSolveError("forward solve failed: its Jacobian is not finite")
-    return r, JTJ, JTr
+    pen = float(r_pen @ r_pen) / prob.alpha if prob.alpha > 0 else 0.0
+    return float(r @ r), (float(r[:n_data] @ r[:n_data]), pen), JTJ, JTr
 
 
 def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     """Run the generators ``requests`` of ``probs`` to their ends, their solves batched by round.
 
     The one driver of forward solves for the inverse problem and the one
-    place that turns them into (r, J^T J, J^T r); the problems share the
+    place that turns them into r, J^T J and J^T r; the problems share the
     forward model, time_refine and knots.  Each round solves the (L,) rows
     the pending requests yield as one batch with L tangents each, and owns
     r, (rows, n_data + L), and every row's J^T J and J^T r.  Each block of
@@ -345,9 +339,10 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     (frame, field, row) gives the per-frame products and
     ``np.add.accumulate`` adds them in frame order, u then c, so the sums
     equal a frame by frame fold and r ``residual_vector`` bit for bit.
-    ``_close_row`` adds the penalty rows.  A request is sent its row's sums
-    or has its ForwardSolveError thrown in; a failed row steps on with zero
-    flow and touches no other.  Returns, per request, what it returned or
+    ``_close_row`` adds the penalty rows.  A request is sent its row's
+    cost, cost split and sums, so none keeps the round's r, or has its
+    ForwardSolveError thrown in; a failed row steps on with zero flow and
+    touches no other.  Returns, per request, what it returned or
     the ForwardSolveError that stopped it.
     """
     prob = probs[0]

@@ -29,8 +29,9 @@ at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
 (``solve_forward`` is the one-row case; the inverse problem solves one
 row per coefficient vector, with its tangents, ``_tangent_step``), and
 one callback of the face concentrations gives every row's sensitivity.
-Tangents never feed back into the base rows, so a tangent solve takes a
-block of base steps, then forms all their tangent coefficients at once.
+A solve runs in blocks of steps, sized by one byte rule: tangents never
+feed back into the base rows, so a tangent solve takes a block of base
+steps, then forms all their tangent coefficients at once.
 The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
@@ -39,7 +40,7 @@ without the ``scipy.linalg`` package import.  Each row is
 checked after every step; one that fails stops with its error and steps
 on with zero flow, which keeps its fields finite and the others as they are.
 A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
-the caller in blocks of many frames, one call per block.
+the caller once per block of steps.
 Every array of states has the layout (frame, field u/c, [row,] node):
 a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 """
@@ -80,13 +81,13 @@ POSITIVITY_FLOOR = 1.0e-12
 #: Relative slack on the c(x,t) >= min(c0) exp(-mu t) lower bound.
 LOWER_BOUND_SLACK = 1.0e-8
 
-#: Bytes of solved frames (u and c, 16 B per row and node) that a solve
-#: buffers before handing them on as one block.
-_FRAME_BLOCK_BYTES = 2**20
+#: Bytes of one block of steps: its sampled frames (u and c, 16 B per row
+#: and node, and as much again per tangent) and what its base steps keep
+#: for the tangents.
+_BLOCK_BYTES = 2**21
 
-#: Bytes per row and node a tangent solve keeps of each step in a step block
-#: (states, face weights, a(cbar), LU factors, tangent coefficients); a block
-#: holds as many steps as fit _FRAME_BLOCK_BYTES.
+#: Bytes per row and node a tangent solve keeps of each base step of a
+#: block (states, face weights, a(cbar), LU factors, tangent coefficients).
 _STEP_BYTES = 272
 
 
@@ -366,31 +367,35 @@ def _advance(
     return u_new, c_new, failures
 
 
-def _tangent_coefficients(kept: list, values: list, stencil: Callable, model, ops) -> list:
+def _tangent_coefficients(kept: list, values: list, stencil: Callable, model, ops) -> zip:
     """The ``_tangent_step`` coefficients of the K steps ``_advance`` kept, formed at once.
 
     ``stencil`` maps (K, rows, faces) face means to hat geometry; ``values`` are their a(cbar).
-    Each coefficient is a lone step's elementwise expression with a step
-    axis in front, so it has that step's bits.  Per step (lo, hi, prod,
-    phi_at, phi, u_lu): d(flow_k) times the advected u_new is lo_k dc_k +
-    hi_k dc_{k+1} plus ``phi`` at flat indices ``phi_at`` of an (L, rows,
-    faces) array, and prod is dt b h / (u + h)^2.
+    Both lists are emptied once stacked, which frees their arrays before
+    the coefficients are formed (``solve_bytes`` counts on it).  Each coefficient is a lone step's
+    elementwise expression with a step axis in front, so it has that
+    step's bits.  Yields per step (lo, hi, prod, phi_at, phi, u_lu):
+    d(flow_k) times the advected u_new is lo_k dc_k + hi_k dc_{k+1} plus
+    ``phi`` at flat indices ``phi_at`` of an (L, rows, faces) array, and
+    prod is dt b h / (u + h)^2.
     """
     dt = ops[0]
     params, ratio = model.params, dt / model.grid.dx
     u, u_new, c, w = (np.stack(field) for field in list(zip(*kept))[:4])
+    u_lu, value = [step[4] for step in kept], np.stack(values)
+    del kept[:], values[:]
     K, rows, n = u.shape
     seg, frac, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
     u_face = w * u_new[..., :-1] + (1.0 - w) * u_new[..., 1:]
     src = ratio * (c[..., 1:] - c[..., :-1]) * u_face
-    half, adv = 0.5 * slope * src, ratio * np.stack(values) * u_face
+    half, adv = 0.5 * slope * src, ratio * value * u_face
     # phi_l(cbar) is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
     lane = rows * (n - 1)
     at = seg * lane + np.arange(lane).reshape(rows, n - 1)
     phi_at = np.concatenate([at, at + lane], axis=2).reshape(K, -1)
     phi = np.concatenate([src * (1.0 - frac), src * frac], axis=2).reshape(K, -1)
     prod = dt * params.b * params.h / (u + params.h) ** 2
-    return list(zip(half - adv, half + adv, prod, phi_at, phi, [step[4] for step in kept]))
+    return zip(half - adv, half + adv, prod, phi_at, phi, u_lu)
 
 
 def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
@@ -427,18 +432,15 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     du[:, broken] = np.nan
 
 
-def _block_sizes(n_nodes: int, rows: int, n_steps: int, every: int, directions: int) -> tuple:
-    """(frames, steps): the frame block and step block of a solve, each at least one.
+def _block_steps(n_nodes: int, rows: int, n_steps: int, directions: int) -> int:
+    """K, the steps of one block of a solve: as many as fit ``_BLOCK_BYTES``, at least one.
 
-    A frame block holds as many sampled frames of every row, with their
-    L = ``directions`` tangents, as fit ``_FRAME_BLOCK_BYTES``.  With
-    tangents, a step block holds as many steps as fit it at ``_STEP_BYTES``
-    per row and node; without, a step block is one step that keeps nothing.
+    A step costs its frame of every row with its L = ``directions``
+    tangents, 16 (1 + L) B per row and node, and with tangents the
+    ``_STEP_BYTES`` its base step keeps for them.
     """
-    lane = 16 * n_nodes * rows  # u and c of every row
-    frames = min(n_steps // every + 1, max(1, _FRAME_BLOCK_BYTES // (lane * (1 + directions))))
-    steps = min(n_steps, max(1, _FRAME_BLOCK_BYTES // (_STEP_BYTES * n_nodes * rows)))
-    return frames, steps if directions else 1
+    per_step = 16 * (1 + directions) + (_STEP_BYTES if directions else 0)
+    return min(n_steps, max(1, _BLOCK_BYTES // (per_step * n_nodes * rows)))
 
 
 def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
@@ -448,15 +450,15 @@ def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
     ``rows`` rows on ``n_nodes`` nodes take ``n_steps`` steps with L =
     ``directions`` tangents each, and the caller keeps ``kept`` frames (u
     and c) of every row, by default every solved one.  Besides those it
-    counts the frame block, the states with their tangents (old and new),
-    16 B a step of step times and decay factors, and with tangents the
-    step block and every row's L x L Gauss-Newton sums.  Arithmetic only:
-    it allocates nothing.
+    counts one block (``_block_steps``): its K + 1 frames with their
+    tangents and, with tangents, what its K base steps keep; then the
+    states with their tangents (old and new) and every row's L x L
+    Gauss-Newton sums.  Nothing grows with the steps past the first
+    block.  Arithmetic only: it allocates nothing.
     """
-    frames, steps = _block_sizes(n_nodes, rows, n_steps, 1, directions)
+    steps = _block_steps(n_nodes, rows, n_steps, directions)
     lane = 16 * n_nodes * rows
-    fields = lane * (1 + directions)
-    total = (n_steps + 1 if kept is None else kept) * lane + (frames + 2) * fields + 16 * n_steps
+    total = (n_steps + 1 if kept is None else kept) * lane + (steps + 3) * lane * (1 + directions)
     if directions:
         total += steps * _STEP_BYTES * n_nodes * rows + 8 * (rows + 2) * directions**2
     return total
@@ -482,40 +484,38 @@ def _integrate(
     until the solve ends, which keeps its u and c finite and changes
     none of the others, and its frames after it stopped mean nothing.
 
-    ``record(j0, X)`` receives every ``every``-th solved frame in order,
-    in blocks: X is a (k, 2, rows, n_nodes) array of u, then c, at solved
-    frames j * every for j = j0 .. j0 + k - 1, the layout of
-    ``StateTrajectory.X`` with a row axis.  A block holds as many
-    frames as fit ``_FRAME_BLOCK_BYTES`` (at least one; the last block may
-    hold fewer), and the frames end at the last one any row survived.
-    X is reused afterwards, so ``record`` copies what it keeps and may
-    change the block in place (the lockstep fold scales it).  Returns,
-    per row, None or the error that stopped it.
+    The steps run in blocks of K (``_block_steps``).  ``record(j0, X)``
+    receives every ``every``-th solved frame in order, one call per block
+    that sampled one: X is a (k, 2, rows, n_nodes) array of u, then c,
+    at solved frames j * every for j = j0 .. j0 + k - 1, the layout of
+    ``StateTrajectory.X`` with a row axis; the first block also holds
+    frame 0.  The frames end at the last one any row survived.  X is
+    reused afterwards, so ``record`` copies what it keeps and may change
+    the block in place (the lockstep fold scales it).  Returns, per row,
+    None or the error that stopped it.
 
     With ``directions`` = L > 0, ``stencil(face_c)`` gives the hat
     geometry (``hat_stencil``: segment, fraction, slope) of a (K, rows,
     faces) block of face means.  Each row carries the tangents of its L
     hat coefficients from zero, and ``record(j0, X, dX)`` gets them too,
-    dX of shape (k, 2, L, rows, n_nodes).  The steps run in step blocks
-    of K (``_block_sizes``): K ``_advance`` calls keep what their
-    tangents need, with the array ``a`` returned for each (so ``a``
-    returns a new one per call), one ``_tangent_coefficients`` pass forms
-    all their coefficients, and ``_tangent_step`` advances the tangents
-    step by step before the block's frames are recorded.
+    dX of shape (k, 2, L, rows, n_nodes).  A block's K ``_advance`` calls
+    keep what their tangents need, with the array ``a`` returned for each
+    (so ``a`` returns a new one per call); then one
+    ``_tangent_coefficients`` pass forms all their coefficients and
+    ``_tangent_step`` advances the tangents step by step.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
-    dx, dt = grid.dx, grid.dt
-    decay = np.fromiter((math.exp(-params.mu * t) for t in grid.times()[1:]), float, grid.n_steps)
+    dx, dt, n_steps = grid.dx, grid.dt, grid.n_steps
     ops = _step_operators(params, grid)
-    block, steps = _block_sizes(grid.n_nodes, n_rows, grid.n_steps, every, directions)
-    X = np.empty((block, 2, *u.shape))
+    steps = _block_steps(grid.n_nodes, n_rows, n_steps, directions)
+    X = np.empty((steps // every + 1, 2, *u.shape))
     X[0, 0], X[0, 1] = u, c
     buffers = (X,)
-    kept = None  # what a step block's base steps keep for the tangents
+    kept = None  # what a block's base steps keep for the tangents
     if directions:
         tangents = np.zeros((2, directions, *u.shape))
-        buffers += (np.zeros((block, 2, directions, *u.shape)),)
+        buffers += (np.zeros((len(X), 2, directions, *u.shape)),)
         kept, values = [], []  # and the a(cbar) each step's flow was formed from
     j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
@@ -527,9 +527,9 @@ def _integrate(
             errors[row], alive[row] = exc, False
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for first in range(0, grid.n_steps, steps):
-            solved, coefficients = [], ()  # (j, u, c) after each step j a row survived
-            for j in range(first, min(first + steps, grid.n_steps)):
+        for first in range(0, n_steps, steps):
+            start, last = filled, min(first + steps, n_steps)
+            for j in range(first, last):
                 value, velocity = _face_velocities(c, a, dx)
                 flow = dt * velocity
                 if not np.isfinite(flow.sum()):  # a finite sum has finite terms
@@ -545,38 +545,35 @@ def _integrate(
                 for row, exc in broken:
                     fail(row, exc)
 
+                t = grid.t_final if j + 1 == n_steps else (j + 1) * dt  # grid.times()[j + 1]
                 c_min = c.min(axis=1)
-                bound = c_floor * decay[j] * (1.0 - LOWER_BOUND_SLACK)
+                bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
                 low = c_min < bound
                 if low.any():
                     for row in np.flatnonzero(low):
                         fail(row, LowerBoundViolationError(
-                            f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} "
-                            f"at t={grid.times()[j + 1]:.6g}"
+                            f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
                         ))
                 if not alive.any():
+                    last = j  # the frames end at the step before
                     break
-                solved.append((j, u, c))
-
-            if directions and solved:
-                coefficients = _tangent_coefficients(kept, values, stencil, model, ops)
-                kept, values = [], []
-            for i, (j, u_j, c_j) in enumerate(solved):
-                if directions:
-                    _tangent_step(*tangents, coefficients[i], ops)
                 if (j + 1) % every == 0:
-                    if filled == block:
-                        record(j0, *buffers)
-                        j0, filled = j0 + block, 0
-                    X[filled, 0], X[filled, 1] = u_j, c_j
-                    if directions:
-                        buffers[1][filled] = tangents
+                    X[filled, 0], X[filled, 1] = u, c
                     filled += 1
+
+            if directions and last > first:
+                coefficients = _tangent_coefficients(kept, values, stencil, model, ops)
+                for j, step in zip(range(first, last), coefficients):
+                    _tangent_step(*tangents, step, ops)
+                    if (j + 1) % every == 0:
+                        buffers[1][start] = tangents
+                        start += 1
+                del coefficients  # frees the block's coefficients before record
+            if filled:
+                record(j0, *(b[:filled] for b in buffers))
+                j0, filled = j0 + filled, 0
             if not alive.any():
                 break
-
-    if filled:
-        record(j0, *(b[:filled] for b in buffers))
     return errors
 
 

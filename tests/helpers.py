@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+import chemid.inversion as inv
 from chemid import pde
 from chemid.inversion import _run_lockstep, residual_vector
 from chemid.pde import PhysicalParams, space_time_sq_norm
@@ -80,16 +81,36 @@ def per_frame_fold(J, r0, prob):
 
 
 def evaluation(coeffs):
-    """A lockstep request for one evaluation at ``coeffs``: it yields the
-    row once and returns the (r, J^T J, J^T r) it is sent."""
+    """A lockstep request for one evaluation at ``coeffs``: it yields the row
+    once and returns the (r @ r, (misfit, penalty), J^T J, J^T r) it is sent."""
     return (yield coeffs)
 
 
 def run_request(coeffs, prob):
-    """(r, J^T J, J^T r) of one lone evaluation at ``coeffs``, or the
-    ForwardSolveError that stopped it."""
+    """(r @ r, (misfit, penalty), J^T J, J^T r) of one lone evaluation at
+    ``coeffs``, or the ForwardSolveError that stopped it."""
     (result,) = _run_lockstep([prob], [evaluation(coeffs)])
     return result
+
+
+def closed_rows(monkeypatch):
+    """A list that gets a copy of every residual row ``_run_lockstep`` closes, in order."""
+    rows, real = [], inv._close_row
+
+    def close(prob, coeffs, error, r, JTJ, JTr):
+        reply = real(prob, coeffs, error, r, JTJ, JTr)
+        rows.append(r.copy())
+        return reply
+
+    monkeypatch.setattr(inv, "_close_row", close)
+    return rows
+
+
+def block_bytes(steps, n_nodes, rows, directions=0):
+    """The ``pde._BLOCK_BYTES`` at which a solve of ``rows`` rows on ``n_nodes``
+    nodes with ``directions`` tangents takes its steps in blocks of ``steps``."""
+    per_step = 16 * (1 + directions) + (pde._STEP_BYTES if directions else 0)
+    return steps * per_step * n_nodes * rows
 
 
 def interp_rows(c, knots, coeffs):

@@ -260,7 +260,7 @@ def test_criterion_5_optimizer_correctness(ex1, ex2, capsys):
         coeffs = a_true.coeffs + rng.uniform(-0.3, 0.3, prob.n_basis)
         # the gradient the LM itself uses, 2 J^T r from its one-solve evaluation
         evaluated = run_request(coeffs, prob)
-        grad = 2.0 * evaluated[2]
+        grad = 2.0 * evaluated[3]
         for k in range(prob.n_basis):
             e = np.zeros(prob.n_basis)
             e[k] = 1e-5 * max(abs(coeffs[k]), 1.0)

@@ -14,6 +14,7 @@ from chemid import cli, inversion, pde
 from chemid import config as cfgmod
 from chemid.cli import main
 from chemid.config import load_config, resolve
+from chemid.errors import ForwardSolveError
 from chemid.pde import PhysicalParams, SimulationGrid, solve_bytes
 from chemid.sensitivity import read_sensitivity_csv
 from chemid.synthdata import (
@@ -476,8 +477,8 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_config_over_the_memory_budget_exits_2_before_out_exists(tmp_path):
-    # 1001 nodes and the first step count whose frames (16016 B) and steps cross the budget
-    steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16032 - 200, cfgmod.MAX_SOLVE_BYTES)
+    # 1001 nodes and the first step count whose frames (16016 B) cross the budget
+    steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16016 - 200, cfgmod.MAX_SOLVE_BYTES)
                  if solve_bytes(1001, s) > cfgmod.MAX_SOLVE_BYTES)
     cfg = write_cfg(tmp_path, "big.cfg", f"n_nodes = 1001\nn_steps = {steps}\n")
     out = tmp_path / "out"
@@ -501,27 +502,31 @@ def test_invert_over_the_memory_budget_exits_2(tmp_path, data_dir, capsys):
     assert not out.exists()
 
 
-def test_invert_over_the_memory_budget_through_time_refine_exits_2(tmp_path, data_dir):
-    # the solve takes time_refine steps a data frame: the first time_refine
-    # whose solve crosses the budget, refused before the problem is built
-    grid = read_noisy_csv(data_dir / "data.csv").grid
+def test_invert_takes_a_large_time_refine_at_an_estimate_flat_in_the_steps(
+        tmp_path, data_dir, monkeypatch, capsys):
+    # a solve holds one block of steps however many it takes, so invert at
+    # time_refine 10^6 passes the budget at the estimate of time_refine 10,
+    # whose 600 steps fill a block; the minimization, 6 x 10^7 steps a
+    # solve, is stubbed to fail at once
+    estimates, refines, real = [], [], cfgmod.require_solve_bytes
 
-    def size(refine):
-        return solve_bytes(grid.n_nodes, grid.n_steps * refine, 1, 3, kept=2 * (grid.n_steps + 1))
+    def require(nbytes):
+        estimates.append(nbytes)
+        real(nbytes)
 
-    under, refine = 1, cfgmod.MAX_SOLVE_BYTES
-    while refine - under > 1:
-        mid = (under + refine) // 2
-        under, refine = (mid, refine) if size(mid) <= cfgmod.MAX_SOLVE_BYTES else (under, mid)
-    cfg = invert_cfg(tmp_path, data_dir, f"time_refine = {refine}\n")
-    out = tmp_path / "out"
-    proc = run_cli("invert", "--config", cfg, "--out", str(out))
-    assert proc.returncode == 2
-    assert proc.stderr == (
-        f"error: config: the largest solve needs an estimated {size(refine)} bytes, "
-        f"over the limit {cfgmod.MAX_SOLVE_BYTES}\n"
-    )
-    assert not out.exists()
+    def minimize(prob, a0, cfg):
+        refines.append(prob.time_refine)
+        raise ForwardSolveError("stubbed")
+
+    monkeypatch.setattr(cfgmod, "require_solve_bytes", require)
+    monkeypatch.setattr(cli, "levenberg_marquardt", minimize)
+    for refine in (10, 10**6):
+        cfg = invert_cfg(tmp_path, data_dir, f"time_refine = {refine}\n")
+        assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: solver: stubbed"]
+    assert refines == [10, 10**6]
+    assert estimates[: len(estimates) // 2] == estimates[len(estimates) // 2 :]
+    assert max(estimates) < cfgmod.MAX_SOLVE_BYTES / 100
 
 
 MAKE_BODY = SMALL_PHYS + SMALL_GRID + """\
@@ -845,18 +850,20 @@ ARTIFACT_SHA256 = {
 }
 
 
-#: (solves, steps) of each run of ``test_rerun_writes_identical_artifacts``:
-#: ``_integrate`` calls, batched or not, and ``pde._advance`` calls.  A
-#: change that adds a solve or a step fails here without any timing.
+#: (solves, steps, blocks) of each run of ``test_rerun_writes_identical_artifacts``:
+#: ``_integrate`` calls, batched or not, ``pde._advance`` calls and
+#: ``pde._tangent_coefficients`` calls, one per block of tangent steps.  A
+#: change that adds a solve or a step, or that splits a solve into more
+#: blocks, fails here without any timing.
 SOLVE_COUNTS = {
-    "forward": (1, 60),
-    "make-data": (1, 240),
-    "invert-refine-1": (3, 180),
-    "invert": (4, 480),
-    "invert-refine-3": (4, 720),
-    "lcurve": (14, 1680),
-    "rates-refine-1": (4, 420),
-    "rates": (5, 720),
+    "forward": (1, 60, 0),
+    "make-data": (1, 240, 0),
+    "invert-refine-1": (3, 180, 3),
+    "invert": (4, 480, 4),
+    "invert-refine-3": (4, 720, 4),
+    "lcurve": (14, 1680, 14),
+    "rates-refine-1": (4, 420, 6),
+    "rates": (5, 720, 14),
 }
 
 
@@ -868,7 +875,8 @@ SOLVE_COUNTS = {
 def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run, monkeypatch):
     """Every artifact of a rerun equals the first run's and the pinned bytes
     (4 hats, time_refine = 2 unless the run names another, the 21x60 grid
-    and data generated on 81x240), and each run takes the pinned solves and steps."""
+    and data generated on 81x240), and each run takes the pinned solves, steps
+    and blocks of tangent steps."""
     command, _, refine = run.partition("-refine-")
     body = command_body(command, data_dir)
     for line in ("n_basis = 4", f"time_refine = {refine or 2}", "seeds = 0,1"):
@@ -888,11 +896,11 @@ def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run, monkeypatch):
 
     # inversion imports _integrate by name, so both names are counted
     for owner, name, which in ((pde, "_integrate", 0), (inversion, "_integrate", 0),
-                               (pde, "_advance", 1)):
+                               (pde, "_advance", 1), (pde, "_tangent_coefficients", 2)):
         count(owner, name, which)
     runs = [tmp_path / "first", tmp_path / "again"]
     for out in runs:
-        counts.append([0, 0])
+        counts.append([0, 0, 0])
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert counts == [list(SOLVE_COUNTS[run])] * 2
     first, again = ({p.name: p.read_bytes() for p in out.iterdir()} for out in runs)

@@ -240,8 +240,8 @@ def test_resolve_caps_array_sizes():
 
 
 def test_resolve_refuses_a_solve_over_the_memory_budget_before_allocating():
-    # forward on 1001 nodes keeps n_steps + 1 frames of 16016 B each, and 16 B a step
-    steps = next(s for s in range(MAX_SOLVE_BYTES // 16032 - 200, MAX_SOLVE_BYTES)
+    # forward on 1001 nodes keeps n_steps + 1 frames of 16016 B each
+    steps = next(s for s in range(MAX_SOLVE_BYTES // 16016 - 200, MAX_SOLVE_BYTES)
                  if solve_bytes(1001, s) > MAX_SOLVE_BYTES)
     assert built("forward", "grid", n_nodes="1001", n_steps=str(steps - 1)).n_steps == steps - 1
     tracemalloc.start()
@@ -269,9 +269,10 @@ def test_resolve_budgets_the_largest_solve_of_each_command(command, keys):
         built(command, "grid", **keys)
 
 
-def test_resolve_budgets_the_time_refine_steps_before_allocating():
+def test_a_large_time_refine_resolves_at_an_estimate_flat_in_the_steps():
     # a rate round solves time_refine steps a data frame but keeps data-grid
-    # frames; the first time_refine whose round crosses the budget is refused
+    # frames, and a solve holds one block of steps however many it takes:
+    # its estimate does not grow with time_refine, and 10^6 resolves
     cfg = resolve("rates", {"deltas": REQUIRED["deltas"]}, "myerscough")
     grid, cells = cfg["grid"], len(cfg["deltas"]) * len(cfg["seeds"])
 
@@ -279,19 +280,10 @@ def test_resolve_budgets_the_time_refine_steps_before_allocating():
         return solve_bytes(grid.n_nodes, grid.n_steps * refine, cells, cfg["n_basis"],
                            kept=2 * (grid.n_steps + 1))
 
-    under, over = 1, MAX_SOLVE_BYTES
-    while over - under > 1:
-        mid = (under + over) // 2
-        under, over = (mid, over) if size(mid) <= MAX_SOLVE_BYTES else (under, mid)
-    assert size(over) - size(under) == 16 * grid.n_steps  # its 16 B a solved step tip it
-    assert built("rates", "time_refine", time_refine=str(under)) == under
+    assert size(1) == size(10**6) == size(MAX_SIZE) < MAX_SOLVE_BYTES / 100
     tracemalloc.start()
     try:
-        with pytest.raises(ConfigError, match=(
-            f"^the largest solve needs an estimated {size(over)} bytes, "
-            f"over the limit {MAX_SOLVE_BYTES}$"
-        )):
-            built("rates", "grid", time_refine=str(over))
+        assert built("rates", "time_refine", time_refine=str(10**6)) == 10**6
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

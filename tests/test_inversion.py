@@ -37,7 +37,9 @@ from chemid.sensitivity import (
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import (
+    block_bytes,
     central_jacobian,
+    closed_rows,
     dimensionless,
     evaluation,
     objective,
@@ -197,17 +199,18 @@ def test_jacobian_zero_columns_on_uniform_data():
 
 
 @pytest.mark.parametrize(
-    "time_refine, block_frames",
+    "time_refine, block_steps",
     [(1, None), (1, 7), (2, 7), (3, 7), (1, 1)],
     ids=["one_block", "blocks_of_7", "refine_2_blocks_of_7", "refine_3_blocks_of_7",
          "frame_by_frame"],
 )
-def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_frames):
-    # 121 measurement frames are no multiple of 7, nor are the 241 or 361
-    # solved frames of time_refine 2 or 3; blocks of 7 put sampled frames
-    # 6 and 8 (or 6 and 9) on either side of the first block boundary.
-    # The row under test is folded in one round between two rows of other
-    # data, alpha and coefficients.
+def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_steps):
+    # 120 steps are no multiple of 7, nor are the 240 or 360 steps of
+    # time_refine 2 or 3; blocks of 7 steps put sampled frames 6 and 8 (or
+    # 6 and 9) on either side of the first block boundary, and blocks of
+    # one step fold frame by frame (frames 0 and 1 in the first).  The row
+    # under test is folded in one round between two rows of other data,
+    # alpha and coefficients.
     prob, a_true, truth = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=time_refine)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
@@ -216,12 +219,14 @@ def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_frames
         (prob, coeffs),
         (dataclasses.replace(prob, data=add_noise(truth, 1e-3, 6), alpha=0.0), coeffs * 1.2),
     ]
-    if block_frames is not None:  # three rows and their 4 tangents per frame
-        lanes, n_nodes = len(rows) * (1 + prob.n_basis), prob.grid.n_nodes
-        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * lanes * n_nodes)
+    if block_steps is not None:  # three rows and their 4 tangents
+        monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(
+            block_steps, prob.grid.n_nodes, len(rows), prob.n_basis))
+    closed = closed_rows(monkeypatch)
     folded = inv._run_lockstep([p for p, _ in rows], [evaluation(c) for _, c in rows])
-    for (p, c), (r, JTJ, JTr) in zip(rows, folded):
+    for (p, c), r, (cost, split, JTJ, JTr) in zip(rows, closed, folded):
         assert r.tobytes() == residual_vector(c, p).tobytes()
+        assert cost == float(r @ r)
         ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(c, p), r, p)
         assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
 
@@ -231,8 +236,8 @@ def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
     a0s = [p.a_star for p in probs]
     cfg = LMConfig(max_iters=4)
     default = inv.levenberg_marquardt_many(probs, a0s, cfg)
-    # 7-frame blocks for a round of three 4-row Jacobians on 21 nodes
-    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", 7 * 16 * 12 * 21)
+    # 7-step blocks for a round of three rows with 4 tangents on 21 nodes
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(7, 21, 3, 4))
     for got, ref in zip(inv.levenberg_marquardt_many(probs, a0s, cfg), default):
         assert got.a_hat.coeffs.tobytes() == ref.a_hat.coeffs.tobytes()
         assert got.cost_history == ref.cost_history
@@ -241,10 +246,9 @@ def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
 
 @pytest.mark.parametrize("time_refine", [1, 3])
 def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refine):
-    # the 120 or 360 solved steps of one row in step blocks of 1, of 7
-    # (which divides neither the steps nor the 22-frame blocks that budget
-    # gives) and of every step: r, J, J^T J, J^T r and the LM results hold
-    # their bits
+    # the 120 or 360 solved steps of one row in blocks of 1, of 7 (which
+    # divides neither) and of every step: r, its cost and split, J, J^T J,
+    # J^T r and the LM results hold their bits
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=time_refine)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
@@ -255,15 +259,19 @@ def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refin
         blocks.append(len(kept))
         return real(kept, *args)
 
+    closed = closed_rows(monkeypatch)
+
     def run():
-        (r, JTJ, JTr), J = run_request(coeffs, prob), tangent_jacobian(coeffs, prob)
+        reply, J = run_request(coeffs, prob), tangent_jacobian(coeffs, prob)
+        r = closed[-1]
         lm = levenberg_marquardt(prob, prob.a_star, LMConfig(max_iters=4))
-        return [x.tobytes() for x in (r, JTJ, JTr, J, lm.a_hat.coeffs)] + [lm.cost_history]
+        return [np.asarray(x).tobytes() for x in (r, *reply, J, lm.a_hat.coeffs)] + [
+            lm.cost_history, (lm.residual_norm2, lm.penalty_norm2)]
 
     default = run()
     monkeypatch.setattr(pde, "_tangent_coefficients", coefficients)
     for steps in (1, 7, n_steps):
-        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", steps * pde._STEP_BYTES * n_nodes)
+        monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, n_nodes, 1, prob.n_basis))
         blocks.clear()
         assert run() == default
         assert blocks[: -(-n_steps // steps)] == [steps] * (n_steps // steps) + (
@@ -298,7 +306,7 @@ def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
     inv._run_lockstep(probs, [evaluation(p.a_star.coeffs) for p in probs])
     assert calls == [len(probs)] * n_steps
     assert values == [len(probs)] * n_steps
-    steps = pde._block_sizes(probs[0].grid.n_nodes, len(probs), n_steps, 1, probs[0].n_basis)[1]
+    steps = pde._block_steps(probs[0].grid.n_nodes, len(probs), n_steps, probs[0].n_basis)
     assert 1 < steps < n_steps
     assert stencils == [(min(steps, n_steps - first), len(probs))
                         for first in range(0, n_steps, steps)]
@@ -439,12 +447,16 @@ def test_lm_many_equals_lone_calls():
         levenberg_marquardt(probs[3], overflow, cfg)
 
 
-def test_lockstep_requests_match_one_vector_references():
+def test_lockstep_requests_match_one_vector_references(monkeypatch):
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, time_refine=2)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r, JTJ, JTr = run_request(coeffs, prob)
-    assert r.tobytes() == residual_vector(coeffs, prob).tobytes()
+    closed = closed_rows(monkeypatch)
+    cost, (misfit, pen), JTJ, JTr = run_request(coeffs, prob)
+    r, n_data = residual_vector(coeffs, prob), prob.data.X.size
+    assert closed[0].tobytes() == r.tobytes()
+    assert cost == float(r @ r) and misfit == float(r[:n_data] @ r[:n_data])
+    assert pen == float(r[n_data:] @ r[n_data:]) / prob.alpha
     J = tangent_jacobian(coeffs, prob)
     ref_JTJ, ref_JTr = J.T @ J, J.T @ r
     assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-12 * np.max(np.abs(ref_JTJ))
@@ -459,7 +471,8 @@ def test_exact_normal_equations_match_central_differences(changes):
     prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
     prob = dataclasses.replace(prob, **changes)
     coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    r, JTJ, JTr = run_request(coeffs, prob)
+    _, _, JTJ, JTr = run_request(coeffs, prob)
+    r = residual_vector(coeffs, prob)
     J = central_jacobian(coeffs, prob, 1e-4)
     ref_JTJ, ref_JTr = J.T @ J, J.T @ r
     assert np.max(np.abs(JTJ - ref_JTJ)) <= 1e-6 * np.max(np.abs(ref_JTJ))
@@ -513,7 +526,7 @@ def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
     monkeypatch.setattr(inv, "hat_stencil", stencil)
     both = inv._run_lockstep([prob, prob], [evaluation(poisoned), evaluation(coeffs)])
     assert isinstance(both[0], ForwardSolveError) and "not finite" in str(both[0])
-    assert [x.tobytes() for x in both[1]] == [x.tobytes() for x in alone]
+    assert [np.asarray(x).tobytes() for x in both[1]] == [np.asarray(x).tobytes() for x in alone]
 
 
 @pytest.mark.parametrize(

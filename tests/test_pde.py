@@ -41,6 +41,7 @@ from chemid.sensitivity import SensitivityFunction, hat_stencil
 from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
 from helpers import (
+    block_bytes,
     dense_diffusion_solve,
     dense_one_step,
     dimensionless,
@@ -168,7 +169,7 @@ def test_solve_forward_keeps_the_buffer_it_filled(monkeypatch):
 
 def test_solve_forward_peak_memory_holds_the_trajectory_once():
     """Peak <= what the solve keeps + _integrate's block buffer + 64 KiB."""
-    g = SimulationGrid(0.0, 1.0, 51, 0.25, 4000)
+    g = SimulationGrid(0.0, 1.0, 51, 0.25, 8000)
     u0, c0 = bump_initial(g)
     p = dimensionless(M=0.25, D=1.0)
     tracemalloc.start()
@@ -177,29 +178,57 @@ def test_solve_forward_peak_memory_holds_the_trajectory_once():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    frame = 16 * g.n_nodes
-    block = min(g.n_steps + 1, max(1, pde._FRAME_BLOCK_BYTES // frame)) * frame
+    block = (pde._block_steps(g.n_nodes, 1, g.n_steps, 0) + 1) * 16 * g.n_nodes
     assert kept >= 2 * traj.u.nbytes >= 2 * block  # a second copy of the frames would show
     assert peak <= kept + block + 64 * 1024
 
 
 def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
-    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", 1000)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", 1000)
     monkeypatch.setattr(pde, "_STEP_BYTES", 20)
-    # one row on 3 nodes, 48 B a frame: 100 kept frames, a block of 20, the
-    # old and new states, and 16 B a step of times and decay factors
-    assert pde.solve_bytes(3, 99) == 100 * 48 + 20 * 48 + 2 * 48 + 16 * 99
+    # one row on 3 nodes, 48 B a frame: 100 kept frames, a block of 20
+    # steps buffering 21 frames, and the old and new states
+    assert pde._block_steps(3, 1, 99, 0) == 20
+    assert pde.solve_bytes(3, 99) == 100 * 48 + 21 * 48 + 2 * 48
     # two rows with 2 tangents: 96 B a frame of states, 288 B with tangents,
-    # a frame block of 3, a step block of 8 at 120 B, the rows' 2 x 2 sums
-    # (and the Gram matrix and its root)
-    assert pde.solve_bytes(3, 99, 2, 2) == (
-        100 * 96 + 3 * 288 + 2 * 288 + 16 * 99 + 8 * 120 + 8 * 4 * 4
-    )
-    # a frame or a step over the budget still takes a block of its own
-    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 3200 + 2 * 3200 + 16 + 2000 + 8 * 3
-    # each step adds 16 B once the blocks are full, whatever frames are kept
-    assert pde.solve_bytes(3, 10**9 + 1, kept=1) - pde.solve_bytes(3, 10**9, kept=1) == 16
-    assert pde._block_sizes(100, 1, 1, 1, 1) == (1, 1)
+    # and 408 B a step with the 120 B its base step keeps: a block of 2
+    # steps buffering 3 frames, the old and new states, the 2 steps' keep,
+    # the rows' 2 x 2 sums (and the Gram matrix and its root)
+    assert pde._block_steps(3, 2, 99, 2) == 2
+    assert pde.solve_bytes(3, 99, 2, 2) == 100 * 96 + 3 * 288 + 2 * 288 + 2 * 120 + 8 * 4 * 4
+    # a step over the budget still takes a block of its own
+    assert pde._block_steps(100, 1, 1, 1) == 1
+    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 2 * 3200 + 2 * 3200 + 2000 + 8 * 3
+    # once the blocks are full, more steps cost nothing but the frames kept
+    for rows, directions in ((1, 0), (2, 2)):
+        big = pde.solve_bytes(3, 10**9, rows, directions, kept=1)
+        assert pde.solve_bytes(3, 10**9 + 1, rows, directions, kept=1) == big
+        assert pde.solve_bytes(3, 99, rows, directions, kept=1) == big
+
+
+@pytest.mark.parametrize("every", [1, 3])
+@pytest.mark.parametrize("rows", [1, 15, 41])
+def test_solve_bytes_bounds_a_tangent_solve(rows, every):
+    # 4 hats on 51 x 250: blocks of 116, 7 and 2 steps for 1, 15 and 41
+    # rows; the traced peak of the whole solve, which keeps no frame, is
+    # within its estimate, which also checks _STEP_BYTES
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 250)
+    u0, _ = bump_initial(g)
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, 0.5 + 0.45 * np.cos(np.pi * g.xs()))
+    hats = SensitivityFunction.constant(2.0, 0.05, 0.95, 4)
+    knots = hats.knots()
+    coeffs = np.tile(hats.coeffs, (rows, 1)) * np.linspace(0.9, 1.1, rows)[:, None]
+    assert pde._block_steps(g.n_nodes, rows, g.n_steps, 4) == {1: 116, 15: 7, 41: 2}[rows]
+    tracemalloc.start()
+    try:
+        errors = _integrate(model, lambda face_c: interp_rows(face_c, knots, coeffs), rows,
+                            lambda j0, X, dX: None, every, 4,
+                            lambda face_c: hat_stencil(face_c, knots, coeffs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert errors == [None] * rows
+    assert peak <= pde.solve_bytes(g.n_nodes, g.n_steps, rows, 4, kept=0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +482,7 @@ def test_batched_rows_fail_independently(monkeypatch):
     # velocity overflows in the first step; row 2's sensitivity turns nan
     # in step 6.  Row 1 must come out exactly as a lone solve, and row 2
     # up to the frame before it failed, whether that is inside the one
-    # block or inside a block of 4 frames (4..7)
+    # block or inside a block of 4 steps (frames 5..8)
     g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
     p = PhysicalParams.myerscough()
     u0, _ = bump_initial(g)
@@ -461,9 +490,9 @@ def test_batched_rows_fail_independently(monkeypatch):
     coeffs = np.tile(A_CONST2.coeffs, (3, 1))
     coeffs[0, 3] = 1.7e308
     alone = solve_forward(u0, steep, p, A_CONST2, g)
-    for block_frames, sizes in ((None, [11]), (4, [4, 4, 3])):
-        if block_frames is not None:
-            monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * 3 * g.n_nodes)
+    for block_steps, sizes in ((None, [11]), (4, [5, 4, 2])):
+        if block_steps is not None:
+            monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(block_steps, g.n_nodes, 3))
         steps, blocks = [], []
 
         def a(face_c):
@@ -578,7 +607,7 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
     monkeypatch.setattr(pde, "_advance", advance)
     expected, _ = run(3)
     calls.clear()
-    monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", steps * pde._STEP_BYTES * 3 * g.n_nodes)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, g.n_nodes, 3, 8))
     errors, (X, dX) = run(3)
     assert len(calls) == g.n_steps
     assert [type(e) for e in errors] == [
@@ -592,11 +621,13 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
 
 
 @pytest.mark.parametrize("every", [2, 3])
-@pytest.mark.parametrize("block_frames", [None, 2], ids=["one_block", "blocks_of_2"])
-def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_frames):
+@pytest.mark.parametrize("block_steps", [None, 2], ids=["one_block", "blocks_of_2"])
+def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_steps):
     # 12 steps solve frames 0..12, of which every=2 samples 7 and every=3
-    # samples 5; row 2's sensitivity turns nan in step 8, so its frames
-    # 0..7 are valid and its samples after frame 7 are not compared
+    # samples 5; a block records the frames its steps sampled, the first
+    # also frame 0, and one that sampled none (frames 7 and 8 at every=3)
+    # records nothing.  Row 2's sensitivity turns nan in step 8, so its
+    # frames 0..7 are valid and its samples after frame 7 are not compared
     g = SimulationGrid(0.0, 1.0, 51, 0.05, 12)
     u0, _ = bump_initial(g)
     steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
@@ -619,12 +650,11 @@ def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_f
         return errors, sizes, np.concatenate([X for _, X in blocks])
 
     full_errors, _, full = run(1)
-    if block_frames is not None:
-        monkeypatch.setattr(pde, "_FRAME_BLOCK_BYTES", block_frames * 16 * 3 * g.n_nodes)
+    if block_steps is not None:
+        monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(block_steps, g.n_nodes, 3))
     errors, sizes, sampled = run(every)
     n_frames = len(range(0, g.n_steps + 1, every))
-    assert sizes == ([n_frames] if block_frames is None else
-                     [2] * (n_frames // 2) + [1] * (n_frames % 2))
+    assert sizes == {None: [n_frames], 2: {2: [2, 1, 1, 1, 1, 1], 3: [1] * 5}[every]}[block_steps]
     assert [str(e) for e in errors] == [str(e) for e in full_errors]
     assert "face velocity is not finite in frame 8" in str(errors[2])
     assert sampled.shape == (n_frames, 2, 3, g.n_nodes)
