@@ -43,6 +43,11 @@ A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
 the caller once per block of steps.
 Every array of states has the layout (frame, field u/c, [row,] node):
 a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
+
+The CSV writer formats a block of frames at a time with numpy (``_g15``),
+byte for byte as Python's ``"%.15g" %``; only non-finite values, values
+near a rounding tie and exponents outside ``_g15.EXPONENTS`` go through
+Python.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _g15
 from ._lapack import dgttrf, dgttrs
 from .errors import (
     DomainMismatchError,
@@ -352,8 +358,8 @@ def _advance(
     c_new = dgttrs(*c_lu, rhs.T, overwrite_b=1)[0].T
 
     failures = []
-    u_min = u_new.min(axis=1)
-    if (u_min < 0.0).any():
+    if not u_new.min() >= 0.0:  # one reduction unless a value is negative or nan
+        u_min = u_new.min(axis=1)
         broken = u_min < -POSITIVITY_FLOOR * np.maximum(1.0, u_new.max(axis=1))
         failures = [
             (i, PositivityViolationError(
@@ -546,11 +552,12 @@ def _integrate(
                     fail(row, exc)
 
                 t = grid.t_final if j + 1 == n_steps else (j + 1) * dt  # grid.times()[j + 1]
-                c_min = c.min(axis=1)
-                bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
-                low = c_min < bound
-                if low.any():
-                    for row in np.flatnonzero(low):
+                decay = math.exp(-params.mu * t)
+                # the highest floor bounds every row's: x -> x * decay * slack keeps the order
+                if not c.min() >= float(c_floor.max()) * decay * (1.0 - LOWER_BOUND_SLACK):
+                    c_min = c.min(axis=1)
+                    bound = c_floor * decay * (1.0 - LOWER_BOUND_SLACK)
+                    for row in np.flatnonzero(c_min < bound):
                         fail(row, LowerBoundViolationError(
                             f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
                         ))
@@ -658,6 +665,10 @@ def restrict(traj: StateTrajectory, coarse: SimulationGrid) -> StateTrajectory:
 # serialization
 
 
+#: CSV rows per block of ``_write_frames`` (whole frames, at least one).
+_WRITE_ROWS = 2048
+
+
 def write_trajectory_csv(traj: StateTrajectory, path) -> None:
     """CSV with header t,x,u,c; row-major by frame then node; 15 sig. digits."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -667,21 +678,36 @@ def write_trajectory_csv(traj: StateTrajectory, path) -> None:
 def _write_frames(fh, traj: StateTrajectory) -> None:
     """One ``t,x,u,c`` line per frame and node of ``traj``; each value as ``%.15g``.
 
-    The node coordinates are formatted once and each frame is written by
-    one %-format over Python floats, which gives the same text as
-    formatting every value on its own.
+    A block of frames at a time, in reused buffers: ``_g15.format_into``
+    writes every value into a NUL-padded field, the columns that any
+    field uses are laid out as rows, and deleting the NULs leaves the text.
     """
-    grid = traj.grid
-    n = grid.n_nodes
-    line = "%s,%s,%.15g,%.15g\n" * n
-    values = [None] * (4 * n)
-    values[1::4] = ["%.15g" % x for x in grid.xs().tolist()]
+    grid, n = traj.grid, traj.grid.n_nodes
+    frames = max(1, _WRITE_ROWS // n)
+    values = np.empty(frames * (2 * n + 1))  # each frame's u and c, then the times
+    fields = np.empty((len(values), 32), dtype=np.uint8)
+    text = np.empty(0, dtype=np.uint8)
+    x = np.empty((n, 32), dtype=np.uint8)
+    _g15.format_into(grid.xs(), x)
+    x, times = x[:, _g15.used_columns(x)], grid.times()
     fh.write("t,x,u,c\n")
-    for t, (u, c) in zip(grid.times().tolist(), traj.X):
-        values[0::4] = ["%.15g" % t] * n
-        values[2::4] = u.tolist()
-        values[3::4] = c.tolist()
-        fh.write(line % tuple(values))
+    for j0 in range(0, len(times), frames):
+        block = traj.X[j0 : j0 + frames]
+        k, m = len(block), block.size
+        values[:m], values[m : m + k] = block.reshape(-1), times[j0 : j0 + k]
+        _g15.format_into(values[: m + k], fields[: m + k])
+        uc = fields[:m].reshape(k, 2, n, 32)[..., _g15.used_columns(fields[:m])]
+        t = fields[m : m + k, None, _g15.used_columns(fields[m : m + k])]
+        parts = (t, x, uc[:, 0], uc[:, 1])
+        width = sum(part.shape[-1] + 1 for part in parts)
+        if text.size < k * n * width:
+            text = np.empty(k * n * width, dtype=np.uint8)
+        rows, col = text[: k * n * width].reshape(k, n, width), 0
+        for part, sep in zip(parts, b",,,\n"):
+            rows[..., col : col + part.shape[-1]] = part
+            col += part.shape[-1] + 1
+            rows[..., col - 1] = sep
+        fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _next_line(fh) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chemid import pde
+from chemid import _g15, pde
 from chemid.config import load_config, resolve
 from chemid.errors import (
     ConfigError,
@@ -999,6 +999,134 @@ def test_frame_writer_matches_per_value_formatting(n_nodes, n_steps, x_left, wid
     pde._write_frames(got, StateTrajectory(grid=g, X=np.stack([U, C], axis=1)))
     write_frames_reference(want, g, U, C)
     assert got.getvalue() == want.getvalue()
+
+
+def python_g15(values):
+    """Python's ``"%.15g" % v`` of each value, one per line: the byte-level reference."""
+    return "".join("%.15g\n" % v for v in values.tolist())
+
+
+def g15_lines(values, chunk=4096):
+    """``_g15.format_into`` over ``values`` a chunk at a time, one per line, and
+    how many values Python formatted."""
+    out, text, python = np.empty((chunk, 32), dtype=np.uint8), [], 0
+    for start in range(0, len(values), chunk):
+        part = values[start : start + chunk]
+        python += _g15.format_into(part, out[: len(part)])
+        out[: len(part), 31] = ord("\n")  # no text reaches a field's last byte
+        text.append(out[: len(part)].tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text), python
+
+
+def test_g15_matches_python_on_a_million_doubles():
+    rng = np.random.default_rng(26)
+    size = 500_000
+    bits = rng.integers(0, 2**64, size=size, dtype=np.uint64).view(np.float64)  # every exponent
+    decades = rng.random(size) * 10.0 ** rng.integers(-300, 301, size) * rng.choice([-1, 1], size)
+    values = np.concatenate([bits, decades])
+    got, python = g15_lines(values)
+    assert got == python_g15(values)
+    assert python < 0.1 * len(values)  # most went the vectorized way
+
+
+G15_TRAPS = [
+    999999999999999.4,  # log10 gives 15: a digit pass at that exponent prints 1e+15
+    100000000000000.5, 100000000000001.5,  # exact ties, which round half to even
+    1e-4, 9.99999999999999e-05, 1e15, 999999999999999.0, 1e16,  # where %g changes notation
+    1.5e100, 1e-100, 1e-300, 1.7976931348623157e308,  # three-digit exponents
+    5e-324, 1e-310,  # subnormals
+    0.0, -0.0, math.inf, -math.inf, math.nan, 0.1, 1.0, 123456789012345.0,
+] + [np.nextafter(10.0**k, side) for k in range(-30, 31) for side in (-math.inf, math.inf)]
+
+
+def test_g15_matches_python_at_its_traps():
+    values = np.array(G15_TRAPS + [-v for v in G15_TRAPS])
+    got, python = g15_lines(values)
+    assert got.splitlines() == python_g15(values).splitlines()
+    assert got.splitlines()[0] == "999999999999999"
+    # only these go through Python: the rest, next to powers of ten too, is vectorized
+    a = np.abs(values)
+    outside = ~np.isfinite(a) | ((a < 1e-280) & (a > 0)) | (a >= 1e281)
+    ties = np.isin(a, [100000000000000.5, 100000000000001.5])
+    assert python == np.count_nonzero(outside | ties)
+
+
+@pytest.mark.parametrize("n_nodes, n_steps, s", [
+    (201, 2000, 2.0), (51, 250, 2.0), (51, 250, 20.0), (51, 250, 50.0), (51, 250, 100.0),
+])
+def test_solved_trajectories_need_no_python_formatting(monkeypatch, n_nodes, n_steps, s):
+    # the fine-io forward solve and the four stiff-forward ones, as the CLI sets them up
+    raw = {"n_nodes": str(n_nodes), "n_steps": str(n_steps), "truth": f"inverse:{s}"}
+    cfg = resolve("forward", raw, preset="myerscough")
+    grid = cfg["grid"]
+    traj = solve_forward(cfg["u0"](grid), cfg["c0"](grid), cfg["params"], cfg["truth"], grid)
+    counts, format_into = [], _g15.format_into
+
+    def counted(values, out):
+        counts.append((len(values), format_into(values, out)))
+
+    monkeypatch.setattr(pde._g15, "format_into", counted)
+    pde._write_frames(io.StringIO(), traj)
+    assert sum(n for n, _ in counts) == traj.X.size + grid.n_steps + 1 + grid.n_nodes
+    assert sum(python for _, python in counts) == 0
+
+
+MIXED_VALUES = [0.0, -0.0, 1.0, 2.5e-5, -3.25e-17, 0.125, 7e22, 123.456, -1e-4, 5e-324]
+
+
+@pytest.mark.parametrize("rows", [1, 15, 10**6], ids=["frame", "partial_last", "one_block"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["trajectory", "noisy"])
+def test_frame_writer_blocks_match_per_value_formatting(tmp_path, monkeypatch, rows, noisy):
+    # 10 frames of 5 nodes: one frame per block, blocks of 3 frames and a last
+    # block of 1, or one block; the rows cross every notation %g has
+    g = SimulationGrid(-1.0, 2.0, 5, 3e5, 9)
+    rng = np.random.default_rng(rows)
+    U = rng.choice(MIXED_VALUES, size=(10, 5)) * rng.random((10, 5))
+    C = np.abs(rng.choice(MIXED_VALUES, size=(10, 5))) + rng.random((10, 5))
+    monkeypatch.setattr(pde, "_WRITE_ROWS", rows)
+    path = tmp_path / "table.csv"
+    if noisy:
+        write_noisy_csv(NoisyData(grid=g, X=np.stack([U, C], axis=1), delta=1e-3, seed=4), path)
+    else:
+        write_trajectory_csv(StateTrajectory(grid=g, X=np.stack([U, C], axis=1)), path)
+    want = io.StringIO()
+    write_frames_reference(want, g, U, C)
+    head = "# delta=0.001 seed=4\n" if noisy else ""
+    assert path.read_text() == head + want.getvalue()
+
+
+def test_frame_writer_formats_non_finite_values_through_python():
+    g = SimulationGrid(0.0, 1.0, 4, 1.0, 2)
+    U = np.full((3, 4), np.nan)
+    C = np.array([[np.inf, -np.inf, np.nan, -np.nan]] * 3)
+    got, want = io.StringIO(), io.StringIO()
+    pde._write_frames(got, StateTrajectory(grid=g, X=np.stack([U, C], axis=1)))
+    write_frames_reference(want, g, U, C)
+    assert got.getvalue() == want.getvalue()
+
+
+#: Traced bytes the frame writer may hold at once, for any trajectory length.
+WRITER_PEAK = 1_500_000
+
+
+def test_frame_writer_memory_does_not_grow_with_the_trajectory():
+    class Sink:
+        def write(self, text):
+            pass
+
+    _g15._tables()  # built once per process
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n_steps in (2000, 4000):
+        g = SimulationGrid(0.0, 1.0, 201, 0.25, n_steps)
+        traj = StateTrajectory(grid=g, X=rng.random((n_steps + 1, 2, 201)))
+        tracemalloc.start()
+        try:
+            pde._write_frames(Sink(), traj)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < WRITER_PEAK, peaks
 
 
 def test_params_file_roundtrip(tmp_path):
