@@ -27,8 +27,8 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ChemidError, ConfigError, InvalidStateError
-from .inversion import TikhonovProblem, levenberg_marquardt, write_inversion_report
-from .pde import mass, solve_bytes, solve_forward, write_params, write_trajectory_csv
+from .inversion import TikhonovProblem, levenberg_marquardt, round_bytes, write_inversion_report
+from .pde import mass, solve_forward, write_params, write_trajectory_csv
 from .regselect import (
     lcurve_corner,
     lcurve_sweep,
@@ -58,13 +58,7 @@ def _fmt(x: float) -> str:
 
 
 def _problem(cfg: dict, data, alpha: float) -> TikhonovProblem:
-    """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior.
-
-    Its solves, time_refine steps a data frame, are held to the config's
-    memory budget first."""
-    grid = data.grid
-    cfgmod.require_solve_bytes(solve_bytes(grid.n_nodes, grid.n_steps * cfg["time_refine"], 1,
-                                           cfg["n_basis"], kept=2 * (grid.n_steps + 1)))
+    """The invert/lcurve/rates problem on data's mesh: params, fields, basis, prior."""
     try:
         lo, hi = concentration_range(data, padding=cfg["padding"])
         return TikhonovProblem(
@@ -136,12 +130,16 @@ def cmd_invert(cfg: dict):
 
 def _load_data(cfg: dict):
     path = cfg["data_csv"]
-    try:
-        return read_noisy_csv(path)
-    except OSError as exc:
+    try:  # a legal row has at least 8 B of text ("0,0,0,0\n") and 32 B of table
+        cfgmod.require_solve_bytes(4 * Path(path).stat().st_size, f"reading {path}")
+        data = read_noisy_csv(path)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot read data_csv {path}: {exc}") from exc
     except InvalidStateError as exc:
         raise ConfigError(str(exc)) from exc
+    # invert and lcurve solve one row a round
+    cfgmod.require_solve_bytes(round_bytes(data.grid, cfg["time_refine"], 1, cfg["n_basis"]))
+    return data
 
 
 def cmd_lcurve(cfg: dict):

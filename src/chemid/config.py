@@ -16,9 +16,12 @@ LM settings, and holds the basis, time_refine, delta, alpha, alphas and
 rate-study values to the library's rules.  So a malformed or inconsistent
 value, including a ``table:`` file of ``truth`` or ``prior``, exits before
 any solve runs or any data file is read.  One budget rule,
-``require_solve_bytes``, refuses a config whose largest solve would need
-more than MAX_SOLVE_BYTES, before any field is allocated; invert and
-lcurve apply it once their data file gives the grid.
+``require_solve_bytes``, refuses an estimate over MAX_SOLVE_BYTES before
+anything is allocated.  Each module counts what it allocates:
+``pde.solve_bytes`` a forward solve, ``inversion.round_bytes`` a lockstep
+round.  ``resolve`` holds each grid's solve and a rate study's round to it;
+invert and lcurve hold their data file's read and then a round on its
+grid to it (``cli._load_data``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, InvalidStateError
-from .inversion import LMConfig, require_alpha, require_time_refine
+from .inversion import LMConfig, require_alpha, require_time_refine, round_bytes
 from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid, solve_bytes
 from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
 from .sensitivity import read_sensitivity_csv, require_basis_shape, require_padding
@@ -185,15 +188,15 @@ def _size(s: str) -> int:
     return n
 
 
-#: Largest estimated size in bytes (``pde.solve_bytes``) of a command's
-#: largest solve; a larger one is a config error, raised before anything is allocated.
+#: Largest estimated size in bytes of a command's largest solve, round or
+#: read; a larger one is a config error, raised before anything is allocated.
 MAX_SOLVE_BYTES = 2**31
 
 
-def require_solve_bytes(nbytes: int) -> None:
-    """ConfigError if a solve of an estimated ``nbytes`` is over MAX_SOLVE_BYTES."""
+def require_solve_bytes(nbytes: int, what: str = "the largest solve") -> None:
+    """ConfigError if ``what``, of an estimated ``nbytes``, is over MAX_SOLVE_BYTES."""
     if nbytes > MAX_SOLVE_BYTES:
-        raise ConfigError(f"the largest solve needs an estimated {nbytes} bytes, "
+        raise ConfigError(f"{what} needs an estimated {nbytes} bytes, "
                           f"over the limit {MAX_SOLVE_BYTES}")
 
 
@@ -338,14 +341,10 @@ def _solver_inputs(values: dict, allowed) -> dict:
         if _FINE <= allowed:
             fine = grid.with_resolution(values["fine_n_nodes"], values["fine_n_steps"])
             built["fine"] = require_mesh_separation(fine, grid)
-        # the solve that keeps every frame, on each grid; a rate study's
-        # round takes time_refine steps a frame and keeps every cell's data
-        # and residual, with their tangents
         sizes = [solve_bytes(g.n_nodes, g.n_steps) for g in (grid, built.get("fine", grid))]
         if "deltas" in allowed:
-            cells, basis = len(values["deltas"]) * len(values["seeds"]), values["n_basis"]
-            sizes.append(solve_bytes(grid.n_nodes, grid.n_steps * values["time_refine"], cells,
-                                     basis, kept=2 * (grid.n_steps + 1)))
+            cells = len(values["deltas"]) * len(values["seeds"])
+            sizes.append(round_bytes(grid, values["time_refine"], cells, values["n_basis"]))
         require_solve_bytes(max(sizes))
         for g in (grid, built.get("fine", grid)):
             ForwardModel(built["params"], g, values["u0"](g), values["c0"](g), values["advection"])

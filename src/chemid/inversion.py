@@ -46,14 +46,8 @@ import numpy as np
 
 from ._lapack import dpotrf
 from .errors import ForwardSolveError, InvalidStateError, NumericalSolveError
-from .pde import (
-    DEFAULT_ADVECTION,
-    ForwardModel,
-    PhysicalParams,
-    SimulationGrid,
-    _integrate,
-    solve_forward,
-)
+from .pde import (DEFAULT_ADVECTION, ForwardModel, PhysicalParams, SimulationGrid, _integrate,
+                  _plan, solve_bytes, solve_forward)
 from .sensitivity import (
     SensitivityFunction, hat_stencil, mass_matrix, require_same_basis, same_basis
 )
@@ -326,6 +320,18 @@ def _close_row(prob, coeffs, error, r, JTJ, JTr) -> tuple:
     return float(r @ r), (float(r[:n_data] @ r[:n_data]), pen), JTJ, JTr
 
 
+def round_bytes(grid: SimulationGrid, time_refine: int, rows: int, n_basis: int) -> int:
+    """Estimated peak bytes of a ``_run_lockstep`` round of ``rows`` problems with
+    L = ``n_basis`` hats on the data grid ``grid``, ``time_refine`` steps a frame:
+    its solve (``pde.solve_bytes``) and, per row, r, the data, the fold's per-frame
+    L x L products of a block's K + 1 frames (``pde._plan``) with their
+    concatenation and running sum, J^T J, J^T r and the Gram matrix with its root."""
+    n_data, n_steps, L = 2 * (grid.n_steps + 1) * grid.n_nodes, grid.n_steps * time_refine, n_basis
+    frames = _plan(grid.n_nodes, rows, n_steps, L)[0] + 1
+    per_row = (n_data + L) + n_data + (6 * frames + 2) * (L * L + L) + (L * L + L) + 2 * L * L
+    return 8 * rows * per_row + solve_bytes(grid.n_nodes, n_steps, rows, L, kept=0)
+
+
 def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     """Run the generators ``requests`` of ``probs`` to their ends, their solves batched by round.
 
@@ -400,6 +406,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
             except ForwardSolveError as exc:
                 reply = exc
             advance(i, reply)
+        del r, R  # before the next round's
     return results
 
 

@@ -29,9 +29,11 @@ at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
 (``solve_forward`` is the one-row case; the inverse problem solves one
 row per coefficient vector, with its tangents, ``_tangent_step``), and
 one callback of the face concentrations gives every row's sensitivity.
-A solve runs in blocks of steps, sized by one byte rule: tangents never
-feed back into the base rows, so a tangent solve takes a block of base
-steps, then forms all their tangent coefficients at once.
+A solve runs in blocks of steps, in the buffers of one plan (``_plan``),
+and hands every k-th solved frame (k = 1 in ``solve_forward``) to the
+caller once per block: tangents never feed back into the base rows, so a
+tangent solve takes a block of base steps, then forms all their tangent
+coefficients at once.
 The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
@@ -39,8 +41,6 @@ routines come from ``_lapack``, which loads scipy's compiled wrappers
 without the ``scipy.linalg`` package import.  Each row is
 checked after every step; one that fails stops with its error and steps
 on with zero flow, which keeps its fields finite and the others as they are.
-A solve hands every k-th solved frame (k = 1 in ``solve_forward``) to
-the caller once per block of steps.
 Every array of states has the layout (frame, field u/c, [row,] node):
 a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 
@@ -87,14 +87,14 @@ POSITIVITY_FLOOR = 1.0e-12
 #: Relative slack on the c(x,t) >= min(c0) exp(-mu t) lower bound.
 LOWER_BOUND_SLACK = 1.0e-8
 
-#: Bytes of one block of steps: its sampled frames (u and c, 16 B per row
-#: and node, and as much again per tangent) and what its base steps keep
-#: for the tangents.
+#: Bytes of the buffers of one block of steps (``_plan``).
 _BLOCK_BYTES = 2**21
 
-#: Bytes per row and node a tangent solve keeps of each base step of a
-#: block (states, face weights, a(cbar), LU factors, tangent coefficients).
-_STEP_BYTES = 272
+#: Bytes per row and node of what a tangent solve keeps of each base step of a
+#: block (states, face weights, a(cbar), LU factors, tangent coefficients), and
+#: of the scratch of a base step and, per tangent, of a tangent step (never
+#: both); bytes of a solve's fixed arrays (step operators) per node, and in all.
+_STEP_BYTES, _SCRATCH_BYTES, _SOLVE_BYTES = 272, (128, 28), (64, 2**15)
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,7 @@ def _tangent_coefficients(kept: list, values: list, stencil: Callable, model, op
 
     ``stencil`` maps (K, rows, faces) face means to hat geometry; ``values`` are their a(cbar).
     Both lists are emptied once stacked, which frees their arrays before
-    the coefficients are formed (``solve_bytes`` counts on it).  Each coefficient is a lone step's
+    the coefficients are formed (``_plan`` counts on it).  Each coefficient is a lone step's
     elementwise expression with a step axis in front, so it has that
     step's bits.  Yields per step (lo, hi, prod, phi_at, phi, u_lu):
     d(flow_k) times the advected u_new is lo_k dc_k + hi_k dc_{k+1} plus
@@ -438,36 +438,36 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     du[:, broken] = np.nan
 
 
-def _block_steps(n_nodes: int, rows: int, n_steps: int, directions: int) -> int:
-    """K, the steps of one block of a solve: as many as fit ``_BLOCK_BYTES``, at least one.
-
-    A step costs its frame of every row with its L = ``directions``
-    tangents, 16 (1 + L) B per row and node, and with tangents the
-    ``_STEP_BYTES`` its base step keeps for them.
+def _plan(n_nodes: int, rows: int, n_steps: int, directions: int) -> tuple:
+    """(K, shapes, bytes) of one block of a solve: as many steps K as fit
+    ``_BLOCK_BYTES`` (at least one, at most ``n_steps``), the shape in doubles
+    of each of its buffers, and their sum in bytes.  ``X`` holds K + 1 frames
+    (u and c) of every row, ``dX`` their L = ``directions`` tangents and
+    ``tangents`` the current ones, as ``_integrate`` allocates them; ``steps``
+    is what the K base steps keep for the tangents (``_advance``).
     """
-    per_step = 16 * (1 + directions) + (_STEP_BYTES if directions else 0)
-    return min(n_steps, max(1, _BLOCK_BYTES // (per_step * n_nodes * rows)))
+    lane, L = (rows, n_nodes), directions
+    nbytes = lambda shapes: 8 * sum(math.prod(shape) for shape in shapes.values())
+    step = {"X": (2, *lane), "dX": (2, L, *lane), "steps": (_STEP_BYTES // 8 if L else 0, *lane)}
+    K = min(n_steps, max(1, _BLOCK_BYTES // nbytes(step)))
+    shapes = {"X": (K + 1, *step["X"]), "dX": (K + 1, *step["dX"]), "tangents": step["dX"],
+              "steps": (K, *step["steps"])}
+    return K, shapes, nbytes(shapes)
 
 
 def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
                 kept: int | None = None) -> int:
-    """Estimated peak bytes of an ``_integrate`` solve and the frames its caller keeps.
-
-    ``rows`` rows on ``n_nodes`` nodes take ``n_steps`` steps with L =
-    ``directions`` tangents each, and the caller keeps ``kept`` frames (u
-    and c) of every row, by default every solved one.  Besides those it
-    counts one block (``_block_steps``): its K + 1 frames with their
-    tangents and, with tangents, what its K base steps keep; then the
-    states with their tangents (old and new) and every row's L x L
-    Gauss-Newton sums.  Nothing grows with the steps past the first
-    block.  Arithmetic only: it allocates nothing.
+    """Estimated peak bytes of an ``_integrate`` solve: ``rows`` rows on ``n_nodes``
+    nodes, ``n_steps`` steps with L = ``directions`` tangents each.  It counts the
+    ``kept`` frames (u and c) of every row the caller keeps, by default every
+    solved one, the buffers of one block (``_plan``), the larger scratch of a
+    base or a tangent step, and the fixed arrays; what ``record`` allocates
+    is the caller's to count (``inversion.round_bytes``).  Arithmetic only.
     """
-    steps = _block_steps(n_nodes, rows, n_steps, directions)
-    lane = 16 * n_nodes * rows
-    total = (n_steps + 1 if kept is None else kept) * lane + (steps + 3) * lane * (1 + directions)
-    if directions:
-        total += steps * _STEP_BYTES * n_nodes * rows + 8 * (rows + 2) * directions**2
-    return total
+    scratch = max(_SCRATCH_BYTES[0], _SCRATCH_BYTES[1] * directions)
+    frames = n_steps + 1 if kept is None else kept
+    return (_plan(n_nodes, rows, n_steps, directions)[2] + _SOLVE_BYTES[1]
+            + ((16 * frames + scratch) * rows + _SOLVE_BYTES[0]) * n_nodes)
 
 
 def _integrate(
@@ -490,7 +490,7 @@ def _integrate(
     until the solve ends, which keeps its u and c finite and changes
     none of the others, and its frames after it stopped mean nothing.
 
-    The steps run in blocks of K (``_block_steps``).  ``record(j0, X)``
+    The steps run in blocks of K (``_plan``), in buffers of its shapes.  ``record(j0, X)``
     receives every ``every``-th solved frame in order, one call per block
     that sampled one: X is a (k, 2, rows, n_nodes) array of u, then c,
     at solved frames j * every for j = j0 .. j0 + k - 1, the layout of
@@ -514,15 +514,11 @@ def _integrate(
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
     dx, dt, n_steps = grid.dx, grid.dt, grid.n_steps
     ops = _step_operators(params, grid)
-    steps = _block_steps(grid.n_nodes, n_rows, n_steps, directions)
-    X = np.empty((steps // every + 1, 2, *u.shape))
+    steps, shapes, _ = _plan(grid.n_nodes, n_rows, n_steps, directions)
+    X, dX, tangents = np.empty(shapes["X"]), np.zeros(shapes["dX"]), np.zeros(shapes["tangents"])
     X[0, 0], X[0, 1] = u, c
-    buffers = (X,)
-    kept = None  # what a block's base steps keep for the tangents
-    if directions:
-        tangents = np.zeros((2, directions, *u.shape))
-        buffers += (np.zeros((len(X), 2, directions, *u.shape)),)
-        kept, values = [], []  # and the a(cbar) each step's flow was formed from
+    buffers = (X, dX) if directions else (X,)
+    kept, values = ([], []) if directions else (None, None)  # a block's keep, its a(cbar)
     j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
@@ -573,7 +569,7 @@ def _integrate(
                 for j, step in zip(range(first, last), coefficients):
                     _tangent_step(*tangents, step, ops)
                     if (j + 1) % every == 0:
-                        buffers[1][start] = tangents
+                        dX[start] = tangents
                         start += 1
                 del coefficients  # frees the block's coefficients before record
             if filled:

@@ -8,6 +8,7 @@ package functions that only tests need.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -108,9 +109,27 @@ def closed_rows(monkeypatch):
 
 def block_bytes(steps, n_nodes, rows, directions=0):
     """The ``pde._BLOCK_BYTES`` at which a solve of ``rows`` rows on ``n_nodes``
-    nodes with ``directions`` tangents takes its steps in blocks of ``steps``."""
-    per_step = 16 * (1 + directions) + (pde._STEP_BYTES if directions else 0)
-    return steps * per_step * n_nodes * rows
+    nodes with ``directions`` tangents takes its steps in blocks of ``steps``:
+    ``steps`` times what one step adds to the buffers of the solve's plan."""
+    one, none = (pde._plan(n_nodes, rows, n, directions)[2] for n in (1, 0))
+    return steps * (one - none)
+
+
+def traced_peak(run):
+    """(the tracemalloc peak in bytes of ``run()``, what it returned)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def assert_bounded(peak, estimate):
+    """A memory estimate is at least the traced peak, and at most 1.25 times
+    a peak over 1 MB."""
+    assert peak <= estimate
+    assert peak <= 10**6 or estimate <= 1.25 * peak
 
 
 def interp_rows(c, knots, coeffs):

@@ -502,6 +502,33 @@ def test_invert_over_the_memory_budget_exits_2(tmp_path, data_dir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["invert", "lcurve"])
+def test_data_csv_over_the_memory_budget_exits_2_before_it_is_read(
+        tmp_path, data_dir, monkeypatch, capsys, command):
+    # a data_csv of s bytes may parse into 4 s bytes of table: its size alone refuses it
+    path, reads = data_dir / "data.csv", []
+    monkeypatch.setattr(cfgmod, "MAX_SOLVE_BYTES", 4 * path.stat().st_size - 1)
+    monkeypatch.setattr(cli, "read_noisy_csv", reads.append)
+    cfg = write_cfg(tmp_path, "big.cfg", command_body(command, data_dir))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: reading {path} needs an estimated {4 * path.stat().st_size} bytes, "
+        f"over the limit {cfgmod.MAX_SOLVE_BYTES}"
+    ]
+    assert reads == []
+    assert not out.exists()
+
+
+def test_data_csv_path_with_a_nul_byte_exits_2(tmp_path, capsys):
+    # the size check runs before the read, and a NUL byte fails it with ValueError
+    cfg = write_cfg(tmp_path, "nul.cfg", INVERT_BODY + "data_csv = a\0b\n")
+    assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config: cannot read data_csv a\0b: embedded null byte"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_invert_takes_a_large_time_refine_at_an_estimate_flat_in_the_steps(
         tmp_path, data_dir, monkeypatch, capsys):
     # a solve holds one block of steps however many it takes, so invert at
@@ -510,9 +537,9 @@ def test_invert_takes_a_large_time_refine_at_an_estimate_flat_in_the_steps(
     # solve, is stubbed to fail at once
     estimates, refines, real = [], [], cfgmod.require_solve_bytes
 
-    def require(nbytes):
+    def require(nbytes, *what):
         estimates.append(nbytes)
-        real(nbytes)
+        real(nbytes, *what)
 
     def minimize(prob, a0, cfg):
         refines.append(prob.time_refine)

@@ -18,7 +18,7 @@ from chemid.config import (
     resolve,
 )
 from chemid.errors import ConfigError, InvalidStateError
-from chemid.inversion import LMConfig
+from chemid.inversion import LMConfig, round_bytes
 from chemid.pde import solve_bytes
 from chemid.pde import PhysicalParams, SimulationGrid
 from chemid.regselect import MIN_CORNER_POINTS
@@ -277,8 +277,7 @@ def test_a_large_time_refine_resolves_at_an_estimate_flat_in_the_steps():
     grid, cells = cfg["grid"], len(cfg["deltas"]) * len(cfg["seeds"])
 
     def size(refine):
-        return solve_bytes(grid.n_nodes, grid.n_steps * refine, cells, cfg["n_basis"],
-                           kept=2 * (grid.n_steps + 1))
+        return round_bytes(grid, refine, cells, cfg["n_basis"])
 
     assert size(1) == size(10**6) == size(MAX_SIZE) < MAX_SOLVE_BYTES / 100
     tracemalloc.start()
@@ -293,9 +292,10 @@ def test_a_large_time_refine_resolves_at_an_estimate_flat_in_the_steps():
 def test_acceptance_sizes_stay_well_below_the_memory_budget():
     # the 201 x 2000 data solve, and a 15-cell rate round of 16 hats on 51 x 250;
     # the pinned CLI reruns: an 81 x 240 data solve and at most 8 cells of 4
-    # hats on 21 x 60 at time_refine 3
-    largest = max(solve_bytes(201, 2000), solve_bytes(51, 250, 15, 16, kept=2 * 251),
-                  solve_bytes(81, 240), solve_bytes(21, 180, 8, 4, kept=2 * 61))
+    # hats on 21 x 60 at time_refine 3, as config and cli count them
+    grid = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
+    largest = max(solve_bytes(201, 2000), round_bytes(grid, 1, 15, 16),
+                  solve_bytes(81, 240), round_bytes(grid.with_resolution(21, 60), 3, 8, 4))
     assert largest < MAX_SOLVE_BYTES / 100
 
 

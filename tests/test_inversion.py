@@ -37,6 +37,7 @@ from chemid.sensitivity import (
 from chemid.regselect import rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import (
+    assert_bounded,
     block_bytes,
     central_jacobian,
     closed_rows,
@@ -48,6 +49,7 @@ from helpers import (
     run_request,
     small_problem,
     tangent_jacobian,
+    traced_peak,
 )
 
 
@@ -306,10 +308,33 @@ def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
     inv._run_lockstep(probs, [evaluation(p.a_star.coeffs) for p in probs])
     assert calls == [len(probs)] * n_steps
     assert values == [len(probs)] * n_steps
-    steps = pde._block_steps(probs[0].grid.n_nodes, len(probs), n_steps, probs[0].n_basis)
+    steps = pde._plan(probs[0].grid.n_nodes, len(probs), n_steps, probs[0].n_basis)[0]
     assert 1 < steps < n_steps
     assert stencils == [(min(steps, n_steps - first), len(probs))
                         for first in range(0, n_steps, steps)]
+
+
+@pytest.mark.parametrize("cells, n_basis", [(15, 16), (15, 4), (1, 24)],
+                         ids=["15x16", "15x4", "1x24"])
+def test_round_bytes_bounds_a_lockstep_lm(cells, n_basis):
+    # an LM of every cell in lockstep on 51 x 250, each cell's data drawn
+    # in the traced region as a rate study draws it: the peak of its rounds
+    # is within the count of one round
+    g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
+    params, (u0, c0) = PhysicalParams.myerscough(), myerscough_initial_data(g)
+    truth = solve_forward(u0, c0, params, SensitivityFunction.constant(2.0, 0.05, 0.95, 4), g)
+    a_star = SensitivityFunction.constant(1.5, *concentration_range(truth, padding=0.1), n_basis)
+    base = TikhonovProblem(data=add_noise(truth, 0.0, 0), alpha=1e-3, a_star=a_star,
+                           params=params, u0=u0, c0=c0)
+
+    def fit():
+        probs = [dataclasses.replace(base, data=add_noise(truth, 1e-2, seed))
+                 for seed in range(cells)]
+        return inv.levenberg_marquardt_many(probs, [a_star] * cells, LMConfig(max_iters=2))
+
+    peak, results = traced_peak(fit)
+    assert all(isinstance(res, InversionResult) and res.iterations for res in results)
+    assert_bounded(peak, inv.round_bytes(g, 1, cells, n_basis))
 
 
 def test_gradient_matches_central_differences():

@@ -41,12 +41,14 @@ from chemid.sensitivity import SensitivityFunction, hat_stencil
 from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
 from helpers import (
+    assert_bounded,
     block_bytes,
     dense_diffusion_solve,
     dense_one_step,
     dimensionless,
     interp_rows,
     rgi_restrict,
+    traced_peak,
     trajectory_distance,
 )
 
@@ -168,7 +170,8 @@ def test_solve_forward_keeps_the_buffer_it_filled(monkeypatch):
 
 
 def test_solve_forward_peak_memory_holds_the_trajectory_once():
-    """Peak <= what the solve keeps + _integrate's block buffer + 64 KiB."""
+    """Peak <= the estimate config holds a forward solve to, which a second
+    copy of the frames would pass."""
     g = SimulationGrid(0.0, 1.0, 51, 0.25, 8000)
     u0, c0 = bump_initial(g)
     p = dimensionless(M=0.25, D=1.0)
@@ -178,32 +181,53 @@ def test_solve_forward_peak_memory_holds_the_trajectory_once():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = (pde._block_steps(g.n_nodes, 1, g.n_steps, 0) + 1) * 16 * g.n_nodes
-    assert kept >= 2 * traj.u.nbytes >= 2 * block  # a second copy of the frames would show
-    assert peak <= kept + block + 64 * 1024
+    assert kept >= traj.X.nbytes > pde.solve_bytes(g.n_nodes, g.n_steps, kept=0)
+    assert peak <= pde.solve_bytes(g.n_nodes, g.n_steps)
 
 
 def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
     monkeypatch.setattr(pde, "_BLOCK_BYTES", 1000)
-    monkeypatch.setattr(pde, "_STEP_BYTES", 20)
+    monkeypatch.setattr(pde, "_STEP_BYTES", 24)
+    monkeypatch.setattr(pde, "_SCRATCH_BYTES", (40, 32))
+    monkeypatch.setattr(pde, "_SOLVE_BYTES", (2, 100))
     # one row on 3 nodes, 48 B a frame: 100 kept frames, a block of 20
-    # steps buffering 21 frames, and the old and new states
-    assert pde._block_steps(3, 1, 99, 0) == 20
-    assert pde.solve_bytes(3, 99) == 100 * 48 + 21 * 48 + 2 * 48
+    # steps buffering 21 frames, a base step's 40 B a node of scratch, and
+    # the fixed 2 B a node and 100 B
+    assert pde._plan(3, 1, 99, 0)[0] == 20
+    assert pde.solve_bytes(3, 99) == 100 * 48 + 21 * 48 + 3 * 40 + (3 * 2 + 100)
     # two rows with 2 tangents: 96 B a frame of states, 288 B with tangents,
-    # and 408 B a step with the 120 B its base step keeps: a block of 2
-    # steps buffering 3 frames, the old and new states, the 2 steps' keep,
-    # the rows' 2 x 2 sums (and the Gram matrix and its root)
-    assert pde._block_steps(3, 2, 99, 2) == 2
-    assert pde.solve_bytes(3, 99, 2, 2) == 100 * 96 + 3 * 288 + 2 * 288 + 2 * 120 + 8 * 4 * 4
-    # a step over the budget still takes a block of its own
-    assert pde._block_steps(100, 1, 1, 1) == 1
-    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == 1600 + 2 * 3200 + 2 * 3200 + 2000 + 8 * 3
+    # and 432 B a step with the 144 B its base step keeps: a block of 2
+    # steps buffering 3 frames, the current tangents (192 B), the 2 steps'
+    # keep, and a tangent step's scratch, 2 x 32 B a row and node
+    assert pde._plan(3, 2, 99, 2)[0] == 2
+    assert pde.solve_bytes(3, 99, 2, 2) == (
+        100 * 96 + 3 * 288 + 192 + 2 * 144 + 6 * 64 + (3 * 2 + 100))
+    # a step over the budget still takes a block of its own; one tangent's
+    # scratch is less than a base step's
+    assert pde._plan(100, 1, 1, 1)[0] == 1
+    assert pde.solve_bytes(100, 1, 1, 1, kept=1) == (
+        1600 + 2 * 3200 + 1600 + 2400 + 100 * 40 + (100 * 2 + 100))
     # once the blocks are full, more steps cost nothing but the frames kept
     for rows, directions in ((1, 0), (2, 2)):
         big = pde.solve_bytes(3, 10**9, rows, directions, kept=1)
         assert pde.solve_bytes(3, 10**9 + 1, rows, directions, kept=1) == big
         assert pde.solve_bytes(3, 99, rows, directions, kept=1) == big
+
+
+def traced_solve(rows, n_nodes, n_steps, directions=0, every=1):
+    """The traced peak of an ``_integrate`` solve on n_nodes x n_steps that
+    keeps no frame: ``rows`` rows of hats near a = 2, with L = ``directions``
+    tangents each."""
+    g = SimulationGrid(0.0, 1.0, n_nodes, 0.05, n_steps)
+    u0, _ = bump_initial(g)
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, 0.5 + 0.45 * np.cos(np.pi * g.xs()))
+    knots = np.linspace(0.05, 0.95, max(directions, 2))
+    coeffs = np.full((rows, len(knots)), 2.0) * np.linspace(0.9, 1.1, rows)[:, None]
+    peak, errors = traced_peak(lambda: _integrate(
+        model, lambda face_c: interp_rows(face_c, knots, coeffs), rows, lambda j0, *X: None,
+        every, directions, lambda face_c: hat_stencil(face_c, knots, coeffs)))
+    assert errors == [None] * rows
+    return peak
 
 
 @pytest.mark.parametrize("every", [1, 3])
@@ -212,23 +236,26 @@ def test_solve_bytes_bounds_a_tangent_solve(rows, every):
     # 4 hats on 51 x 250: blocks of 116, 7 and 2 steps for 1, 15 and 41
     # rows; the traced peak of the whole solve, which keeps no frame, is
     # within its estimate, which also checks _STEP_BYTES
-    g = SimulationGrid(0.0, 1.0, 51, 0.05, 250)
-    u0, _ = bump_initial(g)
-    model = ForwardModel(PhysicalParams.myerscough(), g, u0, 0.5 + 0.45 * np.cos(np.pi * g.xs()))
-    hats = SensitivityFunction.constant(2.0, 0.05, 0.95, 4)
-    knots = hats.knots()
-    coeffs = np.tile(hats.coeffs, (rows, 1)) * np.linspace(0.9, 1.1, rows)[:, None]
-    assert pde._block_steps(g.n_nodes, rows, g.n_steps, 4) == {1: 116, 15: 7, 41: 2}[rows]
-    tracemalloc.start()
-    try:
-        errors = _integrate(model, lambda face_c: interp_rows(face_c, knots, coeffs), rows,
-                            lambda j0, X, dX: None, every, 4,
-                            lambda face_c: hat_stencil(face_c, knots, coeffs))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert errors == [None] * rows
-    assert peak <= pde.solve_bytes(g.n_nodes, g.n_steps, rows, 4, kept=0)
+    assert pde._plan(51, rows, 250, 4)[0] == {1: 116, 15: 7, 41: 2}[rows]
+    assert_bounded(traced_solve(rows, 51, 250, 4, every), pde.solve_bytes(51, 250, rows, 4, kept=0))
+
+
+@pytest.mark.parametrize("n_nodes, n_steps", [(51, 250), (201, 2000)], ids=["51x250", "201x2000"])
+@pytest.mark.parametrize("rows", [1, 15])
+def test_solve_bytes_bounds_a_solve_without_tangents(rows, n_nodes, n_steps):
+    estimate = pde.solve_bytes(n_nodes, n_steps, rows, kept=0)
+    assert_bounded(traced_solve(rows, n_nodes, n_steps), estimate)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7], ids=["step_by_step", "blocks_of_2", "partial_last"])
+@pytest.mark.parametrize("directions", [0, 4, 16])
+@pytest.mark.parametrize("rows", [1, 15])
+def test_solve_bytes_bounds_a_solve_in_short_blocks(monkeypatch, rows, directions, steps):
+    # 250 steps on 51 nodes in blocks of 1, 2 and 7 steps, the last of 5
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, 51, rows, directions))
+    assert pde._plan(51, rows, 250, directions)[0] == steps
+    estimate = pde.solve_bytes(51, 250, rows, directions, kept=0)
+    assert_bounded(traced_solve(rows, 51, 250, directions), estimate)
 
 
 # ---------------------------------------------------------------------------
