@@ -216,15 +216,21 @@ def _list(conv):
     return parse
 
 
+#: Bytes an alpha of a ``logspace`` sweep takes to build (array, list, scratch).
+_ALPHA_BYTES = 64
+
+
 def _alphas(s: str) -> list:
     """An explicit comma list or logspace:<lo_exp>:<hi_exp>:<count> of
     distinct positive alphas, each held to the alpha rule, at least the
-    MIN_CORNER_POINTS values the L-curve corner needs."""
+    MIN_CORNER_POINTS values the L-curve corner needs.  A logspace count is
+    held to ``require_solve_bytes`` before the sweep is built."""
     if s.startswith("logspace:"):
         lo, hi, count = s.split(":")[1:]  # any other number of parts: ValueError
         lo, hi, count = _finite(lo), _finite(hi), _size(count)
         if count < 1:
             raise ValueError(s)
+        require_solve_bytes(_ALPHA_BYTES * count, f"a sweep of {count} alphas")
         with np.errstate(over="ignore"):  # an overflowing alpha is rejected below
             alphas = [float(a) for a in np.logspace(lo, hi, count)]
     else:

@@ -339,10 +339,12 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     place that turns them into r, J^T J and J^T r; the problems share the
     forward model, time_refine and knots.  Each round solves the (L,) rows
     the pending requests yield as one batch with L tangents each, and owns
-    r, (rows, n_data + L), and every row's J^T J and J^T r.  Each block of
-    measurement frames is folded for all rows at once, in place: residual
-    and tangents are scaled by w = sqrt(dx dt), one batched matmul over
-    (frame, field, row) gives the per-frame products and
+    r, (rows, n_data + L), and every row's J^T J and J^T r.  The solve
+    hands on each block of solved frames; ``record`` takes every
+    time_refine-th as strided views (solved frame j * time_refine is
+    measurement frame j) and folds them for all rows at once, in place:
+    residual and tangents are scaled by w = sqrt(dx dt), one batched
+    matmul over (frame, field, row) gives the per-frame products and
     ``np.add.accumulate`` adds them in frame order, u then c, so the sums
     equal a frame by frame fold and r ``residual_vector`` bit for bit.
     ``_close_row`` adds the penalty rows.  A request is sent its row's
@@ -353,7 +355,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     """
     prob = probs[0]
     knots = prob.a_star.knots()
-    n_data, n_basis = prob.data.X.size, len(knots)
+    n_data, n_basis, time_refine = prob.data.X.size, len(knots), prob.time_refine
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     results = [None] * len(requests)
     pending = {}
@@ -384,6 +386,8 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
             return value
 
         def record(j0, X, dX):
+            s = -j0 % time_refine  # solved frame j0 + s is the block's first measured one
+            X, dX, j0 = X[s::time_refine], dX[s::time_refine], (j0 + s) // time_refine
             k = len(X)
             with np.errstate(over="ignore", invalid="ignore"):  # checked once closed
                 for row, i in enumerate(ids):
@@ -397,9 +401,8 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
                 JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
                 JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
 
-        errors = _integrate(prob.model, sensitivity, n_rows, record, every=prob.time_refine,
-                            directions=n_basis,
-                            stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
+        errors = _integrate(prob.model, sensitivity, n_rows, record, n_basis,
+                            lambda face_c: hat_stencil(face_c, knots, coeffs))
         for row, (i, error) in enumerate(zip(ids, errors)):
             try:
                 reply = _close_row(probs[i], coeffs[row], error, r[row], JTJ[row], JTr[row])

@@ -30,10 +30,10 @@ at once: u and c are (rows, n_nodes) arrays, one row per sensitivity
 row per coefficient vector, with its tangents, ``_tangent_step``), and
 one callback of the face concentrations gives every row's sensitivity.
 A solve runs in blocks of steps, in the buffers of one plan (``_plan``),
-and hands every k-th solved frame (k = 1 in ``solve_forward``) to the
-caller once per block: tangents never feed back into the base rows, so a
-tangent solve takes a block of base steps, then forms all their tangent
-coefficients at once.
+and hands every solved frame to the caller once per block: tangents never
+feed back into the base rows, so a tangent solve takes a block of base
+steps, then forms all their tangent coefficients at once from the block's
+frames and what each step kept.
 The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
@@ -91,10 +91,10 @@ LOWER_BOUND_SLACK = 1.0e-8
 _BLOCK_BYTES = 2**21
 
 #: Bytes per row and node of what a tangent solve keeps of each base step of a
-#: block (states, face weights, a(cbar), LU factors, tangent coefficients), and
-#: of the scratch of a base step and, per tangent, of a tangent step (never
+#: block besides its frame (face weights, a(cbar), LU factors, tangent coefficients),
+#: and of the scratch of a base step and, per tangent, of a tangent step (never
 #: both); bytes of a solve's fixed arrays (step operators) per node, and in all.
-_STEP_BYTES, _SCRATCH_BYTES, _SOLVE_BYTES = 272, (128, 28), (64, 2**15)
+_STEP_BYTES, _SCRATCH_BYTES, _SOLVE_BYTES = 184, (128, 28), (64, 2**15)
 
 
 @dataclass(frozen=True)
@@ -309,10 +309,7 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     return dt, dt * params.M / dx, grid.cell_widths(), tuple(c_lu)
 
 
-def _advance(
-    u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple,
-    keep: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
+def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple):
     """One IMEX step of ``model`` for every row of (u, c), given ``flow`` = dt * face velocity.
 
     ``ops`` are the ``_step_operators`` of the solve.  Over a step, face k
@@ -323,13 +320,11 @@ def _advance(
     K the flux differences: its columns sum to W, and with the face rule
     it is a column diagonally dominant M-matrix, so its LU factors need no
     pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
-    block-tridiagonal system with zero coupling between blocks.  If
-    ``keep`` is a list, the step appends (u, u_new, c, w, u_lu) to it:
-    what the tangent step needs, u_lu being the u-matrix dgttrf factors.
+    block-tridiagonal system with zero coupling between blocks.
 
-    Returns the new (u, c) rows and a list of (row, PositivityViolationError)
-    for rows whose cell density fell below the floor; smaller negatives
-    are clipped to zero.
+    Returns the new (u, c) rows, the face weights w and u-matrix dgttrf factors
+    u_lu a tangent step needs, and a list of (row, PositivityViolationError) for
+    rows whose cell density fell below the floor; smaller negatives are clipped to zero.
     """
     dt, m, widths, c_lu = ops
     rows, n = u.shape
@@ -368,28 +363,28 @@ def _advance(
             for i in np.flatnonzero(broken)
         ]
         u_new[u_new < 0.0] = 0.0
-    if keep is not None:
-        keep.append((u, u_new, c, w, u_lu))
-    return u_new, c_new, failures
+    return u_new, c_new, w, u_lu, failures
 
 
-def _tangent_coefficients(kept: list, values: list, stencil: Callable, model, ops) -> zip:
-    """The ``_tangent_step`` coefficients of the K steps ``_advance`` kept, formed at once.
+def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, model, ops) -> zip:
+    """The ``_tangent_step`` coefficients of K steps, formed at once.
 
-    ``stencil`` maps (K, rows, faces) face means to hat geometry; ``values`` are their a(cbar).
-    Both lists are emptied once stacked, which frees their arrays before
-    the coefficients are formed (``_plan`` counts on it).  Each coefficient is a lone step's
-    elementwise expression with a step axis in front, so it has that
-    step's bits.  Yields per step (lo, hi, prod, phi_at, phi, u_lu):
-    d(flow_k) times the advected u_new is lo_k dc_k + hi_k dc_{k+1} plus
-    ``phi`` at flat indices ``phi_at`` of an (L, rows, faces) array, and
-    prod is dt b h / (u + h)^2.
+    ``states`` holds the K + 1 frames (``_integrate``'s ``X``) and ``kept``
+    each step's (a(cbar), w, u_lu); ``stencil`` maps (K, rows, faces) face
+    means to hat geometry.  ``kept`` is emptied once stacked, which frees
+    its arrays before the coefficients are formed (``_plan`` counts on
+    it).  Each coefficient is a lone step's elementwise expression with a
+    step axis in front, so it has that step's bits.  Yields per step (lo,
+    hi, prod, phi_at, phi, u_lu): d(flow_k) times the advected u_new is
+    lo_k dc_k + hi_k dc_{k+1} plus ``phi`` at flat indices ``phi_at`` of
+    an (L, rows, faces) array, and prod is dt b h / (u + h)^2.
     """
     dt = ops[0]
     params, ratio = model.params, dt / model.grid.dx
-    u, u_new, c, w = (np.stack(field) for field in list(zip(*kept))[:4])
-    u_lu, value = [step[4] for step in kept], np.stack(values)
-    del kept[:], values[:]
+    u, c, u_new = states[:-1, 0], states[:-1, 1], states[1:, 0]
+    value, w = (np.stack(field) for field in list(zip(*kept))[:2])
+    u_lu = [step[2] for step in kept]
+    del kept[:]
     K, rows, n = u.shape
     seg, frac, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
     u_face = w * u_new[..., :-1] + (1.0 - w) * u_new[..., 1:]
@@ -441,10 +436,10 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
 def _plan(n_nodes: int, rows: int, n_steps: int, directions: int) -> tuple:
     """(K, shapes, bytes) of one block of a solve: as many steps K as fit
     ``_BLOCK_BYTES`` (at least one, at most ``n_steps``), the shape in doubles
-    of each of its buffers, and their sum in bytes.  ``X`` holds K + 1 frames
-    (u and c) of every row, ``dX`` their L = ``directions`` tangents and
-    ``tangents`` the current ones, as ``_integrate`` allocates them; ``steps``
-    is what the K base steps keep for the tangents (``_advance``).
+    of each of its buffers (``_integrate`` allocates them), and their sum in bytes.
+    ``X`` holds the K + 1 frames (u and c) of every row the K steps start from and
+    end at, ``dX`` their L = ``directions`` tangents, ``tangents`` the current ones
+    and ``steps`` what the base steps keep for the tangents besides their frames.
     """
     lane, L = (rows, n_nodes), directions
     nbytes = lambda shapes: 8 * sum(math.prod(shape) for shape in shapes.values())
@@ -470,15 +465,8 @@ def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
             + ((16 * frames + scratch) * rows + _SOLVE_BYTES[0]) * n_nodes)
 
 
-def _integrate(
-    model: ForwardModel,
-    a: Callable,
-    n_rows: int,
-    record: Callable,
-    every: int = 1,
-    directions: int = 0,
-    stencil: Callable | None = None,
-) -> list:
+def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
+               directions: int = 0, stencil: Callable | None = None) -> list:
     """Solve ``model`` for ``n_rows`` rows, each from the model's initial state.
 
     ``a(face_c)`` gives the sensitivity values of the (rows, faces) face
@@ -490,25 +478,25 @@ def _integrate(
     until the solve ends, which keeps its u and c finite and changes
     none of the others, and its frames after it stopped mean nothing.
 
-    The steps run in blocks of K (``_plan``), in buffers of its shapes.  ``record(j0, X)``
-    receives every ``every``-th solved frame in order, one call per block
-    that sampled one: X is a (k, 2, rows, n_nodes) array of u, then c,
-    at solved frames j * every for j = j0 .. j0 + k - 1, the layout of
-    ``StateTrajectory.X`` with a row axis; the first block also holds
-    frame 0.  The frames end at the last one any row survived.  X is
-    reused afterwards, so ``record`` copies what it keeps and may change
-    the block in place (the lockstep fold scales it).  Returns, per row,
-    None or the error that stopped it.
+    The steps run in blocks of K (``_plan``), in buffers of its shapes:
+    ``X[0]`` holds the state a block starts from and ``X[i]`` the one its
+    i-th step ends at.  ``record(j0, X)`` receives every solved frame in
+    order, one call per block: X is a (k, 2, rows, n_nodes) array of u,
+    then c, at frames j0 .. j0 + k - 1, the layout of
+    ``StateTrajectory.X`` with a row axis; only the first block hands on
+    its ``X[0]``, frame 0.  The frames end at the last one any row
+    survived.  X is reused afterwards, so ``record`` copies what it keeps
+    and may change the block in place (the lockstep fold scales it).
+    Returns, per row, None or the error that stopped it.
 
     With ``directions`` = L > 0, ``stencil(face_c)`` gives the hat
     geometry (``hat_stencil``: segment, fraction, slope) of a (K, rows,
     faces) block of face means.  Each row carries the tangents of its L
     hat coefficients from zero, and ``record(j0, X, dX)`` gets them too,
-    dX of shape (k, 2, L, rows, n_nodes).  A block's K ``_advance`` calls
-    keep what their tangents need, with the array ``a`` returned for each
-    (so ``a`` returns a new one per call); then one
-    ``_tangent_coefficients`` pass forms all their coefficients and
-    ``_tangent_step`` advances the tangents step by step.
+    dX of shape (k, 2, L, rows, n_nodes).  A block keeps each step's a(cbar)
+    (so ``a`` returns a new array per call) and the w and u_lu of ``_advance``;
+    one ``_tangent_coefficients`` pass forms all their coefficients with the
+    block's states, and ``_tangent_step`` advances the tangents step by step.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
@@ -516,10 +504,8 @@ def _integrate(
     ops = _step_operators(params, grid)
     steps, shapes, _ = _plan(grid.n_nodes, n_rows, n_steps, directions)
     X, dX, tangents = np.empty(shapes["X"]), np.zeros(shapes["dX"]), np.zeros(shapes["tangents"])
-    X[0, 0], X[0, 1] = u, c
     buffers = (X, dX) if directions else (X,)
-    kept, values = ([], []) if directions else (None, None)  # a block's keep, its a(cbar)
-    j0, filled = 0, 1  # the buffers hold sampled frames j0 .. j0 + filled - 1
+    kept = []  # a block's (a(cbar), w, u_lu) per step, for its tangents
     c_floor = c.min(axis=1)
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
@@ -530,8 +516,9 @@ def _integrate(
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for first in range(0, n_steps, steps):
-            start, last = filled, min(first + steps, n_steps)
-            for j in range(first, last):
+            X[0, 0], X[0, 1] = u, c  # record may have changed the last block's states
+            k = 0  # X[: k + 1] holds frames first .. first + k
+            for j in range(first, min(first + steps, n_steps)):
                 value, velocity = _face_velocities(c, a, dx)
                 flow = dt * velocity
                 if not np.isfinite(flow.sum()):  # a finite sum has finite terms
@@ -541,9 +528,7 @@ def _integrate(
                         ))
                 if not alive.all():
                     flow[~alive] = 0.0
-                u, c, broken = _advance(u, c, flow, model, ops, kept)
-                if directions:
-                    values.append(value)
+                u, c, w, u_lu, broken = _advance(u, c, flow, model, ops)
                 for row, exc in broken:
                     fail(row, exc)
 
@@ -558,23 +543,22 @@ def _integrate(
                             f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
                         ))
                 if not alive.any():
-                    last = j  # the frames end at the step before
-                    break
-                if (j + 1) % every == 0:
-                    X[filled, 0], X[filled, 1] = u, c
-                    filled += 1
+                    break  # the frames end at the step before
+                k += 1
+                X[k, 0], X[k, 1] = u, c
+                if directions:
+                    kept.append((value, w, u_lu))
+                del w, u_lu  # unless kept, freed before the next step
 
-            if directions and last > first:
-                coefficients = _tangent_coefficients(kept, values, stencil, model, ops)
-                for j, step in zip(range(first, last), coefficients):
-                    _tangent_step(*tangents, step, ops)
-                    if (j + 1) % every == 0:
-                        dX[start] = tangents
-                        start += 1
+            if directions and k:
+                coefficients = _tangent_coefficients(X[: k + 1], kept, stencil, model, ops)
+                for i in range(1, k + 1):
+                    _tangent_step(*tangents, next(coefficients), ops)
+                    dX[i] = tangents
                 del coefficients  # frees the block's coefficients before record
-            if filled:
-                record(j0, *(b[:filled] for b in buffers))
-                j0, filled = j0 + filled, 0
+            start = 1 if first else 0  # a later block's X[0] is the last block's end
+            if k >= start:
+                record(first + start, *(b[start : k + 1] for b in buffers))
             if not alive.any():
                 break
     return errors

@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 import chemid.inversion as inv
@@ -115,6 +116,36 @@ def block_bytes(steps, n_nodes, rows, directions=0):
     return steps * (one - none)
 
 
+def traced_solve(rows, n_nodes, n_steps, directions=0, record=lambda j0, *X: None):
+    """The traced peak of a ``pde._integrate`` solve on n_nodes x n_steps, with
+    ``record`` keeping no frame by default: ``rows`` rows of hats near a = 2,
+    with L = ``directions`` tangents each."""
+    g = pde.SimulationGrid(0.0, 1.0, n_nodes, 0.05, n_steps)
+    x = g.xs()
+    u0, c0 = 1.0 + np.exp(-55.0 * (x - 0.5) ** 2), 0.5 + 0.45 * np.cos(np.pi * x)
+    model = pde.ForwardModel(PhysicalParams.myerscough(), g, u0, c0)
+    knots = np.linspace(0.05, 0.95, max(directions, 2))
+    coeffs = np.full((rows, len(knots)), 2.0) * np.linspace(0.9, 1.1, rows)[:, None]
+    peak, errors = traced_peak(lambda: pde._integrate(
+        model, lambda face_c: interp_rows(face_c, knots, coeffs), rows, record,
+        directions=directions, stencil=lambda face_c: hat_stencil(face_c, knots, coeffs)))
+    assert errors == [None] * rows
+    return peak
+
+
+def step_bytes(rows, directions):
+    """What a tangent solve on 51 nodes holds per base step of a block, in bytes
+    a row and node: the traced peak of 100 steps in blocks of 50 less that in
+    blocks of 10, over the 40 steps between, net of the frames and tangents
+    ``X`` and ``dX`` hold.  ``pde._STEP_BYTES`` is this slope."""
+    peaks = []
+    for steps in (50, 10):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, 51, rows, directions))
+            peaks.append(traced_solve(rows, 51, 100, directions))
+    return (peaks[0] - peaks[1]) / (40 * rows * 51) - 16 * (1 + directions)
+
+
 def traced_peak(run):
     """(the tracemalloc peak in bytes of ``run()``, what it returned)."""
     tracemalloc.start()
@@ -153,12 +184,14 @@ def tangent_jacobian(coeffs, prob):
     def sensitivity(face_c):
         return interp_rows(face_c, knots, rows)
 
-    def record(j0, X, dX):
-        J_data[:, j0 : j0 + len(X)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
+    def record(j0, X, dX):  # every time_refine-th solved frame is measured
+        s, k = -j0 % prob.time_refine, prob.time_refine
+        dX, j0 = dX[s::k], (j0 + s) // k
+        J_data[:, j0 : j0 + len(dX)] = (w * dX[:, :, :, 0]).transpose(1, 0, 3, 2)
 
     errors = pde._integrate(
-        prob.model, sensitivity, 1, record, every=prob.time_refine, directions=len(knots),
-        stencil=lambda face_c: hat_stencil(face_c, knots, rows),
+        prob.model, sensitivity, 1, record, len(knots),
+        lambda face_c: hat_stencil(face_c, knots, rows),
     )
     assert errors == [None]
     J[n_data:] = prob._penalty_root

@@ -794,12 +794,16 @@ sys.exit(cli.main(sys.argv[1:]))
          "config key 'alphas': sweep alphas must be distinct"),
         ("lcurve", "alphas = logspace:300:310:5",
          "config key 'alphas': alpha must be finite (got inf)"),
+        ("lcurve", "alphas = logspace:-6:-2:1000000000",
+         "config key 'alphas': a sweep of 1000000000 alphas needs an estimated "
+         "64000000000 bytes, over the limit 2147483648"),
         ("make-data", "delta = -1e-3", "delta must be >= 0 (got -0.001)"),
         ("invert", "alpha = -1", "alpha must be >= 0 (got -1.0)"),
     ],
     ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
          "underflowing_coupling", "repeated_seeds", "one_hat", "no_refine", "negative_padding",
-         "negative_alpha", "repeated_alphas", "overflowing_alphas", "make_data_negative_delta",
+         "negative_alpha", "repeated_alphas", "overflowing_alphas", "huge_logspace",
+         "make_data_negative_delta",
          "invert_negative_alpha"],
 )
 def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
@@ -890,7 +894,7 @@ SOLVE_COUNTS = {
     "invert-refine-3": (4, 720, 4),
     "lcurve": (14, 1680, 14),
     "rates-refine-1": (4, 420, 6),
-    "rates": (5, 720, 14),
+    "rates": (5, 720, 11),
 }
 
 

@@ -230,6 +230,28 @@ def test_resolve_caps_the_logspace_count(count, monkeypatch):
         parsed("alphas", f"logspace:-8:-1:{count}")
 
 
+def test_resolve_budgets_a_logspace_sweep_before_building_it(monkeypatch):
+    # a parse of 4 x 10^5 alphas stays within its count; 10^9 alphas, under
+    # MAX_SIZE, are refused before np.logspace runs
+    tracemalloc.start()
+    try:
+        assert len(parsed("alphas", "logspace:-8:-1:400000")) == 400000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfgmod._ALPHA_BYTES * 400000
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.logspace ran")
+
+    monkeypatch.setattr(cfgmod.np, "logspace", refuse)
+    with pytest.raises(ConfigError, match=(
+        f"^config key 'alphas': a sweep of 1000000000 alphas needs an estimated "
+        f"{64 * 10**9} bytes, over the limit {MAX_SOLVE_BYTES}$"
+    )):
+        parsed("alphas", "logspace:-8:-1:1000000000")
+
+
 def test_resolve_caps_array_sizes():
     assert parsed("n_basis", str(MAX_SIZE)) == MAX_SIZE
     for value in (MAX_SIZE + 1, 10**20):

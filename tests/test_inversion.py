@@ -233,6 +233,63 @@ def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_steps)
         assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
 
 
+@pytest.mark.parametrize("block_steps", [None, 2], ids=["one_block", "blocks_of_2"])
+@pytest.mark.parametrize("time_refine", [2, 3])
+def test_lockstep_measures_every_kth_solved_frame(monkeypatch, time_refine, block_steps):
+    # the 120 frames after frame 0 take 240 or 360 steps, of which the fold
+    # measures every time_refine-th; in blocks of 2 steps each block holds
+    # one measured frame at time_refine 2, and every third holds none at 3.
+    # Row 2's sensitivity turns nan in step 8: it stops with that error and
+    # its measured frames before it equal a lone solve's, and the other rows
+    # fold as the per-frame fold of their lone tangents does
+    prob, a_true, truth = small_problem(alpha=2e-3, delta=1e-2)
+    prob = dataclasses.replace(prob, time_refine=time_refine)
+    probs = [prob, dataclasses.replace(prob, data=add_noise(truth, 3e-2, 5), alpha=1e-1), prob]
+    coeffs = [a_true.coeffs * f for f in (0.9, 1.1, 1.2)]
+    n_steps, n_data = prob.model.grid.n_steps, prob.data.X.size
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(
+        block_steps or n_steps, prob.grid.n_nodes, len(probs), prob.n_basis))
+    real, real_close, blocks, closed = inv._integrate, inv._close_row, [], []
+
+    def integrate(model, a, n_rows, record, *tangents):
+        def value(face_c):
+            blocks.append(None)
+            vals = a(face_c)
+            if blocks.count(None) == 8:
+                vals[2] = np.nan
+            return vals
+
+        def measured(j0, X, dX):
+            blocks.append((j0, len(X)))
+            record(j0, X, dX)
+
+        return real(model, value, n_rows, measured, *tangents)
+
+    def close(prob, coeffs, error, r, JTJ, JTr):
+        closed.append(r[:n_data].copy())
+        return real_close(prob, coeffs, error, r, JTJ, JTr)
+
+    monkeypatch.setattr(inv, "_integrate", integrate)
+    monkeypatch.setattr(inv, "_close_row", close)
+    results = inv._run_lockstep(probs, [evaluation(c) for c in coeffs])
+    steps, blocks = block_steps or n_steps, [block for block in blocks if block is not None]
+    assert [k for _, k in blocks] == [steps + 1] + [steps] * (n_steps // steps - 1)
+    assert [j0 for j0, _ in blocks] == list(np.cumsum([0] + [k for _, k in blocks[:-1]]))
+    unmeasured = any(-j0 % time_refine >= k for j0, k in blocks)
+    assert unmeasured == (block_steps == 2 and time_refine == 3)
+    for p, c, r, (cost, split, JTJ, JTr) in zip(probs[:2], coeffs, closed, results):
+        r_ref = residual_vector(c, p)
+        assert r.tobytes() == r_ref[:n_data].tobytes()
+        ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(c, p), r_ref, p)
+        assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
+    assert isinstance(results[2], ForwardSolveError)
+    assert "face velocity is not finite in frame 8" in str(results[2])
+    n_valid = len(range(0, 8, time_refine))  # measured frames before solved frame 8
+    R, R_ref = (x[:n_data].reshape(2, -1, prob.grid.n_nodes)[:, :n_valid]
+                for x in (closed[2], residual_vector(coeffs[2], prob)))
+    assert np.array_equal(R, R_ref)
+
+
 def test_lockstep_lm_does_not_depend_on_the_block_size(monkeypatch):
     probs = _many_problems()
     a0s = [p.a_star for p in probs]
@@ -257,9 +314,9 @@ def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refin
     n_steps, n_nodes = prob.model.grid.n_steps, prob.grid.n_nodes
     real, blocks = pde._tangent_coefficients, []
 
-    def coefficients(kept, *args):
+    def coefficients(states, kept, *args):
         blocks.append(len(kept))
-        return real(kept, *args)
+        return real(states, kept, *args)
 
     closed = closed_rows(monkeypatch)
 
@@ -283,16 +340,17 @@ def test_tangent_solve_does_not_depend_on_the_step_block(monkeypatch, time_refin
 
 def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
     # one a(cbar) per step, and one hat geometry per step block: three rows
-    # on 21 nodes take 120 steps in more than one block
+    # on 21 nodes take 120 steps in blocks of 50, 50 and 20
     probs = _many_problems()
     n_steps = probs[0].model.grid.n_steps
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(50, 21, len(probs), probs[0].n_basis))
     real, calls, values, stencils = pde._advance, [], [], []
 
     def advance(*args):
         calls.append(len(args[0]))
         return real(*args)
 
-    def integrate(model, a, n_rows, record, every=1, directions=0, stencil=None):
+    def integrate(model, a, n_rows, record, directions=0, stencil=None):
         def value(face_c):
             values.append(len(face_c))
             return a(face_c)
@@ -301,31 +359,28 @@ def test_a_batched_tangent_solve_takes_one_advance_per_step(monkeypatch):
             stencils.append(face_c.shape[:2])
             return stencil(face_c)
 
-        return pde._integrate(model, value, n_rows, record, every, directions, geometry)
+        return pde._integrate(model, value, n_rows, record, directions, geometry)
 
     monkeypatch.setattr(pde, "_advance", advance)
     monkeypatch.setattr(inv, "_integrate", integrate)
     inv._run_lockstep(probs, [evaluation(p.a_star.coeffs) for p in probs])
     assert calls == [len(probs)] * n_steps
     assert values == [len(probs)] * n_steps
-    steps = pde._plan(probs[0].grid.n_nodes, len(probs), n_steps, probs[0].n_basis)[0]
-    assert 1 < steps < n_steps
-    assert stencils == [(min(steps, n_steps - first), len(probs))
-                        for first in range(0, n_steps, steps)]
+    assert stencils == [(50, len(probs)), (50, len(probs)), (20, len(probs))]
 
 
-@pytest.mark.parametrize("cells, n_basis", [(15, 16), (15, 4), (1, 24)],
-                         ids=["15x16", "15x4", "1x24"])
-def test_round_bytes_bounds_a_lockstep_lm(cells, n_basis):
+@pytest.mark.parametrize("cells, n_basis, time_refine", [(15, 16, 1), (15, 4, 1), (1, 24, 1), (15, 4, 3)],
+                         ids=["15x16", "15x4", "1x24", "15x4_refine_3"])
+def test_round_bytes_bounds_a_lockstep_lm(cells, n_basis, time_refine):
     # an LM of every cell in lockstep on 51 x 250, each cell's data drawn
-    # in the traced region as a rate study draws it: the peak of its rounds
-    # is within the count of one round
+    # in the traced region as a rate study draws it, solved with 1 or 3
+    # steps a frame: the peak of its rounds is within the count of one round
     g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
     params, (u0, c0) = PhysicalParams.myerscough(), myerscough_initial_data(g)
     truth = solve_forward(u0, c0, params, SensitivityFunction.constant(2.0, 0.05, 0.95, 4), g)
     a_star = SensitivityFunction.constant(1.5, *concentration_range(truth, padding=0.1), n_basis)
     base = TikhonovProblem(data=add_noise(truth, 0.0, 0), alpha=1e-3, a_star=a_star,
-                           params=params, u0=u0, c0=c0)
+                           params=params, u0=u0, c0=c0, time_refine=time_refine)
 
     def fit():
         probs = [dataclasses.replace(base, data=add_noise(truth, 1e-2, seed))
@@ -334,7 +389,7 @@ def test_round_bytes_bounds_a_lockstep_lm(cells, n_basis):
 
     peak, results = traced_peak(fit)
     assert all(isinstance(res, InversionResult) and res.iterations for res in results)
-    assert_bounded(peak, inv.round_bytes(g, 1, cells, n_basis))
+    assert_bounded(peak, inv.round_bytes(g, time_refine, cells, n_basis))
 
 
 def test_gradient_matches_central_differences():
@@ -406,10 +461,10 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     real = inv._integrate
     calls = {"n": 0}
 
-    def failing_trials(model, a, n_rows, record, every=1, directions=0, stencil=None):
+    def failing_trials(model, a, n_rows, record, directions=0, stencil=None):
         calls["n"] += 1
         if calls["n"] <= 1:  # the starting point
-            return real(model, a, n_rows, record, every, directions, stencil)
+            return real(model, a, n_rows, record, directions, stencil)
         return [NumericalSolveError("injected trial failure")]
 
     monkeypatch.setattr(inv, "_integrate", failing_trials)
@@ -508,7 +563,7 @@ def poison_tangents(monkeypatch, solve):
     """Make the tangents of the ``solve``-th batched solve inf, leaving its rows as they are."""
     real, calls = pde._integrate, []
 
-    def integrate(model, a, n_rows, record, every=1, directions=0, stencil=None):
+    def integrate(model, a, n_rows, record, directions=0, stencil=None):
         calls.append(1)
 
         def poisoned(j0, X, dX):
@@ -516,7 +571,7 @@ def poison_tangents(monkeypatch, solve):
             record(j0, X, dX)
 
         return real(model, a, n_rows, poisoned if len(calls) == solve else record,
-                    every, directions, stencil)
+                    directions, stencil)
 
     monkeypatch.setattr(inv, "_integrate", integrate)
 

@@ -9,6 +9,7 @@ import dataclasses
 import io
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -48,7 +49,8 @@ from helpers import (
     dimensionless,
     interp_rows,
     rgi_restrict,
-    traced_peak,
+    step_bytes,
+    traced_solve,
     trajectory_distance,
 )
 
@@ -214,30 +216,40 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
         assert pde.solve_bytes(3, 99, rows, directions, kept=1) == big
 
 
-def traced_solve(rows, n_nodes, n_steps, directions=0, every=1):
-    """The traced peak of an ``_integrate`` solve on n_nodes x n_steps that
-    keeps no frame: ``rows`` rows of hats near a = 2, with L = ``directions``
-    tangents each."""
-    g = SimulationGrid(0.0, 1.0, n_nodes, 0.05, n_steps)
-    u0, _ = bump_initial(g)
-    model = ForwardModel(PhysicalParams.myerscough(), g, u0, 0.5 + 0.45 * np.cos(np.pi * g.xs()))
-    knots = np.linspace(0.05, 0.95, max(directions, 2))
-    coeffs = np.full((rows, len(knots)), 2.0) * np.linspace(0.9, 1.1, rows)[:, None]
-    peak, errors = traced_peak(lambda: _integrate(
-        model, lambda face_c: interp_rows(face_c, knots, coeffs), rows, lambda j0, *X: None,
-        every, directions, lambda face_c: hat_stencil(face_c, knots, coeffs)))
-    assert errors == [None] * rows
-    return peak
+@pytest.mark.parametrize("rows", [1, 15, 41, 200])
+def test_solve_bytes_bounds_a_tangent_solve(rows):
+    # 4 hats on 51 x 250: blocks of 155, 10, 3 and 1 steps for 1, 15, 41
+    # and 200 rows; the traced peak of the whole solve, which keeps no
+    # frame, is within its estimate, which also checks _STEP_BYTES
+    assert pde._plan(51, rows, 250, 4)[0] == {1: 155, 15: 10, 41: 3, 200: 1}[rows]
+    assert_bounded(traced_solve(rows, 51, 250, 4), pde.solve_bytes(51, 250, rows, 4, kept=0))
 
 
-@pytest.mark.parametrize("every", [1, 3])
-@pytest.mark.parametrize("rows", [1, 15, 41])
-def test_solve_bytes_bounds_a_tangent_solve(rows, every):
-    # 4 hats on 51 x 250: blocks of 116, 7 and 2 steps for 1, 15 and 41
-    # rows; the traced peak of the whole solve, which keeps no frame, is
-    # within its estimate, which also checks _STEP_BYTES
-    assert pde._plan(51, rows, 250, 4)[0] == {1: 116, 15: 7, 41: 2}[rows]
-    assert_bounded(traced_solve(rows, 51, 250, 4, every), pde.solve_bytes(51, 250, rows, 4, kept=0))
+def test_step_bytes_is_the_traced_slope_of_a_block():
+    # what a block keeps per base step, measured at 1, 4 and 15 rows with
+    # 4 hats: a change to what a step keeps must re-measure _STEP_BYTES
+    slope = max(step_bytes(rows, 4) for rows in (1, 4, 15))
+    assert abs(pde._STEP_BYTES - slope) <= 16
+
+
+def test_a_blocks_coefficients_are_freed_before_record(monkeypatch):
+    # the arrays _tangent_coefficients stacks for a block's tangent steps
+    # are gone by the time record sees the block, in one block and in blocks of 3
+    real, stacked, alive = pde._tangent_coefficients, [], []
+
+    def coefficients(*args):
+        steps = list(real(*args))
+        stacked.extend(weakref.ref(a.base) for a in steps[0][:5])
+        return iter(steps)
+
+    def record(j0, X, dX):
+        alive.append(sum(ref() is not None for ref in stacked))
+
+    monkeypatch.setattr(pde, "_tangent_coefficients", coefficients)
+    traced_solve(3, 21, 12, 4, record)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(3, 21, 3, 4))
+    traced_solve(3, 21, 12, 4, record)
+    assert len(stacked) == 5 * 5 and alive == [0] * 5
 
 
 @pytest.mark.parametrize("n_nodes, n_steps", [(51, 250), (201, 2000)], ids=["51x250", "201x2000"])
@@ -256,6 +268,16 @@ def test_solve_bytes_bounds_a_solve_in_short_blocks(monkeypatch, rows, direction
     assert pde._plan(51, rows, 250, directions)[0] == steps
     estimate = pde.solve_bytes(51, 250, rows, directions, kept=0)
     assert_bounded(traced_solve(rows, 51, 250, directions), estimate)
+
+
+@pytest.mark.parametrize("directions", [16, 24])
+def test_solve_bytes_bounds_many_tangents_in_blocks_of_2(monkeypatch, directions):
+    # 41 rows with many tangents: the tangent step's scratch outweighs a
+    # block of two base steps' keep
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(2, 51, 41, directions))
+    assert pde._plan(51, 41, 250, directions)[0] == 2
+    estimate = pde.solve_bytes(51, 250, 41, directions, kept=0)
+    assert_bounded(traced_solve(41, 51, 250, directions), estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +381,7 @@ def test_step_flags_positivity_violation():
     c = np.tile(g.xs() + 0.1, (2, 1))
     flow = g.dt * velocities(c, a, g.dx)
     model = ForwardModel(p, g, u[0], c[0], "upwind")
-    _, _, failures = _advance(u, c, flow, model, _step_operators(p, g))
+    *_, failures = _advance(u, c, flow, model, _step_operators(p, g))
     assert [(row, type(exc)) for row, exc in failures] == [(1, PositivityViolationError)]
 
 
@@ -575,15 +597,15 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
     _, lone = run(1)
     real, steps = pde._advance, []
 
-    def advance(u, c, flow, model, ops, keep=None):
+    def advance(u, c, flow, model, ops):
         steps.append(1)
         if len(steps) == 7:
             u = u.copy()
             u[2] *= -1e-3
-        u_new, c_new, failures = real(u, c, flow, model, ops, keep)
+        u_new, c_new, *step, failures = real(u, c, flow, model, ops)
         if len(steps) >= 4:
             c_new[0] *= 1e-3
-        return u_new, c_new, failures
+        return u_new, c_new, *step, failures
 
     monkeypatch.setattr(pde, "_advance", advance)
     errors, (X, *dX) = run(3)
@@ -621,15 +643,15 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
     _, (X_lone, dX_lone) = run(1)
     real, calls = pde._advance, []
 
-    def advance(u, c, flow, model, ops, keep=None):
+    def advance(u, c, flow, model, ops):
         calls.append(1)
         if len(calls) == 7:
             u = u.copy()
             u[2] *= -1e-3
-        u_new, c_new, failures = real(u, c, flow, model, ops, keep)
+        u_new, c_new, *step, failures = real(u, c, flow, model, ops)
         if len(calls) >= 4:
             c_new[0] *= 1e-3
-        return u_new, c_new, failures
+        return u_new, c_new, *step, failures
 
     monkeypatch.setattr(pde, "_advance", advance)
     expected, _ = run(3)
@@ -645,49 +667,6 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
     assert [str(e) for e in errors] == [str(e) for e in expected]
     assert np.array_equal(X[:, :, 1], X_lone[:, :, 0])
     assert np.array_equal(dX[..., 1, :], dX_lone[..., 0, :])
-
-
-@pytest.mark.parametrize("every", [2, 3])
-@pytest.mark.parametrize("block_steps", [None, 2], ids=["one_block", "blocks_of_2"])
-def test_sampled_frames_equal_every_kth_solved_frame(monkeypatch, every, block_steps):
-    # 12 steps solve frames 0..12, of which every=2 samples 7 and every=3
-    # samples 5; a block records the frames its steps sampled, the first
-    # also frame 0, and one that sampled none (frames 7 and 8 at every=3)
-    # records nothing.  Row 2's sensitivity turns nan in step 8, so its
-    # frames 0..7 are valid and its samples after frame 7 are not compared
-    g = SimulationGrid(0.0, 1.0, 51, 0.05, 12)
-    u0, _ = bump_initial(g)
-    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
-    model = ForwardModel(PhysicalParams.myerscough(), g, u0, steep, "blended")
-    coeffs = np.tile(A_CONST2.coeffs, (3, 1)) * np.array([[1.0], [1.1], [0.9]])
-
-    def run(k):
-        steps, blocks = [], []
-
-        def a(face_c):
-            steps.append(1)
-            vals = interp_rows(face_c, A_CONST2.knots(), coeffs)
-            if len(steps) == 8:
-                vals[2] = np.nan
-            return vals
-
-        errors = _integrate(model, a, 3, lambda j0, X: blocks.append((j0, X.copy())), k)
-        sizes = [len(X) for _, X in blocks]
-        assert [j0 for j0, _ in blocks] == list(np.cumsum([0] + sizes[:-1]))
-        return errors, sizes, np.concatenate([X for _, X in blocks])
-
-    full_errors, _, full = run(1)
-    if block_steps is not None:
-        monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(block_steps, g.n_nodes, 3))
-    errors, sizes, sampled = run(every)
-    n_frames = len(range(0, g.n_steps + 1, every))
-    assert sizes == {None: [n_frames], 2: {2: [2, 1, 1, 1, 1, 1], 3: [1] * 5}[every]}[block_steps]
-    assert [str(e) for e in errors] == [str(e) for e in full_errors]
-    assert "face velocity is not finite in frame 8" in str(errors[2])
-    assert sampled.shape == (n_frames, 2, 3, g.n_nodes)
-    assert np.array_equal(sampled[:, :, :2], full[::every, :, :2])
-    n_valid = len(range(0, 8, every))
-    assert np.array_equal(sampled[:n_valid, :, 2], full[:8:every, :, 2])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
