@@ -216,13 +216,27 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
         assert pde.solve_bytes(3, 99, rows, directions, kept=1) == big
 
 
+@pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("rows", [1, 15, 41, 200])
-def test_solve_bytes_bounds_a_tangent_solve(rows):
+def test_solve_bytes_bounds_a_tangent_solve(rows, every):
     # 4 hats on 51 x 250: blocks of 155, 10, 3 and 1 steps for 1, 15, 41
-    # and 200 rows; the traced peak of the whole solve, which keeps no
-    # frame, is within its estimate, which also checks _STEP_BYTES
+    # and 200 rows; record samples every solved frame or every third as
+    # strided views of each block, as the lockstep's does, and keeps none:
+    # it meets each sampled frame once, and the traced peak of the whole
+    # solve is within its estimate, which also checks _STEP_BYTES
     assert pde._plan(51, rows, 250, 4)[0] == {1: 155, 15: 10, 41: 3, 200: 1}[rows]
-    assert_bounded(traced_solve(rows, 51, 250, 4), pde.solve_bytes(51, 250, rows, 4, kept=0))
+    sampled = []
+
+    def record(j0, X, dX):
+        s = -j0 % every
+        X, dX = X[s::every], dX[s::every]
+        assert len(dX) == len(X) and X.base is not None and dX.base is not None
+        sampled.append(((j0 + s) // every, len(X)))
+
+    peak = traced_solve(rows, 51, 250, 4, record)
+    starts = np.cumsum([0] + [k for _, k in sampled])
+    assert [j for j, _ in sampled] == list(starts[:-1]) and starts[-1] == 250 // every + 1
+    assert_bounded(peak, pde.solve_bytes(51, 250, rows, 4, kept=0))
 
 
 def test_step_bytes_is_the_traced_slope_of_a_block():
