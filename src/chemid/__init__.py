@@ -17,6 +17,7 @@ from .errors import (
     InvalidStateError,
     LowerBoundViolationError,
     NoiseLevelError,
+    NonFiniteStateError,
     NumericalSolveError,
     PositivityViolationError,
     ZeroWidthIntervalError,

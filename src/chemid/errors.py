@@ -30,6 +30,10 @@ class LowerBoundViolationError(NumericalSolveError):
     """Chemoattractant fell below its decaying-exponential lower bound."""
 
 
+class NonFiniteStateError(NumericalSolveError):
+    """Cell density or chemoattractant is not finite after a step."""
+
+
 class DomainMismatchError(ChemidError):
     """Target grid does not lie inside the source grid's space-time domain."""
 

@@ -24,9 +24,10 @@ damping trial.
 
 The iteration is written once, as a generator that yields the (L,)
 coefficient row of each evaluation it needs and is sent that row's
-cost r @ r, its split into misfit and penalty, J^T J and J^T r; it never
-sees r.  One runner, ``_run_lockstep``, drives every forward
-solve of the inverse problem and forms those sums: each round it solves
+cost r @ r, its split into misfit and penalty, J^T J and J^T r, or the
+ForwardSolveError of a failed evaluation as a value; it never sees r.
+One runner, ``_run_lockstep``, drives every forward solve of the
+inverse problem and forms those sums: each round it solves
 the pending rows as one batch and folds each block of measurement frames
 for all rows at once.  ``levenberg_marquardt_many`` runs many problems
 with equal models through it; ``levenberg_marquardt`` is its one-problem
@@ -224,14 +225,16 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     """Generator of one Levenberg-Marquardt minimization; returns its result.
 
     It yields the (L,) coefficient row of a0 and of every trial and is
-    sent that row's (cost, (misfit, penalty), J^T J, J^T r), or has the
-    ForwardSolveError of its evaluation thrown in (``_run_lockstep``), so
-    an accepted trial brings its own cost split, J^T J and gradient.
-    That error at a0 ends the minimization; at a trial it rejects the
-    trial.
+    sent that row's (cost, (misfit, penalty), J^T J, J^T r) or its
+    ForwardSolveError (``_run_lockstep``), so an accepted trial brings its
+    own cost split, J^T J and gradient.  It raises that error at a0, which
+    ends the minimization, and rejects the trial it is sent for.
     """
     coeffs = a0.coeffs.copy()
-    cost, split, JTJ, g = yield coeffs
+    reply = yield coeffs
+    if isinstance(reply, ForwardSolveError):
+        raise reply
+    cost, split, JTJ, g = reply
     history = [cost]
     lam = cfg.lambda0
     iterations = 0
@@ -254,13 +257,8 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
             accepted = False
             while lam <= LAMBDA_OVERFLOW:
                 trial = _damped_trial(coeffs, JTJ, g, diag, lam)
-                reply = (math.inf,)  # the trial's cost first
-                if trial is not None:
-                    try:
-                        reply = yield trial
-                    except ForwardSolveError:
-                        pass
-                if reply[0] < cost:
+                reply = (math.inf,) if trial is None else (yield trial)  # a cost first, or an error
+                if not isinstance(reply, ForwardSolveError) and reply[0] < cost:
                     rel_drop = (cost - reply[0]) / cost
                     coeffs, (cost, split, JTJ, g) = trial, reply
                     history.append(cost)
@@ -301,13 +299,15 @@ def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
         )
 
 
-def _close_row(prob, coeffs, error, r, JTJ, JTr) -> tuple:
+def _close_row(prob, coeffs, error, r, JTJ, JTr):
     """One row's (r @ r, (data misfit, unweighted penalty), J^T J, J^T r),
     its data part folded: adds the penalty rows of ``prob`` at ``coeffs``
-    to r, J^T J and J^T r.  Raises ForwardSolveError if the row's solve
-    failed with ``error`` or its sums are not finite."""
+    to r, J^T J and J^T r.  Returns a ForwardSolveError instead if the row's
+    solve failed with ``error`` (its ``__cause__``) or its sums are not finite."""
     if error is not None:
-        raise ForwardSolveError(f"forward solve failed: {error}") from error
+        failed = ForwardSolveError(f"forward solve failed: {error}")
+        failed.__cause__ = error
+        return failed
     n_data = prob.data.X.size
     r_pen = r[n_data:]
     r_pen[...] = _penalty_residual(coeffs, prob)
@@ -315,7 +315,7 @@ def _close_row(prob, coeffs, error, r, JTJ, JTr) -> tuple:
     JTJ += J_pen.T @ J_pen
     JTr += J_pen.T @ r_pen
     if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
-        raise ForwardSolveError("forward solve failed: its Jacobian is not finite")
+        return ForwardSolveError("forward solve failed: its Jacobian is not finite")
     pen = float(r_pen @ r_pen) / prob.alpha if prob.alpha > 0 else 0.0
     return float(r @ r), (float(r[:n_data] @ r[:n_data]), pen), JTJ, JTr
 
@@ -347,11 +347,11 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     matmul over (frame, field, row) gives the per-frame products and
     ``np.add.accumulate`` adds them in frame order, u then c, so the sums
     equal a frame by frame fold and r ``residual_vector`` bit for bit.
-    ``_close_row`` adds the penalty rows.  A request is sent its row's
-    cost, cost split and sums, so none keeps the round's r, or has its
-    ForwardSolveError thrown in; a failed row steps on with zero flow and
-    touches no other.  Returns, per request, what it returned or
-    the ForwardSolveError that stopped it.
+    ``_close_row`` adds the penalty rows.  A request is sent what
+    ``_close_row`` returns: its row's cost, cost split and sums, so none
+    keeps the round's r, or its ForwardSolveError; a failed row steps on
+    with zero flow and touches no other.  Returns, per request, what it
+    returned or the ForwardSolveError it raised.
     """
     prob = probs[0]
     knots = prob.a_star.knots()
@@ -362,8 +362,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
 
     def advance(i, reply):
         try:
-            failed = isinstance(reply, ForwardSolveError)
-            pending[i] = (requests[i].throw if failed else requests[i].send)(reply)
+            pending[i] = requests[i].send(reply)
         except StopIteration as stop:
             results[i] = stop.value
         except ForwardSolveError as exc:
@@ -404,11 +403,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
         errors = _integrate(prob.model, sensitivity, n_rows, record, n_basis,
                             lambda face_c: hat_stencil(face_c, knots, coeffs))
         for row, (i, error) in enumerate(zip(ids, errors)):
-            try:
-                reply = _close_row(probs[i], coeffs[row], error, r[row], JTJ[row], JTr[row])
-            except ForwardSolveError as exc:
-                reply = exc
-            advance(i, reply)
+            advance(i, _close_row(probs[i], coeffs[row], error, r[row], JTJ[row], JTr[row]))
         del r, R  # before the next round's
     return results
 

@@ -38,9 +38,9 @@ The u-matrices of all rows are stacked into one block-tridiagonal system
 with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
 routines come from ``_lapack``, which loads scipy's compiled wrappers
-without the ``scipy.linalg`` package import.  Each row is
-checked after every step; one that fails stops with its error and steps
-on with zero flow, which keeps its fields finite and the others as they are.
+without the ``scipy.linalg`` package import.  ``_integrate`` checks every
+row after every step; one that fails stops with its error and steps on
+with zero flow, which keeps its fields finite and the others as they are.
 Every array of states has the layout (frame, field u/c, [row,] node):
 a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 
@@ -65,6 +65,7 @@ from .errors import (
     DomainMismatchError,
     InvalidStateError,
     LowerBoundViolationError,
+    NonFiniteStateError,
     NumericalSolveError,
     PositivityViolationError,
 )
@@ -130,7 +131,8 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Uniform space/time discretization of [x_left, x_right] x [0, t_final]."""
+    """Uniform space/time discretization of [x_left, x_right] x [0, t_final]
+    whose steps dx and dt are finite and positive (else InvalidStateError)."""
 
     x_left: float
     x_right: float
@@ -149,6 +151,10 @@ class SimulationGrid:
             )
         if not self.t_final > 0:
             raise InvalidStateError(f"t_final must be positive (got {self.t_final})")
+        if not (0.0 < self.dx < math.inf and 0.0 < self.dt < math.inf):
+            raise InvalidStateError(
+                f"dx and dt must be finite and positive (got dx={self.dx}, dt={self.dt})"
+            )
 
     @property
     def dx(self) -> float:
@@ -275,16 +281,6 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
     return grid.dx * grid.dt * float(np.sum(values * values))
 
 
-def _face_velocities(c: np.ndarray, a: Callable, dx: float) -> tuple:
-    """(a(cbar), a(cbar) c_x) of the faces along the last axis, cbar the face means.
-
-    A velocity that overflows comes back inf or nan; ``_integrate`` calls
-    this under its one ``np.errstate`` and stops that row with a typed error.
-    """
-    value = np.asarray(a(0.5 * (c[..., :-1] + c[..., 1:])), dtype=float)
-    return value, value * ((c[..., 1:] - c[..., :-1]) / dx)
-
-
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     """What every step of a solve on ``grid`` shares.
 
@@ -292,13 +288,17 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     weight of a face in the u-matrix, and ``c_lu`` the LAPACK dgttrf
     factors of the c-matrix (1 + dt mu) I - dt D L, with L the Neumann
     Laplacian stencil with ghost-node reflection (first super- and last
-    sub-diagonal entries doubled).
+    sub-diagonal entries doubled).  NumericalSolveError unless dt D / dx^2, m
+    and the diagonal are finite and the first two positive (under ``np.errstate``).
     """
     n, dx, dt = grid.n_nodes, grid.dx, grid.dt
-    r = dt * params.D / dx**2
+    r, m = dt * params.D / np.float64(dx) ** 2, dt * params.M / dx  # a float's dx**2 may raise
+    diag = 1.0 + dt * params.mu + 2.0 * r
+    if not (r > 0.0 and 0.0 < m < math.inf and diag < math.inf):
+        raise NumericalSolveError(f"step weights not finite and > 0 (dt={dt:.3e}, dx={dx:.3e})")
     bands = np.empty((3, n))
     bands[0] = bands[2] = -r
-    bands[1] = 1.0 + dt * params.mu + 2.0 * r
+    bands[1] = diag
     bands[0, n - 2] = bands[2, 0] = -2.0 * r
     *c_lu, info = dgttrf(
         bands[0, :-1], bands[1], bands[2, :-1],
@@ -306,7 +306,7 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     )
     if info != 0:  # degenerate dt/dx combination
         raise NumericalSolveError(f"tridiagonal factorization failed (info={info})")
-    return dt, dt * params.M / dx, grid.cell_widths(), tuple(c_lu)
+    return dt, m, grid.cell_widths(), tuple(c_lu)
 
 
 def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple):
@@ -322,9 +322,8 @@ def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel
     pivoting and u >= 0 is kept.  The rows' matrices are stacked into one
     block-tridiagonal system with zero coupling between blocks.
 
-    Returns the new (u, c) rows, the face weights w and u-matrix dgttrf factors
-    u_lu a tangent step needs, and a list of (row, PositivityViolationError) for
-    rows whose cell density fell below the floor; smaller negatives are clipped to zero.
+    Returns the new (u, c) rows, unchecked (``_integrate`` checks them), and
+    the face weights w and u-matrix dgttrf factors u_lu a tangent step needs.
     """
     dt, m, widths, c_lu = ops
     rows, n = u.shape
@@ -352,18 +351,7 @@ def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel
     # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
     c_new = dgttrs(*c_lu, rhs.T, overwrite_b=1)[0].T
 
-    failures = []
-    if not u_new.min() >= 0.0:  # one reduction unless a value is negative or nan
-        u_min = u_new.min(axis=1)
-        broken = u_min < -POSITIVITY_FLOOR * np.maximum(1.0, u_new.max(axis=1))
-        failures = [
-            (i, PositivityViolationError(
-                f"cell density reached {u_min[i]:.3e} after a step of dt={dt:.3e}"
-            ))
-            for i in np.flatnonzero(broken)
-        ]
-        u_new[u_new < 0.0] = 0.0
-    return u_new, c_new, w, u_lu, failures
+    return u_new, c_new, w, u_lu
 
 
 def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, model, ops) -> zip:
@@ -436,10 +424,10 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
 def _plan(n_nodes: int, rows: int, n_steps: int, directions: int) -> tuple:
     """(K, shapes, bytes) of one block of a solve: as many steps K as fit
     ``_BLOCK_BYTES`` (at least one, at most ``n_steps``), the shape in doubles
-    of each of its buffers (``_integrate`` allocates them), and their sum in bytes.
-    ``X`` holds the K + 1 frames (u and c) of every row the K steps start from and
-    end at, ``dX`` their L = ``directions`` tangents, ``tangents`` the current ones
-    and ``steps`` what the base steps keep for the tangents besides their frames.
+    of each of its buffers, and their sum in bytes.  ``_integrate`` allocates
+    ``X``, the K + 1 frames (u and c) of every row the K steps start from and end
+    at, ``dX``, their L = ``directions`` tangents, and ``tangents``, the current
+    ones; ``steps`` sizes what the base steps keep for the tangents.
     """
     lane, L = (rows, n_nodes), directions
     nbytes = lambda shapes: 8 * sum(math.prod(shape) for shape in shapes.values())
@@ -455,11 +443,11 @@ def solve_bytes(n_nodes: int, n_steps: int, rows: int = 1, directions: int = 0,
     """Estimated peak bytes of an ``_integrate`` solve: ``rows`` rows on ``n_nodes``
     nodes, ``n_steps`` steps with L = ``directions`` tangents each.  It counts the
     ``kept`` frames (u and c) of every row the caller keeps, by default every
-    solved one, the buffers of one block (``_plan``), the larger scratch of a
-    base or a tangent step, and the fixed arrays; what ``record`` allocates
-    is the caller's to count (``inversion.round_bytes``).  Arithmetic only.
+    solved one, the buffers of one block (``_plan``), the scratch of a tangent
+    step, or of a base step without tangents (with them, a block's keep covers
+    it), and the fixed arrays; ``inversion.round_bytes`` counts ``record``'s.
     """
-    scratch = max(_SCRATCH_BYTES[0], _SCRATCH_BYTES[1] * directions)
+    scratch = _SCRATCH_BYTES[1] * directions if directions else _SCRATCH_BYTES[0]
     frames = n_steps + 1 if kept is None else kept
     return (_plan(n_nodes, rows, n_steps, directions)[2] + _SOLVE_BYTES[1]
             + ((16 * frames + scratch) * rows + _SOLVE_BYTES[0]) * n_nodes)
@@ -471,12 +459,13 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
 
     ``a(face_c)`` gives the sensitivity values of the (rows, faces) face
     concentrations of all rows.  The model checked its initial fields
-    and face rule when it was built.  Every row takes one step per solved
-    frame.  Rows are independent: each is checked for a finite dt * face
-    velocity, positivity and its own c floor exactly as a lone solve
-    would be.  A row that fails stops: it keeps stepping with zero flow
-    until the solve ends, which keeps its u and c finite and changes
-    none of the others, and its frames after it stopped mean nothing.
+    and face rule when it was built, ``_step_operators`` the step weights.
+    Every row takes one step per solved frame.  This loop is the one place
+    a row is checked, as a lone solve would be: a finite dt * face velocity,
+    then u >= 0 (round-off negatives clipped), a finite u and c, and c >=
+    min(c0) e^{-mu t}.  A row that fails stops: it steps on with zero flow,
+    from the initial fields if its own are not finite, which keeps its u
+    and c finite and changes none of the others; its later frames mean nothing.
 
     The steps run in blocks of K (``_plan``), in buffers of its shapes:
     ``X[0]`` holds the state a block starts from and ``X[i]`` the one its
@@ -501,12 +490,11 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
     dx, dt, n_steps = grid.dx, grid.dt, grid.n_steps
-    ops = _step_operators(params, grid)
     steps, shapes, _ = _plan(grid.n_nodes, n_rows, n_steps, directions)
     X, dX, tangents = np.empty(shapes["X"]), np.zeros(shapes["dX"]), np.zeros(shapes["tangents"])
     buffers = (X, dX) if directions else (X,)
     kept = []  # a block's (a(cbar), w, u_lu) per step, for its tangents
-    c_floor = c.min(axis=1)
+    c_floor = float(model.c0.min())  # every row starts from c0
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
 
@@ -515,37 +503,43 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
             errors[row], alive[row] = exc, False
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ops = _step_operators(params, grid)
         for first in range(0, n_steps, steps):
             X[0, 0], X[0, 1] = u, c  # record may have changed the last block's states
             k = 0  # X[: k + 1] holds frames first .. first + k
             for j in range(first, min(first + steps, n_steps)):
-                value, velocity = _face_velocities(c, a, dx)
-                flow = dt * velocity
+                value = np.asarray(a(0.5 * (c[:, :-1] + c[:, 1:])), dtype=float)  # a(cbar)
+                flow = dt * (value * ((c[:, 1:] - c[:, :-1]) / dx))
                 if not np.isfinite(flow.sum()):  # a finite sum has finite terms
                     for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
                         fail(row, InvalidStateError(
-                            f"face velocity is not finite in frame {j + 1}"
-                        ))
+                            f"face velocity is not finite in frame {j + 1}"))
                 if not alive.all():
                     flow[~alive] = 0.0
-                u, c, w, u_lu, broken = _advance(u, c, flow, model, ops)
-                for row, exc in broken:
-                    fail(row, exc)
+                u, c, w, u_lu = _advance(u, c, flow, model, ops)
 
+                if not u.min() >= 0.0:  # one reduction unless a value is negative or nan
+                    u_min = u.min(axis=1)
+                    broken = u_min < -POSITIVITY_FLOOR * np.maximum(1.0, u.max(axis=1))
+                    for row in np.flatnonzero(broken):
+                        fail(row, PositivityViolationError(f"cell density reached {u_min[row]:.3e}"
+                                                           f" after a step of dt={dt:.3e}"))
+                    u[u < 0.0] = 0.0
+                X[k + 1, 0], X[k + 1, 1] = u, c  # a frame unless every row stops here
+                if not np.isfinite(X[k + 1].sum()):
+                    for row in np.flatnonzero(~np.isfinite(X[k + 1]).all(axis=(0, 2))):
+                        fail(row, NonFiniteStateError(f"u or c is not finite in frame {j + 1}"))
+                        u[row], c[row] = model.u0, model.c0  # a nan would spread in the u solve
                 t = grid.t_final if j + 1 == n_steps else (j + 1) * dt  # grid.times()[j + 1]
-                decay = math.exp(-params.mu * t)
-                # the highest floor bounds every row's: x -> x * decay * slack keeps the order
-                if not c.min() >= float(c_floor.max()) * decay * (1.0 - LOWER_BOUND_SLACK):
+                bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
+                if not c.min() >= bound:
                     c_min = c.min(axis=1)
-                    bound = c_floor * decay * (1.0 - LOWER_BOUND_SLACK)
                     for row in np.flatnonzero(c_min < bound):
-                        fail(row, LowerBoundViolationError(
-                            f"min c = {c_min[row]:.6e} fell below {bound[row]:.6e} at t={t:.6g}"
-                        ))
+                        fail(row, LowerBoundViolationError(f"min c = {c_min[row]:.6e} fell below "
+                                                           f"{bound:.6e} at t={t:.6g}"))
                 if not alive.any():
                     break  # the frames end at the step before
                 k += 1
-                X[k, 0], X[k, 1] = u, c
                 if directions:
                     kept.append((value, w, u_lu))
                 del w, u_lu  # unless kept, freed before the next step
@@ -583,8 +577,10 @@ def solve_forward(
     ------
     InvalidStateError
         if the model is invalid or a face velocity is not finite.
-    PositivityViolationError, LowerBoundViolationError
-        if the computed fields violate the solution lower bounds.
+    NumericalSolveError
+        if a step weight or factorization fails; its subclasses PositivityViolationError,
+        LowerBoundViolationError and NonFiniteStateError if the fields break u >= 0,
+        the c floor or finiteness.
     """
     model = ForwardModel(params, grid, u0, c0, advection)
     frames = None
@@ -739,7 +735,8 @@ def _read_frame_csv(path, expect_comment: bool = False):
     if ts[0] != 0.0:
         raise InvalidStateError(f"{path}: the first frame must be at t = 0 (got t = {ts[0]:.15g})")
     for name, vals in (("t", ts), ("x", xs)):
-        d = np.diff(vals)
+        with np.errstate(over="ignore"):  # a span that overflows fails SimulationGrid
+            d = np.diff(vals)
         if len(d) and not np.allclose(d, d[0], rtol=1e-6, atol=1e-12 * max(1, abs(vals[-1]))):
             raise InvalidStateError(f"{path}: non-uniform {name} spacing")
     grid = SimulationGrid(float(xs[0]), float(xs[-1]), n_x, float(ts[-1]), n_t - 1)

@@ -752,9 +752,9 @@ def test_bad_initial_field_exits_2_before_out_exists(
 
 
 def with_line(body, line):
-    """body with ``line`` in place of any line setting the same key."""
-    key = line.split("=")[0].strip()
-    kept = [ln for ln in body.splitlines() if ln.split("=")[0].strip() != key]
+    """body with ``line``, one or more lines, in place of any line setting the same keys."""
+    keys = {ln.split("=")[0].strip() for ln in line.splitlines()}
+    kept = [ln for ln in body.splitlines() if ln.split("=")[0].strip() not in keys]
     return "\n".join(kept + [line]) + "\n"
 
 
@@ -799,12 +799,14 @@ sys.exit(cli.main(sys.argv[1:]))
          "64000000000 bytes, over the limit 2147483648"),
         ("make-data", "delta = -1e-3", "delta must be >= 0 (got -0.001)"),
         ("invert", "alpha = -1", "alpha must be >= 0 (got -1.0)"),
+        ("forward", "x_left = -1e308\nx_right = 1e308",
+         "dx and dt must be finite and positive (got dx=inf, dt=0.008333333333333333)"),
     ],
     ids=["three_deltas", "negative_delta", "repeated_deltas", "short_span", "zero_coupling",
          "underflowing_coupling", "repeated_seeds", "one_hat", "no_refine", "negative_padding",
          "negative_alpha", "repeated_alphas", "overflowing_alphas", "huge_logspace",
          "make_data_negative_delta",
-         "invert_negative_alpha"],
+         "invert_negative_alpha", "overflowing_span"],
 )
 def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, message):
     cfg = write_cfg(tmp_path, "bad.cfg", with_line(command_body(command, data_dir), line))
@@ -815,6 +817,42 @@ def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, 
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: config: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines", ["n_nodes = 11\nt_final = 1e308", "n_nodes = 6\nx_right = 1e300",
+                                   "n_nodes = 6\nx_right = 1e-301"],
+                         ids=["huge_dt", "huge_dx", "tiny_dx"])
+def test_forward_on_an_extreme_grid_exits_3_with_one_error_line(tmp_path, lines):
+    # one step of a = 2 on a grid whose dt D / dx^2 overflows or underflows:
+    # the solver refuses its step weights before the summary reads a state
+    body = with_line("n_steps = 1\ntruth = constant:2.0", lines)
+    out = tmp_path / "out"
+    proc = run_cli("forward", "--preset", "myerscough", "--config",
+                   write_cfg(tmp_path, "grid.cfg", body), "--out", str(out))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: solver: step weights not finite and > 0")
+    assert len(proc.stderr.splitlines()) == 1 and "mass" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("xs, message", [
+    (("-1e308", 0, "1e308"), "dx and dt must be finite and positive (got dx=inf, dt=0.1)"),
+    (("-1e308", "1e308"), "n_nodes must be >= 3 (got 2)"),
+], ids=["three_nodes", "two_nodes"])
+def test_data_csv_whose_span_overflows_exits_2(tmp_path, data_dir, xs, message):
+    # nodes from -1e308 to 1e308: uniform, but dx = inf, and with two nodes
+    # the spacing overflows too; no warning reaches stderr
+    comment = (data_dir / "data.csv").read_text().splitlines()[0]
+    nodes = list(zip(xs, (0.5, 0.6, 0.7)))
+    rows = [f"{t},{x},1,{c}" for t in (0, 0.1) for x, c in nodes]
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "data.csv").write_text("\n".join([comment, "t,x,u,c", *rows]) + "\n")
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", invert_cfg(tmp_path, bad), "--out", str(out))
+    assert_config_error(proc)
+    assert message in proc.stderr
     assert not out.exists()
 
 

@@ -6,7 +6,9 @@ in exit 0, 2, 3 or 4 with at most one `error:` line and no traceback.
 Inputs are arbitrary bytes or valid files with a few byte ranges
 overwritten, so both the header checks and the row parsers are reached.
 The command-line runs never fuzz a key that sets an array size, so no
-example can ask for a huge grid.
+example can ask for a huge grid.  The forward solver, given extreme
+finite inputs on small grids, returns a finite trajectory or raises a
+ChemidError.
 """
 
 import subprocess
@@ -15,6 +17,7 @@ import tempfile
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -107,6 +110,35 @@ def test_load_config_and_resolve_parse_or_raise_chemid_error(work, blob, command
         resolve(command, load_config(_write(work / "in.cfg", blob)))
     except ChemidError:
         pass
+
+
+#: A positive float from 1e-300 to 1e308, its decimal exponent drawn uniformly.
+MAGNITUDES = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_nodes=st.integers(3, 8),
+    n_steps=st.integers(1, 3),
+    x_right=MAGNITUDES,
+    t_final=MAGNITUDES,
+    coefficients=st.tuples(*[MAGNITUDES] * 5),
+    u=MAGNITUDES,
+    c=MAGNITUDES,
+    a=st.tuples(st.sampled_from([-1.0, 1.0]), MAGNITUDES),
+)
+def test_solve_forward_on_extreme_inputs_is_finite_or_raises_chemid_error(
+        n_nodes, n_steps, x_right, t_final, coefficients, u, c, a):
+    # M, D, b, h, mu; a uniform u0, a c0 rising by 1% and a constant a of either sign
+    sign, size = a
+    try:
+        grid = SimulationGrid(0.0, x_right, n_nodes, t_final, n_steps)
+        c0 = c * (1.0 + 0.01 * np.linspace(0.0, 1.0, n_nodes))
+        traj = solve_forward(np.full(n_nodes, u), c0, PhysicalParams(*coefficients),
+                             lambda face_c: np.full_like(face_c, sign * size), grid)
+    except ChemidError:
+        return
+    assert np.isfinite(traj.X).all()
 
 
 # ---------------------------------------------------------------------------

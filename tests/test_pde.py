@@ -22,6 +22,7 @@ from chemid.errors import (
     DomainMismatchError,
     InvalidStateError,
     LowerBoundViolationError,
+    NonFiniteStateError,
     PositivityViolationError,
 )
 from chemid.pde import (
@@ -37,7 +38,7 @@ from chemid.pde import (
     write_params,
     write_trajectory_csv,
 )
-from chemid.pde import _advance, _face_velocities, _integrate, _step_operators
+from chemid.pde import _integrate
 from chemid.sensitivity import SensitivityFunction, hat_stencil
 from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
@@ -115,6 +116,10 @@ def test_grid_spacing():
         (0.0, 1.0, 11, 1.0, 0),  # no steps
         (1.0, 1.0, 11, 1.0, 10),  # empty domain
         (0.0, 1.0, 11, 0.0, 10),  # zero horizon
+        (-1e308, 1e308, 11, 0.25, 10),  # dx overflows
+        (0.0, math.inf, 11, 0.25, 10),  # infinite dx
+        (0.0, 1.0, 11, math.inf, 10),  # infinite dt
+        (0.0, 5e-324, 11, 0.25, 10),  # dx underflows
     ],
 )
 def test_grid_rejects_degenerate(args):
@@ -200,15 +205,16 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
     # two rows with 2 tangents: 96 B a frame of states, 288 B with tangents,
     # and 432 B a step with the 144 B its base step keeps: a block of 2
     # steps buffering 3 frames, the current tangents (192 B), the 2 steps'
-    # keep, and a tangent step's scratch, 2 x 32 B a row and node
+    # keep, and a tangent step's scratch, 2 x 32 B a row and node, not a
+    # base step's, which the keep of a block covers
     assert pde._plan(3, 2, 99, 2)[0] == 2
     assert pde.solve_bytes(3, 99, 2, 2) == (
         100 * 96 + 3 * 288 + 192 + 2 * 144 + 6 * 64 + (3 * 2 + 100))
-    # a step over the budget still takes a block of its own; one tangent's
-    # scratch is less than a base step's
+    # a step over the budget still takes a block of its own; with a
+    # tangent, the scratch is one tangent's, though a base step's is larger
     assert pde._plan(100, 1, 1, 1)[0] == 1
     assert pde.solve_bytes(100, 1, 1, 1, kept=1) == (
-        1600 + 2 * 3200 + 1600 + 2400 + 100 * 40 + (100 * 2 + 100))
+        1600 + 2 * 3200 + 1600 + 2400 + 100 * 32 + (100 * 2 + 100))
     # once the blocks are full, more steps cost nothing but the frames kept
     for rows, directions in ((1, 0), (2, 2)):
         big = pde.solve_bytes(3, 10**9, rows, directions, kept=1)
@@ -298,38 +304,51 @@ def test_solve_bytes_bounds_many_tangents_in_blocks_of_2(monkeypatch, directions
 # face velocities
 
 
-def velocities(c, a, dx):
-    """``_face_velocities`` of a plain a(c)."""
-    return _face_velocities(c, a, dx)[1]
+def velocities(monkeypatch, c, a, grid):
+    """The face velocities of the first step ``_integrate`` takes from (u = 1, c):
+    the flow it passes to ``_advance``, over dt.  Raises the row's error."""
+    model = ForwardModel(dimensionless(M=0.25, D=1.0), grid, *np.ones((2, grid.n_nodes)))
+    object.__setattr__(model, "c0", np.asarray(c, dtype=float))  # c may be what a model refuses
+    real, flows = pde._advance, []
+
+    def advance(u, c, flow, *args):
+        flows.append(flow[0] / grid.dt)
+        return real(u, c, flow, *args)
+
+    monkeypatch.setattr(pde, "_advance", advance)
+    (error,) = _integrate(model, a, 1, lambda j0, X: None)
+    if error is not None:
+        raise error
+    return flows[0]
 
 
-def test_face_velocity_zero_for_uniform_c():
+def test_face_velocity_zero_for_uniform_c(monkeypatch):
     g = SimulationGrid(0.0, 1.0, 6, 1.0, 10)
-    v = velocities(np.full(6, 0.5), A_CONST2, g.dx)
+    v = velocities(monkeypatch, np.full(6, 0.5), A_CONST2, g)
     assert v.shape == (5,)
     assert np.all(v == 0.0)
 
 
-def test_face_velocity_constant_a_linear_c():
+def test_face_velocity_constant_a_linear_c(monkeypatch):
     g = SimulationGrid(0.0, 1.0, 5, 1.0, 10)
     c = g.xs().copy()  # slope 1
     c += 0.2  # keep c positive; gradient unchanged
-    v = velocities(c, A_CONST2, g.dx)
+    v = velocities(monkeypatch, c, A_CONST2, g)
     np.testing.assert_allclose(v, 2.0, rtol=1e-14)
 
 
-def test_face_velocity_inverse_sensitivity():
+def test_face_velocity_inverse_sensitivity(monkeypatch):
     # a(c) = 2/c sampled so that the face mean 0.3 is a knot, dx = 1
     a = SensitivityFunction.from_function(lambda cc: 2.0 / cc, 0.1, 0.7, 7)
     g = SimulationGrid(0.0, 2.0, 3, 1.0, 10)
-    v = velocities(np.array([0.2, 0.4, 0.6]), a, g.dx)
+    v = velocities(monkeypatch, np.array([0.2, 0.4, 0.6]), a, g)
     assert v[0] == pytest.approx((2.0 / 0.3) * 0.2, rel=1e-14)  # = 4/3
 
 
-def test_face_velocity_rejects_nonfinite():
+def test_face_velocity_rejects_nonfinite(monkeypatch):
     g = SimulationGrid(0.0, 1.0, 4, 1.0, 10)
     with pytest.raises(InvalidStateError):
-        velocities(np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g.dx)
+        velocities(monkeypatch, np.array([0.5, np.nan, 0.5, 0.5]), A_CONST2, g)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +403,7 @@ def test_step_matches_dense_oracle_nonuniform_c(scheme):
     np.testing.assert_allclose(c, co, rtol=0, atol=1e-10)
 
 
-def test_step_flags_positivity_violation():
+def test_step_flags_positivity_violation(monkeypatch):
     # the implicit step maps u >= 0 to u >= 0, so feed the second row a
     # negative density directly; a short step keeps it negative
     g = SimulationGrid(0.0, 1.0, 11, 1e-3, 1)
@@ -393,9 +412,11 @@ def test_step_flags_positivity_violation():
     u = np.full((2, 11), 0.5)
     u[1, 5] = -0.4
     c = np.tile(g.xs() + 0.1, (2, 1))
-    flow = g.dt * velocities(c, a, g.dx)
     model = ForwardModel(p, g, u[0], c[0], "upwind")
-    *_, failures = _advance(u, c, flow, model, _step_operators(p, g))
+    real = pde._advance
+    monkeypatch.setattr(pde, "_advance", lambda _, *args: real(u, *args))
+    errors = _integrate(model, a, 2, lambda j0, X: None)
+    failures = [(row, exc) for row, exc in enumerate(errors) if exc is not None]
     assert [(row, type(exc)) for row, exc in failures] == [(1, PositivityViolationError)]
 
 
@@ -616,10 +637,10 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
         if len(steps) == 7:
             u = u.copy()
             u[2] *= -1e-3
-        u_new, c_new, *step, failures = real(u, c, flow, model, ops)
+        u_new, c_new, *step = real(u, c, flow, model, ops)
         if len(steps) >= 4:
             c_new[0] *= 1e-3
-        return u_new, c_new, *step, failures
+        return u_new, c_new, *step
 
     monkeypatch.setattr(pde, "_advance", advance)
     errors, (X, *dX) = run(3)
@@ -637,9 +658,11 @@ def test_stopped_rows_step_on_without_touching_the_others(monkeypatch, direction
 @pytest.mark.parametrize("steps", [1, 3, 10], ids=["step_by_step", "blocks_of_3", "one_block"])
 def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, steps):
     # the floor (from step 4) and positivity (step 7) injections of the test
-    # above, in a solve with 8 tangents whose step blocks of 3 hold both
-    # failures inside a block: the live row and its tangents equal a lone
-    # solve's, and the stopped rows keep the errors of one 10-step block
+    # above, and a fourth row whose c and u turn nan in step 5 (a nan u left
+    # in place would spread through the stacked u solve), in a solve with 8
+    # tangents whose step blocks of 3 hold each failure inside a block: the
+    # live row and its tangents equal a lone solve's, and the stopped rows
+    # keep the errors of one 10-step block
     g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
     u0, _ = bump_initial(g)
     steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
@@ -662,25 +685,37 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
         if len(calls) == 7:
             u = u.copy()
             u[2] *= -1e-3
-        u_new, c_new, *step, failures = real(u, c, flow, model, ops)
+        u_new, c_new, *step = real(u, c, flow, model, ops)
         if len(calls) >= 4:
             c_new[0] *= 1e-3
-        return u_new, c_new, *step, failures
+        if len(calls) == 5:
+            c_new[3, 20] = u_new[3, 20] = np.nan
+        return u_new, c_new, *step
 
     monkeypatch.setattr(pde, "_advance", advance)
-    expected, _ = run(3)
+    expected, _ = run(4)
     calls.clear()
-    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, g.n_nodes, 3, 8))
-    errors, (X, dX) = run(3)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, g.n_nodes, 4, 8))
+    errors, (X, dX) = run(4)
     assert len(calls) == g.n_steps
     assert [type(e) for e in errors] == [
-        LowerBoundViolationError, type(None), PositivityViolationError
+        LowerBoundViolationError, type(None), PositivityViolationError, NonFiniteStateError
     ]
     assert str(errors[0]).endswith("at t=0.02")
     assert str(errors[2]).startswith("cell density reached")
+    assert str(errors[3]) == "u or c is not finite in frame 5"
     assert [str(e) for e in errors] == [str(e) for e in expected]
     assert np.array_equal(X[:, :, 1], X_lone[:, :, 0])
     assert np.array_equal(dX[..., 1, :], dX_lone[..., 0, :])
+
+
+def test_a_state_that_is_not_finite_stops_the_solve():
+    # b dt overflows, so c is inf after the first step though every step
+    # weight is finite; a lone solve raises and names the frame
+    g = SimulationGrid(0.0, 1.0, 11, 10.0, 2)
+    u0, c0 = bump_initial(g)
+    with pytest.raises(NonFiniteStateError, match="u or c is not finite in frame 1"):
+        solve_forward(u0, c0, PhysicalParams(M=1.0, D=1.0, b=1e308, h=1.0, mu=0.0), A_CONST2, g)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
