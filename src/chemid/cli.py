@@ -143,7 +143,7 @@ def _load_data(cfg: dict):
 
 
 def cmd_lcurve(cfg: dict):
-    prob = _problem(cfg, _load_data(cfg), cfg["alphas"][0])
+    prob = _problem(cfg, _load_data(cfg), max(cfg["alphas"]))  # the largest: its check covers all
     points, _ = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
     corner, _ = lcurve_corner(points)
     return {
@@ -155,7 +155,7 @@ def cmd_lcurve(cfg: dict):
 
 def cmd_rates(cfg: dict):
     dataset = _dataset(cfg, 0.0, 0)
-    prob = _problem(cfg, dataset.data, 0.0)
+    prob = _problem(cfg, dataset.data, cfg["coupling"] * max(cfg["deltas"]))  # the largest alpha
     a_star = prob.a_star
     try:  # an inverse truth on an interval reaching c <= 0 fails here
         truth_basis = SensitivityFunction.from_function(

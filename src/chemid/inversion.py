@@ -14,6 +14,7 @@ stacked residual vector
 
 with B = L_B L_B^T, which is what the damped Gauss-Newton iteration
 (Levenberg-Marquardt with Marquardt diagonal scaling) minimizes.  The
+penalty rows are formed once per problem, when it is built.  The
 measurements (z_u, z_c) are the data's (frame, field, node) array
 ``X``; the data rows of the residual and of J are laid out by field,
 then frame, then node.  Every solve runs the problem's ``model``, one
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -103,7 +103,10 @@ class TikhonovProblem:
     frames.  It controls model accuracy only; residuals always live on
     the measurement mesh.  ``model`` is that ``ForwardModel``, built once
     here from ``params``, ``u0``, ``c0`` and ``advection``, which checks
-    them and keeps the fields read-only.
+    them and keeps the fields read-only.  ``_penalty_root``, sqrt(alpha) L_B^T
+    with B = L_B L_B^T from LAPACK dpotrf (bit for bit scipy's ``cholesky(B,
+    lower=True)``), and ``_penalty_gram``, root^T root, are built here too; the
+    interval rule keeps B finite, and alpha B too large raises InvalidStateError.
     """
 
     data: NoisyData
@@ -115,13 +118,26 @@ class TikhonovProblem:
     advection: str = DEFAULT_ADVECTION
     time_refine: int = 1
     model: ForwardModel = field(init=False, repr=False)
+    _penalty_root: np.ndarray = field(init=False, repr=False)
+    _penalty_gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         require_alpha(self.alpha)
         require_time_refine(self.time_refine)
         grid = self.grid.with_resolution(self.grid.n_nodes, self.grid.n_steps * self.time_refine)
         model = ForwardModel(self.params, grid, self.u0, self.c0, self.advection)
-        for name, value in (("model", model), ("u0", model.u0), ("c0", model.c0)):
+        a = self.a_star
+        L_B, info = dpotrf(mass_matrix(a.n_basis, a.c_min, a.c_max), lower=1, clean=1)
+        if info != 0:
+            raise NumericalSolveError(f"Cholesky factor of the Gram matrix failed (info={info})")
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = math.sqrt(self.alpha) * L_B.T
+            gram = root.T @ root
+        if not (np.isfinite(root).all() and np.isfinite(gram).all()):
+            raise InvalidStateError(f"the penalty alpha * B is not finite: alpha={self.alpha:g}"
+                                    f" on the c-interval [{a.c_min:g}, {a.c_max:g}]")
+        for name, value in (("model", model), ("u0", model.u0), ("c0", model.c0),
+                            ("_penalty_root", root), ("_penalty_gram", gram)):
             object.__setattr__(self, name, value)
 
     @property
@@ -132,21 +148,6 @@ class TikhonovProblem:
     @property
     def n_basis(self) -> int:
         return self.a_star.n_basis
-
-    @cached_property
-    def _penalty_root(self) -> np.ndarray:
-        """sqrt(alpha) * L_B^T with B = L_B L_B^T, the map behind the penalty block.
-
-        L_B is the lower Cholesky factor from LAPACK dpotrf, called as
-        scipy's ``cholesky(B, lower=True)`` calls it, so the two are equal
-        bit for bit.  The interval rule keeps B finite.
-        """
-        a = self.a_star
-        B = mass_matrix(a.n_basis, a.c_min, a.c_max)
-        L_B, info = dpotrf(B, lower=1, clean=1)
-        if info != 0:
-            raise NumericalSolveError(f"Cholesky factor of the Gram matrix failed (info={info})")
-        return math.sqrt(self.alpha) * L_B.T
 
 
 def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
@@ -164,11 +165,7 @@ def residual_vector(coeffs, prob: TikhonovProblem) -> np.ndarray:
         raise ForwardSolveError(f"forward solve failed: {exc}") from exc
     w = math.sqrt(prob.grid.dx * prob.grid.dt)
     r_data = (w * (traj.X[:: prob.time_refine] - prob.data.X)).swapaxes(0, 1).ravel()
-    return np.concatenate([r_data, _penalty_residual(a.coeffs, prob)])
-
-
-def _penalty_residual(coeffs: np.ndarray, prob: TikhonovProblem) -> np.ndarray:
-    return prob._penalty_root @ (coeffs - prob.a_star.coeffs)
+    return np.concatenate([r_data, prob._penalty_root @ (a.coeffs - prob.a_star.coeffs)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +205,7 @@ def jacobian_fd(coeffs, prob: TikhonovProblem, fd_step: float = 1e-6) -> np.ndar
 def _damped_trial(coeffs, JTJ, g, diag, lam):
     """coeffs + d, where (J^T J + lam diag) d = -g, or None (a trial rejected
     without a solve) if that matrix or coeffs + d is not finite; a huge
-    alpha makes lam * diag overflow."""
+    diag makes lam * diag overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         A = JTJ + lam * np.diag(diag)
     if not np.isfinite(A).all():
@@ -227,13 +224,13 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
     It yields the (L,) coefficient row of a0 and of every trial and is
     sent that row's (cost, (misfit, penalty), J^T J, J^T r) or its
     ForwardSolveError (``_run_lockstep``), so an accepted trial brings its
-    own cost split, J^T J and gradient.  It raises that error at a0, which
-    ends the minimization, and rejects the trial it is sent for.
+    own cost split, J^T J and gradient.  It returns that error at a0,
+    which ends the minimization, and rejects the trial it is sent for.
     """
     coeffs = a0.coeffs.copy()
     reply = yield coeffs
     if isinstance(reply, ForwardSolveError):
-        raise reply
+        return reply
     cost, split, JTJ, g = reply
     history = [cost]
     lam = cfg.lambda0
@@ -301,8 +298,8 @@ def _require_same_model(prob: TikhonovProblem, ref: TikhonovProblem) -> None:
 
 def _close_row(prob, coeffs, error, r, JTJ, JTr):
     """One row's (r @ r, (data misfit, unweighted penalty), J^T J, J^T r),
-    its data part folded: adds the penalty rows of ``prob`` at ``coeffs``
-    to r, J^T J and J^T r.  Returns a ForwardSolveError instead if the row's
+    its data part folded: adds the penalty rows of ``prob``, formed once per
+    problem, at ``coeffs``.  Returns a ForwardSolveError instead if the row's
     solve failed with ``error`` (its ``__cause__``) or its sums are not finite."""
     if error is not None:
         failed = ForwardSolveError(f"forward solve failed: {error}")
@@ -310,14 +307,15 @@ def _close_row(prob, coeffs, error, r, JTJ, JTr):
         return failed
     n_data = prob.data.X.size
     r_pen = r[n_data:]
-    r_pen[...] = _penalty_residual(coeffs, prob)
-    J_pen = prob._penalty_root
-    JTJ += J_pen.T @ J_pen
-    JTr += J_pen.T @ r_pen
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, or an inf cost rejects it
+        r_pen[...] = prob._penalty_root @ (coeffs - prob.a_star.coeffs)
+        JTJ += prob._penalty_gram
+        JTr += prob._penalty_root.T @ r_pen
+        cost, misfit = float(r @ r), float(r[:n_data] @ r[:n_data])
+        pen = float(r_pen @ r_pen) / prob.alpha if prob.alpha > 0 else 0.0
     if not (np.isfinite(JTJ).all() and np.isfinite(JTr).all()):
         return ForwardSolveError("forward solve failed: its Jacobian is not finite")
-    pen = float(r_pen @ r_pen) / prob.alpha if prob.alpha > 0 else 0.0
-    return float(r @ r), (float(r[:n_data] @ r[:n_data]), pen), JTJ, JTr
+    return cost, (misfit, pen), JTJ, JTr
 
 
 def round_bytes(grid: SimulationGrid, time_refine: int, rows: int, n_basis: int) -> int:
@@ -325,7 +323,7 @@ def round_bytes(grid: SimulationGrid, time_refine: int, rows: int, n_basis: int)
     L = ``n_basis`` hats on the data grid ``grid``, ``time_refine`` steps a frame:
     its solve (``pde.solve_bytes``) and, per row, r, the data, the fold's per-frame
     L x L products of a block's K + 1 frames (``pde._plan``) with their
-    concatenation and running sum, J^T J, J^T r and the Gram matrix with its root."""
+    concatenation and running sum, J^T J, J^T r and its problem's penalty root and product."""
     n_data, n_steps, L = 2 * (grid.n_steps + 1) * grid.n_nodes, grid.n_steps * time_refine, n_basis
     frames = _plan(grid.n_nodes, rows, n_steps, L)[0] + 1
     per_row = (n_data + L) + n_data + (6 * frames + 2) * (L * L + L) + (L * L + L) + 2 * L * L
@@ -351,7 +349,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     ``_close_row`` returns: its row's cost, cost split and sums, so none
     keeps the round's r, or its ForwardSolveError; a failed row steps on
     with zero flow and touches no other.  Returns, per request, what it
-    returned or the ForwardSolveError it raised.
+    returned.
     """
     prob = probs[0]
     knots = prob.a_star.knots()
@@ -365,8 +363,6 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
             pending[i] = requests[i].send(reply)
         except StopIteration as stop:
             results[i] = stop.value
-        except ForwardSolveError as exc:
-            results[i] = exc
 
     for i in range(len(requests)):
         advance(i, None)

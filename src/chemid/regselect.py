@@ -247,8 +247,9 @@ def rate_study(
     from truth.  All cells share the forward model, so their inversions
     run in lockstep through ``levenberg_marquardt_many`` (one batched
     forward solve per round); each result equals a lone inversion of its
-    cell.  A cell whose noise cannot be drawn, whose inversion fails or
-    that does not converge is left out with a note (text), in cell order.
+    cell.  A cell whose noise cannot be drawn, whose inversion fails, that
+    does not converge or whose parameter error overflows a float is left
+    out with a note (text), in cell order.
     Per delta the surviving cells are geometric-mean aggregated, and the
     two log-log slopes are least-squares fits.  Fewer than 4 surviving
     deltas raise InsufficientSweepError, whose ``notes`` are those notes.
@@ -284,16 +285,19 @@ def rate_study(
         if isinstance(res, ForwardSolveError):
             notes.append(f"delta={delta:.3e} seed={seed}: inversion failed: {res}")
             continue
-        if not res.converged:
-            notes.append(f"delta={delta:.3e} seed={seed}: excluded ({res.message})")
+        with np.errstate(over="ignore", invalid="ignore"):  # an error past the float range is inf
+            d = res.a_hat.coeffs - truth.coeffs
+            param_error = float(np.sqrt(d @ (B @ d)))
+        if not (res.converged and np.isfinite(param_error)):
+            why = res.message if not res.converged else "its parameter error overflows"
+            notes.append(f"delta={delta:.3e} seed={seed}: excluded ({why})")
             continue
-        d = res.a_hat.coeffs - truth.coeffs
         records.append(
             RateStudyRecord(
                 delta=delta,
                 alpha=coupling * delta,
                 misfit2=res.residual_norm2,
-                param_error=float(np.sqrt(d @ (B @ d))),
+                param_error=param_error,
                 seed=seed,
             )
         )

@@ -230,6 +230,24 @@ def test_invert_with_an_overflowing_damping_prints_one_error_line(tmp_path, data
     assert re.fullmatch(r"error: stagnation: [^\n]+\n", proc.stderr)
 
 
+@pytest.mark.parametrize("command, line", [
+    ("invert", "alpha = 1e10"),
+    ("lcurve", "alphas = 1e-3, 1e-2, 1e-1, 1, 1e10"),
+    ("rates", "coupling = 1e12"),
+])
+def test_an_overflowing_penalty_exits_2_before_out_exists(tmp_path, data_dir, capsys, command,
+                                                          line):
+    # padding = 1e300 makes the hat Gram matrix B about 1e299, so alpha B
+    # overflows at the largest alpha the command runs
+    cfg = write_cfg(tmp_path, "huge.cfg", with_line(command_body(command, data_dir),
+                                                    f"padding = 1e300\n{line}"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: config: the penalty alpha \* B is not finite: alpha=[^ ]+"
+                        r" on the c-interval \[[^\n]+\]\n", err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_lcurve_artifacts(tmp_path, data_dir):
     cfg = write_cfg(
         tmp_path,

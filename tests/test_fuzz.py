@@ -2,25 +2,32 @@
 
 Every reader either returns a value or raises a ChemidError subclass,
 whatever bytes it is given; through the command line the same inputs end
-in exit 0, 2, 3 or 4 with at most one `error:` line and no traceback.
-Inputs are arbitrary bytes or valid files with a few byte ranges
-overwritten, so both the header checks and the row parsers are reached.
-The command-line runs never fuzz a key that sets an array size, so no
-example can ask for a huge grid.  The forward solver, given extreme
-finite inputs on small grids, returns a finite trajectory or raises a
-ChemidError.
+in exit 0 with nothing on stderr, or in exit 2, 3 or 4 with exactly one
+`error: <kind>: <message>` line there.  Inputs are arbitrary bytes or
+valid files with a few byte ranges overwritten, so both the header checks
+and the row parsers are reached.  The command-line runs never fuzz a key
+that sets an array size, so no example can ask for a huge grid.  The
+forward solver, given extreme finite inputs on small grids, returns a
+finite trajectory or raises a ChemidError, and invert, lcurve and rates,
+given extreme finite numbers for every other key, keep the command-line
+contract.
 """
 
+import contextlib
+import io
+import re
 import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from chemid import cli
 from chemid.config import ALLOWED_KEYS, load_config, resolve
 from chemid.errors import ChemidError
 from chemid.pde import (
@@ -142,17 +149,37 @@ def test_solve_forward_on_extreme_inputs_is_finite_or_raises_chemid_error(
 
 
 # ---------------------------------------------------------------------------
-# command line, in a fresh interpreter
+# command line
+
+#: The error kind each failing exit code prints.
+KINDS = {2: "config", 3: "solver", 4: "stagnation"}
 
 
-def _assert_contract(*args):
+def _assert_contract(returncode, stderr):
+    """Exit 0 with an empty stderr, or 2, 3 or 4 with just its `error:` line."""
+    if returncode == 0:
+        assert stderr == ""
+    else:
+        assert re.fullmatch(f"error: {KINDS[returncode]}: [^\n]+\n", stderr), stderr
+
+
+def _run_cli(*args):
+    """The exit code and stderr of the command line in a fresh interpreter."""
     proc = subprocess.run(
         [sys.executable, "-m", "chemid", *args], capture_output=True, text=True
     )
-    assert proc.returncode in (0, 2, 3, 4)
-    assert "Traceback" not in proc.stderr
-    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
-    assert len(errors) == (proc.returncode != 0)
+    return proc.returncode, proc.stderr
+
+
+def _run_main(*args):
+    """The exit code of ``cli.main`` and its stderr, each warning it raised
+    printed there as Python would print it."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        returncode = cli.main(list(args))
+    shown = (warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return returncode, "".join(shown) + err.getvalue()
 
 
 CLI_SETTINGS = settings(
@@ -166,7 +193,7 @@ def test_cli_invert_on_corrupted_data(work, blob):
     data = _write(work / "cli-data.csv", blob)
     body = textwrap.dedent(INVERT_BODY) + f"data_csv = {data}\nmax_iters = 3\n"
     cfg = _write(work / "cli-invert.cfg", body.encode())
-    _assert_contract("invert", "--config", str(cfg), "--out", str(work / "out"))
+    _assert_contract(*_run_cli("invert", "--config", str(cfg), "--out", str(work / "out")))
 
 
 @CLI_SETTINGS
@@ -174,11 +201,91 @@ def test_cli_invert_on_corrupted_data(work, blob):
 def test_cli_forward_on_corrupted_table(work, blob):
     table = _write(work / "cli-table.csv", blob)
     cfg = _write(work / "cli-table.cfg", PHYS + SIZES + f"truth = table:{table}\n".encode())
-    _assert_contract("forward", "--config", str(cfg), "--out", str(work / "out"))
+    _assert_contract(*_run_cli("forward", "--config", str(cfg), "--out", str(work / "out")))
 
 
 @CLI_SETTINGS
 @given(blob=fuzzed(PHYS))
 def test_cli_forward_on_corrupted_config(work, blob):
     cfg = _write(work / "cli.cfg", blob + b"\n" + SIZES + b"truth = constant:1.5\n")
-    _assert_contract("forward", "--config", str(cfg), "--out", str(work / "out"))
+    _assert_contract(*_run_cli("forward", "--config", str(cfg), "--out", str(work / "out")))
+
+
+# ---------------------------------------------------------------------------
+# the inverse commands on extreme finite configs, in-process
+
+#: The small scenario's data set; rates generates its own on the same grids.
+SMALL_DATA = """\
+n_nodes = 11
+n_steps = 10
+fine_n_nodes = 41
+fine_n_steps = 40
+t_final = 0.05
+"""
+
+#: Every basis and LM key of the inverse commands but n_basis, which sizes arrays.
+#: lambda0 stays above the 1e-15 floor that accepted steps keep: each rejected
+#: trial doubles the damping, so a smaller one adds up to ~1,000 solves a run.
+LM_KEYS = {
+    "padding": MAGNITUDES,
+    "prior": MAGNITUDES.map(lambda v: f"constant:{v}"),
+    "lambda0": st.floats(-15.0, 308.0).map(lambda e: 10.0**e),
+    "tol_cost": MAGNITUDES,
+    "tol_grad": MAGNITUDES,
+    "max_iters": st.integers(1, 3),
+}
+
+#: The LM keys of the repros below: the defaults, with max_iters = 3 and a
+#: padding that makes the hat Gram matrix B about 1e299, so that alpha B
+#: overflows from alpha near 1e10.
+REPRO = {"padding": 1e300, "prior": "constant:1.0", "lambda0": 1e-3, "tol_cost": 1e-8,
+         "tol_grad": 1e-8, "max_iters": 3}
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small-data")
+    cfg = _write(root / "make.cfg", (SMALL_DATA + "truth = inverse:2.0\ndelta = 1e-3\n").encode())
+    assert cli.main(["make-data", "--preset", "myerscough", "--config", str(cfg),
+                     "--out", str(root)]) == 0
+    return root / "data.csv"
+
+
+def _assert_inverse_contract(work, command, body):
+    cfg = _write(work / f"{command}.cfg", (body + "n_basis = 4\n").encode())
+    _assert_contract(*_run_main(command, "--preset", "myerscough", "--config", str(cfg),
+                                "--out", str(work / "out")))
+
+
+def _lines(keys):
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.fixed_dictionaries({**LM_KEYS, "alpha": MAGNITUDES}))
+@example(keys={**REPRO, "alpha": 1e10})
+def test_invert_on_extreme_finite_configs_keeps_the_contract(work, small_data, keys):
+    _assert_inverse_contract(work, "invert", _lines(keys) + f"data_csv = {small_data}\n")
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys=st.fixed_dictionaries({
+    **LM_KEYS,
+    "alphas": st.lists(MAGNITUDES, min_size=5, max_size=5, unique=True).map(
+        lambda alphas: ", ".join(map(str, alphas))),
+}))
+@example(keys={**REPRO, "alphas": "1e-3, 1e-2, 1e-1, 1, 1e10"})
+def test_lcurve_on_extreme_finite_configs_keeps_the_contract(work, small_data, keys):
+    _assert_inverse_contract(work, "lcurve", _lines(keys) + f"data_csv = {small_data}\n")
+
+
+@settings(max_examples=50, deadline=None)
+@given(keys=st.fixed_dictionaries({
+    **LM_KEYS,
+    "coupling": MAGNITUDES,
+    "truth": MAGNITUDES.map(lambda v: f"constant:{v}"),
+}))
+@example(keys={**REPRO, "coupling": 1e12, "truth": "constant:2.0"})
+def test_rates_on_extreme_finite_configs_keeps_the_contract(work, keys):
+    body = SMALL_DATA + _lines(keys) + "deltas = 1e-4, 1e-3, 1e-2, 1e-1\nseeds = 0\n"
+    _assert_inverse_contract(work, "rates", body)

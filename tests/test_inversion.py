@@ -34,7 +34,7 @@ from chemid.sensitivity import (
     concentration_range,
     mass_matrix,
 )
-from chemid.regselect import rate_study
+from chemid.regselect import lcurve_sweep, rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import (
     assert_bounded,
@@ -148,6 +148,43 @@ def test_problem_model_runs_on_the_refined_mesh():
     assert prob.model.grid == prob.grid
     assert refined.model.grid == prob.grid.with_resolution(21, 3 * prob.grid.n_steps)
     assert refined.model.u0 is refined.u0 and refined.model.c0 is refined.c0
+
+
+def wide_problem(alpha):
+    """small_problem's with a prior on c in [-1e299, 1e299], where the hat
+    Gram matrix B reaches 4.4e298, so alpha B overflows from alpha = 1e10."""
+    prob, _, truth = small_problem()
+    a_star = SensitivityFunction.constant(1.0, -1e299, 1e299, prob.n_basis)
+    return dataclasses.replace(prob, alpha=alpha, a_star=a_star), truth
+
+
+OVERFLOW = (r"the penalty alpha \* B is not finite: alpha=1e\+10"
+            r" on the c-interval \[-1e\+299, 1e\+299\]")
+
+
+def test_a_penalty_that_overflows_is_refused_when_the_problem_is_built():
+    prob, _ = wide_problem(1.0)
+    assert np.isfinite(prob._penalty_gram).all()
+    with pytest.raises(InvalidStateError, match=OVERFLOW):
+        TikhonovProblem(prob.data, 1e10, prob.a_star, prob.params, prob.u0, prob.c0)
+    with pytest.raises(InvalidStateError, match=OVERFLOW):
+        dataclasses.replace(prob, alpha=1e10)
+
+
+def test_sweeps_refuse_an_overflowing_alpha_before_any_solve(monkeypatch):
+    template, truth = wide_problem(1e-3)
+    real, calls = inv._integrate, []
+
+    def integrate(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "_integrate", integrate)
+    with pytest.raises(InvalidStateError, match=OVERFLOW):
+        lcurve_sweep(template, [1e-3, 1e-2, 1e-1, 1.0, 1e10])
+    with pytest.raises(InvalidStateError, match=OVERFLOW):
+        rate_study(template, template.a_star, truth, (1e-5, 1e-4, 1e-3, 1e-2), 1e12, (0,))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +562,15 @@ def test_lm_many_equals_lone_calls():
     assert "face velocity" in str(results[3])
     with pytest.raises(ForwardSolveError):
         levenberg_marquardt(probs[3], overflow, cfg)
+
+
+def test_lm_returns_a_failed_start_as_its_value():
+    prob, _, _ = small_problem()
+    body, failed = inv._lm_body(prob, prob.a_star, LMConfig()), ForwardSolveError("injected")
+    assert next(body).tobytes() == prob.a_star.coeffs.tobytes()
+    with pytest.raises(StopIteration) as stop:
+        body.send(failed)
+    assert stop.value.value is failed
 
 
 def test_lockstep_requests_match_one_vector_references(monkeypatch):

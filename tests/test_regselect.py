@@ -403,6 +403,23 @@ def test_rate_study_excludes_unconverged(monkeypatch):
     assert out.notes == ("delta=1.000e-01 seed=1: excluded (stagnated)",)
 
 
+def test_rate_study_excludes_a_cell_whose_parameter_error_overflows(monkeypatch):
+    # the squared L2(I) distance of a 1e200 fit from the truth overflows
+    prob, a_true, truth = small_problem(n_basis=3)
+    real_fake = fake_lm_factory(a_true)
+
+    def far(p, a0, cfg=LMConfig()):
+        res = real_fake(p, a0, cfg)
+        if p.data.delta == 1e-1:
+            return dataclasses.replace(res, a_hat=a_true.with_coeffs(np.full(3, 1e200)))
+        return res
+
+    use_fake_lm(monkeypatch, far)
+    out = rate_study(prob, a_true, truth, DELTAS, seeds=(1,))
+    assert len(out.records) == 4
+    assert out.notes == ("delta=1.000e-01 seed=1: excluded (its parameter error overflows)",)
+
+
 def test_rate_study_validation():
     prob, a_true, truth = small_problem(n_basis=3)
     with pytest.raises(InvalidStateError):
