@@ -406,6 +406,31 @@ def test_truth_spec_inverse():
         SensitivityFunction.from_function(f, -0.1, 1.0, 4)
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -3.0])
+def test_truth_callbacks_accept_and_reject_what_they_did(bad):
+    # a forward solve calls the truth on (rows, faces) face means, every row
+    # at once: an exception leaves the solve for every row, so which entries
+    # raise must not move.  inverse:<k> raises on an entry <= 0 and returns
+    # nan for a nan one; constant:<v> never looks at c.  Finite positive
+    # input gives k / c and v bit for bit
+    rng = np.random.default_rng(7)
+    c = rng.uniform(0.05, 3.0, (15, 50))
+    inverse, constant = parsed("truth", "inverse:2.0"), parsed("truth", "constant:2.5")
+    assert inverse(c).tobytes() == (2.0 / c).tobytes()
+    assert constant(c).tobytes() == np.full((15, 50), 2.5).tobytes()
+    assert inverse(0.5) == 4.0 and constant(0.5) == 2.5
+    poisoned = c.copy()
+    poisoned[3, 7] = bad
+    with pytest.raises(InvalidStateError, match="inverse sensitivity evaluated at c <= 0"):
+        inverse(poisoned)
+    assert constant(poisoned).tobytes() == np.full((15, 50), 2.5).tobytes()
+    poisoned[3, 7] = np.nan
+    got = inverse(poisoned)
+    assert np.isnan(got[3, 7]) and np.isnan(got).sum() == 1
+    assert np.array_equal(got[~np.isnan(got)], (2.0 / c)[~np.isnan(got)])
+    assert constant(poisoned).tobytes() == np.full((15, 50), 2.5).tobytes()
+
+
 def test_truth_spec_table(tmp_path):
     src = SensitivityFunction(0.2, 0.7, np.array([1.0, 2.0, 4.0]))
     path = tmp_path / "a.csv"

@@ -709,6 +709,58 @@ def test_rows_that_stop_inside_a_step_block_leave_the_others_alone(monkeypatch, 
     assert np.array_equal(dX[..., 1, :], dX_lone[..., 0, :])
 
 
+@pytest.mark.parametrize("directions", [0, 8], ids=["rows", "rows_and_tangents"])
+@pytest.mark.parametrize("steps, blocks", [
+    (1, [(0, 2), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]),
+    (3, [(0, 4), (4, 3), (7, 1)]),
+    (10, [(0, 8)]),
+], ids=["step_by_step", "blocks_of_3", "one_block"])
+def test_a_batch_whose_every_row_stops_ends_at_the_last_frame_one_survived(
+        monkeypatch, directions, steps, blocks):
+    # row 0 falls below its c floor in step 3, row 1 turns nan in step 5
+    # and row 2 enters step 8 with a negative density: the solve takes 8
+    # steps of its 10, and record gets frames 0-7, once each and in order,
+    # in blocks that start where the step blocks do
+    g = SimulationGrid(0.0, 1.0, 51, 0.05, 10)
+    u0, _ = bump_initial(g)
+    steep = 0.5 + 0.45 * np.cos(np.pi * g.xs())
+    model = ForwardModel(PhysicalParams.myerscough(), g, u0, steep, "blended")
+    knots, coeffs = A_CONST2.knots(), np.tile(A_CONST2.coeffs, (3, 1))
+    alone = solve_forward(u0, steep, model.params, A_CONST2, g)
+    real, calls = pde._advance, []
+
+    def advance(u, c, flow, model, ops):
+        calls.append(1)
+        if len(calls) == 8:
+            u = u.copy()
+            u[2] *= -1e-3
+        u_new, c_new, *step = real(u, c, flow, model, ops)
+        if len(calls) >= 3:
+            c_new[0] *= 1e-3
+        if len(calls) == 5:
+            c_new[1, 20] = u_new[1, 20] = np.nan
+        return u_new, c_new, *step
+
+    monkeypatch.setattr(pde, "_advance", advance)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(steps, g.n_nodes, 3, directions))
+    got = []
+    errors = _integrate(model, lambda face_c: interp_rows(face_c, knots, coeffs), 3,
+                        lambda j0, *XdX: got.append((j0, *(B.copy() for B in XdX))),
+                        directions=directions,
+                        stencil=lambda face_c: hat_stencil(face_c, knots, coeffs))
+    assert len(calls) == 8
+    assert [(j0, len(X)) for j0, X, *_ in got] == blocks
+    assert all(len(dX) == len(X) for _, X, *dX in got for dX in dX)
+    assert [type(e) for e in errors] == [
+        LowerBoundViolationError, NonFiniteStateError, PositivityViolationError
+    ]
+    assert str(errors[0]).endswith(f"at t={3 * g.dt:.6g}")
+    assert str(errors[1]) == "u or c is not finite in frame 5"
+    assert str(errors[2]).startswith("cell density reached")
+    X = np.concatenate([X for _, X, *_ in got])
+    assert np.array_equal(X[:3, :, 0], alone.X[:3]) and np.array_equal(X[:, :, 2], alone.X[:8])
+
+
 def test_a_state_that_is_not_finite_stops_the_solve():
     # b dt overflows, so c is inf after the first step though every step
     # weight is finite; a lone solve raises and names the frame
