@@ -277,15 +277,15 @@ def _sensitivity(s: str):
     kind, _, arg = s.partition(":")
     if kind == "constant":
         v = _finite(arg)
-        return lambda c: np.full_like(np.asarray(c, dtype=float), v)
+        return lambda c: np.full(np.shape(c), v)
     if kind == "inverse":
-        k = _finite(arg)
+        k = np.array(_finite(arg))  # a 0-d array: numpy converts no Python float per call
         if not k > 0:
             raise ValueError(s)
 
         def inverse(c):
             c = np.asarray(c, dtype=float)
-            if np.any(c <= 0):
+            if (c <= 0).any():
                 raise InvalidStateError("inverse sensitivity evaluated at c <= 0")
             return k / c
 

@@ -57,14 +57,15 @@ from .synthdata import NoisyData
 #: Damping beyond this means no descent direction is found: stagnation.
 LAMBDA_OVERFLOW = 1.0e12
 
-#: Damping factors after a rejected and after an accepted trial step.
-LAMBDA_UP = 2.0
-LAMBDA_DOWN = 1.0 / 3.0
+#: Damping factors after a rejected and after an accepted trial step, and
+#: the least damping, which the start and every accepted step keep.
+LAMBDA_UP, LAMBDA_DOWN, LAMBDA_FLOOR = 2.0, 1.0 / 3.0, 1.0e-15
 
 
 @dataclass(frozen=True)
 class LMConfig:
-    """Damping and stopping knobs for the Levenberg-Marquardt driver."""
+    """Damping and stopping knobs for the Levenberg-Marquardt driver; a
+    ``lambda0`` below ``LAMBDA_FLOOR`` starts the damping at that floor."""
 
     lambda0: float = 1e-3
     max_iters: int = 100
@@ -233,7 +234,7 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
         return reply
     cost, split, JTJ, g = reply
     history = [cost]
-    lam = cfg.lambda0
+    lam = max(cfg.lambda0, LAMBDA_FLOOR)
     iterations = 0
     converged = False
     message = f"reached max_iters={cfg.max_iters}"
@@ -260,7 +261,7 @@ def _lm_body(prob: TikhonovProblem, a0: SensitivityFunction, cfg: LMConfig):
                     coeffs, (cost, split, JTJ, g) = trial, reply
                     history.append(cost)
                     iterations += 1
-                    lam = max(lam * LAMBDA_DOWN, 1e-15)
+                    lam = max(lam * LAMBDA_DOWN, LAMBDA_FLOOR)
                     accepted = True
                     break
                 lam *= LAMBDA_UP

@@ -39,8 +39,9 @@ with no coupling between blocks, factored (dgttrf) and solved (dgttrs)
 once per step; the c-matrix is factored once per solve.  Both LAPACK
 routines come from ``_lapack``, which loads scipy's compiled wrappers
 without the ``scipy.linalg`` package import.  ``_integrate`` checks every
-row after every step; one that fails stops with its error and steps on
-with zero flow, which keeps its fields finite and the others as they are.
+row after every step, with one reduction over all rows a check; a row that
+fails stops with its error and steps on with zero flow, which keeps its
+fields finite and the others as they are.
 Every array of states has the layout (frame, field u/c, [row,] node):
 a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 
@@ -284,12 +285,14 @@ def space_time_sq_norm(values, grid: SimulationGrid) -> float:
 def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     """What every step of a solve on ``grid`` shares.
 
-    Returns (dt, m, cell widths, c_lu): m = dt M / dx is the diffusive
-    weight of a face in the u-matrix, and ``c_lu`` the LAPACK dgttrf
-    factors of the c-matrix (1 + dt mu) I - dt D L, with L the Neumann
-    Laplacian stencil with ghost-node reflection (first super- and last
-    sub-diagonal entries doubled).  NumericalSolveError unless dt D / dx^2, m
-    and the diagonal are finite and the first two positive (under ``np.errstate``).
+    Returns (dt, widths, c_lu, peclet, m, minus_m, h, dtb): the cell widths,
+    ``c_lu`` the LAPACK dgttrf factors of the c-matrix (1 + dt mu) I - dt D L,
+    with L the Neumann Laplacian stencil with ghost-node reflection (first
+    super- and last sub-diagonal entries doubled), and ``_advance``'s 2 m, m,
+    -m, h and dt b, m = dt M / dx the diffusive weight of a face, as 0-d arrays
+    (numpy skips its 0.2 us conversion of a Python float operand, same bits).
+    NumericalSolveError unless dt D / dx^2, m and the diagonal are finite and
+    the first two positive (under ``np.errstate``).
     """
     n, dx, dt = grid.n_nodes, grid.dx, grid.dt
     r, m = dt * params.D / np.float64(dx) ** 2, dt * params.M / dx  # a float's dx**2 may raise
@@ -300,13 +303,11 @@ def _step_operators(params: PhysicalParams, grid: SimulationGrid) -> tuple:
     bands[0] = bands[2] = -r
     bands[1] = diag
     bands[0, n - 2] = bands[2, 0] = -2.0 * r
-    *c_lu, info = dgttrf(
-        bands[0, :-1], bands[1], bands[2, :-1],
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-    )
+    *c_lu, info = dgttrf(bands[0, :-1], bands[1], bands[2, :-1], 1, 1, 1)  # 1: overwrite
     if info != 0:  # degenerate dt/dx combination
         raise NumericalSolveError(f"tridiagonal factorization failed (info={info})")
-    return dt, m, grid.cell_widths(), tuple(c_lu)
+    scalars = (np.array(v) for v in (2.0 * m, m, -m, params.h, dt * params.b))
+    return (dt, grid.cell_widths(), tuple(c_lu), *scalars)
 
 
 def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel, ops: tuple):
@@ -325,31 +326,28 @@ def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel
     Returns the new (u, c) rows, unchecked (``_integrate`` checks them), and
     the face weights w and u-matrix dgttrf factors u_lu a tangent step needs.
     """
-    dt, m, widths, c_lu = ops
-    rows, n = u.shape
+    _, widths, c_lu, peclet, m, minus_m, h, dtb = ops
+    (rows, n), N = u.shape, u.size
     # w weighs u_k in each face's flux: ahead = w flow, and flow - ahead weighs u_{k+1}
-    w = (flow > 0.0).astype(float)
+    w = np.heaviside(flow, 0.0)  # the donor cell: 1.0 where the (finite) flow > 0, else 0.0
     if model.advection == "blended":
-        w[np.abs(flow) <= 2.0 * m] = 0.5
+        w[np.abs(flow) <= peclet] = 0.5
     ahead = w * flow
-    bands = np.empty((3, rows, n))
-    sub, diag, sup = bands
-    np.subtract(-m, ahead, out=sub[:, :-1])
-    np.subtract(flow - ahead, m, out=sup[:, :-1])
-    sub[:, -1] = sup[:, -1] = 0.0
-    np.subtract(widths, sub, out=diag)
-    diag.reshape(-1)[1:] -= sup.reshape(-1)[:-1]
-    *u_lu, info = dgttrf(
-        sub.reshape(-1)[:-1], diag.reshape(-1), sup.reshape(-1)[:-1],
-        overwrite_dl=1, overwrite_d=1, overwrite_du=1,
-    )
+    flat = np.zeros(3 * N)  # the three bands, zero where one row's block meets the next
+    bands = flat.reshape(3, rows, n)
+    np.subtract(minus_m, ahead, bands[0, :, :-1])
+    np.subtract(flow - ahead, m, bands[2, :, :-1])
+    np.subtract(widths, bands[0], bands[1])
+    flat[N + 1 : 2 * N] -= flat[2 * N : -1]
+    # LAPACK flags by position (overwrite; trans, overwrite_b): f2py parses keywords slowly
+    *u_lu, info = dgttrf(flat[: N - 1], flat[N : 2 * N], flat[2 * N : -1], 1, 1, 1)
     if info != 0:
         raise NumericalSolveError(f"tridiagonal solve failed (info={info})")
-    u_new = dgttrs(*u_lu, (u * widths).reshape(-1, 1), overwrite_b=1)[0].reshape(rows, n)
+    u_new = dgttrs(*u_lu, (u * widths).reshape(-1, 1), b"N", 1)[0].reshape(rows, n)
     # production uses the beginning-of-step u, keeping the c solve linear
-    rhs = c + dt * model.params.b * (u / (u + model.params.h))
+    rhs = c + dtb * (u / (u + h))
     # a C-ordered (rows, n) array is LAPACK's column-major (n, rows) right-hand side
-    c_new = dgttrs(*c_lu, rhs.T, overwrite_b=1)[0].T
+    c_new = dgttrs(*c_lu, rhs.T, b"N", 1)[0].T
 
     return u_new, c_new, w, u_lu
 
@@ -399,10 +397,11 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     d(flow_k) = dt [(phi_l(cbar_k) + a'(cbar_k) dcbar_k) c_x + a(cbar_k)
     d(c_x)].  The clip of round-off negatives is not differentiated.
     Overflow gives inf or nan (under ``_integrate``'s ``np.errstate``);
-    the caller checks what it keeps.
+    the caller checks what it keeps.  Only tangents that are not all finite
+    take the u solve's path that isolates their rows.
     """
     lo, hi, prod, phi_at, phi, u_lu = coefficients
-    _, _, widths, c_lu = ops
+    _, widths, c_lu = ops[:3]
     L, rows, n = du.shape
     f = lo * dc[..., :-1] + hi * dc[..., 1:]
     f.reshape(-1)[phi_at] += phi
@@ -411,14 +410,17 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     du[..., :-1] -= f
     du[..., 1:] += f
     # (L rows, n) and (L, rows n) arrays in C order are LAPACK's column-major
-    # right-hand sides of the c- and u-matrices.  The u solve runs through
-    # all rows' blocks, so a row whose tangents are not finite is solved as
-    # zero and then set to nan, not spilled into the others.
-    dc[...] = dgttrs(*c_lu, dc.reshape(-1, n).T, overwrite_b=1)[0].T.reshape(dc.shape)
-    broken = slice(0) if np.isfinite(du.sum()) else ~np.isfinite(du).all(axis=(0, 2))
-    du[:, broken] = 0.0
-    du[...] = dgttrs(*u_lu, du.reshape(L, -1).T, overwrite_b=1)[0].T.reshape(du.shape)
-    du[:, broken] = np.nan
+    # right-hand sides of the c- and u-matrices, solved in place.  The u solve
+    # runs through all rows' blocks, so a row whose tangents are not finite is
+    # solved as zero and then set to nan, not spilled into the others.
+    dgttrs(*c_lu, dc.reshape(-1, n).T, b"N", 1)
+    if math.isfinite(np.add.reduce(du, None)):  # a finite sum has finite terms
+        dgttrs(*u_lu, du.reshape(L, -1).T, b"N", 1)
+    else:
+        broken = ~np.isfinite(du).all(axis=(0, 2))
+        du[:, broken] = 0.0
+        dgttrs(*u_lu, du.reshape(L, -1).T, b"N", 1)
+        du[:, broken] = np.nan
 
 
 def _plan(n_nodes: int, rows: int, n_steps: int, directions: int) -> tuple:
@@ -463,9 +465,11 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     Every row takes one step per solved frame.  This loop is the one place
     a row is checked, as a lone solve would be: a finite dt * face velocity,
     then u >= 0 (round-off negatives clipped), a finite u and c, and c >=
-    min(c0) e^{-mu t}.  A row that fails stops: it steps on with zero flow,
-    from the initial fields if its own are not finite, which keeps its u
-    and c finite and changes none of the others; its later frames mean nothing.
+    min(c0) e^{-mu t}, each one reduction over all rows (a min, or a sum,
+    finite only if every term is) that looks at single rows only if it
+    fails.  A row that fails stops: it steps on with zero flow, from the
+    initial fields if its own are not finite, which keeps its u and c
+    finite and changes none of the others; its later frames mean nothing.
 
     The steps run in blocks of K (``_plan``), in buffers of its shapes:
     ``X[0]`` holds the state a block starts from and ``X[i]`` the one its
@@ -489,7 +493,8 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
-    dx, dt, n_steps = grid.dx, grid.dt, grid.n_steps
+    dt, n_steps = grid.dt, grid.n_steps
+    half, dx_, dt_ = (np.array(v) for v in (0.5, grid.dx, dt))  # see _step_operators
     steps, shapes, _ = _plan(grid.n_nodes, n_rows, n_steps, directions)
     X, dX, tangents = np.empty(shapes["X"]), np.zeros(shapes["dX"]), np.zeros(shapes["tangents"])
     buffers = (X, dX) if directions else (X,)
@@ -508,17 +513,17 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
             X[0, 0], X[0, 1] = u, c  # record may have changed the last block's states
             k = 0  # X[: k + 1] holds frames first .. first + k
             for j in range(first, min(first + steps, n_steps)):
-                value = np.asarray(a(0.5 * (c[:, :-1] + c[:, 1:])), dtype=float)  # a(cbar)
-                flow = dt * (value * ((c[:, 1:] - c[:, :-1]) / dx))
-                if not np.isfinite(flow.sum()):  # a finite sum has finite terms
+                value = np.asarray(a(half * (c[:, :-1] + c[:, 1:])), dtype=float)  # a(cbar)
+                flow = dt_ * (value * ((c[:, 1:] - c[:, :-1]) / dx_))
+                if not math.isfinite(np.add.reduce(flow, None)):  # a finite sum has finite terms
                     for row in np.flatnonzero(~np.isfinite(flow).all(axis=1)):
                         fail(row, InvalidStateError(
                             f"face velocity is not finite in frame {j + 1}"))
-                if not alive.all():
+                if any(errors):  # a row has stopped
                     flow[~alive] = 0.0
                 u, c, w, u_lu = _advance(u, c, flow, model, ops)
 
-                if not u.min() >= 0.0:  # one reduction unless a value is negative or nan
+                if not np.minimum.reduce(u, None) >= 0.0:  # unless a value is negative or nan
                     u_min = u.min(axis=1)
                     broken = u_min < -POSITIVITY_FLOOR * np.maximum(1.0, u.max(axis=1))
                     for row in np.flatnonzero(broken):
@@ -526,19 +531,19 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
                                                            f" after a step of dt={dt:.3e}"))
                     u[u < 0.0] = 0.0
                 X[k + 1, 0], X[k + 1, 1] = u, c  # a frame unless every row stops here
-                if not np.isfinite(X[k + 1].sum()):
+                if not math.isfinite(np.add.reduce(X[k + 1], None)):
                     for row in np.flatnonzero(~np.isfinite(X[k + 1]).all(axis=(0, 2))):
                         fail(row, NonFiniteStateError(f"u or c is not finite in frame {j + 1}"))
                         u[row], c[row] = model.u0, model.c0  # a nan would spread in the u solve
                 t = grid.t_final if j + 1 == n_steps else (j + 1) * dt  # grid.times()[j + 1]
                 bound = c_floor * math.exp(-params.mu * t) * (1.0 - LOWER_BOUND_SLACK)
-                if not c.min() >= bound:
+                if not np.minimum.reduce(c, None) >= bound:
                     c_min = c.min(axis=1)
                     for row in np.flatnonzero(c_min < bound):
                         fail(row, LowerBoundViolationError(f"min c = {c_min[row]:.6e} fell below "
                                                            f"{bound:.6e} at t={t:.6g}"))
-                if not alive.any():
-                    break  # the frames end at the step before
+                if None not in errors:
+                    break  # every row has stopped: the frames end at the step before
                 k += 1
                 if directions:
                     kept.append((value, w, u_lu))
@@ -553,7 +558,7 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
             start = 1 if first else 0  # a later block's X[0] is the last block's end
             if k >= start:
                 record(first + start, *(b[start : k + 1] for b in buffers))
-            if not alive.any():
+            if None not in errors:
                 break
     return errors
 

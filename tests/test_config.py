@@ -421,10 +421,12 @@ def test_truth_callbacks_accept_and_reject_what_they_did(bad):
     assert inverse(0.5) == 4.0 and constant(0.5) == 2.5
     poisoned = c.copy()
     poisoned[3, 7] = bad
-    with pytest.raises(InvalidStateError, match="inverse sensitivity evaluated at c <= 0"):
-        inverse(poisoned)
-    assert constant(poisoned).tobytes() == np.full((15, 50), 2.5).tobytes()
-    poisoned[3, 7] = np.nan
+    for nan_too in (False, True):  # a nan elsewhere hides no entry <= 0
+        poisoned[9, 1] = np.nan if nan_too else c[9, 1]
+        with pytest.raises(InvalidStateError, match="inverse sensitivity evaluated at c <= 0"):
+            inverse(poisoned)
+        assert constant(poisoned).tobytes() == np.full((15, 50), 2.5).tobytes()
+    poisoned[3, 7], poisoned[9, 1] = np.nan, c[9, 1]
     got = inverse(poisoned)
     assert np.isnan(got[3, 7]) and np.isnan(got).sum() == 1
     assert np.array_equal(got[~np.isnan(got)], (2.0 / c)[~np.isnan(got)])

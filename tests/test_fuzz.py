@@ -224,12 +224,10 @@ t_final = 0.05
 """
 
 #: Every basis and LM key of the inverse commands but n_basis, which sizes arrays.
-#: lambda0 stays above the 1e-15 floor that accepted steps keep: each rejected
-#: trial doubles the damping, so a smaller one adds up to ~1,000 solves a run.
 LM_KEYS = {
     "padding": MAGNITUDES,
     "prior": MAGNITUDES.map(lambda v: f"constant:{v}"),
-    "lambda0": st.floats(-15.0, 308.0).map(lambda e: 10.0**e),
+    "lambda0": MAGNITUDES,
     "tol_cost": MAGNITUDES,
     "tol_grad": MAGNITUDES,
     "max_iters": st.integers(1, 3),

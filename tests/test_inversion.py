@@ -512,6 +512,38 @@ def test_lm_stagnation_flag_on_unimprovable_cost(monkeypatch):
     assert calls["n"] > 2
 
 
+def test_lm_starts_a_tiny_lambda0_at_the_damping_floor(monkeypatch):
+    # each rejected trial only doubles the damping, so from lambda0 =
+    # 1.4e-295 it would take ~1,000 solves to reach a useful one; the start
+    # takes the floor that accepted steps keep, and the run is bit for bit
+    # the run from lambda0 = LAMBDA_FLOOR, solve for solve
+    prob, _, _ = small_problem(alpha=1e-4, delta=1e-2)
+    a0 = prob.a_star.with_coeffs(np.full(prob.n_basis, 3.0))
+    real, solves = inv._integrate, []
+
+    def integrate(model, a, n_rows, record, directions=0, stencil=None):
+        first = []  # each solve's first a(cbar) tells its coefficient rows
+
+        def value(face_c):
+            out = a(face_c)
+            if not first:
+                first.append(out.tobytes())
+            return out
+
+        errors = real(model, value, n_rows, record, directions, stencil)
+        solves[-1].append((n_rows, first[0]))
+        return errors
+
+    monkeypatch.setattr(inv, "_integrate", integrate)
+    runs = []
+    for lambda0 in (1.4e-295, inv.LAMBDA_FLOOR):
+        solves.append([])
+        res = levenberg_marquardt(prob, a0, LMConfig(lambda0=lambda0, max_iters=5))
+        runs.append((res.a_hat.coeffs.tobytes(), res.cost_history, res.iterations, res.message))
+    assert solves[0] == solves[1] and len(solves[0]) < 20
+    assert runs[0] == runs[1]
+
+
 def test_lm_non_finite_step_is_a_rejected_trial(monkeypatch):
     """A damped solve that returns inf costs one rejected trial, no abort."""
     real = np.linalg.solve
