@@ -322,13 +322,15 @@ def _close_row(prob, coeffs, error, r, JTJ, JTr):
 def round_bytes(grid: SimulationGrid, time_refine: int, rows: int, n_basis: int) -> int:
     """Estimated peak bytes of a ``_run_lockstep`` round of ``rows`` problems with
     L = ``n_basis`` hats on the data grid ``grid``, ``time_refine`` steps a frame:
-    its solve (``pde.solve_bytes``) and, per row, r, the data, the fold's per-frame
-    L x L products of a block's K + 1 frames (``pde._plan``) with their
-    concatenation and running sum, J^T J, J^T r and its problem's penalty root and product."""
+    per row, r, the data, J^T J, J^T r and its problem's penalty root and product;
+    its solve (``pde.solve_bytes``) or, if more, that less what a block's steps keep
+    (``pde._plan``), freed before ``record``, plus the fold's sums and per-frame
+    products of a block's K + 1 frames, per row."""
     n_data, n_steps, L = 2 * (grid.n_steps + 1) * grid.n_nodes, grid.n_steps * time_refine, n_basis
-    frames = _plan(grid.n_nodes, rows, n_steps, L)[0] + 1
-    per_row = (n_data + L) + n_data + (6 * frames + 2) * (L * L + L) + (L * L + L) + 2 * L * L
-    return 8 * rows * per_row + solve_bytes(grid.n_nodes, n_steps, rows, L, kept=0)
+    K, shapes, _ = _plan(grid.n_nodes, rows, n_steps, L)
+    fold = 8 * rows * (2 * K + 3) * (L * L + L) - 8 * math.prod(shapes["steps"])
+    per_row = (n_data + L) + n_data + (L * L + L) + 2 * L * L
+    return 8 * rows * per_row + solve_bytes(grid.n_nodes, n_steps, rows, L, kept=0) + max(0, fold)
 
 
 def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
@@ -343,9 +345,10 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
     time_refine-th as strided views (solved frame j * time_refine is
     measurement frame j) and folds them for all rows at once, in place:
     residual and tangents are scaled by w = sqrt(dx dt), one batched
-    matmul over (frame, field, row) gives the per-frame products and
-    ``np.add.accumulate`` adds them in frame order, u then c, so the sums
-    equal a frame by frame fold and r ``residual_vector`` bit for bit.
+    matmul over (frame, field, row) puts the per-frame products after the
+    sums, and ``np.add.reduce`` over that slow axis adds them in frame order,
+    u then c (numpy sums pairwise only along the fast axis), so the sums equal
+    a frame by frame fold and r ``residual_vector`` bit for bit.
     ``_close_row`` adds the penalty rows.  A request is sent what
     ``_close_row`` returns: its row's cost, cost split and sums, so none
     keeps the round's r, or its ForwardSolveError; a failed row steps on
@@ -375,7 +378,7 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
         R = r[:, :n_data].reshape(n_rows, 2, -1, prob.grid.n_nodes)  # (row, field, frame, node)
         JTJ, JTr = np.zeros((n_rows, n_basis, n_basis)), np.zeros((n_rows, n_basis))
 
-        def sensitivity(face_c):
+        def sensitivity(face_c):  # np.interp per row: a bit-equal gather is slower to 15 rows
             value = np.empty_like(face_c)
             for row, q in enumerate(coeffs):
                 value[row] = np.interp(face_c[row], knots, q)
@@ -392,10 +395,12 @@ def _run_lockstep(probs: Sequence[TikhonovProblem], requests: list) -> list:
                 R[:, :, j0 : j0 + k] = X.transpose(2, 1, 0, 3)
                 dX *= w
                 P = dX.transpose(0, 1, 3, 2, 4)  # (frame, field, row, L, node)
-                PPt = (P @ P.swapaxes(-1, -2)).reshape(2 * k, n_rows, n_basis, n_basis)
-                Pr = (P @ X[..., None]).reshape(2 * k, n_rows, n_basis)
-                JTJ[...] = np.add.accumulate(np.concatenate([JTJ[None], PPt]))[-1]
-                JTr[...] = np.add.accumulate(np.concatenate([JTr[None], Pr]))[-1]
+                PPt, Pr = (np.empty((2 * k + 1, *sums.shape)) for sums in (JTJ, JTr))
+                PPt[0], Pr[0] = JTJ, JTr  # the sums, then each frame's products, u before c
+                np.matmul(P, P.swapaxes(-1, -2), PPt[1:].reshape(*P.shape[:-1], n_basis))
+                np.matmul(P, X[..., None], Pr[1:].reshape(*P.shape[:-1], 1))
+                np.add.reduce(PPt, 0, out=JTJ)  # not numpy's fast axis: no pairwise sum
+                np.add.reduce(Pr, 0, out=JTr)
 
         errors = _integrate(prob.model, sensitivity, n_rows, record, n_basis,
                             lambda face_c: hat_stencil(face_c, knots, coeffs))

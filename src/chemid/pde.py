@@ -96,7 +96,7 @@ _BLOCK_BYTES = 2**21
 #: block besides its frame (face weights, a(cbar), LU factors, tangent coefficients),
 #: and of the scratch of a base step and, per tangent, of a tangent step (never
 #: both); bytes of a solve's fixed arrays (step operators) per node, and in all.
-_STEP_BYTES, _SCRATCH_BYTES, _SOLVE_BYTES = 184, (128, 28), (64, 2**15)
+_STEP_BYTES, _SCRATCH_BYTES, _SOLVE_BYTES = 176, (128, 28), (64, 2**15)
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,8 @@ def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, mod
     step axis in front, so it has that step's bits.  Yields per step (lo,
     hi, prod, phi_at, phi, u_lu): d(flow_k) times the advected u_new is
     lo_k dc_k + hi_k dc_{k+1} plus ``phi`` at flat indices ``phi_at`` of
-    an (L, rows, faces) array, and prod is dt b h / (u + h)^2.
+    an (L, rows, n_nodes) array, face k at node k, and prod is dt b h /
+    (u + h)^2; lo and hi are padded (rows, n_nodes) lanes, 0 in the last slot.
     """
     dt = ops[0]
     params, ratio = model.params, dt / model.grid.dx
@@ -377,16 +378,19 @@ def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, mod
     src = ratio * (c[..., 1:] - c[..., :-1]) * u_face
     half, adv = 0.5 * slope * src, ratio * value * u_face
     # phi_l(cbar) is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
-    lane = rows * (n - 1)
-    at = seg * lane + np.arange(lane).reshape(rows, n - 1)
+    lane = rows * n
+    at = seg * lane + np.arange(lane).reshape(rows, n)[:, :-1]
     phi_at = np.concatenate([at, at + lane], axis=2).reshape(K, -1)
     phi = np.concatenate([src * (1.0 - frac), src * frac], axis=2).reshape(K, -1)
     prod = dt * params.b * params.h / (u + params.h) ** 2
-    return zip(half - adv, half + adv, prod, phi_at, phi, u_lu)
+    del seg, frac, slope, u_face, src, at, value, w  # before lo and hi: the block's peak
+    lo, hi = np.zeros((2, K, rows, n))
+    lo[..., :-1], hi[..., :-1] = half - adv, half + adv
+    return zip(lo, hi, prod, phi_at, phi, u_lu)
 
 
-def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
-    """Advance the tangents (du, dc), (L, rows, n_nodes) arrays of d(u, c)/dq_l, in place.
+def _tangent_step(tangents: np.ndarray, coefficients: tuple, ops) -> None:
+    """Advance the tangents (du, dc) of d(u, c)/dq_l in ``tangents``, in place.
 
     This differentiates ``_advance``'s step (u, c) -> (u_new, c_new), with
     its face weights w and u-matrix factors u_lu, in the L hat
@@ -396,30 +400,39 @@ def _tangent_step(du, dc, coefficients: tuple, ops) -> None:
     u_new from node k to k + 1, with the base row's weights frozen, and
     d(flow_k) = dt [(phi_l(cbar_k) + a'(cbar_k) dcbar_k) c_x + a(cbar_k)
     d(c_x)].  The clip of round-off negatives is not differentiated.
+    ``tangents`` holds du, dc (each (L, rows, n_nodes)) and a spare double; f
+    sits on padded lanes after a spare slot, its pad slots stored (0 * inf is
+    nan) as +0, then -0: x - (+0) and x + (-0) are x, -0 and nan too.
     Overflow gives inf or nan (under ``_integrate``'s ``np.errstate``);
     the caller checks what it keeps.  Only tangents that are not all finite
     take the u solve's path that isolates their rows.
     """
     lo, hi, prod, phi_at, phi, u_lu = coefficients
     _, widths, c_lu = ops[:3]
-    L, rows, n = du.shape
-    f = lo * dc[..., :-1] + hi * dc[..., 1:]
+    (rows, n), N = lo.shape, len(tangents) // 2
+    du, dc, dc_next = (tangents[at : at + N].reshape(-1, rows, n) for at in (0, N, N + 1))
+    flux = np.empty(N + 1)  # flux[::n] are the slot before f and its pad slots
+    f, f_back = flux[1:].reshape(du.shape), flux[:-1].reshape(du.shape)
+    np.multiply(lo, dc, f)
+    f += hi * dc_next
+    flux[n::n] = 0.0
     f.reshape(-1)[phi_at] += phi
     dc += prod * du
     du *= widths
-    du[..., :-1] -= f
-    du[..., 1:] += f
+    du -= f
+    flux[::n] = -0.0
+    du += f_back
     # (L rows, n) and (L, rows n) arrays in C order are LAPACK's column-major
     # right-hand sides of the c- and u-matrices, solved in place.  The u solve
     # runs through all rows' blocks, so a row whose tangents are not finite is
     # solved as zero and then set to nan, not spilled into the others.
     dgttrs(*c_lu, dc.reshape(-1, n).T, b"N", 1)
     if math.isfinite(np.add.reduce(du, None)):  # a finite sum has finite terms
-        dgttrs(*u_lu, du.reshape(L, -1).T, b"N", 1)
+        dgttrs(*u_lu, du.reshape(len(du), -1).T, b"N", 1)
     else:
         broken = ~np.isfinite(du).all(axis=(0, 2))
         du[:, broken] = 0.0
-        dgttrs(*u_lu, du.reshape(L, -1).T, b"N", 1)
+        dgttrs(*u_lu, du.reshape(len(du), -1).T, b"N", 1)
         du[:, broken] = np.nan
 
 
@@ -496,7 +509,8 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     dt, n_steps = grid.dt, grid.n_steps
     half, dx_, dt_ = (np.array(v) for v in (0.5, grid.dx, dt))  # see _step_operators
     steps, shapes, _ = _plan(grid.n_nodes, n_rows, n_steps, directions)
-    X, dX, tangents = np.empty(shapes["X"]), np.zeros(shapes["dX"]), np.zeros(shapes["tangents"])
+    X, dX = np.empty(shapes["X"]), np.zeros(shapes["dX"])
+    tangents = np.zeros(math.prod(shapes["tangents"]) + 1)  # du, dc, _tangent_step's spare
     buffers = (X, dX) if directions else (X,)
     kept = []  # a block's (a(cbar), w, u_lu) per step, for its tangents
     c_floor = float(model.c0.min())  # every row starts from c0
@@ -552,8 +566,8 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
             if directions and k:
                 coefficients = _tangent_coefficients(X[: k + 1], kept, stencil, model, ops)
                 for i in range(1, k + 1):
-                    _tangent_step(*tangents, next(coefficients), ops)
-                    dX[i] = tangents
+                    _tangent_step(tangents, next(coefficients), ops)
+                    dX[i] = tangents[:-1].reshape(dX[i].shape)
                 del coefficients  # frees the block's coefficients before record
             start = 1 if first else 0  # a later block's X[0] is the last block's end
             if k >= start:

@@ -16,6 +16,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import chemid.inversion as inv
 from chemid import pde
+from chemid._lapack import dgttrs
 from chemid.inversion import _run_lockstep, residual_vector
 from chemid.pde import PhysicalParams, space_time_sq_norm
 from chemid.sensitivity import hat_stencil, mass_matrix, require_same_basis
@@ -106,6 +107,30 @@ def closed_rows(monkeypatch):
 
     monkeypatch.setattr(inv, "_close_row", close)
     return rows
+
+
+def strided_tangent_step(du, dc, coefficients, ops):
+    """One tangent step on unpadded lanes, ``pde._tangent_step``'s oracle.
+
+    (du, dc) are (L, rows, n_nodes) arrays advanced in place; ``lo`` and
+    ``hi`` are (rows, n_nodes - 1) and ``phi_at`` indexes an (L, rows,
+    n_nodes - 1) array of face fluxes, which adds into node k and k + 1
+    through strided views of du and dc.
+    """
+    lo, hi, prod, phi_at, phi, u_lu = coefficients
+    _, widths, c_lu = ops[:3]
+    L, rows, n = du.shape
+    f = lo * dc[..., :-1] + hi * dc[..., 1:]
+    f.reshape(-1)[phi_at] += phi
+    dc += prod * du
+    du *= widths
+    du[..., :-1] -= f
+    du[..., 1:] += f
+    dgttrs(*c_lu, dc.reshape(-1, n).T, b"N", 1)
+    broken = ~np.isfinite(du).all(axis=(0, 2))
+    du[:, broken] = 0.0
+    dgttrs(*u_lu, du.reshape(L, -1).T, b"N", 1)
+    du[:, broken] = np.nan
 
 
 def block_bytes(steps, n_nodes, rows, directions=0):

@@ -270,6 +270,22 @@ def test_block_fold_equals_per_frame_fold(monkeypatch, time_refine, block_steps)
         assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
 
 
+@pytest.mark.parametrize("block_steps", [1, 7], ids=["frame_by_frame", "blocks_of_7"])
+@pytest.mark.parametrize("n_basis", [2, 24])
+def test_one_row_folds_in_frame_order_at_the_smallest_sums(monkeypatch, n_basis, block_steps):
+    # one row with 2 or 24 hats: J^T J is 4 or 576 doubles, and the fold's
+    # reduce over a block's k frames and the sums (2k + 1 terms, 3 to 17)
+    # must still add them one by one in frame order, u before c, not pairwise
+    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2, n_basis=n_basis)
+    coeffs = a_true.coeffs * np.linspace(0.8, 1.3, n_basis)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(
+        block_steps, prob.grid.n_nodes, 1, n_basis))
+    closed = closed_rows(monkeypatch)
+    cost, split, JTJ, JTr = run_request(coeffs, prob)
+    ref_JTJ, ref_JTr = per_frame_fold(tangent_jacobian(coeffs, prob), closed[0], prob)
+    assert np.array_equal(JTJ, ref_JTJ) and np.array_equal(JTr, ref_JTr)
+
+
 @pytest.mark.parametrize("block_steps", [None, 2], ids=["one_block", "blocks_of_2"])
 @pytest.mark.parametrize("time_refine", [2, 3])
 def test_lockstep_measures_every_kth_solved_frame(monkeypatch, time_refine, block_steps):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chemid import _g15, pde
+from chemid._lapack import dgttrf
 from chemid.config import load_config, resolve
 from chemid.errors import (
     ConfigError,
@@ -51,6 +52,7 @@ from helpers import (
     interp_rows,
     rgi_restrict,
     step_bytes,
+    strided_tangent_step,
     traced_solve,
     trajectory_distance,
 )
@@ -225,12 +227,12 @@ def test_solve_bytes_counts_frames_blocks_and_tangents(monkeypatch):
 @pytest.mark.parametrize("every", [1, 3])
 @pytest.mark.parametrize("rows", [1, 15, 41, 200])
 def test_solve_bytes_bounds_a_tangent_solve(rows, every):
-    # 4 hats on 51 x 250: blocks of 155, 10, 3 and 1 steps for 1, 15, 41
+    # 4 hats on 51 x 250: blocks of 160, 10, 3 and 1 steps for 1, 15, 41
     # and 200 rows; record samples every solved frame or every third as
     # strided views of each block, as the lockstep's does, and keeps none:
     # it meets each sampled frame once, and the traced peak of the whole
     # solve is within its estimate, which also checks _STEP_BYTES
-    assert pde._plan(51, rows, 250, 4)[0] == {1: 155, 15: 10, 41: 3, 200: 1}[rows]
+    assert pde._plan(51, rows, 250, 4)[0] == {1: 160, 15: 10, 41: 3, 200: 1}[rows]
     sampled = []
 
     def record(j0, X, dX):
@@ -298,6 +300,57 @@ def test_solve_bytes_bounds_many_tangents_in_blocks_of_2(monkeypatch, directions
     assert pde._plan(51, 41, 250, directions)[0] == 2
     estimate = pde.solve_bytes(51, 250, 41, directions, kept=0)
     assert_bounded(traced_solve(41, 51, 250, directions), estimate)
+
+
+@pytest.mark.parametrize("L, rows", [(24, 1), (4, 15)], ids=["24x1", "4x15"])
+def test_a_tangent_step_on_padded_lanes_equals_the_strided_step(L, rows):
+    # one step from random tangents and coefficients on 51 nodes, byte for
+    # byte against the strided oracle.  Lanes start or end at -0.0; of 15
+    # rows, row 0 keeps it at its first node and row 14 at its last, through
+    # an identity u-matrix and zero flux, only if the pad slots are +0 in
+    # du -= f and -0 in du += (f a node back).  Row 7 of 15 is inf and nan between
+    # finite rows: its pad slots, 0 * inf, must not reach rows 6 and 8, and
+    # it ends all nan
+    n, rng = 51, np.random.default_rng(L * rows)
+    ops = pde._step_operators(PhysicalParams.myerscough(), SimulationGrid(0.0, 1.0, n, 0.25, 250))
+    du, dc = rng.normal(size=(L, rows, n)), rng.uniform(0.5, 1.5, (L, rows, n))
+    du[::2, :, 0] = du[1::3, :, -1] = -0.0
+    lo, hi = rng.normal(size=(2, rows, n - 1))
+    prod = rng.uniform(0.0, 1e-2, (rows, n))
+    seg, frac = rng.integers(0, L - 1, (rows, n - 1)), rng.uniform(size=(rows, n - 1))
+    src = rng.normal(size=(rows, n - 1))
+    bands = [rng.uniform(-0.5, 0.5, rows * n - 1), rng.uniform(2.0, 3.0, rows * n),
+             rng.uniform(-0.5, 0.5, rows * n - 1)]
+    for band in bands[::2]:
+        band[n - 1 :: n] = 0.0  # no coupling between the rows' blocks
+    for r in (0, rows - 1) if rows > 1 else ():  # f = +0 but at face n - 2, -0
+        du[:, r], lo[r], hi[r], src[r] = abs(du[:, r]) + 1.0, 0.0, 0.0, 0.0
+        du[:, r, [0, -1]] = lo[r, -1] = hi[r, -1] = src[r, -1] = -0.0
+        block = slice(r * n, r * n + n - 1)
+        bands[0][block], bands[1][r * n : r * n + n], bands[2][block] = 0.0, 1.0, 0.0
+    if rows > 1:
+        du[:, 7], dc[:, 7] = np.where(rng.uniform(size=(L, n)) < 0.5, np.inf, np.nan), np.nan
+    *u_lu, info = dgttrf(*bands)
+    assert info == 0
+    hats = np.concatenate([seg, seg + 1], axis=1)
+    row, face = np.arange(rows)[:, None], np.tile(np.arange(n - 1), 2)
+    phi = np.concatenate([src * (1.0 - frac), src * frac], axis=1).reshape(-1)
+    at = [np.ravel_multi_index((hats, row, face), (L, rows, m)).reshape(-1) for m in (n - 1, n)]
+    padded = np.zeros((2, rows, n))
+    padded[..., :-1] = lo, hi
+    tangents = np.zeros(2 * du.size + 1)
+    tangents[:-1] = np.concatenate([du.reshape(-1), dc.reshape(-1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        strided_tangent_step(du, dc, (lo, hi, prod, at[0], phi, u_lu), ops)
+        pde._tangent_step(tangents, (*padded, prod, at[1], phi, u_lu), ops)
+    got = tangents[:-1].reshape(2, L, rows, n)
+    finite = np.arange(rows) != 7
+    for new, old in zip(got, (du, dc)):
+        assert new[:, finite].tobytes() == old[:, finite].tobytes()
+        assert rows == 1 or np.isnan(new[:, 7]).all()
+    assert np.isfinite(got[:, :, finite]).all()
+    if rows > 1:
+        assert np.signbit(got[0, :, 0, 0]).all() and np.signbit(got[0, :, -1, -1]).all()
 
 
 # ---------------------------------------------------------------------------
