@@ -352,7 +352,8 @@ def _advance(u: np.ndarray, c: np.ndarray, flow: np.ndarray, model: ForwardModel
     return u_new, c_new, w, u_lu
 
 
-def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, model, ops) -> zip:
+def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, model, ops,
+                          span: list) -> zip:
     """The ``_tangent_step`` coefficients of K steps, formed at once.
 
     ``states`` holds the K + 1 frames (``_integrate``'s ``X``) and ``kept``
@@ -361,10 +362,13 @@ def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, mod
     its arrays before the coefficients are formed (``_plan`` counts on
     it).  Each coefficient is a lone step's elementwise expression with a
     step axis in front, so it has that step's bits.  Yields per step (lo,
-    hi, prod, phi_at, phi, u_lu): d(flow_k) times the advected u_new is
-    lo_k dc_k + hi_k dc_{k+1} plus ``phi`` at flat indices ``phi_at`` of
-    an (L, rows, n_nodes) array, face k at node k, and prod is dt b h /
-    (u + h)^2; lo and hi are padded (rows, n_nodes) lanes, 0 in the last slot.
+    hi, prod, phi_at, phi, u_lu, first, last): d(flow_k) times the advected
+    u_new is lo_k dc_k + hi_k dc_{k+1} plus ``phi`` at flat indices
+    ``phi_at`` of an (L, rows, n_nodes) array from flat index ``first`` on,
+    face k at node k, and prod is dt b h / (u + h)^2; lo and hi are padded
+    (rows, n_nodes) lanes, 0 in the last slot.  [first, last) is the flat
+    span of the hats any face mean of the solve has reached, [min seg, max
+    seg + 2) so far: ``span``, the solve's before the block, becomes its end.
     """
     dt = ops[0]
     params, ratio = model.params, dt / model.grid.dx
@@ -374,19 +378,22 @@ def _tangent_coefficients(states: np.ndarray, kept: list, stencil: Callable, mod
     del kept[:]
     K, rows, n = u.shape
     seg, frac, slope = stencil(0.5 * (c[..., :-1] + c[..., 1:]))
+    first = np.minimum.accumulate(np.minimum(seg.min(axis=(1, 2)), span[0]))
+    last = np.maximum.accumulate(np.maximum(seg.max(axis=(1, 2)) + 2, span[1]))
+    span[:] = first[-1], last[-1]
     u_face = w * u_new[..., :-1] + (1.0 - w) * u_new[..., 1:]
     src = ratio * (c[..., 1:] - c[..., :-1]) * u_face
     half, adv = 0.5 * slope * src, ratio * value * u_face
     # phi_l(cbar) is 1 - frac on hat seg, frac on hat seg + 1 and 0 on the others
     lane = rows * n
-    at = seg * lane + np.arange(lane).reshape(rows, n)[:, :-1]
+    at = (seg - first[:, None, None]) * lane + np.arange(lane).reshape(rows, n)[:, :-1]
     phi_at = np.concatenate([at, at + lane], axis=2).reshape(K, -1)
     phi = np.concatenate([src * (1.0 - frac), src * frac], axis=2).reshape(K, -1)
     prod = dt * params.b * params.h / (u + params.h) ** 2
     del seg, frac, slope, u_face, src, at, value, w  # before lo and hi: the block's peak
     lo, hi = np.zeros((2, K, rows, n))
     lo[..., :-1], hi[..., :-1] = half - adv, half + adv
-    return zip(lo, hi, prod, phi_at, phi, u_lu)
+    return zip(lo, hi, prod, phi_at, phi, u_lu, (first * lane).tolist(), (last * lane).tolist())
 
 
 def _tangent_step(tangents: np.ndarray, coefficients: tuple, ops) -> None:
@@ -400,18 +407,23 @@ def _tangent_step(tangents: np.ndarray, coefficients: tuple, ops) -> None:
     u_new from node k to k + 1, with the base row's weights frozen, and
     d(flow_k) = dt [(phi_l(cbar_k) + a'(cbar_k) dcbar_k) c_x + a(cbar_k)
     d(c_x)].  The clip of round-off negatives is not differentiated.
-    ``tangents`` holds du, dc (each (L, rows, n_nodes)) and a spare double; f
-    sits on padded lanes after a spare slot, its pad slots stored (0 * inf is
-    nan) as +0, then -0: x - (+0) and x + (-0) are x, -0 and nan too.
-    Overflow gives inf or nan (under ``_integrate``'s ``np.errstate``);
-    the caller checks what it keeps.  Only tangents that are not all finite
-    take the u solve's path that isolates their rows.
+    ``tangents`` holds du, dc (each (L, rows, n_nodes)) and a spare double;
+    only the hats of the step's span are stepped (all L without one): the
+    others stay +0.0, where a step would keep them 0 (-0.0 at a negative pivot
+    of the c-matrix's factor).  f sits on padded lanes after a spare slot, its
+    pad slots stored (0 * inf is nan) as +0, then -0: x - (+0) and x + (-0)
+    are x, -0 and nan too.  Overflow gives inf or nan (under ``_integrate``'s
+    ``np.errstate``); the caller checks what it keeps.  Only tangents that
+    are not all finite take the u solve's path that isolates their rows; it
+    leaves them nan on the span.
     """
-    lo, hi, prod, phi_at, phi, u_lu = coefficients
+    lo, hi, prod, phi_at, phi, u_lu, *span = coefficients
     _, widths, c_lu = ops[:3]
     (rows, n), N = lo.shape, len(tangents) // 2
-    du, dc, dc_next = (tangents[at : at + N].reshape(-1, rows, n) for at in (0, N, N + 1))
-    flux = np.empty(N + 1)  # flux[::n] are the slot before f and its pad slots
+    first, last = span or (0, N)  # the flat span stepped, all L without one
+    du, dc, dc_next = (tangents[at + first : at + last].reshape(-1, rows, n)
+                       for at in (0, N, N + 1))
+    flux = np.empty(last - first + 1)  # flux[::n] are the slot before f and its pad slots
     f, f_back = flux[1:].reshape(du.shape), flux[:-1].reshape(du.shape)
     np.multiply(lo, dc, f)
     f += hi * dc_next
@@ -502,7 +514,8 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     dX of shape (k, 2, L, rows, n_nodes).  A block keeps each step's a(cbar)
     (so ``a`` returns a new array per call) and the w and u_lu of ``_advance``;
     one ``_tangent_coefficients`` pass forms all their coefficients with the
-    block's states, and ``_tangent_step`` advances the tangents step by step.
+    block's states, and the span of hats reached, carried from block to block;
+    ``_tangent_step`` advances the tangents on it step by step.
     """
     params, grid = model.params, model.grid
     u, c = (np.tile(field, (n_rows, 1)) for field in (model.u0, model.c0))
@@ -513,6 +526,7 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
     tangents = np.zeros(math.prod(shapes["tangents"]) + 1)  # du, dc, _tangent_step's spare
     buffers = (X, dX) if directions else (X,)
     kept = []  # a block's (a(cbar), w, u_lu) per step, for its tangents
+    span = [directions, 0]  # the hats the face means have reached, none yet
     c_floor = float(model.c0.min())  # every row starts from c0
     errors = [None] * n_rows
     alive = np.ones(n_rows, dtype=bool)
@@ -564,7 +578,7 @@ def _integrate(model: ForwardModel, a: Callable, n_rows: int, record: Callable,
                 del w, u_lu  # unless kept, freed before the next step
 
             if directions and k:
-                coefficients = _tangent_coefficients(X[: k + 1], kept, stencil, model, ops)
+                coefficients = _tangent_coefficients(X[: k + 1], kept, stencil, model, ops, span)
                 for i in range(1, k + 1):
                     _tangent_step(tangents, next(coefficients), ops)
                     dX[i] = tangents[:-1].reshape(dX[i].shape)

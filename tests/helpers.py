@@ -109,6 +109,55 @@ def closed_rows(monkeypatch):
     return rows
 
 
+def full_span(monkeypatch):
+    """Make every tangent solve step all L hats: each step's coefficients go
+    to ``pde._tangent_step`` without their span, with ``phi_at`` from 0."""
+    real = pde._tangent_coefficients
+
+    def coefficients(*args):
+        for *step, phi_at, phi, u_lu, first, _ in real(*args):
+            yield *step, phi_at + first, phi, u_lu
+
+    monkeypatch.setattr(pde, "_tangent_coefficients", coefficients)
+
+
+def active_directions(coeffs, prob):
+    """(active, spans) of the tangent solve of the rows ``coeffs`` of ``prob``.
+
+    ``active[j, l]`` is False where direction l is zero in every row, field
+    and node of solved frame j, in a solve of all L directions
+    (``full_span``): +0.0, or -0.0 where the c-matrix's factor has a
+    negative pivot.  ``spans[j - 1]`` is the [first, last) in hats that step
+    j takes in the solve as it runs, which leaves the others +0.0.
+    """
+    rows = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    knots, L, model = prob.a_star.knots(), prob.n_basis, prob.model
+    active = np.zeros((model.grid.n_steps + 1, L), dtype=bool)
+    spans, real = [], pde._tangent_coefficients
+    lane = len(rows) * model.grid.n_nodes
+
+    def record(j0, X, dX):
+        active[j0 : j0 + len(dX)] = dX.any(axis=(1, 3, 4))
+
+    def coefficients(*args):
+        steps = list(real(*args))
+        spans.extend((first // lane, last // lane) for *_, first, last in steps)
+        return iter(steps)
+
+    def solve(record):
+        errors = pde._integrate(model, lambda face_c: interp_rows(face_c, knots, rows), len(rows),
+                                record, L, lambda face_c: hat_stencil(face_c, knots, rows))
+        assert errors == [None] * len(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        full_span(mp)
+        solve(record)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_tangent_coefficients", coefficients)
+        solve(lambda *_: None)
+    return active, np.array(spans)
+
+
 def strided_tangent_step(du, dc, coefficients, ops):
     """One tangent step on unpadded lanes, ``pde._tangent_step``'s oracle.
 

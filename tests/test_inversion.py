@@ -32,17 +32,20 @@ from chemid.pde import (
 from chemid.sensitivity import (
     SensitivityFunction,
     concentration_range,
+    hat_stencil,
     mass_matrix,
 )
 from chemid.regselect import lcurve_sweep, rate_study
 from chemid.synthdata import NoisyData, add_noise, myerscough_initial_data
 from helpers import (
+    active_directions,
     assert_bounded,
     block_bytes,
     central_jacobian,
     closed_rows,
     dimensionless,
     evaluation,
+    full_span,
     objective,
     penalty,
     per_frame_fold,
@@ -682,25 +685,132 @@ def test_trial_with_a_non_finite_tangent_is_rejected(monkeypatch):
         levenberg_marquardt(prob, prob.a_star)
 
 
+def _span_problem(padding, bump=0.0):
+    """``small_problem`` with D = 2 and c0 = 1/2 + bump cos(pi x), on 12 hats
+    over the c-range of its solve widened by ``padding`` of its width a side,
+    and three coefficient rows on them.  Without a bump the face means only
+    rise; with one, their top falls first.  D = 2 makes dt D / dx^2 3.3: the
+    c-matrix's factor swaps its last two rows (at ks-invert's 2.5 too), so
+    a zero right-hand side solves to -0.0 at one node."""
+    prob, _, _ = small_problem(alpha=2e-3, delta=1e-2)
+    params = dataclasses.replace(prob.params, D=2.0)
+    c0 = 0.5 + bump * np.cos(np.pi * prob.grid.xs())
+    prob = dataclasses.replace(prob, params=params, c0=c0)
+    m = prob.model
+    traj = solve_forward(m.u0, m.c0, m.params, prob.a_star, m.grid)
+    a_star = SensitivityFunction.constant(1.0, *concentration_range(traj, padding), 12)
+    bumps = 1.0 + 0.3 * np.sin(np.arange(12)[None] + np.arange(3)[:, None])
+    return dataclasses.replace(prob, a_star=a_star), 1.5 * bumps
+
+
+SPAN_CASES = pytest.mark.parametrize("padding, bump", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.3)],
+                                     ids=["growing", "padded", "shrinking"])
+
+
+def _segments(prob, coeffs):
+    """(lo, hi): per step, the least and greatest hat segment of the face means
+    that lone solves of the rows ``coeffs`` step from."""
+    m, knots, segs = prob.model, prob.a_star.knots(), []
+    for row in coeffs:
+        c = solve_forward(m.u0, m.c0, m.params, prob.a_star.with_coeffs(row), m.grid).c[:-1]
+        cbar, rows = 0.5 * (c[:, :-1] + c[:, 1:]), np.zeros((len(c), len(knots)))
+        segs.append(hat_stencil(cbar, knots, rows)[0])
+    return np.min(segs, axis=(0, 2)), np.max(segs, axis=(0, 2))
+
+
+def _reached_hats(prob, coeffs):
+    """The (L,) mask of the hats [min seg, max seg + 2) of the whole solve."""
+    lo, hi = _segments(prob, coeffs)
+    hats = np.arange(prob.n_basis)
+    return (lo.min() <= hats) & (hats < hi.max() + 2)
+
+
+@SPAN_CASES
+def test_the_tangent_span_keeps_the_bits_of_a_full_span(monkeypatch, padding, bump):
+    # three rows in one batch, in blocks of 7 steps, step only the hats the
+    # face means have reached; r, J^T J and J^T r equal those of a solve that
+    # steps all 12 hats from the start, byte for byte.  With the c-range
+    # padded by its width a side, some hats are never reached: their rows
+    # and columns of the data part of J^T J read exactly 0
+    prob, coeffs = _span_problem(padding, bump)
+    monkeypatch.setattr(pde, "_BLOCK_BYTES", block_bytes(7, prob.grid.n_nodes, 3, 12))
+    closed, data_JTJ, close = closed_rows(monkeypatch), [], inv._close_row
+
+    def keep_data_part(prob, coeffs, error, r, JTJ, JTr):
+        data_JTJ.append(JTJ.copy())
+        return close(prob, coeffs, error, r, JTJ, JTr)
+
+    monkeypatch.setattr(inv, "_close_row", keep_data_part)
+
+    def run():
+        del closed[:], data_JTJ[:]
+        replies = inv._run_lockstep([prob] * 3, [evaluation(row) for row in coeffs])
+        return [np.asarray(x).tobytes() for reply in replies for x in reply] + [
+            r.tobytes() for r in closed] + [JTJ.tobytes() for JTJ in data_JTJ]
+
+    spanned = run()
+    reached = _reached_hats(prob, coeffs)
+    assert reached.any() and (not reached.all()) == (padding > 0)
+    for JTJ in data_JTJ:
+        assert not JTJ[~reached].any() and not JTJ[:, ~reached].any()
+        assert JTJ[reached][:, reached].all()
+    full_span(monkeypatch)
+    assert run() == spanned
+
+
+@SPAN_CASES
+def test_the_tangent_span_covers_every_direction_a_full_solve_reaches(padding, bump):
+    # the span's two assumptions, read off a solve that steps all 12 hats:
+    # the nonzero directions only grow in number, and every step's span
+    # holds them.  The spans start narrower than all 12 hats and
+    # only widen.  The face means rise, and with a bump in c0 their top falls
+    # first, so a step's span must keep hats its own face means no longer reach
+    prob, coeffs = _span_problem(padding, bump)
+    active, spans = active_directions(coeffs, prob)
+    assert not active[0].any() and (active[:-1] <= active[1:]).all()
+    hats = np.arange(prob.n_basis)
+    assert (active[1:] <= (spans[:, :1] <= hats) & (hats < spans[:, 1:])).all()
+    assert spans[0, 1] - spans[0, 0] < prob.n_basis
+    assert (np.diff(spans[:, 0]) <= 0).all() and (np.diff(spans[:, 1]) >= 0).all()
+    lo, hi = _segments(prob, coeffs)
+    assert (active[1:] & (hats < lo[:, None])).any()
+    assert (active[1:] & (hats >= hi[:, None] + 2)).any() == (bump > 0)
+
+
 def test_a_row_with_non_finite_tangents_leaves_the_others_alone(monkeypatch):
-    # the first row's a'(c) is inf in every step: its tangents are nan from
-    # the first step on, and the stacked u solve must not carry them into
-    # the next row's block
-    prob, a_true, _ = small_problem(alpha=2e-3, delta=1e-2)
-    coeffs = a_true.coeffs * np.array([0.8, 1.1, 0.95, 1.3])
-    poisoned = coeffs * 1.05
-    alone = run_request(coeffs, prob)
-    real = inv.hat_stencil
+    # of three rows on 12 hats over a padded c-range, the middle one's a'(c)
+    # is inf in every step.  Its tangents turn nan on the span only; the hats
+    # no face mean reaches stay +0.0, since any entry of J^T J that is not
+    # finite rejects the row.  The stacked u solve must not carry the nan
+    # into the blocks of the rows before and after it: the row fails in
+    # _close_row, and its neighbours keep the bits of lone solves
+    prob, coeffs = _span_problem(1.0)
+    alone = [run_request(row, prob) for row in coeffs[::2]]
+    real, last = inv.hat_stencil, []
 
     def stencil(c, knots, rows):
         seg, frac, slope = real(c, knots, rows)
-        slope[..., rows[:, 0] == poisoned[0], :] = np.inf
+        slope[..., rows[:, 0] == coeffs[1, 0], :] = np.inf
         return seg, frac, slope
 
+    def integrate(model, a, n_rows, record, *args):
+        def keep(j0, X, dX):
+            last[:] = [dX[-1, :, :, 1].copy()]
+            record(j0, X, dX)
+
+        return pde._integrate(model, a, n_rows, keep, *args)
+
     monkeypatch.setattr(inv, "hat_stencil", stencil)
-    both = inv._run_lockstep([prob, prob], [evaluation(poisoned), evaluation(coeffs)])
-    assert isinstance(both[0], ForwardSolveError) and "not finite" in str(both[0])
-    assert [np.asarray(x).tobytes() for x in both[1]] == [np.asarray(x).tobytes() for x in alone]
+    monkeypatch.setattr(inv, "_integrate", integrate)
+    replies = inv._run_lockstep([prob] * 3, [evaluation(row) for row in coeffs])
+    assert isinstance(replies[1], ForwardSolveError)
+    assert str(replies[1]) == "forward solve failed: its Jacobian is not finite"
+    for got, want in zip(replies[::2], alone):
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
+    (dX,) = last
+    nan = np.isnan(dX).all(axis=(0, 2))
+    assert (nan == _reached_hats(prob, coeffs)).all() and 0 < nan.sum() < prob.n_basis
+    assert dX[:, ~nan].tobytes() == bytes(dX[:, ~nan].nbytes)
 
 
 @pytest.mark.parametrize(
