@@ -28,7 +28,6 @@ from .inversion import (
     TikhonovProblem,
     levenberg_marquardt,
     levenberg_marquardt_many,
-    residual_vector,
     write_inversion_report,
 )
 from .pde import (

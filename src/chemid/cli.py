@@ -8,11 +8,12 @@ error, 4 optimizer stagnation.  Failures print a single machine-parsable
 there: the notes on what a sweep or study left out are never printed.
 Commands take the solver inputs `config.resolve` built (`params`,
 `grid`, `fine`, `lm`); make-data and rates generate data through one
-helper.  A command writes nothing: it returns an ordered {name: writer}
-dict and a stagnation message or None.  Only then does `main` create
---out and write the artifacts, under temporary names that are renamed
-into place once every write has succeeded, so a failed command or write
-leaves --out as it was.
+helper; invert and lcurve read `data_csv` through `config.read_input`.
+A command writes nothing: it returns an ordered {name: writer} dict and
+a stagnation message or None.  Only then does `main` create --out and
+write the artifacts, under temporary names that are renamed into place
+once every write has succeeded, so a failed command or write leaves
+--out as it was.
 """
 
 from __future__ import annotations
@@ -129,14 +130,7 @@ def cmd_invert(cfg: dict):
 
 
 def _load_data(cfg: dict):
-    path = cfg["data_csv"]
-    try:  # a legal row has at least 8 B of text ("0,0,0,0\n") and 32 B of table
-        cfgmod.require_solve_bytes(4 * Path(path).stat().st_size, f"reading {path}")
-        data = read_noisy_csv(path)
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise ConfigError(f"cannot read data_csv {path}: {exc}") from exc
-    except InvalidStateError as exc:
-        raise ConfigError(str(exc)) from exc
+    data = cfgmod.read_input(read_noisy_csv, cfg["data_csv"], 4, "data_csv")
     # invert and lcurve solve one row a round
     cfgmod.require_solve_bytes(round_bytes(data.grid, cfg["time_refine"], 1, cfg["n_basis"]))
     return data

@@ -19,9 +19,10 @@ any solve runs or any data file is read.  One budget rule,
 ``require_solve_bytes``, refuses an estimate over MAX_SOLVE_BYTES before
 anything is allocated.  Each module counts what it allocates:
 ``pde.solve_bytes`` a forward solve, ``inversion.round_bytes`` a lockstep
-round.  ``resolve`` holds each grid's solve and a rate study's round to it;
-invert and lcurve hold their data file's read and then a round on its
-grid to it (``cli._load_data``).
+round, ``pde.read_bytes`` a table's read.  ``resolve`` holds each grid's
+solve and a rate study's round to it, ``read_input`` the read of a
+``data_csv`` or ``table:`` file, whose failure is a ConfigError; invert
+and lcurve then hold a round on the data grid to it (``cli._load_data``).
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ import numpy as np
 
 from .errors import ConfigError, InvalidStateError
 from .inversion import LMConfig, require_alpha, require_time_refine, round_bytes
-from .pde import ADVECTIONS, ForwardModel, PhysicalParams, SimulationGrid, solve_bytes
+from .pde import (ADVECTIONS, DEFAULT_ADVECTION, ForwardModel, PhysicalParams, SimulationGrid,
+                  read_bytes, solve_bytes)
 from .regselect import MIN_CORNER_POINTS, _positive_distinct, require_rate_inputs
-from .sensitivity import read_sensitivity_csv, require_basis_shape, require_padding
+from .sensitivity import (DEFAULT_N_BASIS, DEFAULT_PADDING, read_sensitivity_csv,
+                          require_basis_shape, require_padding)
 from .synthdata import myerscough_initial_data, require_mesh_separation, require_noise
 
 PRESETS = {
@@ -49,7 +52,7 @@ PRESETS = {
     }
 }
 
-#: Shared defaults; command tables override or extend these.
+#: Shared defaults (the library's own where it has one); command tables override or extend these.
 DEFAULTS = {
     "x_left": "0.0",
     "x_right": "1.0",
@@ -57,15 +60,12 @@ DEFAULTS = {
     "n_steps": "250",
     "fine_n_nodes": "201",
     "fine_n_steps": "2000",
-    "advection": "blended",
-    "n_basis": "16",
-    "padding": "0.1",
+    "advection": DEFAULT_ADVECTION,
+    "n_basis": repr(DEFAULT_N_BASIS),
+    "padding": repr(DEFAULT_PADDING),
     "prior": "constant:1.0",
     "time_refine": "1",
-    "lambda0": "1e-3",
-    "max_iters": "100",
-    "tol_cost": "1e-8",
-    "tol_grad": "1e-8",
+    **{k: repr(getattr(LMConfig, k)) for k in ("lambda0", "max_iters", "tol_cost", "tol_grad")},
     "seed": "0",
     "coupling": "1.0",
     "seeds": "0,1,2",
@@ -200,6 +200,19 @@ def require_solve_bytes(nbytes: int, what: str = "the largest solve") -> None:
                           f"over the limit {MAX_SOLVE_BYTES}")
 
 
+def read_input(read, path, columns: int, what: str):
+    """``read(path)`` of a table of ``columns`` a config names as ``what``, held first to
+    the budget by its size (``pde.read_bytes``); a failure to open or parse it is a ConfigError."""
+    try:  # ValueError: a NUL byte in the path
+        with open(path, "rb") as fh:  # the size of the file the read then opens
+            require_solve_bytes(read_bytes(fh.seek(0, 2), columns), f"reading {path}")
+        return read(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except InvalidStateError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _bool(s: str) -> bool:
     if s.lower() not in ("true", "false"):
         raise ValueError(s)
@@ -291,10 +304,7 @@ def _sensitivity(s: str):
 
         return inverse
     if kind == "table" and arg:
-        try:
-            return read_sensitivity_csv(arg)
-        except OSError as exc:
-            raise ConfigError(f"cannot read table {arg}: {exc}") from exc
+        return read_input(read_sensitivity_csv, arg, 2, "table")
     raise ValueError(s)
 
 

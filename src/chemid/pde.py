@@ -48,7 +48,8 @@ a ``StateTrajectory`` holds one (n_steps + 1, 2, n_nodes) array ``X``.
 The CSV writer formats a block of frames at a time with numpy (``_g15``),
 byte for byte as Python's ``"%.15g" %``; only non-finite values, values
 near a rounding tie and exponents outside ``_g15.EXPONENTS`` go through
-Python.
+Python.  ``_read_table`` reads back every CSV table, frame or knot, and
+``read_bytes`` estimates the peak of its read from the file's size.
 """
 
 from __future__ import annotations
@@ -727,30 +728,55 @@ def _next_line(fh) -> str:
     return ""
 
 
-def _read_frame_csv(path, expect_comment: bool = False):
-    """Parse a t,x,u,c table back into (StateTrajectory, comment_line).
+#: Traced peak bytes per row of reading a table, at most: measured on legal
+#: frame tables and on the shortest rows of both kinds (``test_pde``).
+_ROW_BYTES = 52
 
-    Blank lines are skipped; the rows are parsed as they stream in, so no
-    copy of the text is held.  Undecodable bytes, non-numeric cells,
-    ragged, empty or incomplete tables, non-finite u or c values, rows out
-    of frame-then-node order and a first frame not at t = 0 raise
-    InvalidStateError.
-    """
+
+def read_bytes(nbytes: int, columns: int) -> int:
+    """Estimated peak bytes of reading a file of ``nbytes`` into a table of
+    ``columns``: ``_ROW_BYTES`` for each row it can hold, at 2 bytes a column."""
+    return _ROW_BYTES * (nbytes // (2 * columns))
+
+
+def _read_table(path, header: str, keys: dict):
+    """(rows as floats, metadata by key) of a CSV table: UTF-8 text, blank lines
+    skipped, a ``# key=value ...`` line that ``keys`` makes required, each value
+    parsed by ``keys[key]``, the exact ``header``, then numeric rows, parsed as
+    they stream in, so no copy of the text is held; any fault is an InvalidStateError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            line = _next_line(fh)
-            comment = None
+            line, meta = _next_line(fh), {}
             if line.startswith("#"):
-                comment, line = line, _next_line(fh)
-            elif expect_comment:
+                for tok in line.lstrip("#").split():
+                    if "=" not in tok:
+                        raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
+                    key, meta[key] = tok.split("=", 1)
+                line = _next_line(fh)
+            elif keys:
                 raise InvalidStateError(f"{path}: missing metadata header line")
-            if line != "t,x,u,c":
-                raise InvalidStateError(f"{path}: expected header 't,x,u,c'")
-            with warnings.catch_warnings():  # an empty table is checked below
+            for key in keys:
+                if key not in meta:
+                    raise InvalidStateError(f"{path}: metadata missing {key!r}")
+            try:
+                meta = {key: parse(meta[key]) for key, parse in keys.items()}
+            except ValueError as exc:
+                raise InvalidStateError(f"{path}: malformed metadata: {exc}") from exc
+            if line != header:
+                raise InvalidStateError(f"{path}: expected header {header!r}")
+            with warnings.catch_warnings():  # an empty table is the caller's to reject
                 warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+                return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None), meta
     except ValueError as exc:  # undecodable bytes, a non-numeric cell, ragged rows
         raise InvalidStateError(f"{path}: malformed rows: {exc}") from exc
+
+
+def _read_frame_csv(path, keys: dict):
+    """(StateTrajectory, metadata) of a t,x,u,c table (``_read_table``).  An
+    empty, ragged or incomplete table, a non-finite u or c, rows out of
+    frame-then-node order, a first frame not at t = 0 and non-uniform
+    spacing raise InvalidStateError."""
+    data, meta = _read_table(path, "t,x,u,c", keys)
     if data.shape[0] == 0 or data.shape[1] != 4:
         raise InvalidStateError(f"{path}: malformed rows")
     if not np.isfinite(data[:, 2:]).all():
@@ -774,11 +800,11 @@ def _read_frame_csv(path, expect_comment: bool = False):
             raise InvalidStateError(f"{path}: non-uniform {name} spacing")
     grid = SimulationGrid(float(xs[0]), float(xs[-1]), n_x, float(ts[-1]), n_t - 1)
     # the (u, c) columns as (frame, field, node), copied once into C order
-    return StateTrajectory(grid, data[:, 2:].reshape(n_t, n_x, 2).swapaxes(1, 2)), comment
+    return StateTrajectory(grid, data[:, 2:].reshape(n_t, n_x, 2).swapaxes(1, 2)), meta
 
 
 def read_trajectory_csv(path) -> StateTrajectory:
-    return _read_frame_csv(path)[0]
+    return _read_frame_csv(path, {})[0]
 
 
 def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:

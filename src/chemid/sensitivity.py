@@ -8,14 +8,15 @@ concentration interval I = [c_min, c_max]:
 Outside I the value is clamped to the nearest endpoint coefficient. The
 exact L2(I) Gram matrix of the hat basis feeds the Tikhonov penalty
 (a - a*)^T B (a - a*), which equals the continuous ||a - a*||^2_{L2(I)}
-whenever both functions live on the same knots.
+whenever both functions live on the same knots.  A knot table is read
+back by the table reader of ``pde``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -24,9 +25,7 @@ from .errors import (
     InvalidStateError,
     ZeroWidthIntervalError,
 )
-
-if TYPE_CHECKING:
-    from .pde import StateTrajectory
+from .pde import StateTrajectory, _read_table
 
 #: Default knot count; resolves 2/c on [0.1, 0.7] to about 1% interpolation error.
 DEFAULT_N_BASIS = 16
@@ -182,9 +181,8 @@ def require_same_basis(a: SensitivityFunction, b: SensitivityFunction, what: str
         )
 
 
-def concentration_range(
-    traj: "StateTrajectory", padding: float = DEFAULT_PADDING
-) -> tuple[float, float]:
+def concentration_range(traj: StateTrajectory,
+                        padding: float = DEFAULT_PADDING) -> tuple[float, float]:
     """Observed [min c, max c] expanded symmetrically by padding * width."""
     require_padding(padding)
     lo, hi = float(traj.c.min()), float(traj.c.max())
@@ -212,49 +210,14 @@ def write_sensitivity_csv(a: SensitivityFunction, path) -> None:
             fh.write(f"{ck:.15g},{ak:.15g}\n")
 
 
-def _read_metadata(path, line: str, keys) -> dict:
-    """The key=value tokens of a '# ...' metadata line, as a dict.
-
-    Malformed tokens and a missing one of ``keys`` raise InvalidStateError.
-    """
-    meta = {}
-    for tok in line.lstrip("#").split():
-        if "=" not in tok:
-            raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
-        key, val = tok.split("=", 1)
-        meta[key] = val
-    for key in keys:
-        if key not in meta:
-            raise InvalidStateError(f"{path}: metadata missing {key!r}")
-    return meta
-
-
 def read_sensitivity_csv(path) -> SensitivityFunction:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise InvalidStateError(f"{path}: not UTF-8 text: {exc}") from exc
-    if not lines or not lines[0].startswith("#"):
-        raise InvalidStateError(f"{path}: missing metadata header")
-    meta = _read_metadata(path, lines[0], ("c_min", "c_max", "n_basis", "extension"))
+    keys = {"c_min": float, "c_max": float, "n_basis": int, "extension": str}
+    rows, meta = _read_table(path, "c_knot,a_value", keys)
     if meta["extension"] != "clamp":
-        raise InvalidStateError(
-            f"{path}: unsupported extension rule {meta['extension']!r}"
-        )
-    if len(lines) < 2 or lines[1] != "c_knot,a_value":
-        raise InvalidStateError(f"{path}: expected header 'c_knot,a_value'")
-    try:
-        n = int(meta["n_basis"])
-        c_min, c_max = float(meta["c_min"]), float(meta["c_max"])
-        rows = np.array(
-            [[float(v) for v in ln.split(",")] for ln in lines[2:]], dtype=float
-        )
-    except ValueError as exc:  # a non-numeric value, or rows of unequal length
-        raise InvalidStateError(f"{path}: malformed values: {exc}") from exc
-    if rows.shape != (n, 2):
-        raise InvalidStateError(f"{path}: expected {n} knot rows, got {rows.shape}")
-    a = SensitivityFunction(c_min, c_max, rows[:, 1])
+        raise InvalidStateError(f"{path}: unsupported extension rule {meta['extension']!r}")
+    if rows.shape != (meta["n_basis"], 2):
+        raise InvalidStateError(f"{path}: expected {meta['n_basis']} knot rows, got {rows.shape}")
+    a = SensitivityFunction(meta["c_min"], meta["c_max"], rows[:, 1])
     if not np.allclose(rows[:, 0], a.knots(), rtol=1e-9, atol=1e-12):
         raise InvalidStateError(f"{path}: knot column inconsistent with metadata")
     return a

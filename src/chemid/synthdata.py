@@ -12,7 +12,8 @@ the inversion forward solver on the data-generation mesh would let
 discretization error cancel and flatter the recovery.
 
 The measurements, ``NoisyData``, are a ``StateTrajectory`` (one
-(frame, field, node) array ``X``) that also records delta and the seed.
+(frame, field, node) array ``X``) that also records delta and the seed,
+read back by the frame reader of ``pde`` from a ``# delta=... seed=...`` line.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .pde import (
     solve_forward,
     space_time_sq_norm,
 )
-from .sensitivity import SensitivityFunction, _read_metadata
+from .sensitivity import SensitivityFunction
 
 #: Minimum fine/measurement resolution ratio in both x and t.
 MIN_MESH_SEPARATION = 4
@@ -175,10 +176,5 @@ def write_noisy_csv(data: NoisyData, path) -> None:
 
 
 def read_noisy_csv(path) -> NoisyData:
-    traj, comment = _read_frame_csv(path, expect_comment=True)
-    meta = _read_metadata(path, comment, ("delta", "seed"))
-    try:
-        delta, seed = float(meta["delta"]), int(meta["seed"])
-    except ValueError as exc:
-        raise InvalidStateError(f"{path}: malformed metadata: {exc}") from exc
-    return NoisyData(traj.grid, traj.X, delta, seed)
+    traj, meta = _read_frame_csv(path, {"delta": float, "seed": int})
+    return NoisyData(traj.grid, traj.X, meta["delta"], meta["seed"])

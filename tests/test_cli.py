@@ -16,7 +16,7 @@ from chemid.cli import main
 from chemid.config import load_config, resolve
 from chemid.errors import ForwardSolveError
 from chemid.pde import PhysicalParams, SimulationGrid, solve_bytes
-from chemid.sensitivity import read_sensitivity_csv
+from chemid.sensitivity import SensitivityFunction, read_sensitivity_csv, write_sensitivity_csv
 from chemid.synthdata import (
     make_dataset,
     myerscough_initial_data,
@@ -523,15 +523,34 @@ def test_invert_over_the_memory_budget_exits_2(tmp_path, data_dir, capsys):
 @pytest.mark.parametrize("command", ["invert", "lcurve"])
 def test_data_csv_over_the_memory_budget_exits_2_before_it_is_read(
         tmp_path, data_dir, monkeypatch, capsys, command):
-    # a data_csv of s bytes may parse into 4 s bytes of table: its size alone refuses it
+    # the read's estimate of a data_csv (pde.read_bytes) comes from its size alone
     path, reads = data_dir / "data.csv", []
-    monkeypatch.setattr(cfgmod, "MAX_SOLVE_BYTES", 4 * path.stat().st_size - 1)
+    estimate = pde.read_bytes(path.stat().st_size, 4)
+    monkeypatch.setattr(cfgmod, "MAX_SOLVE_BYTES", estimate - 1)
     monkeypatch.setattr(cli, "read_noisy_csv", reads.append)
     cfg = write_cfg(tmp_path, "big.cfg", command_body(command, data_dir))
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        f"error: config: reading {path} needs an estimated {4 * path.stat().st_size} bytes, "
+        f"error: config: reading {path} needs an estimated {estimate} bytes, "
+        f"over the limit {cfgmod.MAX_SOLVE_BYTES}"
+    ]
+    assert reads == []
+    assert not out.exists()
+
+
+def test_truth_table_over_the_memory_budget_exits_2_before_it_is_read(
+        tmp_path, monkeypatch, capsys):
+    path, reads = tmp_path / "table.csv", []
+    write_sensitivity_csv(SensitivityFunction.constant(1.5, 0.1, 0.9, 4), path)
+    estimate = pde.read_bytes(path.stat().st_size, 2)
+    monkeypatch.setattr(cfgmod, "MAX_SOLVE_BYTES", estimate - 1)
+    monkeypatch.setattr(cfgmod, "read_sensitivity_csv", reads.append)
+    cfg = write_cfg(tmp_path, "table.cfg", SMALL_PHYS + SMALL_GRID + f"truth = table:{path}\n")
+    out = tmp_path / "out"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: config key 'truth': reading {path} needs an estimated {estimate} bytes, "
         f"over the limit {cfgmod.MAX_SOLVE_BYTES}"
     ]
     assert reads == []

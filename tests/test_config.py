@@ -19,11 +19,16 @@ from chemid.config import (
 )
 from chemid.errors import ConfigError, InvalidStateError
 from chemid.inversion import LMConfig, round_bytes
-from chemid.pde import solve_bytes
+from chemid.pde import DEFAULT_ADVECTION, solve_bytes
 from chemid.pde import PhysicalParams, SimulationGrid
 from chemid.regselect import MIN_CORNER_POINTS
 from chemid.synthdata import MIN_MESH_SEPARATION
-from chemid.sensitivity import SensitivityFunction, write_sensitivity_csv
+from chemid.sensitivity import (
+    DEFAULT_N_BASIS,
+    DEFAULT_PADDING,
+    SensitivityFunction,
+    write_sensitivity_csv,
+)
 
 from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
 
@@ -367,6 +372,17 @@ def test_resolve_builds_lm_config():
     assert (lm.lambda0, lm.max_iters, lm.tol_cost) == (0.5, 7, 1e-8)
     with pytest.raises(ConfigError, match=r"^max_iters must be >= 1"):
         built("invert", "lm", max_iters="0")
+
+
+@pytest.mark.parametrize("command", sorted(ALLOWED_KEYS))
+def test_defaults_resolve_to_the_library_defaults(command):
+    # config.DEFAULTS reads these from the library, so the two cannot drift apart
+    raw = {k: v for k, v in REQUIRED.items() if k in ALLOWED_KEYS[command]}
+    cfg = resolve(command, raw, "myerscough")
+    assert cfg["advection"] == DEFAULT_ADVECTION
+    if "lm" in cfg:
+        assert cfg["lm"] == LMConfig()
+        assert (cfg["n_basis"], cfg["padding"]) == (DEFAULT_N_BASIS, DEFAULT_PADDING)
 
 
 def test_resolve_builds_only_what_the_command_allows():

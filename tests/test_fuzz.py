@@ -5,7 +5,9 @@ whatever bytes it is given; through the command line the same inputs end
 in exit 0 with nothing on stderr, or in exit 2, 3 or 4 with exactly one
 `error: <kind>: <message>` line there.  Inputs are arbitrary bytes or
 valid files with a few byte ranges overwritten, so both the header checks
-and the row parsers are reached.  The command-line runs never fuzz a key
+and the row parsers are reached.  The one read of a file a config names,
+``config.read_input``, returns or raises ConfigError, at the real budget
+and at one that refuses some of those files by their size.  The command-line runs never fuzz a key
 that sets an array size, so no example can ask for a huge grid.  The
 forward solver, given extreme finite inputs on small grids, returns a
 finite trajectory or raises a ChemidError, and invert, lcurve and rates,
@@ -27,12 +29,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from chemid import cli
-from chemid.config import ALLOWED_KEYS, load_config, resolve
-from chemid.errors import ChemidError
+from chemid import cli, config
+from chemid.config import ALLOWED_KEYS, load_config, read_input, resolve
+from chemid.errors import ChemidError, ConfigError
 from chemid.pde import (
     PhysicalParams,
     SimulationGrid,
+    read_bytes,
     read_trajectory_csv,
     solve_forward,
     write_trajectory_csv,
@@ -99,6 +102,28 @@ def test_csv_readers_parse_or_raise_chemid_error(work, read, name):
         try:
             read(_write(work / f"{name}.csv", blob))
         except ChemidError:
+            pass
+
+    check()
+
+
+@pytest.mark.parametrize("budget", ["real", "small"])
+@pytest.mark.parametrize(
+    "read, name, columns", [(read_noisy_csv, "data", 4), (read_sensitivity_csv, "table", 2)]
+)
+def test_the_config_read_returns_or_raises_config_error(work, monkeypatch, budget, read, name,
+                                                        columns):
+    # the one read of a data_csv and of a table: file, whose ConfigError is an
+    # exit 2; the small budget refuses a file of over half the valid one's size
+    if budget == "small":
+        monkeypatch.setattr(config, "MAX_SOLVE_BYTES", read_bytes(len(VALID[name]) // 2, columns))
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=fuzzed(VALID[name]))
+    def check(blob):
+        try:
+            read_input(read, _write(work / f"{name}.csv", blob), columns, name)
+        except ConfigError:
             pass
 
     check()

@@ -8,6 +8,7 @@ full solves.
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -40,7 +41,12 @@ from chemid.pde import (
     write_trajectory_csv,
 )
 from chemid.pde import _integrate
-from chemid.sensitivity import SensitivityFunction, hat_stencil
+from chemid.sensitivity import (
+    SensitivityFunction,
+    hat_stencil,
+    read_sensitivity_csv,
+    write_sensitivity_csv,
+)
 from chemid.synthdata import NoisyData, read_noisy_csv, write_noisy_csv
 
 from helpers import (
@@ -1125,6 +1131,122 @@ def test_csv_readers_reject_a_table_not_starting_at_t0(tmp_path, which):
     rewrite_rows(path, lines[:-15], lines[-12:])
     with pytest.raises(InvalidStateError, match=r"first frame must be at t = 0 \(got t = 0.125\)"):
         READERS[which](path)
+
+
+#: The three table readers, each with a writer of a small valid table of its kind.
+TABLES = {
+    "trajectory": (read_trajectory_csv, lambda path: write_3x3_table(path, False)),
+    "noisy": (read_noisy_csv, lambda path: write_3x3_table(path, True)),
+    "knots": (read_sensitivity_csv,
+              lambda path: write_sensitivity_csv(SensitivityFunction(0.1, 0.7, [2.0, 1.0, 3.0]), path)),
+}
+
+
+def with_metadata(lines, edit):
+    """lines with edit applied to the tokens of their metadata line, made "#" if there is none."""
+    if not lines[0].startswith("#"):
+        lines = ["#"] + lines
+    return [" ".join(edit(lines[0].split()))] + lines[1:]
+
+
+def off_by_one(line):
+    return line[:-1] + chr(ord(line[-1]) + 1)
+
+
+#: fault -> (the valid table's lines with the fault, the start of what the
+#: error says after the path, or None where the reader skips the fault)
+FAULTS = {
+    "blank_lines": (lambda lines: ["", " "] + lines[:-2] + ["", lines[-2], lines[-1], "", ""],
+                    None),
+    "token_without_equals": (lambda lines: with_metadata(lines, lambda toks: toks + ["bogus"]),
+                             "malformed metadata token 'bogus'"),
+    "missing_key": (lambda lines: with_metadata(lines, lambda toks: toks[:1] + toks[2:]),
+                    "metadata missing '(delta|c_min)'"),
+    # the header is the one line that starts with a letter
+    "header_off_by_one": (lambda lines: [off_by_one(ln) if ln[0].isalpha() else ln for ln in lines],
+                          "expected header '(t,x,u,c|c_knot,a_value)'"),
+    "ragged_row": (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 1)[0]],
+                   "malformed rows: the number of columns changed"),
+    # Python's float reads 1_0 as 10; np.loadtxt, the reader of all three, does not
+    "underscore_digits": (lambda lines: lines[:-1] + ["1_0" + lines[-1][1:]],
+                          "malformed rows: could not convert string '1_0"),
+    "undecodable_byte": (lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
+                         "malformed rows: 'utf-8' codec can't decode byte 0xff"),
+}
+
+
+# a trajectory table requires no metadata key, so it has none to miss
+@pytest.mark.parametrize("which, fault", [
+    (which, fault) for which in TABLES for fault in FAULTS
+    if (which, fault) != ("trajectory", "missing_key")])
+def test_the_table_readers_treat_each_fault_alike(tmp_path, which, fault):
+    # one reader (pde._read_table) under all three: a fault raises the same
+    # InvalidStateError naming the file in each, or is skipped in each
+    read, write = TABLES[which]
+    path = tmp_path / "table.csv"
+    write(path)
+    valid = read(path)
+    lines = FAULTS[fault][0](path.read_text().splitlines())
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape") + b"\n")
+    message = FAULTS[fault][1]
+    if message is None:
+        back = read(path)
+        name = "coeffs" if which == "knots" else "X"
+        assert getattr(back, name).tobytes() == getattr(valid, name).tobytes()
+        return
+    with pytest.raises(InvalidStateError) as raised:
+        read(path)
+    assert str(raised.value).startswith(f"{path}: ")
+    assert re.match(message, str(raised.value)[len(f"{path}: "):])
+
+
+def traced_read_peak(read, path):
+    """The traced peak bytes of read(path), which may raise InvalidStateError."""
+    tracemalloc.start()
+    try:
+        try:
+            read(path)
+        except InvalidStateError:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_row_bytes_is_the_traced_peak_of_a_legal_row(tmp_path):
+    # legal tables of short rows on integer nodes and times, whose read also
+    # copies u and c into C order and takes np.unique of t and x: the most
+    # bytes a row measured here is _ROW_BYTES, so a change to the reader
+    # must re-measure it
+    path, per_row = tmp_path / "data.csv", []
+    for n_nodes, n_steps in ((3, 9999), (1000, 9)):
+        g = SimulationGrid(0.0, n_nodes - 1.0, n_nodes, float(n_steps), n_steps)
+        write_noisy_csv(NoisyData(g, np.ones((n_steps + 1, 2, n_nodes)), 0.0, 0), path)
+        peak = traced_read_peak(read_noisy_csv, path)
+        per_row.append(peak / ((n_steps + 1) * n_nodes))
+        assert peak <= pde.read_bytes(path.stat().st_size, 4)
+    assert max(per_row) <= pde._ROW_BYTES <= max(per_row) + 4, per_row
+
+
+#: table kind -> (reader, the lines before the rows, the shortest row it can have)
+SHORT_ROWS = {
+    "trajectory": (read_trajectory_csv, "t,x,u,c\n", "0,0,0,0\n"),
+    "noisy": (read_noisy_csv, "# delta=0 seed=0\nt,x,u,c\n", "0,0,0,0\n"),
+    "knots": (read_sensitivity_csv,
+              "# c_min=0 c_max=1 n_basis=4 extension=clamp\nc_knot,a_value\n", "0,0\n"),
+}
+
+
+@pytest.mark.parametrize("which", SHORT_ROWS)
+def test_a_read_of_the_shortest_rows_stays_within_its_estimate(tmp_path, which):
+    # 2 MB of rows of 2 bytes a column, which a table check then refuses: the
+    # read peaks at 4.7 to 5.3 times the file, more than 4 bytes a byte, and
+    # within the estimate of _ROW_BYTES for each row the file can hold
+    read, head, row = SHORT_ROWS[which]
+    path = tmp_path / "short.csv"
+    path.write_text(head + row * (2**21 // len(row)))
+    peak = traced_read_peak(read, path)
+    assert 4 * path.stat().st_size < peak <= pde.read_bytes(path.stat().st_size, len(row) // 2)
 
 
 @settings(max_examples=60, deadline=None,
