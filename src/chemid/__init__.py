@@ -28,7 +28,6 @@ from .inversion import (
     TikhonovProblem,
     levenberg_marquardt,
     levenberg_marquardt_many,
-    write_inversion_report,
 )
 from .pde import (
     PhysicalParams,
@@ -39,7 +38,6 @@ from .pde import (
     restrict,
     solve_forward,
     space_time_sq_norm,
-    write_params,
     write_trajectory_csv,
 )
 from .regselect import (
@@ -49,10 +47,6 @@ from .regselect import (
     lcurve_corner,
     lcurve_sweep,
     rate_study,
-    write_lcurve_csv,
-    write_lcurve_plot_script,
-    write_rates_csv,
-    write_rates_plot_script,
 )
 from .sensitivity import (
     SensitivityFunction,

@@ -4,16 +4,19 @@ Subcommands: forward, make-data, invert, lcurve, rates.  Every command
 is a pure function of (config, seed): reruns produce byte-identical CSV
 payloads.  Exit codes: 0 success, 2 config error, 3 solver or data
 error, 4 optimizer stagnation.  Failures print a single machine-parsable
-`error: <kind>: <message>` line on stderr, and a run prints nothing else
-there: the notes on what a sweep or study left out are never printed.
+`error: <kind>: <message>` line on stderr, each ASCII control character
+in it escaped, and a run prints nothing else there: the notes on what a
+sweep or study left out are never printed.
 Commands take the solver inputs `config.resolve` built (`params`,
 `grid`, `fine`, `lm`); make-data and rates generate data through one
 helper; invert and lcurve read `data_csv` through `config.read_input`.
 A command writes nothing: it returns an ordered {name: writer} dict and
-a stagnation message or None.  Only then does `main` create --out and
-write the artifacts, under temporary names that are renamed into place
-once every write has succeeded, so a failed command or write leaves
---out as it was.
+a stagnation message or None.  Every small text artifact is formatted
+here and written by one writer, `_text`; only the tables the package
+reads back (trajectory.csv, data.csv, a_hat.csv) keep their modules'
+writers.  Only then does `main` create --out and write the artifacts,
+under temporary names that are renamed into place once every write has
+succeeded, so a failed command or write leaves --out as it was.
 """
 
 from __future__ import annotations
@@ -28,17 +31,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .errors import ChemidError, ConfigError, InvalidStateError
-from .inversion import TikhonovProblem, levenberg_marquardt, round_bytes, write_inversion_report
-from .pde import mass, solve_forward, write_params, write_trajectory_csv
-from .regselect import (
-    lcurve_corner,
-    lcurve_sweep,
-    rate_study,
-    write_lcurve_csv,
-    write_lcurve_plot_script,
-    write_rates_csv,
-    write_rates_plot_script,
-)
+from .inversion import TikhonovProblem, levenberg_marquardt, round_bytes
+from .pde import mass, solve_forward, write_trajectory_csv
+from .regselect import lcurve_corner, lcurve_sweep, rate_study
 from .sensitivity import SensitivityFunction, concentration_range, write_sensitivity_csv
 from .synthdata import make_dataset, read_noisy_csv, write_noisy_csv
 
@@ -47,11 +42,24 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_STAGNATION = 4
 
+#: Each ASCII control character as a \xNN escape, so that an error line holds none of them.
+_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), 0x7f)}
+
+
+def _text(text: str):
+    """Writer of a small text artifact."""
+    return lambda path: path.write_text(text, encoding="utf-8")
+
 
 def _summary(items: dict):
-    """Writer of a `key = value` summary file."""
-    text = "".join(f"{key} = {val}\n" for key, val in items.items())
-    return lambda path: path.write_text(text, encoding="utf-8")
+    """Writer of a `key = value` file, in the config format."""
+    return _text("".join(f"{key} = {val}\n" for key, val in items.items()))
+
+
+def _csv(header: str, rows):
+    """Writer of a result table: its header, then a line of each row, a float as ``%.17g``."""
+    lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows)
+    return _text("".join(f"{line}\n" for line in (header, *lines)))
 
 
 def _fmt(x: float) -> str:
@@ -95,7 +103,7 @@ def cmd_forward(cfg: dict):
     margin = float(np.min(traj.c.min(axis=1) - floors))
     return {
         "trajectory.csv": lambda path: write_trajectory_csv(traj, path),
-        "params.txt": lambda path: write_params(params, grid, path),
+        "params.txt": _summary({k: _fmt(v) for obj in (params, grid) for k, v in vars(obj).items()}),
         "summary.txt": _summary({
             "mass_initial": _fmt(m0),
             "mass_final": _fmt(mT),
@@ -124,7 +132,17 @@ def cmd_invert(cfg: dict):
     prob = _problem(cfg, _load_data(cfg), cfg["alpha"])
     result = levenberg_marquardt(prob, prob.a_star, cfg["lm"])
     return {
-        "report.txt": lambda path: write_inversion_report(result, prob, path),
+        "report.txt": _summary({
+            "iterations": result.iterations,
+            "converged": str(result.converged).lower(),
+            "final_cost": _fmt(result.final_cost),
+            "residual_norm2": _fmt(result.residual_norm2),
+            "penalty_norm2": _fmt(result.penalty_norm2),
+            "alpha": _fmt(prob.alpha),
+            "delta": _fmt(prob.data.delta),
+            "seed": prob.data.seed,
+            "message": result.message,
+        }),
         "a_hat.csv": lambda path: write_sensitivity_csv(result.a_hat, path),
     }, None if result.converged else result.message
 
@@ -141,8 +159,9 @@ def cmd_lcurve(cfg: dict):
     points, _ = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
     corner, _ = lcurve_corner(points)
     return {
-        "lcurve.csv": lambda path: write_lcurve_csv(path, points),
-        "plot_lcurve.py": lambda path: write_lcurve_plot_script(path, "lcurve.csv", corner),
+        "lcurve.csv": _csv("alpha,rho,eta", ((p.alpha, p.rho, p.eta) for p in sorted(points))),
+        "plot_lcurve.py": _text(_LCURVE_PLOT.format(
+            csv="lcurve.csv", title=f"L-curve, corner alpha = {corner:.3e}")),
         "summary.txt": _summary({"corner_alpha": _fmt(corner), "n_points": str(len(points))}),
     }, None
 
@@ -162,16 +181,78 @@ def cmd_rates(cfg: dict):
         cfg["lm"],
     )
     return {
-        "rates.csv": lambda path: write_rates_csv(path, study.records),
-        "plot_rates.py": lambda path: write_rates_plot_script(
-            path, "rates.csv", study.misfit2_slope, study.param_error_slope
-        ),
+        "rates.csv": _csv("delta,alpha,misfit2,param_error,seed", (
+            (r.delta, r.alpha, r.misfit2, r.param_error, r.seed) for r in study.records)),
+        "plot_rates.py": _text(_RATES_PLOT.format(
+            csv="rates.csv", m_slope=study.misfit2_slope, e_slope=study.param_error_slope)),
         "summary.txt": _summary({
             "misfit2_slope": _fmt(study.misfit2_slope),
             "param_error_slope": _fmt(study.param_error_slope),
             "n_records": str(len(study.records)),
         }),
     }, None
+
+
+#: The standalone matplotlib scripts written beside lcurve.csv and rates.csv.
+_LCURVE_PLOT = """\
+#!/usr/bin/env python3
+\"\"\"Plot the L-curve from {csv}; needs matplotlib.\"\"\"
+import csv
+
+import matplotlib.pyplot as plt
+
+rho, eta, alpha = [], [], []
+with open({csv!r}) as fh:
+    for row in csv.DictReader(fh):
+        alpha.append(float(row["alpha"]))
+        rho.append(float(row["rho"]))
+        eta.append(float(row["eta"]))
+
+fig, ax = plt.subplots()
+ax.loglog(rho, eta, "o-")
+for a, r, e in zip(alpha, rho, eta):
+    ax.annotate(f"{{a:.1e}}", (r, e), fontsize=7)
+ax.set_xlabel("data misfit rho")
+ax.set_ylabel("penalty norm eta")
+ax.set_title({title!r})
+fig.savefig("lcurve.png", dpi=150)
+print("wrote lcurve.png")
+"""
+
+_RATES_PLOT = """\
+#!/usr/bin/env python3
+\"\"\"Plot the rate-study log-log lines from {csv}; needs matplotlib.\"\"\"
+import csv
+from collections import defaultdict
+
+import matplotlib.pyplot as plt
+import numpy as np
+
+cells = defaultdict(lambda: ([], []))
+with open({csv!r}) as fh:
+    for row in csv.DictReader(fh):
+        pair = cells[float(row["delta"])]
+        pair[0].append(float(row["misfit2"]))
+        pair[1].append(float(row["param_error"]))
+
+ds = np.array(sorted(cells))
+gm = lambda v: np.exp(np.mean(np.log(v)))
+m2 = np.array([gm(cells[d][0]) for d in ds])
+pe = np.array([gm(cells[d][1]) for d in ds])
+
+fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 4))
+ax1.loglog(ds, m2, "o-")
+ax1.set_xlabel("delta")
+ax1.set_ylabel("misfit^2")
+ax1.set_title("fitted slope {m_slope:.3f}")
+ax2.loglog(ds, pe, "s-")
+ax2.set_xlabel("delta")
+ax2.set_ylabel("parameter error")
+ax2.set_title("fitted slope {e_slope:.3f}")
+fig.tight_layout()
+fig.savefig("rates.png", dpi=150)
+print("wrote rates.png")
+"""
 
 
 COMMANDS = {
@@ -234,21 +315,20 @@ def main(argv=None) -> int:
         artifacts, stagnation = COMMANDS[args.command](cfg)
         _write_artifacts(Path(args.out), artifacts)
     except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"config: {exc}"
     except OSError as exc:  # every input is read under a ConfigError guard
-        print(f"error: config: cannot write output to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, error = EXIT_CONFIG, f"config: cannot write output to {args.out}: {exc}"
     except ChemidError as exc:
-        print(f"error: solver: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except MemoryError as exc:
-        print(f"error: solver: out of memory: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    if stagnation is not None:
-        print(f"error: stagnation: {stagnation}", file=sys.stderr)
-        return EXIT_STAGNATION
-    return EXIT_OK
+        code, error = EXIT_SOLVER, f"solver: {exc}"
+    except MemoryError as exc:  # numpy's names what it could not allocate; an empty one, nothing
+        detail = f": {exc}" if str(exc) else f" in {args.command}"
+        code, error = EXIT_SOLVER, f"solver: out of memory{detail}"
+    else:
+        if stagnation is None:
+            return EXIT_OK
+        code, error = EXIT_STAGNATION, f"stagnation: {stagnation}"
+    print(f"error: {error}".translate(_ESCAPES), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -23,11 +23,14 @@ round, ``pde.read_bytes`` a table's read.  ``resolve`` holds each grid's
 solve and a rate study's round to it, ``read_input`` the read of a
 ``data_csv`` or ``table:`` file, whose failure is a ConfigError; invert
 and lcurve then hold a round on the data grid to it (``cli._load_data``).
+Every file a command reads, its config too, must be a regular file.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 
 import numpy as np
 
@@ -93,12 +96,15 @@ ALLOWED_KEYS = {
 
 
 def load_config(path) -> dict:
-    """Parse a flat key = value file; duplicates and malformed lines fail."""
+    """Parse a flat key = value file (a regular file of at most MAX_CONFIG_BYTES);
+    duplicates and malformed lines fail."""
     values = {}
-    try:
+    try:  # ValueError: a NUL byte in the path, or text that is not UTF-8
+        if _regular_size(path) > MAX_CONFIG_BYTES:
+            raise OSError(f"over the limit of {MAX_CONFIG_BYTES} bytes")
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -192,6 +198,9 @@ def _size(s: str) -> int:
 #: read; a larger one is a config error, raised before anything is allocated.
 MAX_SOLVE_BYTES = 2**31
 
+#: Largest config file in bytes: a config is a few hundred, and a larger file is refused unread.
+MAX_CONFIG_BYTES = 2**20
+
 
 def require_solve_bytes(nbytes: int, what: str = "the largest solve") -> None:
     """ConfigError if ``what``, of an estimated ``nbytes``, is over MAX_SOLVE_BYTES."""
@@ -200,12 +209,21 @@ def require_solve_bytes(nbytes: int, what: str = "the largest solve") -> None:
                           f"over the limit {MAX_SOLVE_BYTES}")
 
 
+def _regular_size(path) -> int:
+    """The size of the file at path, which must be a regular file: the open of a
+    FIFO blocks and the read of a device may never end, so either is an OSError."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise OSError("not a regular file")
+    return info.st_size
+
+
 def read_input(read, path, columns: int, what: str):
-    """``read(path)`` of a table of ``columns`` a config names as ``what``, held first to
-    the budget by its size (``pde.read_bytes``); a failure to open or parse it is a ConfigError."""
+    """``read(path)`` of a table of ``columns`` a config names as ``what``, a regular
+    file held first to the budget by its size (``pde.read_bytes``); a failure to
+    open or parse it is a ConfigError."""
     try:  # ValueError: a NUL byte in the path
-        with open(path, "rb") as fh:  # the size of the file the read then opens
-            require_solve_bytes(read_bytes(fh.seek(0, 2), columns), f"reading {path}")
+        require_solve_bytes(read_bytes(_regular_size(path), columns), f"reading {path}")
         return read(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc

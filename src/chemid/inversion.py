@@ -34,7 +34,8 @@ for all rows at once.  ``levenberg_marquardt_many`` runs many problems
 with equal models through it; ``levenberg_marquardt`` is its one-problem
 case.  ``residual_vector`` stays on ``solve_forward`` as the independent
 one-vector reference, and ``jacobian_fd`` is a forward-difference
-reference built on it.
+reference built on it.  The module opens no file: ``cli`` writes the
+run report of an ``InversionResult``.
 """
 
 from __future__ import annotations
@@ -460,23 +461,3 @@ def levenberg_marquardt(
     if isinstance(result, ForwardSolveError):
         raise result
     return result
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def write_inversion_report(
-    result: InversionResult, prob: TikhonovProblem, path
-) -> None:
-    """Key-value run report: iteration count, cost split, alpha, delta, seed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"iterations = {result.iterations}\n")
-        fh.write(f"converged = {str(result.converged).lower()}\n")
-        fh.write(f"final_cost = {result.final_cost:.15g}\n")
-        fh.write(f"residual_norm2 = {result.residual_norm2:.15g}\n")
-        fh.write(f"penalty_norm2 = {result.penalty_norm2:.15g}\n")
-        fh.write(f"alpha = {prob.alpha:.15g}\n")
-        fh.write(f"delta = {prob.data.delta:.15g}\n")
-        fh.write(f"seed = {prob.data.seed}\n")
-        fh.write(f"message = {result.message}\n")

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -740,10 +740,10 @@ def read_bytes(nbytes: int, columns: int) -> int:
 
 
 def _read_table(path, header: str, keys: dict):
-    """(rows as floats, metadata by key) of a CSV table: UTF-8 text, blank lines
-    skipped, a ``# key=value ...`` line that ``keys`` makes required, each value
-    parsed by ``keys[key]``, the exact ``header``, then numeric rows, parsed as
-    they stream in, so no copy of the text is held; any fault is an InvalidStateError."""
+    """(rows as floats, metadata by key) of a CSV table: UTF-8 text, blank lines skipped, a
+    ``# key=value ...`` line that ``keys`` makes required, each key once and each value parsed
+    by ``keys[key]``, the exact ``header``, then numeric rows, parsed as they stream in, so no
+    copy of the text is held; any fault is an InvalidStateError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             line, meta = _next_line(fh), {}
@@ -751,7 +751,10 @@ def _read_table(path, header: str, keys: dict):
                 for tok in line.lstrip("#").split():
                     if "=" not in tok:
                         raise InvalidStateError(f"{path}: malformed metadata token {tok!r}")
-                    key, meta[key] = tok.split("=", 1)
+                    key, value = tok.split("=", 1)
+                    if key in meta:
+                        raise InvalidStateError(f"{path}: duplicate metadata key {key!r}")
+                    meta[key] = value
                 line = _next_line(fh)
             elif keys:
                 raise InvalidStateError(f"{path}: missing metadata header line")
@@ -805,11 +808,3 @@ def _read_frame_csv(path, keys: dict):
 
 def read_trajectory_csv(path) -> StateTrajectory:
     return _read_frame_csv(path, {})[0]
-
-
-def write_params(params: PhysicalParams, grid: SimulationGrid, path) -> None:
-    """Key-value text file with the physical and grid parameters, in field order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in (params, grid):
-            for f in fields(obj):  # an integer count formats as its digits
-                fh.write(f"{f.name} = {getattr(obj, f.name):.15g}\n")

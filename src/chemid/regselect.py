@@ -9,7 +9,8 @@ levels, and fits log-log slopes of the squared misfit and the parameter
 error against delta.  Its (delta, seed) cells differ only in data and
 alpha, so their inversions run in lockstep, one batched forward solve
 per round for all of them; the L-curve sweep runs its points one after
-another, because each warm-starts from the previous optimum.
+another, because each warm-starts from the previous optimum.  It does no
+file I/O: ``cli`` writes what these tools return.
 """
 
 from __future__ import annotations
@@ -322,102 +323,3 @@ def rate_study(
         param_error_slope=param_error_slope,
         notes=tuple(notes),
     )
-
-
-def write_lcurve_csv(path, points: Sequence[LCurvePoint]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,rho,eta\n")
-        for p in sorted(points):
-            fh.write(f"{p.alpha:.17g},{p.rho:.17g},{p.eta:.17g}\n")
-
-
-def write_rates_csv(path, records: Sequence[RateStudyRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("delta,alpha,misfit2,param_error,seed\n")
-        for r in records:
-            fh.write(
-                f"{r.delta:.17g},{r.alpha:.17g},{r.misfit2:.17g},"
-                f"{r.param_error:.17g},{r.seed}\n"
-            )
-
-
-_LCURVE_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the L-curve from {csv}; needs matplotlib.\"\"\"
-import csv
-
-import matplotlib.pyplot as plt
-
-rho, eta, alpha = [], [], []
-with open({csv!r}) as fh:
-    for row in csv.DictReader(fh):
-        alpha.append(float(row["alpha"]))
-        rho.append(float(row["rho"]))
-        eta.append(float(row["eta"]))
-
-fig, ax = plt.subplots()
-ax.loglog(rho, eta, "o-")
-for a, r, e in zip(alpha, rho, eta):
-    ax.annotate(f"{{a:.1e}}", (r, e), fontsize=7)
-ax.set_xlabel("data misfit rho")
-ax.set_ylabel("penalty norm eta")
-ax.set_title({title!r})
-fig.savefig("lcurve.png", dpi=150)
-print("wrote lcurve.png")
-"""
-
-_RATES_PLOT = """\
-#!/usr/bin/env python3
-\"\"\"Plot the rate-study log-log lines from {csv}; needs matplotlib.\"\"\"
-import csv
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-import numpy as np
-
-cells = defaultdict(lambda: ([], []))
-with open({csv!r}) as fh:
-    for row in csv.DictReader(fh):
-        pair = cells[float(row["delta"])]
-        pair[0].append(float(row["misfit2"]))
-        pair[1].append(float(row["param_error"]))
-
-ds = np.array(sorted(cells))
-gm = lambda v: np.exp(np.mean(np.log(v)))
-m2 = np.array([gm(cells[d][0]) for d in ds])
-pe = np.array([gm(cells[d][1]) for d in ds])
-
-fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 4))
-ax1.loglog(ds, m2, "o-")
-ax1.set_xlabel("delta")
-ax1.set_ylabel("misfit^2")
-ax1.set_title("fitted slope {m_slope:.3f}")
-ax2.loglog(ds, pe, "s-")
-ax2.set_xlabel("delta")
-ax2.set_ylabel("parameter error")
-ax2.set_title("fitted slope {e_slope:.3f}")
-fig.tight_layout()
-fig.savefig("rates.png", dpi=150)
-print("wrote rates.png")
-"""
-
-
-def write_lcurve_plot_script(path, csv_name: str, corner_alpha=None) -> None:
-    """Emit a standalone matplotlib script next to the sweep CSV."""
-    title = "L-curve"
-    if corner_alpha is not None:
-        title = f"L-curve, corner alpha = {corner_alpha:.3e}"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_LCURVE_PLOT.format(csv=csv_name, title=title))
-
-
-def write_rates_plot_script(
-    path, csv_name: str, misfit2_slope: float, param_error_slope: float
-) -> None:
-    """Emit a standalone matplotlib script next to the rates CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            _RATES_PLOT.format(
-                csv=csv_name, m_slope=misfit2_slope, e_slope=param_error_slope
-            )
-        )

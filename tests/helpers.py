@@ -21,6 +21,10 @@ from chemid.inversion import _run_lockstep, residual_vector
 from chemid.pde import PhysicalParams, space_time_sq_norm
 from chemid.sensitivity import hat_stencil, mass_matrix, require_same_basis
 
+#: Seconds a test waits for a child interpreter: a command that blocks fails
+#: its test instead of hanging the suite.
+CHILD_TIMEOUT = 300
+
 
 def dimensionless(M, D):
     """Physical parameters with b = h = mu = 1."""

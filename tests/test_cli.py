@@ -1,7 +1,9 @@
 """End-to-end command line runs: artifacts, determinism, exit codes."""
 
 import hashlib
+import os
 import re
+import resource
 import subprocess
 import sys
 import textwrap
@@ -23,7 +25,7 @@ from chemid.synthdata import (
     read_noisy_csv,
     write_noisy_csv,
 )
-from helpers import quadrature_sq_distance
+from helpers import CHILD_TIMEOUT, quadrature_sq_distance
 
 
 def parse_summary(path):
@@ -398,16 +400,18 @@ def test_module_entrypoint_help():
         [sys.executable, "-m", "chemid", "--help"],
         capture_output=True,
         text=True,
+        timeout=CHILD_TIMEOUT,
     )
     assert proc.returncode == 0
     for name in ("forward", "make-data", "invert", "lcurve", "rates"):
         assert name in proc.stdout
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=CHILD_TIMEOUT, **kwargs):
     """Run the command line in a fresh interpreter, as a user would."""
     return subprocess.run(
-        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True
+        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True,
+        timeout=timeout, **kwargs,
     )
 
 
@@ -494,6 +498,16 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     assert lines == ["error: solver: out of memory: Unable to allocate 7.28 PiB"]
 
 
+def test_an_out_of_memory_error_without_a_message_names_the_command(tmp_path, capsys,
+                                                                   monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli.COMMANDS, "forward", exhausted)
+    assert main(["forward", "--preset", "myerscough", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: solver: out of memory in forward"]
+
+
 def test_config_over_the_memory_budget_exits_2_before_out_exists(tmp_path):
     # 1001 nodes and the first step count whose frames (16016 B) cross the budget
     steps = next(s for s in range(cfgmod.MAX_SOLVE_BYTES // 16016 - 200, cfgmod.MAX_SOLVE_BYTES)
@@ -562,8 +576,43 @@ def test_data_csv_path_with_a_nul_byte_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "nul.cfg", INVERT_BODY + "data_csv = a\0b\n")
     assert main(["invert", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: config: cannot read data_csv a\0b: embedded null byte"]
+    assert err == ["error: config: cannot read data_csv a\\x00b: embedded null byte"]
     assert not (tmp_path / "out").exists()
+
+
+def limit_memory():
+    """Cap a child's address space, so that a read which never ends fails in
+    the child with MemoryError instead of taking the machine's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+
+@pytest.mark.parametrize("kind", ["fifo", "device"])
+@pytest.mark.parametrize("where", ["config", "data_csv"])
+def test_an_input_that_is_not_a_regular_file_exits_2(tmp_path, where, kind):
+    # the open of a FIFO blocks and a read of /dev/zero never ends: os.stat refuses both first
+    path = Path("/dev/zero")
+    if kind == "fifo":
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+    cfg = str(path) if where == "config" else write_cfg(
+        tmp_path, "in.cfg", INVERT_BODY + f"data_csv = {path}\n")
+    out = tmp_path / "out"
+    proc = run_cli("invert", "--config", cfg, "--out", str(out), timeout=60,
+                   preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: config: cannot read {where} {path}: not a regular file\n"
+    assert not out.exists()
+
+
+def test_config_over_its_size_limit_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, "mu.cfg", "mu = 20\n")
+    monkeypatch.setattr(cfgmod, "MAX_CONFIG_BYTES", Path(cfg).stat().st_size - 1)
+    out = tmp_path / "out"
+    assert main(["forward", "--preset", "myerscough", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: cannot read config {cfg}: over the limit of {cfgmod.MAX_CONFIG_BYTES} bytes"
+    ]
+    assert not out.exists()
 
 
 def test_invert_takes_a_large_time_refine_at_an_estimate_flat_in_the_steps(
@@ -697,10 +746,10 @@ def test_failed_write_removes_only_this_runs_files(tmp_path, capsys):
     "exc, rc", [(OSError("disk full"), 2), (MemoryError("no room"), 3)], ids=["os", "memory"]
 )
 def test_failed_write_removes_the_out_it_created(tmp_path, monkeypatch, capsys, exc, rc):
-    def fail(params, grid, path):
+    def fail(traj, path):
         raise exc
 
-    monkeypatch.setattr(cli, "write_params", fail)
+    monkeypatch.setattr(cli, "write_trajectory_csv", fail)
     out = tmp_path / "new" / "out"
     assert main(["forward", "--preset", "myerscough", "--out", str(out)]) == rc
     assert len(capsys.readouterr().err.splitlines()) == 1
@@ -850,7 +899,7 @@ def test_value_rules_exit_2_before_any_solve(tmp_path, data_dir, command, line, 
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-c", NO_SOLVE, command, "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, timeout=CHILD_TIMEOUT,
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: config: {message}\n"
@@ -1021,10 +1070,10 @@ def test_failed_rerun_keeps_the_earlier_runs_artifacts(tmp_path, monkeypatch, ca
     assert main(["forward", "--preset", "myerscough", "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-    def disk_full(params, grid, path):
+    def disk_full(traj, path):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "write_params", disk_full)
+    monkeypatch.setattr(cli, "write_trajectory_csv", disk_full)
     cfg = write_cfg(tmp_path, "mu.cfg", "mu = 20\n")
     rc = main(["forward", "--preset", "myerscough", "--config", cfg, "--out", str(out)])
     assert rc == 2
@@ -1039,6 +1088,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
         [sys.executable, "-c", "import sys, chemid.cli; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
+        timeout=CHILD_TIMEOUT,
     )
     assert proc.returncode == 0, proc.stderr
     heavy = {
@@ -1061,6 +1111,7 @@ def test_invert_loads_only_scipys_lapack_extension(tmp_path, data_dir):
         [sys.executable, "-c", script, "invert", "--config", cfg, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        timeout=CHILD_TIMEOUT,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["scipy.linalg._flapack"]

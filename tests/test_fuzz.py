@@ -43,6 +43,7 @@ from chemid.pde import (
 from chemid.sensitivity import SensitivityFunction, read_sensitivity_csv, write_sensitivity_csv
 from chemid.synthdata import add_noise, myerscough_initial_data, read_noisy_csv, write_noisy_csv
 
+from helpers import CHILD_TIMEOUT
 from test_cli import INVERT_BODY, SMALL_GRID, SMALL_PHYS
 
 
@@ -181,17 +182,19 @@ KINDS = {2: "config", 3: "solver", 4: "stagnation"}
 
 
 def _assert_contract(returncode, stderr):
-    """Exit 0 with an empty stderr, or 2, 3 or 4 with just its `error:` line."""
+    """Exit 0 with an empty stderr, or 2, 3 or 4 with just its `error:` line,
+    which holds no control byte."""
     if returncode == 0:
         assert stderr == ""
     else:
-        assert re.fullmatch(f"error: {KINDS[returncode]}: [^\n]+\n", stderr), stderr
+        assert re.fullmatch(f"error: {KINDS[returncode]}: [^\x00-\x1f]+\n", stderr), stderr
 
 
 def _run_cli(*args):
     """The exit code and stderr of the command line in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True
+        [sys.executable, "-m", "chemid", *args], capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT,
     )
     return proc.returncode, proc.stderr
 

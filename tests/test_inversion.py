@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import cholesky
 
 import chemid.inversion as inv
-from chemid import pde
+from chemid import cli, pde
 from chemid.errors import (
     ForwardSolveError,
     IncompatibleBasisError,
@@ -21,7 +21,6 @@ from chemid.inversion import (
     jacobian_fd,
     levenberg_marquardt,
     residual_vector,
-    write_inversion_report,
 )
 from chemid.pde import (
     PhysicalParams,
@@ -54,6 +53,7 @@ from helpers import (
     tangent_jacobian,
     traced_peak,
 )
+from test_cli import data_dir, invert_cfg  # noqa: F401 (data_dir is a fixture)
 
 
 # ---------------------------------------------------------------------------
@@ -855,13 +855,11 @@ def test_result_validates_monotone_history():
         )
 
 
-def test_report_file_contents(tmp_path):
-    prob, a_true, _ = small_problem(alpha=1e-3, delta=5e-3)
-    a0 = prob.a_star.with_coeffs(np.full(prob.n_basis, 1.2))
-    res = levenberg_marquardt(prob, a0, LMConfig(max_iters=5))
-    path = tmp_path / "report.txt"
-    write_inversion_report(res, prob, path)
-    text = path.read_text()
+def test_report_file_contents(tmp_path, data_dir):
+    # report.txt as the command line writes it, converged or stopped after 5 iterations
+    cfg = invert_cfg(tmp_path, data_dir, "max_iters = 5\n")
+    assert cli.main(["invert", "--config", cfg, "--out", str(tmp_path)]) in (0, 4)
+    text = (tmp_path / "report.txt").read_text()
     for key in (
         "iterations",
         "converged",

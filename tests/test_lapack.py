@@ -12,7 +12,7 @@ from scipy.linalg import cholesky, lapack
 from chemid import _lapack
 from chemid.errors import NumericalSolveError
 from chemid.sensitivity import SensitivityFunction, mass_matrix
-from helpers import small_problem
+from helpers import CHILD_TIMEOUT, small_problem
 
 #: One 51x250 ``solve_forward`` and one penalty root in a fresh
 #: interpreter, saved to argv[1].  With argv[2] == "fallback" the loader
@@ -45,7 +45,8 @@ np.savez(sys.argv[1], X=traj.X, root=prob._penalty_root, linalg="scipy.linalg" i
 def fresh_solve(tmp_path, mode):
     out = tmp_path / f"{mode}.npz"
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_SOLVE, str(out), mode], capture_output=True, text=True
+        [sys.executable, "-c", FRESH_SOLVE, str(out), mode], capture_output=True, text=True,
+        timeout=CHILD_TIMEOUT,
     )
     assert proc.returncode == 0, proc.stderr
     return np.load(out)

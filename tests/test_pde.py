@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chemid import _g15, pde
+from chemid import _g15, cli, pde
 from chemid._lapack import dgttrf
 from chemid.config import load_config, resolve
 from chemid.errors import (
@@ -37,7 +37,6 @@ from chemid.pde import (
     restrict,
     solve_forward,
     space_time_sq_norm,
-    write_params,
     write_trajectory_csv,
 )
 from chemid.pde import _integrate
@@ -1172,6 +1171,9 @@ FAULTS = {
                           "malformed rows: could not convert string '1_0"),
     "undecodable_byte": (lambda lines: lines[:-1] + [lines[-1] + "\udcff"],
                          "malformed rows: 'utf-8' codec can't decode byte 0xff"),
+    # each key once, so that a repeated one cannot override the first
+    "repeated_key": (lambda lines: with_metadata(lines, lambda toks: toks + toks[1:] + ["k=0"] * 2),
+                     "duplicate metadata key '(delta|c_min|k)'"),
 }
 
 
@@ -1437,21 +1439,30 @@ def test_frame_writer_memory_does_not_grow_with_the_trajectory():
     assert max(peaks) < WRITER_PEAK, peaks
 
 
+def forward_params_file(out):
+    """The params.txt that ``chemid forward --preset myerscough`` writes to out."""
+    assert cli.main(["forward", "--preset", "myerscough", "--out", str(out)]) == 0
+    return out / "params.txt"
+
+
 def test_params_file_roundtrip(tmp_path):
-    # params.txt is in the config format and carries the physical and grid keys
+    # params.txt is in the config format and carries the physical and grid keys,
+    # so fed back as --config it reruns the same solve
     p = PhysicalParams.myerscough()
     g = SimulationGrid(0.0, 1.0, 51, 0.25, 250)
-    path = tmp_path / "params.txt"
-    write_params(p, g, path)
+    path = forward_params_file(tmp_path / "first")
     rest = {"u0": "myerscough", "c0": "uniform:0.5", "truth": "constant:2.0"}
     cfg = resolve("forward", {**load_config(path), **rest})
     assert cfg["params"] == p
     assert cfg["grid"] == g
+    again = tmp_path / "again"
+    assert cli.main(["forward", "--preset", "myerscough", "--config", str(path),
+                     "--out", str(again)]) == 0
+    assert (again / "trajectory.csv").read_bytes() == (path.parent / "trajectory.csv").read_bytes()
 
 
 def test_params_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "params.txt"
-    write_params(PhysicalParams.myerscough(), SimulationGrid(0, 1, 51, 0.25, 250), path)
+    path = forward_params_file(tmp_path)
     path.write_text(path.read_text() + "bogus = 3\n")
     with pytest.raises(ConfigError):
         resolve("forward", load_config(path))

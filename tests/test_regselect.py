@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import chemid.regselect as rs
+from chemid import cli
 from chemid.errors import (
     ForwardSolveError,
     IncompatibleBasisError,
@@ -20,13 +21,10 @@ from chemid.regselect import (
     lcurve_corner,
     lcurve_sweep,
     rate_study,
-    write_lcurve_csv,
-    write_lcurve_plot_script,
-    write_rates_csv,
-    write_rates_plot_script,
 )
 from chemid.sensitivity import SensitivityFunction
 from helpers import small_problem
+from test_cli import command_body, data_dir, write_cfg  # noqa: F401 (data_dir is a fixture)
 
 
 def fake_point(alpha, rho, eta, converged=True):
@@ -464,13 +462,24 @@ def test_rate_record_requires_positive_delta():
 
 
 # ---------------------------------------------------------------------------
-# CSV and plot-script output
+# CSV and plot-script output, as the command line writes them
 
 
-def test_lcurve_csv_schema_and_roundtrip(tmp_path):
+def cli_artifacts(out, data_dir, monkeypatch, command, **returns):
+    """out, after ``cli.main`` has written command's artifacts there on the small
+    scenario, with each library call ``name`` of cli returning ``returns[name]``."""
+    for name, value in returns.items():
+        monkeypatch.setattr(cli, name, lambda *args, value=value, **kwargs: value)
+    out.mkdir()
+    cfg = write_cfg(out, "run.cfg", command_body(command, data_dir))
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+def test_lcurve_csv_schema_and_roundtrip(tmp_path, data_dir, monkeypatch):
     pts, _ = right_angle_points(n=5, vertex=2)
-    path = tmp_path / "lcurve.csv"
-    write_lcurve_csv(path, pts)
+    out = cli_artifacts(tmp_path / "out", data_dir, monkeypatch, "lcurve", lcurve_sweep=(pts, ()))
+    path = out / "lcurve.csv"
     text = path.read_text().splitlines()
     assert text[0] == "alpha,rho,eta"
     back = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -480,13 +489,17 @@ def test_lcurve_csv_schema_and_roundtrip(tmp_path):
     assert np.allclose(back[:, 2], [p.eta for p in pts])
 
 
-def test_rates_csv_schema_and_roundtrip(tmp_path):
+def study_of(records, misfit2_slope=2.0, param_error_slope=0.5):
+    return rs.RateStudyResult(tuple(records), misfit2_slope, param_error_slope, ())
+
+
+def test_rates_csv_schema_and_roundtrip(tmp_path, data_dir, monkeypatch):
     recs = [
         RateStudyRecord(delta=1e-3, alpha=1e-3, misfit2=2e-6, param_error=0.02, seed=0),
         RateStudyRecord(delta=1e-2, alpha=1e-2, misfit2=2e-4, param_error=0.07, seed=1),
     ]
-    path = tmp_path / "rates.csv"
-    write_rates_csv(path, recs)
+    out = cli_artifacts(tmp_path / "out", data_dir, monkeypatch, "rates", rate_study=study_of(recs))
+    path = out / "rates.csv"
     text = path.read_text().splitlines()
     assert text[0] == "delta,alpha,misfit2,param_error,seed"
     back = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -495,24 +508,24 @@ def test_rates_csv_schema_and_roundtrip(tmp_path):
     assert back[1, 4] == 1
 
 
-def test_csv_rewrite_is_byte_identical(tmp_path):
+def test_csv_rewrite_is_byte_identical(tmp_path, data_dir, monkeypatch):
     pts, _ = right_angle_points()
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_lcurve_csv(p1, pts)
-    write_lcurve_csv(p2, pts)
+    p1, p2 = (cli_artifacts(tmp_path / name, data_dir, monkeypatch, "lcurve",
+                            lcurve_sweep=(pts, ())) / "lcurve.csv" for name in ("a", "b"))
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_plot_scripts_are_valid_python(tmp_path):
-    lpath = tmp_path / "plot_lcurve.py"
-    write_lcurve_plot_script(lpath, "lcurve.csv", corner_alpha=1e-5)
+def test_plot_scripts_are_valid_python(tmp_path, data_dir, monkeypatch):
+    pts, _ = right_angle_points()
+    lpath = cli_artifacts(tmp_path / "l", data_dir, monkeypatch, "lcurve",
+                          lcurve_sweep=(pts, ()), lcurve_corner=(1e-5, ())) / "plot_lcurve.py"
     src = lpath.read_text()
     compile(src, str(lpath), "exec")
     assert "lcurve.csv" in src
     assert "1.000e-05" in src
 
-    rpath = tmp_path / "plot_rates.py"
-    write_rates_plot_script(rpath, "rates.csv", 2.01, 0.48)
+    rpath = cli_artifacts(tmp_path / "r", data_dir, monkeypatch, "rates",
+                          rate_study=study_of([], 2.01, 0.48)) / "plot_rates.py"
     src = rpath.read_text()
     compile(src, str(rpath), "exec")
     assert "rates.csv" in src
