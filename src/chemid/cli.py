@@ -147,15 +147,16 @@ def cmd_invert(cfg: dict):
     }, None if result.converged else result.message
 
 
-def _load_data(cfg: dict):
+def _load_data(cfg: dict, rows: int = 1):
     data = cfgmod.read_input(read_noisy_csv, cfg["data_csv"], 4, "data_csv")
-    # invert and lcurve solve one row a round
-    cfgmod.require_solve_bytes(round_bytes(data.grid, cfg["time_refine"], 1, cfg["n_basis"]))
+    # a round solves one row of invert or of a warm sweep, and one per alpha of a cold sweep
+    cfgmod.require_solve_bytes(round_bytes(data.grid, cfg["time_refine"], rows, cfg["n_basis"]))
     return data
 
 
 def cmd_lcurve(cfg: dict):
-    prob = _problem(cfg, _load_data(cfg), max(cfg["alphas"]))  # the largest: its check covers all
+    data = _load_data(cfg, 1 if cfg["warm_start"] else len(cfg["alphas"]))
+    prob = _problem(cfg, data, max(cfg["alphas"]))  # the largest: its check covers all
     points, _ = lcurve_sweep(prob, cfg["alphas"], cfg["lm"], warm_start=cfg["warm_start"])
     corner, _ = lcurve_corner(points)
     return {

@@ -774,11 +774,20 @@ def _read_table(path, header: str, keys: dict):
         raise InvalidStateError(f"{path}: malformed rows: {exc}") from exc
 
 
+def _built(path, make, *args):
+    """``make(*args)`` of values read from ``path``, whose InvalidStateError names that file."""
+    try:
+        return make(*args)
+    except InvalidStateError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def _read_frame_csv(path, keys: dict):
     """(StateTrajectory, metadata) of a t,x,u,c table (``_read_table``).  An
     empty, ragged or incomplete table, a non-finite u or c, rows out of
-    frame-then-node order, a first frame not at t = 0 and non-uniform
-    spacing raise InvalidStateError."""
+    frame-then-node order, a first frame not at t = 0, non-uniform
+    spacing and a grid that cannot be built raise InvalidStateError,
+    each naming the file."""
     data, meta = _read_table(path, "t,x,u,c", keys)
     if data.shape[0] == 0 or data.shape[1] != 4:
         raise InvalidStateError(f"{path}: malformed rows")
@@ -801,7 +810,7 @@ def _read_frame_csv(path, keys: dict):
             d = np.diff(vals)
         if len(d) and not np.allclose(d, d[0], rtol=1e-6, atol=1e-12 * max(1, abs(vals[-1]))):
             raise InvalidStateError(f"{path}: non-uniform {name} spacing")
-    grid = SimulationGrid(float(xs[0]), float(xs[-1]), n_x, float(ts[-1]), n_t - 1)
+    grid = _built(path, SimulationGrid, float(xs[0]), float(xs[-1]), n_x, float(ts[-1]), n_t - 1)
     # the (u, c) columns as (frame, field, node), copied once into C order
     return StateTrajectory(grid, data[:, 2:].reshape(n_t, n_x, 2).swapaxes(1, 2)), meta
 

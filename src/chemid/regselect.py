@@ -6,11 +6,11 @@ penalty norm); the corner detector picks the alpha of maximum discrete
 curvature of the polyline (log rho, log eta).  The rate study couples
 alpha = coupling * delta, inverts noisy data over a range of noise
 levels, and fits log-log slopes of the squared misfit and the parameter
-error against delta.  Its (delta, seed) cells differ only in data and
-alpha, so their inversions run in lockstep, one batched forward solve
-per round for all of them; the L-curve sweep runs its points one after
-another, because each warm-starts from the previous optimum.  It does no
-file I/O: ``cli`` writes what these tools return.
+error against delta.  Both run their inversions through
+``levenberg_marquardt_many``, one batched forward solve per round: the
+study's (delta, seed) cells in one call, the sweep's points one a call
+when each warm-starts from the last optimum, else all in one.  It does
+no file I/O: ``cli`` writes what these tools return.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .inversion import (
     InversionResult,
     LMConfig,
     TikhonovProblem,
-    levenberg_marquardt,
+    levenberg_marquardt,  # unused here; patched by perfbench until ROADMAP item 2
     levenberg_marquardt_many,
     require_alpha,
 )
@@ -120,33 +120,32 @@ def lcurve_sweep(
 ) -> tuple[list[LCurvePoint], tuple]:
     """Invert once per alpha; the swept points sorted by alpha, and notes.
 
-    Alphas are processed from largest to smallest; with warm_start each
-    inversion begins at the previous optimum (which tracks the curve
-    smoothly), otherwise every point starts cold from a*.  A failed point
-    is left out and the sweep goes on; weak monotonicity of rho and eta
-    across converged points is checked.  The notes (text) name the failed
-    points in sweep order, then the anomalies, which drop no point.
+    Alphas go from largest to smallest through ``levenberg_marquardt_many``:
+    with warm_start one point a call, from the last optimum (which tracks the
+    curve smoothly), else all points from a* in one call, a row each a round.
+    A failed point is left out and the sweep goes on; weak monotonicity of rho
+    and eta across converged points is checked.  The notes (text) name the
+    failed points in sweep order, then the anomalies, which drop no point.
     """
-    arr = _positive_distinct(alphas, "sweep alphas", 1)
-    points, notes = [], []
-    guess = prob_template.a_star
-    for alpha in np.sort(arr)[::-1]:
-        prob = dataclasses.replace(prob_template, alpha=float(alpha))
-        try:
-            res = levenberg_marquardt(prob, guess, cfg)
-        except ForwardSolveError as exc:
-            notes.append(f"alpha={alpha:.3e}: inversion failed: {exc}")
-            continue
-        points.append(
-            LCurvePoint(
-                alpha=float(alpha),
-                rho=float(np.sqrt(res.residual_norm2)),
-                eta=float(np.sqrt(res.penalty_norm2)),
-                result=res,
+    arr = np.sort(_positive_distinct(alphas, "sweep alphas", 1))[::-1]
+    probs = [dataclasses.replace(prob_template, alpha=float(alpha)) for alpha in arr]
+    size = 1 if warm_start else len(probs)  # points a call
+    points, notes, guess = [], [], prob_template.a_star
+    for k in range(0, len(probs), size):
+        batch = levenberg_marquardt_many(probs[k : k + size], [guess] * size, cfg)
+        for alpha, res in zip(arr[k : k + size], batch):
+            if isinstance(res, ForwardSolveError):
+                notes.append(f"alpha={alpha:.3e}: inversion failed: {res}")
+                continue
+            points.append(
+                LCurvePoint(
+                    alpha=float(alpha),
+                    rho=float(np.sqrt(res.residual_norm2)),
+                    eta=float(np.sqrt(res.penalty_norm2)),
+                    result=res,
+                )
             )
-        )
-        if warm_start:
-            guess = res.a_hat
+            guess = res.a_hat  # the next call's start, when warm
     points.sort()
     return points, (*notes, *_sweep_anomalies(points))
 

@@ -25,7 +25,7 @@ from .errors import (
     InvalidStateError,
     ZeroWidthIntervalError,
 )
-from .pde import StateTrajectory, _read_table
+from .pde import StateTrajectory, _built, _read_table
 
 #: Default knot count; resolves 2/c on [0.1, 0.7] to about 1% interpolation error.
 DEFAULT_N_BASIS = 16
@@ -217,7 +217,7 @@ def read_sensitivity_csv(path) -> SensitivityFunction:
         raise InvalidStateError(f"{path}: unsupported extension rule {meta['extension']!r}")
     if rows.shape != (meta["n_basis"], 2):
         raise InvalidStateError(f"{path}: expected {meta['n_basis']} knot rows, got {rows.shape}")
-    a = SensitivityFunction(meta["c_min"], meta["c_max"], rows[:, 1])
+    a = _built(path, SensitivityFunction, meta["c_min"], meta["c_max"], rows[:, 1])
     if not np.allclose(rows[:, 0], a.knots(), rtol=1e-9, atol=1e-12):
         raise InvalidStateError(f"{path}: knot column inconsistent with metadata")
     return a

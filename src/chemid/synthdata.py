@@ -28,6 +28,7 @@ from .pde import (
     PhysicalParams,
     SimulationGrid,
     StateTrajectory,
+    _built,
     _read_frame_csv,
     _write_frames,
     restrict,
@@ -177,4 +178,4 @@ def write_noisy_csv(data: NoisyData, path) -> None:
 
 def read_noisy_csv(path) -> NoisyData:
     traj, meta = _read_frame_csv(path, {"delta": float, "seed": int})
-    return NoisyData(traj.grid, traj.X, meta["delta"], meta["seed"])
+    return _built(path, NoisyData, traj.grid, traj.X, meta["delta"], meta["seed"])

@@ -17,6 +17,7 @@ from chemid import config as cfgmod
 from chemid.cli import main
 from chemid.config import load_config, resolve
 from chemid.errors import ForwardSolveError
+from chemid.inversion import round_bytes
 from chemid.pde import PhysicalParams, SimulationGrid, solve_bytes
 from chemid.sensitivity import SensitivityFunction, read_sensitivity_csv, write_sensitivity_csv
 from chemid.synthdata import (
@@ -553,6 +554,30 @@ def test_data_csv_over_the_memory_budget_exits_2_before_it_is_read(
     assert not out.exists()
 
 
+def test_a_cold_sweep_budgets_a_row_per_alpha_before_any_solve(tmp_path, data_dir, monkeypatch,
+                                                               capsys):
+    # a budget over one row's round but under a round of every alpha: the warm
+    # sweep, one row a round, runs; the cold one, all alphas a round, exits 2
+    # (LCURVE_BODY: 5 alphas, 3 hats, time_refine 1)
+    grid = read_noisy_csv(data_dir / "data.csv").grid
+    one, cold = (round_bytes(grid, 1, rows, 3) for rows in (1, 5))
+    budget = (one + cold) // 2
+    assert pde.read_bytes((data_dir / "data.csv").stat().st_size, 4) < budget
+    monkeypatch.setattr(cfgmod, "MAX_SOLVE_BYTES", budget)
+    solves, real = [], inversion._integrate
+    monkeypatch.setattr(inversion, "_integrate", lambda *args: solves.append(1) or real(*args))
+    body = command_body("lcurve", data_dir)
+    cfg = write_cfg(tmp_path, "cold.cfg", with_line(body, "warm_start = false"))
+    assert main(["lcurve", "--config", cfg, "--out", str(tmp_path / "cold")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: the largest solve needs an estimated {cold} bytes, over the limit {budget}\n"
+    )
+    assert solves == [] and not (tmp_path / "cold").exists()
+    cfg = write_cfg(tmp_path, "warm.cfg", with_line(body, "warm_start = true"))
+    assert main(["lcurve", "--config", cfg, "--out", str(tmp_path / "warm")]) == 0
+    assert solves
+
+
 def test_truth_table_over_the_memory_budget_exits_2_before_it_is_read(
         tmp_path, monkeypatch, capsys):
     path, reads = tmp_path / "table.csv", []
@@ -794,6 +819,40 @@ def test_data_csv_without_its_first_frame_exits_2(tmp_path, data_dir):
     assert not out.exists()
 
 
+def negative_c(lines):
+    """data.csv lines whose first row has c = -0.5."""
+    return lines[:2] + [lines[2].rsplit(",", 1)[0] + ",-0.5"] + lines[3:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (negative_c, "measured c must be positive everywhere (min -5.000e-01)"),
+    (lambda lines: [re.sub(r"delta=\S+", "delta=-1", lines[0])] + lines[1:],
+     "delta must be >= 0 (got -1.0)"),
+    (lambda lines: lines[: 2 + 21], "n_steps must be >= 1 (got 0)"),  # the t = 0 frame alone
+], ids=["negative_c", "negative_delta", "one_frame"])
+def test_a_fault_of_what_data_csv_holds_names_the_file(tmp_path, data_dir, capsys, edit, message):
+    path = tmp_path / "bad" / "data.csv"
+    path.parent.mkdir()
+    path.write_text("\n".join(edit((data_dir / "data.csv").read_text().splitlines())) + "\n")
+    out = tmp_path / "out"
+    assert main(["invert", "--config", invert_cfg(tmp_path, path.parent), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config: {path}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_non_finite_coefficient_of_a_truth_table_names_the_file(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_text("# c_min=0.1 c_max=0.9 n_basis=2 extension=clamp\nc_knot,a_value\n"
+                    "0.1,1.0\n0.9,nan\n")
+    cfg = write_cfg(tmp_path, "table.cfg", SMALL_PHYS + SMALL_GRID + f"truth = table:{path}\n")
+    out = tmp_path / "out"
+    assert main(["forward", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config: config key 'truth': {path}: coefficients contain non-finite values\n"
+    )
+    assert not out.exists()
+
+
 def test_lcurve_with_too_few_alphas_exits_2_before_any_solve(tmp_path, data_dir):
     body = INVERT_BODY.replace("alpha = 1e-5\n", "alphas = 1e-6,1e-5,1e-4,1e-3\n")
     cfg = write_cfg(tmp_path, "lcurve.cfg", body + f"data_csv = {data_dir / 'data.csv'}\n")
@@ -986,6 +1045,14 @@ ARTIFACT_SHA256 = {
         "summary.txt":
             "771bf7406ba73643d0c45cee731865037be340e3370d5d5a639add54b895df0c",
     },
+    "lcurve-cold": {
+        "lcurve.csv":
+            "80bb71c343dca5276e45ea976499560cd9d95e679d7d7a25a4bd5f60927315a1",
+        "plot_lcurve.py":
+            "53d272b0e0a4f80fd95e024bd359949072f0042abfa940a692efa82f2407b4a9",
+        "summary.txt":
+            "771bf7406ba73643d0c45cee731865037be340e3370d5d5a639add54b895df0c",
+    },
     "rates-refine-1": {
         "plot_rates.py":
             "af4cf554ae4c910f1ad9eb1d1a841e5c0d22b33600e489b316f7354f8a43408c",
@@ -1017,6 +1084,7 @@ SOLVE_COUNTS = {
     "invert": (4, 480, 4),
     "invert-refine-3": (4, 720, 4),
     "lcurve": (14, 1680, 14),
+    "lcurve-cold": (4, 480, 8),
     "rates-refine-1": (4, 420, 6),
     "rates": (5, 720, 11),
 }
@@ -1025,16 +1093,17 @@ SOLVE_COUNTS = {
 @pytest.mark.parametrize(
     "run",
     ["forward", "make-data", "invert-refine-1", "invert", "invert-refine-3", "lcurve",
-     "rates-refine-1", "rates"],
+     "lcurve-cold", "rates-refine-1", "rates"],
 )
 def test_rerun_writes_identical_artifacts(tmp_path, data_dir, run, monkeypatch):
     """Every artifact of a rerun equals the first run's and the pinned bytes
     (4 hats, time_refine = 2 unless the run names another, the 21x60 grid
-    and data generated on 81x240), and each run takes the pinned solves, steps
-    and blocks of tangent steps."""
-    command, _, refine = run.partition("-refine-")
+    and data generated on 81x240; ``-cold`` sweeps with warm_start = false),
+    and each run takes the pinned solves, steps and blocks of tangent steps."""
+    command, _, refine = run.removesuffix("-cold").partition("-refine-")
     body = command_body(command, data_dir)
-    for line in ("n_basis = 4", f"time_refine = {refine or 2}", "seeds = 0,1"):
+    for line in ("n_basis = 4", f"time_refine = {refine or 2}", "seeds = 0,1",
+                 f"warm_start = {str(not run.endswith('-cold')).lower()}"):
         if line.split(" ")[0] in cfgmod.ALLOWED_KEYS[command]:
             body = with_line(body, line)
     cfg = write_cfg(tmp_path, "run.cfg", body)
@@ -1131,7 +1200,7 @@ def test_table_sensitivity_on_a_non_finite_interval_exits_2(tmp_path, data_dir, 
     proc = run_cli("forward", "--config", write_cfg(tmp_path, "f.cfg", body), "--out", str(out))
     assert_config_error(proc)
     assert proc.stderr == (
-        f"error: config: config key 'truth': concentration interval "
+        f"error: config: config key 'truth': {table}: concentration interval "
         f"[{float(c_min)}, {float(c_max)}] needs finite ends and width\n"
     )
     assert not out.exists()
@@ -1148,7 +1217,7 @@ def test_empty_concentration_interval_exits_2(tmp_path, data_dir):
     cfg = write_cfg(tmp_path, "f.cfg", body)
     proc = run_cli("forward", "--config", cfg, "--out", str(tmp_path))
     assert proc.stderr == (
-        "error: config: config key 'truth': empty concentration interval [0.5, 0.5]\n"
+        f"error: config: config key 'truth': {table}: empty concentration interval [0.5, 0.5]\n"
     )
     assert proc.returncode == 2
 

@@ -7,7 +7,8 @@ in exit 0 with nothing on stderr, or in exit 2, 3 or 4 with exactly one
 valid files with a few byte ranges overwritten, so both the header checks
 and the row parsers are reached.  The one read of a file a config names,
 ``config.read_input``, returns or raises ConfigError, at the real budget
-and at one that refuses some of those files by their size.  The command-line runs never fuzz a key
+and at one that refuses some of those files by their size, and its
+ConfigError names the file.  The command-line runs never fuzz a key
 that sets an array size, so no example can ask for a huge grid.  The
 forward solver, given extreme finite inputs on small grids, returns a
 finite trajectory or raises a ChemidError, and invert, lcurve and rates,
@@ -62,6 +63,9 @@ def _valid_files() -> dict:
 
 
 VALID = _valid_files()
+#: the valid data.csv with the c of its first row made negative
+_META, _HEADER, _ROW, _ROWS = VALID["data"].split(b"\n", 3)
+NEGATIVE_C = b"\n".join([_META, _HEADER, _ROW.rsplit(b",", 1)[0] + b",-0.5", _ROWS])
 PHYS = textwrap.dedent(SMALL_PHYS).encode()
 # appended after the fuzzed text: the keys that size the arrays stay fixed
 SIZES = textwrap.dedent(SMALL_GRID).encode()
@@ -121,11 +125,13 @@ def test_the_config_read_returns_or_raises_config_error(work, monkeypatch, budge
 
     @settings(max_examples=200, deadline=None)
     @given(blob=fuzzed(VALID[name]))
+    @example(blob=NEGATIVE_C)
     def check(blob):
+        path = _write(work / f"{name}.csv", blob)
         try:
-            read_input(read, _write(work / f"{name}.csv", blob), columns, name)
-        except ConfigError:
-            pass
+            read_input(read, path, columns, name)
+        except ConfigError as exc:
+            assert str(path) in str(exc)  # every fault of the file names it
 
     check()
 

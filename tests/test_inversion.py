@@ -842,6 +842,38 @@ def test_lm_rejects_mismatched_initial_guess():
         )
 
 
+@pytest.mark.parametrize("knobs, message", [
+    ({"lambda0": 0.0}, r"lambda0 must be > 0 \(got 0.0\)"),
+    ({"lambda0": -1.0}, r"lambda0 must be > 0 \(got -1.0\)"),
+    ({"tol_cost": 0.0}, "tolerances must be positive"),
+    ({"tol_grad": -1e-8}, "tolerances must be positive"),
+    ({"max_iters": 0}, r"max_iters must be >= 1 \(got 0\)"),
+])
+def test_lm_config_validation(knobs, message):
+    with pytest.raises(InvalidStateError, match=f"^{message}$"):
+        LMConfig(**knobs)
+
+
+def test_lm_many_takes_one_guess_a_problem_and_no_problems():
+    prob, _, _ = small_problem()
+    with pytest.raises(InvalidStateError, match=r"^1 problems but 2 initial guesses$"):
+        inv.levenberg_marquardt_many([prob], [prob.a_star] * 2)
+    assert inv.levenberg_marquardt_many([], []) == []
+
+
+@pytest.mark.parametrize("error", [NumericalSolveError("injected"), InvalidStateError("injected")])
+def test_residual_vector_of_a_failed_solve_is_a_forward_solve_error(monkeypatch, error):
+    prob, _, _ = small_problem()
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(inv, "solve_forward", failing)
+    with pytest.raises(ForwardSolveError, match="^forward solve failed: injected$") as raised:
+        residual_vector(prob.a_star.coeffs, prob)
+    assert raised.value.__cause__ is error
+
+
 def test_result_validates_monotone_history():
     a = SensitivityFunction.constant(1.0, 0.0, 1.0, 2)
     with pytest.raises(InvalidStateError):

@@ -911,6 +911,16 @@ def test_models_one_ulp_apart_compare_unequal():
     assert model != ForwardModel(p, g, u0, c0, "upwind")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["u0", "c0"])
+def test_model_rejects_a_non_finite_initial_field(field, value):
+    g = SimulationGrid(0.0, 1.0, 11, 0.1, 10)
+    fields = dict(zip(("u0", "c0"), bump_initial(g)))
+    fields[field][4] = value
+    with pytest.raises(InvalidStateError, match="^initial fields contain non-finite values$"):
+        ForwardModel(dimensionless(M=0.25, D=1.0), g, **fields)
+
+
 def test_solve_zero_sensitivity_matches_diffusion_oracle():
     g = SimulationGrid(0.0, 1.0, 15, 0.05, 20)
     p = dimensionless(M=0.5, D=1.5)
@@ -931,6 +941,14 @@ def test_mass_constant_and_zero():
     g = SimulationGrid(0.0, 1.0, 11, 1.0, 10)
     assert mass(np.ones(11), g) == pytest.approx(1.0, rel=1e-14)
     assert mass(np.zeros(11), g) == 0.0
+
+
+def test_mass_and_norm_reject_their_inputs():
+    g = SimulationGrid(0.0, 2.0, 5, 3.0, 6)
+    with pytest.raises(InvalidStateError, match="^mass: u contains non-finite values$"):
+        mass(np.array([1.0, np.nan, 1.0, 1.0, 1.0]), g)
+    with pytest.raises(InvalidStateError, match=r"^expected shape \(7, 5\), got \(6, 5\)$"):
+        space_time_sq_norm(np.ones((6, 5)), g)
 
 
 def test_mass_linear_profile():
@@ -1130,6 +1148,33 @@ def test_csv_readers_reject_a_table_not_starting_at_t0(tmp_path, which):
     rewrite_rows(path, lines[:-15], lines[-12:])
     with pytest.raises(InvalidStateError, match=r"first frame must be at t = 0 \(got t = 0.125\)"):
         READERS[which](path)
+
+
+@pytest.mark.parametrize("which", READERS)
+@pytest.mark.parametrize("column, old, new", [(0, "0.25", "0.3"), (1, "0.5", "0.6")],
+                         ids=["t", "x"])
+def test_csv_readers_reject_non_uniform_spacing(tmp_path, which, column, old, new):
+    # the middle frame (t = 0.25) or the middle node (x = 0.5) moved off centre
+    path = tmp_path / "table.csv"
+    head, rows = write_3x3_table(path, which == "noisy")
+    cells = [row.split(",") for row in rows]
+    for row in cells:
+        row[column] = new if row[column] == old else row[column]
+    rewrite_rows(path, head, [",".join(row) for row in cells])
+    with pytest.raises(InvalidStateError) as raised:
+        READERS[which](path)
+    assert str(raised.value) == f"{path}: non-uniform {'tx'[column]} spacing"
+
+
+@pytest.mark.parametrize("which", READERS)
+def test_csv_readers_reject_rows_of_other_than_four_columns(tmp_path, which):
+    # every row alike, so np.loadtxt reads a table; it has 3 columns, not 4
+    path = tmp_path / "table.csv"
+    head, rows = write_3x3_table(path, which == "noisy")
+    rewrite_rows(path, head, [row.rsplit(",", 1)[0] for row in rows])
+    with pytest.raises(InvalidStateError) as raised:
+        READERS[which](path)
+    assert str(raised.value) == f"{path}: malformed rows"
 
 
 #: The three table readers, each with a writer of a small valid table of its kind.

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import chemid.inversion as inv
 import chemid.regselect as rs
 from chemid import cli
 from chemid.errors import (
@@ -14,7 +15,7 @@ from chemid.errors import (
     InvalidStateError,
     NoiseLevelError,
 )
-from chemid.inversion import InversionResult, LMConfig
+from chemid.inversion import InversionResult, LMConfig, levenberg_marquardt
 from chemid.regselect import (
     LCurvePoint,
     RateStudyRecord,
@@ -181,15 +182,14 @@ def test_sweep_rejects_bad_alphas(swept):
 
 def test_sweep_continues_past_point_failures(monkeypatch, swept):
     prob, alphas, points = swept
-    real = rs.levenberg_marquardt
     bad = float(alphas[2])
 
     def flaky(p, a0, cfg=LMConfig()):
         if p.alpha == bad:
             raise ForwardSolveError("synthetic failure")
-        return real(p, a0, cfg)
+        return levenberg_marquardt(p, a0, cfg)
 
-    monkeypatch.setattr(rs, "levenberg_marquardt", flaky)
+    use_fake_lm(monkeypatch, flaky)
     got, notes = lcurve_sweep(prob, alphas[:5])
     assert len(got) == 4
     assert bad not in [p.alpha for p in got]
@@ -206,7 +206,7 @@ def test_sweep_notes_monotonicity_anomalies_after_failures(monkeypatch, swept):
         eta = {1e-4: 1.0, 1e-3: 2.0, 1e-2: 3.0}[p.alpha]
         return fake_point(p.alpha, 1e-3, eta).result
 
-    monkeypatch.setattr(rs, "levenberg_marquardt", canned)
+    use_fake_lm(monkeypatch, canned)
     points, notes = lcurve_sweep(prob, [1e-5, 1e-4, 1e-3, 1e-2, 1e-1])
     assert [p.alpha for p in points] == [1e-4, 1e-3, 1e-2]
     assert notes == (
@@ -216,6 +216,54 @@ def test_sweep_notes_monotonicity_anomalies_after_failures(monkeypatch, swept):
         "(alpha=1.000e-03)",
         "sweep anomaly: eta rose from 2.000000e+00 (alpha=1.000e-03) to 3.000000e+00 "
         "(alpha=1.000e-02)",
+    )
+
+
+@pytest.mark.parametrize("bad", [None, 1e-4], ids=["no_failure", "one_failure"])
+@pytest.mark.parametrize("warm_start", [True, False], ids=["warm", "cold"])
+def test_each_sweep_point_equals_a_lone_call_from_its_start(monkeypatch, swept, warm_start, bad):
+    # a cold point starts at a*, a warm one at the last point's a_hat; a point
+    # whose every evaluation fails (bad) is a note, and moves no other's bits
+    prob, alphas, _ = swept
+    real = inv._close_row
+
+    def close_row(p, *args):
+        return ForwardSolveError("injected") if p.alpha == bad else real(p, *args)
+
+    monkeypatch.setattr(inv, "_close_row", close_row)
+    points, notes = lcurve_sweep(prob, alphas, warm_start=warm_start)
+    by_alpha, start, failed = {p.alpha: p.result for p in points}, prob.a_star, []
+    for alpha in sorted(alphas, reverse=True):
+        try:
+            lone = levenberg_marquardt(dataclasses.replace(prob, alpha=float(alpha)), start)
+        except ForwardSolveError as exc:
+            failed.append(f"alpha={alpha:.3e}: inversion failed: {exc}")
+            assert alpha not in by_alpha
+            continue
+        got = by_alpha.pop(alpha)
+        assert got.a_hat.coeffs.tobytes() == lone.a_hat.coeffs.tobytes()
+        assert (got.cost_history, got.residual_norm2, got.penalty_norm2, got.iterations,
+                got.message) == (lone.cost_history, lone.residual_norm2, lone.penalty_norm2,
+                                 lone.iterations, lone.message)
+        start = lone.a_hat if warm_start else start
+    assert by_alpha == {}
+    assert notes == tuple(failed) == (() if bad is None else
+                                      ("alpha=1.000e-04: inversion failed: injected",))
+
+
+def test_sweep_notes_rho_falling_with_alpha(monkeypatch, swept):
+    prob = swept[0]
+
+    def canned(p, a0, cfg=LMConfig()):
+        rho = {1e-4: 3e-3, 1e-3: 2e-3, 1e-2: 4e-3, 1e-1: 5e-3, 1.0: 6e-3}[p.alpha]
+        return fake_point(p.alpha, rho, 1.0 / (1.0 + p.alpha)).result
+
+    use_fake_lm(monkeypatch, canned)
+    points, notes = lcurve_sweep(prob, [1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    assert len(points) == 5
+    assert notes == (
+        "sweep anomaly: rho fell from 3.000000e-03 (alpha=1.000e-04) to 2.000000e-03 "
+        "(alpha=1.000e-03)",
     )
 
 
@@ -254,7 +302,7 @@ def fake_lm_factory(truth, slope_jitter=0.3):
 
 
 def use_fake_lm(monkeypatch, fake):
-    """Make rate_study's lockstep solver apply a one-problem fake to every
+    """Make regselect's lockstep solver apply a one-problem fake to every
     problem; a ForwardSolveError the fake raises becomes that entry."""
 
     def many(probs, a0s, cfg=LMConfig()):

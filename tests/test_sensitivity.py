@@ -284,6 +284,21 @@ def test_sensitivity_csv_rejects_corrupt_header(tmp_path):
         read_sensitivity_csv(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("extension=clamp", "extension=linear")] + lines[1:],
+     "unsupported extension rule 'linear'"),
+    (lambda lines: lines[:3] + ["0.35" + lines[3][lines[3].index(","):]] + lines[4:],
+     "knot column inconsistent with metadata"),
+], ids=["extension", "knot_column"])
+def test_sensitivity_csv_rejects_metadata_its_rows_break(tmp_path, edit, message):
+    path = tmp_path / "a.csv"
+    write_sensitivity_csv(SensitivityFunction.constant(2.0, 0.1, 0.7, 4), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(InvalidStateError) as raised:
+        read_sensitivity_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
 def test_knots_built_once_and_read_only():
     a = SensitivityFunction(0.1, 0.7, np.arange(7.0))
     assert a.knots() is a.knots()

@@ -149,6 +149,15 @@ def test_noisy_data_validates_shape_and_positivity():
         NoisyData(grid=g, X=np.stack([good, bad_c], axis=1), delta=0.0, seed=0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", [0, 1], ids=["u", "c"])
+def test_noisy_data_rejects_a_non_finite_value(field, value):
+    X = np.ones((2, 2, 3))
+    X[1, field, 2] = value
+    with pytest.raises(InvalidStateError, match="^measurements contain non-finite values$"):
+        NoisyData(grid=SimulationGrid(0.0, 1.0, 3, 1.0, 1), X=X, delta=0.0, seed=0)
+
+
 def test_noisy_data_is_a_trajectory_sharing_the_truths_frames(meas_truth):
     d = add_noise(meas_truth, 0.0, seed=4)
     assert isinstance(d, StateTrajectory) and d.X is meas_truth.X
